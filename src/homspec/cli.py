@@ -8,6 +8,8 @@ plot-data.  Exit codes: 0 success, 2 invariant failure, 3 config error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -32,6 +34,20 @@ def _dump(payload, out_dir, name):
         print(_write(out_dir, name, text))
     else:
         print(text)
+
+
+def _write_grid_samples(out_dir, name, dim, sigma, n, columns):
+    """CSV of each (header, f) in ``columns`` as f(points), on n points per
+    axis of [-4 sigma, 4 sigma]^dim."""
+    R = 4.0 * sigma
+    x = np.linspace(-R, R, n)
+    pts = (np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+           if dim == 2 else x.reshape(-1, 1))
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow([f"x{i+1}" for i in range(dim)] + [h for h, _ in columns])
+    w.writerows(np.column_stack([pts] + [f(pts) for _, f in columns]).tolist())
+    print(_write(out_dir, name, buf.getvalue()))
 
 
 def cmd_homogenize(cfg: RunConfig, args):
@@ -71,29 +87,19 @@ def cmd_spectrum(cfg: RunConfig, args):
     }
     _dump(payload, args.out, "spectrum.json")
     if args.out and args.eigenfunction_samples > 0:
-        import csv
-        import io
-        R = 4.0 * basis.sigma
-        x = np.linspace(-R, R, args.eigenfunction_samples)
-        pts = (np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
-               .reshape(-1, 2) if cfg.dim == 2 else x.reshape(-1, 1))
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([f"x{i+1}" for i in range(cfg.dim)]
-                   + [f"phi{j}" for j in range(1, spec.count + 1)])
-        vals = np.stack([spec.eigenfunction(j).evaluate(pts)
-                         for j in range(1, spec.count + 1)], axis=1)
-        for i in range(pts.shape[0]):
-            w.writerow([repr(v) for v in pts[i]] +
-                       [repr(v) for v in vals[i]])
-        print(_write(args.out, "eigenfunctions.csv", buf.getvalue()))
+        _write_grid_samples(
+            args.out, "eigenfunctions.csv", cfg.dim, basis.sigma,
+            args.eigenfunction_samples,
+            [(f"phi{j}", spec.eigenfunction(j).evaluate)
+             for j in range(1, spec.count + 1)])
     return 0
 
 
 def cmd_expand(cfg: RunConfig, args):
     from .expansion import assemble
     from .hermite import spectral_gap
-    from .pipeline import stage_expand, stage_homogenize, stage_spectrum
+    from .pipeline import (assemble_branches, stage_expand, stage_homogenize,
+                           stage_spectrum)
     coeff, suite = stage_homogenize(cfg)
     W, basis, spec = stage_spectrum(cfg, suite)
     warnings = []
@@ -102,12 +108,8 @@ def cmd_expand(cfg: RunConfig, args):
     per_eps = []
     for eps in cfg.eps_list:
         entry = {"eps": eps}
-        for br in branches:
-            asm = assemble(br, eps)
+        for br, asm in zip(branches, assemble_branches(branches, eps, warnings)):
             entry[f"lambda_tilde_branch{br.label}"] = asm.lambda_tilde
-            for wrn in asm.warnings:
-                if wrn not in warnings:
-                    warnings.append({**wrn, "eps": eps})
         per_eps.append(entry)
     payload = {
         "lambda0": spec.eigenvalue(cfg.j),
@@ -122,41 +124,24 @@ def cmd_expand(cfg: RunConfig, args):
     }
     _dump(payload, args.out, "expand.json")
     if args.out and args.w_samples > 0:
-        import csv
-        import io
-        R = 4.0 * basis.sigma
-        x = np.linspace(-R, R, args.w_samples)
-        pts = (np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
-               .reshape(-1, 2) if cfg.dim == 2 else x.reshape(-1, 1))
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([f"x{i+1}" for i in range(cfg.dim)]
-                   + [f"w_eps{eps}_branch{br.label}"
-                      for eps in cfg.eps_list for br in branches])
-        cols = [assemble(br, eps, pts, gradient=False).w
-                for eps in cfg.eps_list for br in branches]
-        for i in range(pts.shape[0]):
-            w.writerow([repr(v) for v in pts[i]]
-                       + [repr(c[i]) for c in cols])
-        print(_write(args.out, "w_samples.csv", buf.getvalue()))
+        _write_grid_samples(
+            args.out, "w_samples.csv", cfg.dim, basis.sigma, args.w_samples,
+            [(f"w_eps{eps}_branch{br.label}",
+              lambda pts, br=br, eps=eps: assemble(br, eps, pts,
+                                                   gradient=False).w)
+             for eps in cfg.eps_list for br in branches])
     return 0
 
 
 def cmd_reference(cfg: RunConfig, args):
-    from .pipeline import stage_homogenize, stage_spectrum
-    from .reference import FineGrid, solve_Leps, truncation_radius
+    from .pipeline import stage_homogenize, stage_reference, stage_spectrum
     coeff, suite = stage_homogenize(cfg)
     W, basis, spec = stage_spectrum(cfg, suite)
-    lam_min = float(np.min(np.linalg.eigvalsh(W.quadratic_form())))
-    a, b = spec.cluster_of(cfg.j)
-    radius = cfg.radius or truncation_radius(
-        spec.eigenvalues[min(cfg.count, spec.count) - 1], lam_min,
-        cfg.radius_safety)
+    radius, _, refs = stage_reference(cfg, coeff, W, spec, keep_vectors=False,
+                                      workers=args.workers)
     payload = {"radius": radius, "per_eps": []}
     for eps in cfg.eps_list:
-        ref = solve_Leps(coeff, W, eps,
-                         FineGrid(cfg.dim, radius, eps / cfg.fd_h_rule),
-                         max(b + 1, 3), keep_vectors=False)
+        ref, _ = refs[eps]
         payload["per_eps"].append({
             "eps": eps,
             "lambda_h": [float(v) for v in ref.eigenvalues_h],
@@ -175,7 +160,7 @@ def cmd_sweep(cfg: RunConfig, args):
     print(_write(out, "manifest.json", manifest.to_json()))
     print(_write(out, "sweep.csv", rows_to_csv(rows)))
     try:
-        for name, text in emit_plot_data(manifest, rows).items():
+        for name, text in emit_plot_data(manifest.fits, rows).items():
             print(_write(out, f"plot_{name}.csv", text))
     except HomspecError:
         pass
@@ -190,32 +175,15 @@ def cmd_verify(cfg, args):
 
 
 def cmd_plot_data(cfg, args):
-    from .pipeline import emit_plot_data
-    from .reference import ComparisonRow
+    from .pipeline import emit_plot_data, rows_from_csv
     if not args.manifest:
         raise ConfigError("plot-data needs --manifest pointing at a sweep dir")
     with open(os.path.join(args.manifest, "manifest.json")) as fh:
-        mani_raw = json.load(fh)
-    import csv as _csv
-
-    class _M:
-        fits = mani_raw["fits"]
-    rows = []
+        fits = json.load(fh)["fits"]
     with open(os.path.join(args.manifest, "sweep.csv")) as fh:
-        for rec in _csv.DictReader(fh):
-            rows.append(ComparisonRow(
-                eps=float(rec["epsilon"]), j=int(rec["j"]),
-                branch=int(rec["branch"]),
-                lambda_ref=float(rec["lambda_ref"]),
-                lambda_ref_richardson=float(rec["lambda_ref_richardson"]),
-                lambda_tilde=float(rec["lambda_tilde"]),
-                eig_err=float(rec["eig_err"]),
-                l2_err=float(rec["l2_err"]), h1_err=float(rec["h1_err"]),
-                h=float(rec["h"]), radius=float(rec["R"]),
-                runtime_s=float(rec["runtime_s"]),
-            ))
+        rows = rows_from_csv(fh.read())
     out = args.out or args.manifest
-    for name, text in emit_plot_data(_M, rows).items():
+    for name, text in emit_plot_data(fits, rows).items():
         print(_write(out, f"plot_{name}.csv", text))
     return 0
 
@@ -231,7 +199,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output directory (default: print/config)")
     parser.add_argument("--manifest", help="directory with a sweep run (plot-data)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel reference solves in a sweep")
+                        help="parallel reference solves (sweep, reference)")
     parser.add_argument("--tolerance-scale", type=float, default=1.0,
                         dest="tolerance_scale",
                         help="multiply invariant thresholds (verify)")

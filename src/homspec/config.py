@@ -31,7 +31,6 @@ Grammar (stdlib configparser syntax, all keys lowercase):
 
     [output]
     directory = out
-    formats   = json, csv
 
 Coefficient expressions may use y1, y2 (or y in 1D), numbers, pi, cos, sin,
 + - * / and ** with integer exponents.  Potential expressions use x1, x2
@@ -171,7 +170,6 @@ class RunConfig:
     p_rule_c: float = 1.0
     compare_eigenfunctions: bool = True
     directory: str = "out"
-    formats: tuple = ("json", "csv")
     raw: dict = field(default_factory=dict, repr=False)
 
     def potential(self) -> SlowPolynomial:
@@ -309,8 +307,6 @@ def parse_config(text: str) -> RunConfig:
         compare_eigenfunctions=_get(cp, "experiment", "compare_eigenfunctions",
                                     "true").lower() in ("1", "true", "yes"),
         directory=_get(cp, "output", "directory", "out") or "out",
-        formats=tuple((_get(cp, "output", "formats", "json, csv") or "")
-                      .replace(",", " ").split()),
     )
     if cfg.solver_tol <= 0 or cfg.fd_h_rule < 8:
         raise ConfigError("solver_tol must be positive and fd_h_rule >= 8")
@@ -354,7 +350,6 @@ def serialize_config(cfg: RunConfig) -> str:
            str(cfg.compare_eigenfunctions).lower())
     cp.add_section("output")
     cp.set("output", "directory", cfg.directory)
-    cp.set("output", "formats", ", ".join(cfg.formats))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -261,7 +261,6 @@ class ExpansionBranch:
     alphas: dict = field(default_factory=dict)   # level -> kernel coefficients
     hierarchy_residuals: dict = field(default_factory=dict)
     solvability_residuals: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
 
     @property
     def cluster_size(self) -> int:
@@ -621,7 +620,6 @@ def multiple_recursion(coeff: CoefficientField, W: SlowPolynomial,
                          E_row=E[r], mu2_val=mu2[r],
                          D=D, E=E, mu2_list=mu2,
                          torus_tol=torus_tol, degree_cap=degree_cap)
-        br.warnings.extend([])
         branches.append(br)
     return branches
 

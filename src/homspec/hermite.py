@@ -240,10 +240,6 @@ class MacroFunction:
     def __neg__(self):
         return MacroFunction(self.basis, -self.coeffs)
 
-    def derivative(self, axis: int) -> "MacroFunction":
-        """d/dx_axis projected back onto the basis (top mode truncated)."""
-        return MacroFunction(self.basis, derivative_op(axis, self.basis) @ self.coeffs)
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.norm() <= tol
 

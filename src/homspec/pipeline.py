@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .classical import build_suite, cyclic_check
 from .config import RunConfig, serialize_config
-from .errors import DegenerateD, DegenerateFit, HomspecError
+from .errors import (DegenerateD, DegenerateFit, HomspecError,
+                     InsufficientPoints)
 from .expansion import (
     assemble,
     choose_P,
@@ -32,6 +33,7 @@ from .expansion import (
 )
 from .hermite import MacroBasis, default_sigma, solve_spectrum, spectral_gap
 from .reference import (
+    ComparisonRow,
     FineGrid,
     fit_rate,
     match_and_compare,
@@ -123,10 +125,46 @@ def stage_expand(cfg: RunConfig, coeff, W, spec, warnings: list):
     return branches, P_build
 
 
-def _reference_for(cfg, coeff, W, eps, count, radius):
-    grid = FineGrid(cfg.dim, radius, eps / cfg.fd_h_rule)
-    keep = cfg.compare_eigenfunctions and cfg.dim == 1
-    return solve_Leps(coeff, W, eps, grid, count, keep_vectors=keep)
+def stage_reference(cfg: RunConfig, coeff, W, spec, keep_vectors: bool,
+                    workers: int):
+    """Fine-grid reference spectra at every eps of the sweep.
+
+    Returns (radius, ref_count, refs) with refs[eps] = (ReferenceSpectrum,
+    seconds spent on it); ``workers`` > 1 solves the eps values in threads.
+    """
+    _, b = spec.cluster_of(cfg.j)
+    lam_min = float(np.min(np.linalg.eigvalsh(W.quadratic_form())))
+    radius = cfg.radius or truncation_radius(
+        spec.eigenvalues[min(cfg.count, spec.count) - 1], lam_min,
+        cfg.radius_safety,
+    )
+    ref_count = max(b + 1, 3)
+
+    def one_eps(eps):
+        start = time.perf_counter()
+        ref = solve_Leps(coeff, W, eps,
+                         FineGrid(cfg.dim, radius, eps / cfg.fd_h_rule),
+                         ref_count, keep_vectors=keep_vectors)
+        return ref, time.perf_counter() - start
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(one_eps, cfg.eps_list))
+    else:
+        solved = [one_eps(eps) for eps in cfg.eps_list]
+    return radius, ref_count, dict(zip(cfg.eps_list, solved))
+
+
+def assemble_branches(branches, eps: float, warnings: list) -> list:
+    """assemble(br, eps) for every branch; each new warning, tagged with
+    eps, is added to ``warnings`` once."""
+    assemblies = [assemble(br, eps) for br in branches]
+    for asm in assemblies:
+        for wrn in asm.warnings:
+            entry = {**wrn, "eps": eps}
+            if entry not in warnings:
+                warnings.append(entry)
+    return assemblies
 
 
 def run(cfg: RunConfig, workers: int = 1):
@@ -158,15 +196,13 @@ def run(cfg: RunConfig, workers: int = 1):
     a, b = spec.cluster_of(cfg.j)
     lam0 = spec.eigenvalue(cfg.j)
     gamma = spectral_gap(spec, cfg.j)
-    lam_min = float(np.min(np.linalg.eigvalsh(W.quadratic_form())))
-    radius = cfg.radius or truncation_radius(
-        spec.eigenvalues[min(cfg.count, spec.count) - 1], lam_min,
-        cfg.radius_safety,
-    )
     radius_shift = None
-    ref_count = max(b + 1, 3)
 
     t0 = time.perf_counter()
+    radius, ref_count, refs = stage_reference(
+        cfg, coeff, W, spec,
+        keep_vectors=cfg.compare_eigenfunctions and cfg.dim == 1,
+        workers=workers)
     if cfg.validate_radius:
         grid0 = FineGrid(cfg.dim, radius, max(cfg.eps_list) / cfg.fd_h_rule)
         radius_shift = validate_radius(coeff, W, max(cfg.eps_list), grid0,
@@ -177,22 +213,6 @@ def run(cfg: RunConfig, workers: int = 1):
                 "detail": f"doubling the box moved eigenvalues by "
                           f"{radius_shift:.3e} relative",
             })
-
-    def one_eps(eps):
-        start = time.perf_counter()
-        ref = _reference_for(cfg, coeff, W, eps, ref_count, radius)
-        elapsed = time.perf_counter() - start
-        return eps, ref, elapsed
-
-    refs = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for eps, ref, elapsed in pool.map(one_eps, cfg.eps_list):
-                refs[eps] = (ref, elapsed)
-    else:
-        for eps in cfg.eps_list:
-            eps, ref, elapsed = one_eps(eps)
-            refs[eps] = (ref, elapsed)
     timings["reference"] = time.perf_counter() - t0
 
     rows = []
@@ -207,23 +227,15 @@ def run(cfg: RunConfig, workers: int = 1):
                                      mu=branches[0].mu), P_build)
             except HomspecError:
                 P_eps = min(2, P_build)
-        for br in branches:
-            asm = assemble(br, eps)
-            for w in asm.warnings:
-                entry = dict(w)
-                entry["eps"] = eps
-                if entry not in warnings:
-                    warnings.append(entry)
+        assemble_branches(branches, eps, warnings)
         if cfg.compare_eigenfunctions and ref.eigenvectors is not None:
             eps_rows = match_and_compare(ref, branches, eps, P=P_eps)
         else:
             eps_rows = []
-            used = []
             for r, br in enumerate(branches):
                 k = a + r if a + r < len(ref.eigenvalues) else len(ref.eigenvalues) - 1
                 lamr = float(ref.eigenvalues[k])
                 lt = lambda_tilde(br, eps, P_eps)
-                from .reference import ComparisonRow
                 eps_rows.append(ComparisonRow(
                     eps=eps, j=br.j, branch=br.label,
                     lambda_ref=float(ref.eigenvalues_h2[k]),
@@ -242,12 +254,16 @@ def run(cfg: RunConfig, workers: int = 1):
             "lambda_ref": [float(v) for v in ref.eigenvalues],
         })
 
+    series = [("eig", lambda row: row.eig_err),
+              ("zeroth", lambda row: abs(row.lambda_ref_richardson - lam0))]
+    if cfg.compare_eigenfunctions:
+        series += [("l2", lambda row: row.l2_err),
+                   ("h1", lambda row: row.h1_err)]
     fits = {}
-    for r, br in enumerate(branches):
-        series = [(row.eps, row.eig_err) for row in rows if row.branch == r]
-        zeroth = [(row.eps, abs(row.lambda_ref_richardson - lam0))
-                  for row in rows if row.branch == r]
-        for name, data in (("eig", series), ("zeroth", zeroth)):
+    for r in range(len(branches)):
+        for name, value in series:
+            data = [(row.eps, value(row)) for row in rows
+                    if row.branch == r and np.isfinite(value(row))]
             try:
                 slope, intercept, r2 = fit_rate(data)
                 fits[f"branch{r}_{name}"] = {
@@ -255,17 +271,6 @@ def run(cfg: RunConfig, workers: int = 1):
                 }
             except (DegenerateFit, HomspecError) as exc:
                 fits[f"branch{r}_{name}"] = {"error": str(exc)}
-        if cfg.compare_eigenfunctions:
-            for name in ("l2_err", "h1_err"):
-                data = [(row.eps, getattr(row, name)) for row in rows
-                        if row.branch == r and np.isfinite(getattr(row, name))]
-                try:
-                    slope, intercept, r2 = fit_rate(data)
-                    fits[f"branch{r}_{name[:2]}"] = {
-                        "slope": slope, "intercept": intercept, "r2": r2,
-                    }
-                except (DegenerateFit, HomspecError) as exc:
-                    fits[f"branch{r}_{name[:2]}"] = {"error": str(exc)}
 
     # zeroth-order envelope constant per reference index
     c1 = {}
@@ -340,36 +345,46 @@ def rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def emit_plot_data(manifest: RunManifest, rows) -> dict:
+def rows_from_csv(text: str) -> list:
+    """Rows of a ``sweep.csv`` text as written by rows_to_csv."""
+    return [ComparisonRow(
+        eps=float(rec["epsilon"]), j=int(rec["j"]), branch=int(rec["branch"]),
+        lambda_ref=float(rec["lambda_ref"]),
+        lambda_ref_richardson=float(rec["lambda_ref_richardson"]),
+        lambda_tilde=float(rec["lambda_tilde"]),
+        eig_err=float(rec["eig_err"]), l2_err=float(rec["l2_err"]),
+        h1_err=float(rec["h1_err"]), h=float(rec["h"]),
+        radius=float(rec["R"]), runtime_s=float(rec["runtime_s"]),
+    ) for rec in csv.DictReader(io.StringIO(text))]
+
+
+def emit_plot_data(fits: dict, rows) -> dict:
     """One CSV text per error norm: log-log series plus the fitted line.
 
     Fit parameters are repeated per row so the file stays consumable by any
     plotting tool without a sidecar.
     """
-    from .errors import InsufficientPoints
-
     eps_values = sorted({row.eps for row in rows}, reverse=True)
     if len(eps_values) < 2:
         raise InsufficientPoints("plot data needs at least two sweep points")
     out = {}
     branches = sorted({row.branch for row in rows})
-    for name, getter in (("eig_err", lambda r: r.eig_err),
-                         ("l2_err", lambda r: r.l2_err),
-                         ("h1_err", lambda r: r.h1_err)):
+    for key, name in (("eig", "eig_err"), ("l2", "l2_err"), ("h1", "h1_err")):
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(("epsilon", "branch", name, "fit_slope", "fit_intercept",
                     "fit_r2"))
         wrote = False
         for br in branches:
-            fit = manifest.fits.get(f"branch{br}_{name[:2] if name != 'eig_err' else 'eig'}", {})
+            fit = fits.get(f"branch{br}_{key}", {})
             slope = fit.get("slope", "")
             intercept = fit.get("intercept", "")
             r2 = fit.get("r2", "")
             for row in rows:
-                if row.branch != br or not np.isfinite(getter(row)):
+                value = getattr(row, name)
+                if row.branch != br or not np.isfinite(value):
                     continue
-                w.writerow((repr(row.eps), br, repr(getter(row)),
+                w.writerow((repr(row.eps), br, repr(value),
                             slope, intercept, r2))
                 wrote = True
         if wrote:

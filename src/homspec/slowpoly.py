@@ -9,10 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegreeCapExceeded
-
-DEFAULT_DEGREE_CAP = 8
-
 
 class SlowPolynomial:
     """Real polynomial on R^d with a finite monomial table."""
@@ -53,9 +49,6 @@ class SlowPolynomial:
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.coeffs.values())
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def constant_term(self) -> float:
         return self.coeffs.get((0,) * self.dim, 0.0)
@@ -118,27 +111,10 @@ class SlowPolynomial:
             out = out * self
         return out
 
-    def derivative(self, axis: int) -> "SlowPolynomial":
-        out = {}
-        for alpha, c in self.coeffs.items():
-            if alpha[axis] == 0:
-                continue
-            b = list(alpha)
-            b[axis] -= 1
-            out[tuple(b)] = out.get(tuple(b), 0.0) + c * alpha[axis]
-        return SlowPolynomial(self.dim, out)
-
     def prune(self, tol: float) -> "SlowPolynomial":
         return SlowPolynomial(
             self.dim, {a: c for a, c in self.coeffs.items() if abs(c) > tol}
         )
-
-    def check_degree(self, cap: int = DEFAULT_DEGREE_CAP) -> "SlowPolynomial":
-        if self.degree() > cap:
-            raise DegreeCapExceeded(
-                f"polynomial degree {self.degree()} exceeds cap {cap}"
-            )
-        return self
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (m, d) (or (m,) when d = 1)."""
@@ -174,9 +150,3 @@ def monomials_of_degree(dim: int, m: int) -> list:
         return [(m,)]
     return [(m - j, j) for j in range(m + 1)]
 
-
-def monomials_up_to(dim: int, m: int) -> list:
-    out = []
-    for k in range(m + 1):
-        out.extend(monomials_of_degree(dim, k))
-    return out

@@ -178,9 +178,6 @@ class PeriodicField:
         """L2(T^d) norm; components of vector/matrix fields are summed."""
         return float(np.sqrt(np.sum(self.values ** 2) / self.grid.npoints))
 
-    def linf_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     # --- algebra ---
 
     def __add__(self, other):
@@ -274,13 +271,6 @@ def div_y(f: PeriodicField) -> PeriodicField:
             comps.append(acc)
         return PeriodicField(f.grid, np.stack(comps))
     raise GridMismatch("div_y expects a vector or matrix field")
-
-
-def laplacian_y(f: PeriodicField) -> PeriodicField:
-    if f.rank != 0:
-        raise GridMismatch("laplacian_y expects a scalar field")
-    fh = np.fft.fftn(f.values)
-    return PeriodicField(f.grid, np.real(np.fft.ifftn(-f.grid.k_squared * fh)))
 
 
 # --- dealiased products -----------------------------------------------------

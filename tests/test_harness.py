@@ -1,5 +1,6 @@
 """Config parsing, pipeline runs, verify suite, CLI plumbing."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from homspec.config import (
     serialize_config,
 )
 from homspec.errors import ConfigError
-from homspec.pipeline import emit_plot_data, rows_to_csv, run
+from homspec.pipeline import emit_plot_data, rows_from_csv, rows_to_csv, run
 from homspec.verify import report, run_invariants
 
 MINIMAL = """
@@ -39,6 +40,35 @@ p_order = 2
 [output]
 directory = out
 """
+
+# two-branch 2D cluster, coarse enough for a subprocess test; both eps
+# violate the epsilon condition
+TWO_BRANCH = """
+[problem]
+dim = 2
+a11 = (2 + cos(2*pi*y1)) * 0.5773502691896258
+a22 = 1
+w = x1**2 + x2**2
+
+[discretization]
+torus_modes = 16
+hermite_size = 10
+fd_h_rule = 8
+radius = 6.0
+
+[experiment]
+j = 2
+count = 5
+eps = 0.5, 0.4
+p_order = 2
+compare_eigenfunctions = false
+"""
+
+
+def _csv_floats(text):
+    """Every data cell of a CSV text as a float (fails on any other form)."""
+    return [[float(v) for v in line.split(",")]
+            for line in text.splitlines()[1:]]
 
 
 class TestExpressions:
@@ -165,7 +195,7 @@ class TestPipeline:
 
     def test_plot_data(self, mini_run):
         _, manifest, rows = mini_run
-        out = emit_plot_data(manifest, rows)
+        out = emit_plot_data(manifest.fits, rows)
         assert "eig_err" in out
         header = out["eig_err"].splitlines()[0]
         assert header.startswith("epsilon,branch,eig_err,fit_slope")
@@ -175,7 +205,13 @@ class TestPipeline:
         _, manifest, rows = mini_run
         one_eps = [r for r in rows if r.eps == rows[0].eps]
         with pytest.raises(InsufficientPoints):
-            emit_plot_data(manifest, one_eps)
+            emit_plot_data(manifest.fits, one_eps)
+
+    def test_rows_csv_round_trip(self, mini_run):
+        _, _, rows = mini_run
+        back = rows_from_csv(rows_to_csv(rows))
+        strip = lambda r: dataclasses.replace(r, runtime_s=0.0)
+        assert [strip(r) for r in back] == [strip(r) for r in rows]
 
     def test_manifest_hierarchy_field(self, mini_run):
         _, manifest, _ = mini_run
@@ -223,10 +259,13 @@ class TestCLI:
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(MINIMAL)
         r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
-                      "spectrum", cwd=str(tmp_path))
+                      "spectrum", "--eigenfunction-samples", "9",
+                      cwd=str(tmp_path))
         assert r.returncode == 0, r.stderr
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         assert payload["eigenvalues"][0] == pytest.approx(3 ** 0.25, rel=1e-9)
+        samples = _csv_floats((tmp_path / "eigenfunctions.csv").read_text())
+        assert len(samples) == 9 and all(len(s) == 1 + 5 for s in samples)
 
     def test_expand_and_sweep(self, tmp_path):
         cfgfile = tmp_path / "run.ini"
@@ -237,6 +276,7 @@ class TestCLI:
         assert r.returncode == 0, r.stderr
         w_csv = (tmp_path / "w_samples.csv").read_text()
         assert w_csv.splitlines()[0].startswith("x1,w_eps")
+        assert len(_csv_floats(w_csv)) == 33
         r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
                       "sweep", cwd=str(tmp_path))
         assert r.returncode == 0, r.stderr
@@ -270,6 +310,35 @@ class TestCLI:
         r = self._run("plot-data", cwd=str(tmp_path))
         assert r.returncode == 3
         assert "--manifest" in r.stderr
+
+    def test_expand_warnings_once(self, tmp_path):
+        cfgfile = tmp_path / "two.ini"
+        cfgfile.write_text(TWO_BRANCH)
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
+                      "expand", cwd=str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        payload = json.loads((tmp_path / "expand.json").read_text())
+        assert payload["cluster_size"] == 2
+        seen = [(w["code"], w["eps"]) for w in payload["warnings"]]
+        assert sorted(seen) == [("EpsilonConditionViolated", 0.4),
+                                ("EpsilonConditionViolated", 0.5)]
+
+    def test_reference_radius_matches_sweep(self, tmp_path):
+        # radius = auto: the reference subcommand and the sweep must size
+        # the box the same way
+        text = MINIMAL.replace("radius = 7.0\n", "")
+        assert "radius" not in text
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(text)
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
+                      "reference", cwd=str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        payload = json.loads((tmp_path / "reference.json").read_text())
+        manifest, _ = run(parse_config(text))
+        assert payload["radius"] == manifest.radius
+        assert [e["eps"] for e in payload["per_eps"]] == [0.125, 0.0625, 0.03125]
+        assert payload["per_eps"][0]["lambda_richardson"][0] == pytest.approx(
+            manifest.per_eps[0]["lambda_ref"][0], rel=1e-12)
 
     def test_config_error_exit_code(self, tmp_path):
         cfgfile = tmp_path / "bad.ini"
