@@ -49,6 +49,7 @@ from .errors import (
     NumericalError,
 )
 from .hermite import (
+    HermiteSampler,
     MacroFunction,
     QuadratureRule,
     SpectrumResult,
@@ -58,7 +59,8 @@ from .hermite import (
 )
 from .separable import SeparableField
 from .slowpoly import SlowPolynomial, monomials_of_degree
-from .torus import CoefficientField, PeriodicField, cell_residual, solve_cell
+from .torus import (CoefficientField, FourierSampler, PeriodicField,
+                    cell_residual, solve_cell)
 
 MU1_TOL = 1e-8
 SOLVABILITY_TOL = 1e-8
@@ -680,11 +682,14 @@ def assemble(branch: ExpansionBranch, eps: float,
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = branch.table.d
-    ypts = pts / eps
     m = pts.shape[0]
     w = np.zeros(m)
     gw = np.zeros((d, m)) if gradient else None
     table = branch.table
+    # one Fourier basis and one Hermite table per point set, shared by
+    # every corrector shape and envelope derivative below
+    sample_y = FourierSampler(table.grid, pts / eps)
+    sample_x = HermiteSampler(branch.spectrum.basis, pts, P + 1)
     for k in range(0, P + 1):
         Uk = branch.U[k] if k < len(branch.U) else None
         if Uk is None or Uk.norm() == 0.0:
@@ -696,20 +701,20 @@ def assemble(branch: ExpansionBranch, eps: float,
                     if chi.is_zero():
                         continue
                     scalef = eps ** (q + k)
-                    du = Uk.evaluate(pts, alpha)
-                    cvals = chi.eval_xy(pts, ypts)
+                    du = sample_x(Uk, alpha)
+                    cvals = chi.eval_xy(pts, sample_y)
                     w += scalef * du * cvals
                     if not gradient:
                         continue
                     for i in range(d):
                         e_i = tuple(1 if ax == i else 0 for ax in range(d))
                         a_up = tuple(x + y for x, y in zip(alpha, e_i))
-                        gw[i] += scalef * Uk.evaluate(pts, a_up) * cvals
+                        gw[i] += scalef * sample_x(Uk, a_up) * cvals
                         dxc = chi.dx(i)
                         if not dxc.is_zero():
-                            gw[i] += scalef * du * dxc.eval_xy(pts, ypts)
+                            gw[i] += scalef * du * dxc.eval_xy(pts, sample_y)
                         dyc = chi.dy(i)
                         if not dyc.is_zero():
-                            gw[i] += scalef / eps * du * dyc.eval_xy(pts, ypts)
+                            gw[i] += scalef / eps * du * dyc.eval_xy(pts, sample_y)
     return Assembly(eps=eps, P=P, lambda_tilde=lam, w=w, grad_w=gw,
                     warnings=warnings)

@@ -31,6 +31,7 @@ from .errors import (
     TruncationUnsafe,
 )
 from .slowpoly import SlowPolynomial
+from .torus import pair_contract
 
 DEFAULT_CLUSTER_TOL = 1e-6
 
@@ -247,22 +248,55 @@ class MacroFunction:
                  alpha: tuple | None = None) -> np.ndarray:
         """Values of d^alpha(self) at points (m, d); exact derivative route.
 
+        To evaluate many functions or derivatives at one point set, build a
+        HermiteSampler once.
+        """
+        alpha = tuple(alpha) if alpha is not None else (0,) * self.basis.dim
+        return HermiteSampler(self.basis, points, sum(alpha))(self, alpha)
+
+
+class HermiteSampler:
+    """Derivatives of functions on one MacroBasis at one fixed point set.
+
+    Holds one hermite_function_values table per axis with basis.size +
+    max_order columns.  The recurrence fills columns left to right, so the
+    first Ne columns equal the table built for Ne alone, bit for bit.
+    """
+
+    __slots__ = ("basis", "max_order", "tables")
+
+    def __init__(self, basis: MacroBasis, points: np.ndarray, max_order: int):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != basis.dim:
+            raise ValueError("points must have d columns")
+        self.basis = basis
+        self.max_order = max_order
+        self.tables = [hermite_function_values(pts[:, ax],
+                                               basis.size + max_order,
+                                               basis.sigma)
+                       for ax in range(basis.dim)]
+
+    def __call__(self, f: MacroFunction,
+                 alpha: tuple | None = None) -> np.ndarray:
+        """Values of d^alpha f at the sampler's points.
+
         The coefficients are lifted to an extended basis before applying the
         ladder derivative, so no derivative content is lost to truncation.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         d = self.basis.dim
-        if pts.shape[1] != d:
-            raise ValueError("points must have d columns")
         alpha = tuple(alpha) if alpha is not None else (0,) * d
         order = sum(alpha)
+        if order > self.max_order:
+            raise ValueError(f"derivative order {order} exceeds the sampler's "
+                             f"max_order {self.max_order}")
+        if f.basis != self.basis:
+            raise ValueError("function lives on a different basis")
         Ne = self.basis.size + order
-        c = extended_coefficients(self, alpha, Ne)
-        mats = [hermite_function_values(pts[:, ax], Ne, self.basis.sigma)
-                for ax in range(d)]
+        c = extended_coefficients(f, alpha, Ne)
         if d == 1:
-            return mats[0] @ c.reshape(-1)
-        return np.einsum("pa,ab,pb->p", mats[0], c, mats[1])
+            return self.tables[0][:, :Ne] @ c.reshape(-1)
+        return pair_contract(self.tables[0][:, :Ne], c,
+                             self.tables[1][:, :Ne])
 
 
 def extended_coefficients(f: MacroFunction, alpha: tuple, Ne: int) -> np.ndarray:

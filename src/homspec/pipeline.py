@@ -217,7 +217,9 @@ def run(cfg: RunConfig, workers: int = 1):
 
     rows = []
     per_eps_meta = []
+    timings["compare"] = 0.0
     for eps in cfg.eps_list:
+        t0 = time.perf_counter()
         ref, elapsed = refs[eps]
         if cfg.p_order is not None:
             P_eps = min(cfg.p_order, P_build)
@@ -244,7 +246,9 @@ def run(cfg: RunConfig, workers: int = 1):
                     h1_err=float("nan"), h=eps / cfg.fd_h_rule,
                     radius=radius,
                 ))
-        share = elapsed / max(len(eps_rows), 1)
+        compared = time.perf_counter() - t0
+        timings["compare"] += compared
+        share = (elapsed + compared) / max(len(eps_rows), 1)
         for row in eps_rows:
             row.runtime_s = share
         rows.extend(eps_rows)

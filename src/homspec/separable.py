@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DegreeCapExceeded, GridMismatch
 from .slowpoly import SlowPolynomial
-from .torus import PeriodicField, TorusGrid, deriv_y, pointwise_multiply
+from .torus import (FourierSampler, PeriodicField, TorusGrid, deriv_y,
+                    pointwise_multiply)
 
 
 class SeparableField:
@@ -148,17 +149,17 @@ class SeparableField:
 
     # --- evaluation ---
 
-    def eval_xy(self, x_pts: np.ndarray, y_pts: np.ndarray) -> np.ndarray:
-        """chi(x_i, y_i) for paired point lists of shape (m, d)."""
+    def eval_xy(self, x_pts: np.ndarray, sample: FourierSampler) -> np.ndarray:
+        """chi(x_i, y_i) for x_pts of shape (m, d) paired with the m points
+        y_i of ``sample``, a FourierSampler on this field's grid."""
         x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
-        y_pts = np.atleast_2d(np.asarray(y_pts, dtype=float))
         out = np.zeros(x_pts.shape[0])
         for b, f in self.terms.items():
             mono = np.ones(x_pts.shape[0])
             for ax, p in enumerate(b):
                 if p:
                     mono = mono * x_pts[:, ax] ** p
-            out += mono * f.evaluate(y_pts)
+            out += mono * sample(f)
         return out
 
     def __repr__(self):

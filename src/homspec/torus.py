@@ -204,27 +204,72 @@ class PeriodicField:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Trigonometric interpolation of a scalar field at arbitrary points.
 
-        points: (m, d) array in R^d; periodicity wraps automatically.
+        points: (m, d) array in R^d; periodicity wraps automatically.  To
+        evaluate many fields at one point set, build a FourierSampler once.
         """
-        if self.rank != 0:
-            raise GridMismatch("evaluate is defined for scalar fields")
+        return FourierSampler(self.grid, points)(self)
+
+
+# --- evaluation at fixed point sets ------------------------------------------
+
+# Rows per block when filling a basis or contracting a 2D spectrum; bounds the
+# transient arrays at a few MB whatever the number of points.
+SAMPLE_BLOCK = 4096
+
+
+def pair_contract(left: np.ndarray, core: np.ndarray,
+                  right: np.ndarray) -> np.ndarray:
+    """Real part of sum_ab left[p, a] core[a, b] right[p, b], in row blocks."""
+    out = np.empty(left.shape[0])
+    for start in range(0, left.shape[0], SAMPLE_BLOCK):
+        blk = slice(start, start + SAMPLE_BLOCK)
+        out[blk] = np.einsum("pb,pb->p", left[blk] @ core, right[blk]).real
+    return out
+
+
+def _axis_basis(x: np.ndarray, n: int) -> np.ndarray:
+    """exp(2 pi i k x) for k = fftfreq(n), shape (len(x), n).
+
+    Real field with even n: the Nyquist mode is split so that the
+    interpolant is real (cos(pi n x) rather than exp(-i pi n x)).
+    """
+    freqs = np.fft.fftfreq(n, d=1.0 / n)
+    out = np.empty((x.size, n), dtype=complex)
+    for start in range(0, x.size, SAMPLE_BLOCK):
+        xb = x[start:start + SAMPLE_BLOCK]
+        blk = out[start:start + SAMPLE_BLOCK]
+        np.exp(TWO_PI * 1j * np.outer(xb, freqs), out=blk)
+        blk[:, n // 2] = np.cos(TWO_PI * freqs[n // 2] * xb)
+    return out
+
+
+class FourierSampler:
+    """Trigonometric interpolation on one grid at one fixed point set.
+
+    The per-axis Fourier basis at the points is built once; each call then
+    costs one FFT and one product with the field's spectrum.
+    """
+
+    __slots__ = ("grid", "bases")
+
+    def __init__(self, grid: TorusGrid, points: np.ndarray):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.grid.dim:
+        if pts.shape[1] != grid.dim:
             raise GridMismatch("points must have d columns")
-        n = self.grid.modes_per_axis
-        freqs = np.fft.fftfreq(n, d=1.0 / n)
-        fh = np.fft.fftn(self.values) / self.grid.npoints
-        # real field with even n: split the Nyquist mode so that the
-        # interpolant is real (cos(pi n y) rather than exp(-i pi n y))
+        self.grid = grid
+        self.bases = [_axis_basis(pts[:, ax], grid.modes_per_axis)
+                      for ax in range(grid.dim)]
+
+    def __call__(self, field: PeriodicField) -> np.ndarray:
+        """Values of a scalar field on this grid at the sampler's points."""
+        if field.rank != 0:
+            raise GridMismatch("evaluate is defined for scalar fields")
+        if field.grid != self.grid:
+            raise GridMismatch("field lives on a different grid")
+        fh = np.fft.fftn(field.values) / self.grid.npoints
         if self.grid.dim == 1:
-            e = np.exp(TWO_PI * 1j * np.outer(pts[:, 0], freqs))
-            e[:, n // 2] = np.cos(TWO_PI * freqs[n // 2] * pts[:, 0])
-            return np.real(e @ fh)
-        e0 = np.exp(TWO_PI * 1j * np.outer(pts[:, 0], freqs))
-        e0[:, n // 2] = np.cos(TWO_PI * freqs[n // 2] * pts[:, 0])
-        e1 = np.exp(TWO_PI * 1j * np.outer(pts[:, 1], freqs))
-        e1[:, n // 2] = np.cos(TWO_PI * freqs[n // 2] * pts[:, 1])
-        return np.real(np.einsum("pa,ab,pb->p", e0, fh, e1))
+            return np.real(self.bases[0] @ fh)
+        return pair_contract(self.bases[0], fh, self.bases[1])
 
 
 def mean(f: PeriodicField):

@@ -326,6 +326,33 @@ class TestAssemble:
             + eps * chi1.evaluate(pts / eps) * phi.evaluate(pts, (2,))
         assert np.max(np.abs(asm.grad_w[0] - expect)) < 1e-10
 
+    def test_one_basis_and_table_per_point_set(self, case_1d, monkeypatch):
+        # every corrector shape and envelope derivative reuses one Fourier
+        # basis and one Hermite table; rebuilding them per call would make
+        # 15 Fourier bases and 14 Hermite tables here
+        import homspec.expansion as expansion
+        import homspec.hermite as hermite
+        _, _, _, branch = case_1d
+        counts = {"fourier": 0, "hermite": 0}
+
+        class CountingSampler(expansion.FourierSampler):
+            def __init__(self, *args):
+                counts["fourier"] += 1
+                super().__init__(*args)
+
+        table_values = hermite.hermite_function_values
+
+        def counting_values(*args):
+            counts["hermite"] += 1
+            return table_values(*args)
+
+        monkeypatch.setattr(expansion, "FourierSampler", CountingSampler)
+        monkeypatch.setattr(hermite, "hermite_function_values", counting_values)
+        pts = np.linspace(-2.0, 2.0, 101).reshape(-1, 1)
+        asm = assemble(branch, 0.05, pts, P=3, gradient=True)
+        assert np.all(np.isfinite(asm.grad_w))
+        assert counts == {"fourier": 1, "hermite": 1}
+
     def test_epsilon_condition_warning(self, case_1d):
         _, _, _, branch = case_1d
         big_eps = 2.0 * branch.gamma * branch.lambda0 ** -1.5

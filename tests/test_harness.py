@@ -184,6 +184,15 @@ class TestPipeline:
         _, manifest, _ = mini_run
         assert all(v < 1.0 for v in manifest.c1_envelope.values())
 
+    def test_compare_timing(self, mini_run):
+        # runtime_s is each eps's reference solve plus its comparison,
+        # split over that eps's rows
+        _, manifest, rows = mini_run
+        t = manifest.timings
+        assert t["compare"] >= 0.0
+        total = sum(row.runtime_s for row in rows)
+        assert t["compare"] - 1e-9 <= total <= t["reference"] + t["compare"] + 1e-9
+
     def test_csv_deterministic(self, mini_run):
         cfg, manifest, rows = mini_run
         text1 = rows_to_csv(rows)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homspec.errors import (
     GapUnresolved,
@@ -10,12 +12,15 @@ from homspec.errors import (
     TruncationUnsafe,
 )
 from homspec.hermite import (
+    HermiteSampler,
     MacroBasis,
     MacroFunction,
     assemble_L0,
     default_sigma,
     derivative_op,
     eigensolve,
+    extended_coefficients,
+    hermite_function_values,
     poly_multiply_op,
     quadrature_for,
     resolvent_solve,
@@ -235,7 +240,6 @@ class TestOperatorsAndQuadrature:
         c[9] = 1.0                      # top retained mode
         f = MacroFunction(basis, c)
         pts = np.linspace(-3, 3, 7).reshape(-1, 1)
-        from homspec.hermite import hermite_function_values
         B = hermite_function_values(pts[:, 0], 11, 1.0)
         exact = np.sqrt(9 / 2) * B[:, 8] - np.sqrt(10 / 2) * B[:, 10]
         assert np.max(np.abs(f.evaluate(pts, alpha=(1,)) - exact)) < 1e-12
@@ -249,3 +253,58 @@ class TestOperatorsAndQuadrature:
         val = quad.integrate(quad.values(phi), quad.values(phi),
                              w(quad.points()))
         assert val == pytest.approx(0.5, rel=1e-13)
+
+
+class TestHermiteSampler:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           sigma=st.floats(0.3, 3.0))
+    def test_columns_prefix_stable(self, seed, sigma):
+        x = np.random.default_rng(seed).uniform(-8.0, 8.0, 301)
+        full = hermite_function_values(x, 60, sigma)
+        for k in range(1, 61):
+            assert np.array_equal(full[:, :k],
+                                  hermite_function_values(x, k, sigma))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           size=st.integers(8, 40),
+           sigma=st.floats(0.3, 3.0),
+           K=st.integers(0, 6))
+    def test_1d_bit_identical_to_per_call_table(self, seed, size, sigma, K):
+        rng = np.random.default_rng(seed)
+        basis = MacroBasis(1, size, sigma)
+        f = MacroFunction(basis, rng.standard_normal(size))
+        pts = rng.uniform(-6.0, 6.0, (257, 1))
+        sample = HermiteSampler(basis, pts, K)
+        for order in range(K + 1):
+            Ne = size + order
+            c = extended_coefficients(f, (order,), Ne)
+            per_call = hermite_function_values(pts[:, 0], Ne, sigma) \
+                @ c.reshape(-1)
+            assert np.array_equal(sample(f, (order,)), per_call)
+            assert np.array_equal(f.evaluate(pts, (order,)), per_call)
+
+    def test_2d_matches_naive_contraction(self):
+        rng = np.random.default_rng(5)
+        basis = MacroBasis(2, 9, 0.8)
+        f = MacroFunction(basis, rng.standard_normal(basis.total))
+        pts = rng.uniform(-3.0, 3.0, (40, 2))
+        sample = HermiteSampler(basis, pts, 2)
+        for alpha in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]:
+            Ne = basis.size + sum(alpha)
+            c = extended_coefficients(f, alpha, Ne)
+            B0, B1 = (hermite_function_values(pts[:, ax], Ne, basis.sigma)
+                      for ax in range(2))
+            naive = np.einsum("pa,ab,pb->p", B0, c, B1)
+            assert np.max(np.abs(sample(f, alpha) - naive)) \
+                < 1e-13 * max(1.0, np.max(np.abs(naive)))
+
+    def test_order_above_max_rejected(self):
+        basis = MacroBasis(1, 10, 1.0)
+        f = MacroFunction(basis, np.ones(10))
+        sample = HermiteSampler(basis, np.zeros((3, 1)), 1)
+        with pytest.raises(ValueError, match="max_order"):
+            sample(f, (2,))
+        with pytest.raises(ValueError):
+            sample(MacroFunction(MacroBasis(1, 12, 1.0), np.ones(12)))

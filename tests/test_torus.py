@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homspec.errors import (
     GridMismatch,
@@ -10,7 +12,9 @@ from homspec.errors import (
     NotElliptic,
 )
 from homspec.torus import (
+    SAMPLE_BLOCK,
     CoefficientField,
+    FourierSampler,
     PeriodicField,
     TorusGrid,
     cell_residual,
@@ -295,3 +299,82 @@ class TestNorms:
         # cos^2 = 1/2 + cos(14 y)/2; mode 14 overflows n=16 only via aliasing,
         # and the padded product must keep the resolvable part exact
         assert p.mean() == pytest.approx(0.5, abs=1e-14)
+
+
+def random_trig_field(grid, seed):
+    """Random band-limited real trigonometric polynomial on grid and its
+    closed form as a callable of (m, d) points.
+
+    Besides the modes below the Nyquist index it carries the Nyquist
+    cosines cos(pi n y_i) and their product, the Nyquist content a grid
+    sample can represent.
+    """
+    rng = np.random.default_rng(seed)
+    n = grid.modes_per_axis
+    K = n // 2 - 1
+    ks = np.array(np.meshgrid(*[np.arange(-K, K + 1)] * grid.dim,
+                              indexing="ij")).reshape(grid.dim, -1).T
+    a, b = rng.uniform(-1.0, 1.0, (2, len(ks)))
+    nyq = rng.uniform(-1.0, 1.0, grid.dim + 1)
+
+    def exact(pts):
+        phase = TWO_PI * pts @ ks.T
+        cosn = np.cos(np.pi * n * pts)
+        return (np.cos(phase) @ a + np.sin(phase) @ b + cosn @ nyq[:-1]
+                + nyq[-1] * np.prod(cosn, axis=1))
+
+    coords = np.stack([c.ravel() for c in grid.coords()], axis=1)
+    return PeriodicField(grid, exact(coords).reshape(grid.shape)), exact
+
+
+def random_points(seed, m, d):
+    """m points in [-3, 4)^d: outside the unit cell on both sides."""
+    return np.random.default_rng(seed).uniform(-3.0, 4.0, (m, d))
+
+
+class TestFourierSampler:
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.sampled_from([4, 8, 16, 32]),
+           tail=st.integers(1, SAMPLE_BLOCK - 1))
+    def test_1d_bit_identical_to_dense_basis(self, seed, n, tail):
+        # several row blocks plus a ragged tail; the sampler must reproduce
+        # the dense one-shot basis bit for bit
+        f, _ = random_trig_field(grid1(n), seed)
+        pts = random_points(seed, 3 * SAMPLE_BLOCK + tail, 1)
+        freqs = np.fft.fftfreq(n, d=1.0 / n)
+        fh = np.fft.fftn(f.values) / n
+        e = np.exp(TWO_PI * 1j * np.outer(pts[:, 0], freqs))
+        e[:, n // 2] = np.cos(TWO_PI * freqs[n // 2] * pts[:, 0])
+        dense = np.real(e @ fh)
+        assert np.array_equal(FourierSampler(f.grid, pts)(f), dense)
+        assert np.array_equal(f.evaluate(pts), dense)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.sampled_from([4, 8, 16]),
+           m=st.one_of(st.integers(1, SAMPLE_BLOCK - 1),
+                       st.integers(SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK - 1)))
+    def test_2d_matches_closed_form(self, seed, n, m):
+        f, exact = random_trig_field(grid2(n), seed)
+        pts = random_points(seed, m, 2)
+        assert np.max(np.abs(FourierSampler(f.grid, pts)(f) - exact(pts))) \
+            < 1e-12
+
+    def test_one_sampler_many_fields(self):
+        g = grid2(8)
+        pts = random_points(0, 50, 2)
+        sample = FourierSampler(g, pts)
+        for seed in range(3):
+            f, exact = random_trig_field(g, seed)
+            assert np.max(np.abs(sample(f) - exact(pts))) < 1e-12
+
+    def test_rejects_other_grid_rank_and_points(self):
+        pts = random_points(0, 10, 1)
+        sample = FourierSampler(grid1(16), pts)
+        with pytest.raises(GridMismatch):
+            sample(PeriodicField.constant(grid1(32), 1.0))
+        with pytest.raises(GridMismatch):
+            sample(PeriodicField.zeros(grid1(16), rank=1))
+        with pytest.raises(GridMismatch):
+            FourierSampler(grid2(8), pts)
