@@ -310,6 +310,8 @@ def parse_config(text: str) -> RunConfig:
     )
     if cfg.solver_tol <= 0 or cfg.fd_h_rule < 8:
         raise ConfigError("solver_tol must be positive and fd_h_rule >= 8")
+    if cfg.radius is not None and not cfg.radius > 0:
+        raise ConfigError("radius must be positive (or auto)")
     if cfg.p_order is not None and cfg.p_order < 2:
         raise ConfigError("p_order must be at least 2")
     if cfg.j < 1 or cfg.count < cfg.j + 1:

@@ -658,11 +658,14 @@ def assemble(branch: ExpansionBranch, eps: float,
              points: np.ndarray | None = None,
              P: int | None = None,
              gradient: bool = True,
-             c_eps: float = 1.0) -> Assembly:
+             c_eps: float = 1.0,
+             sample_x: HermiteSampler | None = None) -> Assembly:
     """Assemble lambda_tilde and w_eps(x) = sum eps^p d^alpha U_k : chi(x, x/eps).
 
     The gradient is exact: spectral y-derivatives scaled by 1/eps plus slow
-    x-derivatives of the polynomial factors and envelopes.
+    x-derivatives of the polynomial factors and envelopes.  ``sample_x``, a
+    HermiteSampler of the branch's basis at ``points`` with max_order at
+    least P + 1, lets a caller share its Hermite table with the assembly.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -689,7 +692,8 @@ def assemble(branch: ExpansionBranch, eps: float,
     # one Fourier basis and one Hermite table per point set, shared by
     # every corrector shape and envelope derivative below
     sample_y = FourierSampler(table.grid, pts / eps)
-    sample_x = HermiteSampler(branch.spectrum.basis, pts, P + 1)
+    if sample_x is None:
+        sample_x = HermiteSampler(branch.spectrum.basis, pts, P + 1)
     for k in range(0, P + 1):
         Uk = branch.U[k] if k < len(branch.U) else None
         if Uk is None or Uk.norm() == 0.0:

@@ -253,7 +253,7 @@ def run(cfg: RunConfig, workers: int = 1):
             row.runtime_s = share
         rows.extend(eps_rows)
         per_eps_meta.append({
-            "eps": eps, "P": P_eps,
+            "eps": eps, "P": P_eps, "path": ref.diagnostics["path"],
             "richardson_estimate": [float(v) for v in ref.error_estimates],
             "lambda_ref": [float(v) for v in ref.eigenvalues],
         })

@@ -159,34 +159,38 @@ def _refine_eigenpair(diag, off, lam, vec, aharm, wdiag, h,
 
     The Thomas solves sharpen the eigenvector (its error enters the
     eigenvalue quadratically); the eigenvalue itself is re-evaluated with
-    the cancellation-free energy quotient.
+    the cancellation-free energy quotient.  The solve walks Python lists of
+    long-double scalars: the same operations as on arrays, without numpy
+    indexing in every step.
     """
     d = diag.astype(np.longdouble)
-    e = off.astype(np.longdouble)
     v = vec.astype(np.longdouble)
     v /= np.sqrt(np.dot(v, v))
     ah = aharm.astype(np.longdouble)
     wd = wdiag.astype(np.longdouble)
     lam = np.longdouble(lam)
-    n = d.size
+    zero = np.longdouble(0)
+    tiny = np.longdouble(1e-30)
+    e = list(off.astype(np.longdouble))
+    lower, upper = [zero] + e, e + [zero]
     for _ in range(sweeps):
-        # Thomas solve of (T - lam) w = v
-        a = d - lam
-        b = e
-        w = v.copy()
-        c = np.zeros(n - 1, dtype=np.longdouble)
-        denom = a[0] if a[0] != 0 else np.longdouble(1e-30)
-        c[0] = b[0] / denom
-        w[0] = w[0] / denom
-        for i in range(1, n):
-            m = a[i] - b[i - 1] * c[i - 1]
+        # Thomas solve of (T - lam) w = v: forward elimination with the
+        # multipliers c_i = e_i / m_i, then back substitution
+        cs, ws = [], []
+        c = w = zero
+        for a, below, above, r in zip(list(d - lam), lower, upper, list(v)):
+            m = a - below * c
             if m == 0:
-                m = np.longdouble(1e-30)
-            if i < n - 1:
-                c[i] = b[i] / m
-            w[i] = (w[i] - b[i - 1] * w[i - 1]) / m
-        for i in range(n - 2, -1, -1):
-            w[i] = w[i] - c[i] * w[i + 1]
+                m = tiny
+            c = above / m
+            w = (r - below * w) / m
+            cs.append(c)
+            ws.append(w)
+        back = [w]
+        for c, w_i in zip(cs[-2::-1], ws[-2::-1]):
+            w = w_i - c * w
+            back.append(w)
+        w = np.array(back[::-1], dtype=np.longdouble)
         nrm = np.sqrt(np.dot(w, w))
         if not np.isfinite(nrm) or nrm == 0:
             break
@@ -258,20 +262,27 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
     )
 
 
-def _solve_2d_separable(parts, eps, grid, count, refine=True):
+def _solve_2d_separable(parts, eps, grid, count, refine=True,
+                        vectors=False):
+    """The count lowest sums of the two 1D spectra, and their Kronecker
+    eigenvectors (n^2 values each) only when ``vectors`` asks for them.
+
+    count modes per axis suffice: the 1D eigenvalues are simple and
+    increasing, so a pair (i, j) with i >= count lies above the count sums
+    (c, j), c < count, and cannot be among the count lowest (the same holds
+    for j).
+    """
     a1, a2, W1, W2 = parts
     g1 = FineGrid(1, grid.radius, grid.h)
-    k1 = min(max(count + 4, 8), g1.n_interior)
-    vals1, vecs1, _ = _solve_1d(a1, W1, eps, g1, k1, refine)
-    vals2, vecs2, _ = _solve_1d(a2, W2, eps, g1, k1, refine)
-    pairs = [(vals1[i] + vals2[j], i, j)
-             for i in range(k1) for j in range(k1)]
-    pairs.sort()
-    pairs = pairs[:count]
+    vals1, vecs1, _ = _solve_1d(a1, W1, eps, g1, count, refine)
+    vals2, vecs2, _ = _solve_1d(a2, W2, eps, g1, count, refine)
+    pairs = sorted((vals1[i] + vals2[j], i, j)
+                   for i in range(count) for j in range(count))[:count]
     vals = np.array([p[0] for p in pairs])
-    vecs = np.stack([np.outer(vecs1[i], vecs2[j]).ravel()
-                     for (_, i, j) in pairs])
-    return vals, vecs
+    if not vectors:
+        return vals, None
+    return vals, np.stack([np.outer(vecs1[i], vecs2[j]).ravel()
+                           for (_, i, j) in pairs])
 
 
 def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
@@ -366,9 +377,17 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     """Lowest eigenpairs of -div(a(./eps) grad) + W on the truncated box.
 
     Solves at h and h/2 and Richardson-extrapolates the eigenvalues;
-    eigenvectors are returned on the h/2 grid.
+    eigenvectors are returned on the h/2 grid.  Raises GridTooCoarse when h
+    does not resolve eps, or when the box holds fewer than max(count, 2)
+    interior nodes per axis.
     """
     grid.check_resolves(eps)
+    if grid.n_interior < max(count, 2):
+        raise GridTooCoarse(
+            f"{grid.n_interior} interior nodes per axis on [-{grid.radius:.3g}, "
+            f"{grid.radius:.3g}] with h = {grid.h:.3g}; {count} eigenpairs "
+            f"need at least {max(count, 2)}"
+        )
     fine = FineGrid(grid.dim, grid.radius, grid.h / 2.0)
     diagnostics = {}
     cell_coeff = node_coeff = None
@@ -389,7 +408,8 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
         parts = _separable_parts(coeff, W)
         if parts is not None:
             vals_h, _ = _solve_2d_separable(parts, eps, grid, count, refine)
-            vals_h2, vecs = _solve_2d_separable(parts, eps, fine, count, refine)
+            vals_h2, vecs = _solve_2d_separable(parts, eps, fine, count,
+                                                refine, vectors=keep_vectors)
             diagnostics["path"] = "separable"
         else:
             shift = sigma_shift if sigma_shift is not None else 0.0
@@ -471,6 +491,7 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
     asked of a reference without 1D coefficient data (2D, or built by hand).
     """
     from .expansion import assemble
+    from .hermite import HermiteSampler
 
     if not isinstance(branches, (list, tuple)):
         branches = [branches]
@@ -486,7 +507,10 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
     rows = []
     used = set()
     for br in branches:
-        u0_vals = br.U[0].evaluate(pts)
+        # one Hermite table serves the overlap and the assembly
+        sample_x = HermiteSampler(br.spectrum.basis, pts,
+                                  (br.P if P is None else P) + 1)
+        u0_vals = sample_x(br.U[0])
         overlaps = ref.eigenvectors @ u0_vals * measure
         order = [i for i in np.argsort(-np.abs(overlaps)) if i not in used]
         pick = order[0]
@@ -500,7 +524,8 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
                 )
         used.add(pick)
         psi = ref.eigenvectors[pick] / overlaps[pick]
-        asm = assemble(br, eps, pts, P=P, gradient=with_h1)
+        asm = assemble(br, eps, pts, P=P, gradient=with_h1,
+                       sample_x=sample_x)
         lam_ref = float(ref.eigenvalues[pick])
         diff = psi - asm.w
         l2 = float(np.sqrt(np.sum(diff ** 2) * measure))

@@ -222,6 +222,12 @@ class TestPipeline:
         strip = lambda r: dataclasses.replace(r, runtime_s=0.0)
         assert [strip(r) for r in back] == [strip(r) for r in rows]
 
+    def test_per_eps_path(self, mini_run):
+        # each eps records the eigensolve path its reference took
+        cfg, manifest, _ = mini_run
+        assert [e["path"] for e in manifest.per_eps] == (
+            ["tridiagonal"] * len(cfg.eps_list))
+
     def test_manifest_hierarchy_field(self, mini_run):
         _, manifest, _ = mini_run
         assert manifest.hierarchy_residual_max < 1e-8
@@ -348,6 +354,29 @@ class TestCLI:
         assert [e["eps"] for e in payload["per_eps"]] == [0.125, 0.0625, 0.03125]
         assert payload["per_eps"][0]["lambda_richardson"][0] == pytest.approx(
             manifest.per_eps[0]["lambda_ref"][0], rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["reference", "sweep"])
+    @pytest.mark.parametrize("radius", ["0.0078125", "0.01171875"])
+    def test_box_too_small_exit_code(self, tmp_path, command, radius):
+        # h = 0.125 / 16: the box holds 1 and 2 interior nodes, fewer than
+        # the max(count, 2) the reference needs; a radius of 0 is a config
+        # error
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(MINIMAL.replace("radius = 7.0", f"radius = {radius}")
+                           .replace("0.125, 0.0625, 0.03125", "0.125"))
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
+                      command, cwd=str(tmp_path))
+        assert r.returncode == 4, r.stderr
+        assert r.stderr.startswith("error: ")
+        assert "interior nodes" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_nonpositive_radius_exit_code(self, tmp_path):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(MINIMAL.replace("radius = 7.0", "radius = 0"))
+        r = self._run("--config", str(cfgfile), "reference", cwd=str(tmp_path))
+        assert r.returncode == 3
+        assert "radius must be positive" in r.stderr
 
     def test_config_error_exit_code(self, tmp_path):
         cfgfile = tmp_path / "bad.ini"

@@ -1,13 +1,25 @@
 """Fine-grid reference: truncation, Richardson, matching, rate fits."""
 
+import hashlib
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homspec.errors import DegenerateFit, GradientFloor, GridTooCoarse
 from homspec.expansion import simple_recursion
 from homspec.hermite import MacroBasis, default_sigma, solve_spectrum
 from homspec.reference import (
     FineGrid,
+    _assemble_2d,
+    _refine_eigenpair,
+    _separable_parts,
+    _solve_1d,
+    _solve_2d_separable,
+    _tridiag_1d,
     fit_rate,
     match_and_compare,
     solve_Leps,
@@ -78,6 +90,17 @@ class TestSolve1D:
         with pytest.raises(GridTooCoarse):
             solve_Leps(c, w1(), 0.01, FineGrid(1, 6.0, 1.0 / 128), 1)
 
+    def test_box_too_small(self):
+        # one interior node, and fewer nodes than eigenpairs: both are
+        # refused before any eigensolve
+        c = coeff_identity_1d()
+        with pytest.raises(GridTooCoarse, match="interior nodes"):
+            solve_Leps(c, w1(), 0.5, FineGrid(1, 1.0 / 16, 1.0 / 16), 1)
+        with pytest.raises(GridTooCoarse, match="at least 4"):
+            solve_Leps(c, w1(), 0.5, FineGrid(1, 2.0 / 16, 1.0 / 16), 4)
+        ref = solve_Leps(c, w1(), 0.5, FineGrid(1, 2.0 / 16, 1.0 / 16), 3)
+        assert ref.eigenvalues.shape == (3,)
+
     def test_oscillating_coefficient_floor(self):
         # with exact harmonic cell averages the Richardson floor for the
         # oscillating 1D problem sits far below the eps^2 signal
@@ -125,6 +148,143 @@ class TestSolve2D:
         fg = FineGrid(2, 6.0, 1.0 / 24)
         ref = solve_Leps(c, W, 0.5, fg, 3, keep_vectors=False)
         assert np.allclose(ref.eigenvalues, [2.0, 4.0, 4.0], atol=1e-6)
+
+
+def separable_2d(phase1=0.0, phase2=0.0):
+    """Laminate-like diagonal coefficient with a phase per axis."""
+    grid2 = TorusGrid(2, 32)
+    c = CoefficientField.from_diagonal(grid2, [
+        lambda y1, y2: 2.0 + np.cos(TWO_PI * (y1 + phase1)) + 0.0 * y2,
+        lambda y1, y2: 1.5 + 0.5 * np.sin(TWO_PI * (y2 + phase2)) + 0.0 * y1,
+    ])
+    return c, SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
+
+
+class TestSeparableFastPath:
+    @settings(max_examples=15, deadline=None)
+    @given(phase1=st.floats(0.0, 1.0), phase2=st.floats(0.0, 1.0),
+           count=st.integers(1, 8), rule=st.sampled_from([8, 16]))
+    def test_count_modes_per_axis(self, phase1, phase2, count, rule):
+        # count 1D modes per axis give the count lowest sums, bit for bit,
+        # of spectra computed with count + 4 modes
+        parts = _separable_parts(*separable_2d(phase1, phase2))
+        eps = 0.5
+        grid = FineGrid(2, 3.0, eps / rule)
+        vals, vecs = _solve_2d_separable(parts, eps, grid, count)
+        assert vecs is None
+        g1 = FineGrid(1, grid.radius, grid.h)
+        wide = [_solve_1d(a, W, eps, g1, count + 4)[0]
+                for a, W in ((parts[0], parts[2]), (parts[1], parts[3]))]
+        sums = np.sort(np.add.outer(wide[0], wide[1]).ravel())[:count]
+        assert np.array_equal(vals, sums)
+
+    def test_no_vectors_unless_kept(self):
+        # the coarse and the fine grid both stop at eigenvalues: nothing of
+        # the size of one n^2 eigenvector is allocated
+        c, W = separable_2d()
+        grid = FineGrid(2, 4.0, 1.0 / 64)
+        n_fine = FineGrid(2, 4.0, 1.0 / 128).n_interior
+        tracemalloc.start()
+        try:
+            ref = solve_Leps(c, W, 0.5, grid, 4, keep_vectors=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ref.eigenvectors is None
+        assert ref.diagnostics["path"] == "separable"
+        assert peak < 8 * n_fine ** 2
+
+    def test_kept_vectors_normalized_on_fine_grid(self):
+        c, W = separable_2d(0.3, 0.7)
+        eps = 0.5
+        ref = solve_Leps(c, W, eps, FineGrid(2, 3.0, 1.0 / 16), 3,
+                         keep_vectors=True)
+        fine = ref.fine_grid
+        assert fine.h == 1.0 / 32
+        assert ref.eigenvectors.shape == (3, fine.n_interior ** 2)
+        norms = np.sum(ref.eigenvectors ** 2, axis=1) * fine.h ** 2
+        assert np.allclose(norms, 1.0, rtol=1e-12)
+        # eigenvectors of the five-point operator on the h/2 grid
+        A = _assemble_2d(c, W, eps, fine)
+        for lam, v in zip(ref.eigenvalues_h2, ref.eigenvectors):
+            assert np.linalg.norm(A @ v - lam * v) < 1e-8 * lam * np.linalg.norm(v)
+
+
+def _pin_problem():
+    """Tridiagonal (diag, off, aharm, wdiag, h) of 2047 nodes, built with
+    exact binary arithmetic so that its bits do not depend on any library."""
+    R, h = 4.0, 1.0 / 256
+    n_cells = int(2 * R / h)
+    ah = 1.0 + (np.arange(n_cells) % 4) / 8.0
+    x = -R + h * np.arange(1, n_cells)
+    wd = x * x
+    return (ah[:-1] + ah[1:]) / h ** 2 + wd, -ah[1:-1] / h ** 2, ah, wd, h, x
+
+
+def _sturm_eigenvalue(ah, wd, h, k, guess):
+    """k-th eigenvalue (from 0) of the energy-form matrix, bisected in
+    mpmath arithmetic within 1e-8 relative of guess."""
+    h2 = mpmath.mpf(h) ** 2
+    a = [mpmath.mpf(float(v)) for v in ah]
+    d = [(a[i] + a[i + 1]) / h2 + mpmath.mpf(float(w)) for i, w in enumerate(wd)]
+    e2 = [(a[i] / h2) ** 2 for i in range(1, len(a) - 1)]
+
+    def below(x):
+        count, q = 0, d[0] - x
+        for di, ei2 in zip(d[1:], e2):
+            count += q < 0
+            q = di - x - ei2 / q
+        return count + (q < 0)
+
+    lo = mpmath.mpf(guess) * (1 - mpmath.mpf("1e-8"))
+    hi = mpmath.mpf(guess) * (1 + mpmath.mpf("1e-8"))
+    assert below(lo) == k and below(hi) == k + 1
+    for _ in range(110):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if below(mid) > k else (mid, hi)
+    return (lo + hi) / 2
+
+
+class TestPolish:
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="bits pinned for x87 80-bit long double")
+    def test_polish_bits_pinned(self):
+        # recorded before the Thomas loop moved from arrays to lists; a
+        # rewrite of the polish that changes a single bit must change this
+        diag, off, ah, wd, h, x = _pin_problem()
+        g = 1.0 - x * x / (2 * 1.082 * 64)
+        for _ in range(6):
+            g = g * g                      # (1 - t/64)^64 ~ exp(-t)
+        starts = [g, x * g, (x * x / 1.082 - 0.5) * g]
+        pinned = [
+            ("0x1.1503973383488p+0", "59da3d3669c8f969"),
+            ("0x1.9f880a447fec4p+1", "0bd0e4712d7b1d56"),
+            ("0x1.5a5746156e81ep+2", "5dc855fadddc2f02"),
+        ]
+        for start, shift, (lam_hex, vec_sha) in zip(starts, (1.08, 3.25, 5.41),
+                                                    pinned):
+            lam, v = _refine_eigenpair(diag, off, shift, start, ah, wd, h)
+            assert float.hex(lam) == lam_hex
+            assert hashlib.sha256(v.tobytes()).hexdigest()[:16] == vec_sha
+
+    @pytest.mark.parametrize("radius,eps,rule", [
+        (3.0, 0.5, 8), (2.0, 0.5, 16), (3.0, 0.25, 8)])
+    def test_polish_against_mpmath(self, radius, eps, rule):
+        # 40-digit bisection of the same discrete operator: the polished
+        # eigenvalues are within 2 ulp
+        grid1 = TorusGrid(1, 64)
+        c = CoefficientField.from_isotropic(
+            grid1, lambda y: 2.0 + np.cos(TWO_PI * y))
+        a = c.entry_fns[0][0]
+        grid = FineGrid(1, radius, eps / rule)
+        assert 90 <= grid.n_interior <= 200
+        vals, _, ah = _solve_1d(a, w1(), eps, grid, 3)
+        _, _, _, wd = _tridiag_1d(a, w1(), eps, grid)
+        with mpmath.workdps(40):
+            for k, lam in enumerate(vals):
+                exact = _sturm_eigenvalue(ah, wd, grid.h, k, lam)
+                rel = float((mpmath.mpf(lam) - exact) / exact)
+                assert abs(rel) <= 2 * 2.0 ** -52
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +355,24 @@ class TestMatching:
         slope3, _, _ = fit_rate(errs[3])
         assert 0.9 <= slope1 <= 1.1
         assert slope3 >= 2.5
+
+    def test_one_hermite_table_per_branch(self, branch_1d, monkeypatch):
+        # the overlap with U_0 and the assembly share one Hermite table
+        import homspec.hermite as hermite
+        coeff, W, br = branch_1d
+        eps = 1 / 8
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1)
+        calls = []
+        table_values = hermite.hermite_function_values
+
+        def counting_values(*args):
+            calls.append(args[1])
+            return table_values(*args)
+
+        monkeypatch.setattr(hermite, "hermite_function_values", counting_values)
+        rows = match_and_compare(ref, br, eps, P=2)
+        assert np.isfinite(rows[0].h1_err)
+        assert calls == [br.spectrum.basis.size + 3]
 
     def test_h1_refused_without_flux_gradient(self):
         # 2D references have no eps-uniform gradient; the H1 error is
