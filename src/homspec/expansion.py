@@ -66,6 +66,8 @@ MU1_TOL = 1e-8
 SOLVABILITY_TOL = 1e-8
 D_DUAL_TOL = 1e-8
 D_SPACING_TOL = 1e-6
+PRUNE_TOL = 1e-13       # relative norm below which corrector shapes are dropped
+DEGREE_CAP = 8          # highest slow degree of a corrector entry
 
 
 def _sub(alpha: tuple, axis: int) -> tuple:
@@ -83,8 +85,7 @@ class CorrectorTable:
     """
 
     def __init__(self, coeff: CoefficientField, W: SlowPolynomial, mu: list,
-                 tol: float = 1e-12, degree_cap: int = 8,
-                 prune_tol: float = 1e-13):
+                 tol: float = 1e-12, degree_cap: int = DEGREE_CAP):
         self.coeff = coeff
         self.W = W
         self.mu = mu
@@ -92,14 +93,13 @@ class CorrectorTable:
         self.d = coeff.grid.dim
         self.tol = tol
         self.degree_cap = degree_cap
-        self.prune_tol = prune_tol
         self._chi: dict = {}
         self._flux: dict = {}
         self._abar: dict = {}
         self.residuals: dict = {}
         self.rhs_means: dict = {}
 
-    # --- public accessors (the k index is accepted and immaterial) ---
+    # --- public accessors (chi and abar accept the k index; it is immaterial) ---
 
     def chi(self, q: int, alpha: tuple, k: int = 0) -> SeparableField:
         alpha = tuple(int(a) for a in alpha)
@@ -117,7 +117,7 @@ class CorrectorTable:
             self._chi[key] = self._solve_chi(q, alpha)
         return self._chi[key]
 
-    def flux(self, q: int, alpha: tuple, k: int = 0) -> list:
+    def flux(self, q: int, alpha: tuple) -> list:
         alpha = tuple(int(a) for a in alpha)
         if q < 0 or any(a < 0 for a in alpha) or sum(alpha) > q:
             return [SeparableField.zero(self.grid) for _ in range(self.d)]
@@ -154,7 +154,7 @@ class CorrectorTable:
             worst_mean = max(worst_mean, mval)
             if mval > 1e-10 * scale:
                 raise MeanNotZero((q, alpha, beta), mval)
-            if shape.l2_norm() <= self.prune_tol * scale:
+            if shape.l2_norm() <= PRUNE_TOL * scale:
                 continue
             g = shape.mean_zero()
             u = solve_cell(self.coeff, G=g, tol=self.tol)
@@ -162,7 +162,7 @@ class CorrectorTable:
             out._accumulate(beta, u)
         self.rhs_means[(q, alpha)] = worst_mean
         self.residuals[(q, alpha)] = worst_res
-        return out.purge(self.prune_tol)
+        return out.purge(PRUNE_TOL)
 
     def _rhs(self, q: int, alpha: tuple) -> SeparableField:
         m = sum(alpha)
@@ -204,7 +204,7 @@ class CorrectorTable:
             cr = self.chi(r, alpha).ring()
             if not cr.is_zero():
                 rhs = rhs + float(self.mu[q - 2 - r]) * cr
-        return rhs.purge(self.prune_tol)
+        return rhs.purge(PRUNE_TOL)
 
     def _build_flux(self, q: int, alpha: tuple) -> list:
         a = self.coeff.a
@@ -225,7 +225,7 @@ class CorrectorTable:
                         f = f + c.mul_field(aij)
                 if not dy_cur[j].is_zero():
                     f = f + dy_cur[j].mul_field(aij)
-            comps.append(f.purge(self.prune_tol))
+            comps.append(f.purge(PRUNE_TOL))
         return comps
 
     def max_cell_residual(self) -> float:
@@ -340,9 +340,8 @@ def choose_P(eps: float, lam0: float, gamma: float, c: float = 1.0,
     return P
 
 
-def epsilon_condition_violated(eps: float, lam0: float, gamma: float,
-                               c_eps: float = 1.0) -> bool:
-    return eps > c_eps * gamma * lam0 ** -1.5
+def epsilon_condition_violated(eps: float, lam0: float, gamma: float) -> bool:
+    return eps > gamma * lam0 ** -1.5
 
 
 # --- the coupling matrix -------------------------------------------------------
@@ -350,7 +349,6 @@ def epsilon_condition_violated(eps: float, lam0: float, gamma: float,
 
 def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
                    quad: QuadratureRule | None = None,
-                   dual_tol: float = D_DUAL_TOL,
                    spacing_tol: float = D_SPACING_TOL):
     """Second-order coupling matrix of the cluster containing lambda_j.
 
@@ -362,7 +360,7 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
     Its gradient-gradient block (|alpha| = 1; the |alpha| = 2 block vanishes
     identically) is computed a second, independent way through the corrector
     covariance <chi1_i chi1_l> weighted by W - lambda_0, and the two must
-    agree to dual_tol relative.  The |alpha| = 3 block contracts the constant
+    agree to D_DUAL_TOL relative.  The |alpha| = 3 block contracts the constant
     third-order-table vectors against third derivatives; dropping it is not
     an option, as the exactly separable laminate oracle shows it shifts the
     branch corrections at leading order.
@@ -427,7 +425,7 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
     scale = max(np.max(np.abs(D2)), np.max(np.abs(D1)), np.max(np.abs(G)),
                 float(np.max(np.abs(cov))) * max(1.0, abs(mu0)), 1e-30)
     dual_gap = float(np.max(np.abs(D1 - D2))) / scale
-    if dual_gap > dual_tol:
+    if dual_gap > D_DUAL_TOL:
         raise NumericalError(
             f"coupling-matrix routes disagree by {dual_gap:.3e} relative"
         )
@@ -465,7 +463,7 @@ def _level_rhs(table, U, mu, K, quad, basis):
 
 
 def _run_branch(coeff, W, spec, j, P, label, E_row, mu2_val, D, E, mu2_list,
-                torus_tol, degree_cap, check_mu1=True) -> ExpansionBranch:
+                torus_tol) -> ExpansionBranch:
     """Shared level loop for a single branch (simple case: N = 1, E = [1])."""
     a, b = spec.cluster_of(j)
     N = b - a
@@ -473,13 +471,13 @@ def _run_branch(coeff, W, spec, j, P, label, E_row, mu2_val, D, E, mu2_list,
     lam0 = spec.eigenvalue(j)
     gamma = spectral_gap(spec, j)
     quad = quadrature_for(basis, max_derivative=max(P + 2, 4),
-                          extra_degree=max(16, degree_cap + 8))
+                          extra_degree=max(16, DEGREE_CAP + 8))
     phis = spec.eigenfunctions[a:b]
     phi_mat = np.stack([p.coeffs for p in phis])         # (N, total)
 
     U0 = MacroFunction(basis, E_row @ phi_mat)
     mu: list = [lam0]
-    table = CorrectorTable(coeff, W, mu, tol=torus_tol, degree_cap=degree_cap)
+    table = CorrectorTable(coeff, W, mu, tol=torus_tol)
     branch = ExpansionBranch(
         label=label, j=a + 1, lambda0=lam0, gamma=gamma, P=P,
         mu=mu, U=[U0], table=table, spectrum=spec, cluster=(a, b),
@@ -551,13 +549,12 @@ def _run_branch(coeff, W, spec, j, P, label, E_row, mu2_val, D, E, mu2_list,
         branch.U.append(Unew)
 
         if K == 2:
-            if check_mu1:
-                tol = MU1_TOL * lam0 ** 1.5
-                if abs(mu[1]) > tol:
-                    raise NumericalError(
-                        f"first-order correction {mu[1]:.3e} exceeds "
-                        f"{tol:.1e}; the cyclic cancellation failed"
-                    )
+            tol = MU1_TOL * lam0 ** 1.5
+            if abs(mu[1]) > tol:
+                raise NumericalError(
+                    f"first-order correction {mu[1]:.3e} exceeds "
+                    f"{tol:.1e}; the cyclic cancellation failed"
+                )
             _snap_first_order(branch)
 
     return branch
@@ -579,8 +576,7 @@ def _snap_first_order(branch: ExpansionBranch):
 
 def simple_recursion(coeff: CoefficientField, W: SlowPolynomial,
                      spec: SpectrumResult, j: int, P: int,
-                     torus_tol: float = 1e-12,
-                     degree_cap: int = 8) -> ExpansionBranch:
+                     torus_tol: float = 1e-12) -> ExpansionBranch:
     """Correction hierarchy for a simple eigenvalue lambda_j, orders <= P."""
     a, b = spec.cluster_of(j)
     if b - a != 1:
@@ -592,25 +588,22 @@ def simple_recursion(coeff: CoefficientField, W: SlowPolynomial,
     return _run_branch(coeff, W, spec, j, P, label=0,
                        E_row=np.array([1.0]), mu2_val=None,
                        D=None, E=np.array([[1.0]]), mu2_list=None,
-                       torus_tol=torus_tol, degree_cap=degree_cap)
+                       torus_tol=torus_tol)
 
 
 def multiple_recursion(coeff: CoefficientField, W: SlowPolynomial,
                        spec: SpectrumResult, j: int, P: int,
-                       torus_tol: float = 1e-12,
-                       degree_cap: int = 8) -> list:
+                       torus_tol: float = 1e-12) -> list:
     """All N branches of the cluster containing lambda_j, orders <= P."""
     if P < 2:
         raise ValueError("P must be at least 2")
     a, b = spec.cluster_of(j)
     N = b - a
     boot_mu = [spec.eigenvalue(j)]
-    boot_table = CorrectorTable(coeff, W, boot_mu, tol=torus_tol,
-                                degree_cap=degree_cap)
+    boot_table = CorrectorTable(coeff, W, boot_mu, tol=torus_tol)
     quad = quadrature_for(spec.basis, max_derivative=max(P + 2, 4))
     if N == 1:
-        branch = simple_recursion(coeff, W, spec, j, P,
-                                  torus_tol=torus_tol, degree_cap=degree_cap)
+        branch = simple_recursion(coeff, W, spec, j, P, torus_tol=torus_tol)
         D, E, mu2, _ = build_D_matrix(spec, j, boot_table, quad=quad,
                                       spacing_tol=0.0)
         branch.D, branch.E, branch.mu2_cluster = D, E, mu2
@@ -621,7 +614,7 @@ def multiple_recursion(coeff: CoefficientField, W: SlowPolynomial,
         br = _run_branch(coeff, W, spec, j, P, label=r,
                          E_row=E[r], mu2_val=mu2[r],
                          D=D, E=E, mu2_list=mu2,
-                         torus_tol=torus_tol, degree_cap=degree_cap)
+                         torus_tol=torus_tol)
         branches.append(br)
     return branches
 
@@ -658,14 +651,17 @@ def assemble(branch: ExpansionBranch, eps: float,
              points: np.ndarray | None = None,
              P: int | None = None,
              gradient: bool = True,
-             c_eps: float = 1.0,
-             sample_x: HermiteSampler | None = None) -> Assembly:
+             sample_x: HermiteSampler | None = None,
+             sample_y: FourierSampler | None = None) -> Assembly:
     """Assemble lambda_tilde and w_eps(x) = sum eps^p d^alpha U_k : chi(x, x/eps).
 
     The gradient is exact: spectral y-derivatives scaled by 1/eps plus slow
     x-derivatives of the polynomial factors and envelopes.  ``sample_x``, a
     HermiteSampler of the branch's basis at ``points`` with max_order at
-    least P + 1, lets a caller share its Hermite table with the assembly.
+    least P + 1, lets a caller share its Hermite table with the assembly;
+    ``sample_y``, a FourierSampler of the corrector grid at the fast
+    variable ``points / eps`` (reduced mod 1 as the caller likes), lets it
+    supply the Fourier basis, such as one built on a lattice of phases.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -673,11 +669,11 @@ def assemble(branch: ExpansionBranch, eps: float,
     if P > branch.P:
         raise ValueError(f"branch built to order {branch.P}, asked for {P}")
     warnings = []
-    if epsilon_condition_violated(eps, branch.lambda0, branch.gamma, c_eps):
+    if epsilon_condition_violated(eps, branch.lambda0, branch.gamma):
         warnings.append({
             "code": "EpsilonConditionViolated",
             "detail": f"eps={eps:.4g} exceeds c*gamma*lambda^(-3/2)="
-                      f"{c_eps * branch.gamma * branch.lambda0 ** -1.5:.4g}",
+                      f"{branch.gamma * branch.lambda0 ** -1.5:.4g}",
         })
     lam = lambda_tilde(branch, eps, P)
     if points is None:
@@ -691,7 +687,8 @@ def assemble(branch: ExpansionBranch, eps: float,
     table = branch.table
     # one Fourier basis and one Hermite table per point set, shared by
     # every corrector shape and envelope derivative below
-    sample_y = FourierSampler(table.grid, pts / eps)
+    if sample_y is None:
+        sample_y = FourierSampler(table.grid, pts / eps)
     if sample_x is None:
         sample_x = HermiteSampler(branch.spectrum.basis, pts, P + 1)
     for k in range(0, P + 1):

@@ -33,7 +33,10 @@ from .errors import (
 from .slowpoly import SlowPolynomial
 from .torus import pair_contract
 
-DEFAULT_CLUSTER_TOL = 1e-6
+CLUSTER_TOL = 1e-6      # relative gap below which eigenvalues form one cluster
+POLY_DEGREE_CAP = 8     # highest potential degree poly_multiply_op accepts
+VALIDATE_RTOL = 1e-10   # solve_spectrum(validate=True): allowed eigenvalue shift
+ORTHO_TOL = 1e-10       # resolvent_solve: allowed relative cluster projection
 
 
 @dataclass(frozen=True)
@@ -124,13 +127,12 @@ def _kron_chain(blocks: list) -> np.ndarray:
     return out
 
 
-def poly_multiply_op(W: SlowPolynomial, basis: MacroBasis,
-                     degree_cap: int = 8) -> np.ndarray:
+def poly_multiply_op(W: SlowPolynomial, basis: MacroBasis) -> np.ndarray:
     """Galerkin matrix of multiplication by a polynomial, exact on the basis."""
     from .errors import DegreeCapExceeded
-    if W.degree() > degree_cap:
+    if W.degree() > POLY_DEGREE_CAP:
         raise DegreeCapExceeded(
-            f"polynomial degree {W.degree()} exceeds cap {degree_cap}"
+            f"polynomial degree {W.degree()} exceeds cap {POLY_DEGREE_CAP}"
         )
     N, d = basis.size, basis.dim
     out = np.zeros((basis.total, basis.total))
@@ -422,7 +424,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray          # first `count`
     eigenfunctions: list             # MacroFunctions, orthonormal
     clusters: list                   # list of (start, stop) 0-based, half-open
-    cluster_tol: float
     all_eigenvalues: np.ndarray = field(repr=False)
     all_vectors: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
@@ -456,8 +457,7 @@ def _cluster_indices(vals: np.ndarray, tol: float) -> list:
     return clusters
 
 
-def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis,
-               cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectrumResult:
+def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis) -> SpectrumResult:
     """Dense symmetric eigensolve of the assembled operator.
 
     count is capped at total/4 so the reported part of the spectrum stays
@@ -475,31 +475,29 @@ def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis,
         if vecs[i, k] < 0:
             vecs[:, k] = -vecs[:, k]
     funcs = [MacroFunction(basis, vecs[:, k]) for k in range(count)]
-    clusters = _cluster_indices(vals[:count], cluster_tol)
+    clusters = _cluster_indices(vals[:count], CLUSTER_TOL)
     return SpectrumResult(
         basis=basis, count=count,
         eigenvalues=vals[:count].copy(), eigenfunctions=funcs,
-        clusters=clusters, cluster_tol=cluster_tol,
+        clusters=clusters,
         all_eigenvalues=vals, all_vectors=vecs, matrix=L0,
     )
 
 
 def solve_spectrum(abar: np.ndarray, W: SlowPolynomial, basis: MacroBasis,
-                   count: int, cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                   validate: bool = False,
-                   validate_rtol: float = 1e-10) -> SpectrumResult:
+                   count: int, validate: bool = False) -> SpectrumResult:
     """Assemble L0 and eigensolve; optionally verify basis self-convergence.
 
     With validate=True the first `count` eigenvalues are recomputed with the
-    per-axis size doubled and must agree to validate_rtol, else
+    per-axis size doubled and must agree to VALIDATE_RTOL, else
     TruncationUnsafe is raised.
     """
-    spec = eigensolve(assemble_L0(abar, W, basis), count, basis, cluster_tol)
+    spec = eigensolve(assemble_L0(abar, W, basis), count, basis)
     if validate:
         big = MacroBasis(basis.dim, 2 * basis.size, basis.sigma)
         ref = np.linalg.eigvalsh(assemble_L0(abar, W, big))[:count]
         rel = np.max(np.abs(spec.eigenvalues - ref) / np.maximum(np.abs(ref), 1e-30))
-        if rel > validate_rtol:
+        if rel > VALIDATE_RTOL:
             raise TruncationUnsafe(
                 f"doubling the basis moves eigenvalues by {rel:.3e} relative"
             )
@@ -525,8 +523,8 @@ def spectral_gap(spec: SpectrumResult, j: int) -> float:
     return float(gap)
 
 
-def resolvent_solve(spec: SpectrumResult, j: int, f: MacroFunction,
-                    ortho_tol: float = 1e-10) -> MacroFunction:
+def resolvent_solve(spec: SpectrumResult, j: int,
+                    f: MacroFunction) -> MacroFunction:
     """Solve (L0 - lambda_j) u = f through the spectral sum, u: cluster-orthogonal.
 
     f must be orthogonal to the whole lambda_j eigenspace (cluster); raises
@@ -539,7 +537,7 @@ def resolvent_solve(spec: SpectrumResult, j: int, f: MacroFunction,
         return MacroFunction.zero(spec.basis)
     proj = spec.all_vectors[:, a:b].T @ f.coeffs
     pmag = float(np.linalg.norm(proj))
-    if pmag > ortho_tol * fn:
+    if pmag > ORTHO_TOL * fn:
         raise NotOrthogonal(pmag / fn)
     comps = spec.all_vectors.T @ f.coeffs
     denom = spec.all_eigenvalues - lam

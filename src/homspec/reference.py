@@ -34,9 +34,10 @@ from .errors import (
     MatchingAmbiguous,
 )
 from .slowpoly import SlowPolynomial
-from .torus import CoefficientField
+from .torus import CoefficientField, FourierSampler
 
 MAX_UNKNOWNS_2D = 1_200_000
+MAX_OVERLAP_CONDITION = 10.0   # picked overlap / runner-up within a cluster
 
 
 def truncation_radius(lam: float, lambda_minus: float = 1.0,
@@ -86,6 +87,28 @@ class FineGrid:
         X1, X2 = np.meshgrid(x, x, indexing="ij")
         return np.stack([X1.ravel(), X2.ravel()], axis=1)
 
+    def phases(self, eps: float) -> tuple:
+        """Distinct fast phases x/eps mod 1 of the interior nodes as (r, d)
+        columns, and each of points()'s rows among them, one index per axis.
+
+        With eps/h = p an integer (to 1e-9), node i sits at phase
+        -R/eps + i/p: one period of p phases, formed in [0, 1) from the
+        remainder of -R by eps, so the rounding of a large quotient R/eps
+        does not enter.  Otherwise every node is its own phase.
+        """
+        ratio = eps / self.h
+        p = round(ratio)
+        if abs(ratio - p) <= 1e-9 * ratio:
+            ratio = p
+        else:
+            p = self.n_cells
+        y = (np.mod(-self.radius, eps) / eps + np.arange(p) / ratio) % 1.0
+        node = np.arange(1, self.n_cells) % p
+        if self.dim == 1:
+            return y.reshape(-1, 1), [node]
+        n = node.size
+        return np.stack([y, y], axis=1), [np.repeat(node, n), np.tile(node, n)]
+
     def check_resolves(self, eps: float):
         if self.h > eps / 8.0 + 1e-15:
             raise GridTooCoarse(
@@ -118,10 +141,10 @@ class ReferenceSpectrum:
 # --- 1D path -------------------------------------------------------------------
 
 
-def _harmonic_averages_1d(coeff_at, eps: float, grid: FineGrid,
-                          quad_order: int = 12) -> np.ndarray:
-    """Exact harmonic cell averages of a(x/eps) over every grid cell."""
-    gl, glw = np.polynomial.legendre.leggauss(quad_order)
+def _harmonic_averages_1d(coeff_at, eps: float, grid: FineGrid) -> np.ndarray:
+    """Exact harmonic cell averages of a(x/eps) over every grid cell
+    (12-point Gauss-Legendre per cell)."""
+    gl, glw = np.polynomial.legendre.leggauss(12)
     edges = -grid.radius + grid.h * np.arange(0, grid.n_cells + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     pts = mid[:, None] + 0.5 * grid.h * gl[None, :]
@@ -372,8 +395,7 @@ def _solve_2d_sparse(coeff, W, eps, grid, count, sigma_shift):
 def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
                grid: FineGrid, count: int,
                keep_vectors: bool = True,
-               refine: bool = True,
-               sigma_shift: float | None = None) -> ReferenceSpectrum:
+               refine: bool = True) -> ReferenceSpectrum:
     """Lowest eigenpairs of -div(a(./eps) grad) + W on the truncated box.
 
     Solves at h and h/2 and Richardson-extrapolates the eigenvalues;
@@ -412,9 +434,9 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
                                                 refine, vectors=keep_vectors)
             diagnostics["path"] = "separable"
         else:
-            shift = sigma_shift if sigma_shift is not None else 0.0
-            vals_h, _ = _solve_2d_sparse(coeff, W, eps, grid, count, shift)
-            vals_h2, vecs = _solve_2d_sparse(coeff, W, eps, fine, count, shift)
+            # shift-invert about 0, below the positive definite spectrum
+            vals_h, _ = _solve_2d_sparse(coeff, W, eps, grid, count, 0.0)
+            vals_h2, vecs = _solve_2d_sparse(coeff, W, eps, fine, count, 0.0)
             diagnostics["path"] = "sparse"
     rich = (4.0 * vals_h2 - vals_h) / 3.0
     est = np.abs(vals_h2 - vals_h) / 3.0
@@ -432,7 +454,7 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     )
 
 
-def validate_radius(coeff, W, eps, grid, count, rtol=1e-9) -> float:
+def validate_radius(coeff, W, eps, grid, count) -> float:
     """Relative eigenvalue shift when the box radius is doubled."""
     big = FineGrid(grid.dim, 2.0 * grid.radius, grid.h)
     ref = solve_Leps(coeff, W, eps, grid, count, keep_vectors=False)
@@ -479,8 +501,7 @@ def _flux_gradient(vec: np.ndarray, ref: ReferenceSpectrum) -> np.ndarray:
 
 def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
                       P: int | None = None,
-                      with_h1: bool = True,
-                      max_overlap_condition: float = 10.0) -> list:
+                      with_h1: bool = True) -> list:
     """Per-branch eigenvalue / L2 / H1 errors against the expansion.
 
     The reference eigenvector for branch r is the one with the dominant
@@ -503,13 +524,16 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
         )
     grid = ref.fine_grid
     pts = grid.points()
+    phases = grid.phases(eps)
     measure = grid.h ** grid.dim
     rows = []
     used = set()
     for br in branches:
-        # one Hermite table serves the overlap and the assembly
+        # one Hermite table serves the overlap and the assembly; the
+        # corrector shapes are sampled at one period of node phases
         sample_x = HermiteSampler(br.spectrum.basis, pts,
                                   (br.P if P is None else P) + 1)
+        sample_y = FourierSampler(br.table.grid, *phases)
         u0_vals = sample_x(br.U[0])
         overlaps = ref.eigenvectors @ u0_vals * measure
         order = [i for i in np.argsort(-np.abs(overlaps)) if i not in used]
@@ -517,15 +541,15 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
         if len(branches) > 1 and len(order) > 1:
             runner_up = abs(overlaps[order[1]])
             cond = abs(overlaps[pick]) / max(runner_up, 1e-300)
-            if cond < max_overlap_condition:
+            if cond < MAX_OVERLAP_CONDITION:
                 raise MatchingAmbiguous(
                     f"overlap condition {cond:.2f} below "
-                    f"{max_overlap_condition} for branch {br.label}"
+                    f"{MAX_OVERLAP_CONDITION} for branch {br.label}"
                 )
         used.add(pick)
         psi = ref.eigenvectors[pick] / overlaps[pick]
         asm = assemble(br, eps, pts, P=P, gradient=with_h1,
-                       sample_x=sample_x)
+                       sample_x=sample_x, sample_y=sample_y)
         lam_ref = float(ref.eigenvalues[pick])
         diff = psi - asm.w
         l2 = float(np.sqrt(np.sum(diff ** 2) * measure))

@@ -109,11 +109,10 @@ class SeparableField:
             )
         return out
 
-    def mul_field(self, g: PeriodicField, dealias: bool = True) -> "SeparableField":
+    def mul_field(self, g: PeriodicField) -> "SeparableField":
         """Multiply every shape by a scalar periodic field."""
         return SeparableField(self.grid, {
-            b: pointwise_multiply(f, g, dealias=dealias)
-            for b, f in self.terms.items()
+            b: pointwise_multiply(f, g) for b, f in self.terms.items()
         })
 
     def dx(self, axis: int) -> "SeparableField":

@@ -2,8 +2,8 @@
 
 Fields are sampled on a uniform n^d grid and manipulated pseudo-spectrally:
 derivatives are exact on resolved modes (multiplication by 2*pi*i*k in Fourier
-space) and products are formed on the grid, optionally padded by the 3/2 rule
-to remove quadratic aliasing.  The two solvers everything else reduces to are
+space) and products are formed on the grid padded by the 3/2 rule, which
+removes quadratic aliasing.  The two solvers everything else reduces to are
 
     solve_cell:            -div(a grad u) = div F + G   on T^d,  <u> = 0
     solve_flux_corrector:  -lap s_ij = d_j g_i - d_i g_j, so that div s = g
@@ -217,13 +217,17 @@ class PeriodicField:
 SAMPLE_BLOCK = 4096
 
 
-def pair_contract(left: np.ndarray, core: np.ndarray,
-                  right: np.ndarray) -> np.ndarray:
-    """Real part of sum_ab left[p, a] core[a, b] right[p, b], in row blocks."""
-    out = np.empty(left.shape[0])
-    for start in range(0, left.shape[0], SAMPLE_BLOCK):
+def pair_contract(left: np.ndarray, core: np.ndarray, right: np.ndarray,
+                  rows: tuple | None = None) -> np.ndarray:
+    """Real part of sum_ab left[i, a] core[a, b] right[j, b] per point, in
+    point blocks; point p takes rows i = j = p, or (i, j) = (rows[0][p],
+    rows[1][p]) when ``rows`` is given."""
+    m = left.shape[0] if rows is None else rows[0].size
+    out = np.empty(m)
+    for start in range(0, m, SAMPLE_BLOCK):
         blk = slice(start, start + SAMPLE_BLOCK)
-        out[blk] = np.einsum("pb,pb->p", left[blk] @ core, right[blk]).real
+        i, j = (blk, blk) if rows is None else (rows[0][blk], rows[1][blk])
+        out[blk] = np.einsum("pb,pb->p", left[i] @ core, right[j]).real
     return out
 
 
@@ -246,19 +250,25 @@ def _axis_basis(x: np.ndarray, n: int) -> np.ndarray:
 class FourierSampler:
     """Trigonometric interpolation on one grid at one fixed point set.
 
-    The per-axis Fourier basis at the points is built once; each call then
-    costs one FFT and one product with the field's spectrum.
+    Point p has coordinate ``points[index[ax][p], ax]`` on axis ax; without
+    ``index`` it is row p of ``points``.  The per-axis Fourier basis is built
+    once on the rows of ``points``, so a point set with few distinct
+    coordinates per axis, such as the fine-grid phases of FineGrid.phases,
+    costs few rows.  Each call is one FFT, one product with the spectrum and
+    one gather.
     """
 
-    __slots__ = ("grid", "bases")
+    __slots__ = ("grid", "bases", "index")
 
-    def __init__(self, grid: TorusGrid, points: np.ndarray):
+    def __init__(self, grid: TorusGrid, points: np.ndarray,
+                 index: list | None = None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != grid.dim:
             raise GridMismatch("points must have d columns")
         self.grid = grid
         self.bases = [_axis_basis(pts[:, ax], grid.modes_per_axis)
                       for ax in range(grid.dim)]
+        self.index = index
 
     def __call__(self, field: PeriodicField) -> np.ndarray:
         """Values of a scalar field on this grid at the sampler's points."""
@@ -268,8 +278,9 @@ class FourierSampler:
             raise GridMismatch("field lives on a different grid")
         fh = np.fft.fftn(field.values) / self.grid.npoints
         if self.grid.dim == 1:
-            return np.real(self.bases[0] @ fh)
-        return pair_contract(self.bases[0], fh, self.bases[1])
+            vals = np.real(self.bases[0] @ fh)
+            return vals if self.index is None else vals[self.index[0]]
+        return pair_contract(self.bases[0], fh, self.bases[1], self.index)
 
 
 def mean(f: PeriodicField):
@@ -385,41 +396,38 @@ def truncate_values(values: np.ndarray, n: int) -> np.ndarray:
     return np.real(np.fft.ifftn(_truncate_spectrum(fh, m, n))) * n ** values.ndim
 
 
-def _mul_core(u: np.ndarray, v: np.ndarray, n: int, dealias: bool) -> np.ndarray:
-    if not dealias:
-        return u * v
+def _mul_core(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return truncate_values(pad_values(u, n) * pad_values(v, n), n)
 
 
-def pointwise_multiply(f: PeriodicField, g: PeriodicField,
-                       dealias: bool = True) -> PeriodicField:
+def pointwise_multiply(f: PeriodicField, g: PeriodicField) -> PeriodicField:
     """Product of two fields with tensor contraction rules.
 
     rank0*rank0 -> rank0, rank0*rank1 -> rank1, rank1.rank1 -> rank0 (dot),
     rank2*rank1 -> rank1 (matvec).  Products are formed on the 3/2-padded
-    grid then truncated, unless dealias=False.
+    grid then truncated.
     """
     grid = _check_same_grid(f, g)
     n = grid.modes_per_axis
     d = grid.dim
     if f.rank == 0 and g.rank == 0:
-        return PeriodicField(grid, _mul_core(f.values, g.values, n, dealias))
+        return PeriodicField(grid, _mul_core(f.values, g.values, n))
     if f.rank == 0 and g.rank == 1:
-        comps = [_mul_core(f.values, g.values[i], n, dealias) for i in range(d)]
+        comps = [_mul_core(f.values, g.values[i], n) for i in range(d)]
         return PeriodicField(grid, np.stack(comps))
     if f.rank == 1 and g.rank == 0:
-        return pointwise_multiply(g, f, dealias)
+        return pointwise_multiply(g, f)
     if f.rank == 1 and g.rank == 1:
         out = np.zeros(grid.shape)
         for i in range(d):
-            out += _mul_core(f.values[i], g.values[i], n, dealias)
+            out += _mul_core(f.values[i], g.values[i], n)
         return PeriodicField(grid, out)
     if f.rank == 2 and g.rank == 1:
         comps = []
         for i in range(d):
             acc = np.zeros(grid.shape)
             for j in range(d):
-                acc += _mul_core(f.values[i, j], g.values[j], n, dealias)
+                acc += _mul_core(f.values[i, j], g.values[j], n)
             comps.append(acc)
         return PeriodicField(grid, np.stack(comps))
     raise GridMismatch(f"unsupported ranks {f.rank} * {g.rank}")
@@ -525,15 +533,16 @@ class CoefficientField:
     def identity(cls, grid: TorusGrid) -> "CoefficientField":
         return cls.from_isotropic(grid, lambda *ys: np.ones(grid.shape))
 
-    def check_ellipticity(self, directions=None, tol=1e-10) -> bool:
+    def check_ellipticity(self) -> bool:
         """Quadratic-form bracketing lam_min|xi|^2 <= <a xi, xi> <= lam_max|xi|^2
-        on every grid point for a sampled set of directions."""
+        (to 1e-10) on every grid point for the axis directions and, in 2D,
+        the two diagonals."""
         d = self.grid.dim
-        if directions is None:
-            directions = list(np.eye(d))
-            if d == 2:
-                directions += [np.array([1.0, 1.0]) / np.sqrt(2),
-                               np.array([1.0, -1.0]) / np.sqrt(2)]
+        tol = 1e-10
+        directions = list(np.eye(d))
+        if d == 2:
+            directions += [np.array([1.0, 1.0]) / np.sqrt(2),
+                           np.array([1.0, -1.0]) / np.sqrt(2)]
         for xi in directions:
             q = np.zeros(self.grid.shape)
             for i in range(d):
@@ -575,10 +584,9 @@ class CoefficientField:
 
 # --- the two solvers --------------------------------------------------------
 
-def _apply_operator(coeff: CoefficientField, u: np.ndarray,
-                    dealias: bool) -> np.ndarray:
+def _apply_operator(coeff: CoefficientField, u: np.ndarray) -> np.ndarray:
     """-div(a grad u); gradient and divergence act on the n-grid, the
-    coefficient product is formed on the 3/2 grid when dealias is set.
+    coefficient product is formed on the 3/2 grid.
 
     Padding and truncation are exact adjoints and the derivative matrix is
     antisymmetric, so the composite is exactly symmetric; it also coincides
@@ -591,20 +599,16 @@ def _apply_operator(coeff: CoefficientField, u: np.ndarray,
     ks = grid.wavenumbers
     uh = np.fft.fftn(u)
     grads = [np.real(np.fft.ifftn(1j * k * uh)) for k in ks]
-    if not dealias:
-        av = coeff.a.values
-        fluxes = [sum(av[i, j] * grads[j] for j in range(d)) for i in range(d)]
-    else:
-        m = _pad_shape(n)
-        scale = (m / n) ** d
-        pads = [np.real(np.fft.ifftn(_pad_spectrum(np.fft.fftn(g), n, m)))
-                * scale for g in grads]
-        ap = coeff.padded_values()
-        fluxes = []
-        for i in range(d):
-            fp = sum(ap[i, j] * pads[j] for j in range(d))
-            fluxes.append(np.real(np.fft.ifftn(
-                _truncate_spectrum(np.fft.fftn(fp), m, n))) / scale)
+    m = _pad_shape(n)
+    scale = (m / n) ** d
+    pads = [np.real(np.fft.ifftn(_pad_spectrum(np.fft.fftn(g), n, m)))
+            * scale for g in grads]
+    ap = coeff.padded_values()
+    fluxes = []
+    for i in range(d):
+        fp = sum(ap[i, j] * pads[j] for j in range(d))
+        fluxes.append(np.real(np.fft.ifftn(
+            _truncate_spectrum(np.fft.fftn(fp), m, n))) / scale)
     out = np.zeros(grid.shape, dtype=complex)
     for i in range(d):
         out += 1j * ks[i] * np.fft.fftn(fluxes[i])
@@ -615,8 +619,7 @@ def solve_cell(coeff: CoefficientField,
                F: PeriodicField | None = None,
                G: PeriodicField | None = None,
                tol: float = 1e-12,
-               maxiter: int = 2000,
-               dealias: bool = True) -> PeriodicField:
+               maxiter: int = 2000) -> PeriodicField:
     """Unique mean-zero periodic solution of -div(a grad u) = div F + G.
 
     G must be mean-free (tolerance 1e-12 relative); the tiny residual mean is
@@ -662,7 +665,7 @@ def solve_cell(coeff: CoefficientField,
     p = z.copy()
     rz = float(np.sum(r * z))
     for _ in range(maxiter):
-        Ap = _apply_operator(coeff, p, dealias)
+        Ap = _apply_operator(coeff, p)
         alpha = rz / float(np.sum(p * Ap))
         u += alpha * p
         r -= alpha * Ap
@@ -680,10 +683,9 @@ def solve_cell(coeff: CoefficientField,
 
 def cell_residual(coeff: CoefficientField, u: PeriodicField,
                   F: PeriodicField | None = None,
-                  G: PeriodicField | None = None,
-                  dealias: bool = True) -> float:
+                  G: PeriodicField | None = None) -> float:
     """H^-1 norm of div(a grad u + F) + G, the weak residual of solve_cell."""
-    r = -_apply_operator(coeff, u.values, dealias)
+    r = -_apply_operator(coeff, u.values)
     if F is not None:
         r = r + div_y(F).values
     if G is not None:
@@ -691,12 +693,14 @@ def cell_residual(coeff: CoefficientField, u: PeriodicField,
     return hminus1_norm(PeriodicField(coeff.grid, r - r.mean()))
 
 
-def solve_flux_corrector(g: PeriodicField, tol: float = 1e-10) -> PeriodicField:
+def solve_flux_corrector(g: PeriodicField) -> PeriodicField:
     """Skew stream matrix s with -lap s_ij = d_j g_i - d_i g_j and div s = g.
 
-    Requires <g> = 0 and div g = 0 (weakly).  In d=1 the only skew matrix is
-    zero, consistent with the flux difference vanishing identically there.
+    Requires <g> = 0 and div g = 0 (weakly, H^-1 norm within 1e-10 of |g|).
+    In d=1 the only skew matrix is zero, consistent with the flux difference
+    vanishing identically there.
     """
+    tol = 1e-10
     if g.rank != 1:
         raise GridMismatch("flux corrector source must be a vector field")
     grid = g.grid

@@ -66,9 +66,9 @@ def _coeff_1d(n=128):
     )
 
 
-def _coeff_2d(n=48):
+def _coeff_2d():
     off = lambda y1, y2: 0.2 * np.sin(TWO_PI * (y1 + y2))
-    return CoefficientField.from_matrix(TorusGrid(2, n), [
+    return CoefficientField.from_matrix(TorusGrid(2, 48), [
         [lambda y1, y2: 2.5 + 0.4 * np.cos(TWO_PI * y1)
          + 0.2 * np.cos(TWO_PI * y2), off],
         [off, lambda y1, y2: 2.5 + 0.3 * np.sin(TWO_PI * y2)],

@@ -1,15 +1,70 @@
-"""Every top-level function and public method in src/homspec is used."""
+"""Every top-level function and public method in src/homspec is used, and
+every defaulted parameter of one is passed by some call."""
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# defaulted parameters that no call in src/ or tests/ passes, kept on purpose
+KEPT_DEFAULTS = {
+    # the console script calls main() with none; perfbench/child.py passes it
+    "cli.py:main(argv=)",
+    # the long-double inverse-iteration loop that reads it is due to give
+    # way to a Newton polish with its own stopping rule
+    "reference.py:_refine_eigenpair(sweeps=)",
+}
+
+
+def _trees():
+    paths = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("tests/*.py"))
+    return [(path, ast.parse(path.read_text(encoding="utf-8")))
+            for path in paths]
+
+
+def _defined(trees):
+    """(module, qualified name, name its calls use, FunctionDef, bound)."""
+    out = []
+    for path, tree in trees:
+        if path.parts[-2] != "homspec":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                out.append((path.name, node.name, node.name, node, False))
+            elif isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if not isinstance(m, ast.FunctionDef):
+                        continue
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in m.decorator_list)
+                    call_name = node.name if m.name == "__init__" else m.name
+                    out.append((path.name, f"{node.name}.{m.name}", call_name,
+                                m, not static))
+    return out
+
+
+def _calls(trees) -> dict:
+    """Call nodes keyed by the called name; cls(...) counts for its class."""
+    calls = {}
+    for _, tree in trees:
+        classes = [(c, {id(n) for n in ast.walk(c)}) for c in ast.walk(tree)
+                   if isinstance(c, ast.ClassDef)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "cls":
+                name = next(c.name for c, inside in classes if id(node) in inside)
+            calls.setdefault(name, []).append(node)
+    return calls
+
 
 def test_no_unused_helpers():
-    used, defined = set(), []
-    for path in sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("tests/*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    trees = _trees()
+    used = set()
+    for _, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -17,15 +72,36 @@ def test_no_unused_helpers():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name.rsplit(".", 1)[-1])
-        if path.parts[-2] != "homspec":
-            continue
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                defined.append((path.name, node.name, node.name))
-            elif isinstance(node, ast.ClassDef):
-                defined += [(path.name, f"{node.name}.{m.name}", m.name)
-                            for m in node.body
-                            if isinstance(m, ast.FunctionDef)
-                            and not m.name.startswith("_")]
-    unused = [f"{mod}:{qual}" for mod, qual, name in defined if name not in used]
+    unused = [f"{mod}:{qual}" for mod, qual, _, fn, _ in _defined(trees)
+              if fn.name not in used
+              and (fn.name == qual or not fn.name.startswith("_"))]
     assert not unused, f"never referenced in src/ or tests/: {unused}"
+
+
+def test_every_default_is_passed():
+    # a defaulted parameter that no call sets is a knob nobody turns: fold
+    # it into the body, or keep it in KEPT_DEFAULTS with a reason
+    trees = _trees()
+    calls = _calls(trees)
+    unpassed = []
+    for mod, qual, call_name, fn, bound in _defined(trees):
+        if fn.name.startswith("__") and fn.name != "__init__":
+            continue              # dunders other than __init__ run implicitly
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        for arg in defaulted:
+            slot = (positional.index(arg) - bound if arg in positional
+                    else None)
+            passed = any(
+                any(k.arg in (arg.arg, None) for k in call.keywords)
+                or (slot is not None
+                    and (len(call.args) > slot
+                         or any(isinstance(a, ast.Starred) for a in call.args)))
+                for call in calls.get(call_name, []))
+            label = f"{mod}:{qual.replace('.__init__', '')}({arg.arg}=)"
+            if not passed and label not in KEPT_DEFAULTS:
+                unpassed.append(label)
+    assert not unpassed, f"defaults no call in src/ or tests/ passes: {unpassed}"

@@ -313,7 +313,7 @@ class TestMatching:
         rows = match_and_compare(ref, br, 0.5)
         assert rows[0].eig_err < 1e-9            # discretization floor only
         assert rows[0].l2_err < 1e-5
-        assert rows[0].h1_err < 1e-3             # central-difference floor
+        assert rows[0].h1_err < 1e-3             # O(h^2) flux-gradient floor
 
     def test_eigenvalue_error_second_order(self, branch_1d):
         coeff, W, br = branch_1d
@@ -373,6 +373,40 @@ class TestMatching:
         rows = match_and_compare(ref, br, eps, P=2)
         assert np.isfinite(rows[0].h1_err)
         assert calls == [br.spectrum.basis.size + 3]
+
+    def test_corrector_bases_span_one_period(self, branch_1d, monkeypatch):
+        # the fine-grid nodes repeat p = eps/h = 32 fast phases, so no
+        # Fourier basis built while comparing has more than 32 rows (the
+        # per-node basis would have one row per node, 3 583 here)
+        import homspec.torus as torus
+        coeff, W, br = branch_1d
+        eps = 1 / 8
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1)
+        rows = []
+        axis_basis = torus._axis_basis
+
+        def counting_basis(x, n):
+            rows.append(x.size)
+            return axis_basis(x, n)
+
+        monkeypatch.setattr(torus, "_axis_basis", counting_basis)
+        out = match_and_compare(ref, br, eps, P=2)
+        assert np.isfinite(out[0].h1_err)
+        assert rows and max(rows) <= 32
+
+    def test_lattice_matches_per_node_sampling(self, branch_1d, monkeypatch):
+        # sampling the correctors at one period of phases moves the errors
+        # only by the rounding of the unreduced per-node phases
+        coeff, W, br = branch_1d
+        eps = 1 / 32
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1)
+        lattice = match_and_compare(ref, br, eps, P=3)[0]
+        monkeypatch.setattr(FineGrid, "phases",
+                            lambda grid, e: (grid.points() / e, None))
+        per_node = match_and_compare(ref, br, eps, P=3)[0]
+        assert lattice.eig_err == per_node.eig_err
+        assert lattice.l2_err == pytest.approx(per_node.l2_err, rel=1e-8)
+        assert lattice.h1_err == pytest.approx(per_node.h1_err, rel=1e-7)
 
     def test_h1_refused_without_flux_gradient(self):
         # 2D references have no eps-uniform gradient; the H1 error is

@@ -10,7 +10,9 @@ from homspec.errors import (
     NonZeroMean,
     NotDivergenceFree,
     NotElliptic,
+    SingularSystem,
 )
+from homspec.reference import FineGrid
 from homspec.torus import (
     SAMPLE_BLOCK,
     CoefficientField,
@@ -166,6 +168,15 @@ class TestSolveCell:
         exact = np.sqrt(3.0) / c.a.values[0, 0] - 1.0
         assert np.max(np.abs(du.values - exact)) < 1e-11
         assert abs(u.mean()) < 1e-13
+
+    def test_nonconvergent_cg_raises(self):
+        # one CG step cannot reach 1e-12 on an oscillating coefficient
+        g = grid1(64)
+        c = CoefficientField.from_isotropic(g, lambda y: 2.0 + np.cos(TWO_PI * y))
+        G = PeriodicField.from_function(g, lambda y: np.sin(3 * TWO_PI * y))
+        with pytest.raises(SingularSystem, match="in 1 iterations"):
+            solve_cell(c, G=G, maxiter=1)
+        assert solve_cell(c, G=G, maxiter=200).l2_norm() > 0.0
 
     def test_nonzero_mean_rejected(self):
         g = grid1()
@@ -327,6 +338,72 @@ def random_trig_field(grid, seed):
     return PeriodicField(grid, exact(coords).reshape(grid.shape)), exact
 
 
+def lattice_phases(grid, eps, p):
+    """Phases -R/eps + i/p mod 1 of the interior nodes i = 1..n_cells-1,
+    formed in long double."""
+    i = np.arange(1, grid.n_cells).astype(np.longdouble)
+    y = (np.longdouble(-grid.radius) / np.longdouble(eps) + i / p) % 1
+    return y.astype(float)
+
+
+class TestFineGridPhases:
+    """The fine-grid nodes sit on a lattice of fast phases x/eps mod 1."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(rule=st.sampled_from([8, 12, 16, 10.5]),
+           radius=st.floats(0.5, 8.0),
+           eps=st.floats(0.01, 0.5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_1d_lattice_matches_closed_form(self, rule, radius, eps, seed):
+        # h = eps / (2 rule), as solve_Leps's fine grid: one period of
+        # p = 2 rule phases, and the sampler on them reproduces the field at
+        # the exact node phases
+        grid = FineGrid(1, radius, eps / rule / 2.0)
+        p = round(2 * rule)
+        coords, index = grid.phases(eps)
+        assert coords.shape == (p, 1)
+        assert np.all((coords >= 0.0) & (coords < 1.0))
+        f, exact = random_trig_field(grid1(16), seed)
+        got = FourierSampler(f.grid, coords, index)(f)
+        want = exact(lattice_phases(grid, eps, p).reshape(-1, 1))
+        assert got.shape == (grid.n_interior,)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(f.values))
+
+    @settings(max_examples=8, deadline=None)
+    @given(rule=st.sampled_from([8, 10.5]),
+           radius=st.floats(0.2, 0.5),
+           eps=st.floats(0.1, 0.3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_2d_lattice_follows_points_order(self, rule, radius, eps, seed):
+        grid = FineGrid(2, radius, eps / rule / 2.0)
+        p = round(2 * rule)
+        coords, index = grid.phases(eps)
+        assert coords.shape == (p, 2)
+        f, exact = random_trig_field(grid2(8), seed)
+        got = FourierSampler(f.grid, coords, index)(f)
+        y = lattice_phases(grid, eps, p)
+        n = y.size
+        want = exact(np.stack([np.repeat(y, n), np.tile(y, n)], axis=1))
+        assert got.shape == (grid.points().shape[0],)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(f.values))
+
+    @settings(max_examples=10, deadline=None)
+    @given(ratio=st.floats(17.0, 40.0).filter(
+               lambda r: abs(r - round(r)) > 1e-6),
+           radius=st.floats(0.5, 4.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_no_lattice_gives_every_node_a_phase(self, ratio, radius, seed):
+        eps = 0.1
+        grid = FineGrid(1, radius, eps / ratio)
+        coords, index = grid.phases(eps)
+        assert coords.shape == (grid.n_cells, 1)
+        assert np.array_equal(index[0], np.arange(1, grid.n_cells))
+        f, _ = random_trig_field(grid1(16), seed)
+        got = FourierSampler(f.grid, coords, index)(f)
+        dense = FourierSampler(f.grid, grid.points() / eps)(f)
+        assert np.max(np.abs(got - dense)) < 1e-10 * np.max(np.abs(f.values))
+
+
 def random_points(seed, m, d):
     """m points in [-3, 4)^d: outside the unit cell on both sides."""
     return np.random.default_rng(seed).uniform(-3.0, 4.0, (m, d))
@@ -349,6 +426,45 @@ class TestFourierSampler:
         dense = np.real(e @ fh)
         assert np.array_equal(FourierSampler(f.grid, pts)(f), dense)
         assert np.array_equal(f.evaluate(pts), dense)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.sampled_from([4, 8, 16]),
+           tail=st.integers(1, SAMPLE_BLOCK - 1))
+    def test_2d_bit_identical_to_dense_basis(self, seed, n, tail):
+        # an arbitrary point set is its own index: the sampler must give the
+        # dense per-point bases contracted in row blocks, bit for bit
+        f, _ = random_trig_field(grid2(n), seed)
+        pts = random_points(seed, 2 * SAMPLE_BLOCK + tail, 2)
+        freqs = np.fft.fftfreq(n, d=1.0 / n)
+        fh = np.fft.fftn(f.values) / n ** 2
+        e = []
+        for ax in range(2):
+            b = np.exp(TWO_PI * 1j * np.outer(pts[:, ax], freqs))
+            b[:, n // 2] = np.cos(TWO_PI * freqs[n // 2] * pts[:, ax])
+            e.append(b)
+        dense = np.concatenate([
+            np.einsum("pb,pb->p", e[0][s:s + SAMPLE_BLOCK] @ fh,
+                      e[1][s:s + SAMPLE_BLOCK]).real
+            for s in range(0, len(pts), SAMPLE_BLOCK)])
+        assert np.array_equal(FourierSampler(f.grid, pts)(f), dense)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dim=st.sampled_from([1, 2]),
+           rows=st.integers(1, 40),
+           m=st.integers(1, 2 * SAMPLE_BLOCK + 7))
+    def test_index_gathers_distinct_rows(self, seed, dim, rows, m):
+        # point p of an indexed sampler is (coords[index[0][p], 0], ...):
+        # each axis picks its own row among the distinct coordinates
+        rng = np.random.default_rng(seed)
+        f, exact = random_trig_field(TorusGrid(dim, 8), seed)
+        coords = random_points(seed, rows, dim)
+        index = [rng.integers(0, rows, m) for _ in range(dim)]
+        pts = np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
+        got = FourierSampler(f.grid, coords, index)(f)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - exact(pts))) < 1e-12
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
