@@ -137,8 +137,7 @@ def cmd_reference(cfg: RunConfig, args):
     from .pipeline import stage_homogenize, stage_reference, stage_spectrum
     coeff, suite = stage_homogenize(cfg)
     W, basis, spec = stage_spectrum(cfg, suite)
-    radius, _, refs = stage_reference(cfg, coeff, W, spec, keep_vectors=False,
-                                      workers=args.workers)
+    radius, _, refs = stage_reference(cfg, coeff, W, spec, keep_vectors=False)
     payload = {"radius": radius, "per_eps": []}
     for eps in cfg.eps_list:
         ref, _ = refs[eps]
@@ -155,7 +154,7 @@ def cmd_reference(cfg: RunConfig, args):
 
 def cmd_sweep(cfg: RunConfig, args):
     from .pipeline import emit_plot_data, rows_to_csv, run
-    manifest, rows = run(cfg, workers=args.workers)
+    manifest, rows = run(cfg)
     out = args.out or cfg.directory
     print(_write(out, "manifest.json", manifest.to_json()))
     print(_write(out, "sweep.csv", rows_to_csv(rows)))
@@ -178,10 +177,14 @@ def cmd_plot_data(cfg, args):
     from .pipeline import emit_plot_data, rows_from_csv
     if not args.manifest:
         raise ConfigError("plot-data needs --manifest pointing at a sweep dir")
-    with open(os.path.join(args.manifest, "manifest.json")) as fh:
-        fits = json.load(fh)["fits"]
-    with open(os.path.join(args.manifest, "sweep.csv")) as fh:
-        rows = rows_from_csv(fh.read())
+    try:
+        with open(os.path.join(args.manifest, "manifest.json")) as fh:
+            fits = json.load(fh)["fits"]
+        with open(os.path.join(args.manifest, "sweep.csv")) as fh:
+            rows = rows_from_csv(fh.read())
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"cannot read the sweep in {args.manifest}: "
+                          f"{exc}") from exc
     out = args.out or args.manifest
     for name, text in emit_plot_data(fits, rows).items():
         print(_write(out, f"plot_{name}.csv", text))
@@ -198,8 +201,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to the run configuration")
     parser.add_argument("--out", help="output directory (default: print/config)")
     parser.add_argument("--manifest", help="directory with a sweep run (plot-data)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel reference solves (sweep, reference)")
     parser.add_argument("--tolerance-scale", type=float, default=1.0,
                         dest="tolerance_scale",
                         help="multiply invariant thresholds (verify)")

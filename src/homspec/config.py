@@ -123,7 +123,9 @@ def parse_coefficient_expr(text: str, dim: int):
             env["y"] = ys[0]
         else:
             env["y2"] = ys[1]
-        out = fn(env)
+        # a non-finite value is refused where the coefficient is built
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = fn(env)
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(ys[0])).copy()
 
     return evaluate
@@ -179,7 +181,11 @@ class RunConfig:
         from .torus import CoefficientField as CF
         d = self.dim
         if self.a_samples_path is not None:
-            vals = np.load(self.a_samples_path)
+            try:
+                vals = np.asarray(np.load(self.a_samples_path), dtype=float)
+            except (OSError, ValueError, EOFError) as exc:
+                raise ConfigError(f"cannot read a_samples "
+                                  f"{self.a_samples_path}: {exc}") from exc
             if vals.shape == grid.shape:
                 full = np.zeros((d, d) + grid.shape)
                 for i in range(d):
@@ -358,5 +364,9 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)

@@ -672,7 +672,7 @@ def assemble(branch: ExpansionBranch, eps: float,
     if epsilon_condition_violated(eps, branch.lambda0, branch.gamma):
         warnings.append({
             "code": "EpsilonConditionViolated",
-            "detail": f"eps={eps:.4g} exceeds c*gamma*lambda^(-3/2)="
+            "detail": f"eps={eps:.4g} exceeds gamma*lambda^(-3/2)="
                       f"{branch.gamma * branch.lambda0 ** -1.5:.4g}",
         })
     lam = lambda_tilde(branch, eps, P)

@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -125,12 +124,12 @@ def stage_expand(cfg: RunConfig, coeff, W, spec, warnings: list):
     return branches, P_build
 
 
-def stage_reference(cfg: RunConfig, coeff, W, spec, keep_vectors: bool,
-                    workers: int):
-    """Fine-grid reference spectra at every eps of the sweep.
+def stage_reference(cfg: RunConfig, coeff, W, spec, keep_vectors: bool):
+    """Fine-grid reference spectra at every eps of the sweep, one after the
+    other.
 
     Returns (radius, ref_count, refs) with refs[eps] = (ReferenceSpectrum,
-    seconds spent on it); ``workers`` > 1 solves the eps values in threads.
+    seconds spent on it).
     """
     _, b = spec.cluster_of(cfg.j)
     lam_min = float(np.min(np.linalg.eigvalsh(W.quadratic_form())))
@@ -147,12 +146,7 @@ def stage_reference(cfg: RunConfig, coeff, W, spec, keep_vectors: bool,
                          ref_count, keep_vectors=keep_vectors)
         return ref, time.perf_counter() - start
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(one_eps, cfg.eps_list))
-    else:
-        solved = [one_eps(eps) for eps in cfg.eps_list]
-    return radius, ref_count, dict(zip(cfg.eps_list, solved))
+    return radius, ref_count, {eps: one_eps(eps) for eps in cfg.eps_list}
 
 
 def assemble_branches(branches, eps: float, warnings: list) -> list:
@@ -167,7 +161,7 @@ def assemble_branches(branches, eps: float, warnings: list) -> list:
     return assemblies
 
 
-def run(cfg: RunConfig, workers: int = 1):
+def run(cfg: RunConfig):
     """Execute the full pipeline; returns (manifest, comparison rows)."""
     timings = {}
     warnings = []
@@ -201,8 +195,7 @@ def run(cfg: RunConfig, workers: int = 1):
     t0 = time.perf_counter()
     radius, ref_count, refs = stage_reference(
         cfg, coeff, W, spec,
-        keep_vectors=cfg.compare_eigenfunctions and cfg.dim == 1,
-        workers=workers)
+        keep_vectors=cfg.compare_eigenfunctions and cfg.dim == 1)
     if cfg.validate_radius:
         grid0 = FineGrid(cfg.dim, radius, max(cfg.eps_list) / cfg.fd_h_rule)
         radius_shift = validate_radius(coeff, W, max(cfg.eps_list), grid0,

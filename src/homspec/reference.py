@@ -6,9 +6,10 @@ finite differences with harmonic cell averaging of the coefficient, solved
 for its lowest eigenpairs, and Richardson extrapolated over the (h, h/2)
 pair.  In one dimension the harmonic averages are computed as exact cell
 integrals of 1/a, which keeps the discretization error smooth in h even
-though the coefficient oscillates; eigenvalues are then polished by Rayleigh
-quotient iteration in extended precision so that the floor sits orders of
-magnitude below the smallest expansion residuals being measured.
+though the coefficient oscillates; each eigenpair is then polished by
+bordered Newton steps with extended-precision residuals, and its eigenvalue
+taken as the energy quotient, so that the floor sits orders of magnitude
+below the smallest expansion residuals being measured.
 
 Separable two-dimensional problems (diagonal a with axis-aligned
 oscillation and an additively separable potential) factor exactly: the
@@ -38,6 +39,7 @@ from .torus import CoefficientField, FourierSampler
 
 MAX_UNKNOWNS_2D = 1_200_000
 MAX_OVERLAP_CONDITION = 10.0   # picked overlap / runner-up within a cluster
+POLISH_STEPS = 4               # cap on Newton steps per eigenpair
 
 
 def truncation_radius(lam: float, lambda_minus: float = 1.0,
@@ -176,67 +178,57 @@ def _energy_quotient(aharm, wdiag, h, v):
     return (kinetic + potential) / np.sum(v * v)
 
 
-def _refine_eigenpair(diag, off, lam, vec, aharm, wdiag, h,
-                      sweeps: int = 2):
-    """Inverse-iteration polish in extended precision.
+def _refine_eigenpair(diag, off, vec, aharm, wdiag, h):
+    """Bordered Newton polish of one eigenpair in extended precision
+    (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983).
 
-    The Thomas solves sharpen the eigenvector (its error enters the
-    eigenvalue quadratically); the eigenvalue itself is re-evaluated with
-    the cancellation-free energy quotient.  The solve walks Python lists of
-    long-double scalars: the same operations as on arrays, without numpy
-    indexing in every step.
+    Each step forms Tv, mu = v.Tv and r = Tv - mu v in long double, solves
+    (T - mu) [y, z] = [r, v] once in float64, and moves v to
+    v - y + (v.y / v.z) z, the Newton step that keeps the correction
+    orthogonal to v.  It stops when |r| no longer decreases (or T - mu is
+    exactly singular, i.e. the pair has converged), after at most
+    POLISH_STEPS steps.  The eigenvalue is the cancellation-free energy
+    quotient of the polished vector.
     """
-    d = diag.astype(np.longdouble)
-    v = vec.astype(np.longdouble)
-    v /= np.sqrt(np.dot(v, v))
-    ah = aharm.astype(np.longdouble)
-    wd = wdiag.astype(np.longdouble)
-    lam = np.longdouble(lam)
-    zero = np.longdouble(0)
-    tiny = np.longdouble(1e-30)
-    e = list(off.astype(np.longdouble))
-    lower, upper = [zero] + e, e + [zero]
-    for _ in range(sweeps):
-        # Thomas solve of (T - lam) w = v: forward elimination with the
-        # multipliers c_i = e_i / m_i, then back substitution
-        cs, ws = [], []
-        c = w = zero
-        for a, below, above, r in zip(list(d - lam), lower, upper, list(v)):
-            m = a - below * c
-            if m == 0:
-                m = tiny
-            c = above / m
-            w = (r - below * w) / m
-            cs.append(c)
-            ws.append(w)
-        back = [w]
-        for c, w_i in zip(cs[-2::-1], ws[-2::-1]):
-            w = w_i - c * w
-            back.append(w)
-        w = np.array(back[::-1], dtype=np.longdouble)
-        nrm = np.sqrt(np.dot(w, w))
-        if not np.isfinite(nrm) or nrm == 0:
+    d, e = diag.astype(np.longdouble), off.astype(np.longdouble)
+    band = np.zeros((3, d.size))
+    band[0, 1:] = band[2, :-1] = off
+    v = w = vec.astype(np.longdouble)
+    best = np.inf
+    for step in range(POLISH_STEPS + 1):
+        w /= np.sqrt(np.dot(w, w))
+        Tw = d * w
+        Tw[:-1] += e * w[1:]
+        Tw[1:] += e * w[:-1]
+        mu = np.dot(w, Tw)
+        r = Tw - mu * w
+        rr = np.dot(r, r)
+        if not rr < best:
             break
-        v = w / nrm
-        lam = _energy_quotient(ah, wd, h, v)
-    return float(lam), v.astype(float)
+        v, best = w, rr
+        if step == POLISH_STEPS:
+            break
+        band[1] = d - mu
+        try:
+            y, z = sla.solve_banded(
+                (1, 1), band, np.stack([r, v], axis=1).astype(float),
+                check_finite=False).T.astype(np.longdouble)
+        except np.linalg.LinAlgError:
+            break                     # mu is an eigenvalue of T in float64
+        w = v - y + (np.dot(v, y) / np.dot(v, z)) * z
+    return float(_energy_quotient(aharm, wdiag, h, v)), v.astype(float)
 
 
-def _solve_1d(coeff_at, W, eps, grid, count, refine=True):
+def _solve_1d(coeff_at, W, eps, grid, count):
     diag, off, ah, wdiag = _tridiag_1d(coeff_at, W, eps, grid)
-    vals, vecs = sla.eigh_tridiagonal(
+    _, vecs = sla.eigh_tridiagonal(
         diag, off, select="i", select_range=(0, count - 1)
     )
     out_vals = np.empty(count)
     out_vecs = np.empty((count, diag.size))
     for k in range(count):
-        if refine:
-            lam, v = _refine_eigenpair(diag, off, vals[k], vecs[:, k],
-                                       ah, wdiag, grid.h)
-        else:
-            lam, v = float(vals[k]), vecs[:, k]
-        out_vals[k] = lam
-        out_vecs[k] = v
+        out_vals[k], out_vecs[k] = _refine_eigenpair(
+            diag, off, vecs[:, k], ah, wdiag, grid.h)
     order = np.argsort(out_vals)
     return out_vals[order], out_vecs[order], ah
 
@@ -285,8 +277,7 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
     )
 
 
-def _solve_2d_separable(parts, eps, grid, count, refine=True,
-                        vectors=False):
+def _solve_2d_separable(parts, eps, grid, count, vectors=False):
     """The count lowest sums of the two 1D spectra, and their Kronecker
     eigenvectors (n^2 values each) only when ``vectors`` asks for them.
 
@@ -297,8 +288,8 @@ def _solve_2d_separable(parts, eps, grid, count, refine=True,
     """
     a1, a2, W1, W2 = parts
     g1 = FineGrid(1, grid.radius, grid.h)
-    vals1, vecs1, _ = _solve_1d(a1, W1, eps, g1, count, refine)
-    vals2, vecs2, _ = _solve_1d(a2, W2, eps, g1, count, refine)
+    vals1, vecs1, _ = _solve_1d(a1, W1, eps, g1, count)
+    vals2, vecs2, _ = _solve_1d(a2, W2, eps, g1, count)
     pairs = sorted((vals1[i] + vals2[j], i, j)
                    for i in range(count) for j in range(count))[:count]
     vals = np.array([p[0] for p in pairs])
@@ -394,8 +385,7 @@ def _solve_2d_sparse(coeff, W, eps, grid, count, sigma_shift):
 
 def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
                grid: FineGrid, count: int,
-               keep_vectors: bool = True,
-               refine: bool = True) -> ReferenceSpectrum:
+               keep_vectors: bool = True) -> ReferenceSpectrum:
     """Lowest eigenpairs of -div(a(./eps) grad) + W on the truncated box.
 
     Solves at h and h/2 and Richardson-extrapolates the eigenvalues;
@@ -420,8 +410,8 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
                 return np.asarray(coeff.entry_fns[0][0](y), dtype=float)
             return coeff.a.component(0, 0).evaluate(y.reshape(-1, 1))
 
-        vals_h, _, _ = _solve_1d(coeff_at, W, eps, grid, count, refine)
-        vals_h2, vecs, ah = _solve_1d(coeff_at, W, eps, fine, count, refine)
+        vals_h, _, _ = _solve_1d(coeff_at, W, eps, grid, count)
+        vals_h2, vecs, ah = _solve_1d(coeff_at, W, eps, fine, count)
         if keep_vectors:
             cell_coeff = ah
             node_coeff = coeff_at(fine.axis() / eps)
@@ -429,9 +419,9 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     else:
         parts = _separable_parts(coeff, W)
         if parts is not None:
-            vals_h, _ = _solve_2d_separable(parts, eps, grid, count, refine)
+            vals_h, _ = _solve_2d_separable(parts, eps, grid, count)
             vals_h2, vecs = _solve_2d_separable(parts, eps, fine, count,
-                                                refine, vectors=keep_vectors)
+                                                vectors=keep_vectors)
             diagnostics["path"] = "separable"
         else:
             # shift-invert about 0, below the positive definite spectrum

@@ -468,6 +468,8 @@ class CoefficientField:
     def __init__(self, a: PeriodicField, entry_fns=None, from_samples=False):
         if a.rank != 2:
             raise NotElliptic("coefficient must be a rank-2 field")
+        if not np.all(np.isfinite(a.values)):
+            raise NotElliptic("coefficient has non-finite values")
         sym_gap = np.max(np.abs(a.values - np.swapaxes(a.values, 0, 1)))
         if sym_gap > 1e-12 * max(1.0, np.max(np.abs(a.values))):
             raise NotElliptic(f"coefficient not symmetric, gap {sym_gap:.3e}")

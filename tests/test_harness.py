@@ -388,6 +388,64 @@ class TestCLI:
         r = self._run("sweep", cwd=str(tmp_path))
         assert r.returncode == 3
 
+    def _fails_in_one_line(self, r, code, prefix, needle):
+        assert r.returncode == code, r.stderr
+        assert r.stderr.startswith(prefix), r.stderr
+        assert r.stderr.count("\n") == 1, r.stderr
+        assert needle in r.stderr
+
+    def test_unreadable_config_exit_code(self, tmp_path):
+        r = self._run("--config", str(tmp_path / "missing.ini"), "sweep",
+                      cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: ", "missing.ini")
+
+    @pytest.mark.parametrize("kind", ["missing", "text", "npz"])
+    def test_unreadable_a_samples_exit_code(self, tmp_path, kind):
+        # a missing path, a file that is no .npy (read without pickle), and
+        # an .npz archive in place of one array
+        path = tmp_path / "a.npy"
+        if kind == "text":
+            path.write_text("not an array\n")
+        elif kind == "npz":
+            with open(path, "wb") as fh:
+                np.savez(fh, a=np.ones(64))
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(MINIMAL.replace("a = 2 + cos(2*pi*y)",
+                                           f"a_samples = {path}"))
+        r = self._run("--config", str(cfgfile), "homogenize",
+                      cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: ", "a_samples")
+
+    @pytest.mark.parametrize("manifest", [None, "{not json"])
+    def test_unreadable_plot_data_manifest_exit_code(self, tmp_path, mini_run,
+                                                     manifest):
+        # a missing sweep directory, and a corrupt manifest.json in one
+        run_dir = tmp_path / "run"
+        if manifest is not None:
+            run_dir.mkdir()
+            (run_dir / "manifest.json").write_text(manifest)
+            (run_dir / "sweep.csv").write_text(rows_to_csv(mini_run[2]))
+        r = self._run("--manifest", str(run_dir), "plot-data",
+                      cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: ", str(run_dir))
+
+    @pytest.mark.parametrize("samples", [False, True])
+    def test_nan_coefficient_exit_code(self, tmp_path, samples):
+        # NaN <= 0 is false, so only an explicit finiteness check stops a
+        # NaN coefficient before the cell solves run on it
+        if samples:
+            vals = 2.0 + np.cos(2 * np.pi * np.arange(64) / 64)
+            vals[5] = np.nan
+            np.save(tmp_path / "a.npy", vals)
+            coeff = f"a_samples = {tmp_path / 'a.npy'}"
+        else:
+            coeff = "a = 2 + cos(2*pi*y) + (y - y)/(y - y)"
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(MINIMAL.replace("a = 2 + cos(2*pi*y)", coeff))
+        r = self._run("--config", str(cfgfile), "homogenize",
+                      cwd=str(tmp_path))
+        self._fails_in_one_line(r, 4, "error: ", "non-finite")
+
     def test_verify_exit_codes(self, tmp_path):
         r = self._run("verify", cwd=str(tmp_path))
         assert r.returncode == 0, r.stdout + r.stderr

@@ -10,9 +10,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 KEPT_DEFAULTS = {
     # the console script calls main() with none; perfbench/child.py passes it
     "cli.py:main(argv=)",
-    # the long-double inverse-iteration loop that reads it is due to give
-    # way to a Newton polish with its own stopping rule
-    "reference.py:_refine_eigenpair(sweeps=)",
 }
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from homspec.hermite import MacroBasis, default_sigma, solve_spectrum
 from homspec.reference import (
     FineGrid,
     _assemble_2d,
+    _energy_quotient,
     _refine_eigenpair,
     _separable_parts,
     _solve_1d,
@@ -132,7 +134,7 @@ class TestSolve2D:
         W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
         eps = 1.0 / 4
         fg = FineGrid(2, 4.0, eps / 8)
-        sep = solve_Leps(c, W, eps, fg, 4, keep_vectors=False, refine=False)
+        sep = solve_Leps(c, W, eps, fg, 4, keep_vectors=False)
         from homspec.reference import _solve_2d_sparse
         vals, _ = _solve_2d_sparse(c, W, eps, fg, 4, 2.0)
         assert sep.diagnostics["path"] == "separable"
@@ -245,12 +247,52 @@ def _sturm_eigenvalue(ah, wd, h, k, guess):
     return (lo + hi) / 2
 
 
+def _thomas_polish(diag, off, lam, vec, aharm, wdiag, h, sweeps=2):
+    """The long-double inverse-iteration polish that the Newton polish
+    replaced, kept verbatim as an oracle for it."""
+    d = diag.astype(np.longdouble)
+    v = vec.astype(np.longdouble)
+    v /= np.sqrt(np.dot(v, v))
+    ah = aharm.astype(np.longdouble)
+    wd = wdiag.astype(np.longdouble)
+    lam = np.longdouble(lam)
+    zero = np.longdouble(0)
+    tiny = np.longdouble(1e-30)
+    e = list(off.astype(np.longdouble))
+    lower, upper = [zero] + e, e + [zero]
+    for _ in range(sweeps):
+        # Thomas solve of (T - lam) w = v: forward elimination with the
+        # multipliers c_i = e_i / m_i, then back substitution
+        cs, ws = [], []
+        c = w = zero
+        for a, below, above, r in zip(list(d - lam), lower, upper, list(v)):
+            m = a - below * c
+            if m == 0:
+                m = tiny
+            c = above / m
+            w = (r - below * w) / m
+            cs.append(c)
+            ws.append(w)
+        back = [w]
+        for c, w_i in zip(cs[-2::-1], ws[-2::-1]):
+            w = w_i - c * w
+            back.append(w)
+        w = np.array(back[::-1], dtype=np.longdouble)
+        nrm = np.sqrt(np.dot(w, w))
+        if not np.isfinite(nrm) or nrm == 0:
+            break
+        v = w / nrm
+        lam = _energy_quotient(ah, wd, h, v)
+    return float(lam), v.astype(float)
+
+
 class TestPolish:
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
                         reason="bits pinned for x87 80-bit long double")
     def test_polish_bits_pinned(self):
-        # recorded before the Thomas loop moved from arrays to lists; a
-        # rewrite of the polish that changes a single bit must change this
+        # eigenvalue bits recorded from the Thomas loop above, which the
+        # Newton polish reproduces; the vectors agree with that loop's (whose
+        # own bits stay pinned) to a few ulp, up to sign
         diag, off, ah, wd, h, x = _pin_problem()
         g = 1.0 - x * x / (2 * 1.082 * 64)
         for _ in range(6):
@@ -261,11 +303,53 @@ class TestPolish:
             ("0x1.9f880a447fec4p+1", "0bd0e4712d7b1d56"),
             ("0x1.5a5746156e81ep+2", "5dc855fadddc2f02"),
         ]
-        for start, shift, (lam_hex, vec_sha) in zip(starts, (1.08, 3.25, 5.41),
-                                                    pinned):
-            lam, v = _refine_eigenpair(diag, off, shift, start, ah, wd, h)
+        for start, shift, (lam_hex, oracle_sha) in zip(
+                starts, (1.08, 3.25, 5.41), pinned):
+            lam, v = _refine_eigenpair(diag, off, start, ah, wd, h)
             assert float.hex(lam) == lam_hex
-            assert hashlib.sha256(v.tobytes()).hexdigest()[:16] == vec_sha
+            lam_t, v_t = _thomas_polish(diag, off, shift, start, ah, wd, h)
+            assert float.hex(lam_t) == lam_hex
+            assert hashlib.sha256(v_t.tobytes()).hexdigest()[:16] == oracle_sha
+            gap = min(np.linalg.norm(v - v_t), np.linalg.norm(v + v_t))
+            assert gap <= 4e-15 * np.linalg.norm(v_t)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="bound measured with x87 80-bit long double")
+    def test_polish_matches_thomas_on_fine_grid(self):
+        # n = 71 679, where |T| ~ 1e9: a residual formed with the energy
+        # quotient in place of v.Tv stalls 2e-11 away from the Thomas fixed
+        # point; the Newton polish lands within 1.3e-14
+        eps = 1.0 / 160
+        grid = FineGrid(1, 7.0, eps / 32)
+        c = CoefficientField.from_isotropic(
+            TorusGrid(1, 64), lambda y: 2.0 + np.cos(TWO_PI * y))
+        a = c.entry_fns[0][0]
+        diag, off, ah, wd = _tridiag_1d(a, w1(), eps, grid)
+        vals, vecs = sla.eigh_tridiagonal(diag, off, select="i",
+                                          select_range=(0, 0))
+        lam, v = _refine_eigenpair(diag, off, vecs[:, 0], ah, wd, grid.h)
+        lam_t, v_t = _thomas_polish(diag, off, vals[0], vecs[:, 0], ah, wd,
+                                    grid.h)
+        assert lam == lam_t
+        gap = min(np.linalg.norm(v - v_t), np.linalg.norm(v + v_t))
+        assert gap <= 1e-13 * np.linalg.norm(v_t)
+
+    @pytest.mark.parametrize("aharm,start,lam", [
+        ((1.0, 1.0, 1.0, 1.0), (1.0, 0.0, -1.0), 2.0),
+        ((1.0, 0.0, 1.0, 1.0), (1.0, 0.0, 0.0), 1.0),
+    ])
+    def test_exact_eigenvector_polishes(self, aharm, start, lam):
+        # 3 x 3 tridiagonals (h = 1, W = 0) started from an exact eigenvector:
+        # tridiag(-1, 2, -1) with (1, 0, -1), and a matrix whose first node
+        # is decoupled, where T - mu is exactly singular in float64; the
+        # start is kept in both
+        ah = np.array(aharm)
+        start = np.array(start)
+        got, v = _refine_eigenpair(ah[:-1] + ah[1:], -ah[1:-1], start, ah,
+                                   np.zeros(3), 1.0)
+        assert got == pytest.approx(lam, rel=1e-15)
+        assert np.allclose(v, start / np.linalg.norm(start), rtol=0,
+                           atol=1e-15)
 
     @pytest.mark.parametrize("radius,eps,rule", [
         (3.0, 0.5, 8), (2.0, 0.5, 16), (3.0, 0.25, 8)])

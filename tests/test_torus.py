@@ -133,6 +133,12 @@ class TestCoefficientField:
                 grid1(), lambda y: np.cos(TWO_PI * y)
             )
 
+    def test_non_finite_rejected(self):
+        vals = np.ones((1, 1) + grid1().shape)
+        vals[0, 0, 3] = np.inf
+        with pytest.raises(NotElliptic, match="non-finite"):
+            CoefficientField(PeriodicField(grid1(), vals))
+
     def test_asymmetric_rejected(self):
         g = grid2(16)
         vals = np.zeros((2, 2) + g.shape)
