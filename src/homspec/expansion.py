@@ -24,7 +24,7 @@ The corrector cell problem at (q, alpha, k) reads
 with f_{q,alpha,k} = a grad_x chi_{q-1,alpha,k} + sum_j a e_j chi_{q-1,alpha-e_j,k}
 + a grad_y chi_{q,alpha,k} and abar = <f>.  The equations never couple
 different k (after shifting the correction index the data is k-free), so the
-table stores one entry per (q, alpha) and serves every k.
+table stores one entry per (q, alpha) and mu prefix and serves every k.
 
 For an eigenvalue of multiplicity N the branches are driven by the N x N
 coupling matrix D built from the third-order table (equivalently from the
@@ -36,6 +36,7 @@ inversion of (D - mu_2) in the solvability conditions.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +48,7 @@ from .errors import (
     MeanNotZero,
     NotSimple,
     NumericalError,
+    SolvabilityViolated,
 )
 from .hermite import (
     HermiteSampler,
@@ -60,7 +62,7 @@ from .hermite import (
 from .separable import SeparableField
 from .slowpoly import SlowPolynomial, monomials_of_degree
 from .torus import (CoefficientField, FourierSampler, PeriodicField,
-                    cell_residual, solve_cell)
+                    cell_residual, l2_inner, solve_cell)
 
 MU1_TOL = 1e-8
 SOLVABILITY_TOL = 1e-8
@@ -80,8 +82,11 @@ class CorrectorTable:
     """Memoized (q, alpha) -> corrector / flux / homogenized-vector store.
 
     Holds a live reference to the branch's mu list; entries at order q with
-    |alpha| = m require mu_0 .. mu_{q-2-m}, which the level driver guarantees
-    to have appended before they are requested.
+    |alpha| = m read mu_0 .. mu_{q-2-m}, which the level driver guarantees
+    to have appended before they are requested.  Entries are keyed on
+    (q, alpha) plus that mu prefix, so the tables that ``fork`` makes for
+    the other branches of a cluster share one store: the branches agree on
+    mu_0 = lambda_0 and mu_1 = 0, and each cell problem is solved once.
     """
 
     def __init__(self, coeff: CoefficientField, W: SlowPolynomial, mu: list,
@@ -99,50 +104,57 @@ class CorrectorTable:
         self.residuals: dict = {}
         self.rhs_means: dict = {}
 
-    # --- public accessors (chi and abar accept the k index; it is immaterial) ---
+    def fork(self) -> CorrectorTable:
+        """A table for another branch of the cluster: same store, fresh [mu_0]."""
+        twin = copy.copy(self)
+        twin.mu = [self.mu[0]]
+        return twin
 
-    def chi(self, q: int, alpha: tuple, k: int = 0) -> SeparableField:
-        alpha = tuple(int(a) for a in alpha)
-        if q < 0 or any(a < 0 for a in alpha):
-            return SeparableField.zero(self.grid)
-        m = sum(alpha)
-        if m > q:
-            return SeparableField.zero(self.grid)
-        if q == 0:
-            return SeparableField.one(self.grid)
-        if m == 0:
-            return SeparableField.zero(self.grid)
-        key = (q, alpha)
-        if key not in self._chi:
-            self._chi[key] = self._solve_chi(q, alpha)
-        return self._chi[key]
+    # --- public accessors ---
+
+    def chi(self, q: int, alpha: tuple) -> SeparableField:
+        if not any(alpha):
+            return (SeparableField.one(self.grid) if q == 0
+                    else SeparableField.zero(self.grid))
+        return self._memo(self._chi, self._solve_chi, q, alpha,
+                          lambda: SeparableField.zero(self.grid))
 
     def flux(self, q: int, alpha: tuple) -> list:
-        alpha = tuple(int(a) for a in alpha)
-        if q < 0 or any(a < 0 for a in alpha) or sum(alpha) > q:
-            return [SeparableField.zero(self.grid) for _ in range(self.d)]
-        key = (q, alpha)
-        if key not in self._flux:
-            self._flux[key] = self._build_flux(q, alpha)
-        return self._flux[key]
+        return self._memo(self._flux, self._build_flux, q, alpha, lambda: [
+            SeparableField.zero(self.grid) for _ in range(self.d)])
 
-    def abar(self, q: int, alpha: tuple, k: int = 0) -> list:
-        alpha = tuple(int(a) for a in alpha)
-        if q < 0 or any(a < 0 for a in alpha) or sum(alpha) > q:
-            return [SlowPolynomial.zero(self.d) for _ in range(self.d)]
-        key = (q, alpha)
-        if key not in self._abar:
-            self._abar[key] = [f.y_mean().prune(1e-16) for f in self.flux(q, alpha)]
-        return self._abar[key]
+    def abar(self, q: int, alpha: tuple) -> list:
+        return self._memo(self._abar, self._build_abar, q, alpha, lambda: [
+            SlowPolynomial.zero(self.d) for _ in range(self.d)])
 
     # --- construction ---
 
+    def _key(self, q: int, alpha: tuple) -> tuple:
+        need = q - 1 - sum(alpha)
+        if need > len(self.mu):
+            raise RuntimeError(
+                f"corrector ({q},{alpha}) needs mu_0..mu_{need - 1}, "
+                f"have {len(self.mu)}"
+            )
+        return (q, alpha, tuple(self.mu[:max(need, 0)]))
+
+    def _memo(self, store: dict, build, q: int, alpha: tuple, zero):
+        """store[(q, alpha, mu prefix)], built on first use; zero() off range."""
+        alpha = tuple(int(a) for a in alpha)
+        if q < 0 or min(alpha) < 0 or sum(alpha) > q:
+            return zero()
+        key = self._key(q, alpha)
+        if key not in store:
+            store[key] = build(q, alpha)
+        return store[key]
+
     def _solve_chi(self, q: int, alpha: tuple) -> SeparableField:
+        key = self._key(q, alpha)
         if q == 1:
             axis = alpha.index(1)
             col = PeriodicField(self.grid, self.coeff.a.values[:, axis])
             u = solve_cell(self.coeff, F=col, tol=self.tol)
-            self.residuals[(q, alpha)] = cell_residual(self.coeff, u, F=col)
+            self.residuals[key] = cell_residual(self.coeff, u, F=col)
             return SeparableField.from_periodic(u)
         rhs = self._rhs(q, alpha)
         out = SeparableField.zero(self.grid)
@@ -160,18 +172,12 @@ class CorrectorTable:
             u = solve_cell(self.coeff, G=g, tol=self.tol)
             worst_res = max(worst_res, cell_residual(self.coeff, u, G=g))
             out._accumulate(beta, u)
-        self.rhs_means[(q, alpha)] = worst_mean
-        self.residuals[(q, alpha)] = worst_res
+        self.rhs_means[key] = worst_mean
+        self.residuals[key] = worst_res
         return out.purge(PRUNE_TOL)
 
     def _rhs(self, q: int, alpha: tuple) -> SeparableField:
         m = sum(alpha)
-        need = q - 1 - m
-        if need > len(self.mu):
-            raise RuntimeError(
-                f"corrector ({q},{alpha}) needs mu_0..mu_{need - 1}, "
-                f"have {len(self.mu)}"
-            )
         a = self.coeff.a
         rhs = SeparableField.zero(self.grid)
         c_prev = self.chi(q - 1, alpha)
@@ -228,6 +234,9 @@ class CorrectorTable:
             comps.append(f.purge(PRUNE_TOL))
         return comps
 
+    def _build_abar(self, q: int, alpha: tuple) -> list:
+        return [f.y_mean().prune(1e-16) for f in self.flux(q, alpha)]
+
     def max_cell_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
 
@@ -236,10 +245,8 @@ class CorrectorTable:
 
     def max_chi_mean(self) -> float:
         """Largest |<chi_{q,alpha}>| over stored entries with (q,alpha) != 0."""
-        out = 0.0
-        for (q, alpha), chi in self._chi.items():
-            out = max(out, chi.max_shape_mean())
-        return out
+        return max((chi.max_shape_mean() for chi in self._chi.values()),
+                   default=0.0)
 
 
 @dataclass
@@ -290,7 +297,7 @@ def _div_sources(table: CorrectorTable, U: list, K: int,
         q = K - k
         for m in range(1, q + 1):
             for alpha in monomials_of_degree(d, m):
-                ab = table.abar(q, alpha, k)
+                ab = table.abar(q, alpha)
                 if all(p.is_zero() for p in ab):
                     continue
                 du = quad.values(U[k], alpha)
@@ -386,7 +393,7 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
     G = np.zeros((N, N))         # |alpha| = 3 block
     for m in (1, 2, 3):
         for alpha in monomials_of_degree(d, m):
-            ab = table.abar(3, alpha, 0)
+            ab = table.abar(3, alpha)
             if all(p.is_zero() for p in ab):
                 continue
             vals_s = [quad.values(phis[s], alpha) if m > 1 else None
@@ -401,12 +408,11 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
                         ds = dphi[s][alpha.index(1)] if m == 1 else vals_s[s]
                         tgt[r, s] += quad.integrate(poly, dphi[r][l], ds)
 
-    from .torus import l2_inner
     cov = np.zeros((d, d))
     for i in range(d):
-        chi_i = table.chi(1, e_idx[i], 0).terms[(0,) * d]
+        chi_i = table.chi(1, e_idx[i]).terms[(0,) * d]
         for l in range(i, d):
-            chi_l = table.chi(1, e_idx[l], 0).terms[(0,) * d]
+            chi_l = table.chi(1, e_idx[l]).terms[(0,) * d]
             cov[i, l] = cov[l, i] = l2_inner(chi_i, chi_l)
     wvals = table.W(pts) - mu0
     D2 = np.zeros((N, N))
@@ -453,7 +459,7 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
 # --- branch drivers -------------------------------------------------------------
 
 
-def _level_rhs(table, U, mu, K, quad, basis):
+def _level_rhs(table, U, mu, K, quad):
     """Coefficients of the level-K right-hand side with mu_{K-1} excluded."""
     coeffs = _macro_rhs_parts(table, U, K, quad)
     for k in range(1, K - 1):
@@ -462,9 +468,9 @@ def _level_rhs(table, U, mu, K, quad, basis):
     return coeffs
 
 
-def _run_branch(coeff, W, spec, j, P, label, E_row, mu2_val, D, E, mu2_list,
-                torus_tol) -> ExpansionBranch:
-    """Shared level loop for a single branch (simple case: N = 1, E = [1])."""
+def _run_branch(table, spec, j, P, label, D, E, mu2_list) -> ExpansionBranch:
+    """Shared level loop for a single branch (simple case: N = 1, E = [1]);
+    ``table.mu`` is the branch's mu list, [lambda_0] on entry."""
     a, b = spec.cluster_of(j)
     N = b - a
     basis = spec.basis
@@ -475,19 +481,19 @@ def _run_branch(coeff, W, spec, j, P, label, E_row, mu2_val, D, E, mu2_list,
     phis = spec.eigenfunctions[a:b]
     phi_mat = np.stack([p.coeffs for p in phis])         # (N, total)
 
-    U0 = MacroFunction(basis, E_row @ phi_mat)
-    mu: list = [lam0]
-    table = CorrectorTable(coeff, W, mu, tol=torus_tol)
+    e_self = E[label]
+    mu2_val = mu2_list[label] if N > 1 else None
+    U0 = MacroFunction(basis, e_self @ phi_mat)
+    mu = table.mu
     branch = ExpansionBranch(
         label=label, j=a + 1, lambda0=lam0, gamma=gamma, P=P,
         mu=mu, U=[U0], table=table, spectrum=spec, cluster=(a, b),
         D=D, E=E, mu2_cluster=mu2_list,
     )
-    e_self = np.asarray(E_row, dtype=float)
 
     def solve_level(K):
         """RHS with mu_{K-1} excluded, plus its cluster projections."""
-        coeffs = _level_rhs(table, branch.U, mu, K, quad, basis)
+        coeffs = _level_rhs(table, branch.U, mu, K, quad)
         w_vec = phi_mat @ coeffs                          # <RHS(mu_{K-1}=0), phi_t>
         return coeffs, w_vec
 
@@ -508,7 +514,7 @@ def _run_branch(coeff, W, spec, j, P, label, E_row, mu2_val, D, E, mu2_list,
 
         if N > 1 and K >= 4:
             # recover the deferred kernel components of U_{K-3} by restricted
-            # inversion of (D - mu_2) on the orthogonal complement of E_row
+            # inversion of (D - mu_2) on the orthogonal complement of E[label]
             residual_vec = w_vec + mu_new * e_self
             alpha = np.zeros(N)
             for t in range(N):
@@ -523,7 +529,7 @@ def _run_branch(coeff, W, spec, j, P, label, E_row, mu2_val, D, E, mu2_list,
                 )
                 # the level K-1 envelope was resolved against the stale
                 # kernel part of U_{K-3}; re-resolve it before this level
-                cs_prev = _level_rhs(table, branch.U, mu, K - 1, quad, basis)
+                cs_prev = _level_rhs(table, branch.U, mu, K - 1, quad)
                 cs_prev = cs_prev + mu[K - 2] * branch.U[0].coeffs
                 rhs_prev = cs_prev - phi_mat.T @ (phi_mat @ cs_prev)
                 branch.U[K - 2] = resolvent_solve(
@@ -537,7 +543,6 @@ def _run_branch(coeff, W, spec, j, P, label, E_row, mu2_val, D, E, mu2_list,
         res = float(np.linalg.norm(proj)) / scale
         branch.solvability_residuals[K] = res
         if res > SOLVABILITY_TOL:
-            from .errors import SolvabilityViolated
             raise SolvabilityViolated(K, label, res)
         rhs = MacroFunction(basis, coeffs - phi_mat.T @ proj)
         Unew = resolvent_solve(spec, a + 1, rhs)
@@ -585,38 +590,26 @@ def simple_recursion(coeff: CoefficientField, W: SlowPolynomial,
         )
     if P < 2:
         raise ValueError("P must be at least 2")
-    return _run_branch(coeff, W, spec, j, P, label=0,
-                       E_row=np.array([1.0]), mu2_val=None,
-                       D=None, E=np.array([[1.0]]), mu2_list=None,
-                       torus_tol=torus_tol)
+    table = CorrectorTable(coeff, W, [spec.eigenvalue(j)], tol=torus_tol)
+    return _run_branch(table, spec, j, P, label=0,
+                       D=None, E=np.array([[1.0]]), mu2_list=None)
 
 
 def multiple_recursion(coeff: CoefficientField, W: SlowPolynomial,
                        spec: SpectrumResult, j: int, P: int,
                        torus_tol: float = 1e-12) -> list:
-    """All N branches of the cluster containing lambda_j, orders <= P."""
+    """All N branches of the cluster containing lambda_j, orders <= P.
+
+    D is built on branch 0's table while its mu is [lambda_0]; the other
+    branches fork that table, so the cluster shares one store."""
     if P < 2:
         raise ValueError("P must be at least 2")
-    a, b = spec.cluster_of(j)
-    N = b - a
-    boot_mu = [spec.eigenvalue(j)]
-    boot_table = CorrectorTable(coeff, W, boot_mu, tol=torus_tol)
+    table = CorrectorTable(coeff, W, [spec.eigenvalue(j)], tol=torus_tol)
     quad = quadrature_for(spec.basis, max_derivative=max(P + 2, 4))
-    if N == 1:
-        branch = simple_recursion(coeff, W, spec, j, P, torus_tol=torus_tol)
-        D, E, mu2, _ = build_D_matrix(spec, j, boot_table, quad=quad,
-                                      spacing_tol=0.0)
-        branch.D, branch.E, branch.mu2_cluster = D, E, mu2
-        return [branch]
-    D, E, mu2, info = build_D_matrix(spec, j, boot_table, quad=quad)
-    branches = []
-    for r in range(N):
-        br = _run_branch(coeff, W, spec, j, P, label=r,
-                         E_row=E[r], mu2_val=mu2[r],
-                         D=D, E=E, mu2_list=mu2,
-                         torus_tol=torus_tol)
-        branches.append(br)
-    return branches
+    D, E, mu2, _ = build_D_matrix(spec, j, table, quad=quad)
+    return [_run_branch(table if r == 0 else table.fork(), spec, j, P,
+                        label=r, D=D, E=E, mu2_list=mu2)
+            for r in range(len(mu2))]
 
 
 # --- assembly --------------------------------------------------------------------
@@ -698,7 +691,7 @@ def assemble(branch: ExpansionBranch, eps: float,
         for q in range(0, P + 1 - k):
             for mm in range(0, q + 1):
                 for alpha in monomials_of_degree(d, mm):
-                    chi = table.chi(q, alpha, k)
+                    chi = table.chi(q, alpha)
                     if chi.is_zero():
                         continue
                     scalef = eps ** (q + k)

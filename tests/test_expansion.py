@@ -1,5 +1,7 @@
 """Correction hierarchy: corrector table identities, mu/U recursion, branches."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,59 @@ class TestMultipleRecursion:
             assert br.mu[p] == pytest.approx(simple.mu[p], rel=1e-10, abs=1e-14)
         for u_m, u_s in zip(br.U[:4], simple.U[:4]):
             assert (u_m - u_s).norm() < 1e-10
+        # both run the one level loop: at the same P (so the same
+        # quadrature) the branch is the simple one bit for bit
+        same_p = simple_recursion(coeff, W, spec, 1, 3, torus_tol=1e-13)
+        assert br.mu == same_p.mu
+        assert all(np.array_equal(u_m.coeffs, u_s.coeffs)
+                   for u_m, u_s in zip(br.U, same_p.U))
+
+    @pytest.mark.parametrize("P", [2, 4])
+    def test_cluster_solves_each_cell_problem_once(self, case_2d_laminate,
+                                                   monkeypatch, P):
+        # the branches share mu_0 and mu_1 = 0, so one store keyed on
+        # (q, alpha, mu prefix) serves the cluster: every entry is built
+        # once, and each branch is bit for bit the branch that an unshared
+        # table of its own gives
+        import homspec.expansion as expansion
+        coeff, W, spec = case_2d_laminate
+        build, solve = CorrectorTable._solve_chi, expansion.solve_cell
+        building = []        # entries under construction, innermost last
+
+        def run(fork):
+            built, solved = [], []
+
+            def counting_build(table, q, alpha):
+                prefix = table.mu[:max(q - 1 - sum(alpha), 0)]
+                building.append((q, alpha, tuple(prefix)))
+                built.append(building[-1])
+                try:
+                    return build(table, q, alpha)
+                finally:
+                    building.pop()
+
+            def counting_solve(*args, **kwargs):
+                solved.append(building[-1])
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(CorrectorTable, "_solve_chi", counting_build)
+            monkeypatch.setattr(expansion, "solve_cell", counting_solve)
+            monkeypatch.setattr(CorrectorTable, "fork", fork)
+            branches = multiple_recursion(coeff, W, spec, 2, P, torus_tol=1e-13)
+            return branches, built, Counter(solved)
+
+        shared, built, solves = run(CorrectorTable.fork)
+        assert len(built) == len(set(built))
+        alone, built_alone, solves_alone = run(lambda t: CorrectorTable(
+            t.coeff, t.W, [t.mu[0]], tol=t.tol))
+        assert set(built_alone) == set(built)
+        assert len(built_alone) > len(built)
+        assert solves_alone == Counter({key: n * built_alone.count(key)
+                                        for key, n in solves.items()})
+        for br, br_alone in zip(shared, alone):
+            assert br.mu == br_alone.mu
+            assert all(np.array_equal(u.coeffs, v.coeffs)
+                       for u, v in zip(br.U, br_alone.U))
 
     def test_forced_constant_coefficient(self):
         grid = TorusGrid(2, 16)

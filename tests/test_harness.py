@@ -399,22 +399,25 @@ class TestCLI:
                       cwd=str(tmp_path))
         self._fails_in_one_line(r, 3, "config error: ", "missing.ini")
 
-    @pytest.mark.parametrize("kind", ["missing", "text", "npz"])
+    @pytest.mark.parametrize("kind", ["missing", "text", "npz", "shape"])
     def test_unreadable_a_samples_exit_code(self, tmp_path, kind):
-        # a missing path, a file that is no .npy (read without pickle), and
-        # an .npz archive in place of one array
+        # a missing path, a file that is no .npy (read without pickle), an
+        # .npz archive in place of one array, and 10 values for 64 modes
         path = tmp_path / "a.npy"
         if kind == "text":
             path.write_text("not an array\n")
         elif kind == "npz":
             with open(path, "wb") as fh:
                 np.savez(fh, a=np.ones(64))
+        elif kind == "shape":
+            np.save(path, np.full(10, 2.0))
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(MINIMAL.replace("a = 2 + cos(2*pi*y)",
                                            f"a_samples = {path}"))
         r = self._run("--config", str(cfgfile), "homogenize",
                       cwd=str(tmp_path))
-        self._fails_in_one_line(r, 3, "config error: ", "a_samples")
+        needle = "sampled coefficient shape" if kind == "shape" else "a_samples"
+        self._fails_in_one_line(r, 3, "config error: ", needle)
 
     @pytest.mark.parametrize("manifest", [None, "{not json"])
     def test_unreadable_plot_data_manifest_exit_code(self, tmp_path, mini_run,
@@ -445,6 +448,34 @@ class TestCLI:
         r = self._run("--config", str(cfgfile), "homogenize",
                       cwd=str(tmp_path))
         self._fails_in_one_line(r, 4, "error: ", "non-finite")
+
+    def test_negative_coefficient_exit_code(self, tmp_path):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(MINIMAL.replace("a = 2 + cos(2*pi*y)",
+                                           "a = cos(2*pi*y)"))
+        r = self._run("--config", str(cfgfile), "homogenize",
+                      cwd=str(tmp_path))
+        self._fails_in_one_line(r, 4, "error: ",
+                                "coefficient not positive definite")
+
+    def test_eps_above_truncation_rule_warns(self, tmp_path):
+        # with no p_order the truncation rule picks P; at eps = 3 and 2 it is
+        # undefined and the epsilon condition fails, at eps = 1 neither
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(MINIMAL.replace("0.125, 0.0625, 0.03125",
+                                           "3.0, 2.0, 1.0")
+                           .replace("p_order = 2\n", ""))
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
+                      "expand", cwd=str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        warnings = json.loads((tmp_path / "expand.json").read_text())["warnings"]
+        for eps, count in ((3.0, 1), (2.0, 1), (1.0, 0)):
+            assert count == sum(w["code"] == "EpsilonTooLarge"
+                                and w["detail"].endswith(f"eps={eps}")
+                                for w in warnings)
+            assert count == sum(w["code"] == "EpsilonConditionViolated"
+                                and w["eps"] == eps for w in warnings)
+        assert len(warnings) == 4
 
     def test_verify_exit_codes(self, tmp_path):
         r = self._run("verify", cwd=str(tmp_path))

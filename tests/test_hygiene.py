@@ -1,5 +1,6 @@
-"""Every top-level function and public method in src/homspec is used, and
-every defaulted parameter of one is passed by some call."""
+"""Every top-level function and public method in src/homspec is used, every
+parameter of one is read, and every defaulted parameter is passed by some
+call."""
 
 import ast
 import pathlib
@@ -10,6 +11,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 KEPT_DEFAULTS = {
     # the console script calls main() with none; perfbench/child.py passes it
     "cli.py:main(argv=)",
+}
+
+# parameters that their function's body never reads, kept on purpose
+KEPT_UNREAD = {
+    # main's dispatch table calls every subcommand handler as (args, cfg)
+    "cli.py:cmd_verify(cfg)",
+    "cli.py:cmd_plot_data(cfg)",
 }
 
 
@@ -102,3 +110,21 @@ def test_every_default_is_passed():
             if not passed and label not in KEPT_DEFAULTS:
                 unpassed.append(label)
     assert not unpassed, f"defaults no call in src/ or tests/ passes: {unpassed}"
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is a value every caller passes for
+    # nothing: delete it, or keep it in KEPT_UNREAD with a reason
+    unread = []
+    for mod, qual, _, fn, bound in _defined(_trees()):
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for arg in params[bound:]:
+            label = f"{mod}:{qual.replace('.__init__', '')}({arg.arg})"
+            if arg.arg not in read and label not in KEPT_UNREAD:
+                unread.append(label)
+    assert not unread, f"parameters no body reads: {unread}"
