@@ -36,17 +36,25 @@ def _dump(payload, out_dir, name):
         print(text)
 
 
-def _write_grid_samples(out_dir, name, dim, sigma, n, columns):
-    """CSV of each (header, f) in ``columns`` as f(points), on n points per
-    axis of [-4 sigma, 4 sigma]^dim."""
+def _sample_grid(dim, sigma, n):
+    """n points per axis of [-4 sigma, 4 sigma]^dim as (coords, index, points):
+    the axis coordinates as (n, dim) rows, each point's row among them per
+    axis, and the points."""
+    from .torus import tensor_rows
     R = 4.0 * sigma
     x = np.linspace(-R, R, n)
-    pts = (np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
-           if dim == 2 else x.reshape(-1, 1))
+    index = tensor_rows(n, dim)
+    return (np.repeat(x[:, None], dim, axis=1), index,
+            np.stack([x[r] for r in index], axis=1))
+
+
+def _write_grid_samples(out_dir, name, points, columns):
+    """CSV of the points' coordinates and each (header, values) in ``columns``."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow([f"x{i+1}" for i in range(dim)] + [h for h, _ in columns])
-    w.writerows(np.column_stack([pts] + [f(pts) for _, f in columns]).tolist())
+    w.writerow([f"x{i+1}" for i in range(points.shape[1])]
+               + [h for h, _ in columns])
+    w.writerows(np.column_stack([points] + [v for _, v in columns]).tolist())
     print(_write(out_dir, name, buf.getvalue()))
 
 
@@ -68,7 +76,7 @@ def cmd_homogenize(cfg: RunConfig, args):
 
 
 def cmd_spectrum(cfg: RunConfig, args):
-    from .hermite import spectral_gap
+    from .hermite import HermiteSampler, spectral_gap
     from .pipeline import stage_homogenize, stage_spectrum
     coeff, suite = stage_homogenize(cfg)
     W, basis, spec = stage_spectrum(cfg, suite)
@@ -87,19 +95,22 @@ def cmd_spectrum(cfg: RunConfig, args):
     }
     _dump(payload, args.out, "spectrum.json")
     if args.out and args.eigenfunction_samples > 0:
+        coords, index, pts = _sample_grid(cfg.dim, basis.sigma,
+                                        args.eigenfunction_samples)
+        sample = HermiteSampler(basis, coords, 0, index)
         _write_grid_samples(
-            args.out, "eigenfunctions.csv", cfg.dim, basis.sigma,
-            args.eigenfunction_samples,
-            [(f"phi{j}", spec.eigenfunction(j).evaluate)
+            args.out, "eigenfunctions.csv", pts,
+            [(f"phi{j}", sample(spec.eigenfunction(j)))
              for j in range(1, spec.count + 1)])
     return 0
 
 
 def cmd_expand(cfg: RunConfig, args):
     from .expansion import assemble
-    from .hermite import spectral_gap
+    from .hermite import HermiteSampler, spectral_gap
     from .pipeline import (assemble_branches, stage_expand, stage_homogenize,
                            stage_spectrum)
+    from .torus import FourierSampler
     coeff, suite = stage_homogenize(cfg)
     W, basis, spec = stage_spectrum(cfg, suite)
     warnings = []
@@ -124,12 +135,18 @@ def cmd_expand(cfg: RunConfig, args):
     }
     _dump(payload, args.out, "expand.json")
     if args.out and args.w_samples > 0:
-        _write_grid_samples(
-            args.out, "w_samples.csv", cfg.dim, basis.sigma, args.w_samples,
-            [(f"w_eps{eps}_branch{br.label}",
-              lambda pts, br=br, eps=eps: assemble(br, eps, pts,
-                                                   gradient=False).w)
-             for eps in cfg.eps_list for br in branches])
+        # one Hermite table for every column and one Fourier basis per eps,
+        # shared by the branches, each on the grid's axis coordinates
+        coords, index, pts = _sample_grid(cfg.dim, basis.sigma, args.w_samples)
+        sample_x = HermiteSampler(basis, coords, P_build + 1, index)
+        columns = []
+        for eps in cfg.eps_list:
+            sample_y = FourierSampler(coeff.grid, coords / eps, index)
+            columns += [(f"w_eps{eps}_branch{br.label}",
+                         assemble(br, eps, pts, gradient=False,
+                                  sample_x=sample_x, sample_y=sample_y).w)
+                        for br in branches]
+        _write_grid_samples(args.out, "w_samples.csv", pts, columns)
     return 0
 
 

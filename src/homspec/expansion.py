@@ -87,6 +87,7 @@ class CorrectorTable:
     (q, alpha) plus that mu prefix, so the tables that ``fork`` makes for
     the other branches of a cluster share one store: the branches agree on
     mu_0 = lambda_0 and mu_1 = 0, and each cell problem is solved once.
+    Equal sources of different entries or slow monomials share one solve.
     """
 
     def __init__(self, coeff: CoefficientField, W: SlowPolynomial, mu: list,
@@ -101,6 +102,7 @@ class CorrectorTable:
         self._chi: dict = {}
         self._flux: dict = {}
         self._abar: dict = {}
+        self._cells: dict = {}      # source bytes -> (cell solution, residual)
         self.residuals: dict = {}
         self.rhs_means: dict = {}
 
@@ -168,9 +170,15 @@ class CorrectorTable:
                 raise MeanNotZero((q, alpha, beta), mval)
             if shape.l2_norm() <= PRUNE_TOL * scale:
                 continue
+            # equal sources under different slow monomials (W = x1^2 + x2^2
+            # puts one shape under x1^2 and x2^2) are solved once per store
             g = shape.mean_zero()
-            u = solve_cell(self.coeff, G=g, tol=self.tol)
-            worst_res = max(worst_res, cell_residual(self.coeff, u, G=g))
+            src = g.values.tobytes()
+            if src not in self._cells:
+                u = solve_cell(self.coeff, G=g, tol=self.tol)
+                self._cells[src] = (u, cell_residual(self.coeff, u, G=g))
+            u, res = self._cells[src]
+            worst_res = max(worst_res, res)
             out._accumulate(beta, u)
         self.rhs_means[key] = worst_mean
         self.residuals[key] = worst_res

@@ -260,14 +260,17 @@ class MacroFunction:
 class HermiteSampler:
     """Derivatives of functions on one MacroBasis at one fixed point set.
 
-    Holds one hermite_function_values table per axis with basis.size +
+    Point p has coordinate ``points[index[ax][p], ax]`` on axis ax; without
+    ``index`` it is row p of ``points``.  Holds one hermite_function_values
+    table per axis, built on the rows of ``points``, with basis.size +
     max_order columns.  The recurrence fills columns left to right, so the
     first Ne columns equal the table built for Ne alone, bit for bit.
     """
 
-    __slots__ = ("basis", "max_order", "tables")
+    __slots__ = ("basis", "max_order", "tables", "index")
 
-    def __init__(self, basis: MacroBasis, points: np.ndarray, max_order: int):
+    def __init__(self, basis: MacroBasis, points: np.ndarray, max_order: int,
+                 index: list | None = None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != basis.dim:
             raise ValueError("points must have d columns")
@@ -277,6 +280,7 @@ class HermiteSampler:
                                                basis.size + max_order,
                                                basis.sigma)
                        for ax in range(basis.dim)]
+        self.index = index
 
     def __call__(self, f: MacroFunction,
                  alpha: tuple | None = None) -> np.ndarray:
@@ -296,9 +300,10 @@ class HermiteSampler:
         Ne = self.basis.size + order
         c = extended_coefficients(f, alpha, Ne)
         if d == 1:
-            return self.tables[0][:, :Ne] @ c.reshape(-1)
+            vals = self.tables[0][:, :Ne] @ c.reshape(-1)
+            return vals if self.index is None else vals[self.index[0]]
         return pair_contract(self.tables[0][:, :Ne], c,
-                             self.tables[1][:, :Ne])
+                             self.tables[1][:, :Ne], self.index)
 
 
 def extended_coefficients(f: MacroFunction, alpha: tuple, Ne: int) -> np.ndarray:

@@ -4,7 +4,9 @@ reference -> compare pipeline, manifests, and CSV artifacts.
 A run is driven entirely by a RunConfig; the manifest embeds the config
 verbatim (plus a hash) so a run can be reproduced from the manifest alone.
 All artifacts are deterministic for a fixed config on one machine, except
-for the recorded wall-clock column.
+for the recorded wall-clock column.  The reference stage's names, and scipy
+with them, are imported by the functions that use them, so the homogenize,
+spectrum and expand commands never load scipy.
 """
 
 from __future__ import annotations
@@ -31,15 +33,6 @@ from .expansion import (
     simple_recursion,
 )
 from .hermite import MacroBasis, default_sigma, solve_spectrum, spectral_gap
-from .reference import (
-    ComparisonRow,
-    FineGrid,
-    fit_rate,
-    match_and_compare,
-    solve_Leps,
-    truncation_radius,
-    validate_radius,
-)
 from .torus import TorusGrid
 
 P_BUILD_CAP = 5
@@ -112,7 +105,7 @@ def stage_expand(cfg: RunConfig, coeff, W, spec, warnings: list):
             try:
                 P_build = max(P_build, choose_P(eps, lam0, gamma, cfg.p_rule_c))
             except HomspecError:
-                warnings.append({"code": "EpsilonTooLarge",
+                warnings.append({"code": "EpsilonTooLarge", "eps": eps,
                                  "detail": f"truncation rule undefined at eps={eps}"})
         P_build = min(P_build, P_BUILD_CAP)
     if b - a == 1:
@@ -131,6 +124,7 @@ def stage_reference(cfg: RunConfig, coeff, W, spec, keep_vectors: bool):
     Returns (radius, ref_count, refs) with refs[eps] = (ReferenceSpectrum,
     seconds spent on it).
     """
+    from .reference import FineGrid, solve_Leps, truncation_radius
     _, b = spec.cluster_of(cfg.j)
     lam_min = float(np.min(np.linalg.eigvalsh(W.quadratic_form())))
     radius = cfg.radius or truncation_radius(
@@ -163,6 +157,8 @@ def assemble_branches(branches, eps: float, warnings: list) -> list:
 
 def run(cfg: RunConfig):
     """Execute the full pipeline; returns (manifest, comparison rows)."""
+    from .reference import (ComparisonRow, FineGrid, fit_rate,
+                            match_and_compare, validate_radius)
     timings = {}
     warnings = []
     t0 = time.perf_counter()
@@ -344,6 +340,7 @@ def rows_to_csv(rows) -> str:
 
 def rows_from_csv(text: str) -> list:
     """Rows of a ``sweep.csv`` text as written by rows_to_csv."""
+    from .reference import ComparisonRow
     return [ComparisonRow(
         eps=float(rec["epsilon"]), j=int(rec["j"]), branch=int(rec["branch"]),
         lambda_ref=float(rec["lambda_ref"]),

@@ -35,7 +35,7 @@ from .errors import (
     MatchingAmbiguous,
 )
 from .slowpoly import SlowPolynomial
-from .torus import CoefficientField, FourierSampler
+from .torus import CoefficientField, FourierSampler, tensor_rows
 
 MAX_UNKNOWNS_2D = 1_200_000
 MAX_OVERLAP_CONDITION = 10.0   # picked overlap / runner-up within a cluster
@@ -81,13 +81,17 @@ class FineGrid:
         """Interior nodes along one axis."""
         return -self.radius + self.h * np.arange(1, self.n_cells)
 
+    def nodes(self) -> tuple:
+        """Interior node coordinates of one axis as (n, d) columns, and each
+        of points()'s rows among them, one index per axis."""
+        x = self.axis()
+        return (np.repeat(x[:, None], self.dim, axis=1),
+                tensor_rows(x.size, self.dim))
+
     def points(self) -> np.ndarray:
         """All interior nodes, (m, d)."""
-        x = self.axis()
-        if self.dim == 1:
-            return x.reshape(-1, 1)
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        return np.stack([X1.ravel(), X2.ravel()], axis=1)
+        coords, index = self.nodes()
+        return np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
 
     def phases(self, eps: float) -> tuple:
         """Distinct fast phases x/eps mod 1 of the interior nodes as (r, d)
@@ -106,10 +110,8 @@ class FineGrid:
             p = self.n_cells
         y = (np.mod(-self.radius, eps) / eps + np.arange(p) / ratio) % 1.0
         node = np.arange(1, self.n_cells) % p
-        if self.dim == 1:
-            return y.reshape(-1, 1), [node]
-        n = node.size
-        return np.stack([y, y], axis=1), [np.repeat(node, n), np.tile(node, n)]
+        return (np.repeat(y[:, None], self.dim, axis=1),
+                [node[r] for r in tensor_rows(node.size, self.dim)])
 
     def check_resolves(self, eps: float):
         if self.h > eps / 8.0 + 1e-15:
@@ -514,15 +516,17 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
         )
     grid = ref.fine_grid
     pts = grid.points()
+    coords, index = grid.nodes()
     phases = grid.phases(eps)
     measure = grid.h ** grid.dim
     rows = []
     used = set()
     for br in branches:
-        # one Hermite table serves the overlap and the assembly; the
-        # corrector shapes are sampled at one period of node phases
-        sample_x = HermiteSampler(br.spectrum.basis, pts,
-                                  (br.P if P is None else P) + 1)
+        # one Hermite table on the node coordinates serves the overlap and
+        # the assembly; the corrector shapes are sampled at one period of
+        # node phases
+        sample_x = HermiteSampler(br.spectrum.basis, coords,
+                                  (br.P if P is None else P) + 1, index)
         sample_y = FourierSampler(br.table.grid, *phases)
         u0_vals = sample_x(br.U[0])
         overlaps = ref.eigenvectors @ u0_vals * measure

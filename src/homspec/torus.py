@@ -219,16 +219,29 @@ SAMPLE_BLOCK = 4096
 
 def pair_contract(left: np.ndarray, core: np.ndarray, right: np.ndarray,
                   rows: tuple | None = None) -> np.ndarray:
-    """Real part of sum_ab left[i, a] core[a, b] right[j, b] per point, in
-    point blocks; point p takes rows i = j = p, or (i, j) = (rows[0][p],
-    rows[1][p]) when ``rows`` is given."""
-    m = left.shape[0] if rows is None else rows[0].size
+    """Real part of sum_ab left[i, a] core[a, b] right[j, b] per point.
+
+    Without ``rows`` point p takes i = j = p, contracted in point blocks.
+    With ``rows`` it takes (i, j) = (rows[0][p], rows[1][p]), gathered from
+    the table left @ core @ right.T, which is formed once: a tensor grid
+    then costs its distinct coordinates per axis, not its points.
+    """
+    if rows is not None:
+        return np.real(left @ core @ right.T)[rows[0], rows[1]]
+    m = left.shape[0]
     out = np.empty(m)
     for start in range(0, m, SAMPLE_BLOCK):
         blk = slice(start, start + SAMPLE_BLOCK)
-        i, j = (blk, blk) if rows is None else (rows[0][blk], rows[1][blk])
-        out[blk] = np.einsum("pb,pb->p", left[i] @ core, right[j]).real
+        out[blk] = np.einsum("pb,pb->p", left[blk] @ core, right[blk]).real
     return out
+
+
+def tensor_rows(n: int, dim: int) -> list:
+    """Row per axis of each point of a tensor grid with n coordinates per
+    axis, the points in C order (last axis fastest): the ``index`` of a
+    sampler built on the n axis coordinates."""
+    k = np.arange(n)
+    return [k] if dim == 1 else [np.repeat(k, n), np.tile(k, n)]
 
 
 def _axis_basis(x: np.ndarray, n: int) -> np.ndarray:

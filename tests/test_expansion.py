@@ -1,7 +1,5 @@
 """Correction hierarchy: corrector table identities, mu/U recursion, branches."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -296,8 +294,9 @@ class TestMultipleRecursion:
                                                    monkeypatch, P):
         # the branches share mu_0 and mu_1 = 0, so one store keyed on
         # (q, alpha, mu prefix) serves the cluster: every entry is built
-        # once, and each branch is bit for bit the branch that an unshared
-        # table of its own gives
+        # once, every cell problem (one source) is solved once, and each
+        # branch is bit for bit the branch that an unshared table of its
+        # own gives
         import homspec.expansion as expansion
         coeff, W, spec = case_2d_laminate
         build, solve = CorrectorTable._solve_chi, expansion.solve_cell
@@ -316,27 +315,66 @@ class TestMultipleRecursion:
                     building.pop()
 
             def counting_solve(*args, **kwargs):
-                solved.append(building[-1])
+                source = kwargs["G"] if "G" in kwargs else kwargs["F"]
+                solved.append(source.values.tobytes())
                 return solve(*args, **kwargs)
 
             monkeypatch.setattr(CorrectorTable, "_solve_chi", counting_build)
             monkeypatch.setattr(expansion, "solve_cell", counting_solve)
             monkeypatch.setattr(CorrectorTable, "fork", fork)
             branches = multiple_recursion(coeff, W, spec, 2, P, torus_tol=1e-13)
-            return branches, built, Counter(solved)
+            return branches, built, solved
 
         shared, built, solves = run(CorrectorTable.fork)
         assert len(built) == len(set(built))
+        assert len(solves) == len(set(solves))
         alone, built_alone, solves_alone = run(lambda t: CorrectorTable(
             t.coeff, t.W, [t.mu[0]], tol=t.tol))
         assert set(built_alone) == set(built)
         assert len(built_alone) > len(built)
-        assert solves_alone == Counter({key: n * built_alone.count(key)
-                                        for key, n in solves.items()})
+        assert set(solves_alone) == set(solves)
+        assert len(solves_alone) > len(solves)
         for br, br_alone in zip(shared, alone):
             assert br.mu == br_alone.mu
             assert all(np.array_equal(u.coeffs, v.coeffs)
                        for u, v in zip(br.U, br_alone.U))
+
+    def test_equal_sources_solved_once(self, case_2d_laminate, monkeypatch):
+        # W = x1^2 + x2^2 puts one source under several slow monomials; at
+        # P = 4 the cluster meets 37 cell sources, 26 of them distinct, and
+        # solving each distinct one once changes no bit of the branches
+        import homspec.expansion as expansion
+        coeff, W, spec = case_2d_laminate
+        init, solve = CorrectorTable.__init__, expansion.solve_cell
+
+        class Forgetful(dict):
+            def __contains__(self, key):
+                return False
+
+        def run(forget):
+            calls = []
+
+            def counting_solve(*args, **kwargs):
+                calls.append(1)
+                return solve(*args, **kwargs)
+
+            def table_init(table, *args, **kwargs):
+                init(table, *args, **kwargs)
+                if forget:
+                    table._cells = Forgetful()
+
+            monkeypatch.setattr(expansion, "solve_cell", counting_solve)
+            monkeypatch.setattr(CorrectorTable, "__init__", table_init)
+            branches = multiple_recursion(coeff, W, spec, 2, 4, torus_tol=1e-13)
+            return branches, len(calls)
+
+        deduped, n_deduped = run(False)
+        every, n_every = run(True)
+        assert (n_deduped, n_every) == (26, 37)
+        for br, br_every in zip(deduped, every):
+            assert br.mu == br_every.mu
+            assert all(np.array_equal(u.coeffs, v.coeffs)
+                       for u, v in zip(br.U, br_every.U))
 
     def test_forced_constant_coefficient(self):
         grid = TorusGrid(2, 16)
@@ -440,6 +478,44 @@ class TestMatchingAmbiguity:
         )
         with pytest.raises(MatchingAmbiguous):
             match_and_compare(ref, branches, 0.125, with_h1=False)
+
+    def test_2d_node_tables_match_per_point_sampling(self, case_2d_laminate):
+        # match_and_compare samples the envelopes on the 79 node coordinates
+        # per axis and the correctors on eps/h = 4 phases per axis; sampling
+        # both once per node must give the same rows
+        from homspec.hermite import HermiteSampler
+        from homspec.reference import FineGrid, ReferenceSpectrum, match_and_compare
+        from homspec.torus import FourierSampler
+        coeff, W, spec = case_2d_laminate
+        branches = multiple_recursion(coeff, W, spec, 2, 3, torus_tol=1e-13)
+        eps, P = 0.5, 3
+        grid = FineGrid(2, 5.0, 0.125)
+        pts = grid.points()
+        vecs = []
+        for br in branches:
+            v = br.U[0].evaluate(pts)
+            vecs.append(v / (np.linalg.norm(v) * grid.h))
+        lam = np.array([4.0, 4.5])
+        ref = ReferenceSpectrum(
+            eps=eps, grid=grid, eigenvalues_h=lam, eigenvalues_h2=lam,
+            eigenvalues=lam, error_estimates=np.zeros(2),
+            eigenvectors=np.stack(vecs), fine_grid=grid,
+        )
+        rows = match_and_compare(ref, branches, eps, P=P, with_h1=False)
+        y, index = grid.phases(eps)
+        per_point_y = np.stack([y[ix, ax] for ax, ix in enumerate(index)],
+                               axis=1)
+        for r, (br, row) in enumerate(zip(branches, rows)):
+            sample_x = HermiteSampler(br.spectrum.basis, pts, P + 1)
+            psi = vecs[r] / (vecs[r] @ sample_x(br.U[0]) * grid.h ** 2)
+            asm = assemble(br, eps, pts, P=P, gradient=False,
+                           sample_x=sample_x,
+                           sample_y=FourierSampler(br.table.grid, per_point_y))
+            l2 = np.sqrt(np.sum((psi - asm.w) ** 2) * grid.h ** 2)
+            assert row.l2_err > 0.0
+            assert row.l2_err == pytest.approx(l2, rel=1e-12, abs=0.0)
+            assert row.eig_err == pytest.approx(abs(lam[r] - asm.lambda_tilde),
+                                                rel=1e-12, abs=0.0)
 
 
 class TestChooseP:

@@ -28,6 +28,7 @@ from homspec.hermite import (
     spectral_gap,
 )
 from homspec.slowpoly import SlowPolynomial
+from homspec.torus import tensor_rows
 
 
 def w_iso(dim):
@@ -299,6 +300,36 @@ class TestHermiteSampler:
             naive = np.einsum("pa,ab,pb->p", B0, c, B1)
             assert np.max(np.abs(sample(f, alpha) - naive)) \
                 < 1e-13 * max(1.0, np.max(np.abs(naive)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dim=st.sampled_from([1, 2]),
+           size=st.integers(8, 16),
+           sigma=st.floats(0.3, 3.0),
+           K=st.integers(0, 3),
+           rows=st.integers(1, 40),
+           tensor=st.booleans(),
+           m=st.integers(1, 300))
+    def test_indexed_equals_per_point(self, seed, dim, size, sigma, K, rows,
+                                      tensor, m):
+        # the tables on the distinct coordinates plus an index give the
+        # per-point sampler's values, for every derivative up to K
+        rng = np.random.default_rng(seed)
+        basis = MacroBasis(dim, size, sigma)
+        f = MacroFunction(basis, rng.standard_normal(basis.total))
+        coords = rng.uniform(-3.0 * sigma, 3.0 * sigma, (rows, dim))
+        index = (tensor_rows(rows, dim) if tensor
+                 else [rng.integers(0, rows, m) for _ in range(dim)])
+        pts = np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
+        per_point = HermiteSampler(basis, pts, K)
+        indexed = HermiteSampler(basis, coords, K, index)
+        alphas = [(k,) for k in range(K + 1)] if dim == 1 else [
+            (i, k - i) for k in range(K + 1) for i in range(k + 1)]
+        for alpha in alphas:
+            want = per_point(f, alpha)
+            got = indexed(f, alpha)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_order_above_max_rejected(self):
         basis = MacroBasis(1, 10, 1.0)

@@ -24,9 +24,11 @@ from homspec.torus import (
     grad_y,
     hminus1_norm,
     l2_inner,
+    pair_contract,
     pointwise_multiply,
     solve_cell,
     solve_flux_corrector,
+    tensor_rows,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -500,3 +502,57 @@ class TestFourierSampler:
             sample(PeriodicField.zeros(grid1(16), rank=1))
         with pytest.raises(GridMismatch):
             FourierSampler(grid2(8), pts)
+
+
+def random_index(rng, rows, dim, tensor, m):
+    """A tensor grid over ``rows`` coordinates per axis, or m random rows."""
+    if tensor:
+        return tensor_rows(rows, dim)
+    return [rng.integers(0, rows, m) for _ in range(dim)]
+
+
+class TestIndexedSampling:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dim=st.sampled_from([1, 2]),
+           n=st.sampled_from([4, 8, 16]),
+           rows=st.integers(1, 40),
+           tensor=st.booleans(),
+           m=st.integers(1, 300))
+    def test_fourier_equals_per_point(self, seed, dim, n, rows, tensor, m):
+        # the sampler on the distinct coordinates plus an index gives the
+        # per-point sampler's values
+        rng = np.random.default_rng(seed)
+        f, _ = random_trig_field(TorusGrid(dim, n), seed)
+        coords = random_points(seed, rows, dim)
+        index = random_index(rng, rows, dim, tensor, m)
+        pts = np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
+        want = FourierSampler(f.grid, pts)(f)
+        got = FourierSampler(f.grid, coords, index)(f)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           a=st.integers(1, 16),
+           b=st.integers(1, 16),
+           rows=st.integers(1, 40),
+           tensor=st.booleans(),
+           m=st.integers(1, 300))
+    def test_pair_contract_rows_equal_per_point(self, seed, a, b, rows,
+                                                tensor, m):
+        # the table gather equals the per-point contraction of the gathered
+        # rows, for complex and for real factors
+        rng = np.random.default_rng(seed)
+        index = random_index(rng, rows, 2, tensor, m)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        factors = (draw(rows, a), draw(a, b), draw(rows, b))
+        for left, core, right in (factors, [f.real for f in factors]):
+            want = np.einsum("pa,ab,pb->p", left[index[0]], core,
+                             right[index[1]]).real
+            got = pair_contract(left, core, right, index)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
