@@ -484,8 +484,7 @@ def _run_branch(table, spec, j, P, label, D, E, mu2_list) -> ExpansionBranch:
     basis = spec.basis
     lam0 = spec.eigenvalue(j)
     gamma = spectral_gap(spec, j)
-    quad = quadrature_for(basis, max_derivative=max(P + 2, 4),
-                          extra_degree=max(16, DEGREE_CAP + 8))
+    quad = quadrature_for(basis, max_derivative=max(P + 2, 4))
     phis = spec.eigenfunctions[a:b]
     phi_mat = np.stack([p.coeffs for p in phis])         # (N, total)
 

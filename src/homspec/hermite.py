@@ -31,12 +31,13 @@ from .errors import (
     TruncationUnsafe,
 )
 from .slowpoly import SlowPolynomial
-from .torus import pair_contract
+from .torus import tensor_contract, tensor_rows
 
 CLUSTER_TOL = 1e-6      # relative gap below which eigenvalues form one cluster
 POLY_DEGREE_CAP = 8     # highest potential degree poly_multiply_op accepts
 VALIDATE_RTOL = 1e-10   # solve_spectrum(validate=True): allowed eigenvalue shift
 ORTHO_TOL = 1e-10       # resolvent_solve: allowed relative cluster projection
+QUAD_EXTRA_NODES = 16   # Gauss-Hermite nodes per axis past the extended basis
 
 
 @dataclass(frozen=True)
@@ -298,12 +299,8 @@ class HermiteSampler:
         if f.basis != self.basis:
             raise ValueError("function lives on a different basis")
         Ne = self.basis.size + order
-        c = extended_coefficients(f, alpha, Ne)
-        if d == 1:
-            vals = self.tables[0][:, :Ne] @ c.reshape(-1)
-            return vals if self.index is None else vals[self.index[0]]
-        return pair_contract(self.tables[0][:, :Ne], c,
-                             self.tables[1][:, :Ne], self.index)
+        return tensor_contract([t[:, :Ne] for t in self.tables],
+                               extended_coefficients(f, alpha, Ne), self.index)
 
 
 def extended_coefficients(f: MacroFunction, alpha: tuple, Ne: int) -> np.ndarray:
@@ -335,26 +332,21 @@ class QuadratureRule:
     basis and p polynomial: total polynomial degree up to 2Q-1 is exact.
     """
 
-    def __init__(self, basis: MacroBasis, n_ext: int, extra_degree: int = 12):
-        Q = n_ext + extra_degree
-        z, wmod = _gh_nodes(Q)
+    def __init__(self, basis: MacroBasis, n_ext: int):
+        z, wmod = _gh_nodes(n_ext + QUAD_EXTRA_NODES)
         self.basis = basis
         self.n_ext = n_ext
         self.x1 = basis.sigma * z
         self.w1 = basis.sigma * wmod
         self.B = hermite_function_values(self.x1, n_ext, basis.sigma)
+        self.index = tensor_rows(z.size, basis.dim)
 
     def points(self) -> np.ndarray:
         """Physical quadrature nodes, (M, d)."""
-        if self.basis.dim == 1:
-            return self.x1.reshape(-1, 1)
-        X1, X2 = np.meshgrid(self.x1, self.x1, indexing="ij")
-        return np.stack([X1.ravel(), X2.ravel()], axis=1)
+        return np.stack([self.x1[r] for r in self.index], axis=1)
 
     def weights(self) -> np.ndarray:
-        if self.basis.dim == 1:
-            return self.w1
-        return np.outer(self.w1, self.w1).ravel()
+        return np.prod([self.w1[r] for r in self.index], axis=0)
 
     def values(self, f: MacroFunction, alpha: tuple | None = None) -> np.ndarray:
         """d^alpha f at the quadrature nodes, flattened."""
@@ -362,14 +354,13 @@ class QuadratureRule:
         alpha = tuple(alpha) if alpha is not None else (0,) * d
         if sum(alpha) > self.n_ext - self.basis.size:
             raise ValueError("quadrature rule extension too small for alpha")
-        c = extended_coefficients(f, alpha, self.n_ext)
-        if d == 1:
-            return self.B @ c.reshape(-1)
-        return (self.B @ c @ self.B.T).ravel()
+        return tensor_contract([self.B] * d,
+                               extended_coefficients(f, alpha, self.n_ext),
+                               self.index)
 
     def integrate(self, *factors) -> float:
         """Integral over R^d of a product of node-value arrays."""
-        acc = self.weights().copy()
+        acc = self.weights()
         for v in factors:
             acc = acc * v
         return float(acc.sum())
@@ -393,24 +384,16 @@ class QuadratureRule:
         alpha = tuple(alpha) if alpha is not None else (0,) * d
         blocks = [self._basis_block(alpha[ax]) * self.w1[:, None]
                   for ax in range(d)]
-        if d == 1:
-            return blocks[0].T @ values
-        Q = self.x1.size
-        V = values.reshape(Q, Q)
-        return (blocks[0].T @ V @ blocks[1]).ravel()
+        out = blocks[0].T @ values.reshape((self.x1.size,) * d)
+        for b in blocks[1:]:
+            out = out @ b
+        return out.ravel()
 
 
-_QUAD_CACHE: dict = {}
-
-
-def quadrature_for(basis: MacroBasis, max_derivative: int = 6,
-                   extra_degree: int = 16) -> QuadratureRule:
-    key = (basis, basis.size + max_derivative, extra_degree)
-    if key not in _QUAD_CACHE:
-        _QUAD_CACHE[key] = QuadratureRule(
-            basis, basis.size + max_derivative, extra_degree
-        )
-    return _QUAD_CACHE[key]
+@lru_cache(maxsize=None)
+def quadrature_for(basis: MacroBasis,
+                   max_derivative: int = 6) -> QuadratureRule:
+    return QuadratureRule(basis, basis.size + max_derivative)
 
 
 # --- spectrum -------------------------------------------------------------------

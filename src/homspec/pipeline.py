@@ -23,8 +23,7 @@ import numpy as np
 from . import __version__
 from .classical import build_suite, cyclic_check
 from .config import RunConfig, serialize_config
-from .errors import (DegenerateD, DegenerateFit, HomspecError,
-                     InsufficientPoints)
+from .errors import DegenerateFit, HomspecError, InsufficientPoints
 from .expansion import (
     assemble,
     choose_P,
@@ -176,11 +175,7 @@ def run(cfg: RunConfig):
     timings["spectrum"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    try:
-        branches, P_build = stage_expand(cfg, coeff, W, spec, warnings)
-    except DegenerateD as exc:
-        warnings.append({"code": "DegenerateD", "detail": str(exc)})
-        raise
+    branches, P_build = stage_expand(cfg, coeff, W, spec, warnings)
     timings["expand"] = time.perf_counter() - t0
 
     a, b = spec.cluster_of(cfg.j)

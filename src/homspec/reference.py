@@ -271,10 +271,10 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
             W2[(alpha[1],)] = W2.get((alpha[1],), 0.0) + c
         else:
             return None
-    f1, f2 = fns[0][0], fns[1][1]
+    f1, f2 = coeff.entry(0, 0), coeff.entry(1, 1)
     return (
-        (lambda y: np.asarray(f1(y, np.zeros_like(y)), dtype=float)),
-        (lambda y: np.asarray(f2(np.zeros_like(y), y), dtype=float)),
+        (lambda y: f1(y, np.zeros_like(y))),
+        (lambda y: f2(np.zeros_like(y), y)),
         SlowPolynomial(1, W1), SlowPolynomial(1, W2),
     )
 
@@ -326,30 +326,22 @@ def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     glw = glw / 2.0
 
     def harm_edges(fn, axis):
-        # harmonic average of a(./eps) over each (i+1/2, j) or (i, j+1/2) edge
+        # harmonic average of a(./eps) over each (i+1/2, j) edge for axis 0,
+        # (n_cells, n), or each (i, j+1/2) edge for axis 1, (n, n_cells)
         e = -grid.radius + h * np.arange(0, grid.n_cells + 1)
         mid = 0.5 * (e[:-1] + e[1:])
         q = (mid[:, None] + 0.5 * h * gl[None, :]) / eps
         if axis == 0:
+            # vals[c, j, g]: cell c along x1, node j along x2
             vals = np.stack([fn(q.ravel(), np.full(q.size, xi / eps))
                              .reshape(q.shape) for xi in x], axis=1)
-            # vals[c, j, g]: cell c along x1, node j along x2
-            inv = (1.0 / vals) @ glw
-            return 1.0 / inv                              # (ncells, n)
-        vals = np.stack([fn(np.full(q.size, xi / eps), q.ravel())
-                         .reshape(q.shape) for xi in x], axis=0)
-        inv = (1.0 / vals) @ glw
-        return 1.0 / inv.T                                # (ncells, n) transposed later
+        else:
+            vals = np.stack([fn(np.full(q.size, xi / eps), q.ravel())
+                             .reshape(q.shape) for xi in x], axis=0)
+        return 1.0 / ((1.0 / vals) @ glw)
 
-    f11 = coeff.entry_fns[0][0] if coeff.entry_fns else \
-        (lambda y1, y2: coeff.a.component(0, 0).evaluate(
-            np.stack([y1, y2], axis=1)))
-    f22 = coeff.entry_fns[1][1] if coeff.entry_fns else \
-        (lambda y1, y2: coeff.a.component(1, 1).evaluate(
-            np.stack([y1, y2], axis=1)))
-    a1 = harm_edges(f11, 0)           # (n_cells, n): a at (i+1/2, j)
-    a2 = harm_edges(f22, 1)           # (n_cells, n): a at (j+1/2, i) -> transpose
-    a2 = a2.T                          # (n, n_cells)
+    a1 = harm_edges(coeff.entry(0, 0), 0)
+    a2 = harm_edges(coeff.entry(1, 1), 1)
 
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     wvals = W(np.stack([X1.ravel(), X2.ravel()], axis=1)).reshape(n, n)
@@ -406,12 +398,7 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     diagnostics = {}
     cell_coeff = node_coeff = None
     if grid.dim == 1:
-
-        def coeff_at(y):
-            if coeff.entry_fns and coeff.entry_fns[0][0] is not None:
-                return np.asarray(coeff.entry_fns[0][0](y), dtype=float)
-            return coeff.a.component(0, 0).evaluate(y.reshape(-1, 1))
-
+        coeff_at = coeff.entry(0, 0)
         vals_h, _, _ = _solve_1d(coeff_at, W, eps, grid, count)
         vals_h2, vecs, ah = _solve_1d(coeff_at, W, eps, fine, count)
         if keep_vectors:

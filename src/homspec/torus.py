@@ -15,6 +15,7 @@ smooth coefficients this library targets.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,6 +63,11 @@ class TorusGrid:
         """Meshgrid coordinate arrays, ij indexing."""
         return list(np.meshgrid(*([self.axis] * self.dim), indexing="ij"))
 
+    def _along_axes(self, v: np.ndarray) -> list:
+        """A length-n vector reshaped to broadcast along each grid axis."""
+        return [v.reshape([v.size if a == ax else 1 for a in range(self.dim)])
+                for ax in range(self.dim)]
+
     @cached_property
     def wavenumbers(self) -> list:
         """Derivative wavenumbers 2*pi*k per axis, broadcast-shaped.
@@ -73,23 +79,15 @@ class TorusGrid:
         n = self.modes_per_axis
         k = TWO_PI * np.fft.fftfreq(n, d=1.0 / n)
         k[n // 2] = 0.0
-        out = []
-        for ax in range(self.dim):
-            shape = [1] * self.dim
-            shape[ax] = n
-            out.append(k.reshape(shape))
-        return out
+        return self._along_axes(k)
 
     @cached_property
     def k_squared(self) -> np.ndarray:
         """Full |2 pi k|^2 including the Nyquist mode (used for inversions)."""
         n = self.modes_per_axis
-        k = TWO_PI * np.fft.fftfreq(n, d=1.0 / n)
         k2 = np.zeros(self.shape)
-        for ax in range(self.dim):
-            shape = [1] * self.dim
-            shape[ax] = n
-            k2 = k2 + k.reshape(shape) ** 2
+        for k in self._along_axes(TWO_PI * np.fft.fftfreq(n, d=1.0 / n)):
+            k2 = k2 + k ** 2
         return k2
 
     @cached_property
@@ -99,10 +97,8 @@ class TorusGrid:
         keep = np.ones(n, dtype=bool)
         keep[n // 2] = False
         mask = np.ones(self.shape, dtype=bool)
-        for ax in range(self.dim):
-            shape = [1] * self.dim
-            shape[ax] = n
-            mask = mask & keep.reshape(shape)
+        for k in self._along_axes(keep):
+            mask = mask & k
         return mask
 
 
@@ -217,31 +213,35 @@ class PeriodicField:
 SAMPLE_BLOCK = 4096
 
 
-def pair_contract(left: np.ndarray, core: np.ndarray, right: np.ndarray,
-                  rows: tuple | None = None) -> np.ndarray:
-    """Real part of sum_ab left[i, a] core[a, b] right[j, b] per point.
+def tensor_contract(tables: list, core: np.ndarray,
+                    index: tuple | None = None) -> np.ndarray:
+    """Real part of ``core`` contracted with one table per axis, per point.
 
-    Without ``rows`` point p takes i = j = p, contracted in point blocks.
-    With ``rows`` it takes (i, j) = (rows[0][p], rows[1][p]), gathered from
-    the table left @ core @ right.T, which is formed once: a tensor grid
-    then costs its distinct coordinates per axis, not its points.
+    With ``index`` point p takes row index[ax][p] of tables[ax], gathered
+    from the table tables[0] @ core @ tables[1].T, which is formed once: a
+    tensor grid then costs its distinct coordinates per axis, not its
+    points.  Without it point p takes row p of every table; in 2D that is
+    contracted per point, in blocks.
     """
-    if rows is not None:
-        return np.real(left @ core @ right.T)[rows[0], rows[1]]
-    m = left.shape[0]
-    out = np.empty(m)
-    for start in range(0, m, SAMPLE_BLOCK):
-        blk = slice(start, start + SAMPLE_BLOCK)
-        out[blk] = np.einsum("pb,pb->p", left[blk] @ core, right[blk]).real
-    return out
+    if index is None and len(tables) == 2:
+        left, right = tables
+        out = np.empty(left.shape[0])
+        for start in range(0, left.shape[0], SAMPLE_BLOCK):
+            blk = slice(start, start + SAMPLE_BLOCK)
+            out[blk] = np.einsum("pb,pb->p", left[blk] @ core, right[blk]).real
+        return out
+    table = tables[0] @ core
+    for t in tables[1:]:
+        table = table @ t.T
+    table = np.real(table)
+    return table if index is None else table[tuple(index)]
 
 
-def tensor_rows(n: int, dim: int) -> list:
+def tensor_rows(n: int, dim: int) -> tuple:
     """Row per axis of each point of a tensor grid with n coordinates per
     axis, the points in C order (last axis fastest): the ``index`` of a
     sampler built on the n axis coordinates."""
-    k = np.arange(n)
-    return [k] if dim == 1 else [np.repeat(k, n), np.tile(k, n)]
+    return np.unravel_index(np.arange(n ** dim), (n,) * dim)
 
 
 def _axis_basis(x: np.ndarray, n: int) -> np.ndarray:
@@ -290,14 +290,17 @@ class FourierSampler:
         if field.grid != self.grid:
             raise GridMismatch("field lives on a different grid")
         fh = np.fft.fftn(field.values) / self.grid.npoints
-        if self.grid.dim == 1:
-            vals = np.real(self.bases[0] @ fh)
-            return vals if self.index is None else vals[self.index[0]]
-        return pair_contract(self.bases[0], fh, self.bases[1], self.index)
+        return tensor_contract(self.bases, fh, self.index)
 
 
 def mean(f: PeriodicField):
     return f.mean()
+
+
+def _deriv(fh: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Grid values of the derivative whose wavenumbers are k, from the
+    unnormalized spectrum fh."""
+    return np.real(np.fft.ifftn(1j * k * fh))
 
 
 def grad_y(f: PeriodicField) -> PeriodicField:
@@ -305,16 +308,16 @@ def grad_y(f: PeriodicField) -> PeriodicField:
     if f.rank != 0:
         raise GridMismatch("grad_y expects a scalar field")
     fh = np.fft.fftn(f.values)
-    comps = [np.real(np.fft.ifftn(1j * k * fh)) for k in f.grid.wavenumbers]
-    return PeriodicField(f.grid, np.stack(comps))
+    return PeriodicField(f.grid,
+                         np.stack([_deriv(fh, k) for k in f.grid.wavenumbers]))
 
 
 def deriv_y(f: PeriodicField, axis: int) -> PeriodicField:
     """Single spectral partial derivative of a scalar field."""
     if f.rank != 0:
         raise GridMismatch("deriv_y expects a scalar field")
-    k = f.grid.wavenumbers[axis]
-    return PeriodicField(f.grid, np.real(np.fft.ifftn(1j * k * np.fft.fftn(f.values))))
+    return PeriodicField(f.grid, _deriv(np.fft.fftn(f.values),
+                                        f.grid.wavenumbers[axis]))
 
 
 def div_y(f: PeriodicField) -> PeriodicField:
@@ -323,23 +326,17 @@ def div_y(f: PeriodicField) -> PeriodicField:
     For a matrix field the j-th output component is d_i s_ij, so that the
     stream matrix identity div s = g holds componentwise.
     """
-    ks = f.grid.wavenumbers
-    if f.rank == 1:
-        out = np.zeros(f.grid.shape)
-        for i in range(f.grid.dim):
-            out += np.real(np.fft.ifftn(1j * ks[i] * np.fft.fftn(f.values[i])))
-        return PeriodicField(f.grid, out)
-    if f.rank == 2:
-        comps = []
-        for j in range(f.grid.dim):
-            acc = np.zeros(f.grid.shape)
-            for i in range(f.grid.dim):
-                acc += np.real(
-                    np.fft.ifftn(1j * ks[i] * np.fft.fftn(f.values[i, j]))
-                )
-            comps.append(acc)
-        return PeriodicField(f.grid, np.stack(comps))
-    raise GridMismatch("div_y expects a vector or matrix field")
+    if f.rank not in (1, 2):
+        raise GridMismatch("div_y expects a vector or matrix field")
+    d = f.grid.dim
+    columns = [f.values] if f.rank == 1 else [f.values[:, j] for j in range(d)]
+    comps = []
+    for col in columns:
+        acc = np.zeros(f.grid.shape)
+        for i in range(d):
+            acc += _deriv(np.fft.fftn(col[i]), f.grid.wavenumbers[i])
+        comps.append(acc)
+    return PeriodicField(f.grid, comps[0] if f.rank == 1 else np.stack(comps))
 
 
 # --- dealiased products -----------------------------------------------------
@@ -349,42 +346,23 @@ def _pad_shape(n: int) -> int:
     return m + (m % 2)
 
 
-def _pad_spectrum(fh: np.ndarray, n: int, m: int) -> np.ndarray:
-    # the ambiguous Nyquist mode is dropped so that padding and truncation
-    # are exact adjoints; smooth fields carry only exponentially small
-    # content there
-    d = fh.ndim
-    out = np.zeros((m,) * d, dtype=complex)
-    h = n // 2
-    if d == 1:
-        out[:h] = fh[:h]
-        out[m - (h - 1):] = fh[h + 1:]
-    else:
-        lo = slice(0, h)
-        hi_src = slice(h + 1, n)
-        hi_dst = slice(m - (h - 1), m)
-        out[lo, lo] = fh[lo, lo]
-        out[lo, hi_dst] = fh[lo, hi_src]
-        out[hi_dst, lo] = fh[hi_src, lo]
-        out[hi_dst, hi_dst] = fh[hi_src, hi_src]
-    return out
+def _copy_modes(fh: np.ndarray, n: int, size: int) -> np.ndarray:
+    """The modes of fh that an n-grid resolves, placed in a zero size^d
+    spectrum: the 2^d blocks of nonnegative and negative indices per axis.
+    size > n pads an n-grid spectrum, size = n truncates a larger one.
 
-
-def _truncate_spectrum(fh: np.ndarray, m: int, n: int) -> np.ndarray:
-    d = fh.ndim
-    out = np.zeros((n,) * d, dtype=complex)
+    The ambiguous Nyquist mode is dropped so that padding and truncation
+    are exact adjoints; smooth fields carry only exponentially small
+    content there.
+    """
     h = n // 2
-    if d == 1:
-        out[:h] = fh[:h]
-        out[h + 1:] = fh[m - (h - 1):]
-    else:
-        lo = slice(0, h)
-        hi_src = slice(m - (h - 1), m)
-        hi_dst = slice(h + 1, n)
-        out[lo, lo] = fh[lo, lo]
-        out[lo, hi_dst] = fh[lo, hi_src]
-        out[hi_dst, lo] = fh[hi_src, lo]
-        out[hi_dst, hi_dst] = fh[hi_src, hi_src]
+    out = np.zeros((size,) * fh.ndim, dtype=complex)
+    pairs = ((slice(0, h), slice(0, h)),
+             (slice(size - (h - 1), size),
+              slice(fh.shape[0] - (h - 1), fh.shape[0])))
+    for block in itertools.product(pairs, repeat=fh.ndim):
+        dst, src = zip(*block)
+        out[dst] = fh[src]
     return out
 
 
@@ -399,14 +377,13 @@ def pad_values(values: np.ndarray, n: int) -> np.ndarray:
     """Resample a scalar grid array onto the 3/2-padded grid."""
     m = _pad_shape(n)
     fh = np.fft.fftn(values) / values.size
-    return np.real(np.fft.ifftn(_pad_spectrum(fh, n, m))) * m ** values.ndim
+    return np.real(np.fft.ifftn(_copy_modes(fh, n, m))) * m ** values.ndim
 
 
 def truncate_values(values: np.ndarray, n: int) -> np.ndarray:
     """Project an array on the padded grid back onto the n-grid modes."""
-    m = values.shape[0]
     fh = np.fft.fftn(values) / values.size
-    return np.real(np.fft.ifftn(_truncate_spectrum(fh, m, n))) * n ** values.ndim
+    return np.real(np.fft.ifftn(_copy_modes(fh, n, n))) * n ** values.ndim
 
 
 def _mul_core(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -581,20 +558,14 @@ class CoefficientField:
             self._padded = out
         return self._padded
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """a at arbitrary points, (m, d, d); exact if expressions are known."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.grid.dim
-        out = np.zeros((pts.shape[0], d, d))
-        for i in range(d):
-            for j in range(d):
-                fn = self.entry_fns[i][j] if self.entry_fns else None
-                if fn is not None:
-                    cols = [pts[:, ax] for ax in range(d)]
-                    out[:, i, j] = np.asarray(fn(*cols), dtype=float)
-                else:
-                    out[:, i, j] = self.a.component(i, j).evaluate(pts)
-        return out
+    def entry(self, i: int, j: int):
+        """a_ij as a callable of (y1[, y2]): the closed-form expression when
+        one is known, else the trigonometric interpolant of the samples."""
+        fn = self.entry_fns[i][j] if self.entry_fns else None
+        if fn is not None:
+            return lambda *ys: np.asarray(fn(*ys), dtype=float)
+        comp = self.a.component(i, j)
+        return lambda *ys: comp.evaluate(np.stack(ys, axis=1))
 
 
 # --- the two solvers --------------------------------------------------------
@@ -613,17 +584,17 @@ def _apply_operator(coeff: CoefficientField, u: np.ndarray) -> np.ndarray:
     d = grid.dim
     ks = grid.wavenumbers
     uh = np.fft.fftn(u)
-    grads = [np.real(np.fft.ifftn(1j * k * uh)) for k in ks]
+    grads = [_deriv(uh, k) for k in ks]
     m = _pad_shape(n)
     scale = (m / n) ** d
-    pads = [np.real(np.fft.ifftn(_pad_spectrum(np.fft.fftn(g), n, m)))
+    pads = [np.real(np.fft.ifftn(_copy_modes(np.fft.fftn(g), n, m)))
             * scale for g in grads]
     ap = coeff.padded_values()
     fluxes = []
     for i in range(d):
         fp = sum(ap[i, j] * pads[j] for j in range(d))
         fluxes.append(np.real(np.fft.ifftn(
-            _truncate_spectrum(np.fft.fftn(fp), m, n))) / scale)
+            _copy_modes(np.fft.fftn(fp), n, n))) / scale)
     out = np.zeros(grid.shape, dtype=complex)
     for i in range(d):
         out += 1j * ks[i] * np.fft.fftn(fluxes[i])

@@ -481,6 +481,20 @@ class TestCLI:
                       cwd=str(tmp_path))
         self._fails_in_one_line(r, 4, "error: ", "non-finite")
 
+    @pytest.mark.parametrize("command", ["sweep", "expand"])
+    def test_degenerate_coupling_exit_code(self, tmp_path, command):
+        # a = 1 leaves the j = 2 cluster's coupling matrix D with equal
+        # eigenvalues: the run stops before writing anything
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(TWO_BRANCH.replace(
+            "(2 + cos(2*pi*y1)) * 0.5773502691896258", "1"))
+        out = tmp_path / "out"
+        r = self._run("--config", str(cfgfile), "--out", str(out), command,
+                      cwd=str(tmp_path))
+        self._fails_in_one_line(r, 4, "numerical failure: ",
+                                "coupling matrix eigenvalue spacing")
+        assert not (out / "manifest.json").exists()
+
     def test_negative_coefficient_exit_code(self, tmp_path):
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(MINIMAL.replace("a = 2 + cos(2*pi*y)",

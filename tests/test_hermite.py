@@ -256,6 +256,34 @@ class TestOperatorsAndQuadrature:
         assert val == pytest.approx(0.5, rel=1e-13)
 
 
+class TestQuadratureRule:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nodes_and_weights_in_meshgrid_order(self, dim):
+        quad = quadrature_for(MacroBasis(dim, 10, 0.8), 4)
+        X = np.meshgrid(*[quad.x1] * dim, indexing="ij")
+        assert np.array_equal(quad.points(),
+                              np.stack([x.ravel() for x in X], axis=1))
+        want = quad.w1 if dim == 1 else np.outer(quad.w1, quad.w1).ravel()
+        assert np.array_equal(quad.weights(), want)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_project_is_the_quadrature_of_values(self, dim):
+        # project(v, alpha) . c = int v d^alpha f for f with coefficients c
+        rng = np.random.default_rng(dim)
+        basis = MacroBasis(dim, 10, 0.8)
+        quad = quadrature_for(basis, 4)
+        f = MacroFunction(basis, rng.standard_normal(basis.total))
+        v = rng.standard_normal(quad.x1.size ** dim)
+        alphas = [(k,) for k in range(3)] if dim == 1 else [
+            (0, 0), (1, 0), (0, 1), (2, 1)]
+        for alpha in alphas:
+            values = quad.values(f, alpha)
+            want = quad.integrate(v, values)
+            scale = np.sum(np.abs(quad.weights() * v * values))
+            assert abs(quad.project(v, alpha) @ f.coeffs - want) \
+                <= 1e-12 * scale
+
+
 class TestHermiteSampler:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),

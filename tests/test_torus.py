@@ -15,6 +15,9 @@ from homspec.errors import (
 from homspec.reference import FineGrid
 from homspec.torus import (
     SAMPLE_BLOCK,
+    _apply_operator,
+    _copy_modes,
+    _pad_shape,
     CoefficientField,
     FourierSampler,
     PeriodicField,
@@ -24,10 +27,10 @@ from homspec.torus import (
     grad_y,
     hminus1_norm,
     l2_inner,
-    pair_contract,
     pointwise_multiply,
     solve_cell,
     solve_flux_corrector,
+    tensor_contract,
     tensor_rows,
 )
 
@@ -149,6 +152,27 @@ class TestCoefficientField:
         vals[1, 0] = -0.5
         with pytest.raises(NotElliptic):
             CoefficientField(PeriodicField(g, vals))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_entry_returns_expression(self, dim):
+        # off the grid an expression-built entry is the expression itself,
+        # and an entry with no expression is the interpolant of its samples
+        g = TorusGrid(dim, 16)
+        fns = [
+            lambda *ys: 2.0 + np.cos(TWO_PI * ys[0]) * np.cos(TWO_PI * ys[-1]),
+            lambda *ys: 1.5 + 0.5 * np.sin(TWO_PI * sum(ys)),
+        ][:dim]
+        c = CoefficientField.from_diagonal(g, fns)
+        sampled = CoefficientField.from_samples(g, c.a.values)
+        pts = random_points(3, 200, dim)
+        cols = [pts[:, ax] for ax in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                want = (np.asarray(fns[i](*cols), dtype=float) if i == j
+                        else c.a.component(i, j).evaluate(pts))
+                assert np.array_equal(c.entry(i, j)(*cols), want)
+                assert np.array_equal(sampled.entry(i, j)(*cols),
+                                      c.a.component(i, j).evaluate(pts))
 
 
 class TestSolveCell:
@@ -504,6 +528,83 @@ class TestFourierSampler:
             FourierSampler(grid2(8), pts)
 
 
+def even_n():
+    return st.integers(2, 12).map(lambda k: 2 * k)
+
+
+def random_smooth_coefficient(rng, grid):
+    """Symmetric positive definite trigonometric coefficient with random
+    low-mode phases; full (off-diagonal) in 2D."""
+    ys = grid.coords()
+    k = rng.integers(1, 3, (3, grid.dim))
+    ph = rng.uniform(0.0, 1.0, (3, grid.dim))
+
+    def wave(r):
+        return np.prod([np.cos(TWO_PI * (k[r, ax] * ys[ax] + ph[r, ax]))
+                        for ax in range(grid.dim)], axis=0)
+
+    vals = np.zeros((grid.dim, grid.dim) + grid.shape)
+    for i in range(grid.dim):
+        vals[i, i] = 2.0 + 0.5 * wave(i)
+    if grid.dim == 2:
+        vals[0, 1] = vals[1, 0] = 0.4 * wave(2)
+    return CoefficientField.from_samples(grid, vals)
+
+
+class TestSpectralAdjoints:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=even_n(),
+           dim=st.sampled_from([1, 2]))
+    def test_truncate_undoes_pad(self, seed, n, dim):
+        # every mode below the Nyquist index comes back bit for bit; the
+        # Nyquist modes are dropped
+        rng = np.random.default_rng(seed)
+        shape = (n,) * dim
+        fh = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        back = _copy_modes(_copy_modes(fh, n, _pad_shape(n)), n, n)
+        assert np.array_equal(back,
+                              np.where(TorusGrid(dim, n).nyquist_mask, fh, 0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=even_n(),
+           dim=st.sampled_from([1, 2]))
+    def test_pad_and_truncate_are_adjoint(self, seed, n, dim):
+        # <pad x, y> = <x, truncate y>, relative to |x| |y|
+        rng = np.random.default_rng(seed)
+        m = _pad_shape(n)
+        x, y = (rng.standard_normal((s,) * dim)
+                + 1j * rng.standard_normal((s,) * dim) for s in (n, m))
+        lhs = np.vdot(_copy_modes(x, n, m), y)
+        rhs = np.vdot(x, _copy_modes(y, n, n))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=even_n(),
+           dim=st.sampled_from([1, 2]))
+    def test_grad_and_div_are_adjoint(self, seed, n, dim):
+        # <grad u, F> = -<u, div F>, relative to |grad u| |F|
+        rng = np.random.default_rng(seed)
+        g = TorusGrid(dim, n)
+        u = PeriodicField(g, rng.standard_normal(g.shape))
+        F = PeriodicField(g, rng.standard_normal((dim,) + g.shape))
+        lhs = l2_inner(grad_y(u), F)
+        rhs = -l2_inner(u, div_y(F))
+        assert abs(lhs - rhs) <= 1e-12 * grad_y(u).l2_norm() * F.l2_norm()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=even_n(),
+           dim=st.sampled_from([1, 2]))
+    def test_operator_is_symmetric(self, seed, n, dim):
+        # <A u, v> = <u, A v> for -div(a grad), relative to |A u| |v|
+        rng = np.random.default_rng(seed)
+        g = TorusGrid(dim, n)
+        a = random_smooth_coefficient(rng, g)
+        u, v = rng.standard_normal((2,) + g.shape)
+        Au, Av = _apply_operator(a, u), _apply_operator(a, v)
+        assert abs(np.sum(Au * v) - np.sum(u * Av)) \
+            <= 1e-12 * np.linalg.norm(Au) * np.linalg.norm(v)
+
+
 def random_index(rng, rows, dim, tensor, m):
     """A tensor grid over ``rows`` coordinates per axis, or m random rows."""
     if tensor:
@@ -512,6 +613,14 @@ def random_index(rng, rows, dim, tensor, m):
 
 
 class TestIndexedSampling:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tensor_rows_in_meshgrid_order(self, dim):
+        grids = np.meshgrid(*[np.arange(7)] * dim, indexing="ij")
+        rows = tensor_rows(7, dim)
+        assert len(rows) == dim
+        for r, mesh in zip(rows, grids):
+            assert np.array_equal(r, mesh.ravel())
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            dim=st.sampled_from([1, 2]),
@@ -539,10 +648,11 @@ class TestIndexedSampling:
            rows=st.integers(1, 40),
            tensor=st.booleans(),
            m=st.integers(1, 300))
-    def test_pair_contract_rows_equal_per_point(self, seed, a, b, rows,
-                                                tensor, m):
+    def test_tensor_contract_rows_equal_per_point(self, seed, a, b, rows,
+                                                  tensor, m):
         # the table gather equals the per-point contraction of the gathered
-        # rows, for complex and for real factors
+        # rows, for complex and for real factors, with two tables and with
+        # one
         rng = np.random.default_rng(seed)
         index = random_index(rng, rows, 2, tensor, m)
 
@@ -551,8 +661,14 @@ class TestIndexedSampling:
 
         factors = (draw(rows, a), draw(a, b), draw(rows, b))
         for left, core, right in (factors, [f.real for f in factors]):
-            want = np.einsum("pa,ab,pb->p", left[index[0]], core,
-                             right[index[1]]).real
-            got = pair_contract(left, core, right, index)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            cases = [
+                (np.einsum("pa,ab,pb->p", left[index[0]], core,
+                           right[index[1]]).real,
+                 tensor_contract([left, right], core, index)),
+                (np.einsum("pa,a->p", left[index[0]], core[:, 0]).real,
+                 tensor_contract([left], core[:, 0], index[:1])),
+            ]
+            for want, got in cases:
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-13 * np.max(np.abs(want))
