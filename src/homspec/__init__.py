@@ -3,7 +3,7 @@
 Subpackages roughly follow the pipeline:
 
     torus       periodic fields on T^d, cell and stream-matrix solvers
-    classical   first/second-order correctors and homogenized tensors
+    classical   homogenized tensors read off the corrector store
     hermite     the macroscopic L2(R^d) space and the homogenized eigensolver
     expansion   the recursive eigenvalue/eigenfunction correction hierarchy
     reference   fine-grid eigensolves, matching and convergence-rate fits

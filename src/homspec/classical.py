@@ -1,131 +1,73 @@
-"""First and second order correctors and their homogenized tensors.
+"""The homogenized tensors of the first two corrector orders.
 
 For each direction e_k the first-order corrector chi1_k is the mean-zero
 periodic solution of -div(a(e_k + grad chi1_k)) = 0; the homogenized matrix
 is abar e_k = <a(e_k + grad chi1_k)>, and the flux difference
+g_k = a(e_k + grad chi1_k) - abar e_k is mean-zero and divergence-free, so
+it admits a skew stream matrix s_k with div s_k = g_k.  The second-order
+corrector of alpha = e_j + e_k sums the ordered pairs (j, k) and (k, j),
+each solving -div(a grad chi2_jk) = div(a e_j chi1_k) + (g_k)_j, and its
+flux mean is the symmetrized third-order tensor abar3s[:, j, k] (twice it
+when j != k).  The cyclic cancellation
+abar3s[i,j,k] + abar3s[j,k,i] + abar3s[k,i,j] = 0 is the reason the
+first-order eigenvalue correction vanishes.
 
-    g_k = a(e_k + grad chi1_k) - abar e_k
-
-is mean-zero and divergence-free, so it admits a skew stream matrix s_k with
-div s_k = g_k.  The second-order corrector for the ordered pair (j, k) solves
-
-    -div(a grad chi2_jk) = div(a e_j chi1_k) + (g_k)_j
-
-and the third-order tensor is abar3[i,j,k] = <(a grad chi2_jk + a e_j chi1_k)_i>
-(the stream-matrix term has zero mean).  Its symmetric part obeys the cyclic
-cancellation abar3s[i,j,k] + abar3s[j,k,i] + abar3s[k,i,j] = 0, which is the
-reason the first-order eigenvalue correction vanishes.
+These are the q = 1, 2 levels of the corrector recursion, so they are read
+off the corrector store that the expansion forks later: this module solves
+no cell problem of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .expansion import CorrectorTable
+from .slowpoly import SlowPolynomial
 from .torus import (
     CoefficientField,
     PeriodicField,
-    cell_residual,
     div_y,
     grad_y,
     hminus1_norm,
     pointwise_multiply,
-    solve_cell,
     solve_flux_corrector,
 )
 
 
-@dataclass
-class CorrectorSuite:
-    """First/second-order correctors and tensors for one coefficient field."""
-
-    coeff: CoefficientField
-    chi1: list                       # d scalar fields
-    g: list                          # d vector fields (flux differences)
-    s1: list                         # d skew matrix fields
-    abar: np.ndarray                 # d x d
-    chi2: dict = field(default_factory=dict)    # (j, k) -> scalar field
-    abar3: np.ndarray | None = None             # d x d x d, [i, j, k]
-    abar3_sym: np.ndarray | None = None
-    s2: dict = field(default_factory=dict)      # (j, k) -> skew field, lazy
-    tol: float = 1e-12
-
-    @property
-    def grid(self):
-        return self.coeff.grid
-
-    def second_order_available(self) -> bool:
-        return self.abar3 is not None
-
-    def flux2(self, j: int, k: int) -> PeriodicField:
-        """Second-order flux a grad chi2_jk + a e_j chi1_k + s_k[:, j]."""
-        a = self.coeff.a
-        grid = self.grid
-        f = pointwise_multiply(a, grad_y(self.chi2[(j, k)]))
-        col = PeriodicField(grid, a.values[:, j])
-        f = f + pointwise_multiply(self.chi1[k], col)
-        f = f + PeriodicField(grid, self.s1[k].values[:, j])
-        return f
-
-    def stream2(self, j: int, k: int) -> PeriodicField:
-        """Second-order stream matrix of the centered flux, computed lazily."""
-        if (j, k) not in self.s2:
-            flux = self.flux2(j, k)
-            centered = PeriodicField(
-                self.grid,
-                flux.values - self.abar3[:, j, k].reshape(
-                    (-1,) + (1,) * self.grid.dim),
-            )
-            self.s2[(j, k)] = solve_flux_corrector(centered)
-        return self.s2[(j, k)]
+def _unit(d: int, *axes: int) -> tuple:
+    """The multi-index e_axes[0] + e_axes[1] + ... in d dimensions."""
+    return tuple(axes.count(ax) for ax in range(d))
 
 
-def build_first_order(coeff: CoefficientField, tol: float = 1e-12) -> CorrectorSuite:
-    """Correctors chi1, flux differences g, stream matrices s1, and abar."""
-    grid = coeff.grid
-    d = grid.dim
-    a = coeff.a
-    chi1, g, s1 = [], [], []
-    abar = np.zeros((d, d))
-    for k in range(d):
-        col = PeriodicField(grid, a.values[:, k])        # a e_k
-        chi = solve_cell(coeff, F=col, tol=tol)
-        flux = pointwise_multiply(a, grad_y(chi)) + col
-        abar[:, k] = np.asarray(flux.mean())
-        chi1.append(chi)
-        g.append(flux.mean_zero())
-        s1.append(solve_flux_corrector(g[-1]))
-    suite = CorrectorSuite(coeff=coeff, chi1=chi1, g=g, s1=s1,
-                           abar=0.5 * (abar + abar.T), tol=tol)
-    return suite
+def _flux1(table: CorrectorTable, k: int) -> PeriodicField:
+    """a(e_k + grad chi1_k) as a vector field."""
+    a = table.coeff.a
+    col = PeriodicField(table.grid, a.values[:, k])
+    chi = table.chi(1, _unit(table.d, k)).terms[(0,) * table.d]
+    return pointwise_multiply(a, grad_y(chi)) + col
 
 
-def build_second_order(suite: CorrectorSuite) -> CorrectorSuite:
-    """Second-order correctors chi2_jk and the third-order tensor abar3."""
-    coeff = suite.coeff
-    grid = coeff.grid
-    d = grid.dim
-    a = coeff.a
-    abar3 = np.zeros((d, d, d))
+def _abar3_sym(table: CorrectorTable) -> np.ndarray:
+    """abar3s[:, j, k] = abar_{2, e_j + e_k}, halved when j != k."""
+    d = table.d
+    out = np.zeros((d, d, d))
     for j in range(d):
-        for k in range(d):
-            col = PeriodicField(grid, a.values[:, j])    # a e_j
-            F = pointwise_multiply(suite.chi1[k], col)
-            G = PeriodicField(grid, suite.g[k].values[j]).mean_zero()
-            chi2 = solve_cell(coeff, F=F, G=G, tol=suite.tol)
-            suite.chi2[(j, k)] = chi2
-            flux = pointwise_multiply(a, grad_y(chi2)) + \
-                pointwise_multiply(suite.chi1[k], col)
-            abar3[:, j, k] = np.asarray(flux.mean())
-    suite.abar3 = abar3
-    sym = 0.5 * (abar3 + np.swapaxes(abar3, 1, 2))
-    suite.abar3_sym = sym
-    return suite
+        for k in range(j, d):
+            vec = [p.constant_term() for p in table.abar(2, _unit(d, j, k))]
+            out[:, j, k] = out[:, k, j] = \
+                np.asarray(vec) * (1.0 if j == k else 0.5)
+    return out
 
 
-def build_suite(coeff: CoefficientField, tol: float = 1e-12) -> CorrectorSuite:
-    return build_second_order(build_first_order(coeff, tol=tol))
+def build_suite(coeff: CoefficientField, W: SlowPolynomial,
+                tol: float = 1e-12) -> tuple:
+    """The corrector store of (coeff, W) with mu = [], and the homogenized
+    matrix abar and symmetrized third-order tensor read off its q = 1, 2
+    entries: (store, abar, abar3_sym)."""
+    table = CorrectorTable(coeff, W, [], tol=tol)
+    abar = np.stack([np.asarray(_flux1(table, k).mean())
+                     for k in range(table.d)], axis=1)
+    return table, 0.5 * (abar + abar.T), _abar3_sym(table)
 
 
 def cyclic_check(abar3_sym: np.ndarray) -> float:
@@ -136,52 +78,57 @@ def cyclic_check(abar3_sym: np.ndarray) -> float:
     )))
 
 
-def suite_diagnostics(suite: CorrectorSuite) -> dict:
-    """Measured invariants of a built suite (used by verify and tests).
+def _flux2(table: CorrectorTable, s1: list, j: int, k: int) -> PeriodicField:
+    """Second-order flux of alpha = e_j + e_k with its stream columns,
+    f_{2,alpha} + s1_k[:, j] + s1_j[:, k] (one column when j = k): mean
+    <f_{2,alpha}> and divergence-free."""
+    d = table.d
+    zero = PeriodicField.zeros(table.grid)
+    f = PeriodicField(table.grid, np.stack([
+        comp.terms.get((0,) * d, zero).values
+        for comp in table.flux(2, _unit(d, j, k))]))
+    f = f + PeriodicField(table.grid, s1[k].values[:, j])
+    if j != k:
+        f = f + PeriodicField(table.grid, s1[j].values[:, k])
+    return f
+
+
+def suite_diagnostics(table: CorrectorTable) -> dict:
+    """Measured invariants of the q = 1, 2 entries of a corrector store
+    (used by verify and tests).
 
     Returns a dict of named magnitudes; thresholds live with the caller.
     """
-    coeff = suite.coeff
-    grid = suite.grid
-    d = grid.dim
+    d = table.d
+    flux1 = [_flux1(table, k) for k in range(d)]
+    chi1 = [table.chi(1, _unit(d, k)).terms[(0,) * d] for k in range(d)]
+    abar = np.stack([np.asarray(f.mean()) for f in flux1], axis=1)
+    g = [f.mean_zero() for f in flux1]
+    s1 = [solve_flux_corrector(gk) for gk in g]
     out = {}
-    out["abar_asymmetry"] = float(np.max(np.abs(suite.abar - suite.abar.T)))
-    ev = np.linalg.eigvalsh(0.5 * (suite.abar + suite.abar.T))
+    out["abar_asymmetry"] = float(np.max(np.abs(abar - abar.T)))
+    ev = np.linalg.eigvalsh(0.5 * (abar + abar.T))
     out["abar_eig_min"] = float(ev.min())
     out["abar_eig_max"] = float(ev.max())
-    out["chi1_mean"] = max(abs(c.mean()) for c in suite.chi1)
-    out["chi1_residual"] = max(
-        cell_residual(coeff, suite.chi1[k],
-                      F=PeriodicField(grid, coeff.a.values[:, k]))
-        for k in range(d)
-    )
-    out["g_mean"] = max(float(np.max(np.abs(np.asarray(f.mean()))))
-                        for f in suite.g)
+    out["chi1_mean"] = max(abs(c.mean()) for c in chi1)
+    out["chi1_residual"] = max(res for (q, _, _), res
+                               in table.residuals.items() if q == 1)
+    out["g_mean"] = max(float(np.max(np.abs(np.asarray(f.mean())))) for f in g)
     out["s1_skew_gap"] = max(
         float(np.max(np.abs(s.values + np.swapaxes(s.values, 0, 1))))
-        for s in suite.s1
+        for s in s1
     )
     out["s1_div_error"] = max(
-        (div_y(suite.s1[k]) - suite.g[k]).l2_norm()
-        / max(suite.g[k].l2_norm(), 1e-30)
+        (div_y(s1[k]) - g[k]).l2_norm() / max(g[k].l2_norm(), 1e-30)
         for k in range(d)
     ) if d > 1 else 0.0
-    if suite.second_order_available():
-        out["chi2_mean"] = max(abs(c.mean()) for c in suite.chi2.values())
-        out["cyclic"] = cyclic_check(suite.abar3_sym)
-        # centered second-order flux must be mean-zero and divergence-free
-        div_err = 0.0
-        for j in range(d):
-            for k in range(d):
-                flux = suite.flux2(j, k)
-                centered = PeriodicField(
-                    grid,
-                    flux.values - suite.abar3[:, j, k].reshape(
-                        (-1,) + (1,) * d),
-                )
-                m = float(np.max(np.abs(np.asarray(centered.mean()))))
-                div_err = max(div_err, m,
-                              hminus1_norm(div_y(centered))
-                              / max(flux.l2_norm(), 1e-30))
-        out["flux2_consistency"] = div_err
+    out["chi2_mean"] = max(
+        table.chi(2, _unit(d, j, k)).max_shape_mean()
+        for j in range(d) for k in range(j, d))
+    out["cyclic"] = cyclic_check(_abar3_sym(table))
+    # the centered second-order flux must be divergence-free
+    out["flux2_consistency"] = max(
+        hminus1_norm(div_y(flux.mean_zero())) / max(flux.l2_norm(), 1e-30)
+        for flux in (_flux2(table, s1, j, k)
+                     for j in range(d) for k in range(j, d)))
     return out

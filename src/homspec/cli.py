@@ -61,15 +61,14 @@ def _write_grid_samples(out_dir, name, points, columns):
 def cmd_homogenize(cfg: RunConfig, args):
     from .classical import cyclic_check
     from .pipeline import stage_homogenize
-    coeff, suite = stage_homogenize(cfg)
+    store, abar, abar3_sym = stage_homogenize(cfg)
     payload = {
-        "abar": suite.abar.tolist(),
-        "abar3": suite.abar3.tolist(),
-        "abar3_sym": suite.abar3_sym.tolist(),
-        "cyclic_check": cyclic_check(suite.abar3_sym),
-        "theta": coeff.theta,
-        "lam_min": coeff.lam_min,
-        "lam_max": coeff.lam_max,
+        "abar": abar.tolist(),
+        "abar3_sym": abar3_sym.tolist(),
+        "cyclic_check": cyclic_check(abar3_sym),
+        "theta": store.coeff.theta,
+        "lam_min": store.coeff.lam_min,
+        "lam_max": store.coeff.lam_max,
     }
     _dump(payload, args.out, "homogenize.json")
     return 0
@@ -78,8 +77,8 @@ def cmd_homogenize(cfg: RunConfig, args):
 def cmd_spectrum(cfg: RunConfig, args):
     from .hermite import HermiteSampler, spectral_gap
     from .pipeline import stage_homogenize, stage_spectrum
-    coeff, suite = stage_homogenize(cfg)
-    W, basis, spec = stage_spectrum(cfg, suite)
+    store, abar, _ = stage_homogenize(cfg)
+    spec = stage_spectrum(cfg, store.W, abar)
     gaps = {}
     for j in range(1, spec.count):
         try:
@@ -90,14 +89,14 @@ def cmd_spectrum(cfg: RunConfig, args):
         "eigenvalues": [float(v) for v in spec.eigenvalues],
         "clusters": [list(c) for c in spec.clusters],
         "gaps": gaps,
-        "sigma": basis.sigma,
-        "basis_size": basis.size,
+        "sigma": spec.basis.sigma,
+        "basis_size": spec.basis.size,
     }
     _dump(payload, args.out, "spectrum.json")
     if args.out and args.eigenfunction_samples > 0:
-        coords, index, pts = _sample_grid(cfg.dim, basis.sigma,
+        coords, index, pts = _sample_grid(cfg.dim, spec.basis.sigma,
                                         args.eigenfunction_samples)
-        sample = HermiteSampler(basis, coords, 0, index)
+        sample = HermiteSampler(spec.basis, coords, 0, index)
         _write_grid_samples(
             args.out, "eigenfunctions.csv", pts,
             [(f"phi{j}", sample(spec.eigenfunction(j)))
@@ -111,10 +110,10 @@ def cmd_expand(cfg: RunConfig, args):
     from .pipeline import (assemble_branches, stage_expand, stage_homogenize,
                            stage_spectrum)
     from .torus import FourierSampler
-    coeff, suite = stage_homogenize(cfg)
-    W, basis, spec = stage_spectrum(cfg, suite)
+    store, abar, _ = stage_homogenize(cfg)
+    spec = stage_spectrum(cfg, store.W, abar)
     warnings = []
-    branches, P_build = stage_expand(cfg, coeff, W, spec, warnings)
+    branches, P_build = stage_expand(cfg, store, spec, warnings)
     a, b = spec.cluster_of(cfg.j)
     per_eps = []
     for eps in cfg.eps_list:
@@ -137,11 +136,12 @@ def cmd_expand(cfg: RunConfig, args):
     if args.out and args.w_samples > 0:
         # one Hermite table for every column and one Fourier basis per eps,
         # shared by the branches, each on the grid's axis coordinates
-        coords, index, pts = _sample_grid(cfg.dim, basis.sigma, args.w_samples)
-        sample_x = HermiteSampler(basis, coords, P_build + 1, index)
+        coords, index, pts = _sample_grid(cfg.dim, spec.basis.sigma,
+                                        args.w_samples)
+        sample_x = HermiteSampler(spec.basis, coords, P_build + 1, index)
         columns = []
         for eps in cfg.eps_list:
-            sample_y = FourierSampler(coeff.grid, coords / eps, index)
+            sample_y = FourierSampler(store.grid, coords / eps, index)
             columns += [(f"w_eps{eps}_branch{br.label}",
                          assemble(br, eps, pts, gradient=False,
                                   sample_x=sample_x, sample_y=sample_y).w)
@@ -152,9 +152,10 @@ def cmd_expand(cfg: RunConfig, args):
 
 def cmd_reference(cfg: RunConfig, args):
     from .pipeline import stage_homogenize, stage_reference, stage_spectrum
-    coeff, suite = stage_homogenize(cfg)
-    W, basis, spec = stage_spectrum(cfg, suite)
-    radius, _, refs = stage_reference(cfg, coeff, W, spec, keep_vectors=False)
+    store, abar, _ = stage_homogenize(cfg)
+    spec = stage_spectrum(cfg, store.W, abar)
+    radius, _, refs = stage_reference(cfg, store.coeff, store.W, spec,
+                                      keep_vectors=False)
     payload = {"radius": radius, "per_eps": []}
     for eps in cfg.eps_list:
         ref, _ = refs[eps]

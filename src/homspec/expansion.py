@@ -81,13 +81,15 @@ def _sub(alpha: tuple, axis: int) -> tuple:
 class CorrectorTable:
     """Memoized (q, alpha) -> corrector / flux / homogenized-vector store.
 
-    Holds a live reference to the branch's mu list; entries at order q with
-    |alpha| = m read mu_0 .. mu_{q-2-m}, which the level driver guarantees
-    to have appended before they are requested.  Entries are keyed on
-    (q, alpha) plus that mu prefix, so the tables that ``fork`` makes for
-    the other branches of a cluster share one store: the branches agree on
-    mu_0 = lambda_0 and mu_1 = 0, and each cell problem is solved once.
-    Equal sources of different entries or slow monomials share one solve.
+    Holds a live reference to a mu list; entries at order q with |alpha| = m
+    read mu_0 .. mu_{q-2-m}, which the level driver guarantees to have
+    appended before they are requested.  Entries are keyed on (q, alpha)
+    plus that mu prefix, and every table that ``fork`` makes shares one
+    store.  The homogenize stage creates it with mu = [], which serves the
+    classical q <= 2 entries (they read no mu); each branch forks it with
+    mu_0 = lambda_0, and the branches of a cluster agree on mu_0 and
+    mu_1 = 0, so each cell problem is solved once.  Equal sources of
+    different entries or slow monomials share one solve.
     """
 
     def __init__(self, coeff: CoefficientField, W: SlowPolynomial, mu: list,
@@ -102,14 +104,14 @@ class CorrectorTable:
         self._chi: dict = {}
         self._flux: dict = {}
         self._abar: dict = {}
-        self._cells: dict = {}      # source bytes -> (cell solution, residual)
+        self._cells: dict = {}      # (F or G, source bytes) -> (solution, residual)
         self.residuals: dict = {}
         self.rhs_means: dict = {}
 
-    def fork(self) -> CorrectorTable:
-        """A table for another branch of the cluster: same store, fresh [mu_0]."""
+    def fork(self, mu0: float) -> CorrectorTable:
+        """A table for one branch: the same store, with its own mu = [mu0]."""
         twin = copy.copy(self)
-        twin.mu = [self.mu[0]]
+        twin.mu = [mu0]
         return twin
 
     # --- public accessors ---
@@ -155,8 +157,7 @@ class CorrectorTable:
         if q == 1:
             axis = alpha.index(1)
             col = PeriodicField(self.grid, self.coeff.a.values[:, axis])
-            u = solve_cell(self.coeff, F=col, tol=self.tol)
-            self.residuals[key] = cell_residual(self.coeff, u, F=col)
+            u, self.residuals[key] = self._cell(F=col)
             return SeparableField.from_periodic(u)
         rhs = self._rhs(q, alpha)
         out = SeparableField.zero(self.grid)
@@ -172,17 +173,22 @@ class CorrectorTable:
                 continue
             # equal sources under different slow monomials (W = x1^2 + x2^2
             # puts one shape under x1^2 and x2^2) are solved once per store
-            g = shape.mean_zero()
-            src = g.values.tobytes()
-            if src not in self._cells:
-                u = solve_cell(self.coeff, G=g, tol=self.tol)
-                self._cells[src] = (u, cell_residual(self.coeff, u, G=g))
-            u, res = self._cells[src]
+            u, res = self._cell(G=shape.mean_zero())
             worst_res = max(worst_res, res)
             out._accumulate(beta, u)
         self.rhs_means[key] = worst_mean
         self.residuals[key] = worst_res
         return out.purge(PRUNE_TOL)
+
+    def _cell(self, **source) -> tuple:
+        """(solution, residual) of the cell problem with one F= or G= source;
+        each distinct source is solved once per store."""
+        (kind, field), = source.items()
+        key = (kind, field.values.tobytes())
+        if key not in self._cells:
+            u = solve_cell(self.coeff, tol=self.tol, **source)
+            self._cells[key] = (u, cell_residual(self.coeff, u, **source))
+        return self._cells[key]
 
     def _rhs(self, q: int, alpha: tuple) -> SeparableField:
         m = sum(alpha)
@@ -244,6 +250,10 @@ class CorrectorTable:
 
     def _build_abar(self, q: int, alpha: tuple) -> list:
         return [f.y_mean().prune(1e-16) for f in self.flux(q, alpha)]
+
+    def cell_solves(self) -> int:
+        """Cell problems solved by this store and every table forked from it."""
+        return len(self._cells)
 
     def max_cell_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
@@ -586,10 +596,10 @@ def _snap_first_order(branch: ExpansionBranch):
         branch.U[1] = MacroFunction.zero(branch.U[0].basis)
 
 
-def simple_recursion(coeff: CoefficientField, W: SlowPolynomial,
-                     spec: SpectrumResult, j: int, P: int,
-                     torus_tol: float = 1e-12) -> ExpansionBranch:
-    """Correction hierarchy for a simple eigenvalue lambda_j, orders <= P."""
+def simple_recursion(store: CorrectorTable, spec: SpectrumResult, j: int,
+                     P: int) -> ExpansionBranch:
+    """Correction hierarchy for a simple eigenvalue lambda_j, orders <= P,
+    on a fork of the corrector store with mu_0 = lambda_j."""
     a, b = spec.cluster_of(j)
     if b - a != 1:
         raise NotSimple(
@@ -597,24 +607,23 @@ def simple_recursion(coeff: CoefficientField, W: SlowPolynomial,
         )
     if P < 2:
         raise ValueError("P must be at least 2")
-    table = CorrectorTable(coeff, W, [spec.eigenvalue(j)], tol=torus_tol)
-    return _run_branch(table, spec, j, P, label=0,
+    return _run_branch(store.fork(spec.eigenvalue(j)), spec, j, P, label=0,
                        D=None, E=np.array([[1.0]]), mu2_list=None)
 
 
-def multiple_recursion(coeff: CoefficientField, W: SlowPolynomial,
-                       spec: SpectrumResult, j: int, P: int,
-                       torus_tol: float = 1e-12) -> list:
+def multiple_recursion(store: CorrectorTable, spec: SpectrumResult, j: int,
+                       P: int) -> list:
     """All N branches of the cluster containing lambda_j, orders <= P.
 
-    D is built on branch 0's table while its mu is [lambda_0]; the other
-    branches fork that table, so the cluster shares one store."""
+    Each branch forks the corrector store with mu_0 = lambda_0; D is built
+    on branch 0's table while its mu is [lambda_0]."""
     if P < 2:
         raise ValueError("P must be at least 2")
-    table = CorrectorTable(coeff, W, [spec.eigenvalue(j)], tol=torus_tol)
+    lam0 = spec.eigenvalue(j)
+    table = store.fork(lam0)
     quad = quadrature_for(spec.basis, max_derivative=max(P + 2, 4))
     D, E, mu2, _ = build_D_matrix(spec, j, table, quad=quad)
-    return [_run_branch(table if r == 0 else table.fork(), spec, j, P,
+    return [_run_branch(table if r == 0 else store.fork(lam0), spec, j, P,
                         label=r, D=D, E=E, mu2_list=mu2)
             for r in range(len(mu2))]
 

@@ -244,9 +244,6 @@ class MacroFunction:
     def __neg__(self):
         return MacroFunction(self.basis, -self.coeffs)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
-
     def evaluate(self, points: np.ndarray,
                  alpha: tuple | None = None) -> np.ndarray:
         """Values of d^alpha(self) at points (m, d); exact derivative route.

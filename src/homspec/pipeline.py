@@ -48,6 +48,8 @@ class RunManifest:
     abar: list
     abar3_sym: list
     cyclic_check: float
+    cell_solves: int
+    cell_residual_max: float
     lambda0: float
     gamma: float
     cluster_size: int
@@ -77,22 +79,22 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def stage_homogenize(cfg: RunConfig):
+    """The corrector store (mu = []) with abar and abar3_sym read off it:
+    (store, abar, abar3_sym)."""
     grid = TorusGrid(cfg.dim, cfg.torus_modes)
-    coeff = cfg.coefficient(grid)
-    suite = build_suite(coeff, tol=cfg.solver_tol)
-    return coeff, suite
+    return build_suite(cfg.coefficient(grid), cfg.potential(),
+                       tol=cfg.solver_tol)
 
 
-def stage_spectrum(cfg: RunConfig, suite):
-    W = cfg.potential()
-    sigma = cfg.hermite_sigma or default_sigma(suite.abar, W)
-    basis = MacroBasis(cfg.dim, cfg.hermite_size, sigma)
-    spec = solve_spectrum(suite.abar, W, basis, cfg.count)
-    return W, basis, spec
+def stage_spectrum(cfg: RunConfig, W, abar):
+    sigma = cfg.hermite_sigma or default_sigma(abar, W)
+    return solve_spectrum(abar, W, MacroBasis(cfg.dim, cfg.hermite_size, sigma),
+                          cfg.count)
 
 
-def stage_expand(cfg: RunConfig, coeff, W, spec, warnings: list):
-    """Build all branches of the cluster of lambda_j to a working order."""
+def stage_expand(cfg: RunConfig, store, spec, warnings: list):
+    """Build all branches of the cluster of lambda_j to a working order on
+    forks of the corrector store."""
     a, b = spec.cluster_of(cfg.j)
     gamma = spectral_gap(spec, cfg.j)
     lam0 = spec.eigenvalue(cfg.j)
@@ -108,11 +110,9 @@ def stage_expand(cfg: RunConfig, coeff, W, spec, warnings: list):
                                  "detail": f"truncation rule undefined at eps={eps}"})
         P_build = min(P_build, P_BUILD_CAP)
     if b - a == 1:
-        branches = [simple_recursion(coeff, W, spec, cfg.j, P_build,
-                                     torus_tol=cfg.solver_tol)]
+        branches = [simple_recursion(store, spec, cfg.j, P_build)]
     else:
-        branches = multiple_recursion(coeff, W, spec, cfg.j, P_build,
-                                      torus_tol=cfg.solver_tol)
+        branches = multiple_recursion(store, spec, cfg.j, P_build)
     return branches, P_build
 
 
@@ -161,7 +161,8 @@ def run(cfg: RunConfig):
     timings = {}
     warnings = []
     t0 = time.perf_counter()
-    coeff, suite = stage_homogenize(cfg)
+    store, abar, abar3_sym = stage_homogenize(cfg)
+    coeff, W = store.coeff, store.W
     if coeff.from_samples:
         warnings.append({
             "code": "RoughCoefficient",
@@ -171,11 +172,11 @@ def run(cfg: RunConfig):
     timings["homogenize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    W, basis, spec = stage_spectrum(cfg, suite)
+    spec = stage_spectrum(cfg, W, abar)
     timings["spectrum"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    branches, P_build = stage_expand(cfg, coeff, W, spec, warnings)
+    branches, P_build = stage_expand(cfg, store, spec, warnings)
     timings["expand"] = time.perf_counter() - t0
 
     a, b = spec.cluster_of(cfg.j)
@@ -290,9 +291,11 @@ def run(cfg: RunConfig):
         config_text=serialize_config(cfg),
         config_hash=config_hash(cfg),
         dim=cfg.dim,
-        abar=suite.abar.tolist(),
-        abar3_sym=suite.abar3_sym.tolist(),
-        cyclic_check=cyclic_check(suite.abar3_sym),
+        abar=abar.tolist(),
+        abar3_sym=abar3_sym.tolist(),
+        cyclic_check=cyclic_check(abar3_sym),
+        cell_solves=store.cell_solves(),
+        cell_residual_max=store.max_cell_residual(),
         lambda0=lam0,
         gamma=gamma,
         cluster_size=b - a,

@@ -366,8 +366,11 @@ def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
 
 def _solve_2d_sparse(coeff, W, eps, grid, count, sigma_shift):
     A = _assemble_2d(coeff, W, eps, grid)
+    # a seeded start keeps runs bit-reproducible (ARPACK draws a random one);
+    # a constant one would miss the odd eigenvectors of a symmetric problem
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
-        vals, vecs = spla.eigsh(A, k=count, sigma=sigma_shift, which="LM")
+        vals, vecs = spla.eigsh(A, k=count, sigma=sigma_shift, which="LM", v0=v0)
     except Exception as exc:          # noqa: BLE001 - surfaced as library error
         raise ConvergenceFailure(f"sparse eigensolve failed: {exc}") from exc
     order = np.argsort(vals)

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import build_suite, cyclic_check, suite_diagnostics
-from .expansion import (
-    CorrectorTable,
-    build_D_matrix,
-    lambda_tilde_shift,
-    simple_recursion,
-)
+from .expansion import build_D_matrix, lambda_tilde_shift, simple_recursion
 from .hermite import (
     MacroBasis,
     MacroFunction,
@@ -120,12 +115,12 @@ def run_invariants(tolerance_scale: float = 1.0,
           np.max(np.abs(s_a.evaluate(pts) - s_b.evaluate(pts))), 1e-10)
 
     # --- classical correctors ---
-    suite1 = build_suite(_coeff_1d(256), tol=1e-13)
-    check("abar_1d_harmonic_mean", abs(suite1.abar[0, 0] - np.sqrt(3.0)),
-          1e-12)
-    suite2 = build_suite(c2, tol=1e-13)
-    diag = suite_diagnostics(suite2)
-    abar3s = suite2.abar3_sym.copy()
+    W1 = SlowPolynomial(1, {(2,): 1.0})
+    _, abar_1d, _ = build_suite(_coeff_1d(256), W1, tol=1e-13)
+    check("abar_1d_harmonic_mean", abs(abar_1d[0, 0] - np.sqrt(3.0)), 1e-12)
+    store2, _, abar3s = build_suite(
+        c2, SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0}), tol=1e-13)
+    diag = suite_diagnostics(store2)
     abar3s[0, 0, 0] += tamper_abar3
     check("cyclic_identity", cyclic_check(abar3s), 1e-10)
     check("abar_symmetry", diag["abar_asymmetry"], 1e-12)
@@ -136,7 +131,6 @@ def run_invariants(tolerance_scale: float = 1.0,
     check("flux2_consistency", diag["flux2_consistency"], 1e-10)
 
     # --- macroscopic space ---
-    W1 = SlowPolynomial(1, {(2,): 1.0})
     basis = MacroBasis(1, 64, 1.0)
     spec = solve_spectrum(np.array([[1.0]]), W1, basis, 6)
     check("oscillator_exactness",
@@ -167,7 +161,7 @@ def run_invariants(tolerance_scale: float = 1.0,
     # --- expansion engine ---
     cI = CoefficientField.identity(TorusGrid(1, 16))
     specI = solve_spectrum(np.array([[1.0]]), W1, MacroBasis(1, 32, 1.0), 4)
-    brI = simple_recursion(cI, W1, specI, 1, 3)
+    brI = simple_recursion(build_suite(cI, W1)[0], specI, 1, 3)
     check("constant_coefficient_degeneracy",
           max(max(abs(m) for m in brI.mu[1:]),
               max(u.norm() for u in brI.U[1:])), 1e-12)
@@ -175,7 +169,8 @@ def run_invariants(tolerance_scale: float = 1.0,
     abar = np.array([[np.sqrt(3.0)]])
     basis1 = MacroBasis(1, 48, default_sigma(abar, W1))
     spec1 = solve_spectrum(abar, W1, basis1, 5)
-    br = simple_recursion(_coeff_1d(), W1, spec1, 1, 3, torus_tol=1e-13)
+    store1, _, _ = build_suite(_coeff_1d(), W1, tol=1e-13)
+    br = simple_recursion(store1, spec1, 1, 3)
     check("mu1_vanishes", br.mu1_magnitude() / spec1.eigenvalue(1) ** 1.5,
           1e-8)
     check("corrector_rhs_means", br.table.max_rhs_mean(), 1e-10)
@@ -183,8 +178,8 @@ def run_invariants(tolerance_scale: float = 1.0,
     check("corrector_mean_convention", br.table.max_chi_mean(), 1e-12)
     check("hierarchy_residuals", max(br.hierarchy_residuals.values()), 1e-8)
 
-    table = CorrectorTable(_coeff_1d(), W1, [spec1.eigenvalue(1)], tol=1e-13)
-    D, E, mu2, info = build_D_matrix(spec1, 1, table, spacing_tol=0.0)
+    D, E, mu2, info = build_D_matrix(spec1, 1, store1.fork(spec1.eigenvalue(1)),
+                                     spacing_tol=0.0)
     check("D_dual_agreement", info["dual_gap"], 1e-8)
     check("D_symmetry", info["sym_gap"], 1e-12)
     check("E_orthogonality", np.max(np.abs(E @ E.T - np.eye(E.shape[0]))),

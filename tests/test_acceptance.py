@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from homspec.classical import build_first_order, build_suite, cyclic_check
+from homspec.classical import build_suite, cyclic_check
 from homspec.expansion import (
     CorrectorTable,
     build_D_matrix,
@@ -89,7 +89,7 @@ def ctx_1d():
     abar = np.array([[np.sqrt(3.0)]])
     basis = MacroBasis(1, 48, default_sigma(abar, W))
     spec = solve_spectrum(abar, W, basis, 6)
-    branch = simple_recursion(coeff, W, spec, 1, 4, torus_tol=1e-13)
+    branch = simple_recursion(build_suite(coeff, W, tol=1e-13)[0], spec, 1, 4)
     refs = {}
     for eps in (1 / 10, 1 / 20, 1 / 40, 1 / 80, 1 / 160):
         grid = FineGrid(1, 7.0, eps / 16)
@@ -118,9 +118,9 @@ def test_a2_1d_homogenized_matrix():
     coeff = CoefficientField.from_isotropic(
         grid, lambda y: 2.0 + np.cos(TWO_PI * y)
     )
-    suite = build_first_order(coeff, tol=1e-13)
-    abar_err = abs(suite.abar[0, 0] - np.sqrt(3.0))
-    du = grad_y(suite.chi1[0]).component(0)
+    store, abar, _ = build_suite(coeff, w_iso(1), tol=1e-13)
+    abar_err = abs(abar[0, 0] - np.sqrt(3.0))
+    du = grad_y(store.chi(1, (1,)).terms[(0,)]).component(0)
     closed = type(du)(grid, np.sqrt(3.0) / coeff.a.values[0, 0] - 1.0)
     chi_err = (du - closed).l2_norm()
     dt = time.perf_counter() - t0
@@ -200,13 +200,13 @@ def test_a5_identity_suite():
         dim = 1 if k < 5 else 2
         grid = TorusGrid(dim, 128 if dim == 1 else 48)
         coeff = random_trig_coeff(rng, grid)
-        suite = build_suite(coeff, tol=1e-13)
-        worst_cyc = max(worst_cyc, cyclic_check(suite.abar3_sym))
         W = w_iso(dim)
-        sigma = default_sigma(suite.abar, W)
+        store, abar, abar3_sym = build_suite(coeff, W, tol=1e-13)
+        worst_cyc = max(worst_cyc, cyclic_check(abar3_sym))
+        sigma = default_sigma(abar, W)
         basis = MacroBasis(dim, 32 if dim == 1 else 16, sigma)
-        spec = solve_spectrum(suite.abar, W, basis, 4)
-        br = simple_recursion(coeff, W, spec, 1, 2, torus_tol=1e-13)
+        spec = solve_spectrum(abar, W, basis, 4)
+        br = simple_recursion(store, spec, 1, 2)
         worst_mu1 = max(worst_mu1,
                         br.mu1_magnitude() / spec.eigenvalue(1) ** 1.5)
     ok_mu1 = worst_mu1 < 1e-8
@@ -216,7 +216,7 @@ def test_a5_identity_suite():
     cI = CoefficientField.identity(TorusGrid(1, 16))
     specI = solve_spectrum(np.array([[1.0]]), w_iso(1),
                            MacroBasis(1, 32, 1.0), 4)
-    brI = simple_recursion(cI, w_iso(1), specI, 1, 3)
+    brI = simple_recursion(build_suite(cI, w_iso(1))[0], specI, 1, 3)
     degen = max(max(abs(m) for m in brI.mu[1:]),
                 max(u.norm() for u in brI.U[1:]),
                 brI.table.chi(3, (1,)).max_norm())
@@ -253,7 +253,8 @@ def test_a6_multiplicity_splitting():
     spec = solve_spectrum(np.eye(2), W, MacroBasis(2, 20, 1.0), 8)
     a, b = spec.cluster_of(2)
     assert (a, b) == (1, 3)
-    branches = multiple_recursion(coeff, W, spec, 2, 2, torus_tol=1e-13)
+    branches = multiple_recursion(build_suite(coeff, W, tol=1e-13)[0], spec,
+                                  2, 2)
     mu2 = [br.mu[2] for br in branches]
     spacing = abs(mu2[1] - mu2[0]) / max(abs(mu2[0]), abs(mu2[1]))
     lam0 = branches[0].lambda0

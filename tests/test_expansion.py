@@ -31,6 +31,11 @@ def w_iso(dim):
     return SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
 
 
+def store(coeff, W, tol=1e-13):
+    """The corrector store that the homogenize stage hands to expand."""
+    return build_suite(coeff, W, tol=tol)[0]
+
+
 @pytest.fixture(scope="module")
 def case_1d():
     """a = 2 + cos(2 pi y), W = x^2: the workhorse 1D problem."""
@@ -40,7 +45,7 @@ def case_1d():
     abar = np.array([[np.sqrt(3.0)]])
     basis = MacroBasis(1, 48, default_sigma(abar, W))
     spec = solve_spectrum(abar, W, basis, 6)
-    branch = simple_recursion(coeff, W, spec, 1, 4, torus_tol=1e-13)
+    branch = simple_recursion(store(coeff, W), spec, 1, 4)
     return coeff, W, spec, branch
 
 
@@ -69,41 +74,42 @@ class TestCorrectorTable:
         assert t.chi(2, (1,)).is_zero()          # abar_{2,1,k} = 0 level
         assert all(p.is_zero() for p in t.abar(2, (1,)))
 
-    def test_chi1_matches_classical(self, case_2d_laminate):
+    def test_chi1_matches_classical(self, case_2d_laminate, ordered_pairs):
         coeff, W, spec = case_2d_laminate
-        suite = build_suite(coeff, tol=1e-13)
+        chi1, _, _ = ordered_pairs(coeff, 1e-13)
+        _, abar, _ = build_suite(coeff, W, tol=1e-13)
         table = CorrectorTable(coeff, W, [spec.eigenvalue(1)], tol=1e-13)
         for k, alpha in enumerate([(1, 0), (0, 1)]):
             chi = table.chi(1, alpha)
-            diff = chi.terms[(0, 0)] - suite.chi1[k]
+            diff = chi.terms[(0, 0)] - chi1[k]
             assert diff.l2_norm() < 1e-12
         # abar_{1,e_j,k} = abar e_j
         for k, alpha in enumerate([(1, 0), (0, 1)]):
             ab = table.abar(1, alpha)
             vec = np.array([p.constant_term() for p in ab])
-            assert np.allclose(vec, suite.abar[:, k], atol=1e-12)
+            assert np.allclose(vec, abar[:, k], atol=1e-12)
 
-    def test_chi2_matches_classical_pairs(self, case_2d_laminate):
+    def test_chi2_matches_classical_pairs(self, case_2d_laminate,
+                                          ordered_pairs):
         coeff, W, spec = case_2d_laminate
-        suite = build_suite(coeff, tol=1e-13)
+        _, chi2, abar3 = ordered_pairs(coeff, 1e-13)
         table = CorrectorTable(coeff, W, [spec.eigenvalue(1)], tol=1e-13)
         # chi_{2, e1+e2} = chi2_(1,2) + chi2_(2,1); chi_{2, 2e1} = chi2_(1,1)
         c_mixed = table.chi(2, (1, 1))
-        target = suite.chi2[(0, 1)] + suite.chi2[(1, 0)]
+        target = chi2[(0, 1)] + chi2[(1, 0)]
         if c_mixed.is_zero():
             assert target.l2_norm() < 1e-12
         else:
             assert (c_mixed.terms[(0, 0)] - target).l2_norm() < 1e-11
         c_11 = table.chi(2, (2, 0))
-        assert (c_11.terms[(0, 0)] - suite.chi2[(0, 0)]).l2_norm() < 1e-11
+        assert (c_11.terms[(0, 0)] - chi2[(0, 0)]).l2_norm() < 1e-11
         # abar_{2,alpha,k} matches the ordered-pair third-order tensor
         ab = table.abar(2, (2, 0))
         assert np.allclose([p.constant_term() for p in ab],
-                           suite.abar3[:, 0, 0], atol=1e-11)
+                           abar3[:, 0, 0], atol=1e-11)
         ab = table.abar(2, (1, 1))
         assert np.allclose([p.constant_term() for p in ab],
-                           suite.abar3[:, 0, 1] + suite.abar3[:, 1, 0],
-                           atol=1e-11)
+                           abar3[:, 0, 1] + abar3[:, 1, 0], atol=1e-11)
 
     def test_chi3_separable_structure(self, case_1d):
         # chi_{3,e_i} = (mu0 - W(x)) psi_i(y): one shape, weights (mu0, -1)
@@ -148,7 +154,7 @@ class TestConstantCoefficient:
         W = w_iso(2)
         basis = MacroBasis(2, 12, 1.0)
         spec = solve_spectrum(np.eye(2), W, basis, 4)
-        br = simple_recursion(coeff, W, spec, 1, 3)
+        br = simple_recursion(store(coeff, W, tol=1e-12), spec, 1, 3)
         assert all(abs(m) < 1e-12 for m in br.mu[1:])
         assert all(u.norm() < 1e-12 for u in br.U[1:])
         for q in range(1, 4):
@@ -162,7 +168,7 @@ class TestConstantCoefficient:
         W = w_iso(1)
         basis = MacroBasis(1, 32, 1.0)
         spec = solve_spectrum(np.array([[1.0]]), W, basis, 4)
-        br = simple_recursion(coeff, W, spec, 1, 2)
+        br = simple_recursion(store(coeff, W, tol=1e-12), spec, 1, 2)
         pts = np.linspace(-3, 3, 41).reshape(-1, 1)
         asm = assemble(br, 0.3, pts)
         assert asm.lambda_tilde == pytest.approx(spec.eigenvalue(1), abs=1e-12)
@@ -197,8 +203,9 @@ class TestSimpleRecursion:
         basis = MacroBasis(1, 48, 1.0)
         spec = solve_spectrum(np.array([[1.0]]), W, basis, 6)
         chi1 = None
+        shared = store(coeff, W)
         for n in (0, 1, 2):
-            br = simple_recursion(coeff, W, spec, n + 1, 2, torus_tol=1e-13)
+            br = simple_recursion(shared, spec, n + 1, 2)
             if chi1 is None:
                 chi1 = br.table.chi(1, (1,)).terms[(0,)]
                 cov = l2_inner(chi1, chi1)
@@ -219,7 +226,7 @@ class TestSimpleRecursion:
     def test_not_simple_rejected(self, case_2d_laminate):
         coeff, W, spec = case_2d_laminate
         with pytest.raises(NotSimple):
-            simple_recursion(coeff, W, spec, 2, 2)
+            simple_recursion(store(coeff, W, tol=1e-12), spec, 2, 2)
 
 
 class TestCouplingMatrix:
@@ -260,7 +267,7 @@ class TestCouplingMatrix:
 class TestMultipleRecursion:
     def test_branches_match_separable_oracle(self, case_2d_laminate):
         coeff, W, spec = case_2d_laminate
-        branches = multiple_recursion(coeff, W, spec, 2, 2, torus_tol=1e-13)
+        branches = multiple_recursion(store(coeff, W), spec, 2, 2)
         assert len(branches) == 2
         chi1 = branches[0].table.chi(1, (1, 0)).terms[(0, 0)]
         cov = l2_inner(chi1, chi1)
@@ -275,7 +282,7 @@ class TestMultipleRecursion:
 
     def test_n1_equals_simple(self, case_1d):
         coeff, W, spec, simple = case_1d
-        multi = multiple_recursion(coeff, W, spec, 1, 3, torus_tol=1e-13)
+        multi = multiple_recursion(store(coeff, W), spec, 1, 3)
         assert len(multi) == 1
         br = multi[0]
         for p in range(4):
@@ -284,7 +291,7 @@ class TestMultipleRecursion:
             assert (u_m - u_s).norm() < 1e-10
         # both run the one level loop: at the same P (so the same
         # quadrature) the branch is the simple one bit for bit
-        same_p = simple_recursion(coeff, W, spec, 1, 3, torus_tol=1e-13)
+        same_p = simple_recursion(store(coeff, W), spec, 1, 3)
         assert br.mu == same_p.mu
         assert all(np.array_equal(u_m.coeffs, u_s.coeffs)
                    for u_m, u_s in zip(br.U, same_p.U))
@@ -293,10 +300,10 @@ class TestMultipleRecursion:
     def test_cluster_solves_each_cell_problem_once(self, case_2d_laminate,
                                                    monkeypatch, P):
         # the branches share mu_0 and mu_1 = 0, so one store keyed on
-        # (q, alpha, mu prefix) serves the cluster: every entry is built
-        # once, every cell problem (one source) is solved once, and each
-        # branch is bit for bit the branch that an unshared table of its
-        # own gives
+        # (q, alpha, mu prefix) serves homogenize and the cluster: every
+        # entry is built once, every cell problem (one source) is solved
+        # once and counted by the store, and each branch is bit for bit the
+        # branch that an unshared table of its own gives
         import homspec.expansion as expansion
         coeff, W, spec = case_2d_laminate
         build, solve = CorrectorTable._solve_chi, expansion.solve_cell
@@ -322,14 +329,15 @@ class TestMultipleRecursion:
             monkeypatch.setattr(CorrectorTable, "_solve_chi", counting_build)
             monkeypatch.setattr(expansion, "solve_cell", counting_solve)
             monkeypatch.setattr(CorrectorTable, "fork", fork)
-            branches = multiple_recursion(coeff, W, spec, 2, P, torus_tol=1e-13)
+            branches = multiple_recursion(store(coeff, W), spec, 2, P)
             return branches, built, solved
 
         shared, built, solves = run(CorrectorTable.fork)
         assert len(built) == len(set(built))
         assert len(solves) == len(set(solves))
-        alone, built_alone, solves_alone = run(lambda t: CorrectorTable(
-            t.coeff, t.W, [t.mu[0]], tol=t.tol))
+        assert shared[0].table.cell_solves() == len(solves)
+        alone, built_alone, solves_alone = run(
+            lambda t, mu0: CorrectorTable(t.coeff, t.W, [mu0], tol=t.tol))
         assert set(built_alone) == set(built)
         assert len(built_alone) > len(built)
         assert set(solves_alone) == set(solves)
@@ -365,7 +373,7 @@ class TestMultipleRecursion:
 
             monkeypatch.setattr(expansion, "solve_cell", counting_solve)
             monkeypatch.setattr(CorrectorTable, "__init__", table_init)
-            branches = multiple_recursion(coeff, W, spec, 2, 4, torus_tol=1e-13)
+            branches = multiple_recursion(store(coeff, W), spec, 2, 4)
             return branches, len(calls)
 
         deduped, n_deduped = run(False)
@@ -383,12 +391,12 @@ class TestMultipleRecursion:
         basis = MacroBasis(2, 12, 1.0)
         spec = solve_spectrum(np.eye(2), W, basis, 6)
         with pytest.raises(DegenerateD):
-            multiple_recursion(coeff, W, spec, 2, 2)
+            multiple_recursion(store(coeff, W, tol=1e-12), spec, 2, 2)
 
     def test_deeper_orders_run(self, case_2d_laminate):
         # P = 4 exercises the deferred-normalization path (alpha at K >= 4)
         coeff, W, spec = case_2d_laminate
-        branches = multiple_recursion(coeff, W, spec, 2, 4, torus_tol=1e-13)
+        branches = multiple_recursion(store(coeff, W), spec, 2, 4)
         for br in branches:
             assert all(v < 1e-8 for k, v in br.solvability_residuals.items()
                        if not isinstance(k, tuple))
@@ -462,7 +470,7 @@ class TestMatchingAmbiguity:
         from homspec.errors import MatchingAmbiguous
         from homspec.reference import FineGrid, ReferenceSpectrum, match_and_compare
         coeff, W, spec = case_2d_laminate
-        branches = multiple_recursion(coeff, W, spec, 2, 2, torus_tol=1e-13)
+        branches = multiple_recursion(store(coeff, W), spec, 2, 2)
         grid = FineGrid(2, 5.0, 0.125)
         pts = grid.points()
         v = branches[0].U[0].evaluate(pts)
@@ -487,7 +495,7 @@ class TestMatchingAmbiguity:
         from homspec.reference import FineGrid, ReferenceSpectrum, match_and_compare
         from homspec.torus import FourierSampler
         coeff, W, spec = case_2d_laminate
-        branches = multiple_recursion(coeff, W, spec, 2, 3, torus_tol=1e-13)
+        branches = multiple_recursion(store(coeff, W), spec, 2, 3)
         eps, P = 0.5, 3
         grid = FineGrid(2, 5.0, 0.125)
         pts = grid.points()

@@ -233,6 +233,16 @@ class TestPipeline:
         _, manifest, _ = mini_run
         assert manifest.hierarchy_residual_max < 1e-8
 
+    def test_manifest_cell_solves(self):
+        # homogenize and the two-branch cluster share one corrector store:
+        # the multiple-2d sweep solves 7 cell problems (13 when homogenize
+        # solved the ordered pairs on its own) to a residual below 1e-10
+        cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
+                                       "configs", "multiple-2d.ini"))
+        manifest, _ = run(cfg)
+        assert manifest.cell_solves == 7
+        assert 0.0 < manifest.cell_residual_max < 1e-10
+
 
 class TestVerify:
     def test_all_pass(self):
@@ -268,6 +278,8 @@ class TestCLI:
                       "homogenize", cwd=str(tmp_path))
         assert r.returncode == 0, r.stderr
         payload = json.loads((tmp_path / "homogenize.json").read_text())
+        assert sorted(payload) == ["abar", "abar3_sym", "cyclic_check",
+                                   "lam_max", "lam_min", "theta"]
         assert abs(payload["abar"][0][0] - np.sqrt(3.0)) < 1e-10
         assert payload["cyclic_check"] < 1e-10
 

@@ -21,6 +21,50 @@ KEPT_UNREAD = {
 }
 
 
+# public method names that more than one class defines.  A call such as
+# x.evaluate(...) cannot be traced to its class from the AST, so a name any
+# class's method is called by counts as used for every owner; each owner
+# names its caller here instead, and a new shared name or owner fails
+# test_no_unused_helpers until it is listed
+SHARED_METHODS = {
+    "axis": {
+        "FineGrid": "FineGrid.points and reference._tridiag_1d",
+        "TorusGrid": "TorusGrid.coords (a property)",
+    },
+    "constant": {
+        "PeriodicField": "SeparableField.one",
+        "SlowPolynomial": "config.parse_potential_expr",
+    },
+    "degree": {
+        "SeparableField": "SeparableField.mul_poly, against the degree cap",
+        "SlowPolynomial": "hermite.poly_multiply_op and hermite.assemble_L0",
+    },
+    "evaluate": {
+        "MacroFunction": "test_hermite and test_expansion, as the per-call "
+                         "route that HermiteSampler is checked against",
+        "PeriodicField": "CoefficientField.entry and verify.run_invariants",
+    },
+    "is_zero": {
+        "SeparableField": "CorrectorTable._rhs and expansion.assemble",
+        "SlowPolynomial": "expansion._div_sources and build_D_matrix",
+    },
+    "points": {
+        "FineGrid": "reference.match_and_compare",
+        "QuadratureRule": "expansion._div_sources and build_D_matrix",
+    },
+    "shape": {
+        "MacroBasis": "hermite.extended_coefficients (a property)",
+        "TorusGrid": "config.RunConfig.coefficient (a property)",
+    },
+    "zero": {
+        "MacroFunction": "expansion._snap_first_order and "
+                         "hermite.resolvent_solve",
+        "SeparableField": "CorrectorTable.chi",
+        "SlowPolynomial": "CorrectorTable.abar",
+    },
+}
+
+
 def _trees():
     paths = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("tests/*.py"))
     return [(path, ast.parse(path.read_text(encoding="utf-8")))
@@ -81,6 +125,13 @@ def test_no_unused_helpers():
               if fn.name not in used
               and (fn.name == qual or not fn.name.startswith("_"))]
     assert not unused, f"never referenced in src/ or tests/: {unused}"
+    owners = {}
+    for _, qual, _, fn, _ in _defined(trees):
+        if fn.name != qual and not fn.name.startswith("_"):
+            owners.setdefault(fn.name, set()).add(qual.split(".")[0])
+    shared = {name: by for name, by in owners.items() if len(by) > 1}
+    assert shared == {name: set(by) for name, by in SHARED_METHODS.items()}, (
+        f"method names shared across classes changed: {shared}")
 
 
 def test_every_default_is_passed():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homspec.errors import DegenerateFit, GradientFloor, GridTooCoarse
+from homspec.classical import build_suite
 from homspec.expansion import simple_recursion
 from homspec.hermite import MacroBasis, default_sigma, solve_spectrum
 from homspec.reference import (
@@ -140,12 +141,10 @@ class TestSolve2D:
         assert sep.diagnostics["path"] == "separable"
         assert np.max(np.abs(sep.eigenvalues_h - vals)) < 1e-9
 
-    def test_sampled_coefficient_matches_expression(self):
-        # a non-separable diagonal coefficient takes the sparse path; given
-        # as grid samples it is evaluated through its interpolant, which
-        # reproduces these low modes to rounding.  Over 10 runs of each the
-        # eigenvalues differed by at most 8.1e-15 relative (the shift-invert
-        # start vector is random)
+    @staticmethod
+    def _non_separable():
+        """A non-separable diagonal coefficient (the sparse path), as an
+        expression and as grid samples, with W and the fine grid."""
         grid2 = TorusGrid(2, 16)
         expr = CoefficientField.from_diagonal(grid2, [
             lambda y1, y2: 2.0 + np.cos(TWO_PI * y1) * np.cos(TWO_PI * y2),
@@ -153,13 +152,29 @@ class TestSolve2D:
         ])
         sampled = CoefficientField.from_samples(grid2, expr.a.values)
         W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
-        fg = FineGrid(2, 2.0, 0.5 / 8)
+        return expr, sampled, W, FineGrid(2, 2.0, 0.5 / 8)
+
+    def test_sampled_coefficient_matches_expression(self):
+        # given as grid samples the coefficient is evaluated through its
+        # interpolant, which reproduces these low modes to rounding, not bit
+        # for bit: the eigenvalues differ by 3.9e-15 relative
+        expr, sampled, W, fg = self._non_separable()
         want = solve_Leps(expr, W, 0.5, fg, 3, keep_vectors=False)
         got = solve_Leps(sampled, W, 0.5, fg, 3, keep_vectors=False)
         assert want.diagnostics["path"] == got.diagnostics["path"] == "sparse"
         for a, b in ((want.eigenvalues_h, got.eigenvalues_h),
                      (want.eigenvalues_h2, got.eigenvalues_h2)):
             assert np.max(np.abs(a - b) / a) < 1e-13
+
+    def test_sparse_path_is_reproducible(self):
+        # the shift-invert start vector is seeded, so two solves of one
+        # problem agree bit for bit
+        _, sampled, W, fg = self._non_separable()
+        first, second = (solve_Leps(sampled, W, 0.5, fg, 3, keep_vectors=False)
+                         for _ in range(2))
+        assert first.diagnostics["path"] == "sparse"
+        assert first.eigenvalues_h.tobytes() == second.eigenvalues_h.tobytes()
+        assert first.eigenvalues_h2.tobytes() == second.eigenvalues_h2.tobytes()
 
     def test_oscillator_2d(self):
         grid2 = TorusGrid(2, 16)
@@ -402,7 +417,8 @@ def branch_1d():
     abar = np.array([[np.sqrt(3.0)]])
     basis = MacroBasis(1, 48, default_sigma(abar, W))
     spec = solve_spectrum(abar, W, basis, 5)
-    return coeff, W, simple_recursion(coeff, W, spec, 1, 3, torus_tol=1e-13)
+    store, _, _ = build_suite(coeff, W, tol=1e-13)
+    return coeff, W, simple_recursion(store, spec, 1, 3)
 
 
 class TestMatching:
@@ -412,7 +428,7 @@ class TestMatching:
         W = w1()
         basis = MacroBasis(1, 40, 1.0)
         spec = solve_spectrum(np.array([[1.0]]), W, basis, 4)
-        br = simple_recursion(c, W, spec, 1, 2)
+        br = simple_recursion(build_suite(c, W)[0], spec, 1, 2)
         fg = FineGrid(1, 7.0, 1.0 / 128)
         ref = solve_Leps(c, W, 0.5, fg, 2)
         rows = match_and_compare(ref, br, 0.5)
