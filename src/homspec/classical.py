@@ -29,7 +29,6 @@ from .torus import (
     div_y,
     grad_y,
     hminus1_norm,
-    pointwise_multiply,
     solve_flux_corrector,
 )
 
@@ -40,11 +39,13 @@ def _unit(d: int, *axes: int) -> tuple:
 
 
 def _flux1(table: CorrectorTable, k: int) -> PeriodicField:
-    """a(e_k + grad chi1_k) as a vector field."""
-    a = table.coeff.a
-    col = PeriodicField(table.grid, a.values[:, k])
+    """a(e_k + grad chi1_k) as a vector field: multiply(grad chi1_k) plus
+    the raw column a e_k, the coefficient's samples with no round trip
+    through the padded grid."""
+    coeff = table.coeff
     chi = table.chi(1, _unit(table.d, k)).terms[(0,) * table.d]
-    return pointwise_multiply(a, grad_y(chi)) + col
+    return (coeff.multiply(grad_y(chi))
+            + PeriodicField(table.grid, coeff.a.values[:, k]))
 
 
 def _abar3_sym(table: CorrectorTable) -> np.ndarray:

@@ -190,26 +190,30 @@ class CorrectorTable:
             self._cells[key] = (u, cell_residual(self.coeff, u, **source))
         return self._cells[key]
 
+    def _slow_vector(self, q: int, alpha: tuple) -> list:
+        """grad_x chi_{q-1,alpha} + sum_j e_j chi_{q-1,alpha-e_j}, the part of
+        the order-q flux before a grad_y chi_{q,alpha}, one field per axis."""
+        c_prev = self.chi(q - 1, alpha)
+        return [c_prev.dx(j) + self.chi(q - 1, _sub(alpha, j))
+                for j in range(self.d)]
+
+    def _times_a(self, v: list) -> list:
+        """a v for a vector of d separable fields: one multiply per slow
+        monomial."""
+        zero = PeriodicField.zeros(self.grid)
+        out = [SeparableField.zero(self.grid) for _ in range(self.d)]
+        for beta in dict.fromkeys(b for vj in v for b in vj.terms):
+            av = self.coeff.multiply(PeriodicField(self.grid, np.stack(
+                [vj.terms.get(beta, zero).values for vj in v])))
+            for i in range(self.d):
+                out[i]._accumulate(beta, av.component(i))
+        return out
+
     def _rhs(self, q: int, alpha: tuple) -> SeparableField:
         m = sum(alpha)
-        a = self.coeff.a
         rhs = SeparableField.zero(self.grid)
-        c_prev = self.chi(q - 1, alpha)
-        if not c_prev.is_zero():
-            for j in range(self.d):
-                gj = c_prev.dx(j)
-                if gj.is_zero():
-                    continue
-                for i in range(self.d):
-                    rhs = rhs + gj.mul_field(a.component(i, j)).dy(i)
-        for j in range(self.d):
-            if alpha[j] == 0:
-                continue
-            c = self.chi(q - 1, _sub(alpha, j))
-            if c.is_zero():
-                continue
-            for i in range(self.d):
-                rhs = rhs + c.mul_field(a.component(i, j)).dy(i)
+        for i, f in enumerate(self._times_a(self._slow_vector(q, alpha))):
+            rhs = rhs + f.dy(i)
         f_same = self.flux(q - 1, alpha)
         for i in range(self.d):
             rhs = rhs + f_same[i].ring().dx(i)
@@ -227,26 +231,12 @@ class CorrectorTable:
         return rhs.purge(PRUNE_TOL)
 
     def _build_flux(self, q: int, alpha: tuple) -> list:
-        a = self.coeff.a
-        c_prev = self.chi(q - 1, alpha)
+        """a (grad_x chi_{q-1,alpha} + sum_j e_j chi_{q-1,alpha-e_j}
+        + grad_y chi_{q,alpha})."""
         c_cur = self.chi(q, alpha)
-        dx_prev = [c_prev.dx(j) for j in range(self.d)]
-        dy_cur = [c_cur.dy(j) for j in range(self.d)]
-        comps = []
-        for i in range(self.d):
-            f = SeparableField.zero(self.grid)
-            for j in range(self.d):
-                aij = a.component(i, j)
-                if not dx_prev[j].is_zero():
-                    f = f + dx_prev[j].mul_field(aij)
-                if alpha[j] > 0:
-                    c = self.chi(q - 1, _sub(alpha, j))
-                    if not c.is_zero():
-                        f = f + c.mul_field(aij)
-                if not dy_cur[j].is_zero():
-                    f = f + dy_cur[j].mul_field(aij)
-            comps.append(f.purge(PRUNE_TOL))
-        return comps
+        v = [vj + c_cur.dy(j)
+             for j, vj in enumerate(self._slow_vector(q, alpha))]
+        return [f.purge(PRUNE_TOL) for f in self._times_a(v)]
 
     def _build_abar(self, q: int, alpha: tuple) -> list:
         return [f.y_mean().prune(1e-16) for f in self.flux(q, alpha)]

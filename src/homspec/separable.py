@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import DegreeCapExceeded, GridMismatch
 from .slowpoly import SlowPolynomial
-from .torus import (FourierSampler, PeriodicField, TorusGrid, deriv_y,
-                    pointwise_multiply)
+from .torus import FourierSampler, PeriodicField, TorusGrid, deriv_y
 
 
 class SeparableField:
@@ -108,12 +107,6 @@ class SeparableField:
                 f"separable field degree {out.degree()} exceeds cap {degree_cap}"
             )
         return out
-
-    def mul_field(self, g: PeriodicField) -> "SeparableField":
-        """Multiply every shape by a scalar periodic field."""
-        return SeparableField(self.grid, {
-            b: pointwise_multiply(f, g) for b, f in self.terms.items()
-        })
 
     def dx(self, axis: int) -> "SeparableField":
         out = SeparableField(self.grid)

@@ -2,8 +2,10 @@
 
 Fields are sampled on a uniform n^d grid and manipulated pseudo-spectrally:
 derivatives are exact on resolved modes (multiplication by 2*pi*i*k in Fourier
-space) and products are formed on the grid padded by the 3/2 rule, which
-removes quadratic aliasing.  The two solvers everything else reduces to are
+space).  The one product with the coefficient, CoefficientField.multiply, is
+formed on the grid padded by the 3/2 rule, which removes quadratic aliasing;
+the cell operator, the corrector sources and the fluxes are all built from
+it, grad_y and div_y.  The two solvers everything else reduces to are
 
     solve_cell:            -div(a grad u) = div F + G   on T^d,  <u> = 0
     solve_flux_corrector:  -lap s_ij = d_j g_i - d_i g_j, so that div s = g
@@ -192,10 +194,7 @@ class PeriodicField:
     def __neg__(self):
         return PeriodicField(self.grid, -self.values)
 
-    # --- spectral helpers ---
-
-    def fft(self) -> np.ndarray:
-        return np.fft.fftn(self.values, axes=self.grid_axes)
+    # --- evaluation ---
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Trigonometric interpolation of a scalar field at arbitrary points.
@@ -293,10 +292,6 @@ class FourierSampler:
         return tensor_contract(self.bases, fh, self.index)
 
 
-def mean(f: PeriodicField):
-    return f.mean()
-
-
 def _deriv(fh: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Grid values of the derivative whose wavenumbers are k, from the
     unnormalized spectrum fh."""
@@ -324,18 +319,17 @@ def div_y(f: PeriodicField) -> PeriodicField:
     """Spectral divergence; rank 1 -> rank 0, rank 2 -> rank 1 (column-wise).
 
     For a matrix field the j-th output component is d_i s_ij, so that the
-    stream matrix identity div s = g holds componentwise.
+    stream matrix identity div s = g holds componentwise.  The d derivatives
+    of an output are summed in Fourier space before one inverse transform.
     """
     if f.rank not in (1, 2):
         raise GridMismatch("div_y expects a vector or matrix field")
     d = f.grid.dim
     columns = [f.values] if f.rank == 1 else [f.values[:, j] for j in range(d)]
-    comps = []
-    for col in columns:
-        acc = np.zeros(f.grid.shape)
-        for i in range(d):
-            acc += _deriv(np.fft.fftn(col[i]), f.grid.wavenumbers[i])
-        comps.append(acc)
+    ks = f.grid.wavenumbers
+    comps = [np.real(np.fft.ifftn(sum(1j * k * np.fft.fftn(c)
+                                      for k, c in zip(ks, col))))
+             for col in columns]
     return PeriodicField(f.grid, comps[0] if f.rank == 1 else np.stack(comps))
 
 
@@ -378,49 +372,6 @@ def pad_values(values: np.ndarray, n: int) -> np.ndarray:
     m = _pad_shape(n)
     fh = np.fft.fftn(values) / values.size
     return np.real(np.fft.ifftn(_copy_modes(fh, n, m))) * m ** values.ndim
-
-
-def truncate_values(values: np.ndarray, n: int) -> np.ndarray:
-    """Project an array on the padded grid back onto the n-grid modes."""
-    fh = np.fft.fftn(values) / values.size
-    return np.real(np.fft.ifftn(_copy_modes(fh, n, n))) * n ** values.ndim
-
-
-def _mul_core(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    return truncate_values(pad_values(u, n) * pad_values(v, n), n)
-
-
-def pointwise_multiply(f: PeriodicField, g: PeriodicField) -> PeriodicField:
-    """Product of two fields with tensor contraction rules.
-
-    rank0*rank0 -> rank0, rank0*rank1 -> rank1, rank1.rank1 -> rank0 (dot),
-    rank2*rank1 -> rank1 (matvec).  Products are formed on the 3/2-padded
-    grid then truncated.
-    """
-    grid = _check_same_grid(f, g)
-    n = grid.modes_per_axis
-    d = grid.dim
-    if f.rank == 0 and g.rank == 0:
-        return PeriodicField(grid, _mul_core(f.values, g.values, n))
-    if f.rank == 0 and g.rank == 1:
-        comps = [_mul_core(f.values, g.values[i], n) for i in range(d)]
-        return PeriodicField(grid, np.stack(comps))
-    if f.rank == 1 and g.rank == 0:
-        return pointwise_multiply(g, f)
-    if f.rank == 1 and g.rank == 1:
-        out = np.zeros(grid.shape)
-        for i in range(d):
-            out += _mul_core(f.values[i], g.values[i], n)
-        return PeriodicField(grid, out)
-    if f.rank == 2 and g.rank == 1:
-        comps = []
-        for i in range(d):
-            acc = np.zeros(grid.shape)
-            for j in range(d):
-                acc += _mul_core(f.values[i, j], g.values[j], n)
-            comps.append(acc)
-        return PeriodicField(grid, np.stack(comps))
-    raise GridMismatch(f"unsupported ranks {f.rank} * {g.rank}")
 
 
 def l2_inner(f: PeriodicField, g: PeriodicField) -> float:
@@ -546,7 +497,7 @@ class CoefficientField:
         return True
 
     def padded_values(self) -> np.ndarray:
-        """Coefficient resampled on the 3/2 grid, cached for the CG operator."""
+        """Coefficient resampled on the 3/2 grid, cached for multiply."""
         if self._padded is None:
             n = self.grid.modes_per_axis
             d = self.grid.dim
@@ -557,6 +508,29 @@ class CoefficientField:
                     out[i, j] = pad_values(self.a.values[i, j], n)
             self._padded = out
         return self._padded
+
+    def multiply(self, g: PeriodicField) -> PeriodicField:
+        """The vector field a g, formed on the 3/2-padded grid.
+
+        Each g_j is padded, a_ij g_j is summed over j on the padded grid and
+        each component is truncated once.  This is the one product with the
+        coefficient: the cell operator, the corrector sources and the fluxes
+        all go through it.
+        """
+        if g.grid != self.grid or g.rank != 1:
+            raise GridMismatch("multiply expects a vector field on the "
+                               "coefficient's grid")
+        n = self.grid.modes_per_axis
+        d = self.grid.dim
+        m = _pad_shape(n)
+        scale = (m / n) ** d
+        pads = [np.real(np.fft.ifftn(_copy_modes(np.fft.fftn(gj), n, m)))
+                * scale for gj in g.values]
+        ap = self.padded_values()
+        return PeriodicField(self.grid, np.stack([
+            np.real(np.fft.ifftn(_copy_modes(np.fft.fftn(
+                sum(ap[i, j] * pads[j] for j in range(d))), n, n))) / scale
+            for i in range(d)]))
 
     def entry(self, i: int, j: int):
         """a_ij as a callable of (y1[, y2]): the closed-form expression when
@@ -571,34 +545,15 @@ class CoefficientField:
 # --- the two solvers --------------------------------------------------------
 
 def _apply_operator(coeff: CoefficientField, u: np.ndarray) -> np.ndarray:
-    """-div(a grad u); gradient and divergence act on the n-grid, the
-    coefficient product is formed on the 3/2 grid.
+    """-div(a grad u): gradient and divergence act on the n-grid, the
+    coefficient product is CoefficientField.multiply on the 3/2 grid.
 
     Padding and truncation are exact adjoints and the derivative matrix is
-    antisymmetric, so the composite is exactly symmetric; it also coincides
-    exactly with the div_y(pointwise_multiply(a, grad_y(u))) path, which is
-    what makes the computed fluxes divergence-free to solver precision.
+    antisymmetric, so the composite is exactly symmetric.  The fluxes are
+    built from the same multiply, grad_y and div_y, which is what makes them
+    divergence-free to solver precision.
     """
-    grid = coeff.grid
-    n = grid.modes_per_axis
-    d = grid.dim
-    ks = grid.wavenumbers
-    uh = np.fft.fftn(u)
-    grads = [_deriv(uh, k) for k in ks]
-    m = _pad_shape(n)
-    scale = (m / n) ** d
-    pads = [np.real(np.fft.ifftn(_copy_modes(np.fft.fftn(g), n, m)))
-            * scale for g in grads]
-    ap = coeff.padded_values()
-    fluxes = []
-    for i in range(d):
-        fp = sum(ap[i, j] * pads[j] for j in range(d))
-        fluxes.append(np.real(np.fft.ifftn(
-            _copy_modes(np.fft.fftn(fp), n, n))) / scale)
-    out = np.zeros(grid.shape, dtype=complex)
-    for i in range(d):
-        out += 1j * ks[i] * np.fft.fftn(fluxes[i])
-    return -np.real(np.fft.ifftn(out))
+    return -div_y(coeff.multiply(grad_y(PeriodicField(coeff.grid, u)))).values
 
 
 def solve_cell(coeff: CoefficientField,

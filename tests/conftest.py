@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from homspec.torus import PeriodicField, grad_y, pointwise_multiply, solve_cell
+from homspec.torus import PeriodicField, grad_y, solve_cell
 
 
 def pytest_addoption(parser):
@@ -24,23 +24,27 @@ def _ordered_pair_correctors(coeff, tol):
     """The classical cell solves that the corrector store replaced, kept as
     an oracle for it: chi1[k], chi2[(j, k)] for every ordered pair, and the
     ordered third-order tensor
-    abar3[i, j, k] = <(a grad chi2_jk + a e_j chi1_k)_i>."""
-    grid, a = coeff.grid, coeff.a
+    abar3[i, j, k] = <(a grad chi2_jk + a e_j chi1_k)_i>.  Every product
+    with a is coeff.multiply; a e_j chi1_k multiplies the vector field that
+    holds chi1_k in slot j."""
+    grid = coeff.grid
     d = grid.dim
-    cols = [PeriodicField(grid, a.values[:, k]) for k in range(d)]
+    cols = [PeriodicField(grid, coeff.a.values[:, k]) for k in range(d)]
     chi1, g = [], []
     for col in cols:
         chi = solve_cell(coeff, F=col, tol=tol)
         chi1.append(chi)
-        g.append((pointwise_multiply(a, grad_y(chi)) + col).mean_zero())
+        g.append((coeff.multiply(grad_y(chi)) + col).mean_zero())
     chi2 = {}
     abar3 = np.zeros((d, d, d))
     for j in range(d):
         for k in range(d):
-            F = pointwise_multiply(chi1[k], cols[j])
+            slot = np.zeros((d,) + grid.shape)
+            slot[j] = chi1[k].values
+            F = coeff.multiply(PeriodicField(grid, slot))
             G = PeriodicField(grid, g[k].values[j]).mean_zero()
             chi2[(j, k)] = solve_cell(coeff, F=F, G=G, tol=tol)
-            flux = pointwise_multiply(a, grad_y(chi2[(j, k)])) + F
+            flux = coeff.multiply(grad_y(chi2[(j, k)])) + F
             abar3[:, j, k] = np.asarray(flux.mean())
     return chi1, chi2, abar3
 

@@ -177,12 +177,14 @@ class TestOrderedPairOracle:
     def test_random_2d_chi2_and_cyclic(self, ordered_pairs, seed, amp):
         # over random smooth SPD coefficients the store's second-order
         # correctors are the ordered-pair sums (apart by at most 1.3e-17
-        # relative over 30 draws; both are CG solves to 1e-13), and
-        # abar3_sym cancels cyclically
+        # relative over 30 draws; both are CG solves to 1e-13), abar3_sym
+        # cancels cyclically, and the centered second-order fluxes are
+        # divergence-free
         c = random_trig_coeff(np.random.default_rng(seed), TorusGrid(2, 24),
                               amp=amp)
         store, _, abar3_sym = suite(c, tol=1e-13)
         assert cyclic_check(abar3_sym) < 1e-10
+        assert suite_diagnostics(store)["flux2_consistency"] < 1e-10
         _, chi2_o, _ = ordered_pairs(c, 1e-13)
         for j in range(2):
             for k in range(j, 2):

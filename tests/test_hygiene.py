@@ -110,7 +110,29 @@ def _calls(trees) -> dict:
     return calls
 
 
+def _module_uses(trees) -> set:
+    """(module file, name) pairs for every top-level name that is used: its
+    own module loads it by name, another file imports it from that module,
+    or code reads it as an attribute of that module."""
+    used = set()
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((path.name, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                mod = node.module.rsplit(".", 1)[-1] + ".py"
+                used.update((mod, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                owner = node.value
+                owner = getattr(owner, "id", getattr(owner, "attr", None))
+                used.add((f"{owner}.py", node.attr))
+    return used
+
+
 def test_no_unused_helpers():
+    # a method counts as used when any name or attribute spells it (its
+    # class cannot be told from the AST); a module function only when it
+    # is reached through its own module
     trees = _trees()
     used = set()
     for _, tree in trees:
@@ -119,11 +141,11 @@ def test_no_unused_helpers():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name.rsplit(".", 1)[-1])
+    module_used = _module_uses(trees)
     unused = [f"{mod}:{qual}" for mod, qual, _, fn, _ in _defined(trees)
-              if fn.name not in used
-              and (fn.name == qual or not fn.name.startswith("_"))]
+              if (fn.name == qual and (mod, fn.name) not in module_used)
+              or (fn.name != qual and not fn.name.startswith("_")
+                  and fn.name not in used)]
     assert not unused, f"never referenced in src/ or tests/: {unused}"
     owners = {}
     for _, qual, _, fn, _ in _defined(trees):

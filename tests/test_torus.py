@@ -27,7 +27,6 @@ from homspec.torus import (
     grad_y,
     hminus1_norm,
     l2_inner,
-    pointwise_multiply,
     solve_cell,
     solve_flux_corrector,
     tensor_contract,
@@ -71,20 +70,15 @@ class TestMeans:
         assert abs(f.mean_zero().mean()) < 1e-15
 
     def test_sin_squared_mean(self):
-        # multiply(sin, sin) has mean 1/2
+        # (2 + sin) sin = 2 sin + sin^2 has mean 1/2
+        c = CoefficientField.from_isotropic(
+            grid1(), lambda y: 2.0 + np.sin(TWO_PI * y))
         f = field1(lambda y: np.sin(TWO_PI * y))
-        p = pointwise_multiply(f, f)
-        assert p.mean() == pytest.approx(0.5, abs=1e-14)
+        p = c.multiply(PeriodicField(f.grid, f.values[np.newaxis]))
+        assert p.mean()[0] == pytest.approx(0.5, abs=1e-14)
 
 
 class TestRoundTripAndDerivatives:
-    def test_fft_round_trip(self):
-        rng = np.random.default_rng(3)
-        g = grid2()
-        f = PeriodicField(g, rng.standard_normal(g.shape))
-        back = np.real(np.fft.ifftn(f.fft()))
-        assert np.max(np.abs(back - f.values)) < 1e-13
-
     def test_grad_of_constant(self):
         f = PeriodicField.constant(grid2(), 1.5)
         assert grad_y(f).l2_norm() < 1e-14
@@ -111,10 +105,11 @@ class TestRoundTripAndDerivatives:
         assert np.max(np.abs(f.evaluate(pts) - exact)) < 1e-12
 
     def test_grid_mismatch_raises(self):
-        f = PeriodicField.constant(grid1(32), 1.0)
-        g = PeriodicField.constant(grid1(64), 1.0)
+        c = CoefficientField.identity(grid1(32))
         with pytest.raises(GridMismatch):
-            pointwise_multiply(f, g)
+            c.multiply(PeriodicField.zeros(grid1(64), rank=1))
+        with pytest.raises(GridMismatch):
+            c.multiply(PeriodicField.constant(grid1(32), 1.0))
 
 
 class TestCoefficientField:
@@ -236,8 +231,7 @@ class TestSolveCell:
         u = solve_cell(c, F=F, G=G, tol=1e-13)
         assert abs(u.mean()) < 1e-13
         gu = grad_y(u)
-        agu = pointwise_multiply(c.a, gu)
-        lhs = l2_inner(agu, gu)
+        lhs = l2_inner(c.multiply(gu), gu)
         rhs = -l2_inner(F, gu) + l2_inner(G, u)
         assert lhs == pytest.approx(rhs, rel=1e-10)
         assert cell_residual(c, u, F=F, G=G) < 1e-10 * max(F.l2_norm(), 1.0)
@@ -319,7 +313,7 @@ class TestSolveCellProperties:
         G = random_smooth_source(rng, g, 0)
         u = solve_cell(c, F=F, G=G, tol=1e-13)
         gu = grad_y(u)
-        lhs = l2_inner(pointwise_multiply(c.a, gu), gu)
+        lhs = l2_inner(c.multiply(gu), gu)
         rhs = -l2_inner(F, gu) + l2_inner(G, u)
         assert abs(u.mean()) < 1e-13
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
@@ -394,11 +388,15 @@ class TestNorms:
     def test_dealiasing_exact_quadratic(self):
         # product of two resolved modes is exact after 3/2 padding
         g = grid1(16)
+        c = CoefficientField.from_isotropic(
+            g, lambda y: 2.0 + np.cos(7 * TWO_PI * y))
         f = PeriodicField.from_function(g, lambda y: np.cos(7 * TWO_PI * y))
-        p = pointwise_multiply(f, f)
-        # cos^2 = 1/2 + cos(14 y)/2; mode 14 overflows n=16 only via aliasing,
-        # and the padded product must keep the resolvable part exact
-        assert p.mean() == pytest.approx(0.5, abs=1e-14)
+        p = c.multiply(PeriodicField(g, f.values[np.newaxis]))
+        # (2 + cos) cos = 2 cos + 1/2 + cos(14 y)/2; mode 14 overflows n=16
+        # only via aliasing (onto mode 2), and the padded product must keep
+        # the resolvable part exact
+        assert p.mean()[0] == pytest.approx(0.5, abs=1e-14)
+        assert np.max(np.abs(p.values[0] - 2.0 * f.values - 0.5)) < 1e-14
 
 
 def random_trig_field(grid, seed):
@@ -660,6 +658,60 @@ class TestSpectralAdjoints:
         Au, Av = _apply_operator(a, u), _apply_operator(a, v)
         assert abs(np.sum(Au * v) - np.sum(u * Av)) \
             <= 1e-12 * np.linalg.norm(Au) * np.linalg.norm(v)
+
+
+def band_limited(rng, dim, n):
+    """Random real trigonometric polynomial whose every mode lies below the
+    Nyquist index of an n-grid, as a callable of (m, d) points; its
+    amplitudes sum to 1, so it is bounded by 1 everywhere."""
+    K = n // 2 - 1
+    ks = np.array(np.meshgrid(*[np.arange(-K, K + 1)] * dim,
+                              indexing="ij")).reshape(dim, -1).T
+    c, s = rng.uniform(-1.0, 1.0, (2, len(ks)))
+    total = np.sum(np.abs(c)) + np.sum(np.abs(s))
+    return lambda pts: (np.cos(TWO_PI * pts @ ks.T) @ c
+                        + np.sin(TWO_PI * pts @ ks.T) @ s) / total
+
+
+def sampled(fn, grid):
+    pts = np.stack([c.ravel() for c in grid.coords()], axis=1)
+    return fn(pts).reshape(grid.shape)
+
+
+class TestMultiply:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 12, 16]),
+           dim=st.sampled_from([1, 2]))
+    def test_equals_projected_exact_product(self, seed, n, dim):
+        # a full SPD coefficient and a vector field, both band-limited below
+        # the Nyquist index: a g has modes |k| <= n - 2, so the 2n grid
+        # samples it exactly, and multiply must return its modes |k| < n/2
+        rng = np.random.default_rng(seed)
+        grid, fine = TorusGrid(dim, n), TorusGrid(dim, 2 * n)
+        rs = {(i, j): band_limited(rng, dim, n)
+              for i in range(dim) for j in range(i, dim)}
+        gs = [band_limited(rng, dim, n) for _ in range(dim)]
+
+        def on(gr):
+            a = np.array([[3.0 * (i == j)
+                           + 0.5 * sampled(rs[min(i, j), max(i, j)], gr)
+                           for j in range(dim)] for i in range(dim)])
+            return a, np.array([sampled(f, gr) for f in gs])
+
+        a, g = on(grid)
+        got = CoefficientField.from_samples(grid, a).multiply(
+            PeriodicField(grid, g))
+        a2, g2 = on(fine)
+        K = n // 2 - 1
+        src = np.r_[0:K + 1, 2 * n - K:2 * n]
+        dst = np.r_[0:K + 1, n - K:n]
+        for i in range(dim):
+            ph = np.fft.fftn(sum(a2[i, j] * g2[j] for j in range(dim)))
+            kept = np.zeros(grid.shape, dtype=complex)
+            kept[np.ix_(*[dst] * dim)] = ph[np.ix_(*[src] * dim)]
+            want = np.real(np.fft.ifftn(kept)) / 2 ** dim
+            assert np.max(np.abs(got.values[i] - want)) \
+                <= 1e-13 * np.max(np.abs(want))
 
 
 def random_index(rng, rows, dim, tensor, m):
