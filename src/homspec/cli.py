@@ -105,33 +105,21 @@ def cmd_spectrum(cfg: RunConfig, args):
 
 
 def cmd_expand(cfg: RunConfig, args):
-    from .expansion import assemble
-    from .hermite import HermiteSampler, spectral_gap
-    from .pipeline import (assemble_branches, stage_expand, stage_homogenize,
+    from .expansion import assemble, lambda_tilde
+    from .hermite import HermiteSampler
+    from .pipeline import (expansion_summary, stage_expand, stage_homogenize,
                            stage_spectrum)
     from .torus import FourierSampler
     store, abar, _ = stage_homogenize(cfg)
     spec = stage_spectrum(cfg, store.W, abar)
     warnings = []
-    branches, P_build = stage_expand(cfg, store, spec, warnings)
-    a, b = spec.cluster_of(cfg.j)
-    per_eps = []
-    for eps in cfg.eps_list:
-        entry = {"eps": eps}
-        for br, asm in zip(branches, assemble_branches(branches, eps, warnings)):
-            entry[f"lambda_tilde_branch{br.label}"] = asm.lambda_tilde
-        per_eps.append(entry)
-    payload = {
-        "lambda0": spec.eigenvalue(cfg.j),
-        "gamma": spectral_gap(spec, cfg.j),
-        "cluster_size": b - a,
-        "P": P_build,
-        "mu": {br.label: [float(m) for m in br.mu] for br in branches},
-        "D": branches[0].D.tolist() if branches[0].D is not None else None,
-        "E": branches[0].E.tolist() if branches[0].E is not None else None,
-        "per_eps": per_eps,
-        "warnings": warnings,
-    }
+    branches, P_build, P_eps = stage_expand(cfg, store, spec, warnings)
+    per_eps = [{"eps": eps, **{f"lambda_tilde_branch{br.label}":
+                               lambda_tilde(br, eps, P_eps[eps])
+                               for br in branches}}
+               for eps in cfg.eps_list]
+    payload = {**expansion_summary(branches), "P": P_build,
+               "per_eps": per_eps, "warnings": warnings}
     _dump(payload, args.out, "expand.json")
     if args.out and args.w_samples > 0:
         # one Hermite table for every column and one Fourier basis per eps,
@@ -143,7 +131,7 @@ def cmd_expand(cfg: RunConfig, args):
         for eps in cfg.eps_list:
             sample_y = FourierSampler(store.grid, coords / eps, index)
             columns += [(f"w_eps{eps}_branch{br.label}",
-                         assemble(br, eps, pts, gradient=False,
+                         assemble(br, eps, pts, P=P_eps[eps], gradient=False,
                                   sample_x=sample_x, sample_y=sample_y).w)
                         for br in branches]
         _write_grid_samples(args.out, "w_samples.csv", pts, columns)

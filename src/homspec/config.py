@@ -3,7 +3,7 @@
 Grammar (stdlib configparser syntax, all keys lowercase):
 
     [problem]
-    dim = 1 | 2
+    dim = 1 | 2                  ; default 1
     a   = <expr>                 ; isotropic coefficient a(y) * I
     a_samples = <path.npy>       ; alternative: grid samples (smoothness
                                  ;   warning recorded in the manifest)
@@ -11,26 +11,17 @@ Grammar (stdlib configparser syntax, all keys lowercase):
     a12 = <expr>                 ;   (a21 is implied by symmetry)
     w   = <poly expr>            ; confining potential, degree 2
 
-    [discretization]
-    torus_modes   = 128          ; Fourier modes per axis on the cell
-    hermite_size  = 48           ; Hermite functions per axis
-    hermite_sigma = auto         ; or a positive number
-    solver_tol    = 1e-12
-    fd_h_rule     = 16           ; fine grid h = eps / fd_h_rule
-    radius        = auto         ; box radius, or a number
-    radius_safety = 3.0          ; used when radius = auto
-    validate_radius = false      ; doubling check before the sweep
+    [discretization]  [experiment]  [output]
+    <key> = <value> | auto       ; one row of SETTINGS per key
 
-    [experiment]
-    j       = 1                  ; 1-based homogenized eigenvalue index
-    count   = 8                  ; computed homogenized eigenvalues
-    eps     = 0.1, 0.05, 0.025   ; sorted descending
-    p_order = auto               ; or an integer >= 2
-    p_rule_c = 1.0
-    compare_eigenfunctions = true
-
-    [output]
-    directory = out
+Each row of SETTINGS states one key's section, RunConfig field, type,
+default and lowest value; RunConfig says what the field means.  A missing
+key, or "auto", means the default; for hermite_sigma, radius and p_order it
+is decided at run time (default_sigma, truncation_radius, the truncation
+rule).  Numbers must be finite and positive, integers and fd_h_rule no
+lower than their lowest value, booleans one of 1/0/true/false/yes/no, eps
+sorted descending and count >= j + 1; anything else is a ConfigError, which
+names the section.key of a bad value.
 
 Coefficient expressions may use y1, y2 (or y in 1D), numbers, pi, cos, sin,
 + - * / and ** with integer exponents.  Potential expressions use x1, x2
@@ -42,8 +33,10 @@ from __future__ import annotations
 
 import ast
 import configparser
+import functools
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,31 +141,69 @@ def parse_potential_expr(text: str, dim: int) -> SlowPolynomial:
     return out
 
 
+@dataclass(frozen=True)
+class Setting:
+    """One row of SETTINGS.  ``kind`` is int, float, bool, str, or tuple for
+    a list of floats; a default of None is decided at run time, and a
+    ``low`` of None lets any positive number through."""
+
+    section: str
+    key: str
+    field: str
+    kind: type
+    default: object
+    low: float | None
+
+
+# section, key, RunConfig field, type, default, lowest value
+SETTINGS = tuple(Setting(*row) for row in (
+    ("discretization", "torus_modes", "torus_modes", int, 128, 4),
+    ("discretization", "hermite_size", "hermite_size", int, 48, 8),
+    ("discretization", "hermite_sigma", "hermite_sigma", float, None, None),
+    ("discretization", "solver_tol", "solver_tol", float, 1e-12, None),
+    ("discretization", "fd_h_rule", "fd_h_rule", float, 16.0, 8),
+    ("discretization", "radius", "radius", float, None, None),
+    ("discretization", "radius_safety", "radius_safety", float, 3.0, None),
+    ("discretization", "validate_radius", "validate_radius", bool, False,
+     None),
+    ("experiment", "j", "j", int, 1, 1),
+    ("experiment", "count", "count", int, 8, 2),
+    ("experiment", "eps", "eps_list", tuple, (0.1, 0.05, 0.025), None),
+    ("experiment", "p_order", "p_order", int, None, 2),
+    ("experiment", "p_rule_c", "p_rule_c", float, 1.0, None),
+    ("experiment", "compare_eigenfunctions", "compare_eigenfunctions", bool,
+     True, None),
+    ("output", "directory", "directory", str, "out", None),
+))
+
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
 @dataclass
 class RunConfig:
-    """Validated run configuration; the raw key/value table is kept verbatim
-    so that the manifest can reproduce the run."""
+    """Validated run configuration: the problem, and one field per row of
+    SETTINGS."""
 
     dim: int
     a_entries: dict                 # (i, j) -> expression string
     w_expr: str
-    a_samples_path: str | None = None   # .npy alternative to expressions
-    torus_modes: int = 128
-    hermite_size: int = 48
-    hermite_sigma: float | None = None
-    solver_tol: float = 1e-12
-    fd_h_rule: float = 16.0
-    radius: float | None = None
-    radius_safety: float = 3.0
-    validate_radius: bool = False
-    j: int = 1
-    count: int = 8
-    eps_list: tuple = (0.1, 0.05, 0.025)
-    p_order: int | None = None      # None means the truncation rule
-    p_rule_c: float = 1.0
-    compare_eigenfunctions: bool = True
-    directory: str = "out"
-    raw: dict = field(default_factory=dict, repr=False)
+    a_samples_path: str | None      # .npy alternative to expressions
+    torus_modes: int                # Fourier modes per axis on the cell
+    hermite_size: int               # Hermite functions per axis
+    hermite_sigma: float | None     # Hermite scale; None: default_sigma
+    solver_tol: float               # cell-solve tolerance
+    fd_h_rule: float                # fine grid h = eps / fd_h_rule
+    radius: float | None            # box radius; None: truncation_radius
+    radius_safety: float            # the safety factor of truncation_radius
+    validate_radius: bool           # doubling check before the sweep
+    j: int                          # 1-based homogenized eigenvalue index
+    count: int                      # computed homogenized eigenvalues
+    eps_list: tuple                 # the sweep, sorted descending
+    p_order: int | None             # None: the truncation rule
+    p_rule_c: float                 # the truncation rule's constant c
+    compare_eigenfunctions: bool    # L2/H1 errors in 1D
+    directory: str                  # sweep output when --out is not given
 
     def potential(self) -> SlowPolynomial:
         return parse_potential_expr(self.w_expr, self.dim)
@@ -212,49 +243,88 @@ class RunConfig:
         return CF.from_matrix(grid, fns)
 
 
-def _get(cp, section, key, default=None):
-    if cp.has_option(section, key):
-        return cp.get(section, key).strip()
-    return default
+def _read_setting(s: Setting, text: str | None):
+    """The value of setting ``s`` given its text in the file; a missing key
+    or "auto" is the default.  Any other text that is not a value of the
+    setting's type at or above its bound raises a ConfigError naming
+    section.key."""
+    if text is None or text == "auto":
+        return s.default
+    where = f"{s.section}.{s.key}"
+    if s.kind is bool:
+        if text.lower() not in _BOOLEANS:
+            raise ConfigError(f"{where} must be one of 1/0/true/false/yes/no, "
+                              f"got {text!r}")
+        return _BOOLEANS[text.lower()]
+    if s.kind is str:
+        if not text:
+            raise ConfigError(f"{where} must not be empty")
+        return text
+    items = text.replace(",", " ").split() if s.kind is tuple else [text]
+    try:
+        values = [int(t) if s.kind is int else float(t) for t in items]
+    except ValueError:
+        values = []             # refused below like an empty list
+    if not values:
+        what = {int: "an integer", float: "a number",
+                tuple: "a list of numbers"}[s.kind]
+        raise ConfigError(f"{where} must be {what}, got {text!r}")
+    for v in values:
+        if s.kind is not int and not (math.isfinite(v) and v > 0):
+            raise ConfigError(f"{where} must be positive and finite, "
+                              f"got {text!r}")
+        if s.low is not None and v < s.low:
+            raise ConfigError(f"{where} must be at least {s.low}, "
+                              f"got {text!r}")
+    return tuple(values) if s.kind is tuple else values[0]
 
 
-def _floats(text: str) -> tuple:
-    items = [t for t in text.replace(",", " ").split() if t]
-    return tuple(float(t) for t in items)
+def _write_setting(s: Setting, value) -> str:
+    """The canonical text of a value of setting ``s``; _read_setting reads
+    it back to the same value."""
+    if value is None:
+        return "auto"
+    if s.kind is tuple:
+        return ", ".join(map(repr, value))
+    if s.kind is bool:
+        return str(value).lower()
+    return repr(value) if s.kind is float else str(value)
 
 
 def parse_config(text: str) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    for sec in ("problem",):
-        if not cp.has_section(sec):
-            raise ConfigError(f"missing [{sec}] section")
+    if not cp.has_section("problem"):
+        raise ConfigError("missing [problem] section")
+    get = functools.partial(cp.get, fallback=None)    # stripped, or None
 
+    dim_text = get("problem", "dim")
     try:
-        dim = int(_get(cp, "problem", "dim", "1"))
+        dim = 1 if dim_text is None else int(dim_text)
     except ValueError as exc:
         raise ConfigError(f"dim must be an integer: {exc}") from exc
     if dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {dim}")
 
     a_entries = {}
-    a_samples_path = _get(cp, "problem", "a_samples")
-    if _get(cp, "problem", "a") is not None:
+    a_samples_path = get("problem", "a_samples")
+    if get("problem", "a") is not None:
         for i in range(dim):
-            a_entries[(i, i)] = _get(cp, "problem", "a")
+            a_entries[(i, i)] = get("problem", "a")
     for i in range(dim):
         for jj in range(i, dim):
             key = f"a{i+1}{jj+1}"
-            if _get(cp, "problem", key) is not None:
-                a_entries[(i, jj)] = _get(cp, "problem", key)
+            if get("problem", key) is not None:
+                a_entries[(i, jj)] = get("problem", key)
     if not a_entries and a_samples_path is None:
         raise ConfigError(
             "no coefficient given: set a, a11/a22[/a12], or a_samples"
         )
-    w_expr = _get(cp, "problem", "w")
+    w_expr = get("problem", "w")
     if w_expr is None:
         raise ConfigError("missing potential w")
     # validate the expressions now, before any compute
@@ -262,73 +332,22 @@ def parse_config(text: str) -> RunConfig:
         parse_coefficient_expr(expr, dim)
     parse_potential_expr(w_expr, dim)
 
-    def fval(section, key, default):
-        raw = _get(cp, section, key)
-        if raw is None or raw == "auto":
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key} must be a number") from exc
-
-    def ival(section, key, default):
-        raw = _get(cp, section, key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key} must be an integer") from exc
-
-    sigma_raw = _get(cp, "discretization", "hermite_sigma", "auto")
-    radius_raw = _get(cp, "discretization", "radius", "auto")
-    p_raw = _get(cp, "experiment", "p_order", "auto")
-    eps_raw = _get(cp, "experiment", "eps", "0.1, 0.05, 0.025")
-    eps_list = _floats(eps_raw)
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise ConfigError("eps must be a list of positive numbers")
-    if list(eps_list) != sorted(eps_list, reverse=True):
-        raise ConfigError("eps list must be sorted descending")
-
     cfg = RunConfig(
-        dim=dim,
-        a_entries=a_entries,
-        w_expr=w_expr,
+        dim=dim, a_entries=a_entries, w_expr=w_expr,
         a_samples_path=a_samples_path,
-        torus_modes=ival("discretization", "torus_modes", 128),
-        hermite_size=ival("discretization", "hermite_size", 48),
-        hermite_sigma=None if sigma_raw in (None, "auto")
-        else float(sigma_raw),
-        solver_tol=fval("discretization", "solver_tol", 1e-12),
-        fd_h_rule=fval("discretization", "fd_h_rule", 16.0),
-        radius=None if radius_raw in (None, "auto") else float(radius_raw),
-        radius_safety=fval("discretization", "radius_safety", 3.0),
-        validate_radius=_get(cp, "discretization", "validate_radius",
-                             "false").lower() in ("1", "true", "yes"),
-        j=ival("experiment", "j", 1),
-        count=ival("experiment", "count", 8),
-        eps_list=eps_list,
-        p_order=None if p_raw in (None, "auto") else int(p_raw),
-        p_rule_c=fval("experiment", "p_rule_c", 1.0),
-        compare_eigenfunctions=_get(cp, "experiment", "compare_eigenfunctions",
-                                    "true").lower() in ("1", "true", "yes"),
-        directory=_get(cp, "output", "directory", "out") or "out",
+        **{s.field: _read_setting(s, get(s.section, s.key))
+           for s in SETTINGS},
     )
-    if cfg.solver_tol <= 0 or cfg.fd_h_rule < 8:
-        raise ConfigError("solver_tol must be positive and fd_h_rule >= 8")
-    if cfg.radius is not None and not cfg.radius > 0:
-        raise ConfigError("radius must be positive (or auto)")
-    if cfg.p_order is not None and cfg.p_order < 2:
-        raise ConfigError("p_order must be at least 2")
-    if cfg.j < 1 or cfg.count < cfg.j + 1:
+    if list(cfg.eps_list) != sorted(cfg.eps_list, reverse=True):
+        raise ConfigError("eps list must be sorted descending")
+    if cfg.count < cfg.j + 1:
         raise ConfigError("need count >= j + 1 to resolve the spectral gap")
-    cfg.raw = {s: dict(cp.items(s)) for s in cp.sections()}
     return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(parse(text))) is the identity."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.add_section("problem")
     cp.set("problem", "dim", str(cfg.dim))
     for (i, jj), expr in sorted(cfg.a_entries.items()):
@@ -336,28 +355,10 @@ def serialize_config(cfg: RunConfig) -> str:
     if cfg.a_samples_path is not None:
         cp.set("problem", "a_samples", cfg.a_samples_path)
     cp.set("problem", "w", cfg.w_expr)
-    cp.add_section("discretization")
-    cp.set("discretization", "torus_modes", str(cfg.torus_modes))
-    cp.set("discretization", "hermite_size", str(cfg.hermite_size))
-    cp.set("discretization", "hermite_sigma",
-           "auto" if cfg.hermite_sigma is None else repr(cfg.hermite_sigma))
-    cp.set("discretization", "solver_tol", repr(cfg.solver_tol))
-    cp.set("discretization", "fd_h_rule", repr(cfg.fd_h_rule))
-    cp.set("discretization", "radius",
-           "auto" if cfg.radius is None else repr(cfg.radius))
-    cp.set("discretization", "radius_safety", repr(cfg.radius_safety))
-    cp.set("discretization", "validate_radius", str(cfg.validate_radius).lower())
-    cp.add_section("experiment")
-    cp.set("experiment", "j", str(cfg.j))
-    cp.set("experiment", "count", str(cfg.count))
-    cp.set("experiment", "eps", ", ".join(repr(e) for e in cfg.eps_list))
-    cp.set("experiment", "p_order",
-           "auto" if cfg.p_order is None else str(cfg.p_order))
-    cp.set("experiment", "p_rule_c", repr(cfg.p_rule_c))
-    cp.set("experiment", "compare_eigenfunctions",
-           str(cfg.compare_eigenfunctions).lower())
-    cp.add_section("output")
-    cp.set("output", "directory", cfg.directory)
+    for s in SETTINGS:
+        if not cp.has_section(s.section):
+            cp.add_section(s.section)
+        cp.set(s.section, s.key, _write_setting(s, getattr(cfg, s.field)))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

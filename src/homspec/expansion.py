@@ -273,7 +273,6 @@ class ExpansionBranch:
     cluster: tuple
     D: np.ndarray | None = None
     E: np.ndarray | None = None
-    mu2_cluster: list | None = None
     mu1_computed: float = 0.0       # solvability value before snapping to 0
     alphas: dict = field(default_factory=dict)   # level -> kernel coefficients
     hierarchy_residuals: dict = field(default_factory=dict)
@@ -328,7 +327,7 @@ def _macro_rhs_parts(table: CorrectorTable, U: list, K: int,
     return out
 
 
-def choose_P(eps: float, lam0: float, gamma: float, c: float = 1.0,
+def choose_P(eps: float, lam0: float, gamma: float, c: float,
              mu: list | None = None) -> int:
     """Truncation order floor(c log|log(eps lam^{3/2}/gamma)|), floored at 2.
 
@@ -495,7 +494,7 @@ def _run_branch(table, spec, j, P, label, D, E, mu2_list) -> ExpansionBranch:
     branch = ExpansionBranch(
         label=label, j=a + 1, lambda0=lam0, gamma=gamma, P=P,
         mu=mu, U=[U0], table=table, spectrum=spec, cluster=(a, b),
-        D=D, E=E, mu2_cluster=mu2_list,
+        D=D, E=E,
     )
 
     def solve_level(K):
@@ -623,32 +622,24 @@ def multiple_recursion(store: CorrectorTable, spec: SpectrumResult, j: int,
 
 @dataclass
 class Assembly:
-    """lambda_tilde and (optionally) samples of the expanded eigenfunction."""
+    """lambda_tilde and samples of the expanded eigenfunction (and of its
+    gradient, when asked for)."""
 
-    eps: float
-    P: int
     lambda_tilde: float
-    w: np.ndarray | None = None
-    grad_w: np.ndarray | None = None
-    warnings: list = field(default_factory=list)
+    w: np.ndarray
+    grad_w: np.ndarray | None
 
 
-def lambda_tilde(branch: ExpansionBranch, eps: float,
-                 P: int | None = None) -> float:
-    P = branch.P if P is None else P
+def lambda_tilde(branch: ExpansionBranch, eps: float, P: int) -> float:
     return float(sum(eps ** p * branch.mu[p] for p in range(P + 1)))
 
 
-def lambda_tilde_shift(branch: ExpansionBranch, eps: float,
-                       P: int | None = None) -> float:
+def lambda_tilde_shift(branch: ExpansionBranch, eps: float, P: int) -> float:
     """lambda_tilde - lambda_0 summed directly (no cancellation against mu_0)."""
-    P = branch.P if P is None else P
     return float(sum(eps ** p * branch.mu[p] for p in range(1, P + 1)))
 
 
-def assemble(branch: ExpansionBranch, eps: float,
-             points: np.ndarray | None = None,
-             P: int | None = None,
+def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
              gradient: bool = True,
              sample_x: HermiteSampler | None = None,
              sample_y: FourierSampler | None = None) -> Assembly:
@@ -664,20 +655,8 @@ def assemble(branch: ExpansionBranch, eps: float,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    P = branch.P if P is None else P
     if P > branch.P:
         raise ValueError(f"branch built to order {branch.P}, asked for {P}")
-    warnings = []
-    if epsilon_condition_violated(eps, branch.lambda0, branch.gamma):
-        warnings.append({
-            "code": "EpsilonConditionViolated",
-            "detail": f"eps={eps:.4g} exceeds gamma*lambda^(-3/2)="
-                      f"{branch.gamma * branch.lambda0 ** -1.5:.4g}",
-        })
-    lam = lambda_tilde(branch, eps, P)
-    if points is None:
-        return Assembly(eps=eps, P=P, lambda_tilde=lam, warnings=warnings)
-
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = branch.table.d
     m = pts.shape[0]
@@ -716,5 +695,4 @@ def assemble(branch: ExpansionBranch, eps: float,
                         dyc = chi.dy(i)
                         if not dyc.is_zero():
                             gw[i] += scalef / eps * du * dyc.eval_xy(pts, sample_y)
-    return Assembly(eps=eps, P=P, lambda_tilde=lam, w=w, grad_w=gw,
-                    warnings=warnings)
+    return Assembly(lambda_tilde(branch, eps, P), w, gw)

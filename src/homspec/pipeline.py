@@ -23,10 +23,11 @@ import numpy as np
 from . import __version__
 from .classical import build_suite, cyclic_check
 from .config import RunConfig, serialize_config
-from .errors import DegenerateFit, HomspecError, InsufficientPoints
+from .errors import (DegenerateFit, EpsilonTooLarge, HomspecError,
+                     InsufficientPoints)
 from .expansion import (
-    assemble,
     choose_P,
+    epsilon_condition_violated,
     lambda_tilde,
     multiple_recursion,
     simple_recursion,
@@ -93,27 +94,54 @@ def stage_spectrum(cfg: RunConfig, W, abar):
 
 
 def stage_expand(cfg: RunConfig, store, spec, warnings: list):
-    """Build all branches of the cluster of lambda_j to a working order on
-    forks of the corrector store."""
+    """Build the branches of the cluster of lambda_j to order P_build and
+    decide the order P_eps[eps] at which every eps is evaluated: p_order,
+    or the truncation rule capped by the decay of branch 0's mu_p (2 where
+    the rule is undefined).  Returns (branches, P_build, P_eps); each eps
+    adds its EpsilonTooLarge and EpsilonConditionViolated warnings once."""
     a, b = spec.cluster_of(cfg.j)
-    gamma = spectral_gap(spec, cfg.j)
-    lam0 = spec.eigenvalue(cfg.j)
+    lam0, gamma = spec.eigenvalue(cfg.j), spectral_gap(spec, cfg.j)
+
+    def rule(eps, mu=None):
+        try:
+            return choose_P(eps, lam0, gamma, cfg.p_rule_c, mu=mu)
+        except EpsilonTooLarge:
+            return None
+
     if cfg.p_order is not None:
         P_build = cfg.p_order
     else:
-        P_build = 2
-        for eps in cfg.eps_list:
-            try:
-                P_build = max(P_build, choose_P(eps, lam0, gamma, cfg.p_rule_c))
-            except HomspecError:
-                warnings.append({"code": "EpsilonTooLarge", "eps": eps,
-                                 "detail": f"truncation rule undefined at eps={eps}"})
-        P_build = min(P_build, P_BUILD_CAP)
+        ruled = [P for P in map(rule, cfg.eps_list) if P is not None]
+        P_build = min(max(ruled, default=2), P_BUILD_CAP)
     if b - a == 1:
         branches = [simple_recursion(store, spec, cfg.j, P_build)]
     else:
         branches = multiple_recursion(store, spec, cfg.j, P_build)
-    return branches, P_build
+    P_eps = {}
+    for eps in cfg.eps_list:
+        P = cfg.p_order or rule(eps, branches[0].mu)
+        if P is None:
+            warnings.append({"code": "EpsilonTooLarge", "eps": eps,
+                             "detail": f"truncation rule undefined at eps={eps}"})
+        if epsilon_condition_violated(eps, lam0, gamma):
+            warnings.append({
+                "code": "EpsilonConditionViolated", "eps": eps,
+                "detail": f"eps={eps:.4g} exceeds gamma*lambda^(-3/2)="
+                          f"{gamma * lam0 ** -1.5:.4g}",
+            })
+        P_eps[eps] = min(P or 2, P_build)
+    return branches, P_build, P_eps
+
+
+def expansion_summary(branches) -> dict:
+    """The cluster and its corrections as the manifest and expand.json
+    report them."""
+    br = branches[0]
+    return {"lambda0": br.lambda0, "gamma": br.gamma,
+            "cluster_size": br.cluster_size,
+            "mu": {b.label: [float(m) for m in b.mu] for b in branches},
+            "D": None if br.D is None else br.D.tolist(),
+            "E": None if br.E is None else br.E.tolist()}
 
 
 def stage_reference(cfg: RunConfig, coeff, W, spec, keep_vectors: bool):
@@ -142,18 +170,6 @@ def stage_reference(cfg: RunConfig, coeff, W, spec, keep_vectors: bool):
     return radius, ref_count, {eps: one_eps(eps) for eps in cfg.eps_list}
 
 
-def assemble_branches(branches, eps: float, warnings: list) -> list:
-    """assemble(br, eps) for every branch; each new warning, tagged with
-    eps, is added to ``warnings`` once."""
-    assemblies = [assemble(br, eps) for br in branches]
-    for asm in assemblies:
-        for wrn in asm.warnings:
-            entry = {**wrn, "eps": eps}
-            if entry not in warnings:
-                warnings.append(entry)
-    return assemblies
-
-
 def run(cfg: RunConfig):
     """Execute the full pipeline; returns (manifest, comparison rows)."""
     from .reference import (ComparisonRow, FineGrid, fit_rate,
@@ -176,15 +192,12 @@ def run(cfg: RunConfig):
     timings["spectrum"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    branches, P_build = stage_expand(cfg, store, spec, warnings)
+    branches, P_build, P_eps = stage_expand(cfg, store, spec, warnings)
     timings["expand"] = time.perf_counter() - t0
-
-    a, b = spec.cluster_of(cfg.j)
-    lam0 = spec.eigenvalue(cfg.j)
-    gamma = spectral_gap(spec, cfg.j)
-    radius_shift = None
+    summary = expansion_summary(branches)
 
     t0 = time.perf_counter()
+    radius_shift = None
     radius, ref_count, refs = stage_reference(
         cfg, coeff, W, spec,
         keep_vectors=cfg.compare_eigenfunctions and cfg.dim == 1)
@@ -206,23 +219,14 @@ def run(cfg: RunConfig):
     for eps in cfg.eps_list:
         t0 = time.perf_counter()
         ref, elapsed = refs[eps]
-        if cfg.p_order is not None:
-            P_eps = min(cfg.p_order, P_build)
-        else:
-            try:
-                P_eps = min(choose_P(eps, lam0, gamma, cfg.p_rule_c,
-                                     mu=branches[0].mu), P_build)
-            except HomspecError:
-                P_eps = min(2, P_build)
-        assemble_branches(branches, eps, warnings)
         if cfg.compare_eigenfunctions and ref.eigenvectors is not None:
-            eps_rows = match_and_compare(ref, branches, eps, P=P_eps)
+            eps_rows = match_and_compare(ref, branches, eps, P=P_eps[eps])
         else:
             eps_rows = []
-            for r, br in enumerate(branches):
-                k = a + r if a + r < len(ref.eigenvalues) else len(ref.eigenvalues) - 1
+            for br in branches:
+                k = min(br.cluster[0] + br.label, len(ref.eigenvalues) - 1)
                 lamr = float(ref.eigenvalues[k])
-                lt = lambda_tilde(br, eps, P_eps)
+                lt = lambda_tilde(br, eps, P_eps[eps])
                 eps_rows.append(ComparisonRow(
                     eps=eps, j=br.j, branch=br.label,
                     lambda_ref=float(ref.eigenvalues_h2[k]),
@@ -238,13 +242,14 @@ def run(cfg: RunConfig):
             row.runtime_s = share
         rows.extend(eps_rows)
         per_eps_meta.append({
-            "eps": eps, "P": P_eps, "path": ref.diagnostics["path"],
+            "eps": eps, "P": P_eps[eps], "path": ref.diagnostics["path"],
             "richardson_estimate": [float(v) for v in ref.error_estimates],
             "lambda_ref": [float(v) for v in ref.eigenvalues],
         })
 
     series = [("eig", lambda row: row.eig_err),
-              ("zeroth", lambda row: abs(row.lambda_ref_richardson - lam0))]
+              ("zeroth",
+               lambda row: abs(row.lambda_ref_richardson - summary["lambda0"]))]
     if cfg.compare_eigenfunctions:
         series += [("l2", lambda row: row.l2_err),
                    ("h1", lambda row: row.h1_err)]
@@ -296,16 +301,11 @@ def run(cfg: RunConfig):
         cyclic_check=cyclic_check(abar3_sym),
         cell_solves=store.cell_solves(),
         cell_residual_max=store.max_cell_residual(),
-        lambda0=lam0,
-        gamma=gamma,
-        cluster_size=b - a,
         P_built=P_build,
-        mu={br.label: [float(m) for m in br.mu] for br in branches},
-        D=branches[0].D.tolist() if branches[0].D is not None else None,
-        E=branches[0].E.tolist() if branches[0].E is not None else None,
         radius=radius,
         radius_shift=radius_shift,
         hierarchy_residual_max=hier_max,
+        **summary,
         per_eps=per_eps_meta,
         fits=fits,
         c1_envelope=c1,

@@ -42,8 +42,7 @@ MAX_OVERLAP_CONDITION = 10.0   # picked overlap / runner-up within a cluster
 POLISH_STEPS = 4               # cap on Newton steps per eigenpair
 
 
-def truncation_radius(lam: float, lambda_minus: float = 1.0,
-                      safety: float = 3.0) -> float:
+def truncation_radius(lam: float, lambda_minus: float, safety: float) -> float:
     """Box radius safety * sqrt(lam / Lambda_-) for the Dirichlet truncation.
 
     The eigenfunctions decay like a Gaussian past sqrt(lam/Lambda_-); the
@@ -481,8 +480,7 @@ def _flux_gradient(vec: np.ndarray, ref: ReferenceSpectrum) -> np.ndarray:
             / ref.node_coefficients).reshape(1, -1)
 
 
-def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
-                      P: int | None = None,
+def match_and_compare(ref: ReferenceSpectrum, branches, eps: float, P: int,
                       with_h1: bool = True) -> list:
     """Per-branch eigenvalue / L2 / H1 errors against the expansion.
 
@@ -515,8 +513,7 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
         # one Hermite table on the node coordinates serves the overlap and
         # the assembly; the corrector shapes are sampled at one period of
         # node phases
-        sample_x = HermiteSampler(br.spectrum.basis, coords,
-                                  (br.P if P is None else P) + 1, index)
+        sample_x = HermiteSampler(br.spectrum.basis, coords, P + 1, index)
         sample_y = FourierSampler(br.table.grid, *phases)
         u0_vals = sample_x(br.U[0])
         overlaps = ref.eigenvectors @ u0_vals * measure

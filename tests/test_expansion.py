@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homspec.classical import build_suite
+from homspec.config import parse_config
 from homspec.errors import (
     DegenerateD,
     DegreeCapExceeded,
@@ -15,10 +18,13 @@ from homspec.expansion import (
     assemble,
     build_D_matrix,
     choose_P,
+    lambda_tilde_shift,
     multiple_recursion,
     simple_recursion,
 )
-from homspec.hermite import MacroBasis, default_sigma, quadrature_for, solve_spectrum
+from homspec.hermite import (MacroBasis, default_sigma, quadrature_for,
+                             solve_spectrum, spectral_gap)
+from homspec.pipeline import stage_expand
 from homspec.slowpoly import SlowPolynomial
 from homspec.torus import CoefficientField, TorusGrid, l2_inner
 
@@ -170,7 +176,7 @@ class TestConstantCoefficient:
         spec = solve_spectrum(np.array([[1.0]]), W, basis, 4)
         br = simple_recursion(store(coeff, W, tol=1e-12), spec, 1, 2)
         pts = np.linspace(-3, 3, 41).reshape(-1, 1)
-        asm = assemble(br, 0.3, pts)
+        asm = assemble(br, 0.3, pts, P=2)
         assert asm.lambda_tilde == pytest.approx(spec.eigenvalue(1), abs=1e-12)
         exact = spec.eigenfunction(1).evaluate(pts)
         assert np.max(np.abs(asm.w - exact)) < 1e-12
@@ -406,12 +412,23 @@ class TestMultipleRecursion:
 class TestAssemble:
     def test_pure_polynomial_eps_ratio(self, case_1d):
         # with P = 2: (lt(eps) - lambda0) / (lt(eps/2) - lambda0) = 4 exactly
-        from homspec.expansion import lambda_tilde_shift
         _, _, _, branch = case_1d
         eps = 0.05
         r = lambda_tilde_shift(branch, eps, 2) \
             / lambda_tilde_shift(branch, eps / 2, 2)
         assert r == pytest.approx(4.0, rel=1e-10)
+
+    @settings(max_examples=50, deadline=None)
+    @given(eps=st.floats(1e-6, 10.0))
+    def test_eps_scaling_property(self, case_1d, eps):
+        # mu_1 is snapped to exactly 0, so the order-2 shift is eps^2 mu_2
+        # and halving eps divides it by 4; only the rounding of eps ** 2
+        # is left (at most 2.2e-16 relative over 40 000 draws)
+        _, _, _, branch = case_1d
+        assert branch.mu[1] == 0.0
+        r = lambda_tilde_shift(branch, eps, 2) \
+            / lambda_tilde_shift(branch, eps / 2, 2)
+        assert r == pytest.approx(4.0, rel=1e-15, abs=0.0)
 
     def test_w_gradient_oscillation(self, case_1d):
         # the P=1 gradient carries the O(1) cell oscillation chi'(x/eps) phi'
@@ -454,13 +471,29 @@ class TestAssemble:
         assert np.all(np.isfinite(asm.grad_w))
         assert counts == {"fourier": 1, "hermite": 1}
 
-    def test_epsilon_condition_warning(self, case_1d):
-        _, _, _, branch = case_1d
-        big_eps = 2.0 * branch.gamma * branch.lambda0 ** -1.5
-        asm = assemble(branch, big_eps)
-        assert any(w["code"] == "EpsilonConditionViolated" for w in asm.warnings)
-        asm_ok = assemble(branch, 0.25 * branch.gamma * branch.lambda0 ** -1.5)
-        assert not asm_ok.warnings
+
+
+class TestStageExpand:
+    def test_epsilon_condition_warning(self, case_1d, case_2d_laminate):
+        # one EpsilonConditionViolated per eps above gamma lambda^(-3/2),
+        # also for the two-branch cluster of the laminate, and none below
+        for dim, (coeff, W, spec, *_), j, branches in (
+                (1, case_1d, 1, 1), (2, case_2d_laminate, 2, 2)):
+            lam0, gamma = spec.eigenvalue(j), spectral_gap(spec, j)
+            bound = gamma * lam0 ** -1.5
+            eps_list = (2.0 * bound, 1.5 * bound, 0.25 * bound)
+            problem = ("dim = 1\na = 1\nw = x**2" if dim == 1
+                       else "dim = 2\na = 1\nw = x1**2 + x2**2")
+            cfg = parse_config(
+                f"[problem]\n{problem}\n[experiment]\nj = {j}\n"
+                f"eps = {', '.join(map(repr, eps_list))}\np_order = 2\n")
+            warnings = []
+            built, _, P_eps = stage_expand(cfg, store(coeff, W), spec,
+                                           warnings)
+            assert len(built) == branches
+            assert P_eps == dict.fromkeys(eps_list, 2)
+            assert [(w["code"], w["eps"]) for w in warnings] == [
+                ("EpsilonConditionViolated", eps) for eps in eps_list[:2]]
 
 
 class TestMatchingAmbiguity:
@@ -485,7 +518,7 @@ class TestMatchingAmbiguity:
             fine_grid=grid,
         )
         with pytest.raises(MatchingAmbiguous):
-            match_and_compare(ref, branches, 0.125, with_h1=False)
+            match_and_compare(ref, branches, 0.125, P=2, with_h1=False)
 
     def test_2d_node_tables_match_per_point_sampling(self, case_2d_laminate):
         # match_and_compare samples the envelopes on the 79 node coordinates
@@ -530,14 +563,14 @@ class TestChooseP:
     def test_direct_evaluation(self):
         # eps lam^{3/2}/gamma = e^{-e^3} -> floor(log|log .|) = 3
         x = float(np.exp(-np.exp(3.0)))
-        assert choose_P(x, 1.0, 1.0) == 3
+        assert choose_P(x, 1.0, 1.0, 1.0) == 3
 
     def test_clamping(self):
-        assert choose_P(0.9, 1.0, 1.0) == 2
+        assert choose_P(0.9, 1.0, 1.0, 1.0) == 2
 
     def test_eps_too_large(self):
         with pytest.raises(EpsilonTooLarge):
-            choose_P(1.5, 1.0, 1.0)
+            choose_P(1.5, 1.0, 1.0, 1.0)
 
     def test_divergence_guard(self):
         # mu growing so fast that eps^p mu_p increases past p = 2

@@ -3,13 +3,17 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homspec.config import (
+    SETTINGS,
     load_config,
     parse_coefficient_expr,
     parse_config,
@@ -64,6 +68,66 @@ eps = 0.5, 0.4
 p_order = 2
 compare_eigenfunctions = false
 """
+
+# TWO_BRANCH at smaller eps with the truncation rule choosing P: the
+# branches are built to P = 5, and the rule, capped by the decay of the
+# computed mu_p, evaluates eps = 1/8 at P = 2 and eps = 1/24 at P = 3
+TWO_BRANCH_AUTO_P = (TWO_BRANCH.replace("0.5, 0.4", "0.125, 0.041666666666666664")
+                     .replace("p_order = 2", "p_rule_c = 10.0"))
+
+# texts that no number, integer or boolean reads as a value and that do
+# not spell auto: no digit, sign or dot, none of the letters e f i l n o s
+# t y, and no comment, list or space character
+JUNK = st.text(alphabet="abcdgjkmpqruvwxz!?@$&*()<>", min_size=1, max_size=6)
+
+
+def _setting(key):
+    return next(s for s in SETTINGS if s.key == key)
+
+
+def _with_setting(s, value):
+    """MINIMAL with setting ``s`` given as the text ``value``."""
+    lines = [line for line in MINIMAL.splitlines()
+             if not line.startswith(f"{s.key} =")]
+    at = lines.index(f"[{s.section}]") + 1
+    return "\n".join(lines[:at] + [f"{s.key} = {value}"] + lines[at:]) + "\n"
+
+
+def _bad_texts(s):
+    """Texts that setting ``s`` must refuse."""
+    if s.kind is str:
+        return st.just("")
+    junk = st.builds(str.__add__, st.sampled_from(["", "1", "0.5", "-2"]), JUNK)
+    if s.kind is bool:
+        return junk | st.sampled_from(["nan", "inf", "2", "-1", "treu"])
+    out = (junk | st.sampled_from(["nan", "inf", "-inf", "0", "-0.0"])
+           | st.integers(max_value=-1).map(str)
+           | st.floats(max_value=0.0, allow_nan=False).map(repr))
+    if s.low is not None:
+        below = (st.integers(max_value=s.low - 1) if s.kind is int else
+                 st.floats(0.0, s.low, exclude_max=True))
+        out = out | below.map(str)
+    if s.kind is tuple:
+        out = out | st.builds("0.5, {}".format, junk | st.just("nan"))
+    return out
+
+
+def _valid_texts(s):
+    """Texts that setting ``s`` reads as a value (or as its default)."""
+    if s.kind is bool:
+        out = st.sampled_from(["1", "0", "true", "False", "yes", "NO"])
+    elif s.kind is str:
+        out = st.text(alphabet="abcxyz0189-_./%", min_size=1, max_size=12)
+    elif s.kind is int:
+        out = st.integers(s.low, s.low + 500).map(str)
+    else:
+        number = st.floats(min_value=s.low or 0.0, max_value=1e300,
+                           exclude_min=s.low is None, allow_nan=False)
+        out = number.map(repr)
+        if s.kind is tuple:
+            out = st.lists(number, min_size=1, max_size=4).map(
+                lambda v: ", ".join(map(repr, sorted(v, reverse=True))))
+    return out | st.just("auto")
 
 
 def _csv_floats(text):
@@ -125,6 +189,47 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[problem]\ndim = 1\na = 1\nw = x**2\n"
                          "[experiment]\neps = 0.1, 0.2\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bad_setting_names_its_key(self, data):
+        # malformed text, nan, inf, zero, negative and below-bound values of
+        # every setting are refused with section.key in the message
+        s = data.draw(st.sampled_from(SETTINGS))
+        text = _with_setting(s, data.draw(_bad_texts(s)))
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{s.section}.{s.key} ")):
+            parse_config(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_valid_settings_round_trip(self, data):
+        # random valid values, some keys left out: serialize then parse
+        # gives the same config, and serializing that gives the same text
+        texts = {s.key: data.draw(_valid_texts(s)) for s in SETTINGS
+                 if data.draw(st.booleans())}
+        j = int(texts.get("j", "auto").replace("auto", "1"))
+        if int(texts.get("count", "auto").replace("auto", "8")) < j + 1:
+            texts["count"] = str(j + 1)
+        sections = {}
+        for s in SETTINGS:
+            if s.key in texts:
+                sections.setdefault(s.section, []).append(
+                    f"{s.key} = {texts[s.key]}")
+        cfg = parse_config("[problem]\ndim = 1\na = 1\nw = x**2\n" + "".join(
+            f"[{name}]\n" + "\n".join(lines) + "\n"
+            for name, lines in sections.items()))
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        assert serialize_config(parse_config(text)) == text
+
+    def test_auto_is_the_default(self):
+        # "auto" means the table's default for every setting
+        cfg = parse_config(MINIMAL)
+        for s in SETTINGS:
+            auto = parse_config(_with_setting(s, "auto"))
+            assert getattr(auto, s.field) == s.default
+            assert auto == dataclasses.replace(cfg, **{s.field: s.default})
 
     def test_matrix_entries(self):
         text = MINIMAL.replace("dim = 1", "dim = 2").replace(
@@ -414,6 +519,46 @@ class TestCLI:
         assert r.stderr.startswith("error: ")
         assert "interior nodes" in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("key, value", [
+        ("radius", "abc"),              # malformed text
+        ("solver_tol", "nan"),          # not finite
+        ("radius_safety", "-2"),        # not positive
+        ("hermite_size", "4"),          # below the bound
+        ("validate_radius", "treu"),    # not a boolean
+        ("eps", "0.1, abc"),            # a malformed list entry
+    ])
+    def test_bad_setting_exit_code(self, tmp_path, key, value):
+        s = _setting(key)
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(_with_setting(s, value))
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
+                      "expand", cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: ",
+                                f"{s.section}.{s.key} ")
+        assert "Traceback" not in r.stderr
+
+    def test_expand_agrees_with_sweep_at_auto_p(self, tmp_path):
+        # with P chosen per eps by the truncation rule, expand reports
+        # lambda_tilde at the order the sweep uses, and the cluster
+        # summary of the manifest
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(TWO_BRANCH_AUTO_P)
+        for command in ("expand", "sweep"):
+            r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
+                          command, cwd=str(tmp_path))
+            assert r.returncode == 0, r.stderr
+        expand = json.loads((tmp_path / "expand.json").read_text())
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert expand["P"] == manifest["P_built"] == 5
+        assert [e["P"] for e in manifest["per_eps"]] == [2, 3]
+        lt = {(e["eps"], int(k.removeprefix("lambda_tilde_branch"))): v
+              for e in expand["per_eps"] for k, v in e.items()
+              if k.startswith("lambda_tilde_branch")}
+        rows = rows_from_csv((tmp_path / "sweep.csv").read_text())
+        assert lt == {(row.eps, row.branch): row.lambda_tilde for row in rows}
+        for key in ("lambda0", "gamma", "cluster_size", "mu", "D", "E"):
+            assert expand[key] == manifest[key], key
 
     def test_nonpositive_radius_exit_code(self, tmp_path):
         cfgfile = tmp_path / "run.ini"

@@ -201,3 +201,37 @@ def test_every_parameter_is_read():
             if arg.arg not in read and label not in KEPT_UNREAD:
                 unread.append(label)
     assert not unread, f"parameters no body reads: {unread}"
+
+
+def _serialized_whole(cls: ast.ClassDef) -> bool:
+    """A method of the class passes self to asdict, so every field reaches
+    the output without being read by name."""
+    return any(isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "asdict"
+               and any(getattr(a, "id", None) == "self" for a in node.args)
+               for node in ast.walk(cls))
+
+
+def test_every_field_is_read():
+    # a dataclass field that no code reads as an attribute is state set for
+    # nothing: delete it.  Classes written out whole through asdict
+    # (RunManifest) are exempt
+    trees = _trees()
+    read = {node.attr for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees:
+        if path.parts[-2] != "homspec":
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or _serialized_whole(cls):
+                continue
+            if not any("dataclass" in ast.unparse(d)
+                       for d in cls.decorator_list):
+                continue
+            unread += [f"{path.name}:{cls.name}.{stmt.target.id}"
+                       for stmt in cls.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and stmt.target.id not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"

@@ -47,9 +47,9 @@ def coeff_identity_1d():
 
 class TestTruncationRadius:
     def test_values(self):
-        assert truncation_radius(1.0) == pytest.approx(3.0)
-        assert truncation_radius(4.0) == pytest.approx(6.0)
-        assert truncation_radius(4.0, lambda_minus=4.0) == pytest.approx(3.0)
+        assert truncation_radius(1.0, 1.0, 3.0) == pytest.approx(3.0)
+        assert truncation_radius(4.0, 1.0, 3.0) == pytest.approx(6.0)
+        assert truncation_radius(4.0, 4.0, 3.0) == pytest.approx(3.0)
 
     def test_radius_validation_converged(self):
         # R = 6 for the unit oscillator: doubling the box moves lambda_1
@@ -431,7 +431,7 @@ class TestMatching:
         br = simple_recursion(build_suite(c, W)[0], spec, 1, 2)
         fg = FineGrid(1, 7.0, 1.0 / 128)
         ref = solve_Leps(c, W, 0.5, fg, 2)
-        rows = match_and_compare(ref, br, 0.5)
+        rows = match_and_compare(ref, br, 0.5, P=2)
         assert rows[0].eig_err < 1e-9            # discretization floor only
         assert rows[0].l2_err < 1e-5
         assert rows[0].h1_err < 1e-3             # O(h^2) flux-gradient floor
@@ -540,7 +540,7 @@ class TestMatching:
         W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
         ref = solve_Leps(c, W, 0.5, FineGrid(2, 4.0, 1.0 / 16), 1)
         with pytest.raises(GradientFloor, match="floor"):
-            match_and_compare(ref, [], 0.5)
+            match_and_compare(ref, [], 0.5, P=2)
 
 
 class TestFitRate:
