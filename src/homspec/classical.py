@@ -38,14 +38,20 @@ def _unit(d: int, *axes: int) -> tuple:
     return tuple(axes.count(ax) for ax in range(d))
 
 
-def _flux1(table: CorrectorTable, k: int) -> PeriodicField:
-    """a(e_k + grad chi1_k) as a vector field: multiply(grad chi1_k) plus
-    the raw column a e_k, the coefficient's samples with no round trip
-    through the padded grid."""
-    coeff = table.coeff
-    chi = table.chi(1, _unit(table.d, k)).terms[(0,) * table.d]
-    return (coeff.multiply(grad_y(chi))
-            + PeriodicField(table.grid, coeff.a.values[:, k]))
+def _abar(table: CorrectorTable, *axes: int) -> np.ndarray:
+    """The flux mean abar_{q, alpha} of alpha = e_axes[0] + e_axes[1] + ...,
+    q = len(axes), as a vector."""
+    return np.array([p.constant_term()
+                     for p in table.abar(len(axes), _unit(table.d, *axes))])
+
+
+def _flux(table: CorrectorTable, *axes: int) -> PeriodicField:
+    """The flux of alpha = e_axes[0] + e_axes[1] + ..., q = len(axes), as a
+    vector field: its one slow monomial at q <= 2 is 1."""
+    zero = PeriodicField.zeros(table.grid)
+    return PeriodicField(table.grid, np.stack([
+        comp.terms.get((0,) * table.d, zero).values
+        for comp in table.flux(len(axes), _unit(table.d, *axes))]))
 
 
 def _abar3_sym(table: CorrectorTable) -> np.ndarray:
@@ -54,9 +60,8 @@ def _abar3_sym(table: CorrectorTable) -> np.ndarray:
     out = np.zeros((d, d, d))
     for j in range(d):
         for k in range(j, d):
-            vec = [p.constant_term() for p in table.abar(2, _unit(d, j, k))]
             out[:, j, k] = out[:, k, j] = \
-                np.asarray(vec) * (1.0 if j == k else 0.5)
+                _abar(table, j, k) * (1.0 if j == k else 0.5)
     return out
 
 
@@ -66,8 +71,7 @@ def build_suite(coeff: CoefficientField, W: SlowPolynomial,
     matrix abar and symmetrized third-order tensor read off its q = 1, 2
     entries: (store, abar, abar3_sym)."""
     table = CorrectorTable(coeff, W, [], tol=tol)
-    abar = np.stack([np.asarray(_flux1(table, k).mean())
-                     for k in range(table.d)], axis=1)
+    abar = np.stack([_abar(table, k) for k in range(table.d)], axis=1)
     return table, 0.5 * (abar + abar.T), _abar3_sym(table)
 
 
@@ -83,12 +87,7 @@ def _flux2(table: CorrectorTable, s1: list, j: int, k: int) -> PeriodicField:
     """Second-order flux of alpha = e_j + e_k with its stream columns,
     f_{2,alpha} + s1_k[:, j] + s1_j[:, k] (one column when j = k): mean
     <f_{2,alpha}> and divergence-free."""
-    d = table.d
-    zero = PeriodicField.zeros(table.grid)
-    f = PeriodicField(table.grid, np.stack([
-        comp.terms.get((0,) * d, zero).values
-        for comp in table.flux(2, _unit(d, j, k))]))
-    f = f + PeriodicField(table.grid, s1[k].values[:, j])
+    f = _flux(table, j, k) + PeriodicField(table.grid, s1[k].values[:, j])
     if j != k:
         f = f + PeriodicField(table.grid, s1[j].values[:, k])
     return f
@@ -101,7 +100,7 @@ def suite_diagnostics(table: CorrectorTable) -> dict:
     Returns a dict of named magnitudes; thresholds live with the caller.
     """
     d = table.d
-    flux1 = [_flux1(table, k) for k in range(d)]
+    flux1 = [_flux(table, k) for k in range(d)]
     chi1 = [table.chi(1, _unit(d, k)).terms[(0,) * d] for k in range(d)]
     abar = np.stack([np.asarray(f.mean()) for f in flux1], axis=1)
     g = [f.mean_zero() for f in flux1]

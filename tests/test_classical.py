@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homspec.classical import (
-    _flux1,
+    _flux,
     _flux2,
     build_suite,
     cyclic_check,
@@ -79,7 +79,7 @@ class TestFirstOrder:
         store, abar, _ = suite(c)
         assert np.allclose(abar, np.eye(2), atol=1e-13)
         assert max(chi1(store, k).l2_norm() for k in range(2)) < 1e-13
-        g = [_flux1(store, k).mean_zero() for k in range(2)]
+        g = [_flux(store, k).mean_zero() for k in range(2)]
         assert max(f.l2_norm() for f in g) < 1e-12
         assert max(solve_flux_corrector(f).l2_norm() for f in g) < 1e-12
 
@@ -150,7 +150,7 @@ class TestSecondOrder:
         rng = np.random.default_rng(9)
         c = random_trig_coeff(rng, TorusGrid(2, 48))
         store, _, _ = suite(c, tol=1e-13)
-        s1 = [solve_flux_corrector(_flux1(store, k).mean_zero())
+        s1 = [solve_flux_corrector(_flux(store, k).mean_zero())
               for k in range(2)]
         centered = _flux2(store, s1, 0, 1).mean_zero()
         s2 = solve_flux_corrector(centered)
