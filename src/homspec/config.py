@@ -19,8 +19,9 @@ default and lowest value; RunConfig says what the field means.  A missing
 key, or "auto", means the default; for hermite_sigma, radius and p_order it
 is decided at run time (default_sigma, truncation_radius, the truncation
 rule).  Numbers must be finite and positive, integers and fd_h_rule no
-lower than their lowest value, booleans one of 1/0/true/false/yes/no, eps
-sorted descending and count >= j + 1; anything else is a ConfigError, which
+lower than their lowest value, torus_modes even, booleans one of
+1/0/true/false/yes/no, eps sorted descending and count >= j + 1; anything
+else is a ConfigError, which
 names the section.key of a bad value.
 
 Coefficient expressions may use y1, y2 (or y in 1D), numbers, pi, cos, sin,
@@ -338,6 +339,9 @@ def parse_config(text: str) -> RunConfig:
         **{s.field: _read_setting(s, get(s.section, s.key))
            for s in SETTINGS},
     )
+    if cfg.torus_modes % 2:
+        raise ConfigError(f"discretization.torus_modes must be even, "
+                          f"got {cfg.torus_modes}")
     if list(cfg.eps_list) != sorted(cfg.eps_list, reverse=True):
         raise ConfigError("eps list must be sorted descending")
     if cfg.count < cfg.j + 1:

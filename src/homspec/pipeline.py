@@ -28,7 +28,6 @@ from .errors import (DegenerateFit, EpsilonTooLarge, HomspecError,
 from .expansion import (
     choose_P,
     epsilon_condition_violated,
-    lambda_tilde,
     multiple_recursion,
     simple_recursion,
 )
@@ -172,8 +171,8 @@ def stage_reference(cfg: RunConfig, coeff, W, spec, keep_vectors: bool):
 
 def run(cfg: RunConfig):
     """Execute the full pipeline; returns (manifest, comparison rows)."""
-    from .reference import (ComparisonRow, FineGrid, fit_rate,
-                            match_and_compare, validate_radius)
+    from .reference import (FineGrid, fit_rate, match_and_compare,
+                            validate_radius)
     timings = {}
     warnings = []
     t0 = time.perf_counter()
@@ -219,22 +218,7 @@ def run(cfg: RunConfig):
     for eps in cfg.eps_list:
         t0 = time.perf_counter()
         ref, elapsed = refs[eps]
-        if cfg.compare_eigenfunctions and ref.eigenvectors is not None:
-            eps_rows = match_and_compare(ref, branches, eps, P=P_eps[eps])
-        else:
-            eps_rows = []
-            for br in branches:
-                k = min(br.cluster[0] + br.label, len(ref.eigenvalues) - 1)
-                lamr = float(ref.eigenvalues[k])
-                lt = lambda_tilde(br, eps, P_eps[eps])
-                eps_rows.append(ComparisonRow(
-                    eps=eps, j=br.j, branch=br.label,
-                    lambda_ref=float(ref.eigenvalues_h2[k]),
-                    lambda_ref_richardson=lamr, lambda_tilde=lt,
-                    eig_err=abs(lamr - lt), l2_err=float("nan"),
-                    h1_err=float("nan"), h=eps / cfg.fd_h_rule,
-                    radius=radius,
-                ))
+        eps_rows = match_and_compare(ref, branches, eps, P=P_eps[eps])
         compared = time.perf_counter() - t0
         timings["compare"] += compared
         share = (elapsed + compared) / max(len(eps_rows), 1)

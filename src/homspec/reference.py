@@ -4,9 +4,10 @@ The oscillating operator -div(a(x/eps) grad) + W is discretized on a
 truncated box with homogeneous Dirichlet data by symmetric second-order
 finite differences with harmonic cell averaging of the coefficient, solved
 for its lowest eigenpairs, and Richardson extrapolated over the (h, h/2)
-pair.  In one dimension the harmonic averages are computed as exact cell
-integrals of 1/a, which keeps the discretization error smooth in h even
-though the coefficient oscillates; each eigenpair is then polished by
+pair.  One routine builds the operator in 1D and 2D, with the harmonic
+averages as 12-point Gauss-Legendre cell integrals of 1/a (which keeps the
+discretization error smooth in h though the coefficient oscillates) taken
+on one period of fast phases.  In 1D each eigenpair is then polished by
 bordered Newton steps with extended-precision residuals, and its eigenvalue
 taken as the energy quotient, so that the floor sits orders of magnitude
 below the smallest expansion residuals being measured.
@@ -76,14 +77,10 @@ class FineGrid:
     def n_interior(self) -> int:
         return self.n_cells - 1
 
-    def axis(self) -> np.ndarray:
-        """Interior nodes along one axis."""
-        return -self.radius + self.h * np.arange(1, self.n_cells)
-
     def nodes(self) -> tuple:
         """Interior node coordinates of one axis as (n, d) columns, and each
         of points()'s rows among them, one index per axis."""
-        x = self.axis()
+        x = -self.radius + self.h * np.arange(1, self.n_cells)
         return (np.repeat(x[:, None], self.dim, axis=1),
                 tensor_rows(x.size, self.dim))
 
@@ -92,14 +89,15 @@ class FineGrid:
         coords, index = self.nodes()
         return np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
 
-    def phases(self, eps: float) -> tuple:
-        """Distinct fast phases x/eps mod 1 of the interior nodes as (r, d)
-        columns, and each of points()'s rows among them, one index per axis.
+    def cell_phases(self, eps: float, offsets) -> tuple:
+        """Fast phases (x_c + t h)/eps mod 1 of the points at ``offsets`` t
+        (in cells) from the left edge x_c = -R + c h of every cell c: one
+        period of r rows, (r, len(offsets)), and each cell's row among them.
 
-        With eps/h = p an integer (to 1e-9), node i sits at phase
-        -R/eps + i/p: one period of p phases, formed in [0, 1) from the
+        With eps/h = p an integer (to 1e-9), cell c sits at phase
+        -R/eps + c/p: one period of p rows, formed in [0, 1) from the
         remainder of -R by eps, so the rounding of a large quotient R/eps
-        does not enter.  Otherwise every node is its own phase.
+        does not enter.  Otherwise every cell is its own row.
         """
         ratio = eps / self.h
         p = round(ratio)
@@ -107,9 +105,17 @@ class FineGrid:
             ratio = p
         else:
             p = self.n_cells
-        y = (np.mod(-self.radius, eps) / eps + np.arange(p) / ratio) % 1.0
-        node = np.arange(1, self.n_cells) % p
-        return (np.repeat(y[:, None], self.dim, axis=1),
+        t = np.arange(p)[:, None] + np.asarray(offsets, dtype=float)
+        return ((np.mod(-self.radius, eps) / eps + t / ratio) % 1.0,
+                np.arange(self.n_cells) % p)
+
+    def phases(self, eps: float) -> tuple:
+        """Distinct fast phases x/eps mod 1 of the interior nodes as (r, d)
+        columns, and each of points()'s rows among them, one index per axis:
+        node i is the left edge of cell i in cell_phases."""
+        y, cell = self.cell_phases(eps, [0.0])
+        node = cell[1:]
+        return (np.repeat(y, self.dim, axis=1),
                 [node[r] for r in tensor_rows(node.size, self.dim)])
 
     def check_resolves(self, eps: float):
@@ -141,28 +147,50 @@ class ReferenceSpectrum:
     node_coefficients: np.ndarray | None = None  # 1D: a(x_i/eps) at nodes
 
 
-# --- 1D path -------------------------------------------------------------------
+# --- the fine-grid operator ------------------------------------------------------
 
 
-def _harmonic_averages_1d(coeff_at, eps: float, grid: FineGrid) -> np.ndarray:
-    """Exact harmonic cell averages of a(x/eps) over every grid cell
-    (12-point Gauss-Legendre per cell)."""
+def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid) -> tuple:
+    """The symmetric finite-difference operator of -div(a(./eps) grad) + W
+    for a diagonal a, fns[ax] = a_ax,ax as CoefficientField.entry gives it.
+
+    Each fns[ax] is called once, on one period of phases (cell_phases) as a
+    tensor grid: the 12 Gauss-Legendre points and the node of every cell
+    along ax, the node along every other axis.  Returns (edges, diag, wdiag,
+    anodes) on the interior nodes: edges[ax], the harmonic average of
+    a_ax,ax(./eps) over every cell edge along ax (n_cells along ax, n along
+    the others); diag = sum_ax (a_left + a_right) / h^2 + W; wdiag = W; and
+    anodes[ax] = a_ax,ax(x/eps).
+    """
     gl, glw = np.polynomial.legendre.leggauss(12)
-    edges = -grid.radius + grid.h * np.arange(0, grid.n_cells + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = mid[:, None] + 0.5 * grid.h * gl[None, :]
-    vals = coeff_at(pts.ravel() / eps).reshape(pts.shape)
-    return 1.0 / (0.5 * ((1.0 / vals) @ glw))
+    y, cell = grid.cell_phases(eps, np.append(0.5 * (1.0 + gl), 0.0))
+    d, node = grid.dim, cell[1:]
+    n = node.size
+    rows = np.arange(y.size).reshape(y.shape)
+    node_rows = np.arange(len(y))[:, None]
+    edges, anodes = [], []
+    for ax, fn in enumerate(fns):
+        # column ax holds every offset of every row, the others the node of
+        # every row; the table has one axis per grid axis, the offsets last
+        coords = np.zeros((y.size, d))
+        coords[:, ax] = y.ravel()
+        coords[:len(y), np.arange(d) != ax] = y[:, -1:]
+        index = [np.expand_dims(rows if k == ax else node_rows,
+                                [j for j in range(d) if j != k])
+                 for k in range(d)]
+        vals = np.broadcast_to(fn(coords, index), (len(y),) * d + y.shape[1:])
+        harm = 1.0 / (0.5 * ((1.0 / vals[..., :-1]) @ glw))
+        edges.append(harm[np.ix_(*(cell if k == ax else node
+                                   for k in range(d)))])
+        anodes.append(vals[..., -1][np.ix_(*(node,) * d)])
+    wdiag = W(grid.points()).reshape((n,) * d)
+    diag = sum((np.take(a, range(n), axis=ax)
+                + np.take(a, range(1, n + 1), axis=ax)) / grid.h ** 2
+               for ax, a in enumerate(edges)) + wdiag
+    return edges, diag, wdiag, anodes
 
 
-def _tridiag_1d(coeff_at, W: SlowPolynomial, eps: float, grid: FineGrid):
-    ah = _harmonic_averages_1d(coeff_at, eps, grid)
-    x = grid.axis()
-    h2 = grid.h ** 2
-    wdiag = W(x.reshape(-1, 1))
-    diag = (ah[:-1] + ah[1:]) / h2 + wdiag
-    off = -ah[1:-1] / h2
-    return diag, off, ah, wdiag
+# --- 1D path -------------------------------------------------------------------
 
 
 def _energy_quotient(aharm, wdiag, h, v):
@@ -221,7 +249,10 @@ def _refine_eigenpair(diag, off, vec, aharm, wdiag, h):
 
 
 def _solve_1d(coeff_at, W, eps, grid, count):
-    diag, off, ah, wdiag = _tridiag_1d(coeff_at, W, eps, grid)
+    """The count lowest polished eigenpairs, with the harmonic cell averages
+    and the node values of the coefficient."""
+    (ah,), diag, wdiag, (anode,) = _fd_operator([coeff_at], W, eps, grid)
+    off = -ah[1:-1] / grid.h ** 2
     _, vecs = sla.eigh_tridiagonal(
         diag, off, select="i", select_range=(0, count - 1)
     )
@@ -231,7 +262,7 @@ def _solve_1d(coeff_at, W, eps, grid, count):
         out_vals[k], out_vecs[k] = _refine_eigenpair(
             diag, off, vecs[:, k], ah, wdiag, grid.h)
     order = np.argsort(out_vals)
-    return out_vals[order], out_vecs[order], ah
+    return out_vals[order], out_vecs[order], ah, anode
 
 
 # --- 2D paths -------------------------------------------------------------------
@@ -271,9 +302,10 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
         else:
             return None
     f1, f2 = coeff.entry(0, 0), coeff.entry(1, 1)
+    # a 1D point set is a 2D one with the other coordinate 0
     return (
-        (lambda y: f1(y, np.zeros_like(y))),
-        (lambda y: f2(np.zeros_like(y), y)),
+        (lambda c, ix: f1(np.hstack([c, 0 * c]), [ix[0], ix[0]])),
+        (lambda c, ix: f2(np.hstack([0 * c, c]), [ix[0], ix[0]])),
         SlowPolynomial(1, W1), SlowPolynomial(1, W2),
     )
 
@@ -289,8 +321,8 @@ def _solve_2d_separable(parts, eps, grid, count, vectors=False):
     """
     a1, a2, W1, W2 = parts
     g1 = FineGrid(1, grid.radius, grid.h)
-    vals1, vecs1, _ = _solve_1d(a1, W1, eps, g1, count)
-    vals2, vecs2, _ = _solve_1d(a2, W2, eps, g1, count)
+    vals1, vecs1, _, _ = _solve_1d(a1, W1, eps, g1, count)
+    vals2, vecs2, _, _ = _solve_1d(a2, W2, eps, g1, count)
     pairs = sorted((vals1[i] + vals2[j], i, j)
                    for i in range(count) for j in range(count))[:count]
     vals = np.array([p[0] for p in pairs])
@@ -302,13 +334,9 @@ def _solve_2d_separable(parts, eps, grid, count, vectors=False):
 
 def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
                  grid: FineGrid) -> sp.spmatrix:
-    """Five-point symmetric FD matrix with harmonic interface averages.
-
-    Off-diagonal coefficients use the harmonic mean of a_ii at the midpoint
-    quadrature of each edge; off-diagonal entries of a are not supported on
-    this path (the pseudo-spectral side handles full matrices; fine-grid
-    acceptance runs use diagonal coefficients).
-    """
+    """Five-point symmetric FD matrix of _fd_operator; off-diagonal entries
+    of a are not supported on this path (the pseudo-spectral side handles
+    full matrices; fine-grid acceptance runs use diagonal coefficients)."""
     v = coeff.a.values
     if np.max(np.abs(v[0, 1])) > 0:
         raise NotImplementedError(
@@ -319,48 +347,18 @@ def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
         raise ConvergenceFailure(
             f"2D grid of {n * n} unknowns exceeds the cap {MAX_UNKNOWNS_2D}"
         )
-    x = grid.axis()
-    h = grid.h
-    gl, glw = np.polynomial.legendre.leggauss(8)
-    glw = glw / 2.0
-
-    def harm_edges(fn, axis):
-        # harmonic average of a(./eps) over each (i+1/2, j) edge for axis 0,
-        # (n_cells, n), or each (i, j+1/2) edge for axis 1, (n, n_cells)
-        e = -grid.radius + h * np.arange(0, grid.n_cells + 1)
-        mid = 0.5 * (e[:-1] + e[1:])
-        q = (mid[:, None] + 0.5 * h * gl[None, :]) / eps
-        if axis == 0:
-            # vals[c, j, g]: cell c along x1, node j along x2
-            vals = np.stack([fn(q.ravel(), np.full(q.size, xi / eps))
-                             .reshape(q.shape) for xi in x], axis=1)
-        else:
-            vals = np.stack([fn(np.full(q.size, xi / eps), q.ravel())
-                             .reshape(q.shape) for xi in x], axis=0)
-        return 1.0 / ((1.0 / vals) @ glw)
-
-    a1 = harm_edges(coeff.entry(0, 0), 0)
-    a2 = harm_edges(coeff.entry(1, 1), 1)
-
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-    wvals = W(np.stack([X1.ravel(), X2.ravel()], axis=1)).reshape(n, n)
-    diag = (a1[:-1, :] + a1[1:, :]) / h ** 2 \
-        + (a2[:, :-1] + a2[:, 1:]) / h ** 2 + wvals
-    west = -a1[1:-1, :] / h ** 2       # coupling (i, j) <-> (i+1, j)
-    south = -a2[:, 1:-1] / h ** 2      # coupling (i, j) <-> (i, j+1)
-
-    idx = np.arange(n * n).reshape(n, n)
-    rows = [idx.ravel(), idx[:-1, :].ravel(), idx[1:, :].ravel(),
-            idx[:, :-1].ravel(), idx[:, 1:].ravel()]
-    cols = [idx.ravel(), idx[1:, :].ravel(), idx[:-1, :].ravel(),
-            idx[:, 1:].ravel(), idx[:, :-1].ravel()]
-    data = [diag.ravel(), west.ravel(), west.ravel(),
-            south.ravel(), south.ravel()]
-    A = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n),
-    )
-    return A
+    edges, diag, _, _ = _fd_operator(
+        [coeff.entry(0, 0), coeff.entry(1, 1)], W, eps, grid)
+    bands, offsets = [diag.ravel()], [0]
+    for ax, a in enumerate(edges):
+        # the coupling of each node with its neighbour along ax, stride
+        # n^(d-1-ax) apart in C order; the last node along ax has none
+        off = np.pad(-np.take(a, range(1, n), axis=ax) / grid.h ** 2,
+                     [(0, int(k == ax)) for k in range(a.ndim)]).ravel()
+        stride = n ** (a.ndim - 1 - ax)
+        bands += [off[:-stride]] * 2
+        offsets += [stride, -stride]
+    return sp.diags(bands, offsets, format="csr")
 
 
 def _solve_2d_sparse(coeff, W, eps, grid, count, sigma_shift):
@@ -401,11 +399,10 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     cell_coeff = node_coeff = None
     if grid.dim == 1:
         coeff_at = coeff.entry(0, 0)
-        vals_h, _, _ = _solve_1d(coeff_at, W, eps, grid, count)
-        vals_h2, vecs, ah = _solve_1d(coeff_at, W, eps, fine, count)
+        vals_h = _solve_1d(coeff_at, W, eps, grid, count)[0]
+        vals_h2, vecs, ah, anode = _solve_1d(coeff_at, W, eps, fine, count)
         if keep_vectors:
-            cell_coeff = ah
-            node_coeff = coeff_at(fine.axis() / eps)
+            cell_coeff, node_coeff = ah, anode
         diagnostics["path"] = "tridiagonal"
     else:
         parts = _separable_parts(coeff, W)
@@ -487,66 +484,71 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float, P: int,
     The reference eigenvector for branch r is the one with the dominant
     overlap against the rotated envelope U_{0,r}; it is rescaled so that
     int psi U_{0,r} dx = 1, matching the normalization in which the
-    expansion is stated.  Raises MatchingAmbiguous when no assignment
-    dominates by the requested ratio, and GradientFloor when with_h1 is
-    asked of a reference without 1D coefficient data (2D, or built by hand).
+    expansion is stated.  A reference without eigenvectors is matched by
+    index, cluster[0] + r, and its rows carry NaN L2 and H1 errors.  Raises
+    MatchingAmbiguous when no assignment dominates by the requested ratio,
+    and GradientFloor when with_h1 is asked of eigenvectors without 1D
+    coefficient data (2D, or built by hand).
     """
-    from .expansion import assemble
+    from .expansion import assemble, lambda_tilde
     from .hermite import HermiteSampler
 
     if not isinstance(branches, (list, tuple)):
         branches = [branches]
-    if with_h1 and ref.cell_coefficients is None:
+    vectors = ref.eigenvectors is not None
+    if vectors and with_h1 and ref.cell_coefficients is None:
         raise GradientFloor(
             f"no flux gradient for this {ref.grid.dim}D reference; central "
             "differences on a grid with h ~ eps leave an eps-independent "
             "floor in the H1 error (pass with_h1=False)"
         )
-    grid = ref.fine_grid
-    pts = grid.points()
-    coords, index = grid.nodes()
-    phases = grid.phases(eps)
-    measure = grid.h ** grid.dim
+    if vectors:
+        grid = ref.fine_grid
+        pts = grid.points()
+        coords, index = grid.nodes()
+        phases = grid.phases(eps)
+        measure = grid.h ** grid.dim
     rows = []
     used = set()
     for br in branches:
-        # one Hermite table on the node coordinates serves the overlap and
-        # the assembly; the corrector shapes are sampled at one period of
-        # node phases
-        sample_x = HermiteSampler(br.spectrum.basis, coords, P + 1, index)
-        sample_y = FourierSampler(br.table.grid, *phases)
-        u0_vals = sample_x(br.U[0])
-        overlaps = ref.eigenvectors @ u0_vals * measure
-        order = [i for i in np.argsort(-np.abs(overlaps)) if i not in used]
-        pick = order[0]
-        if len(branches) > 1 and len(order) > 1:
-            runner_up = abs(overlaps[order[1]])
-            cond = abs(overlaps[pick]) / max(runner_up, 1e-300)
-            if cond < MAX_OVERLAP_CONDITION:
-                raise MatchingAmbiguous(
-                    f"overlap condition {cond:.2f} below "
-                    f"{MAX_OVERLAP_CONDITION} for branch {br.label}"
-                )
-        used.add(pick)
-        psi = ref.eigenvectors[pick] / overlaps[pick]
-        asm = assemble(br, eps, pts, P=P, gradient=with_h1,
-                       sample_x=sample_x, sample_y=sample_y)
-        lam_ref = float(ref.eigenvalues[pick])
-        diff = psi - asm.w
-        l2 = float(np.sqrt(np.sum(diff ** 2) * measure))
-        if with_h1:
-            gpsi = _flux_gradient(psi, ref)
-            gd = gpsi - asm.grad_w
-            h1 = float(np.sqrt(np.sum(diff ** 2) * measure
-                               + np.sum(gd ** 2) * measure))
+        l2 = h1 = float("nan")
+        if not vectors:
+            pick = min(br.cluster[0] + br.label, len(ref.eigenvalues) - 1)
         else:
-            h1 = float("nan")
+            # one Hermite table on the node coordinates serves the overlap
+            # and the assembly; the corrector shapes are sampled at one
+            # period of node phases
+            sample_x = HermiteSampler(br.spectrum.basis, coords, P + 1, index)
+            sample_y = FourierSampler(br.table.grid, *phases)
+            overlaps = ref.eigenvectors @ sample_x(br.U[0]) * measure
+            order = [i for i in np.argsort(-np.abs(overlaps)) if i not in used]
+            pick = order[0]
+            if len(branches) > 1 and len(order) > 1:
+                runner_up = abs(overlaps[order[1]])
+                cond = abs(overlaps[pick]) / max(runner_up, 1e-300)
+                if cond < MAX_OVERLAP_CONDITION:
+                    raise MatchingAmbiguous(
+                        f"overlap condition {cond:.2f} below "
+                        f"{MAX_OVERLAP_CONDITION} for branch {br.label}"
+                    )
+            used.add(pick)
+            psi = ref.eigenvectors[pick] / overlaps[pick]
+            asm = assemble(br, eps, pts, P=P, gradient=with_h1,
+                           sample_x=sample_x, sample_y=sample_y)
+            diff = psi - asm.w
+            l2 = float(np.sqrt(np.sum(diff ** 2) * measure))
+            if with_h1:
+                gd = _flux_gradient(psi, ref) - asm.grad_w
+                h1 = float(np.sqrt(np.sum(diff ** 2) * measure
+                                   + np.sum(gd ** 2) * measure))
+        lam_ref = float(ref.eigenvalues[pick])
+        lam_tilde = lambda_tilde(br, eps, P)
         rows.append(ComparisonRow(
             eps=eps, j=br.j, branch=br.label,
             lambda_ref=float(ref.eigenvalues_h2[pick]),
             lambda_ref_richardson=lam_ref,
-            lambda_tilde=asm.lambda_tilde,
-            eig_err=abs(lam_ref - asm.lambda_tilde),
+            lambda_tilde=lam_tilde,
+            eig_err=abs(lam_ref - lam_tilde),
             l2_err=l2, h1_err=h1,
             h=ref.grid.h, radius=ref.grid.radius,
         ))

@@ -264,10 +264,10 @@ class FourierSampler:
 
     Point p has coordinate ``points[index[ax][p], ax]`` on axis ax; without
     ``index`` it is row p of ``points``.  The per-axis Fourier basis is built
-    once on the rows of ``points``, so a point set with few distinct
-    coordinates per axis, such as the fine-grid phases of FineGrid.phases,
-    costs few rows.  Each call is one FFT, one product with the spectrum and
-    one gather.
+    once on the rows of ``points`` up to the last one ``index`` reads, so a
+    point set with few distinct coordinates per axis, such as the fine-grid
+    phases of FineGrid.phases, costs few rows on each.  Each call is one
+    FFT, one product with the spectrum and one gather.
     """
 
     __slots__ = ("grid", "bases", "index")
@@ -278,7 +278,9 @@ class FourierSampler:
         if pts.shape[1] != grid.dim:
             raise GridMismatch("points must have d columns")
         self.grid = grid
-        self.bases = [_axis_basis(pts[:, ax], grid.modes_per_axis)
+        self.bases = [_axis_basis(pts[:, ax] if index is None else
+                                  pts[:np.max(index[ax]) + 1, ax],
+                                  grid.modes_per_axis)
                       for ax in range(grid.dim)]
         self.index = index
 
@@ -533,13 +535,19 @@ class CoefficientField:
             for i in range(d)]))
 
     def entry(self, i: int, j: int):
-        """a_ij as a callable of (y1[, y2]): the closed-form expression when
-        one is known, else the trigonometric interpolant of the samples."""
+        """a_ij as a callable of a point set given as to FourierSampler,
+        (points, index or None); index arrays that broadcast give values of
+        their broadcast shape, or of length 1 on an axis an expression
+        ignores.  The closed-form expression when one is known, else the
+        trigonometric interpolant of the samples."""
         fn = self.entry_fns[i][j] if self.entry_fns else None
-        if fn is not None:
-            return lambda *ys: np.asarray(fn(*ys), dtype=float)
-        comp = self.a.component(i, j)
-        return lambda *ys: comp.evaluate(np.stack(ys, axis=1))
+        if fn is None:
+            comp = self.a.component(i, j)
+            return lambda coords, index: FourierSampler(
+                self.grid, coords, index)(comp)
+        return lambda coords, index: np.asarray(fn(*(
+            coords[:, k] if index is None else coords[index[k], k]
+            for k in range(self.grid.dim))), dtype=float)
 
 
 # --- the two solvers --------------------------------------------------------

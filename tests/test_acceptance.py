@@ -165,7 +165,8 @@ def test_a3_h1_eigenfunction_rate(ctx_1d):
     assert ok, (
         f"H1 eigenfunction-error slope {h1_slope:.3f} is outside [1.8, 2.2] "
         f"and cannot reach it: the continuum error is O(eps) "
-        f"(measured {h1_pts[0][1]:.2e} at eps=0.1 ~ 0.040*eps), while the "
+        f"(measured {h1_pts[0][1]:.2e} at eps={h1_pts[0][0]:g} ~ "
+        f"{h1_pts[0][1] / h1_pts[0][0]:.3f}*eps), while the "
         f"L2 slope is {l2_slope:.2f}. "
         "See notes: the first-order prediction omits the second-order cell "
         "term whose gradient enters at order eps."

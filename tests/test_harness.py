@@ -109,6 +109,8 @@ def _bad_texts(s):
         out = out | below.map(str)
     if s.kind is tuple:
         out = out | st.builds("0.5, {}".format, junk | st.just("nan"))
+    if s.key == "torus_modes":
+        out = out | st.integers(2, 250).map(lambda k: str(2 * k + 1))
     return out
 
 
@@ -118,6 +120,8 @@ def _valid_texts(s):
         out = st.sampled_from(["1", "0", "true", "False", "yes", "NO"])
     elif s.kind is str:
         out = st.text(alphabet="abcxyz0189-_./%", min_size=1, max_size=12)
+    elif s.key == "torus_modes":
+        out = st.integers(s.low // 2, 250).map(lambda k: str(2 * k))
     elif s.kind is int:
         out = st.integers(s.low, s.low + 500).map(str)
     else:
@@ -527,6 +531,7 @@ class TestCLI:
         ("hermite_size", "4"),          # below the bound
         ("validate_radius", "treu"),    # not a boolean
         ("eps", "0.1, abc"),            # a malformed list entry
+        ("torus_modes", "5"),           # odd
     ])
     def test_bad_setting_exit_code(self, tmp_path, key, value):
         s = _setting(key)

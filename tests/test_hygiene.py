@@ -27,10 +27,6 @@ KEPT_UNREAD = {
 # names its caller here instead, and a new shared name or owner fails
 # test_no_unused_helpers until it is listed
 SHARED_METHODS = {
-    "axis": {
-        "FineGrid": "FineGrid.points and reference._tridiag_1d",
-        "TorusGrid": "TorusGrid.coords (a property)",
-    },
     "constant": {
         "PeriodicField": "SeparableField.one",
         "SlowPolynomial": "config.parse_potential_expr",

@@ -18,11 +18,11 @@ from homspec.reference import (
     FineGrid,
     _assemble_2d,
     _energy_quotient,
+    _fd_operator,
     _refine_eigenpair,
     _separable_parts,
     _solve_1d,
     _solve_2d_separable,
-    _tridiag_1d,
     fit_rate,
     match_and_compare,
     solve_Leps,
@@ -166,6 +166,24 @@ class TestSolve2D:
                      (want.eigenvalues_h2, got.eigenvalues_h2)):
             assert np.max(np.abs(a - b) / a) < 1e-13
 
+    def test_sampled_assembly_builds_two_samplers(self, monkeypatch):
+        # the coefficient is called once per axis on one period of phases,
+        # so a sampled one builds one Fourier sampler per axis (one per grid
+        # row and axis would be 2n = 126 here)
+        import homspec.torus as torus
+        _, sampled, W, fg = self._non_separable()
+        built = []
+
+        class CountingSampler(torus.FourierSampler):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(torus, "FourierSampler", CountingSampler)
+        A = _assemble_2d(sampled, W, 0.5, fg)
+        assert A.shape == (fg.n_interior ** 2,) * 2 == (63 ** 2,) * 2
+        assert len(built) <= 2
+
     def test_sparse_path_is_reproducible(self):
         # the shift-invert start vector is seeded, so two solves of one
         # problem agree bit for bit
@@ -186,6 +204,67 @@ class TestSolve2D:
         fg = FineGrid(2, 6.0, 1.0 / 24)
         ref = solve_Leps(c, W, 0.5, fg, 3, keep_vectors=False)
         assert np.allclose(ref.eigenvalues, [2.0, 4.0, 4.0], atol=1e-6)
+
+
+class TestFdOperator:
+    @staticmethod
+    def _direct(fn, eps, grid, ax):
+        """Harmonic averages of fn over the cell edges along ax and fn at the
+        nodes, evaluated at the unreduced arguments x/eps."""
+        gl, glw = np.polynomial.legendre.leggauss(12)
+        left = -grid.radius + grid.h * np.arange(grid.n_cells)
+        gauss = (left[:, None] + 0.5 * grid.h * (1.0 + gl)) / eps
+        x = (-grid.radius + grid.h * np.arange(1, grid.n_cells)) / eps
+        if grid.dim == 1:
+            vals, nodes = fn(gauss), fn(x)
+        else:
+            args = ((gauss[:, None, :], x[None, :, None]) if ax == 0
+                    else (x[:, None, None], gauss[None, :, :]))
+            vals = fn(*np.broadcast_arrays(*args))
+            nodes = fn(*np.meshgrid(x, x, indexing="ij"))
+        return 1.0 / (0.5 * ((1.0 / vals) @ glw)), nodes
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), sampled=st.booleans(),
+           eps=st.floats(0.01, 0.5), ratio=st.integers(8, 24),
+           frac=st.sampled_from([0.0, 0.3, 0.71]), cells=st.integers(4, 60),
+           spill=st.floats(-0.4, 0.4), phase=st.floats(0.0, 1.0),
+           amp=st.floats(0.0, 0.9))
+    def test_phase_table_matches_direct_evaluation(
+            self, dim, sampled, eps, ratio, frac, cells, spill, phase, amp):
+        # with eps/h an integer or not, the edge averages, node values and
+        # diagonal read off one period of phases agree with a direct
+        # evaluation at x/eps to 1e-12 relative, for a coefficient given as
+        # an expression or as samples; 1D boxes span up to 20 times more
+        # cells
+        h = eps / (ratio + frac)
+        cells *= 20 if dim == 1 else 1
+        grid = FineGrid(dim, 0.5 * (cells + spill) * h, h)
+        assert grid.n_cells == cells
+
+        def fn(*ys):
+            y2 = ys[-1]
+            return (2.0 + amp * np.cos(TWO_PI * (ys[0] + phase))
+                    * np.cos(TWO_PI * (y2 - phase)) + 0.3 * np.sin(TWO_PI * y2))
+
+        coeff = CoefficientField.from_diagonal(TorusGrid(dim, 16), [fn] * dim)
+        if sampled:
+            coeff = CoefficientField.from_samples(coeff.grid, coeff.a.values)
+        W = SlowPolynomial(dim, {(2,) + (0,) * (dim - 1): 1.0})
+        edges, diag, wdiag, anodes = _fd_operator(
+            [coeff.entry(ax, ax) for ax in range(dim)], W, eps, grid)
+        n = grid.n_interior
+        want_diag = W(grid.points()).reshape((n,) * dim)
+        assert np.array_equal(wdiag, want_diag)
+        for ax in range(dim):
+            want_edges, want_nodes = self._direct(fn, eps, grid, ax)
+            assert edges[ax].shape == want_edges.shape
+            assert np.max(np.abs(edges[ax] / want_edges - 1.0)) <= 1e-12
+            assert np.max(np.abs(anodes[ax] / want_nodes - 1.0)) <= 1e-12
+            want_diag = want_diag + (
+                np.take(want_edges, range(n), axis=ax)
+                + np.take(want_edges, range(1, n + 1), axis=ax)) / h ** 2
+        assert np.max(np.abs(diag / want_diag - 1.0)) <= 1e-12
 
 
 def separable_2d(phase1=0.0, phase2=0.0):
@@ -359,8 +438,9 @@ class TestPolish:
         grid = FineGrid(1, 7.0, eps / 32)
         c = CoefficientField.from_isotropic(
             TorusGrid(1, 64), lambda y: 2.0 + np.cos(TWO_PI * y))
-        a = c.entry_fns[0][0]
-        diag, off, ah, wd = _tridiag_1d(a, w1(), eps, grid)
+        a = c.entry(0, 0)
+        (ah,), diag, wd, _ = _fd_operator([a], w1(), eps, grid)
+        off = -ah[1:-1] / grid.h ** 2
         vals, vecs = sla.eigh_tridiagonal(diag, off, select="i",
                                           select_range=(0, 0))
         lam, v = _refine_eigenpair(diag, off, vecs[:, 0], ah, wd, grid.h)
@@ -395,11 +475,11 @@ class TestPolish:
         grid1 = TorusGrid(1, 64)
         c = CoefficientField.from_isotropic(
             grid1, lambda y: 2.0 + np.cos(TWO_PI * y))
-        a = c.entry_fns[0][0]
+        a = c.entry(0, 0)
         grid = FineGrid(1, radius, eps / rule)
         assert 90 <= grid.n_interior <= 200
-        vals, _, ah = _solve_1d(a, w1(), eps, grid, 3)
-        _, _, _, wd = _tridiag_1d(a, w1(), eps, grid)
+        vals, _, ah, _ = _solve_1d(a, w1(), eps, grid, 3)
+        wd = _fd_operator([a], w1(), eps, grid)[2]
         with mpmath.workdps(40):
             for k, lam in enumerate(vals):
                 exact = _sturm_eigenvalue(ah, wd, grid.h, k, lam)

@@ -165,8 +165,8 @@ class TestCoefficientField:
             for j in range(dim):
                 want = (np.asarray(fns[i](*cols), dtype=float) if i == j
                         else c.a.component(i, j).evaluate(pts))
-                assert np.array_equal(c.entry(i, j)(*cols), want)
-                assert np.array_equal(sampled.entry(i, j)(*cols),
+                assert np.array_equal(c.entry(i, j)(pts, None), want)
+                assert np.array_equal(sampled.entry(i, j)(pts, None),
                                       c.a.component(i, j).evaluate(pts))
 
 
