@@ -27,7 +27,6 @@ from .torus import (
     CoefficientField,
     PeriodicField,
     div_y,
-    grad_y,
     hminus1_norm,
     solve_flux_corrector,
 )

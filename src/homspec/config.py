@@ -21,8 +21,7 @@ is decided at run time (default_sigma, truncation_radius, the truncation
 rule).  Numbers must be finite and positive, integers and fd_h_rule no
 lower than their lowest value, torus_modes even, booleans one of
 1/0/true/false/yes/no, eps sorted descending and count >= j + 1; anything
-else is a ConfigError, which
-names the section.key of a bad value.
+else is a ConfigError, which names the section.key of a bad value.
 
 Coefficient expressions may use y1, y2 (or y in 1D), numbers, pi, cos, sin,
 + - * / and ** with integer exponents.  Potential expressions use x1, x2
