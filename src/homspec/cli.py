@@ -1,8 +1,8 @@
 """Batch command-line interface.
 
 Subcommands: homogenize, spectrum, expand, reference, sweep, verify,
-plot-data.  Exit codes: 0 success, 2 invariant failure, 3 config error,
-4 numerical failure.
+plot-data.  Exit codes: 0 success, 2 invariant failure, 3 config or usage
+error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -197,8 +198,26 @@ def cmd_plot_data(cfg, args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _tolerance_scale(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homspec",
         description="Spectral expansions for periodic divergence-form "
                     "Schrodinger operators, with a fine-grid verification "
@@ -207,7 +226,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to the run configuration")
     parser.add_argument("--out", help="output directory (default: print/config)")
     parser.add_argument("--manifest", help="directory with a sweep run (plot-data)")
-    parser.add_argument("--tolerance-scale", type=float, default=1.0,
+    parser.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0,
                         dest="tolerance_scale",
                         help="multiply invariant thresholds (verify)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,12 +244,10 @@ def main(argv=None) -> int:
             # before it from being overwritten by this parser's default
             p.add_argument("--manifest", default=argparse.SUPPRESS,
                            help="directory with a sweep run")
-    args = parser.parse_args(argv)
-
-    needs_config = args.command not in ("verify", "plot-data")
     cfg = None
     try:
-        if needs_config:
+        args = parser.parse_args(argv)
+        if args.command not in ("verify", "plot-data"):
             if not args.config:
                 raise ConfigError(f"{args.command} requires --config")
             cfg = load_config(args.config)

@@ -21,7 +21,9 @@ is decided at run time (default_sigma, truncation_radius, the truncation
 rule).  Numbers must be finite and positive, integers and fd_h_rule no
 lower than their lowest value, torus_modes even, booleans one of
 1/0/true/false/yes/no, eps sorted descending and count >= j + 1; anything
-else is a ConfigError, which names the section.key of a bad value.
+else is a ConfigError, which names the section.key of a bad value.  So is
+a section or key outside this grammar (a21 among them: it is implied), and
+the error names each one.
 
 Coefficient expressions may use y1, y2 (or y in 1D), numbers, pi, cos, sin,
 + - * / and ** with integer exponents.  Potential expressions use x1, x2
@@ -309,6 +311,20 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"dim must be an integer: {exc}") from exc
     if dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {dim}")
+    known = {"problem": {"dim", "a", "a_samples", "w"}
+             | {f"a{i}{jj}" for i in range(1, dim + 1)
+                for jj in range(i, dim + 1)}}
+    for s in SETTINGS:
+        known.setdefault(s.section, set()).add(s.key)
+    unknown = []
+    for sec in cp.sections():
+        if sec not in known:
+            unknown.append(f"[{sec}]")
+        else:
+            unknown += [f"{sec}.{key}" for key in cp.options(sec)
+                        if key not in known[sec]]
+    if unknown:
+        raise ConfigError(f"unknown section or key: {', '.join(unknown)}")
 
     a_entries = {}
     a_samples_path = get("problem", "a_samples")

@@ -116,9 +116,14 @@ def _axis_kinetic(N: int, sigma: float) -> np.ndarray:
     return (D.T @ D)[:N, :N] / sigma ** 2
 
 
-def _axis_deriv(N: int, sigma: float) -> np.ndarray:
-    """Exact <psi_m, psi_n'>, N x N."""
-    return _dop(N + 1)[:N, :N] / sigma
+@lru_cache(maxsize=None)
+def _lift(N: int, Ne: int, order: int, sigma: float) -> np.ndarray:
+    """Ne x N matrix taking the coefficients of f on N modes to those of
+    its order-th derivative on Ne modes; exact when Ne >= N + order.  Ne = N
+    gives the Galerkin block <psi_m, d^order psi_n>.  Cached, so read-only."""
+    lift = np.linalg.matrix_power(_dop(Ne), order)[:, :N] / sigma ** order
+    lift.flags.writeable = False
+    return lift
 
 
 def _kron_chain(blocks: list) -> np.ndarray:
@@ -147,7 +152,7 @@ def derivative_op(axis: int, basis: MacroBasis) -> np.ndarray:
     """Galerkin matrix of d/dx_axis (exact through the top retained mode)."""
     N, d = basis.size, basis.dim
     blocks = [np.eye(N)] * d
-    blocks[axis] = _axis_deriv(N, basis.sigma)
+    blocks[axis] = _lift(N, N, 1, basis.sigma)
     return _kron_chain(blocks)
 
 
@@ -181,8 +186,8 @@ def assemble_L0(abar: np.ndarray, W: SlowPolynomial,
                 blocks[i] = _axis_kinetic(N, basis.sigma)
             else:
                 blocks = [np.eye(N)] * d
-                blocks[i] = _axis_deriv(N, basis.sigma).T
-                blocks[j] = _axis_deriv(N, basis.sigma)
+                blocks[i] = _lift(N, N, 1, basis.sigma).T
+                blocks[j] = _lift(N, N, 1, basis.sigma)
             L += abar[i, j] * _kron_chain(blocks)
     return 0.5 * (L + L.T)
 
@@ -302,13 +307,10 @@ class HermiteSampler:
 
 def extended_coefficients(f: MacroFunction, alpha: tuple, Ne: int) -> np.ndarray:
     """Coefficients of d^alpha f in the basis extended to Ne modes per axis."""
-    d = f.basis.dim
     c = f.coeffs.reshape(f.basis.shape)
-    pad = [(0, Ne - f.basis.size)] * d
-    c = np.pad(c, pad)
-    for ax in range(d):
-        Dp = np.linalg.matrix_power(_dop(Ne), alpha[ax]) / f.basis.sigma ** alpha[ax]
-        c = np.moveaxis(np.tensordot(Dp, c, axes=(1, ax)), 0, ax)
+    for ax in range(f.basis.dim):
+        lift = _lift(f.basis.size, Ne, alpha[ax], f.basis.sigma)
+        c = np.moveaxis(np.tensordot(lift, c, axes=(1, ax)), 0, ax)
     return c
 
 
@@ -327,16 +329,19 @@ class QuadratureRule:
 
     Handles integrals int p(x) f(x) g(x) dx with f, g in the (extended)
     basis and p polynomial: total polynomial degree up to 2Q-1 is exact.
+    ``values(f, alpha)`` is d^alpha f at the nodes, flattened: a
+    HermiteSampler on the nodes of derivatives up to n_ext - basis.size.
     """
 
     def __init__(self, basis: MacroBasis, n_ext: int):
         z, wmod = _gh_nodes(n_ext + QUAD_EXTRA_NODES)
         self.basis = basis
-        self.n_ext = n_ext
         self.x1 = basis.sigma * z
         self.w1 = basis.sigma * wmod
-        self.B = hermite_function_values(self.x1, n_ext, basis.sigma)
         self.index = tensor_rows(z.size, basis.dim)
+        self.values = HermiteSampler(
+            basis, np.repeat(self.x1[:, None], basis.dim, axis=1),
+            n_ext - basis.size, self.index)
 
     def points(self) -> np.ndarray:
         """Physical quadrature nodes, (M, d)."""
@@ -345,16 +350,6 @@ class QuadratureRule:
     def weights(self) -> np.ndarray:
         return np.prod([self.w1[r] for r in self.index], axis=0)
 
-    def values(self, f: MacroFunction, alpha: tuple | None = None) -> np.ndarray:
-        """d^alpha f at the quadrature nodes, flattened."""
-        d = self.basis.dim
-        alpha = tuple(alpha) if alpha is not None else (0,) * d
-        if sum(alpha) > self.n_ext - self.basis.size:
-            raise ValueError("quadrature rule extension too small for alpha")
-        return tensor_contract([self.B] * d,
-                               extended_coefficients(f, alpha, self.n_ext),
-                               self.index)
-
     def integrate(self, *factors) -> float:
         """Integral over R^d of a product of node-value arrays."""
         acc = self.weights()
@@ -362,28 +357,20 @@ class QuadratureRule:
             acc = acc * v
         return float(acc.sum())
 
-    def _basis_block(self, order: int) -> np.ndarray:
-        """Per-axis node values of the order-th derivative of the N basis
-        functions, exact through the ladder on the extended range."""
-        N = self.basis.size
-        if order == 0:
-            return self.B[:, :N]
-        Dp = np.linalg.matrix_power(_dop(self.n_ext), order) \
-            / self.basis.sigma ** order
-        return self.B @ Dp[:, :N]
-
     def project(self, values: np.ndarray, alpha: tuple | None = None) -> np.ndarray:
         """Coefficients <d^alpha psi_n, f> from node values of f.
 
         Used to Galerkin-project divergence-form right-hand sides by parts.
+        The node values of d^alpha psi_n are the sampler's tables times the
+        ladder lift, exact on the extended range.
         """
-        d = self.basis.dim
-        alpha = tuple(alpha) if alpha is not None else (0,) * d
-        blocks = [self._basis_block(alpha[ax]) * self.w1[:, None]
-                  for ax in range(d)]
-        out = blocks[0].T @ values.reshape((self.x1.size,) * d)
-        for b in blocks[1:]:
-            out = out @ b
+        b = self.basis
+        alpha = tuple(alpha) if alpha is not None else (0,) * b.dim
+        blocks = [t @ _lift(b.size, t.shape[1], k, b.sigma) * self.w1[:, None]
+                  for t, k in zip(self.values.tables, alpha)]
+        out = blocks[0].T @ values.reshape((self.x1.size,) * b.dim)
+        for blk in blocks[1:]:
+            out = out @ blk
         return out.ravel()
 
 

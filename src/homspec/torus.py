@@ -85,23 +85,15 @@ class TorusGrid:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        """Full |2 pi k|^2 including the Nyquist mode (used for inversions)."""
+        """Full |2 pi k|^2 including the Nyquist mode, for inversions.  The
+        zero mode holds 1, so dividing by it is safe; each inversion then
+        zeroes that mode itself."""
         n = self.modes_per_axis
         k2 = np.zeros(self.shape)
         for k in self._along_axes(TWO_PI * np.fft.fftfreq(n, d=1.0 / n)):
             k2 = k2 + k ** 2
+        k2.flat[0] = 1.0
         return k2
-
-    @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """Boolean mask of modes whose every axis index avoids the Nyquist."""
-        n = self.modes_per_axis
-        keep = np.ones(n, dtype=bool)
-        keep[n // 2] = False
-        mask = np.ones(self.shape, dtype=bool)
-        for k in self._along_axes(keep):
-            mask = mask & k
-        return mask
 
 
 def _check_same_grid(*fields):
@@ -362,18 +354,11 @@ def _copy_modes(fh: np.ndarray, n: int, size: int) -> np.ndarray:
     return out
 
 
-def project_nyquist(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Zero all Fourier modes with a Nyquist index on some axis."""
-    fh = np.fft.fftn(values)
-    fh[~grid.nyquist_mask] = 0.0
-    return np.real(np.fft.ifftn(fh))
-
-
-def pad_values(values: np.ndarray, n: int) -> np.ndarray:
-    """Resample a scalar grid array onto the 3/2-padded grid."""
-    m = _pad_shape(n)
-    fh = np.fft.fftn(values) / values.size
-    return np.real(np.fft.ifftn(_copy_modes(fh, n, m))) * m ** values.ndim
+def _resample(values: np.ndarray, n: int, size: int) -> np.ndarray:
+    """The modes of an n-grid spectrum of ``values`` on a size^d grid,
+    unscaled: size > n pads an n-grid array, size = n truncates a larger
+    one, or drops the Nyquist modes of an n-grid array."""
+    return np.real(np.fft.ifftn(_copy_modes(np.fft.fftn(values), n, size)))
 
 
 def l2_inner(f: PeriodicField, g: PeriodicField) -> float:
@@ -388,9 +373,7 @@ def hminus1_norm(f: PeriodicField) -> float:
     if f.rank != 0:
         raise GridMismatch("hminus1_norm expects a scalar field")
     fh = np.fft.fftn(f.values) / f.grid.npoints
-    k2 = f.grid.k_squared.copy()
-    k2.flat[0] = 1.0
-    w = np.abs(fh) ** 2 / k2
+    w = np.abs(fh) ** 2 / f.grid.k_squared
     w.flat[0] = 0.0
     return float(np.sqrt(w.sum()))
 
@@ -507,7 +490,8 @@ class CoefficientField:
             out = np.zeros((d, d) + (m,) * d)
             for i in range(d):
                 for j in range(d):
-                    out[i, j] = pad_values(self.a.values[i, j], n)
+                    out[i, j] = _resample(self.a.values[i, j], n, m) \
+                        * (m / n) ** d
             self._padded = out
         return self._padded
 
@@ -526,12 +510,10 @@ class CoefficientField:
         d = self.grid.dim
         m = _pad_shape(n)
         scale = (m / n) ** d
-        pads = [np.real(np.fft.ifftn(_copy_modes(np.fft.fftn(gj), n, m)))
-                * scale for gj in g.values]
+        pads = [_resample(gj, n, m) * scale for gj in g.values]
         ap = self.padded_values()
         return PeriodicField(self.grid, np.stack([
-            np.real(np.fft.ifftn(_copy_modes(np.fft.fftn(
-                sum(ap[i, j] * pads[j] for j in range(d))), n, n))) / scale
+            _resample(sum(ap[i, j] * pads[j] for j in range(d)), n, n) / scale
             for i in range(d)]))
 
     def entry(self, i: int, j: int):
@@ -592,19 +574,18 @@ def solve_cell(coeff: CoefficientField,
             raise NonZeroMean("G", abs(gmean))
         # Nyquist content of the source is outside the operator range on an
         # even grid; it is projected out as part of the discretization
-        b += project_nyquist(G.values - gmean, grid)
+        n = grid.modes_per_axis
+        b += _resample(G.values - gmean, n, n)
     b -= b.mean()
 
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return PeriodicField.zeros(grid)
 
-    k2 = grid.k_squared.copy()
-    k2.flat[0] = 1.0
     cbar = 0.5 * (coeff.lam_min + coeff.lam_max)
 
     def precond(r):
-        rh = np.fft.fftn(r) / (cbar * k2)
+        rh = np.fft.fftn(r) / (cbar * grid.k_squared)
         rh.flat[0] = 0.0
         return np.real(np.fft.ifftn(rh))
 
@@ -638,7 +619,8 @@ def cell_residual(coeff: CoefficientField, u: PeriodicField,
     if F is not None:
         r = r + div_y(F).values
     if G is not None:
-        r = r + project_nyquist(G.values - G.mean(), coeff.grid)
+        n = coeff.grid.modes_per_axis
+        r = r + _resample(G.values - G.mean(), n, n)
     return hminus1_norm(PeriodicField(coeff.grid, r - r.mean()))
 
 
@@ -667,12 +649,10 @@ def solve_flux_corrector(g: PeriodicField) -> PeriodicField:
     if d == 1:
         return PeriodicField(grid, out)
     ks = grid.wavenumbers
-    k2 = grid.k_squared.copy()
-    k2.flat[0] = 1.0
     gh = [np.fft.fftn(g.values[i]) for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            sh = (1j * ks[j] * gh[i] - 1j * ks[i] * gh[j]) / k2
+            sh = (1j * ks[j] * gh[i] - 1j * ks[i] * gh[j]) / grid.k_squared
             sh.flat[0] = 0.0
             s = np.real(np.fft.ifftn(sh))
             out[i, j] = s

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homspec.config import (
@@ -114,6 +114,22 @@ def _bad_texts(s):
     return out
 
 
+# typos that would otherwise run with a default, and the name the error
+# gives each: a misspelled key or section, and an entry the dimension does
+# not have (a21 is implied by symmetry)
+UNKNOWN_KEYS = [
+    (MINIMAL.replace("torus_modes = 64", "torus_mode = 8"),
+     "discretization.torus_mode"),
+    (MINIMAL.replace("p_order = 2", "p_oder = 7"), "experiment.p_oder"),
+    (MINIMAL.replace("[experiment]", "[experimnt]"), "[experimnt]"),
+    (TWO_BRANCH.replace("a22 = 1", "a22 = 1\na21 = 0.5"), "problem.a21"),
+    (MINIMAL.replace("w = x**2", "w = x**2\na22 = 1"), "problem.a22"),
+]
+KNOWN_KEYS = {"problem": {"dim", "a", "a_samples", "w", "a11"}}
+for _s in SETTINGS:
+    KNOWN_KEYS.setdefault(_s.section, set()).add(_s.key)
+
+
 def _valid_texts(s):
     """Texts that setting ``s`` reads as a value (or as its default)."""
     if s.kind is bool:
@@ -203,6 +219,26 @@ class TestConfig:
         text = _with_setting(s, data.draw(_bad_texts(s)))
         with pytest.raises(ConfigError,
                            match=re.escape(f"{s.section}.{s.key} ")):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text, name", UNKNOWN_KEYS)
+    def test_unknown_key_is_named(self, text, name):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown section or key: {name}")):
+            parse_config(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(section=st.sampled_from(sorted(KNOWN_KEYS)),
+           key=st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1,
+                       max_size=12))
+    def test_any_unknown_key_is_named(self, section, key):
+        # a key no row of the grammar knows, in any section, is refused
+        # by its section.key
+        assume(key not in KNOWN_KEYS[section])
+        lines = MINIMAL.splitlines()
+        at = lines.index(f"[{section}]") + 1
+        text = "\n".join(lines[:at] + [f"{key} = 1"] + lines[at:]) + "\n"
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
             parse_config(text)
 
     @settings(max_examples=100, deadline=None)
@@ -577,6 +613,32 @@ class TestCLI:
         cfgfile.write_text("[problem]\ndim = 7\na = 1\nw = x**2\n")
         r = self._run("--config", str(cfgfile), "homogenize", cwd=str(tmp_path))
         assert r.returncode == 3
+
+    def test_unknown_key_exit_code(self, tmp_path):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(MINIMAL.replace("p_order = 2", "p_oder = 7"))
+        r = self._run("--config", str(cfgfile), "homogenize",
+                      cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: ", "experiment.p_oder")
+
+    @pytest.mark.parametrize("argv, needle", [
+        (("expand", "--w-samples", "abc"), "--w-samples"),
+        (("frobnicate",), "frobnicate"),
+        ((), "command"),
+        (("--tolerance-scale", "-1", "verify"), "--tolerance-scale"),
+        (("--tolerance-scale", "nan", "verify"), "--tolerance-scale"),
+    ], ids=["bad-int", "unknown-subcommand", "no-subcommand",
+            "negative-scale", "nan-scale"])
+    def test_usage_error_exit_code(self, tmp_path, argv, needle):
+        # argparse's own usage errors are config errors, not exit 2, which
+        # is kept for invariant failures
+        r = self._run(*argv, cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: ", needle)
+
+    def test_parser_error_is_a_config_error(self):
+        from homspec.cli import _Parser
+        with pytest.raises(ConfigError, match="bad usage"):
+            _Parser(prog="homspec").error("bad usage")
 
     def test_missing_config_exit_code(self, tmp_path):
         r = self._run("sweep", cwd=str(tmp_path))

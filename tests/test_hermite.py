@@ -1,5 +1,7 @@
 """Macroscopic Hermite space: oscillator oracles, resolvent, clustering."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,21 +269,29 @@ class TestQuadratureRule:
         assert np.array_equal(quad.weights(), want)
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_project_is_the_quadrature_of_values(self, dim):
-        # project(v, alpha) . c = int v d^alpha f for f with coefficients c
-        rng = np.random.default_rng(dim)
-        basis = MacroBasis(dim, 10, 0.8)
-        quad = quadrature_for(basis, 4)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(8, 14),
+           sigma=st.floats(0.3, 3.0), K=st.integers(0, 4))
+    def test_project_is_the_quadrature_of_values(self, dim, seed, size,
+                                                 sigma, K):
+        # project(g, alpha) . c = int g d^alpha f for f with coefficients
+        # c, for every alpha the rule covers: the ladder lift read as a
+        # derivative of the basis and as one of the function agree
+        rng = np.random.default_rng(seed)
+        basis = MacroBasis(dim, size, sigma)
+        quad = quadrature_for(basis, K)
         f = MacroFunction(basis, rng.standard_normal(basis.total))
-        v = rng.standard_normal(quad.x1.size ** dim)
-        alphas = [(k,) for k in range(3)] if dim == 1 else [
-            (0, 0), (1, 0), (0, 1), (2, 1)]
-        for alpha in alphas:
+        g = rng.standard_normal(quad.x1.size ** dim)
+        for alpha in itertools.product(range(K + 1), repeat=dim):
+            if sum(alpha) > K:
+                continue
             values = quad.values(f, alpha)
-            want = quad.integrate(v, values)
-            scale = np.sum(np.abs(quad.weights() * v * values))
-            assert abs(quad.project(v, alpha) @ f.coeffs - want) \
+            want = quad.integrate(g, values)
+            scale = np.sum(np.abs(quad.weights() * g * values))
+            assert abs(quad.project(g, alpha) @ f.coeffs - want) \
                 <= 1e-12 * scale
+        with pytest.raises(ValueError, match="max_order"):
+            quad.values(f, (K + 1,) + (0,) * (dim - 1))
 
 
 class TestHermiteSampler:

@@ -4,6 +4,7 @@ call."""
 
 import ast
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -38,7 +39,9 @@ SHARED_METHODS = {
     "evaluate": {
         "MacroFunction": "test_hermite and test_expansion, as the per-call "
                          "route that HermiteSampler is checked against",
-        "PeriodicField": "CoefficientField.entry and verify.run_invariants",
+        "PeriodicField": "verify.run_invariants and test_torus, as the "
+                         "per-call route that FourierSampler is checked "
+                         "against",
     },
     "is_zero": {
         "SeparableField": "CorrectorTable._rhs and expansion.assemble",
@@ -231,3 +234,22 @@ def test_every_field_is_read():
                        if isinstance(stmt, ast.AnnAssign)
                        and stmt.target.id not in read]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def test_tracer_restores_every_patch(monkeypatch):
+    # the benchmark's tracer wraps homspec names by attribute; each must
+    # still exist, and restore() must put back every original it replaced
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    import tracer
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        patches = list(t._patches)
+        assert patches
+        assert all(vars(target)[attr] is not orig
+                   for target, attr, orig in patches)
+    finally:
+        t.restore()
+    assert not t._patches
+    assert all(vars(target)[attr] is orig for target, attr, orig in patches)
