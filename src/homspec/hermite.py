@@ -31,7 +31,7 @@ from .errors import (
     TruncationUnsafe,
 )
 from .slowpoly import SlowPolynomial
-from .torus import tensor_contract, tensor_rows
+from .torus import SAMPLE_BLOCK, tensor_contract, tensor_rows
 
 CLUSTER_TOL = 1e-6      # relative gap below which eigenvalues form one cluster
 POLY_DEGREE_CAP = 8     # highest potential degree poly_multiply_op accepts
@@ -199,17 +199,22 @@ def hermite_function_values(x: np.ndarray, nmax: int, sigma: float) -> np.ndarra
     """Matrix of psi_n(x/sigma)/sqrt(sigma) for n < nmax, shape (len(x), nmax).
 
     Stable recurrence with the Gaussian folded in; values underflow to zero
-    gracefully far in the tails.
+    gracefully far in the tails.  The recurrence runs along the contiguous
+    rows of a transposed block of SAMPLE_BLOCK points, which is then copied
+    into the table.
     """
-    z = np.asarray(x, dtype=float) / sigma
-    out = np.zeros((z.size, nmax))
-    h0 = np.pi ** -0.25 * np.exp(-0.5 * z ** 2) / np.sqrt(sigma)
-    out[:, 0] = h0
-    if nmax > 1:
-        out[:, 1] = np.sqrt(2.0) * z * h0
-    for n in range(1, nmax - 1):
-        out[:, n + 1] = (np.sqrt(2.0 / (n + 1)) * z * out[:, n]
-                         - np.sqrt(n / (n + 1.0)) * out[:, n - 1])
+    z = np.ravel(np.asarray(x, dtype=float)) / sigma
+    out = np.empty((z.size, nmax))
+    for start in range(0, z.size, SAMPLE_BLOCK):
+        zb = z[start:start + SAMPLE_BLOCK]
+        rows = np.empty((nmax, zb.size))
+        rows[0] = np.pi ** -0.25 * np.exp(-0.5 * zb ** 2) / np.sqrt(sigma)
+        if nmax > 1:
+            rows[1] = np.sqrt(2.0) * zb * rows[0]
+        for n in range(1, nmax - 1):
+            rows[n + 1] = (np.sqrt(2.0 / (n + 1)) * zb * rows[n]
+                           - np.sqrt(n / (n + 1.0)) * rows[n - 1])
+        out[start:start + SAMPLE_BLOCK] = rows.T
     return out
 
 
@@ -301,8 +306,14 @@ class HermiteSampler:
         if f.basis != self.basis:
             raise ValueError("function lives on a different basis")
         Ne = self.basis.size + order
-        return tensor_contract([t[:, :Ne] for t in self.tables],
-                               extended_coefficients(f, alpha, Ne), self.index)
+        core = extended_coefficients(f, alpha, Ne)
+        # subnormal coefficients (rounding residue of exact zeros, such as
+        # the off-parity modes of an oscillator eigenvector) add nothing a
+        # double can hold to the normal terms, but slow the BLAS product
+        # over every point several times over
+        core[np.abs(core) < np.finfo(float).tiny] = 0.0
+        return tensor_contract([t[:, :Ne] for t in self.tables], core,
+                               self.index)
 
 
 def extended_coefficients(f: MacroFunction, alpha: tuple, Ne: int) -> np.ndarray:

@@ -2,17 +2,27 @@
 
 Fields are sampled on a uniform n^d grid and manipulated pseudo-spectrally:
 derivatives are exact on resolved modes (multiplication by 2*pi*i*k in Fourier
-space).  The one product with the coefficient, CoefficientField.multiply, is
-formed on the grid padded by the 3/2 rule, which removes quadratic aliasing;
-the cell operator, the corrector sources and the fluxes are all built from
-it, grad_y and div_y.  The two solvers everything else reduces to are
+space).  Every field is real, so its spectrum is kept as the real-transform
+half spectrum, of shape (n,)*(d-1) + (n/2+1,): rfftn/irfftn through _rfft and
+_irfft, whose last axis holds the non-negative wavenumbers only.
+
+The one product with the coefficient, CoefficientField._product, takes and
+returns n-grid half spectra and forms a g on the grid padded by the 3/2 rule,
+which removes quadratic aliasing.  An exactly-zero input or output component
+costs it no transform.  The cell operator is built on it directly, and the
+corrector sources and the fluxes through CoefficientField.multiply, grad_y
+and div_y.  One application of the cell operator costs 2 + 2d real
+transforms: one forward transform of u, d inverse transforms onto the padded
+grid, d forward transforms back, and one inverse transform of the
+divergence.  The two solvers everything else reduces to are
 
     solve_cell:            -div(a grad u) = div F + G   on T^d,  <u> = 0
     solve_flux_corrector:  -lap s_ij = d_j g_i - d_i g_j, so that div s = g
 
 The cell solve uses conjugate gradients preconditioned by the constant
 coefficient Laplacian, which converges in O(sqrt(theta)) iterations for the
-smooth coefficients this library targets.
+smooth coefficients this library targets; the preconditioner costs two more
+real transforms per iteration.
 """
 
 from __future__ import annotations
@@ -53,6 +63,11 @@ class TorusGrid:
         return (self.modes_per_axis,) * self.dim
 
     @property
+    def half_shape(self) -> tuple:
+        """Shape of a half spectrum: the last axis holds modes 0..n/2."""
+        return self.shape[:-1] + (self.modes_per_axis // 2 + 1,)
+
+    @property
     def npoints(self) -> int:
         return self.modes_per_axis ** self.dim
 
@@ -65,33 +80,37 @@ class TorusGrid:
         """Meshgrid coordinate arrays, ij indexing."""
         return list(np.meshgrid(*([self.axis] * self.dim), indexing="ij"))
 
-    def _along_axes(self, v: np.ndarray) -> list:
-        """A length-n vector reshaped to broadcast along each grid axis."""
-        return [v.reshape([v.size if a == ax else 1 for a in range(self.dim)])
-                for ax in range(self.dim)]
+    def _half_axes(self) -> list:
+        """2*pi*k per axis of the half spectrum, broadcast-shaped: every
+        wavenumber on the leading axes, the non-negative ones 0..n/2 on the
+        last."""
+        n = self.modes_per_axis
+        full = TWO_PI * np.fft.fftfreq(n, d=1.0 / n)
+        axes = [full] * (self.dim - 1) + [TWO_PI * np.arange(n // 2 + 1.0)]
+        return [k.reshape([k.size if a == ax else 1 for a in range(self.dim)])
+                for ax, k in enumerate(axes)]
 
     @cached_property
     def wavenumbers(self) -> list:
-        """Derivative wavenumbers 2*pi*k per axis, broadcast-shaped.
+        """Derivative wavenumbers 2*pi*k per axis, broadcast-shaped on the
+        half spectrum.
 
         The Nyquist entry is zeroed: on an even grid that mode is a pure
         cosine whose sine derivative is not representable, and zeroing it
         keeps gradient and divergence exact adjoints of each other.
         """
         n = self.modes_per_axis
-        k = TWO_PI * np.fft.fftfreq(n, d=1.0 / n)
-        k[n // 2] = 0.0
-        return self._along_axes(k)
+        ks = self._half_axes()
+        for k in ks:
+            k.flat[n // 2] = 0.0
+        return ks
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        """Full |2 pi k|^2 including the Nyquist mode, for inversions.  The
-        zero mode holds 1, so dividing by it is safe; each inversion then
-        zeroes that mode itself."""
-        n = self.modes_per_axis
-        k2 = np.zeros(self.shape)
-        for k in self._along_axes(TWO_PI * np.fft.fftfreq(n, d=1.0 / n)):
-            k2 = k2 + k ** 2
+        """|2 pi k|^2 on the half spectrum including the Nyquist mode, for
+        inversions.  The zero mode holds 1, so dividing by it is safe; each
+        inversion then zeroes that mode itself."""
+        k2 = sum(k ** 2 for k in self._half_axes())
         k2.flat[0] = 1.0
         return k2
 
@@ -286,27 +305,40 @@ class FourierSampler:
         return tensor_contract(self.bases, fh, self.index)
 
 
-def _deriv(fh: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _rfft(values: np.ndarray) -> np.ndarray:
+    """Unnormalized half spectrum of a real array on a grid."""
+    return np.fft.rfftn(values, axes=tuple(range(values.ndim)))
+
+
+def _irfft(vh: np.ndarray, n: int) -> np.ndarray:
+    """The real n-grid array whose half spectrum is vh; n must be given,
+    because a half spectrum's last axis does not determine it."""
+    return np.fft.irfftn(vh, s=(n,) * vh.ndim, axes=tuple(range(vh.ndim)))
+
+
+def _deriv(fh: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     """Grid values of the derivative whose wavenumbers are k, from the
-    unnormalized spectrum fh."""
-    return np.real(np.fft.ifftn(1j * k * fh))
+    unnormalized half spectrum fh of an n-grid field."""
+    return _irfft(1j * k * fh, n)
 
 
 def grad_y(f: PeriodicField) -> PeriodicField:
     """Spectral gradient of a scalar field, rank 0 -> rank 1."""
     if f.rank != 0:
         raise GridMismatch("grad_y expects a scalar field")
-    fh = np.fft.fftn(f.values)
-    return PeriodicField(f.grid,
-                         np.stack([_deriv(fh, k) for k in f.grid.wavenumbers]))
+    fh = _rfft(f.values)
+    n = f.grid.modes_per_axis
+    return PeriodicField(f.grid, np.stack([_deriv(fh, k, n)
+                                           for k in f.grid.wavenumbers]))
 
 
 def deriv_y(f: PeriodicField, axis: int) -> PeriodicField:
     """Single spectral partial derivative of a scalar field."""
     if f.rank != 0:
         raise GridMismatch("deriv_y expects a scalar field")
-    return PeriodicField(f.grid, _deriv(np.fft.fftn(f.values),
-                                        f.grid.wavenumbers[axis]))
+    return PeriodicField(f.grid, _deriv(_rfft(f.values),
+                                        f.grid.wavenumbers[axis],
+                                        f.grid.modes_per_axis))
 
 
 def div_y(f: PeriodicField) -> PeriodicField:
@@ -319,10 +351,10 @@ def div_y(f: PeriodicField) -> PeriodicField:
     if f.rank not in (1, 2):
         raise GridMismatch("div_y expects a vector or matrix field")
     d = f.grid.dim
+    n = f.grid.modes_per_axis
     columns = [f.values] if f.rank == 1 else [f.values[:, j] for j in range(d)]
     ks = f.grid.wavenumbers
-    comps = [np.real(np.fft.ifftn(sum(1j * k * np.fft.fftn(c)
-                                      for k, c in zip(ks, col))))
+    comps = [_irfft(sum(1j * k * _rfft(c) for k, c in zip(ks, col)), n)
              for col in columns]
     return PeriodicField(f.grid, comps[0] if f.rank == 1 else np.stack(comps))
 
@@ -335,21 +367,24 @@ def _pad_shape(n: int) -> int:
 
 
 def _copy_modes(fh: np.ndarray, n: int, size: int) -> np.ndarray:
-    """The modes of fh that an n-grid resolves, placed in a zero size^d
-    spectrum: the 2^d blocks of nonnegative and negative indices per axis.
-    size > n pads an n-grid spectrum, size = n truncates a larger one.
+    """The modes of the half spectrum fh that an n-grid resolves, placed in
+    the zero half spectrum of a size^d grid: the 2^(d-1) blocks of
+    nonnegative and negative indices per leading axis, and the nonnegative
+    block [0, n/2) of the last axis.  size > n pads an n-grid spectrum,
+    size = n truncates a larger one.
 
     The ambiguous Nyquist mode is dropped so that padding and truncation
     are exact adjoints; smooth fields carry only exponentially small
     content there.
     """
     h = n // 2
-    out = np.zeros((size,) * fh.ndim, dtype=complex)
+    out = np.zeros((size,) * (fh.ndim - 1) + (size // 2 + 1,), dtype=complex)
     pairs = ((slice(0, h), slice(0, h)),
              (slice(size - (h - 1), size),
               slice(fh.shape[0] - (h - 1), fh.shape[0])))
-    for block in itertools.product(pairs, repeat=fh.ndim):
-        dst, src = zip(*block)
+    for block in itertools.product(pairs, repeat=fh.ndim - 1):
+        dst = tuple(p[0] for p in block) + (slice(0, h),)
+        src = tuple(p[1] for p in block) + (slice(0, h),)
         out[dst] = fh[src]
     return out
 
@@ -358,7 +393,7 @@ def _resample(values: np.ndarray, n: int, size: int) -> np.ndarray:
     """The modes of an n-grid spectrum of ``values`` on a size^d grid,
     unscaled: size > n pads an n-grid array, size = n truncates a larger
     one, or drops the Nyquist modes of an n-grid array."""
-    return np.real(np.fft.ifftn(_copy_modes(np.fft.fftn(values), n, size)))
+    return _irfft(_copy_modes(_rfft(values), n, size), size)
 
 
 def l2_inner(f: PeriodicField, g: PeriodicField) -> float:
@@ -369,12 +404,16 @@ def l2_inner(f: PeriodicField, g: PeriodicField) -> float:
 
 
 def hminus1_norm(f: PeriodicField) -> float:
-    """Fourier H^-1 seminorm of a scalar field (zero mode dropped)."""
+    """Fourier H^-1 seminorm of a scalar field (zero mode dropped).  On the
+    half spectrum the last-axis modes 1..n/2-1 stand for their conjugates
+    too, so they weigh twice."""
     if f.rank != 0:
         raise GridMismatch("hminus1_norm expects a scalar field")
-    fh = np.fft.fftn(f.values) / f.grid.npoints
+    n = f.grid.modes_per_axis
+    fh = _rfft(f.values) / f.grid.npoints
     w = np.abs(fh) ** 2 / f.grid.k_squared
     w.flat[0] = 0.0
+    w[..., 1:n // 2] *= 2.0
     return float(np.sqrt(w.sum()))
 
 
@@ -482,7 +521,7 @@ class CoefficientField:
         return True
 
     def padded_values(self) -> np.ndarray:
-        """Coefficient resampled on the 3/2 grid, cached for multiply."""
+        """Coefficient resampled on the 3/2 grid, cached for _product."""
         if self._padded is None:
             n = self.grid.modes_per_axis
             d = self.grid.dim
@@ -495,26 +534,43 @@ class CoefficientField:
             self._padded = out
         return self._padded
 
-    def multiply(self, g: PeriodicField) -> PeriodicField:
-        """The vector field a g, formed on the 3/2-padded grid.
+    def _product(self, gh: list) -> list:
+        """Half spectra of a g from the n-grid half spectra gh of a vector
+        field g, formed on the 3/2-padded grid.
 
-        Each g_j is padded, a_ij g_j is summed over j on the padded grid and
-        each component is truncated once.  This is the one product with the
-        coefficient: the cell operator, the corrector sources and the fluxes
-        all go through it.
+        Each g_j is padded and transformed once, a_ij g_j is summed over j on
+        the padded grid and each component is transformed back and truncated
+        once.  A slot where g_j or a_ij is exactly zero is left out of the
+        sum, and an output with no term left is exact zeros: neither costs a
+        transform, and the result is the one that padding them would give.
+        This is the one product with the coefficient: multiply, the cell
+        operator, the corrector sources and the fluxes all go through it.
         """
+        n = self.grid.modes_per_axis
+        m = _pad_shape(n)
+        scale = (m / n) ** self.grid.dim
+        pads = [_irfft(_copy_modes(gj, n, m), m) * scale if gj.any() else None
+                for gj in gh]
+        out = []
+        for i, row in enumerate(self.padded_values()):
+            terms = [a * p for a, p in zip(row, pads)
+                     if p is not None and a.any()]
+            out.append(_copy_modes(_rfft(sum(terms)), n, n) / scale if terms
+                       else np.zeros_like(gh[i]))
+        return out
+
+    def multiply(self, g: PeriodicField) -> PeriodicField:
+        """The vector field a g: the transforms of g around _product."""
         if g.grid != self.grid or g.rank != 1:
             raise GridMismatch("multiply expects a vector field on the "
                                "coefficient's grid")
         n = self.grid.modes_per_axis
-        d = self.grid.dim
-        m = _pad_shape(n)
-        scale = (m / n) ** d
-        pads = [_resample(gj, n, m) * scale for gj in g.values]
-        ap = self.padded_values()
+        zero = np.zeros(self.grid.half_shape, dtype=complex)
+        fh = self._product([_rfft(gj) if gj.any() else zero
+                            for gj in g.values])
         return PeriodicField(self.grid, np.stack([
-            _resample(sum(ap[i, j] * pads[j] for j in range(d)), n, n) / scale
-            for i in range(d)]))
+            _irfft(f, n) if f.any() else np.zeros(self.grid.shape)
+            for f in fh]))
 
     def entry(self, i: int, j: int):
         """a_ij as a callable of a point set given as to FourierSampler,
@@ -535,15 +591,20 @@ class CoefficientField:
 # --- the two solvers --------------------------------------------------------
 
 def _apply_operator(coeff: CoefficientField, u: np.ndarray) -> np.ndarray:
-    """-div(a grad u): gradient and divergence act on the n-grid, the
-    coefficient product is CoefficientField.multiply on the 3/2 grid.
+    """-div(a grad u) in 2 + 2d real transforms: gradient and divergence act
+    on the n-grid half spectrum, the coefficient product is
+    CoefficientField._product on the 3/2 grid.
 
     Padding and truncation are exact adjoints and the derivative matrix is
     antisymmetric, so the composite is exactly symmetric.  The fluxes are
-    built from the same multiply, grad_y and div_y, which is what makes them
+    built from the same _product, grad_y and div_y, which is what makes them
     divergence-free to solver precision.
     """
-    return -div_y(coeff.multiply(grad_y(PeriodicField(coeff.grid, u)))).values
+    ks = coeff.grid.wavenumbers
+    uh = _rfft(u)
+    fh = coeff._product([1j * k * uh for k in ks])
+    return -_irfft(sum(1j * k * f for k, f in zip(ks, fh)),
+                   coeff.grid.modes_per_axis)
 
 
 def solve_cell(coeff: CoefficientField,
@@ -558,6 +619,7 @@ def solve_cell(coeff: CoefficientField,
     CG fails to reach the relative residual tol.
     """
     grid = coeff.grid
+    n = grid.modes_per_axis
     b = np.zeros(grid.shape)
     if F is not None:
         _check_same_grid(coeff.a, F)
@@ -574,7 +636,6 @@ def solve_cell(coeff: CoefficientField,
             raise NonZeroMean("G", abs(gmean))
         # Nyquist content of the source is outside the operator range on an
         # even grid; it is projected out as part of the discretization
-        n = grid.modes_per_axis
         b += _resample(G.values - gmean, n, n)
     b -= b.mean()
 
@@ -585,9 +646,9 @@ def solve_cell(coeff: CoefficientField,
     cbar = 0.5 * (coeff.lam_min + coeff.lam_max)
 
     def precond(r):
-        rh = np.fft.fftn(r) / (cbar * grid.k_squared)
+        rh = _rfft(r) / (cbar * grid.k_squared)
         rh.flat[0] = 0.0
-        return np.real(np.fft.ifftn(rh))
+        return _irfft(rh, n)
 
     u = np.zeros(grid.shape)
     r = b.copy()
@@ -649,12 +710,12 @@ def solve_flux_corrector(g: PeriodicField) -> PeriodicField:
     if d == 1:
         return PeriodicField(grid, out)
     ks = grid.wavenumbers
-    gh = [np.fft.fftn(g.values[i]) for i in range(d)]
+    gh = [_rfft(g.values[i]) for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             sh = (1j * ks[j] * gh[i] - 1j * ks[i] * gh[j]) / grid.k_squared
             sh.flat[0] = 0.0
-            s = np.real(np.fft.ifftn(sh))
+            s = _irfft(sh, grid.modes_per_axis)
             out[i, j] = s
             out[j, i] = -s
     return PeriodicField(grid, out)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homspec import hermite
 from homspec.errors import (
     GapUnresolved,
     NonConfining,
@@ -30,7 +31,7 @@ from homspec.hermite import (
     spectral_gap,
 )
 from homspec.slowpoly import SlowPolynomial
-from homspec.torus import tensor_rows
+from homspec.torus import SAMPLE_BLOCK, tensor_rows
 
 
 def w_iso(dim):
@@ -295,6 +296,52 @@ class TestQuadratureRule:
 
 
 class TestHermiteSampler:
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_subnormal_coefficients_reach_no_contraction(self, monkeypatch,
+                                                         order):
+        # rounding residue below the smallest normal double is dropped before
+        # the product over the points, where it would only cost time; the
+        # values are those of the function without it, bit for bit
+        basis = MacroBasis(1, 16, 0.8)
+        c = np.random.default_rng(order).standard_normal(basis.total)
+        clean = c.copy()
+        c[1::2], clean[1::2] = 1e-317, 0.0
+        cores = []
+        contract = hermite.tensor_contract
+
+        def spy(tables, core, index=None):
+            cores.append(core.copy())
+            return contract(tables, core, index)
+
+        monkeypatch.setattr(hermite, "tensor_contract", spy)
+        pts = np.linspace(-3.0, 3.0, 50)[:, None]
+        sample = HermiteSampler(basis, pts, order)
+        got = sample(MacroFunction(basis, c), (order,))
+        assert np.array_equal(got, sample(MacroFunction(basis, clean),
+                                          (order,)))
+        tiny = np.finfo(float).tiny
+        assert all(np.all((k == 0) | (np.abs(k) >= tiny)) for k in cores)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(-3, 3),
+           blocks=st.integers(1, 2), nmax=st.integers(1, 24),
+           sigma=st.floats(0.3, 3.0))
+    def test_blocks_equal_one_recurrence(self, seed, extra, blocks, nmax,
+                                         sigma):
+        # the table filled per block of points is bit for bit the one
+        # recurrence over every point at once
+        x = np.random.default_rng(seed).uniform(
+            -8.0, 8.0, blocks * SAMPLE_BLOCK + extra)
+        z = x / sigma
+        want = np.zeros((x.size, nmax))
+        want[:, 0] = np.pi ** -0.25 * np.exp(-0.5 * z ** 2) / np.sqrt(sigma)
+        if nmax > 1:
+            want[:, 1] = np.sqrt(2.0) * z * want[:, 0]
+        for n in range(1, nmax - 1):
+            want[:, n + 1] = (np.sqrt(2.0 / (n + 1)) * z * want[:, n]
+                              - np.sqrt(n / (n + 1.0)) * want[:, n - 1])
+        assert np.array_equal(hermite_function_values(x, nmax, sigma), want)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            sigma=st.floats(0.3, 3.0))

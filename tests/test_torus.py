@@ -17,8 +17,10 @@ from homspec.torus import (
     SAMPLE_BLOCK,
     _apply_operator,
     _copy_modes,
+    _irfft,
     _pad_shape,
     _resample,
+    _rfft,
     CoefficientField,
     FourierSampler,
     PeriodicField,
@@ -589,14 +591,22 @@ def even_n():
 
 
 def off_nyquist(n, dim):
-    """True at the modes of an n^dim spectrum with no Nyquist index."""
+    """True at the modes of an n^dim half spectrum with no Nyquist index."""
     keep = np.fft.fftfreq(n, d=1.0 / n) != -(n // 2)
-    return np.all(np.meshgrid(*[keep] * dim, indexing="ij"), axis=0)
+    last = np.arange(n // 2 + 1) != n // 2
+    return np.all(np.meshgrid(*[keep] * (dim - 1), last, indexing="ij"),
+                  axis=0)
 
 
-def random_smooth_coefficient(rng, grid):
+def half_spectrum(rng, n, dim):
+    """Random complex array of the half-spectrum shape of an n^dim grid."""
+    shape = TorusGrid(dim, n).half_shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_smooth_coefficient(rng, grid, full=True):
     """Symmetric positive definite trigonometric coefficient with random
-    low-mode phases; full (off-diagonal) in 2D."""
+    low-mode phases; full (off-diagonal) in 2D unless ``full`` is false."""
     ys = grid.coords()
     k = rng.integers(1, 3, (3, grid.dim))
     ph = rng.uniform(0.0, 1.0, (3, grid.dim))
@@ -608,7 +618,7 @@ def random_smooth_coefficient(rng, grid):
     vals = np.zeros((grid.dim, grid.dim) + grid.shape)
     for i in range(grid.dim):
         vals[i, i] = 2.0 + 0.5 * wave(i)
-    if grid.dim == 2:
+    if grid.dim == 2 and full:
         vals[0, 1] = vals[1, 0] = 0.4 * wave(2)
     return CoefficientField.from_samples(grid, vals)
 
@@ -621,8 +631,7 @@ class TestSpectralAdjoints:
         # every mode below the Nyquist index comes back bit for bit; the
         # Nyquist modes are dropped
         rng = np.random.default_rng(seed)
-        shape = (n,) * dim
-        fh = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        fh = half_spectrum(rng, n, dim)
         back = _copy_modes(_copy_modes(fh, n, _pad_shape(n)), n, n)
         assert np.array_equal(back, np.where(off_nyquist(n, dim), fh, 0))
 
@@ -634,8 +643,10 @@ class TestSpectralAdjoints:
         # n -> m -> n gives the same field to rounding, for any m >= n
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((n,) * dim)
-        want = np.real(np.fft.ifftn(
-            np.where(off_nyquist(n, dim), np.fft.fftn(v), 0)))
+        axes = tuple(range(dim))
+        want = np.fft.irfftn(
+            np.where(off_nyquist(n, dim), np.fft.rfftn(v, axes=axes), 0),
+            s=v.shape, axes=axes)
         assert np.array_equal(_resample(v, n, n), want)
         back = _resample(_resample(v, n, n + extra), n, n)
         assert np.max(np.abs(back - want)) <= 1e-13 * np.max(np.abs(v))
@@ -647,8 +658,7 @@ class TestSpectralAdjoints:
         # <pad x, y> = <x, truncate y>, relative to |x| |y|
         rng = np.random.default_rng(seed)
         m = _pad_shape(n)
-        x, y = (rng.standard_normal((s,) * dim)
-                + 1j * rng.standard_normal((s,) * dim) for s in (n, m))
+        x, y = (half_spectrum(rng, s, dim) for s in (n, m))
         lhs = np.vdot(_copy_modes(x, n, m), y)
         rhs = np.vdot(x, _copy_modes(y, n, n))
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
@@ -732,6 +742,48 @@ class TestMultiply:
             want = np.real(np.fft.ifftn(kept)) / 2 ** dim
             assert np.max(np.abs(got.values[i] - want)) \
                 <= 1e-13 * np.max(np.abs(want))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=even_n(),
+           dim=st.sampled_from([1, 2]))
+    def test_operator_is_minus_div_of_multiply_of_grad(self, seed, n, dim):
+        # the spectral operator equals its definition through the grid,
+        # relative to the largest value of A u
+        rng = np.random.default_rng(seed)
+        g = TorusGrid(dim, n)
+        a = random_smooth_coefficient(rng, g)
+        u = rng.standard_normal(g.shape)
+        want = -div_y(a.multiply(grad_y(PeriodicField(g, u)))).values
+        assert np.max(np.abs(_apply_operator(a, u) - want)) \
+            <= 1e-13 * np.max(np.abs(want))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=even_n(),
+           dim=st.sampled_from([1, 2]), zeros=st.integers(0, 3),
+           full=st.booleans())
+    def test_zero_slots_are_skipped_exactly(self, seed, n, dim, zeros, full):
+        # components of g that are exactly zero: a diagonal coefficient gives
+        # exact zeros in those outputs, and with any coefficient the result
+        # is bit for bit the product that pads and sums every slot
+        rng = np.random.default_rng(seed)
+        grid = TorusGrid(dim, n)
+        a = random_smooth_coefficient(rng, grid, full)
+        zero = [bool(zeros >> j & 1) for j in range(dim)]
+        g = rng.standard_normal((dim,) + grid.shape)
+        g[zero] = 0.0
+        got = a.multiply(PeriodicField(grid, g)).values
+        if not full:
+            assert np.all(got[zero] == 0.0)
+        m = _pad_shape(n)
+        scale = (m / n) ** dim
+        pads = [_irfft(_copy_modes(_rfft(gj), n, m), m) * scale for gj in g]
+        ap = a.padded_values()
+        want = np.stack([
+            _irfft(_copy_modes(_rfft(sum(ap[i, j] * pads[j]
+                                         for j in range(dim))), n, n) / scale,
+                   n)
+            for i in range(dim)])
+        assert np.array_equal(got, want)
 
 
 def random_index(rng, rows, dim, tensor, m):
