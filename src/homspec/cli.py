@@ -62,7 +62,7 @@ def _write_grid_samples(out_dir, name, points, columns):
 def cmd_homogenize(cfg: RunConfig, args):
     from .classical import cyclic_check
     from .pipeline import stage_homogenize
-    store, abar, abar3_sym = stage_homogenize(cfg)
+    store, abar, abar3_sym = stage_homogenize(cfg, [])
     payload = {
         "abar": abar.tolist(),
         "abar3_sym": abar3_sym.tolist(),
@@ -78,7 +78,7 @@ def cmd_homogenize(cfg: RunConfig, args):
 def cmd_spectrum(cfg: RunConfig, args):
     from .hermite import HermiteSampler, spectral_gap
     from .pipeline import stage_homogenize, stage_spectrum
-    store, abar, _ = stage_homogenize(cfg)
+    store, abar, _ = stage_homogenize(cfg, [])
     spec = stage_spectrum(cfg, store.W, abar)
     gaps = {}
     for j in range(1, spec.count):
@@ -111,9 +111,9 @@ def cmd_expand(cfg: RunConfig, args):
     from .pipeline import (expansion_summary, stage_expand, stage_homogenize,
                            stage_spectrum)
     from .torus import FourierSampler
-    store, abar, _ = stage_homogenize(cfg)
-    spec = stage_spectrum(cfg, store.W, abar)
     warnings = []
+    store, abar, _ = stage_homogenize(cfg, warnings)
+    spec = stage_spectrum(cfg, store.W, abar)
     branches, P_build, P_eps = stage_expand(cfg, store, spec, warnings)
     per_eps = [{"eps": eps, **{f"lambda_tilde_branch{br.label}":
                                lambda_tilde(br, eps, P_eps[eps])
@@ -141,11 +141,13 @@ def cmd_expand(cfg: RunConfig, args):
 
 def cmd_reference(cfg: RunConfig, args):
     from .pipeline import stage_homogenize, stage_reference, stage_spectrum
-    store, abar, _ = stage_homogenize(cfg)
+    warnings = []
+    store, abar, _ = stage_homogenize(cfg, warnings)
     spec = stage_spectrum(cfg, store.W, abar)
-    radius, _, refs = stage_reference(cfg, store.coeff, store.W, spec,
-                                      keep_vectors=False)
-    payload = {"radius": radius, "per_eps": []}
+    radius, radius_shift, _, refs = stage_reference(
+        cfg, store, spec, keep_vectors=False, warnings=warnings)
+    payload = {"radius": radius, "radius_shift": radius_shift, "per_eps": [],
+               "warnings": warnings}
     for eps in cfg.eps_list:
         ref, _ = refs[eps]
         payload["per_eps"].append({
@@ -153,7 +155,7 @@ def cmd_reference(cfg: RunConfig, args):
             "lambda_h": [float(v) for v in ref.eigenvalues_h],
             "lambda_richardson": [float(v) for v in ref.eigenvalues],
             "estimate": [float(v) for v in ref.error_estimates],
-            "path": ref.diagnostics.get("path"),
+            "path": ref.path,
         })
     _dump(payload, args.out, "reference.json")
     return 0

@@ -198,7 +198,7 @@ class RunConfig:
     fd_h_rule: float                # fine grid h = eps / fd_h_rule
     radius: float | None            # box radius; None: truncation_radius
     radius_safety: float            # the safety factor of truncation_radius
-    validate_radius: bool           # doubling check before the sweep
+    validate_radius: bool           # doubling check of the reference box
     j: int                          # 1-based homogenized eigenvalue index
     count: int                      # computed homogenized eigenvalues
     eps_list: tuple                 # the sweep, sorted descending

@@ -125,10 +125,6 @@ class MatchingAmbiguous(NumericalError):
     """Overlap matrix has no dominant assignment of reference eigenvectors."""
 
 
-class GradientFloor(HomspecError):
-    """No eps-uniform reference gradient is available for an H1 error."""
-
-
 class DegenerateFit(NumericalError):
     """Rate fit attempted on errors at or below the discretization floor."""
 

@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import (
     DegenerateD,
+    DegreeCapExceeded,
     EpsilonTooLarge,
     MeanNotZero,
     NotSimple,
@@ -59,7 +60,7 @@ from .hermite import (
     resolvent_solve,
     spectral_gap,
 )
-from .separable import SeparableField
+from .separable import PRUNE_TOL, SeparableField
 from .slowpoly import SlowPolynomial, monomials_of_degree
 from .torus import (CoefficientField, FourierSampler, PeriodicField,
                     cell_residual, l2_inner, solve_cell)
@@ -68,7 +69,6 @@ MU1_TOL = 1e-8
 SOLVABILITY_TOL = 1e-8
 D_DUAL_TOL = 1e-8
 D_SPACING_TOL = 1e-6
-PRUNE_TOL = 1e-13       # relative norm below which corrector shapes are dropped
 DEGREE_CAP = 8          # highest slow degree of a corrector entry
 
 
@@ -93,14 +93,13 @@ class CorrectorTable:
     """
 
     def __init__(self, coeff: CoefficientField, W: SlowPolynomial, mu: list,
-                 tol: float = 1e-12, degree_cap: int = DEGREE_CAP):
+                 tol: float):
         self.coeff = coeff
         self.W = W
         self.mu = mu
         self.grid = coeff.grid
         self.d = coeff.grid.dim
         self.tol = tol
-        self.degree_cap = degree_cap
         self._chi: dict = {}
         self._flux: dict = {}
         self._abar: dict = {}
@@ -178,7 +177,7 @@ class CorrectorTable:
             out._accumulate(beta, u)
         self.rhs_means[key] = worst_mean
         self.residuals[key] = worst_res
-        return out.purge(PRUNE_TOL)
+        return out.purge()
 
     def _cell(self, **source) -> tuple:
         """(solution, residual) of the cell problem with one F= or G= source;
@@ -223,12 +222,16 @@ class CorrectorTable:
             rhs = rhs + self.flux(q - 1, _sub(alpha, i))[i].ring()
         c_ww = self.chi(q - 2, alpha).ring()
         if not c_ww.is_zero():
-            rhs = rhs - c_ww.mul_poly(self.W, self.degree_cap)
+            w_chi = c_ww.mul_poly(self.W)
+            if w_chi.degree() > DEGREE_CAP:
+                raise DegreeCapExceeded(f"slow degree {w_chi.degree()} "
+                                        f"exceeds cap {DEGREE_CAP}")
+            rhs = rhs - w_chi
         for r in range(m, q - 1):
             cr = self.chi(r, alpha).ring()
             if not cr.is_zero():
                 rhs = rhs + float(self.mu[q - 2 - r]) * cr
-        return rhs.purge(PRUNE_TOL)
+        return rhs.purge()
 
     def _build_flux(self, q: int, alpha: tuple) -> list:
         """a (grad_x chi_{q-1,alpha} + sum_j e_j chi_{q-1,alpha-e_j}
@@ -236,7 +239,7 @@ class CorrectorTable:
         c_cur = self.chi(q, alpha)
         v = [vj + c_cur.dy(j)
              for j, vj in enumerate(self._slow_vector(q, alpha))]
-        return [f.purge(PRUNE_TOL) for f in self._times_a(v)]
+        return [f.purge() for f in self._times_a(v)]
 
     def _build_abar(self, q: int, alpha: tuple) -> list:
         return [f.y_mean().prune(1e-16) for f in self.flux(q, alpha)]
@@ -362,8 +365,7 @@ def epsilon_condition_violated(eps: float, lam0: float, gamma: float) -> bool:
 
 
 def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
-                   quad: QuadratureRule | None = None,
-                   spacing_tol: float = D_SPACING_TOL):
+                   quad: QuadratureRule, spacing_tol: float = D_SPACING_TOL):
     """Second-order coupling matrix of the cluster containing lambda_j.
 
     The matrix is the cluster block of the second-order solvability operator,
@@ -389,8 +391,6 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
     d = table.d
     mu0 = spec.eigenvalue(j)
     phis = spec.eigenfunctions[a:b]
-    if quad is None:
-        quad = quadrature_for(spec.basis, max_derivative=4)
     pts = quad.points()
 
     e_idx = [tuple(1 if ax == i else 0 for ax in range(d)) for i in range(d)]
@@ -611,7 +611,7 @@ def multiple_recursion(store: CorrectorTable, spec: SpectrumResult, j: int,
     lam0 = spec.eigenvalue(j)
     table = store.fork(lam0)
     quad = quadrature_for(spec.basis, max_derivative=max(P + 2, 4))
-    D, E, mu2, _ = build_D_matrix(spec, j, table, quad=quad)
+    D, E, mu2, _ = build_D_matrix(spec, j, table, quad)
     return [_run_branch(table if r == 0 else store.fork(lam0), spec, j, P,
                         label=r, D=D, E=E, mu2_list=mu2)
             for r in range(len(mu2))]
@@ -640,18 +640,17 @@ def lambda_tilde_shift(branch: ExpansionBranch, eps: float, P: int) -> float:
 
 
 def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
-             gradient: bool = True,
-             sample_x: HermiteSampler | None = None,
-             sample_y: FourierSampler | None = None) -> Assembly:
+             gradient: bool, sample_x: HermiteSampler,
+             sample_y: FourierSampler) -> Assembly:
     """Assemble lambda_tilde and w_eps(x) = sum eps^p d^alpha U_k : chi(x, x/eps).
 
     The gradient is exact: spectral y-derivatives scaled by 1/eps plus slow
-    x-derivatives of the polynomial factors and envelopes.  ``sample_x``, a
-    HermiteSampler of the branch's basis at ``points`` with max_order at
-    least P + 1, lets a caller share its Hermite table with the assembly;
-    ``sample_y``, a FourierSampler of the corrector grid at the fast
-    variable ``points / eps`` (reduced mod 1 as the caller likes), lets it
-    supply the Fourier basis, such as one built on a lattice of phases.
+    x-derivatives of the polynomial factors and envelopes.  Every envelope
+    derivative is sampled through ``sample_x``, a HermiteSampler of the
+    branch's basis at ``points`` with max_order at least P + 1, and every
+    corrector shape through ``sample_y``, a FourierSampler of the corrector
+    grid at the fast variable ``points / eps`` (reduced mod 1 as the caller
+    likes, such as on a lattice of phases).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -663,12 +662,6 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
     w = np.zeros(m)
     gw = np.zeros((d, m)) if gradient else None
     table = branch.table
-    # one Fourier basis and one Hermite table per point set, shared by
-    # every corrector shape and envelope derivative below
-    if sample_y is None:
-        sample_y = FourierSampler(table.grid, pts / eps)
-    if sample_x is None:
-        sample_x = HermiteSampler(branch.spectrum.basis, pts, P + 1)
     for k in range(0, P + 1):
         Uk = branch.U[k] if k < len(branch.U) else None
         if Uk is None or Uk.norm() == 0.0:

@@ -35,7 +35,6 @@ from .torus import SAMPLE_BLOCK, tensor_contract, tensor_rows
 
 CLUSTER_TOL = 1e-6      # relative gap below which eigenvalues form one cluster
 POLY_DEGREE_CAP = 8     # highest potential degree poly_multiply_op accepts
-VALIDATE_RTOL = 1e-10   # solve_spectrum(validate=True): allowed eigenvalue shift
 ORTHO_TOL = 1e-10       # resolvent_solve: allowed relative cluster projection
 QUAD_EXTRA_NODES = 16   # Gauss-Hermite nodes per axis past the extended basis
 
@@ -386,8 +385,7 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=None)
-def quadrature_for(basis: MacroBasis,
-                   max_derivative: int = 6) -> QuadratureRule:
+def quadrature_for(basis: MacroBasis, max_derivative: int) -> QuadratureRule:
     return QuadratureRule(basis, basis.size + max_derivative)
 
 
@@ -444,8 +442,7 @@ def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis) -> SpectrumResult:
     """Dense symmetric eigensolve of the assembled operator.
 
     count is capped at total/4 so the reported part of the spectrum stays
-    well inside the basis trust region; use solve_spectrum for the doubled
-    basis self-convergence guard.
+    well inside the basis trust region.
     """
     if count < 1 or count > basis.total // 4:
         raise TruncationUnsafe(
@@ -468,23 +465,9 @@ def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis) -> SpectrumResult:
 
 
 def solve_spectrum(abar: np.ndarray, W: SlowPolynomial, basis: MacroBasis,
-                   count: int, validate: bool = False) -> SpectrumResult:
-    """Assemble L0 and eigensolve; optionally verify basis self-convergence.
-
-    With validate=True the first `count` eigenvalues are recomputed with the
-    per-axis size doubled and must agree to VALIDATE_RTOL, else
-    TruncationUnsafe is raised.
-    """
-    spec = eigensolve(assemble_L0(abar, W, basis), count, basis)
-    if validate:
-        big = MacroBasis(basis.dim, 2 * basis.size, basis.sigma)
-        ref = np.linalg.eigvalsh(assemble_L0(abar, W, big))[:count]
-        rel = np.max(np.abs(spec.eigenvalues - ref) / np.maximum(np.abs(ref), 1e-30))
-        if rel > VALIDATE_RTOL:
-            raise TruncationUnsafe(
-                f"doubling the basis moves eigenvalues by {rel:.3e} relative"
-            )
-    return spec
+                   count: int) -> SpectrumResult:
+    """Assemble L0 and eigensolve."""
+    return eigensolve(assemble_L0(abar, W, basis), count, basis)
 
 
 def spectral_gap(spec: SpectrumResult, j: int) -> float:

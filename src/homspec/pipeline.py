@@ -78,12 +78,18 @@ def config_hash(cfg: RunConfig) -> str:
 # --- stages ----------------------------------------------------------------------
 
 
-def stage_homogenize(cfg: RunConfig):
+def stage_homogenize(cfg: RunConfig, warnings: list):
     """The corrector store (mu = []) with abar and abar3_sym read off it:
-    (store, abar, abar3_sym)."""
-    grid = TorusGrid(cfg.dim, cfg.torus_modes)
-    return build_suite(cfg.coefficient(grid), cfg.potential(),
-                       tol=cfg.solver_tol)
+    (store, abar, abar3_sym).  A coefficient given as grid samples adds a
+    RoughCoefficient warning."""
+    coeff = cfg.coefficient(TorusGrid(cfg.dim, cfg.torus_modes))
+    if coeff.from_samples:
+        warnings.append({
+            "code": "RoughCoefficient",
+            "detail": "coefficient given as grid samples; spectral accuracy "
+                      "holds only if the underlying field is smooth",
+        })
+    return build_suite(coeff, cfg.potential(), tol=cfg.solver_tol)
 
 
 def stage_spectrum(cfg: RunConfig, W, abar):
@@ -97,7 +103,8 @@ def stage_expand(cfg: RunConfig, store, spec, warnings: list):
     decide the order P_eps[eps] at which every eps is evaluated: p_order,
     or the truncation rule capped by the decay of branch 0's mu_p (2 where
     the rule is undefined).  Returns (branches, P_build, P_eps); each eps
-    adds its EpsilonTooLarge and EpsilonConditionViolated warnings once."""
+    adds its EpsilonTooLarge and EpsilonConditionViolated warnings once, and
+    a hierarchy residual above 1e-8 adds HierarchyResidual."""
     a, b = spec.cluster_of(cfg.j)
     lam0, gamma = spec.eigenvalue(cfg.j), spectral_gap(spec, cfg.j)
 
@@ -129,7 +136,20 @@ def stage_expand(cfg: RunConfig, store, spec, warnings: list):
                           f"{gamma * lam0 ** -1.5:.4g}",
             })
         P_eps[eps] = min(P or 2, P_build)
+    hier_max = hierarchy_residual_max(branches)
+    if hier_max > 1e-8:
+        warnings.append({
+            "code": "HierarchyResidual",
+            "detail": f"macroscopic hierarchy residual {hier_max:.3e} "
+                      "exceeds 1e-8; the corrector recursion and the "
+                      "macroscopic equations are inconsistent at this order",
+        })
     return branches, P_build, P_eps
+
+
+def hierarchy_residual_max(branches) -> float:
+    return max((r for br in branches for r in br.hierarchy_residuals.values()),
+               default=0.0)
 
 
 def expansion_summary(branches) -> dict:
@@ -143,14 +163,20 @@ def expansion_summary(branches) -> dict:
             "E": None if br.E is None else br.E.tolist()}
 
 
-def stage_reference(cfg: RunConfig, coeff, W, spec, keep_vectors: bool):
+def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
+                    warnings: list):
     """Fine-grid reference spectra at every eps of the sweep, one after the
     other.
 
-    Returns (radius, ref_count, refs) with refs[eps] = (ReferenceSpectrum,
-    seconds spent on it).
+    Returns (radius, radius_shift, ref_count, refs) with refs[eps] =
+    (ReferenceSpectrum, seconds spent on it).  With validate_radius the box
+    is doubled once at the largest eps: radius_shift is the relative
+    eigenvalue shift (None without validate_radius), and a shift above 1e-9
+    adds RadiusNotConverged.
     """
-    from .reference import FineGrid, solve_Leps, truncation_radius
+    from .reference import (FineGrid, solve_Leps, truncation_radius,
+                            validate_radius)
+    coeff, W = store.coeff, store.W
     _, b = spec.cluster_of(cfg.j)
     lam_min = float(np.min(np.linalg.eigvalsh(W.quadratic_form())))
     radius = cfg.radius or truncation_radius(
@@ -159,35 +185,42 @@ def stage_reference(cfg: RunConfig, coeff, W, spec, keep_vectors: bool):
     )
     ref_count = max(b + 1, 3)
 
+    def grid(eps):
+        return FineGrid(cfg.dim, radius, eps / cfg.fd_h_rule)
+
     def one_eps(eps):
         start = time.perf_counter()
-        ref = solve_Leps(coeff, W, eps,
-                         FineGrid(cfg.dim, radius, eps / cfg.fd_h_rule),
-                         ref_count, keep_vectors=keep_vectors)
+        ref = solve_Leps(coeff, W, eps, grid(eps), ref_count,
+                         keep_vectors=keep_vectors)
         return ref, time.perf_counter() - start
 
-    return radius, ref_count, {eps: one_eps(eps) for eps in cfg.eps_list}
+    refs = {eps: one_eps(eps) for eps in cfg.eps_list}
+    radius_shift = None
+    if cfg.validate_radius:
+        eps = max(cfg.eps_list)
+        radius_shift = validate_radius(coeff, W, eps, grid(eps), ref_count)
+        if radius_shift > 1e-9:
+            warnings.append({
+                "code": "RadiusNotConverged",
+                "detail": f"doubling the box moved eigenvalues by "
+                          f"{radius_shift:.3e} relative",
+            })
+    return radius, radius_shift, ref_count, refs
 
 
 def run(cfg: RunConfig):
     """Execute the full pipeline; returns (manifest, comparison rows)."""
-    from .reference import (FineGrid, fit_rate, match_and_compare,
-                            validate_radius)
+    from .reference import fit_rate, match_and_compare
     timings = {}
     warnings = []
+    # eigenfunctions are compared in 1D only: a 2D reference keeps no vectors
+    compare = cfg.compare_eigenfunctions and cfg.dim == 1
     t0 = time.perf_counter()
-    store, abar, abar3_sym = stage_homogenize(cfg)
-    coeff, W = store.coeff, store.W
-    if coeff.from_samples:
-        warnings.append({
-            "code": "RoughCoefficient",
-            "detail": "coefficient given as grid samples; spectral accuracy "
-                      "holds only if the underlying field is smooth",
-        })
+    store, abar, abar3_sym = stage_homogenize(cfg, warnings)
     timings["homogenize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spec = stage_spectrum(cfg, W, abar)
+    spec = stage_spectrum(cfg, store.W, abar)
     timings["spectrum"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -196,20 +229,8 @@ def run(cfg: RunConfig):
     summary = expansion_summary(branches)
 
     t0 = time.perf_counter()
-    radius_shift = None
-    radius, ref_count, refs = stage_reference(
-        cfg, coeff, W, spec,
-        keep_vectors=cfg.compare_eigenfunctions and cfg.dim == 1)
-    if cfg.validate_radius:
-        grid0 = FineGrid(cfg.dim, radius, max(cfg.eps_list) / cfg.fd_h_rule)
-        radius_shift = validate_radius(coeff, W, max(cfg.eps_list), grid0,
-                                       ref_count)
-        if radius_shift > 1e-9:
-            warnings.append({
-                "code": "RadiusNotConverged",
-                "detail": f"doubling the box moved eigenvalues by "
-                          f"{radius_shift:.3e} relative",
-            })
+    radius, radius_shift, ref_count, refs = stage_reference(
+        cfg, store, spec, compare, warnings)
     timings["reference"] = time.perf_counter() - t0
 
     rows = []
@@ -226,7 +247,7 @@ def run(cfg: RunConfig):
             row.runtime_s = share
         rows.extend(eps_rows)
         per_eps_meta.append({
-            "eps": eps, "P": P_eps[eps], "path": ref.diagnostics["path"],
+            "eps": eps, "P": P_eps[eps], "path": ref.path,
             "richardson_estimate": [float(v) for v in ref.error_estimates],
             "lambda_ref": [float(v) for v in ref.eigenvalues],
         })
@@ -234,7 +255,7 @@ def run(cfg: RunConfig):
     series = [("eig", lambda row: row.eig_err),
               ("zeroth",
                lambda row: abs(row.lambda_ref_richardson - summary["lambda0"]))]
-    if cfg.compare_eigenfunctions:
+    if compare:
         series += [("l2", lambda row: row.l2_err),
                    ("h1", lambda row: row.h1_err)]
     fits = {}
@@ -263,18 +284,6 @@ def run(cfg: RunConfig):
         if ratios:
             c1[f"j{k + 1}"] = float(max(ratios))
 
-    hier_max = max(
-        (max(br.hierarchy_residuals.values(), default=0.0) for br in branches),
-        default=0.0,
-    )
-    if hier_max > 1e-8:
-        warnings.append({
-            "code": "HierarchyResidual",
-            "detail": f"macroscopic hierarchy residual {hier_max:.3e} "
-                      "exceeds 1e-8; the corrector recursion and the "
-                      "macroscopic equations are inconsistent at this order",
-        })
-
     manifest = RunManifest(
         version=__version__,
         config_text=serialize_config(cfg),
@@ -288,7 +297,7 @@ def run(cfg: RunConfig):
         P_built=P_build,
         radius=radius,
         radius_shift=radius_shift,
-        hierarchy_residual_max=hier_max,
+        hierarchy_residual_max=hierarchy_residual_max(branches),
         **summary,
         per_eps=per_eps_meta,
         fits=fits,

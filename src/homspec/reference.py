@@ -21,7 +21,7 @@ and for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,7 +31,6 @@ import scipy.sparse.linalg as spla
 from .errors import (
     ConvergenceFailure,
     DegenerateFit,
-    GradientFloor,
     GridTooCoarse,
     MatchingAmbiguous,
 )
@@ -132,6 +131,7 @@ class ReferenceSpectrum:
     Eigenvectors (interior node values, L2-normalized with the grid measure)
     are kept from the fine member of the pair; in 1D they come with the
     coefficient data on that grid from which their gradient is taken.
+    ``path`` names the eigensolve route: tridiagonal, separable or sparse.
     """
 
     eps: float
@@ -141,8 +141,8 @@ class ReferenceSpectrum:
     eigenvalues: np.ndarray          # Richardson extrapolated
     error_estimates: np.ndarray      # |lam_h - lam_h2| / 3
     eigenvectors: np.ndarray | None  # (count, m) on the h/2 grid
-    fine_grid: FineGrid | None = None
-    diagnostics: dict = field(default_factory=dict)
+    fine_grid: FineGrid
+    path: str
     cell_coefficients: np.ndarray | None = None  # 1D: harmonic cell averages
     node_coefficients: np.ndarray | None = None  # 1D: a(x_i/eps) at nodes
 
@@ -395,7 +395,6 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
             f"need at least {max(count, 2)}"
         )
     fine = FineGrid(grid.dim, grid.radius, grid.h / 2.0)
-    diagnostics = {}
     cell_coeff = node_coeff = None
     if grid.dim == 1:
         coeff_at = coeff.entry(0, 0)
@@ -403,19 +402,19 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
         vals_h2, vecs, ah, anode = _solve_1d(coeff_at, W, eps, fine, count)
         if keep_vectors:
             cell_coeff, node_coeff = ah, anode
-        diagnostics["path"] = "tridiagonal"
+        path = "tridiagonal"
     else:
         parts = _separable_parts(coeff, W)
         if parts is not None:
             vals_h, _ = _solve_2d_separable(parts, eps, grid, count)
             vals_h2, vecs = _solve_2d_separable(parts, eps, fine, count,
                                                 vectors=keep_vectors)
-            diagnostics["path"] = "separable"
+            path = "separable"
         else:
             # shift-invert about 0, below the positive definite spectrum
             vals_h, _ = _solve_2d_sparse(coeff, W, eps, grid, count, 0.0)
             vals_h2, vecs = _solve_2d_sparse(coeff, W, eps, fine, count, 0.0)
-            diagnostics["path"] = "sparse"
+            path = "sparse"
     rich = (4.0 * vals_h2 - vals_h) / 3.0
     est = np.abs(vals_h2 - vals_h) / 3.0
     if keep_vectors:
@@ -427,7 +426,7 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
         eigenvalues_h=vals_h, eigenvalues_h2=vals_h2,
         eigenvalues=rich, error_estimates=est,
         eigenvectors=vecs if keep_vectors else None,
-        fine_grid=fine, diagnostics=diagnostics,
+        fine_grid=fine, path=path,
         cell_coefficients=cell_coeff, node_coefficients=node_coeff,
     )
 
@@ -477,18 +476,20 @@ def _flux_gradient(vec: np.ndarray, ref: ReferenceSpectrum) -> np.ndarray:
             / ref.node_coefficients).reshape(1, -1)
 
 
-def match_and_compare(ref: ReferenceSpectrum, branches, eps: float, P: int,
-                      with_h1: bool = True) -> list:
+def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
+                      P: int) -> list:
     """Per-branch eigenvalue / L2 / H1 errors against the expansion.
 
     The reference eigenvector for branch r is the one with the dominant
     overlap against the rotated envelope U_{0,r}; it is rescaled so that
     int psi U_{0,r} dx = 1, matching the normalization in which the
     expansion is stated.  A reference without eigenvectors is matched by
-    index, cluster[0] + r, and its rows carry NaN L2 and H1 errors.  Raises
-    MatchingAmbiguous when no assignment dominates by the requested ratio,
-    and GradientFloor when with_h1 is asked of eigenvectors without 1D
-    coefficient data (2D, or built by hand).
+    index, cluster[0] + r, and its rows carry NaN L2 and H1 errors.  The H1
+    error is formed exactly when the reference carries its 1D coefficient
+    data (_flux_gradient); otherwise (2D, or built by hand) it is NaN, since
+    central differences on a grid with h ~ eps leave an eps-independent
+    floor in the gradient.  Raises MatchingAmbiguous when no assignment
+    dominates by the requested ratio.
     """
     from .expansion import assemble, lambda_tilde
     from .hermite import HermiteSampler
@@ -496,12 +497,7 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float, P: int,
     if not isinstance(branches, (list, tuple)):
         branches = [branches]
     vectors = ref.eigenvectors is not None
-    if vectors and with_h1 and ref.cell_coefficients is None:
-        raise GradientFloor(
-            f"no flux gradient for this {ref.grid.dim}D reference; central "
-            "differences on a grid with h ~ eps leave an eps-independent "
-            "floor in the H1 error (pass with_h1=False)"
-        )
+    gradient = ref.cell_coefficients is not None
     if vectors:
         grid = ref.fine_grid
         pts = grid.points()
@@ -533,11 +529,11 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float, P: int,
                     )
             used.add(pick)
             psi = ref.eigenvectors[pick] / overlaps[pick]
-            asm = assemble(br, eps, pts, P=P, gradient=with_h1,
+            asm = assemble(br, eps, pts, P=P, gradient=gradient,
                            sample_x=sample_x, sample_y=sample_y)
             diff = psi - asm.w
             l2 = float(np.sqrt(np.sum(diff ** 2) * measure))
-            if with_h1:
+            if gradient:
                 gd = _flux_gradient(psi, ref) - asm.grad_w
                 h1 = float(np.sqrt(np.sum(diff ** 2) * measure
                                    + np.sum(gd ** 2) * measure))

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegreeCapExceeded, GridMismatch
+from .errors import GridMismatch
 from .slowpoly import SlowPolynomial
 from .torus import FourierSampler, PeriodicField, TorusGrid, deriv_y
+
+PRUNE_TOL = 1e-13       # relative norm below which shapes are dropped
 
 
 class SeparableField:
@@ -56,8 +58,8 @@ class SeparableField:
 
     # --- queries ---
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(f.l2_norm() <= tol for f in self.terms.values())
+    def is_zero(self) -> bool:
+        return all(f.l2_norm() == 0.0 for f in self.terms.values())
 
     def degree(self) -> int:
         return max((sum(b) for b in self.terms), default=0)
@@ -65,11 +67,11 @@ class SeparableField:
     def max_norm(self) -> float:
         return max((f.l2_norm() for f in self.terms.values()), default=0.0)
 
-    def purge(self, tol: float = 1e-13) -> "SeparableField":
-        """Drop shapes with norm below tol relative to the largest term."""
+    def purge(self) -> "SeparableField":
+        """Drop shapes with norm below PRUNE_TOL relative to the largest."""
         scale = max(self.max_norm(), 1.0)
         kept = {b: f for b, f in self.terms.items()
-                if f.l2_norm() > tol * scale}
+                if f.l2_norm() > PRUNE_TOL * scale}
         return SeparableField(self.grid, kept)
 
     # --- algebra ---
@@ -95,17 +97,13 @@ class SeparableField:
     def __neg__(self):
         return self * -1.0
 
-    def mul_poly(self, p: SlowPolynomial, degree_cap: int | None = None) -> "SeparableField":
-        """Multiply by a slow polynomial; raises DegreeCapExceeded past cap."""
+    def mul_poly(self, p: SlowPolynomial) -> "SeparableField":
+        """Multiply by a slow polynomial."""
         out = SeparableField(self.grid)
         for bp, c in p.coeffs.items():
             for bt, f in self.terms.items():
                 key = tuple(x + y for x, y in zip(bp, bt))
                 out._accumulate(key, f * c)
-        if degree_cap is not None and out.degree() > degree_cap:
-            raise DegreeCapExceeded(
-                f"separable field degree {out.degree()} exceeds cap {degree_cap}"
-            )
         return out
 
     def dx(self, axis: int) -> "SeparableField":

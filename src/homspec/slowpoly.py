@@ -47,8 +47,8 @@ class SlowPolynomial:
     def degree(self) -> int:
         return max((sum(a) for a in self.coeffs), default=0)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs.values())
+    def is_zero(self) -> bool:
+        return all(c == 0.0 for c in self.coeffs.values())
 
     def constant_term(self) -> float:
         return self.coeffs.get((0,) * self.dim, 0.0)

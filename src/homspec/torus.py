@@ -159,9 +159,8 @@ class PeriodicField:
         return cls(grid, np.full(grid.shape, float(value)))
 
     @classmethod
-    def zeros(cls, grid: TorusGrid, rank: int = 0) -> "PeriodicField":
-        comp = (grid.dim,) * rank
-        return cls(grid, np.zeros(comp + grid.shape))
+    def zeros(cls, grid: TorusGrid) -> "PeriodicField":
+        return cls(grid, np.zeros(grid.shape))
 
     # --- basic queries ---
 

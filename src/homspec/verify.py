@@ -22,6 +22,7 @@ from .hermite import (
     MacroBasis,
     MacroFunction,
     default_sigma,
+    quadrature_for,
     resolvent_solve,
     solve_spectrum,
     spectral_gap,
@@ -178,7 +179,7 @@ def run_invariants(tolerance_scale: float = 1.0,
     check("hierarchy_residuals", max(br.hierarchy_residuals.values()), 1e-8)
 
     D, E, mu2, info = build_D_matrix(spec1, 1, store1.fork(spec1.eigenvalue(1)),
-                                     spacing_tol=0.0)
+                                     quadrature_for(basis1, 4), spacing_tol=0.0)
     check("D_dual_agreement", info["dual_gap"], 1e-8)
     check("D_symmetry", info["sym_gap"], 1e-12)
     check("E_orthogonality", np.max(np.abs(E @ E.T - np.eye(E.shape[0]))),

@@ -25,7 +25,8 @@ from homspec.expansion import (
     multiple_recursion,
     simple_recursion,
 )
-from homspec.hermite import MacroBasis, default_sigma, solve_spectrum
+from homspec.hermite import (MacroBasis, default_sigma, quadrature_for,
+                             solve_spectrum)
 from homspec.reference import (
     FineGrid,
     fit_rate,
@@ -230,7 +231,8 @@ def test_a5_identity_suite():
     ])
     spec2 = solve_spectrum(np.eye(2), w_iso(2), MacroBasis(2, 20, 1.0), 8)
     table2 = CorrectorTable(c2, w_iso(2), [spec2.eigenvalue(2)], tol=1e-13)
-    D, E, mu2, info = build_D_matrix(spec2, 2, table2)
+    D, E, mu2, info = build_D_matrix(spec2, 2, table2,
+                                     quadrature_for(spec2.basis, 4))
     ok_D = info["dual_gap"] < 1e-8 and info["sym_gap"] < 1e-12
     dt = time.perf_counter() - t0
     ok = ok_mu1 and ok_cyc and ok_deg and ok_D and dt < 120

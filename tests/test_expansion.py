@@ -22,11 +22,11 @@ from homspec.expansion import (
     multiple_recursion,
     simple_recursion,
 )
-from homspec.hermite import (MacroBasis, default_sigma, quadrature_for,
-                             solve_spectrum, spectral_gap)
+from homspec.hermite import (HermiteSampler, MacroBasis, default_sigma,
+                             quadrature_for, solve_spectrum, spectral_gap)
 from homspec.pipeline import stage_expand
 from homspec.slowpoly import SlowPolynomial
-from homspec.torus import CoefficientField, TorusGrid, l2_inner
+from homspec.torus import CoefficientField, FourierSampler, TorusGrid, l2_inner
 
 TWO_PI = 2.0 * np.pi
 
@@ -40,6 +40,14 @@ def w_iso(dim):
 def store(coeff, W, tol=1e-13):
     """The corrector store that the homogenize stage hands to expand."""
     return build_suite(coeff, W, tol=tol)[0]
+
+
+def assemble_at(branch, eps, pts, P):
+    """assemble with its gradient, sampling at pts through one Hermite table
+    and one Fourier basis."""
+    return assemble(branch, eps, pts, P=P, gradient=True,
+                    sample_x=HermiteSampler(branch.spectrum.basis, pts, P + 1),
+                    sample_y=FourierSampler(branch.table.grid, pts / eps))
 
 
 @pytest.fixture(scope="module")
@@ -145,10 +153,12 @@ class TestCorrectorTable:
         assert branch.table.max_cell_residual() < 1e-10
         assert branch.table.max_chi_mean() < 1e-12
 
-    def test_degree_cap(self, case_1d):
+    def test_degree_cap(self, case_1d, monkeypatch):
+        import homspec.expansion as expansion
         coeff, W, spec, _ = case_1d
+        monkeypatch.setattr(expansion, "DEGREE_CAP", 2)
         t = CorrectorTable(coeff, W, [spec.eigenvalue(1), 0.0, 0.0, 0.0],
-                           degree_cap=2)
+                           tol=1e-12)
         with pytest.raises(DegreeCapExceeded):
             t.chi(5, (1,))     # needs W * (degree-2 entry) -> degree 4
 
@@ -164,7 +174,7 @@ class TestConstantCoefficient:
         assert all(abs(m) < 1e-12 for m in br.mu[1:])
         assert all(u.norm() < 1e-12 for u in br.U[1:])
         for q in range(1, 4):
-            assert br.table.chi(q, (1, 0)).is_zero(1e-12)
+            assert br.table.chi(q, (1, 0)).max_norm() <= 1e-12
         ab = br.table.abar(1, (1, 0))
         assert ab[0].constant_term() == pytest.approx(1.0, abs=1e-12)
 
@@ -176,7 +186,7 @@ class TestConstantCoefficient:
         spec = solve_spectrum(np.array([[1.0]]), W, basis, 4)
         br = simple_recursion(store(coeff, W, tol=1e-12), spec, 1, 2)
         pts = np.linspace(-3, 3, 41).reshape(-1, 1)
-        asm = assemble(br, 0.3, pts, P=2)
+        asm = assemble_at(br, 0.3, pts, P=2)
         assert asm.lambda_tilde == pytest.approx(spec.eigenvalue(1), abs=1e-12)
         exact = spec.eigenfunction(1).evaluate(pts)
         assert np.max(np.abs(asm.w - exact)) < 1e-12
@@ -242,14 +252,16 @@ class TestCouplingMatrix:
         W = w_iso(2)
         basis = MacroBasis(2, 12, 1.0)
         spec = solve_spectrum(np.eye(2), W, basis, 6)
-        table = CorrectorTable(coeff, W, [spec.eigenvalue(2)])
+        table = CorrectorTable(coeff, W, [spec.eigenvalue(2)], tol=1e-12)
         with pytest.raises(DegenerateD):
-            build_D_matrix(spec, 2, table)
+            build_D_matrix(spec, 2, table, quadrature_for(spec.basis, 4))
 
     def test_n1_consistency(self, case_1d):
         coeff, W, spec, branch = case_1d
         table = CorrectorTable(coeff, W, [spec.eigenvalue(1)], tol=1e-13)
-        D, E, mu2, info = build_D_matrix(spec, 1, table, spacing_tol=0.0)
+        D, E, mu2, info = build_D_matrix(spec, 1, table,
+                                         quadrature_for(spec.basis, 4),
+                                         spacing_tol=0.0)
         assert D.shape == (1, 1)
         assert E[0, 0] == 1.0
         assert mu2[0] == pytest.approx(branch.mu[2], rel=1e-8)
@@ -257,7 +269,8 @@ class TestCouplingMatrix:
     def test_laminate_cluster(self, case_2d_laminate):
         coeff, W, spec = case_2d_laminate
         table = CorrectorTable(coeff, W, [spec.eigenvalue(2)], tol=1e-13)
-        D, E, mu2, info = build_D_matrix(spec, 2, table)
+        D, E, mu2, info = build_D_matrix(spec, 2, table,
+                                         quadrature_for(spec.basis, 4))
         assert info["dual_gap"] < 1e-8
         assert info["sym_gap"] < 1e-12
         assert np.max(np.abs(E @ E.T - np.eye(2))) < 1e-12
@@ -435,7 +448,7 @@ class TestAssemble:
         coeff, W, spec, branch = case_1d
         eps = 0.05
         pts = np.linspace(-1.0, 1.0, 257).reshape(-1, 1)
-        asm = assemble(branch, eps, pts, P=1)
+        asm = assemble_at(branch, eps, pts, P=1)
         phi = spec.eigenfunction(1)
         chi1 = branch.table.chi(1, (1,)).terms[(0,)]
         from homspec.torus import deriv_y
@@ -445,9 +458,9 @@ class TestAssemble:
         assert np.max(np.abs(asm.grad_w[0] - expect)) < 1e-10
 
     def test_one_basis_and_table_per_point_set(self, case_1d, monkeypatch):
-        # every corrector shape and envelope derivative reuses one Fourier
-        # basis and one Hermite table; rebuilding them per call would make
-        # 15 Fourier bases and 14 Hermite tables here
+        # every corrector shape and envelope derivative reuses the caller's
+        # Fourier basis and Hermite table; rebuilding them per call would
+        # make 15 Fourier bases and 14 Hermite tables here
         import homspec.expansion as expansion
         import homspec.hermite as hermite
         _, _, _, branch = case_1d
@@ -467,7 +480,10 @@ class TestAssemble:
         monkeypatch.setattr(expansion, "FourierSampler", CountingSampler)
         monkeypatch.setattr(hermite, "hermite_function_values", counting_values)
         pts = np.linspace(-2.0, 2.0, 101).reshape(-1, 1)
-        asm = assemble(branch, 0.05, pts, P=3, gradient=True)
+        asm = assemble(branch, 0.05, pts, P=3, gradient=True,
+                       sample_x=HermiteSampler(branch.spectrum.basis, pts, 4),
+                       sample_y=expansion.FourierSampler(branch.table.grid,
+                                                         pts / 0.05))
         assert np.all(np.isfinite(asm.grad_w))
         assert counts == {"fourier": 1, "hermite": 1}
 
@@ -515,18 +531,16 @@ class TestMatchingAmbiguity:
             eigenvalues=np.array([4.0, 4.0]),
             error_estimates=np.zeros(2),
             eigenvectors=np.stack([v, v]),
-            fine_grid=grid,
+            fine_grid=grid, path="by hand",
         )
         with pytest.raises(MatchingAmbiguous):
-            match_and_compare(ref, branches, 0.125, P=2, with_h1=False)
+            match_and_compare(ref, branches, 0.125, P=2)
 
     def test_2d_node_tables_match_per_point_sampling(self, case_2d_laminate):
         # match_and_compare samples the envelopes on the 79 node coordinates
         # per axis and the correctors on eps/h = 4 phases per axis; sampling
         # both once per node must give the same rows
-        from homspec.hermite import HermiteSampler
         from homspec.reference import FineGrid, ReferenceSpectrum, match_and_compare
-        from homspec.torus import FourierSampler
         coeff, W, spec = case_2d_laminate
         branches = multiple_recursion(store(coeff, W), spec, 2, 3)
         eps, P = 0.5, 3
@@ -540,9 +554,9 @@ class TestMatchingAmbiguity:
         ref = ReferenceSpectrum(
             eps=eps, grid=grid, eigenvalues_h=lam, eigenvalues_h2=lam,
             eigenvalues=lam, error_estimates=np.zeros(2),
-            eigenvectors=np.stack(vecs), fine_grid=grid,
+            eigenvectors=np.stack(vecs), fine_grid=grid, path="by hand",
         )
-        rows = match_and_compare(ref, branches, eps, P=P, with_h1=False)
+        rows = match_and_compare(ref, branches, eps, P=P)
         y, index = grid.phases(eps)
         per_point_y = np.stack([y[ix, ax] for ax, ix in enumerate(index)],
                                axis=1)

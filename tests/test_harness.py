@@ -378,6 +378,18 @@ class TestPipeline:
         _, manifest, _ = mini_run
         assert manifest.hierarchy_residual_max < 1e-8
 
+    def test_2d_fits_only_measured_errors(self):
+        # compare_eigenfunctions (on by default) compares eigenfunctions in
+        # 1D only, so a 2D sweep fits no L2 or H1 series
+        cfg = parse_config(TWO_BRANCH.replace("compare_eigenfunctions = false\n",
+                                              ""))
+        assert cfg.compare_eigenfunctions
+        manifest, rows = run(cfg)
+        assert sorted(manifest.fits) == ["branch0_eig", "branch0_zeroth",
+                                         "branch1_eig", "branch1_zeroth"]
+        assert all(np.isnan(row.l2_err) and np.isnan(row.h1_err)
+                   for row in rows)
+
     def test_manifest_cell_solves(self):
         # homogenize and the two-branch cluster share one corrector store:
         # the multiple-2d sweep solves 7 cell problems (13 when homogenize
@@ -527,6 +539,37 @@ class TestCLI:
         assert sorted(seen) == [("EpsilonConditionViolated", 0.4),
                                 ("EpsilonConditionViolated", 0.5)]
 
+    def test_sampled_coefficient_warns_once(self, tmp_path):
+        # expand.json and the sweep manifest carry RoughCoefficient once each
+        np.save(tmp_path / "a.npy", 2.0 + np.cos(2 * np.pi * np.arange(64) / 64))
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(MINIMAL.replace("a = 2 + cos(2*pi*y)",
+                                           f"a_samples = {tmp_path / 'a.npy'}"))
+        for command, name in (("expand", "expand.json"),
+                              ("sweep", "manifest.json")):
+            r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
+                          command, cwd=str(tmp_path))
+            assert r.returncode == 0, r.stderr
+            warnings = json.loads((tmp_path / name).read_text())["warnings"]
+            assert [w["code"] for w in warnings] == ["RoughCoefficient"]
+
+    def test_reference_validates_radius(self, tmp_path):
+        # validate_radius doubles the box in the reference subcommand as in
+        # the sweep; a radius of 2 is far too small (the shift is 0.65)
+        text = MINIMAL.replace("radius = 7.0", "radius = 2.0\nvalidate_radius = true")
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(text)
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
+                      "reference", cwd=str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        payload = json.loads((tmp_path / "reference.json").read_text())
+        manifest, _ = run(parse_config(text))
+        assert payload["radius_shift"] == manifest.radius_shift
+        assert payload["radius_shift"] > 1e-9
+        assert ([w["code"] for w in payload["warnings"]]
+                == [w["code"] for w in manifest.warnings]
+                == ["RadiusNotConverged"])
+
     def test_reference_radius_matches_sweep(self, tmp_path):
         # radius = auto: the reference subcommand and the sweep must size
         # the box the same way
@@ -540,6 +583,7 @@ class TestCLI:
         payload = json.loads((tmp_path / "reference.json").read_text())
         manifest, _ = run(parse_config(text))
         assert payload["radius"] == manifest.radius
+        assert payload["radius_shift"] is None and payload["warnings"] == []
         assert [e["eps"] for e in payload["per_eps"]] == [0.125, 0.0625, 0.03125]
         assert payload["per_eps"][0]["lambda_richardson"][0] == pytest.approx(
             manifest.per_eps[0]["lambda_ref"][0], rel=1e-12)

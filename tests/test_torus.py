@@ -47,6 +47,11 @@ def grid2(n=32):
     return TorusGrid(2, n)
 
 
+def zero_vector(grid):
+    """The vector field 0 on grid."""
+    return PeriodicField(grid, np.zeros((grid.dim,) + grid.shape))
+
+
 def field1(fn, n=64):
     return PeriodicField.from_function(grid1(n), fn)
 
@@ -110,7 +115,7 @@ class TestRoundTripAndDerivatives:
     def test_grid_mismatch_raises(self):
         c = CoefficientField.identity(grid1(32))
         with pytest.raises(GridMismatch):
-            c.multiply(PeriodicField.zeros(grid1(64), rank=1))
+            c.multiply(zero_vector(grid1(64)))
         with pytest.raises(GridMismatch):
             c.multiply(PeriodicField.constant(grid1(32), 1.0))
 
@@ -339,7 +344,7 @@ class TestSolveCellProperties:
 
 class TestFluxCorrector:
     def test_zero(self):
-        s = solve_flux_corrector(PeriodicField.zeros(grid2(), rank=1))
+        s = solve_flux_corrector(zero_vector(grid2()))
         assert s.l2_norm() == 0.0
 
     def test_single_mode(self):
@@ -581,7 +586,7 @@ class TestFourierSampler:
         with pytest.raises(GridMismatch):
             sample(PeriodicField.constant(grid1(32), 1.0))
         with pytest.raises(GridMismatch):
-            sample(PeriodicField.zeros(grid1(16), rank=1))
+            sample(zero_vector(grid1(16)))
         with pytest.raises(GridMismatch):
             FourierSampler(grid2(8), pts)
 
