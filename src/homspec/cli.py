@@ -8,8 +8,6 @@ error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -49,20 +47,36 @@ def _sample_grid(dim, sigma, n):
             np.stack([x[r] for r in index], axis=1))
 
 
-def _write_grid_samples(out_dir, name, points, columns):
-    """CSV of the points' coordinates and each (header, values) in ``columns``."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([f"x{i+1}" for i in range(points.shape[1])]
-               + [h for h, _ in columns])
-    w.writerows(np.column_stack([points] + [v for _, v in columns]).tolist())
-    print(_write(out_dir, name, buf.getvalue()))
+# Rows per block of a grid-sample CSV: the formatted values of one block are
+# held at once, so the block bounds those transient strings.
+CSV_BLOCK = 1024
+
+
+def _write_grid_samples(out_dir, name, coords, index, columns):
+    """CSV of a tensor grid's points and each (header, values) in
+    ``columns``; point p has coordinate coords[index[ax][p], ax] on axis ax.
+
+    Each distinct coordinate is formatted once, and every value as repr,
+    which is what csv.writer writes for a float; the rows are formatted in
+    blocks of CSV_BLOCK.
+    """
+    axes = [np.array(list(map(repr, coords[:, ax].tolist())), dtype=object)
+            for ax in range(coords.shape[1])]
+    blocks = [",".join([f"x{ax + 1}" for ax in range(len(axes))]
+                       + [h for h, _ in columns])]
+    for start in range(0, len(index[0]), CSV_BLOCK):
+        rows = slice(start, start + CSV_BLOCK)
+        cols = [x[ix[rows]] for x, ix in zip(axes, index)]
+        cols += [map(repr, v[rows].tolist()) for _, v in columns]
+        blocks.append("\n".join(map(",".join, zip(*cols))))
+    print(_write(out_dir, name, "\n".join(blocks) + "\n"))
 
 
 def cmd_homogenize(cfg: RunConfig, args):
     from .classical import cyclic_check
     from .pipeline import stage_homogenize
-    store, abar, abar3_sym = stage_homogenize(cfg, [])
+    warnings = []
+    store, abar, abar3_sym = stage_homogenize(cfg, warnings)
     payload = {
         "abar": abar.tolist(),
         "abar3_sym": abar3_sym.tolist(),
@@ -70,6 +84,7 @@ def cmd_homogenize(cfg: RunConfig, args):
         "theta": store.coeff.theta,
         "lam_min": store.coeff.lam_min,
         "lam_max": store.coeff.lam_max,
+        "warnings": warnings,
     }
     _dump(payload, args.out, "homogenize.json")
     return 0
@@ -78,7 +93,8 @@ def cmd_homogenize(cfg: RunConfig, args):
 def cmd_spectrum(cfg: RunConfig, args):
     from .hermite import HermiteSampler, spectral_gap
     from .pipeline import stage_homogenize, stage_spectrum
-    store, abar, _ = stage_homogenize(cfg, [])
+    warnings = []
+    store, abar, _ = stage_homogenize(cfg, warnings)
     spec = stage_spectrum(cfg, store.W, abar)
     gaps = {}
     for j in range(1, spec.count):
@@ -92,14 +108,15 @@ def cmd_spectrum(cfg: RunConfig, args):
         "gaps": gaps,
         "sigma": spec.basis.sigma,
         "basis_size": spec.basis.size,
+        "warnings": warnings,
     }
     _dump(payload, args.out, "spectrum.json")
     if args.out and args.eigenfunction_samples > 0:
-        coords, index, pts = _sample_grid(cfg.dim, spec.basis.sigma,
+        coords, index, _ = _sample_grid(cfg.dim, spec.basis.sigma,
                                         args.eigenfunction_samples)
         sample = HermiteSampler(spec.basis, coords, 0, index)
         _write_grid_samples(
-            args.out, "eigenfunctions.csv", pts,
+            args.out, "eigenfunctions.csv", coords, index,
             [(f"phi{j}", sample(spec.eigenfunction(j)))
              for j in range(1, spec.count + 1)])
     return 0
@@ -135,7 +152,7 @@ def cmd_expand(cfg: RunConfig, args):
                          assemble(br, eps, pts, P=P_eps[eps], gradient=False,
                                   sample_x=sample_x, sample_y=sample_y).w)
                         for br in branches]
-        _write_grid_samples(args.out, "w_samples.csv", pts, columns)
+        _write_grid_samples(args.out, "w_samples.csv", coords, index, columns)
     return 0
 
 

@@ -197,8 +197,7 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
     refs = {eps: one_eps(eps) for eps in cfg.eps_list}
     radius_shift = None
     if cfg.validate_radius:
-        eps = max(cfg.eps_list)
-        radius_shift = validate_radius(coeff, W, eps, grid(eps), ref_count)
+        radius_shift = validate_radius(coeff, W, refs[max(cfg.eps_list)][0])
         if radius_shift > 1e-9:
             warnings.append({
                 "code": "RadiusNotConverged",

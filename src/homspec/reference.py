@@ -7,10 +7,11 @@ for its lowest eigenpairs, and Richardson extrapolated over the (h, h/2)
 pair.  One routine builds the operator in 1D and 2D, with the harmonic
 averages as 12-point Gauss-Legendre cell integrals of 1/a (which keeps the
 discretization error smooth in h though the coefficient oscillates) taken
-on one period of fast phases.  In 1D each eigenpair is then polished by
-bordered Newton steps with extended-precision residuals, and its eigenvalue
-taken as the energy quotient, so that the floor sits orders of magnitude
-below the smallest expansion residuals being measured.
+on one period of fast phases.  In 1D each eigenvalue is the energy
+quotient in extended precision, so that the floor sits orders of magnitude
+below the smallest expansion residuals being measured; each eigenpair whose
+vector is kept is first polished by bordered Newton steps with
+extended-precision residuals.
 
 Separable two-dimensional problems (diagonal a with axis-aligned
 oscillation and an additively separable potential) factor exactly: the
@@ -248,9 +249,11 @@ def _refine_eigenpair(diag, off, vec, aharm, wdiag, h):
     return float(_energy_quotient(aharm, wdiag, h, v)), v.astype(float)
 
 
-def _solve_1d(coeff_at, W, eps, grid, count):
-    """The count lowest polished eigenpairs, with the harmonic cell averages
-    and the node values of the coefficient."""
+def _solve_1d(coeff_at, W, eps, grid, count, polish):
+    """The count lowest eigenpairs, with the harmonic cell averages and the
+    node values of the coefficient.  With ``polish`` each pair is refined
+    by _refine_eigenpair; otherwise it is the LAPACK vector and its energy
+    quotient, whose error is second order in the vector's."""
     (ah,), diag, wdiag, (anode,) = _fd_operator([coeff_at], W, eps, grid)
     off = -ah[1:-1] / grid.h ** 2
     _, vecs = sla.eigh_tridiagonal(
@@ -259,8 +262,13 @@ def _solve_1d(coeff_at, W, eps, grid, count):
     out_vals = np.empty(count)
     out_vecs = np.empty((count, diag.size))
     for k in range(count):
-        out_vals[k], out_vecs[k] = _refine_eigenpair(
-            diag, off, vecs[:, k], ah, wdiag, grid.h)
+        if polish:
+            out_vals[k], out_vecs[k] = _refine_eigenpair(
+                diag, off, vecs[:, k], ah, wdiag, grid.h)
+        else:
+            out_vals[k] = _energy_quotient(
+                ah, wdiag, grid.h, vecs[:, k].astype(np.longdouble))
+            out_vecs[k] = vecs[:, k]
     order = np.argsort(out_vals)
     return out_vals[order], out_vecs[order], ah, anode
 
@@ -321,8 +329,8 @@ def _solve_2d_separable(parts, eps, grid, count, vectors=False):
     """
     a1, a2, W1, W2 = parts
     g1 = FineGrid(1, grid.radius, grid.h)
-    vals1, vecs1, _, _ = _solve_1d(a1, W1, eps, g1, count)
-    vals2, vecs2, _, _ = _solve_1d(a2, W2, eps, g1, count)
+    vals1, vecs1, _, _ = _solve_1d(a1, W1, eps, g1, count, vectors)
+    vals2, vecs2, _, _ = _solve_1d(a2, W2, eps, g1, count, vectors)
     pairs = sorted((vals1[i] + vals2[j], i, j)
                    for i in range(count) for j in range(count))[:count]
     vals = np.array([p[0] for p in pairs])
@@ -398,8 +406,9 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     cell_coeff = node_coeff = None
     if grid.dim == 1:
         coeff_at = coeff.entry(0, 0)
-        vals_h = _solve_1d(coeff_at, W, eps, grid, count)[0]
-        vals_h2, vecs, ah, anode = _solve_1d(coeff_at, W, eps, fine, count)
+        vals_h = _solve_1d(coeff_at, W, eps, grid, count, False)[0]
+        vals_h2, vecs, ah, anode = _solve_1d(coeff_at, W, eps, fine, count,
+                                             keep_vectors)
         if keep_vectors:
             cell_coeff, node_coeff = ah, anode
         path = "tridiagonal"
@@ -431,11 +440,13 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     )
 
 
-def validate_radius(coeff, W, eps, grid, count) -> float:
-    """Relative eigenvalue shift when the box radius is doubled."""
+def validate_radius(coeff, W, ref: ReferenceSpectrum) -> float:
+    """Relative eigenvalue shift of the reference ref when its box radius
+    is doubled; only the doubled box is solved."""
+    grid = ref.grid
     big = FineGrid(grid.dim, 2.0 * grid.radius, grid.h)
-    ref = solve_Leps(coeff, W, eps, grid, count, keep_vectors=False)
-    wide = solve_Leps(coeff, W, eps, big, count, keep_vectors=False)
+    wide = solve_Leps(coeff, W, ref.eps, big, len(ref.eigenvalues),
+                      keep_vectors=False)
     shift = np.max(np.abs(ref.eigenvalues - wide.eigenvalues)
                    / np.maximum(np.abs(wide.eigenvalues), 1.0))
     return float(shift)

@@ -9,20 +9,22 @@ _irfft, whose last axis holds the non-negative wavenumbers only.
 The one product with the coefficient, CoefficientField._product, takes and
 returns n-grid half spectra and forms a g on the grid padded by the 3/2 rule,
 which removes quadratic aliasing.  An exactly-zero input or output component
-costs it no transform.  The cell operator is built on it directly, and the
-corrector sources and the fluxes through CoefficientField.multiply, grad_y
-and div_y.  One application of the cell operator costs 2 + 2d real
-transforms: one forward transform of u, d inverse transforms onto the padded
-grid, d forward transforms back, and one inverse transform of the
-divergence.  The two solvers everything else reduces to are
+costs it no transform.  The cell operator is built on it directly, as a
+map of half spectra (_operator_half), and the corrector sources and the
+fluxes through CoefficientField.multiply, grad_y and div_y.  One
+application of the cell operator costs 2d real transforms: d inverse
+transforms onto the padded grid and d forward transforms back.  The two
+solvers everything else reduces to are
 
     solve_cell:            -div(a grad u) = div F + G   on T^d,  <u> = 0
     solve_flux_corrector:  -lap s_ij = d_j g_i - d_i g_j, so that div s = g
 
-The cell solve uses conjugate gradients preconditioned by the constant
-coefficient Laplacian, which converges in O(sqrt(theta)) iterations for the
-smooth coefficients this library targets; the preconditioner costs two more
-real transforms per iteration.
+The cell solve runs conjugate gradients on the half spectrum of the source,
+preconditioned by the constant coefficient Laplacian, a diagonal scaling
+there (Moulinec & Suquet 1998); it converges in O(sqrt(theta)) iterations
+for the smooth coefficients this library targets, and costs one forward
+transform of the source and one inverse transform of the solution besides
+the operator's.
 """
 
 from __future__ import annotations
@@ -104,6 +106,16 @@ class TorusGrid:
         for k in ks:
             k.flat[n // 2] = 0.0
         return ks
+
+    @cached_property
+    def parseval_weights(self) -> np.ndarray:
+        """Weight of each last-axis mode of a half spectrum in a Parseval
+        sum: the modes 1..n/2-1 stand for their conjugates too, so they
+        count twice."""
+        n = self.modes_per_axis
+        w = np.ones(n // 2 + 1)
+        w[1:n // 2] = 2.0
+        return w
 
     @cached_property
     def k_squared(self) -> np.ndarray:
@@ -403,17 +415,20 @@ def l2_inner(f: PeriodicField, g: PeriodicField) -> float:
 
 
 def hminus1_norm(f: PeriodicField) -> float:
-    """Fourier H^-1 seminorm of a scalar field (zero mode dropped).  On the
-    half spectrum the last-axis modes 1..n/2-1 stand for their conjugates
-    too, so they weigh twice."""
+    """Fourier H^-1 seminorm of a scalar field (zero mode dropped), summed
+    over the half spectrum with TorusGrid.parseval_weights."""
     if f.rank != 0:
         raise GridMismatch("hminus1_norm expects a scalar field")
-    n = f.grid.modes_per_axis
     fh = _rfft(f.values) / f.grid.npoints
-    w = np.abs(fh) ** 2 / f.grid.k_squared
+    w = np.abs(fh) ** 2 / f.grid.k_squared * f.grid.parseval_weights
     w.flat[0] = 0.0
-    w[..., 1:n // 2] *= 2.0
     return float(np.sqrt(w.sum()))
+
+
+def _parseval_dot(grid: TorusGrid, ah: np.ndarray, bh: np.ndarray) -> float:
+    """sum(a * b) over the grid of two real n-grid arrays, from their
+    unnormalized half spectra ah and bh (Parseval)."""
+    return np.vdot(ah * grid.parseval_weights, bh).real / grid.npoints
 
 
 # --- coefficient fields ------------------------------------------------------
@@ -589,10 +604,11 @@ class CoefficientField:
 
 # --- the two solvers --------------------------------------------------------
 
-def _apply_operator(coeff: CoefficientField, u: np.ndarray) -> np.ndarray:
-    """-div(a grad u) in 2 + 2d real transforms: gradient and divergence act
-    on the n-grid half spectrum, the coefficient product is
-    CoefficientField._product on the 3/2 grid.
+def _operator_half(coeff: CoefficientField, uh: np.ndarray) -> np.ndarray:
+    """Half spectrum of -div(a grad u) from the n-grid half spectrum uh of
+    u, in 2d real transforms: gradient and divergence act on the half
+    spectrum, the coefficient product is CoefficientField._product on the
+    3/2 grid.
 
     Padding and truncation are exact adjoints and the derivative matrix is
     antisymmetric, so the composite is exactly symmetric.  The fluxes are
@@ -600,10 +616,14 @@ def _apply_operator(coeff: CoefficientField, u: np.ndarray) -> np.ndarray:
     divergence-free to solver precision.
     """
     ks = coeff.grid.wavenumbers
-    uh = _rfft(u)
     fh = coeff._product([1j * k * uh for k in ks])
-    return -_irfft(sum(1j * k * f for k, f in zip(ks, fh)),
-                   coeff.grid.modes_per_axis)
+    return -sum(1j * k * f for k, f in zip(ks, fh))
+
+
+def _apply_operator(coeff: CoefficientField, u: np.ndarray) -> np.ndarray:
+    """-div(a grad u) on the grid: _operator_half between one forward and
+    one inverse transform, 2 + 2d real transforms."""
+    return _irfft(_operator_half(coeff, _rfft(u)), coeff.grid.modes_per_axis)
 
 
 def solve_cell(coeff: CoefficientField,
@@ -616,6 +636,11 @@ def solve_cell(coeff: CoefficientField,
     G must be mean-free (tolerance 1e-12 relative); the tiny residual mean is
     subtracted before the solve.  Raises SingularSystem when preconditioned
     CG fails to reach the relative residual tol.
+
+    The source is formed on the grid; CG then runs on its half spectrum,
+    where the preconditioner is a diagonal scaling and the inner products
+    are Parseval sums (_parseval_dot), and the solution takes one inverse
+    transform at the end.
     """
     grid = coeff.grid
     n = grid.modes_per_axis
@@ -642,28 +667,25 @@ def solve_cell(coeff: CoefficientField,
     if bnorm == 0.0:
         return PeriodicField.zeros(grid)
 
-    cbar = 0.5 * (coeff.lam_min + coeff.lam_max)
+    # the constant-coefficient Laplacian's inverse, zero on the mean
+    inv = 1.0 / (0.5 * (coeff.lam_min + coeff.lam_max) * grid.k_squared)
+    inv.flat[0] = 0.0
 
-    def precond(r):
-        rh = _rfft(r) / (cbar * grid.k_squared)
-        rh.flat[0] = 0.0
-        return _irfft(rh, n)
-
-    u = np.zeros(grid.shape)
-    r = b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
+    uh = np.zeros(grid.half_shape, dtype=complex)
+    r = _rfft(b)
+    p = z = inv * r
+    rz = _parseval_dot(grid, r, z)
     for _ in range(maxiter):
-        Ap = _apply_operator(coeff, p)
-        alpha = rz / float(np.sum(p * Ap))
-        u += alpha * p
+        Ap = _operator_half(coeff, p)
+        alpha = rz / _parseval_dot(grid, p, Ap)
+        uh += alpha * p
         r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * bnorm:
+        if np.sqrt(_parseval_dot(grid, r, r)) <= tol * bnorm:
+            u = _irfft(uh, n)
             u -= u.mean()
             return PeriodicField(grid, u)
-        z = precond(r)
-        rz_new = float(np.sum(r * z))
+        z = inv * r
+        rz_new = _parseval_dot(grid, r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SingularSystem(

@@ -1,6 +1,8 @@
 """Config parsing, pipeline runs, verify suite, CLI plumbing."""
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -9,9 +11,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from homspec import cli, reference
 from homspec.config import (
     SETTINGS,
     load_config,
@@ -22,6 +25,7 @@ from homspec.config import (
 )
 from homspec.errors import ConfigError
 from homspec.pipeline import emit_plot_data, rows_from_csv, rows_to_csv, run
+from homspec.torus import tensor_rows
 from homspec.verify import report, run_invariants
 
 MINIMAL = """
@@ -390,6 +394,24 @@ class TestPipeline:
         assert all(np.isnan(row.l2_err) and np.isnan(row.h1_err)
                    for row in rows)
 
+    def test_validate_radius_solves_only_the_doubled_box(self, monkeypatch):
+        # the doubling check reuses the largest eps's reference: one
+        # solve_Leps per eps and one on the doubled box
+        calls = []
+        solve = reference.solve_Leps
+
+        def counting(coeff, W, eps, grid, *args, **kwargs):
+            calls.append((eps, grid.radius))
+            return solve(coeff, W, eps, grid, *args, **kwargs)
+
+        monkeypatch.setattr(reference, "solve_Leps", counting)
+        cfg = parse_config(MINIMAL.replace(
+            "radius = 7.0", "radius = 7.0\nvalidate_radius = true"))
+        manifest, _ = run(cfg)
+        assert len(calls) == len(cfg.eps_list) + 1
+        assert calls[-1] == (max(cfg.eps_list), 14.0)
+        assert 0.0 <= manifest.radius_shift < 1e-9
+
     def test_manifest_cell_solves(self):
         # homogenize and the two-branch cluster share one corrector store:
         # the multiple-2d sweep solves 7 cell problems (13 when homogenize
@@ -399,6 +421,42 @@ class TestPipeline:
         manifest, _ = run(cfg)
         assert manifest.cell_solves == 7
         assert 0.0 < manifest.cell_residual_max < 1e-10
+
+
+GRID_SAMPLE_FLOATS = st.floats() | st.sampled_from([
+    -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 9999999999999998.0,
+    1e-05, 9.999999999999999e-06, 1e-04, 3.0, -42.0, 1e22])
+
+
+class TestGridSamples:
+    # every example writes a file of over a thousand rows, so shrinking a
+    # failure would take minutes: the failing example is reported unshrunk
+    @settings(max_examples=25, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(pool=st.lists(GRID_SAMPLE_FLOATS, min_size=1, max_size=40),
+           seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+           ncols=st.integers(0, 3))
+    def test_writer_matches_csv_module(self, tmp_path_factory, pool, seed,
+                                       dim, ncols):
+        # the block writer's bytes equal csv.writer's over the same rows,
+        # on grids whose rows cross a block boundary; the floats include
+        # -0.0, subnormals, the 1e16 and 1e-5 repr boundaries, integral
+        # values, infinities and NaN
+        rng = np.random.default_rng(seed)
+        n = 1030 if dim == 1 else 33
+        assert n ** dim > cli.CSV_BLOCK
+        coords = rng.choice(pool, size=(n, dim))
+        index = tensor_rows(n, dim)
+        columns = [(f"c{i}", rng.choice(pool, size=n ** dim))
+                   for i in range(ncols)]
+        out = tmp_path_factory.mktemp("grid")
+        cli._write_grid_samples(str(out), "g.csv", coords, index, columns)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow([f"x{i + 1}" for i in range(dim)] + [h for h, _ in columns])
+        pts = np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
+        w.writerows(np.column_stack([pts] + [v for _, v in columns]).tolist())
+        assert (out / "g.csv").read_text() == buf.getvalue()
 
 
 class TestVerify:
@@ -436,7 +494,7 @@ class TestCLI:
         assert r.returncode == 0, r.stderr
         payload = json.loads((tmp_path / "homogenize.json").read_text())
         assert sorted(payload) == ["abar", "abar3_sym", "cyclic_check",
-                                   "lam_max", "lam_min", "theta"]
+                                   "lam_max", "lam_min", "theta", "warnings"]
         assert abs(payload["abar"][0][0] - np.sqrt(3.0)) < 1e-10
         assert payload["cyclic_check"] < 1e-10
 
@@ -540,12 +598,15 @@ class TestCLI:
                                 ("EpsilonConditionViolated", 0.5)]
 
     def test_sampled_coefficient_warns_once(self, tmp_path):
-        # expand.json and the sweep manifest carry RoughCoefficient once each
+        # homogenize.json, spectrum.json, expand.json and the sweep manifest
+        # carry RoughCoefficient once each
         np.save(tmp_path / "a.npy", 2.0 + np.cos(2 * np.pi * np.arange(64) / 64))
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(MINIMAL.replace("a = 2 + cos(2*pi*y)",
                                            f"a_samples = {tmp_path / 'a.npy'}"))
-        for command, name in (("expand", "expand.json"),
+        for command, name in (("homogenize", "homogenize.json"),
+                              ("spectrum", "spectrum.json"),
+                              ("expand", "expand.json"),
                               ("sweep", "manifest.json")):
             r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
                           command, cwd=str(tmp_path))

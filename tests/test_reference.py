@@ -56,7 +56,8 @@ class TestTruncationRadius:
         # by far less than 1e-9 relative
         c = coeff_identity_1d()
         grid = FineGrid(1, 6.0, 1.0 / 128)
-        shift = validate_radius(c, w1(), 0.25, grid, 2)
+        shift = validate_radius(
+            c, w1(), solve_Leps(c, w1(), 0.25, grid, 2, keep_vectors=False))
         assert shift < 1e-9
 
     def test_small_radius_detected(self):
@@ -64,7 +65,8 @@ class TestTruncationRadius:
         # around 1e-4, which the doubling check must expose
         c = coeff_identity_1d()
         grid = FineGrid(1, 3.0, 1.0 / 128)
-        shift = validate_radius(c, w1(), 0.25, grid, 1)
+        shift = validate_radius(
+            c, w1(), solve_Leps(c, w1(), 0.25, grid, 1, keep_vectors=False))
         assert shift > 1e-7
 
 
@@ -290,7 +292,7 @@ class TestSeparableFastPath:
         vals, vecs = _solve_2d_separable(parts, eps, grid, count)
         assert vecs is None
         g1 = FineGrid(1, grid.radius, grid.h)
-        wide = [_solve_1d(a, W, eps, g1, count + 4)[0]
+        wide = [_solve_1d(a, W, eps, g1, count + 4, False)[0]
                 for a, W in ((parts[0], parts[2]), (parts[1], parts[3]))]
         sums = np.sort(np.add.outer(wide[0], wide[1]).ravel())[:count]
         assert np.array_equal(vals, sums)
@@ -471,20 +473,22 @@ class TestPolish:
         (3.0, 0.5, 8), (2.0, 0.5, 16), (3.0, 0.25, 8)])
     def test_polish_against_mpmath(self, radius, eps, rule):
         # 40-digit bisection of the same discrete operator: the polished
-        # eigenvalues are within 2 ulp
+        # eigenvalues, and the energy quotients of the unpolished LAPACK
+        # vectors, are within 2 ulp
         grid1 = TorusGrid(1, 64)
         c = CoefficientField.from_isotropic(
             grid1, lambda y: 2.0 + np.cos(TWO_PI * y))
         a = c.entry(0, 0)
         grid = FineGrid(1, radius, eps / rule)
         assert 90 <= grid.n_interior <= 200
-        vals, _, ah, _ = _solve_1d(a, w1(), eps, grid, 3)
         wd = _fd_operator([a], w1(), eps, grid)[2]
-        with mpmath.workdps(40):
-            for k, lam in enumerate(vals):
-                exact = _sturm_eigenvalue(ah, wd, grid.h, k, lam)
-                rel = float((mpmath.mpf(lam) - exact) / exact)
-                assert abs(rel) <= 2 * 2.0 ** -52
+        for polish in (True, False):
+            vals, _, ah, _ = _solve_1d(a, w1(), eps, grid, 3, polish)
+            with mpmath.workdps(40):
+                for k, lam in enumerate(vals):
+                    exact = _sturm_eigenvalue(ah, wd, grid.h, k, lam)
+                    rel = float((mpmath.mpf(lam) - exact) / exact)
+                    assert abs(rel) <= 2 * 2.0 ** -52
 
 
 @pytest.fixture(scope="module")
