@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
 from .expansion import CorrectorTable
 from .slowpoly import SlowPolynomial
 from .torus import (
@@ -71,7 +72,12 @@ def build_suite(coeff: CoefficientField, W: SlowPolynomial,
     entries: (store, abar, abar3_sym)."""
     table = CorrectorTable(coeff, W, [], tol=tol)
     abar = np.stack([_abar(table, k) for k in range(table.d)], axis=1)
-    return table, 0.5 * (abar + abar.T), _abar3_sym(table)
+    abar = 0.5 * (abar + abar.T)
+    # a flux whose norm overflows is pruned whole and leaves abar = 0
+    if not (np.all(np.isfinite(abar)) and np.linalg.eigvalsh(abar)[0] > 0):
+        raise NumericalError(f"homogenized matrix {abar.tolist()} is not "
+                             "finite and positive definite")
+    return table, abar, _abar3_sym(table)
 
 
 def cyclic_check(abar3_sym: np.ndarray) -> float:

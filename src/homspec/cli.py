@@ -20,10 +20,15 @@ from .errors import ConfigError, HomspecError, NumericalError
 
 
 def _write(out_dir: str, name: str, text: str):
-    os.makedirs(out_dir, exist_ok=True)
+    """Write text to out_dir/name, making out_dir; an --out that cannot
+    hold the file, such as one naming a file, is a config error."""
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
 

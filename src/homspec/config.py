@@ -239,9 +239,6 @@ class RunConfig:
         for i in range(d):
             if fns[i][i] is None:
                 raise ConfigError(f"missing diagonal coefficient entry a{i+1}{i+1}")
-            for jj in range(d):
-                if fns[i][jj] is None:
-                    fns[i][jj] = parse_coefficient_expr("0", d)
         return CF.from_matrix(grid, fns)
 
 

@@ -156,7 +156,7 @@ class CorrectorTable:
         if q == 1:
             axis = alpha.index(1)
             col = PeriodicField(self.grid, self.coeff.a.values[:, axis])
-            u, self.residuals[key] = self._cell(F=col)
+            u, self.residuals[key] = self._cell(F=col, G=None)
             return SeparableField.from_periodic(u)
         rhs = self._rhs(q, alpha)
         out = SeparableField.zero(self.grid)
@@ -172,21 +172,22 @@ class CorrectorTable:
                 continue
             # equal sources under different slow monomials (W = x1^2 + x2^2
             # puts one shape under x1^2 and x2^2) are solved once per store
-            u, res = self._cell(G=shape.mean_zero())
+            u, res = self._cell(F=None, G=shape.mean_zero())
             worst_res = max(worst_res, res)
             out._accumulate(beta, u)
         self.rhs_means[key] = worst_mean
         self.residuals[key] = worst_res
         return out.purge()
 
-    def _cell(self, **source) -> tuple:
-        """(solution, residual) of the cell problem with one F= or G= source;
-        each distinct source is solved once per store."""
-        (kind, field), = source.items()
-        key = (kind, field.values.tobytes())
+    def _cell(self, F: PeriodicField | None,
+              G: PeriodicField | None) -> tuple:
+        """(solution, residual) of the cell problem with the one source F or
+        G that is not None; each distinct source is solved once per store."""
+        kind, source = ("F", F) if G is None else ("G", G)
+        key = (kind, source.values.tobytes())
         if key not in self._cells:
-            u = solve_cell(self.coeff, tol=self.tol, **source)
-            self._cells[key] = (u, cell_residual(self.coeff, u, **source))
+            u = solve_cell(self.coeff, F=F, G=G, tol=self.tol)
+            self._cells[key] = (u, cell_residual(self.coeff, u, F=F, G=G))
         return self._cells[key]
 
     def _slow_vector(self, q: int, alpha: tuple) -> list:
@@ -622,10 +623,9 @@ def multiple_recursion(store: CorrectorTable, spec: SpectrumResult, j: int,
 
 @dataclass
 class Assembly:
-    """lambda_tilde and samples of the expanded eigenfunction (and of its
-    gradient, when asked for)."""
+    """Samples of the expanded eigenfunction (and of its gradient, when
+    asked for)."""
 
-    lambda_tilde: float
     w: np.ndarray
     grad_w: np.ndarray | None
 
@@ -642,7 +642,7 @@ def lambda_tilde_shift(branch: ExpansionBranch, eps: float, P: int) -> float:
 def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
              gradient: bool, sample_x: HermiteSampler,
              sample_y: FourierSampler) -> Assembly:
-    """Assemble lambda_tilde and w_eps(x) = sum eps^p d^alpha U_k : chi(x, x/eps).
+    """Assemble w_eps(x) = sum eps^p d^alpha U_k : chi(x, x/eps).
 
     The gradient is exact: spectral y-derivatives scaled by 1/eps plus slow
     x-derivatives of the polynomial factors and envelopes.  Every envelope
@@ -688,4 +688,4 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
                         dyc = chi.dy(i)
                         if not dyc.is_zero():
                             gw[i] += scalef / eps * du * dyc.eval_xy(pts, sample_y)
-    return Assembly(lambda_tilde(branch, eps, P), w, gw)
+    return Assembly(w, gw)

@@ -28,6 +28,7 @@ from .errors import (
     GapUnresolved,
     NonConfining,
     NotOrthogonal,
+    NumericalError,
     TruncationUnsafe,
 )
 from .slowpoly import SlowPolynomial
@@ -106,13 +107,14 @@ def _axis_x_power(N: int, p: int, sigma: float) -> np.ndarray:
         return np.eye(N)
     X = _xop(N + p)
     M = np.linalg.matrix_power(X, p)[:N, :N]
-    return (sigma ** p) * M
+    # a float64 power overflows to inf where a Python float power raises
+    return (np.float64(sigma) ** p) * M
 
 
 def _axis_kinetic(N: int, sigma: float) -> np.ndarray:
     """Exact <psi_m', psi_n'>, N x N."""
     D = _dop(N + 2)
-    return (D.T @ D)[:N, :N] / sigma ** 2
+    return (D.T @ D)[:N, :N] / np.float64(sigma) ** 2
 
 
 @lru_cache(maxsize=None)
@@ -145,14 +147,6 @@ def poly_multiply_op(W: SlowPolynomial, basis: MacroBasis) -> np.ndarray:
         blocks = [_axis_x_power(N, alpha[ax], basis.sigma) for ax in range(d)]
         out += c * _kron_chain(blocks)
     return out
-
-
-def derivative_op(axis: int, basis: MacroBasis) -> np.ndarray:
-    """Galerkin matrix of d/dx_axis (exact through the top retained mode)."""
-    N, d = basis.size, basis.dim
-    blocks = [np.eye(N)] * d
-    blocks[axis] = _lift(N, N, 1, basis.sigma)
-    return _kron_chain(blocks)
 
 
 def assemble_L0(abar: np.ndarray, W: SlowPolynomial,
@@ -466,8 +460,18 @@ def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis) -> SpectrumResult:
 
 def solve_spectrum(abar: np.ndarray, W: SlowPolynomial, basis: MacroBasis,
                    count: int) -> SpectrumResult:
-    """Assemble L0 and eigensolve."""
-    return eigensolve(assemble_L0(abar, W, basis), count, basis)
+    """Assemble L0 and eigensolve.
+
+    Raises NumericalError when L0 has a non-finite entry, as a sigma that
+    is infinite or far from the oscillator width gives (MacroBasis refuses
+    a sigma that is not positive).
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        L0 = assemble_L0(abar, W, basis)
+    if not np.all(np.isfinite(L0)):
+        raise NumericalError(f"L0 has non-finite entries at Hermite scale "
+                             f"sigma = {basis.sigma!r}")
+    return eigensolve(L0, count, basis)
 
 
 def spectral_gap(spec: SpectrumResult, j: int) -> float:

@@ -3,10 +3,11 @@ reference -> compare pipeline, manifests, and CSV artifacts.
 
 A run is driven entirely by a RunConfig; the manifest embeds the config
 verbatim (plus a hash) so a run can be reproduced from the manifest alone.
-All artifacts are deterministic for a fixed config on one machine, except
-for the recorded wall-clock column.  The reference stage's names, and scipy
-with them, are imported by the functions that use them, so the homogenize,
-spectrum and expand commands never load scipy.
+All artifacts are deterministic for a fixed config on one machine, with the
+BLAS thread count fixed, except for the recorded wall-clock column.  The
+reference stage's names, and scipy with them, are imported by the functions
+that use them, so the homogenize, spectrum and expand commands never load
+scipy.
 """
 
 from __future__ import annotations

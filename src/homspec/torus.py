@@ -44,6 +44,7 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * np.pi
+CG_MAXITER = 2000       # solve_cell's iteration cap before SingularSystem
 
 
 @dataclass(frozen=True)
@@ -160,11 +161,6 @@ class PeriodicField:
         self.rank = ncomp
 
     # --- constructors ---
-
-    @classmethod
-    def from_function(cls, grid: TorusGrid, fn) -> "PeriodicField":
-        """Sample a scalar callable of the grid coordinates."""
-        return cls(grid, np.asarray(fn(*grid.coords()), dtype=float))
 
     @classmethod
     def constant(cls, grid: TorusGrid, value: float) -> "PeriodicField":
@@ -477,33 +473,21 @@ class CoefficientField:
 
     @classmethod
     def from_isotropic(cls, grid: TorusGrid, fn) -> "CoefficientField":
-        s = np.asarray(fn(*grid.coords()), dtype=float)
         d = grid.dim
-        vals = np.zeros((d, d) + grid.shape)
-        for i in range(d):
-            vals[i, i] = s
-        fns = [[(fn if i == j else None) for j in range(d)] for i in range(d)]
-        return cls(PeriodicField(grid, vals), entry_fns=fns)
-
-    @classmethod
-    def from_diagonal(cls, grid: TorusGrid, fns) -> "CoefficientField":
-        d = grid.dim
-        if len(fns) != d:
-            raise NotElliptic("need one diagonal entry per dimension")
-        vals = np.zeros((d, d) + grid.shape)
-        table = [[None] * d for _ in range(d)]
-        for i, fn in enumerate(fns):
-            vals[i, i] = np.asarray(fn(*grid.coords()), dtype=float)
-            table[i][i] = fn
-        return cls(PeriodicField(grid, vals), entry_fns=table)
+        return cls.from_matrix(grid, [[fn if i == j else None
+                                       for j in range(d)] for i in range(d)])
 
     @classmethod
     def from_matrix(cls, grid: TorusGrid, fns) -> "CoefficientField":
+        """Entry (i, j) sampled from the callable fns[i][j] of the grid
+        coordinates; None stands for an entry that is identically zero."""
         d = grid.dim
         vals = np.zeros((d, d) + grid.shape)
         for i in range(d):
             for j in range(d):
-                vals[i, j] = np.asarray(fns[i][j](*grid.coords()), dtype=float)
+                if fns[i][j] is not None:
+                    vals[i, j] = np.asarray(fns[i][j](*grid.coords()),
+                                            dtype=float)
         return cls(PeriodicField(grid, vals), entry_fns=fns)
 
     @classmethod
@@ -513,26 +497,6 @@ class CoefficientField:
     @classmethod
     def identity(cls, grid: TorusGrid) -> "CoefficientField":
         return cls.from_isotropic(grid, lambda *ys: np.ones(grid.shape))
-
-    def check_ellipticity(self) -> bool:
-        """Quadratic-form bracketing lam_min|xi|^2 <= <a xi, xi> <= lam_max|xi|^2
-        (to 1e-10) on every grid point for the axis directions and, in 2D,
-        the two diagonals."""
-        d = self.grid.dim
-        tol = 1e-10
-        directions = list(np.eye(d))
-        if d == 2:
-            directions += [np.array([1.0, 1.0]) / np.sqrt(2),
-                           np.array([1.0, -1.0]) / np.sqrt(2)]
-        for xi in directions:
-            q = np.zeros(self.grid.shape)
-            for i in range(d):
-                for j in range(d):
-                    q += self.a.values[i, j] * xi[i] * xi[j]
-            nrm = float(np.dot(xi, xi))
-            if q.min() < self.lam_min * nrm - tol or q.max() > self.lam_max * nrm + tol:
-                return False
-        return True
 
     def padded_values(self) -> np.ndarray:
         """Coefficient resampled on the 3/2 grid, cached for _product."""
@@ -629,13 +593,12 @@ def _apply_operator(coeff: CoefficientField, u: np.ndarray) -> np.ndarray:
 def solve_cell(coeff: CoefficientField,
                F: PeriodicField | None = None,
                G: PeriodicField | None = None,
-               tol: float = 1e-12,
-               maxiter: int = 2000) -> PeriodicField:
+               tol: float = 1e-12) -> PeriodicField:
     """Unique mean-zero periodic solution of -div(a grad u) = div F + G.
 
     G must be mean-free (tolerance 1e-12 relative); the tiny residual mean is
     subtracted before the solve.  Raises SingularSystem when preconditioned
-    CG fails to reach the relative residual tol.
+    CG fails to reach the relative residual tol in CG_MAXITER iterations.
 
     The source is formed on the grid; CG then runs on its half spectrum,
     where the preconditioner is a diagonal scaling and the inner products
@@ -675,7 +638,7 @@ def solve_cell(coeff: CoefficientField,
     r = _rfft(b)
     p = z = inv * r
     rz = _parseval_dot(grid, r, z)
-    for _ in range(maxiter):
+    for _ in range(CG_MAXITER):
         Ap = _operator_half(coeff, p)
         alpha = rz / _parseval_dot(grid, p, Ap)
         uh += alpha * p
@@ -689,7 +652,7 @@ def solve_cell(coeff: CoefficientField,
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SingularSystem(
-        f"cell solve did not reach tol {tol:.1e} in {maxiter} iterations"
+        f"cell solve did not reach tol {tol:.1e} in {CG_MAXITER} iterations"
     )
 
 

@@ -46,13 +46,11 @@ class CheckResult:
     measured: float
     threshold: float
     passed: bool
-    note: str = ""
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
         return (f"[{status}] {self.name}: measured {self.measured:.3e} "
-                f"(threshold {self.threshold:.1e})"
-                + (f"  {self.note}" if self.note else ""))
+                f"(threshold {self.threshold:.1e})")
 
 
 def _coeff_1d(n=128):
@@ -81,9 +79,9 @@ def run_invariants(tolerance_scale: float = 1.0,
     ts = tolerance_scale
     out = []
 
-    def check(name, measured, threshold, note=""):
+    def check(name, measured, threshold):
         out.append(CheckResult(name, float(measured), threshold * ts,
-                               float(measured) <= threshold * ts, note))
+                               float(measured) <= threshold * ts))
 
     # --- torus fields ---
     c2 = _coeff_2d()

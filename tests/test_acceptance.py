@@ -225,9 +225,9 @@ def test_a5_identity_suite():
     ok_deg = degen < 1e-12
 
     # coupling-matrix dual formula and symmetry on a 2D cluster
-    c2 = CoefficientField.from_diagonal(TorusGrid(2, 64), [
-        lambda y1, y2: (2.0 + np.cos(TWO_PI * y1)) / np.sqrt(3.0),
-        lambda y1, y2: np.ones_like(y1),
+    c2 = CoefficientField.from_matrix(TorusGrid(2, 64), [
+        [lambda y1, y2: (2.0 + np.cos(TWO_PI * y1)) / np.sqrt(3.0), None],
+        [None, lambda y1, y2: np.ones_like(y1)],
     ])
     spec2 = solve_spectrum(np.eye(2), w_iso(2), MacroBasis(2, 20, 1.0), 8)
     table2 = CorrectorTable(c2, w_iso(2), [spec2.eigenvalue(2)], tol=1e-13)
@@ -248,9 +248,9 @@ def test_a5_identity_suite():
 @pytest.mark.heavy
 def test_a6_multiplicity_splitting():
     t0 = time.perf_counter()
-    coeff = CoefficientField.from_diagonal(TorusGrid(2, 64), [
-        lambda y1, y2: (2.0 + np.cos(TWO_PI * y1)) / np.sqrt(3.0),
-        lambda y1, y2: np.ones_like(y1),
+    coeff = CoefficientField.from_matrix(TorusGrid(2, 64), [
+        [lambda y1, y2: (2.0 + np.cos(TWO_PI * y1)) / np.sqrt(3.0), None],
+        [None, lambda y1, y2: np.ones_like(y1)],
     ])
     W = w_iso(2)
     spec = solve_spectrum(np.eye(2), W, MacroBasis(2, 20, 1.0), 8)

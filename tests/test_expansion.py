@@ -18,6 +18,7 @@ from homspec.expansion import (
     assemble,
     build_D_matrix,
     choose_P,
+    lambda_tilde,
     lambda_tilde_shift,
     multiple_recursion,
     simple_recursion,
@@ -67,9 +68,9 @@ def case_1d():
 def case_2d_laminate():
     """Normalized laminate: abar = I, exactly separable reference problem."""
     grid = TorusGrid(2, 64)
-    coeff = CoefficientField.from_diagonal(grid, [
-        lambda y1, y2: (2.0 + np.cos(TWO_PI * y1)) / np.sqrt(3.0),
-        lambda y1, y2: np.ones_like(y1),
+    coeff = CoefficientField.from_matrix(grid, [
+        [lambda y1, y2: (2.0 + np.cos(TWO_PI * y1)) / np.sqrt(3.0), None],
+        [None, lambda y1, y2: np.ones_like(y1)],
     ])
     W = w_iso(2)
     basis = MacroBasis(2, 20, 1.0)
@@ -187,7 +188,8 @@ class TestConstantCoefficient:
         br = simple_recursion(store(coeff, W, tol=1e-12), spec, 1, 2)
         pts = np.linspace(-3, 3, 41).reshape(-1, 1)
         asm = assemble_at(br, 0.3, pts, P=2)
-        assert asm.lambda_tilde == pytest.approx(spec.eigenvalue(1), abs=1e-12)
+        assert lambda_tilde(br, 0.3, 2) == pytest.approx(spec.eigenvalue(1),
+                                                 abs=1e-12)
         exact = spec.eigenfunction(1).evaluate(pts)
         assert np.max(np.abs(asm.w - exact)) < 1e-12
 
@@ -341,7 +343,7 @@ class TestMultipleRecursion:
                     building.pop()
 
             def counting_solve(*args, **kwargs):
-                source = kwargs["G"] if "G" in kwargs else kwargs["F"]
+                source = kwargs["F"] if kwargs["G"] is None else kwargs["G"]
                 solved.append(source.values.tobytes())
                 return solve(*args, **kwargs)
 
@@ -569,8 +571,8 @@ class TestMatchingAmbiguity:
             l2 = np.sqrt(np.sum((psi - asm.w) ** 2) * grid.h ** 2)
             assert row.l2_err > 0.0
             assert row.l2_err == pytest.approx(l2, rel=1e-12, abs=0.0)
-            assert row.eig_err == pytest.approx(abs(lam[r] - asm.lambda_tilde),
-                                                rel=1e-12, abs=0.0)
+            assert row.eig_err == pytest.approx(
+                abs(lam[r] - lambda_tilde(br, eps, P)), rel=1e-12, abs=0.0)
 
 
 class TestChooseP:

@@ -824,6 +824,50 @@ class TestCLI:
                                 "coupling matrix eigenvalue spacing")
         assert not (out / "manifest.json").exists()
 
+    def _minimal(self, tmp_path, old="", new=""):
+        """configs/minimal.ini, with ``old`` replaced by ``new``, as
+        tmp_path/run.ini."""
+        path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "minimal.ini")
+        with open(path) as fh:
+            text = fh.read()
+        assert old in text
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(text.replace(old, new))
+        return cfgfile
+
+    @pytest.mark.parametrize("command, sub", [("homogenize", False),
+                                              ("sweep", True)])
+    def test_out_naming_a_file_exit_code(self, tmp_path, command, sub):
+        # an --out that is a file (the config itself), or a directory under
+        # one, cannot hold the output: one config error line naming the path
+        cfgfile = self._minimal(tmp_path)
+        out = cfgfile / "sub" if sub else cfgfile
+        r = self._run("--config", str(cfgfile), "--out", str(out), command,
+                      cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: ", str(out))
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-300"])
+    def test_far_hermite_scale_exit_code(self, tmp_path, sigma):
+        # sigma ** 2 overflows at 1e200 and underflows to 0 at 1e-300; either
+        # leaves L0 with non-finite entries, which is a numerical failure,
+        # not a traceback or an Infinity/NaN spectrum
+        cfgfile = self._minimal(tmp_path, "hermite_size = 32",
+                                f"hermite_size = 32\nhermite_sigma = {sigma}")
+        r = self._run("--config", str(cfgfile), "spectrum", cwd=str(tmp_path))
+        self._fails_in_one_line(r, 4, "numerical failure: ", "non-finite")
+
+    @pytest.mark.parametrize("command", ["homogenize", "sweep"])
+    def test_overflowing_coefficient_exit_code(self, tmp_path, command):
+        # the flux norms overflow, the fluxes are pruned whole and abar would
+        # be 0: a numerical failure, not abar = [[0.0]] with exit 0
+        cfgfile = self._minimal(tmp_path, "a = 1", "a = 1e300 + cos(2*pi*y)")
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                      command, cwd=str(tmp_path))
+        assert r.returncode == 4, r.stderr
+        assert "numerical failure: homogenized matrix" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_negative_coefficient_exit_code(self, tmp_path):
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(MINIMAL.replace("a = 2 + cos(2*pi*y)",

@@ -18,9 +18,9 @@ from homspec.hermite import (
     HermiteSampler,
     MacroBasis,
     MacroFunction,
+    _lift,
     assemble_L0,
     default_sigma,
-    derivative_op,
     eigensolve,
     extended_coefficients,
     hermite_function_values,
@@ -199,9 +199,10 @@ class TestOperatorsAndQuadrature:
             poly_multiply_op(big, basis)
 
     def test_derivative_twice_matches_second_derivative(self):
-        # d/dx applied twice vs the exact kinetic block, away from the top rows
+        # the d/dx Galerkin block that assemble_L0 uses, applied twice, vs
+        # the exact kinetic block, away from the top rows
         basis = MacroBasis(1, 30, 1.0)
-        D = derivative_op(0, basis)
+        D = _lift(30, 30, 1, 1.0)
         L = assemble_L0(np.array([[1.0]]), w_iso(1), basis)
         X2 = poly_multiply_op(SlowPolynomial(1, {(2,): 1.0}), basis)
         K = L - X2                      # exact <psi', psi'> block

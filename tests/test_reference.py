@@ -130,9 +130,9 @@ class TestSolve2D:
         # the Kronecker-sum fast path and the generic shift-invert path
         # solve the same discrete operator
         grid2 = TorusGrid(2, 32)
-        c = CoefficientField.from_diagonal(grid2, [
-            lambda y1, y2: (2.0 + np.cos(TWO_PI * y1)) / np.sqrt(3.0),
-            lambda y1, y2: np.ones_like(y1),
+        c = CoefficientField.from_matrix(grid2, [
+            [lambda y1, y2: (2.0 + np.cos(TWO_PI * y1)) / np.sqrt(3.0), None],
+            [None, lambda y1, y2: np.ones_like(y1)],
         ])
         W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
         eps = 1.0 / 4
@@ -148,9 +148,10 @@ class TestSolve2D:
         """A non-separable diagonal coefficient (the sparse path), as an
         expression and as grid samples, with W and the fine grid."""
         grid2 = TorusGrid(2, 16)
-        expr = CoefficientField.from_diagonal(grid2, [
-            lambda y1, y2: 2.0 + np.cos(TWO_PI * y1) * np.cos(TWO_PI * y2),
-            lambda y1, y2: 1.5 + 0.5 * np.sin(TWO_PI * (y1 + y2)),
+        expr = CoefficientField.from_matrix(grid2, [
+            [lambda y1, y2: 2.0 + np.cos(TWO_PI * y1) * np.cos(TWO_PI * y2),
+             None],
+            [None, lambda y1, y2: 1.5 + 0.5 * np.sin(TWO_PI * (y1 + y2))],
         ])
         sampled = CoefficientField.from_samples(grid2, expr.a.values)
         W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
@@ -198,9 +199,9 @@ class TestSolve2D:
 
     def test_oscillator_2d(self):
         grid2 = TorusGrid(2, 16)
-        c = CoefficientField.from_diagonal(grid2, [
-            lambda y1, y2: np.ones_like(y1),
-            lambda y1, y2: np.ones_like(y1),
+        c = CoefficientField.from_matrix(grid2, [
+            [lambda y1, y2: np.ones_like(y1), None],
+            [None, lambda y1, y2: np.ones_like(y1)],
         ])
         W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
         fg = FineGrid(2, 6.0, 1.0 / 24)
@@ -249,7 +250,7 @@ class TestFdOperator:
             return (2.0 + amp * np.cos(TWO_PI * (ys[0] + phase))
                     * np.cos(TWO_PI * (y2 - phase)) + 0.3 * np.sin(TWO_PI * y2))
 
-        coeff = CoefficientField.from_diagonal(TorusGrid(dim, 16), [fn] * dim)
+        coeff = CoefficientField.from_isotropic(TorusGrid(dim, 16), fn)
         if sampled:
             coeff = CoefficientField.from_samples(coeff.grid, coeff.a.values)
         W = SlowPolynomial(dim, {(2,) + (0,) * (dim - 1): 1.0})
@@ -272,9 +273,10 @@ class TestFdOperator:
 def separable_2d(phase1=0.0, phase2=0.0):
     """Laminate-like diagonal coefficient with a phase per axis."""
     grid2 = TorusGrid(2, 32)
-    c = CoefficientField.from_diagonal(grid2, [
-        lambda y1, y2: 2.0 + np.cos(TWO_PI * (y1 + phase1)) + 0.0 * y2,
-        lambda y1, y2: 1.5 + 0.5 * np.sin(TWO_PI * (y2 + phase2)) + 0.0 * y1,
+    c = CoefficientField.from_matrix(grid2, [
+        [lambda y1, y2: 2.0 + np.cos(TWO_PI * (y1 + phase1)) + 0.0 * y2, None],
+        [None,
+         lambda y1, y2: 1.5 + 0.5 * np.sin(TWO_PI * (y2 + phase2)) + 0.0 * y1],
     ])
     return c, SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
 
@@ -619,9 +621,9 @@ class TestMatching:
         # floor, while the L2 error is still measured (at the O(h^2) floor
         # of the grid, as a = 1 leaves nothing else)
         grid2 = TorusGrid(2, 16)
-        c = CoefficientField.from_diagonal(grid2, [
-            lambda y1, y2: np.ones_like(y1),
-            lambda y1, y2: np.ones_like(y1),
+        c = CoefficientField.from_matrix(grid2, [
+            [lambda y1, y2: np.ones_like(y1), None],
+            [None, lambda y1, y2: np.ones_like(y1)],
         ])
         W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
         spec = solve_spectrum(np.eye(2), W, MacroBasis(2, 12, 1.0), 4)

@@ -14,6 +14,7 @@ from homspec.errors import (
 )
 from homspec.reference import FineGrid
 from homspec.torus import (
+    CG_MAXITER,
     SAMPLE_BLOCK,
     _apply_operator,
     _copy_modes,
@@ -54,7 +55,8 @@ def zero_vector(grid):
 
 
 def field1(fn, n=64):
-    return PeriodicField.from_function(grid1(n), fn)
+    g = grid1(n)
+    return PeriodicField(g, fn(*g.coords()))
 
 
 class TestMeans:
@@ -100,15 +102,14 @@ class TestRoundTripAndDerivatives:
 
     def test_evaluate_matches_grid(self):
         g = grid1(32)
-        f = PeriodicField.from_function(g, lambda y: np.cos(TWO_PI * y) + 0.3)
+        f = PeriodicField(g, np.cos(TWO_PI * g.axis) + 0.3)
         pts = g.axis.reshape(-1, 1)
         assert np.max(np.abs(f.evaluate(pts) - f.values)) < 1e-12
 
     def test_evaluate_offgrid_2d(self):
         g = grid2(16)
-        f = PeriodicField.from_function(
-            g, lambda y1, y2: np.sin(TWO_PI * y1) * np.cos(2 * TWO_PI * y2)
-        )
+        y1, y2 = g.coords()
+        f = PeriodicField(g, np.sin(TWO_PI * y1) * np.cos(2 * TWO_PI * y2))
         pts = np.array([[0.123, 0.456], [0.9, 0.1], [1.75, -0.3]])
         exact = np.sin(TWO_PI * pts[:, 0]) * np.cos(2 * TWO_PI * pts[:, 1])
         assert np.max(np.abs(f.evaluate(pts) - exact)) < 1e-12
@@ -121,12 +122,56 @@ class TestRoundTripAndDerivatives:
             c.multiply(PeriodicField.constant(grid1(32), 1.0))
 
 
+def random_trig_entries(rng):
+    """Callables [[a11, a12], [a12, a22]] of a symmetric positive definite
+    2D trigonometric coefficient: a_ii = 2 + r cos(.), a12 = r cos(.) with
+    r <= 0.9 and modes |k_i| <= 3, so every eigenvalue is at least 0.2."""
+    k = rng.integers(-3, 4, (3, 2))
+    ph = rng.uniform(0.0, TWO_PI, 3)
+    r = rng.uniform(0.0, 0.9, 3)
+
+    def entry(m, base):
+        return lambda y1, y2: base + r[m] * np.cos(
+            TWO_PI * (k[m, 0] * y1 + k[m, 1] * y2) + ph[m])
+
+    off = entry(2, 0.0)
+    return [[entry(0, 2.0), off], [off, entry(1, 2.0)]]
+
+
 class TestCoefficientField:
     def test_identity_bounds(self):
         c = CoefficientField.identity(grid2())
         assert c.lam_min == pytest.approx(1.0)
         assert c.theta == pytest.approx(1.0)
-        assert c.check_ellipticity()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 24]))
+    def test_bounds_bracket_the_quadratic_form(self, seed, n):
+        # lam_min |xi|^2 <= a xi . xi <= lam_max |xi|^2 at every grid point
+        # for random directions xi, up to the rounding of the closed-form
+        # 2 x 2 eigenvalues
+        rng = np.random.default_rng(seed)
+        c = CoefficientField.from_matrix(TorusGrid(2, n),
+                                         random_trig_entries(rng))
+        xi = rng.standard_normal((16, 2))
+        q = np.einsum("ki,ij...,kj->k...", xi, c.a.values, xi)
+        nrm = np.sum(xi ** 2, axis=1).reshape(-1, 1, 1)
+        slack = 1e-13 * c.lam_max * nrm
+        assert np.all(c.lam_min * nrm - slack <= q)
+        assert np.all(q <= c.lam_max * nrm + slack)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 24]))
+    def test_isotropic_is_the_diagonal_matrix(self, seed, n):
+        # from_isotropic(f) is from_matrix with f on the diagonal and None
+        # off it, bit for bit
+        g = TorusGrid(2, n)
+        f = random_trig_entries(np.random.default_rng(seed))[0][0]
+        iso = CoefficientField.from_isotropic(g, f)
+        mat = CoefficientField.from_matrix(g, [[f, None], [None, f]])
+        assert iso.a.values.tobytes() == mat.a.values.tobytes()
+        assert (iso.lam_min, iso.lam_max) == (mat.lam_min, mat.lam_max)
+        assert iso.entry_fns == mat.entry_fns
 
     def test_laminate_bounds(self):
         c = CoefficientField.from_isotropic(
@@ -166,7 +211,9 @@ class TestCoefficientField:
             lambda *ys: 2.0 + np.cos(TWO_PI * ys[0]) * np.cos(TWO_PI * ys[-1]),
             lambda *ys: 1.5 + 0.5 * np.sin(TWO_PI * sum(ys)),
         ][:dim]
-        c = CoefficientField.from_diagonal(g, fns)
+        c = CoefficientField.from_matrix(g, [[fns[i] if i == j else None
+                                              for j in range(dim)]
+                                             for i in range(dim)])
         sampled = CoefficientField.from_samples(g, c.a.values)
         pts = random_points(3, 200, dim)
         cols = [pts[:, ax] for ax in range(dim)]
@@ -189,7 +236,7 @@ class TestSolveCell:
         # a = I, G = sin(2 pi y) -> u = sin(2 pi y) / (4 pi^2)
         g = grid1()
         c = CoefficientField.identity(g)
-        G = PeriodicField.from_function(g, lambda y: np.sin(TWO_PI * y))
+        G = PeriodicField(g, np.sin(TWO_PI * g.axis))
         u = solve_cell(c, G=G)
         exact = G.values / (TWO_PI ** 2)
         assert np.max(np.abs(u.values - exact)) < 1e-12
@@ -209,10 +256,11 @@ class TestSolveCell:
         # one CG step cannot reach 1e-12 on an oscillating coefficient
         g = grid1(64)
         c = CoefficientField.from_isotropic(g, lambda y: 2.0 + np.cos(TWO_PI * y))
-        G = PeriodicField.from_function(g, lambda y: np.sin(3 * TWO_PI * y))
-        with pytest.raises(SingularSystem, match="in 1 iterations"):
-            solve_cell(c, G=G, maxiter=1)
-        assert solve_cell(c, G=G, maxiter=200).l2_norm() > 0.0
+        G = PeriodicField(g, np.sin(3 * TWO_PI * g.axis))
+        with pytest.raises(SingularSystem,
+                           match=f"in {CG_MAXITER} iterations"):
+            solve_cell(c, G=G, tol=1e-300)
+        assert solve_cell(c, G=G).l2_norm() > 0.0
 
     def test_nonzero_mean_rejected(self):
         g = grid1()
@@ -250,8 +298,8 @@ class TestSolveCell:
         c = CoefficientField.from_isotropic(g, lambda y: 2.0 + np.cos(TWO_PI * y))
         F1 = PeriodicField(g, np.sin(TWO_PI * g.axis)[np.newaxis])
         F2 = PeriodicField(g, np.cos(2 * TWO_PI * g.axis)[np.newaxis])
-        G1 = PeriodicField.from_function(g, lambda y: np.sin(2 * TWO_PI * y))
-        G2 = PeriodicField.from_function(g, lambda y: np.cos(TWO_PI * y))
+        G1 = PeriodicField(g, np.sin(2 * TWO_PI * g.axis))
+        G2 = PeriodicField(g, np.cos(TWO_PI * g.axis))
         u12 = solve_cell(c, F=F1 + F2, G=G1 + G2, tol=1e-13)
         u1 = solve_cell(c, F=F1, G=G1, tol=1e-13)
         u2 = solve_cell(c, F=F2, G=G2, tol=1e-13)
@@ -278,9 +326,7 @@ class TestSolveCell:
         c = CoefficientField.from_isotropic(
             g, lambda y1, y2: 1.5 + 0.4 * np.cos(TWO_PI * y1)
         )
-        G = PeriodicField.from_function(
-            g, lambda y1, y2: np.sin(TWO_PI * y2)
-        ).mean_zero()
+        G = PeriodicField(g, np.sin(TWO_PI * g.coords()[1])).mean_zero()
         u1 = solve_cell(c, G=G)
         u2 = solve_cell(c, G=G)
         assert np.array_equal(u1.values, u2.values)
@@ -399,7 +445,7 @@ class TestNorms:
         g = grid1(16)
         c = CoefficientField.from_isotropic(
             g, lambda y: 2.0 + np.cos(7 * TWO_PI * y))
-        f = PeriodicField.from_function(g, lambda y: np.cos(7 * TWO_PI * y))
+        f = PeriodicField(g, np.cos(7 * TWO_PI * g.axis))
         p = c.multiply(PeriodicField(g, f.values[np.newaxis]))
         # (2 + cos) cos = 2 cos + 1/2 + cos(14 y)/2; mode 14 overflows n=16
         # only via aliasing (onto mode 2), and the padded product must keep
