@@ -19,12 +19,21 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, HomspecError, NumericalError
 
 
-def _write(out_dir: str, name: str, text: str):
-    """Write text to out_dir/name, making out_dir; an --out that cannot
-    hold the file, such as one naming a file, is a config error."""
-    path = os.path.join(out_dir, name)
+def _make_dir(out_dir: str) -> str:
+    """Make out_dir and return it; an --out that cannot hold files, such as
+    one naming a file or a path under one, is a config error."""
     try:
         os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: {exc}") from exc
+    return out_dir
+
+
+def _write(out_dir: str, name: str, text: str):
+    """Write text to out_dir/name, making out_dir; a file that cannot be
+    written is a config error."""
+    path = os.path.join(_make_dir(out_dir), name)
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
@@ -185,8 +194,9 @@ def cmd_reference(cfg: RunConfig, args):
 
 def cmd_sweep(cfg: RunConfig, args):
     from .pipeline import emit_plot_data, rows_to_csv, run
+    # an --out that cannot hold the output fails before the sweep runs
+    out = _make_dir(args.out or cfg.directory)
     manifest, rows = run(cfg)
-    out = args.out or cfg.directory
     print(_write(out, "manifest.json", manifest.to_json()))
     print(_write(out, "sweep.csv", rows_to_csv(rows)))
     try:

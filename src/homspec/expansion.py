@@ -650,7 +650,8 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
     branch's basis at ``points`` with max_order at least P + 1, and every
     corrector shape through ``sample_y``, a FourierSampler of the corrector
     grid at the fast variable ``points / eps`` (reduced mod 1 as the caller
-    likes, such as on a lattice of phases).
+    likes, such as on a lattice of phases).  Each envelope derivative and
+    each corrector shape is sampled once per call.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -662,30 +663,51 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
     w = np.zeros(m)
     gw = np.zeros((d, m)) if gradient else None
     table = branch.table
-    for k in range(0, P + 1):
-        Uk = branch.U[k] if k < len(branch.U) else None
-        if Uk is None or Uk.norm() == 0.0:
-            continue
+    live = [k for k, Uk in enumerate(branch.U[:P + 1])
+            if Uk is not None and Uk.norm() != 0.0]
+    envelopes, shapes = {}, {}
+
+    def envelope(Uk, alpha):
+        if alpha not in envelopes:
+            envelopes[alpha] = sample_x(Uk, alpha)
+        return envelopes[alpha]
+
+    def shape(q, alpha, last):
+        # chi(q, alpha) and, with the gradient, its x- and y-derivative
+        # along every axis (None where one vanishes); None when chi does.
+        # Dropped on its last use
+        if (q, alpha) not in shapes:
+            chi = table.chi(q, alpha)
+            shapes[q, alpha] = None if chi.is_zero() else (
+                chi.eval_xy(pts, sample_y),
+                [[None if f.is_zero() else f.eval_xy(pts, sample_y)
+                  for f in (chi.dx(i), chi.dy(i))]
+                 for i in range(d)] if gradient else None)
+        return shapes.pop((q, alpha)) if last else shapes[q, alpha]
+
+    for k in live:
+        Uk = branch.U[k]
+        envelopes.clear()
         for q in range(0, P + 1 - k):
+            # no later order samples the shapes of order q
+            last = not any(k < j <= P - q for j in live)
             for mm in range(0, q + 1):
                 for alpha in monomials_of_degree(d, mm):
-                    chi = table.chi(q, alpha)
-                    if chi.is_zero():
+                    sampled = shape(q, alpha, last)
+                    if sampled is None:
                         continue
+                    cvals, derivs = sampled
                     scalef = eps ** (q + k)
-                    du = sample_x(Uk, alpha)
-                    cvals = chi.eval_xy(pts, sample_y)
+                    du = envelope(Uk, alpha)
                     w += scalef * du * cvals
                     if not gradient:
                         continue
-                    for i in range(d):
+                    for i, (dxc, dyc) in enumerate(derivs):
                         e_i = tuple(1 if ax == i else 0 for ax in range(d))
                         a_up = tuple(x + y for x, y in zip(alpha, e_i))
-                        gw[i] += scalef * sample_x(Uk, a_up) * cvals
-                        dxc = chi.dx(i)
-                        if not dxc.is_zero():
-                            gw[i] += scalef * du * dxc.eval_xy(pts, sample_y)
-                        dyc = chi.dy(i)
-                        if not dyc.is_zero():
-                            gw[i] += scalef / eps * du * dyc.eval_xy(pts, sample_y)
+                        gw[i] += scalef * envelope(Uk, a_up) * cvals
+                        if dxc is not None:
+                            gw[i] += scalef * du * dxc
+                        if dyc is not None:
+                            gw[i] += scalef / eps * du * dyc
     return Assembly(w, gw)

@@ -238,7 +238,9 @@ def run(cfg: RunConfig):
     timings["compare"] = 0.0
     for eps in cfg.eps_list:
         t0 = time.perf_counter()
-        ref, elapsed = refs[eps]
+        # a reference is dropped once compared: only one eps's vectors
+        # are held at a time
+        ref, elapsed = refs.pop(eps)
         eps_rows = match_and_compare(ref, branches, eps, P=P_eps[eps])
         compared = time.perf_counter() - t0
         timings["compare"] += compared
@@ -275,12 +277,9 @@ def run(cfg: RunConfig):
     c1 = {}
     for k in range(min(ref_count, len(spec.eigenvalues))):
         lam0k = spec.eigenvalues[k]
-        ratios = []
-        for eps in cfg.eps_list:
-            ref, _ = refs[eps]
-            if k < len(ref.eigenvalues):
-                ratios.append(abs(ref.eigenvalues[k] - lam0k)
-                              / (eps * lam0k ** 1.5))
+        ratios = [abs(meta["lambda_ref"][k] - lam0k)
+                  / (meta["eps"] * lam0k ** 1.5)
+                  for meta in per_eps_meta if k < len(meta["lambda_ref"])]
         if ratios:
             c1[f"j{k + 1}"] = float(max(ratios))
 

@@ -7,11 +7,13 @@ for its lowest eigenpairs, and Richardson extrapolated over the (h, h/2)
 pair.  One routine builds the operator in 1D and 2D, with the harmonic
 averages as 12-point Gauss-Legendre cell integrals of 1/a (which keeps the
 discretization error smooth in h though the coefficient oscillates) taken
-on one period of fast phases.  In 1D each eigenvalue is the energy
-quotient in extended precision, so that the floor sits orders of magnitude
-below the smallest expansion residuals being measured; each eigenpair whose
-vector is kept is first polished by bordered Newton steps with
-extended-precision residuals.
+on one period of fast phases.  In 1D the h grid is solved by LAPACK, and
+the h/2 grid by shifted inverse iteration from the h grid's eigenpairs,
+which are already O(h^2) accurate; each eigenvalue is the energy quotient
+in extended precision, so that the floor sits orders of magnitude below
+the smallest expansion residuals being measured.  The eigenvector that a
+comparison uses is polished by bordered Newton steps with
+extended-precision residuals when it is compared.
 
 Separable two-dimensional problems (diagonal a with axis-aligned
 oscillation and an additively separable potential) factor exactly: the
@@ -26,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     ConvergenceFailure,
@@ -41,6 +41,7 @@ from .torus import CoefficientField, FourierSampler, tensor_rows
 MAX_UNKNOWNS_2D = 1_200_000
 MAX_OVERLAP_CONDITION = 10.0   # picked overlap / runner-up within a cluster
 POLISH_STEPS = 4               # cap on Newton steps per eigenpair
+INVERSE_STEPS = 3              # inverse iterations per h/2 eigenpair
 
 
 def truncation_radius(lam: float, lambda_minus: float, safety: float) -> float:
@@ -130,8 +131,9 @@ class ReferenceSpectrum:
     """Eigenvalues at (h, h/2) with Richardson extrapolation.
 
     Eigenvectors (interior node values, L2-normalized with the grid measure)
-    are kept from the fine member of the pair; in 1D they come with the
-    coefficient data on that grid from which their gradient is taken.
+    are kept from the fine member of the pair, unpolished; in 1D they come
+    with the operator data on that grid, from which match_and_compare
+    polishes the one it compares and takes its gradient.
     ``path`` names the eigensolve route: tridiagonal, separable or sparse.
     """
 
@@ -146,6 +148,7 @@ class ReferenceSpectrum:
     path: str
     cell_coefficients: np.ndarray | None = None  # 1D: harmonic cell averages
     node_coefficients: np.ndarray | None = None  # 1D: a(x_i/eps) at nodes
+    node_potential: np.ndarray | None = None     # 1D: W(x_i) at nodes
 
 
 # --- the fine-grid operator ------------------------------------------------------
@@ -185,8 +188,8 @@ def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid) -> tuple:
                                    for k in range(d)))])
         anodes.append(vals[..., -1][np.ix_(*(node,) * d)])
     wdiag = W(grid.points()).reshape((n,) * d)
-    diag = sum((np.take(a, range(n), axis=ax)
-                + np.take(a, range(1, n + 1), axis=ax)) / grid.h ** 2
+    diag = sum((a[(slice(None),) * ax + (slice(-1),)]
+                + a[(slice(None),) * ax + (slice(1, None),)]) / grid.h ** 2
                for ax, a in enumerate(edges)) + wdiag
     return edges, diag, wdiag, anodes
 
@@ -249,28 +252,54 @@ def _refine_eigenpair(diag, off, vec, aharm, wdiag, h):
     return float(_energy_quotient(aharm, wdiag, h, v)), v.astype(float)
 
 
-def _solve_1d(coeff_at, W, eps, grid, count, polish):
-    """The count lowest eigenpairs, with the harmonic cell averages and the
-    node values of the coefficient.  With ``polish`` each pair is refined
-    by _refine_eigenpair; otherwise it is the LAPACK vector and its energy
-    quotient, whose error is second order in the vector's."""
-    (ah,), diag, wdiag, (anode,) = _fd_operator([coeff_at], W, eps, grid)
-    off = -ah[1:-1] / grid.h ** 2
+def _solve_1d(coeff_at, W, eps, grid, count):
+    """The count lowest eigenvalues on grid and on its h/2 refinement, the
+    h/2 eigenvectors, and the h/2 operator data: the harmonic cell averages,
+    W and the coefficient at the nodes.
+
+    The h grid is solved by LAPACK (bisection and inverse iteration).  On
+    h/2 each h pair k is the shift and the start of INVERSE_STEPS shifted
+    inverse iterations in float64 (Ipsen, SIAM Rev. 39, 1997): its vector,
+    interpolated linearly onto the h/2 nodes with 0 at the Dirichlet ends,
+    is already O(h^2) from the h/2 one.  Every eigenvalue is the energy
+    quotient of its vector, whose error is second order in the vector's.
+    Raises ConvergenceFailure when the h/2 eigenvalues are not increasing,
+    or one lies nearer another pair's h eigenvalue than its own.
+    """
+    (ah,), diag, wdiag, _ = _fd_operator([coeff_at], W, eps, grid)
     _, vecs = sla.eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1)
+        diag, -ah[1:-1] / grid.h ** 2, select="i", select_range=(0, count - 1)
     )
-    out_vals = np.empty(count)
-    out_vecs = np.empty((count, diag.size))
+    vals = np.array([_energy_quotient(ah, wdiag, grid.h,
+                                      v.astype(np.longdouble))
+                     for v in vecs.T], dtype=float)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    fine = FineGrid(1, grid.radius, grid.h / 2.0)
+    (fah,), fdiag, fwdiag, (fanode,) = _fd_operator([coeff_at], W, eps, fine)
+    band = np.zeros((3, fdiag.size))
+    band[0, 1:] = band[2, :-1] = -fah[1:-1] / fine.h ** 2
+    x = -grid.radius + grid.h * np.arange(grid.n_cells + 1)
+    fine_x = -fine.radius + fine.h * np.arange(1, fine.n_cells)
+    fine_vals = np.empty(count)
+    fine_vecs = np.empty((count, fdiag.size))
     for k in range(count):
-        if polish:
-            out_vals[k], out_vecs[k] = _refine_eigenpair(
-                diag, off, vecs[:, k], ah, wdiag, grid.h)
-        else:
-            out_vals[k] = _energy_quotient(
-                ah, wdiag, grid.h, vecs[:, k].astype(np.longdouble))
-            out_vecs[k] = vecs[:, k]
-    order = np.argsort(out_vals)
-    return out_vals[order], out_vecs[order], ah, anode
+        v = np.interp(fine_x, x, np.pad(vecs[:, k], 1))
+        band[1] = fdiag - vals[k]
+        for _ in range(INVERSE_STEPS):
+            v = sla.solve_banded((1, 1), band, v, check_finite=False)
+            v /= np.linalg.norm(v)
+        fine_vals[k] = _energy_quotient(fah, fwdiag, fine.h,
+                                        v.astype(np.longdouble))
+        fine_vecs[k] = v
+    gap = np.abs(fine_vals[:, None] - vals)
+    if not (np.all(np.diff(fine_vals) > 0)
+            and np.all(gap.diagonal() <= gap.min(axis=1))):
+        raise ConvergenceFailure(
+            f"inverse iteration on the h/2 grid lost the order of the h "
+            f"grid's eigenvalues: {fine_vals} from {vals}"
+        )
+    return vals, fine_vals, fine_vecs, fah, fwdiag, fanode
 
 
 # --- 2D paths -------------------------------------------------------------------
@@ -318,9 +347,10 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
     )
 
 
-def _solve_2d_separable(parts, eps, grid, count, vectors=False):
-    """The count lowest sums of the two 1D spectra, and their Kronecker
-    eigenvectors (n^2 values each) only when ``vectors`` asks for them.
+def _solve_2d_separable(parts, eps, grid, count, vectors):
+    """The count lowest sums of the two 1D spectra on grid and on its h/2
+    refinement, and the h/2 Kronecker eigenvectors (n^2 values each) only
+    when ``vectors`` asks for them.
 
     count modes per axis suffice: the 1D eigenvalues are simple and
     increasing, so a pair (i, j) with i >= count lies above the count sums
@@ -329,22 +359,29 @@ def _solve_2d_separable(parts, eps, grid, count, vectors=False):
     """
     a1, a2, W1, W2 = parts
     g1 = FineGrid(1, grid.radius, grid.h)
-    vals1, vecs1, _, _ = _solve_1d(a1, W1, eps, g1, count, vectors)
-    vals2, vecs2, _, _ = _solve_1d(a2, W2, eps, g1, count, vectors)
-    pairs = sorted((vals1[i] + vals2[j], i, j)
-                   for i in range(count) for j in range(count))[:count]
-    vals = np.array([p[0] for p in pairs])
+    one, two = (_solve_1d(a, Wa, eps, g1, count)
+                for a, Wa in ((a1, W1), (a2, W2)))
+
+    def lowest(vals1, vals2):
+        return sorted((vals1[i] + vals2[j], i, j)
+                      for i in range(count) for j in range(count))[:count]
+
+    fine = lowest(one[1], two[1])
+    vals_h = np.array([p[0] for p in lowest(one[0], two[0])])
+    vals_h2 = np.array([p[0] for p in fine])
     if not vectors:
-        return vals, None
-    return vals, np.stack([np.outer(vecs1[i], vecs2[j]).ravel()
-                           for (_, i, j) in pairs])
+        return vals_h, vals_h2, None
+    return vals_h, vals_h2, np.stack([np.outer(one[2][i], two[2][j]).ravel()
+                                      for (_, i, j) in fine])
 
 
 def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
-                 grid: FineGrid) -> sp.spmatrix:
-    """Five-point symmetric FD matrix of _fd_operator; off-diagonal entries
-    of a are not supported on this path (the pseudo-spectral side handles
-    full matrices; fine-grid acceptance runs use diagonal coefficients)."""
+                 grid: FineGrid):
+    """Five-point symmetric FD matrix of _fd_operator, in CSR form;
+    off-diagonal entries of a are not supported on this path (the
+    pseudo-spectral side handles full matrices; fine-grid acceptance runs
+    use diagonal coefficients)."""
+    import scipy.sparse as sp
     v = coeff.a.values
     if np.max(np.abs(v[0, 1])) > 0:
         raise NotImplementedError(
@@ -361,7 +398,7 @@ def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     for ax, a in enumerate(edges):
         # the coupling of each node with its neighbour along ax, stride
         # n^(d-1-ax) apart in C order; the last node along ax has none
-        off = np.pad(-np.take(a, range(1, n), axis=ax) / grid.h ** 2,
+        off = np.pad(-a[(slice(None),) * ax + (slice(1, -1),)] / grid.h ** 2,
                      [(0, int(k == ax)) for k in range(a.ndim)]).ravel()
         stride = n ** (a.ndim - 1 - ax)
         bands += [off[:-stride]] * 2
@@ -370,6 +407,7 @@ def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
 
 
 def _solve_2d_sparse(coeff, W, eps, grid, count, sigma_shift):
+    import scipy.sparse.linalg as spla
     A = _assemble_2d(coeff, W, eps, grid)
     # a seeded start keeps runs bit-reproducible (ARPACK draws a random one);
     # a constant one would miss the odd eigenvectors of a symmetric problem
@@ -391,9 +429,9 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     """Lowest eigenpairs of -div(a(./eps) grad) + W on the truncated box.
 
     Solves at h and h/2 and Richardson-extrapolates the eigenvalues;
-    eigenvectors are returned on the h/2 grid.  Raises GridTooCoarse when h
-    does not resolve eps, or when the box holds fewer than max(count, 2)
-    interior nodes per axis.
+    eigenvectors are returned on the h/2 grid, unpolished.  Raises
+    GridTooCoarse when h does not resolve eps, or when the box holds fewer
+    than max(count, 2) interior nodes per axis.
     """
     grid.check_resolves(eps)
     if grid.n_interior < max(count, 2):
@@ -403,21 +441,18 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
             f"need at least {max(count, 2)}"
         )
     fine = FineGrid(grid.dim, grid.radius, grid.h / 2.0)
-    cell_coeff = node_coeff = None
+    cell_coeff = node_coeff = node_potential = None
     if grid.dim == 1:
-        coeff_at = coeff.entry(0, 0)
-        vals_h = _solve_1d(coeff_at, W, eps, grid, count, False)[0]
-        vals_h2, vecs, ah, anode = _solve_1d(coeff_at, W, eps, fine, count,
-                                             keep_vectors)
+        vals_h, vals_h2, vecs, ah, wdiag, anode = _solve_1d(
+            coeff.entry(0, 0), W, eps, grid, count)
         if keep_vectors:
-            cell_coeff, node_coeff = ah, anode
+            cell_coeff, node_potential, node_coeff = ah, wdiag, anode
         path = "tridiagonal"
     else:
         parts = _separable_parts(coeff, W)
         if parts is not None:
-            vals_h, _ = _solve_2d_separable(parts, eps, grid, count)
-            vals_h2, vecs = _solve_2d_separable(parts, eps, fine, count,
-                                                vectors=keep_vectors)
+            vals_h, vals_h2, vecs = _solve_2d_separable(
+                parts, eps, grid, count, keep_vectors)
             path = "separable"
         else:
             # shift-invert about 0, below the positive definite spectrum
@@ -437,6 +472,7 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
         eigenvectors=vecs if keep_vectors else None,
         fine_grid=fine, path=path,
         cell_coefficients=cell_coeff, node_coefficients=node_coeff,
+        node_potential=node_potential,
     )
 
 
@@ -494,13 +530,16 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
     The reference eigenvector for branch r is the one with the dominant
     overlap against the rotated envelope U_{0,r}; it is rescaled so that
     int psi U_{0,r} dx = 1, matching the normalization in which the
-    expansion is stated.  A reference without eigenvectors is matched by
-    index, cluster[0] + r, and its rows carry NaN L2 and H1 errors.  The H1
-    error is formed exactly when the reference carries its 1D coefficient
-    data (_flux_gradient); otherwise (2D, or built by hand) it is NaN, since
-    central differences on a grid with h ~ eps leave an eps-independent
-    floor in the gradient.  Raises MatchingAmbiguous when no assignment
-    dominates by the requested ratio.
+    expansion is stated.  A 1D reference from solve_Leps keeps its operator
+    data, and the picked vector is polished by _refine_eigenpair before it
+    is compared; any other reference's vector is used as given, and the row
+    eigenvalues are always those of the reference.  A reference without
+    eigenvectors is matched by index, cluster[0] + r, and its rows carry
+    NaN L2 and H1 errors.  The H1 error is formed exactly when the
+    reference carries its 1D coefficient data (_flux_gradient); otherwise
+    (2D, or built by hand) it is NaN, since central differences on a grid
+    with h ~ eps leave an eps-independent floor in the gradient.  Raises
+    MatchingAmbiguous when no assignment dominates by the requested ratio.
     """
     from .expansion import assemble, lambda_tilde
     from .hermite import HermiteSampler
@@ -515,6 +554,17 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
         coords, index = grid.nodes()
         phases = grid.phases(eps)
         measure = grid.h ** grid.dim
+
+    def predicted(br):
+        # one Hermite table on the node coordinates serves the overlap with
+        # U_0 and the assembly, and the corrector shapes are sampled at one
+        # period of node phases; both tables are gone before the polish
+        sample_x = HermiteSampler(br.spectrum.basis, coords, P + 1, index)
+        u0 = sample_x(br.U[0])
+        return u0, assemble(br, eps, pts, P=P, gradient=gradient,
+                            sample_x=sample_x,
+                            sample_y=FourierSampler(br.table.grid, *phases))
+
     rows = []
     used = set()
     for br in branches:
@@ -522,12 +572,8 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
         if not vectors:
             pick = min(br.cluster[0] + br.label, len(ref.eigenvalues) - 1)
         else:
-            # one Hermite table on the node coordinates serves the overlap
-            # and the assembly; the corrector shapes are sampled at one
-            # period of node phases
-            sample_x = HermiteSampler(br.spectrum.basis, coords, P + 1, index)
-            sample_y = FourierSampler(br.table.grid, *phases)
-            overlaps = ref.eigenvectors @ sample_x(br.U[0]) * measure
+            u0, asm = predicted(br)
+            overlaps = ref.eigenvectors @ u0 * measure
             order = [i for i in np.argsort(-np.abs(overlaps)) if i not in used]
             pick = order[0]
             if len(branches) > 1 and len(order) > 1:
@@ -539,9 +585,19 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
                         f"{MAX_OVERLAP_CONDITION} for branch {br.label}"
                     )
             used.add(pick)
-            psi = ref.eigenvectors[pick] / overlaps[pick]
-            asm = assemble(br, eps, pts, P=P, gradient=gradient,
-                           sample_x=sample_x, sample_y=sample_y)
+            vec, overlap = ref.eigenvectors[pick], overlaps[pick]
+            if ref.node_potential is not None:
+                # polish the picked vector on the operator _fd_operator
+                # built, then normalize it as solve_Leps does and overlap
+                # it as above, as a one-row array
+                ah, wd, h = ref.cell_coefficients, ref.node_potential, grid.h
+                row = _refine_eigenpair((ah[:-1] + ah[1:]) / h ** 2 + wd,
+                                        -ah[1:-1] / h ** 2, vec, ah, wd,
+                                        h)[1][None]
+                row /= (np.linalg.norm(row, axis=1, keepdims=True)
+                        * h ** (grid.dim / 2.0))
+                vec, overlap = row[0], (row @ u0 * measure)[0]
+            psi = vec / overlap
             diff = psi - asm.w
             l2 = float(np.sqrt(np.sum(diff ** 2) * measure))
             if gradient:

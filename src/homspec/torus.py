@@ -598,7 +598,8 @@ def solve_cell(coeff: CoefficientField,
 
     G must be mean-free (tolerance 1e-12 relative); the tiny residual mean is
     subtracted before the solve.  Raises SingularSystem when preconditioned
-    CG fails to reach the relative residual tol in CG_MAXITER iterations.
+    CG fails to reach the relative residual tol in CG_MAXITER iterations,
+    or breaks down before: r.z or p.Ap not positive and finite.
 
     The source is formed on the grid; CG then runs on its half spectrum,
     where the preconditioner is a diagonal scaling and the inner products
@@ -638,19 +639,28 @@ def solve_cell(coeff: CoefficientField,
     r = _rfft(b)
     p = z = inv * r
     rz = _parseval_dot(grid, r, z)
-    for _ in range(CG_MAXITER):
-        Ap = _operator_half(coeff, p)
-        alpha = rz / _parseval_dot(grid, p, Ap)
-        uh += alpha * p
-        r -= alpha * Ap
-        if np.sqrt(_parseval_dot(grid, r, r)) <= tol * bnorm:
-            u = _irfft(uh, n)
-            u -= u.mean()
-            return PeriodicField(grid, u)
-        z = inv * r
-        rz_new = _parseval_dot(grid, r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+    # past a breakdown the iterates grow until they overflow: the inner
+    # products below catch that, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(CG_MAXITER):
+            Ap = _operator_half(coeff, p)
+            pAp = _parseval_dot(grid, p, Ap)
+            if not (0.0 < rz < np.inf and 0.0 < pAp < np.inf):
+                raise SingularSystem(
+                    f"cell solve broke down at CG iteration {it}: "
+                    f"r.z = {rz:.3e}, p.Ap = {pAp:.3e}"
+                )
+            alpha = rz / pAp
+            uh += alpha * p
+            r -= alpha * Ap
+            if np.sqrt(_parseval_dot(grid, r, r)) <= tol * bnorm:
+                u = _irfft(uh, n)
+                u -= u.mean()
+                return PeriodicField(grid, u)
+            z = inv * r
+            rz_new = _parseval_dot(grid, r, z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
     raise SingularSystem(
         f"cell solve did not reach tol {tol:.1e} in {CG_MAXITER} iterations"
     )

@@ -847,6 +847,22 @@ class TestCLI:
                       cwd=str(tmp_path))
         self._fails_in_one_line(r, 3, "config error: ", str(out))
 
+    def test_sweep_checks_out_before_running(self, tmp_path, monkeypatch,
+                                             capsys):
+        # a directory under a file cannot hold the output, which the sweep
+        # learns before its pipeline runs
+        import homspec.pipeline as pipeline
+
+        def never(cfg):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(pipeline, "run", never)
+        out = self._minimal(tmp_path) / "sub"
+        code = cli.main(["--config", str(tmp_path / "run.ini"),
+                         "--out", str(out), "sweep"])
+        assert code == 3
+        assert str(out) in capsys.readouterr().err
+
     @pytest.mark.parametrize("sigma", ["1e200", "1e-300"])
     def test_far_hermite_scale_exit_code(self, tmp_path, sigma):
         # sigma ** 2 overflows at 1e200 and underflows to 0 at 1e-300; either

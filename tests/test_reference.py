@@ -7,10 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homspec.errors import DegenerateFit, GridTooCoarse
+from homspec.errors import ConvergenceFailure, DegenerateFit, GridTooCoarse
 from homspec.classical import build_suite
 from homspec.expansion import simple_recursion
 from homspec.hermite import MacroBasis, default_sigma, solve_spectrum
@@ -287,17 +287,19 @@ class TestSeparableFastPath:
            count=st.integers(1, 8), rule=st.sampled_from([8, 16]))
     def test_count_modes_per_axis(self, phase1, phase2, count, rule):
         # count 1D modes per axis give the count lowest sums, bit for bit,
-        # of spectra computed with count + 4 modes
+        # of spectra computed with count + 4 modes, on h and on h/2
         parts = _separable_parts(*separable_2d(phase1, phase2))
         eps = 0.5
         grid = FineGrid(2, 3.0, eps / rule)
-        vals, vecs = _solve_2d_separable(parts, eps, grid, count)
+        vals_h, vals_h2, vecs = _solve_2d_separable(parts, eps, grid, count,
+                                                    False)
         assert vecs is None
         g1 = FineGrid(1, grid.radius, grid.h)
-        wide = [_solve_1d(a, W, eps, g1, count + 4, False)[0]
+        wide = [_solve_1d(a, W, eps, g1, count + 4)
                 for a, W in ((parts[0], parts[2]), (parts[1], parts[3]))]
-        sums = np.sort(np.add.outer(wide[0], wide[1]).ravel())[:count]
-        assert np.array_equal(vals, sums)
+        for vals, g in ((vals_h, 0), (vals_h2, 1)):
+            sums = np.sort(np.add.outer(wide[0][g], wide[1][g]).ravel())
+            assert np.array_equal(vals, sums[:count])
 
     def test_no_vectors_unless_kept(self):
         # the coarse and the fine grid both stop at eigenvalues: nothing of
@@ -329,6 +331,55 @@ class TestSeparableFastPath:
         A = _assemble_2d(c, W, eps, fine)
         for lam, v in zip(ref.eigenvalues_h2, ref.eigenvectors):
             assert np.linalg.norm(A @ v - lam * v) < 1e-8 * lam * np.linalg.norm(v)
+
+
+def _lapack_route(a, W, eps, grid, count):
+    """The count lowest eigenvalues on grid as LAPACK vectors and their
+    energy quotients give them, sorted."""
+    (ah,), diag, wd, _ = _fd_operator([a], W, eps, grid)
+    _, vecs = sla.eigh_tridiagonal(diag, -ah[1:-1] / grid.h ** 2, select="i",
+                                   select_range=(0, count - 1))
+    return np.sort([float(_energy_quotient(ah, wd, grid.h,
+                                           v.astype(np.longdouble)))
+                    for v in vecs.T])
+
+
+class TestInverseIteration:
+    @settings(max_examples=20, deadline=None)
+    @given(phase=st.floats(0.0, 1.0), amp=st.floats(0.1, 1.0),
+           rule=st.sampled_from([8, 16, 32]),
+           eps=st.sampled_from([0.5, 0.25]), count=st.integers(1, 8))
+    # on this coarse grid two inverse iterations leave the top pair 12 ulp
+    # off (the LAPACK route is within 0.4 ulp of the exact eigenvalue)
+    @example(phase=0.8559122943833432, amp=0.27677533101189356, rule=8,
+             eps=0.5, count=8)
+    def test_equals_lapack_route(self, phase, amp, rule, eps, count):
+        # the h/2 eigenvalues that inverse iteration finds from the h grid
+        # are those of the LAPACK vectors on h/2, bit for bit
+        a = CoefficientField.from_isotropic(
+            TorusGrid(1, 64),
+            lambda y: 2.0 + amp * np.cos(TWO_PI * (y + phase))).entry(0, 0)
+        grid = FineGrid(1, 3.0, eps / rule)
+        got = _solve_1d(a, w1(), eps, grid, count)[1]
+        fine = FineGrid(1, grid.radius, grid.h / 2)
+        assert np.array_equal(got, _lapack_route(a, w1(), eps, fine, count))
+
+    def test_corrupted_coarse_pair_raises(self, monkeypatch):
+        # pair 1 of the h grid handed the vector of pair 0: both inverse
+        # iterations land on the lowest h/2 eigenvalue
+        eigh = sla.eigh_tridiagonal
+
+        def corrupted(*args, **kwargs):
+            vals, vecs = eigh(*args, **kwargs)
+            vecs[:, 1] = vecs[:, 0]
+            return vals, vecs
+
+        monkeypatch.setattr(sla, "eigh_tridiagonal", corrupted)
+        c = CoefficientField.from_isotropic(
+            TorusGrid(1, 64), lambda y: 2.0 + np.cos(TWO_PI * y))
+        with pytest.raises(ConvergenceFailure, match="h/2 grid"):
+            solve_Leps(c, w1(), 0.5, FineGrid(1, 4.0, 1.0 / 16), 3,
+                       keep_vectors=False)
 
 
 def _pin_problem():
@@ -474,18 +525,23 @@ class TestPolish:
     @pytest.mark.parametrize("radius,eps,rule", [
         (3.0, 0.5, 8), (2.0, 0.5, 16), (3.0, 0.25, 8)])
     def test_polish_against_mpmath(self, radius, eps, rule):
-        # 40-digit bisection of the same discrete operator: the polished
-        # eigenvalues, and the energy quotients of the unpolished LAPACK
-        # vectors, are within 2 ulp
+        # 40-digit bisection of the same discrete operator: the energy
+        # quotients of the LAPACK vectors, of the vectors that inverse
+        # iteration finds from the 2h grid, and of those vectors polished,
+        # are within 2 ulp
         grid1 = TorusGrid(1, 64)
         c = CoefficientField.from_isotropic(
             grid1, lambda y: 2.0 + np.cos(TWO_PI * y))
         a = c.entry(0, 0)
         grid = FineGrid(1, radius, eps / rule)
         assert 90 <= grid.n_interior <= 200
-        wd = _fd_operator([a], w1(), eps, grid)[2]
-        for polish in (True, False):
-            vals, _, ah, _ = _solve_1d(a, w1(), eps, grid, 3, polish)
+        _, inverse, vecs, ah, wd, _ = _solve_1d(
+            a, w1(), eps, FineGrid(1, radius, 2 * grid.h), 3)
+        assert vecs.shape == (3, grid.n_interior)
+        diag = (ah[:-1] + ah[1:]) / grid.h ** 2 + wd
+        polished = [_refine_eigenpair(diag, -ah[1:-1] / grid.h ** 2, v, ah,
+                                      wd, grid.h)[0] for v in vecs]
+        for vals in (_lapack_route(a, w1(), eps, grid, 3), inverse, polished):
             with mpmath.workdps(40):
                 for k, lam in enumerate(vals):
                     exact = _sturm_eigenvalue(ah, wd, grid.h, k, lam)
@@ -600,6 +656,34 @@ class TestMatching:
         out = match_and_compare(ref, br, eps, P=2)
         assert np.isfinite(out[0].h1_err)
         assert rows and max(rows) <= 32
+
+    def test_compare_polishes_the_picked_vector(self, branch_1d, monkeypatch):
+        # solve_Leps keeps its h/2 vectors unpolished; the comparison
+        # polishes the one it picks, on the operator _fd_operator builds
+        import homspec.reference as reference
+        coeff, W, br = branch_1d
+        eps = 1 / 8
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 3)
+        fine = ref.fine_grid
+        (ah,), diag, wd, _ = _fd_operator([coeff.entry(0, 0)], W, eps, fine)
+        assert np.array_equal(ah, ref.cell_coefficients)
+        assert np.array_equal(wd, ref.node_potential)
+        calls = []
+        polish = reference._refine_eigenpair
+
+        def recording(d, off, vec, *rest):
+            calls.append((d, off, vec))
+            return polish(d, off, vec, *rest)
+
+        monkeypatch.setattr(reference, "_refine_eigenpair", recording)
+        rows = match_and_compare(ref, br, eps, P=1)
+        assert len(calls) == 1
+        d, off, vec = calls[0]
+        assert np.array_equal(d, diag)
+        assert np.array_equal(off, -ah[1:-1] / fine.h ** 2)
+        assert np.array_equal(vec, ref.eigenvectors[0])
+        assert rows[0].lambda_ref == ref.eigenvalues_h2[0]
+        assert 0.0 < rows[0].l2_err < 1e-3
 
     def test_lattice_matches_per_node_sampling(self, branch_1d, monkeypatch):
         # sampling the correctors at one period of phases moves the errors
