@@ -4,16 +4,19 @@ The oscillating operator -div(a(x/eps) grad) + W is discretized on a
 truncated box with homogeneous Dirichlet data by symmetric second-order
 finite differences with harmonic cell averaging of the coefficient, solved
 for its lowest eigenpairs, and Richardson extrapolated over the (h, h/2)
-pair.  One routine builds the operator in 1D and 2D, with the harmonic
-averages as 12-point Gauss-Legendre cell integrals of 1/a (which keeps the
-discretization error smooth in h though the coefficient oscillates) taken
-on one period of fast phases.  In 1D the h grid is solved by LAPACK, and
-the h/2 grid by shifted inverse iteration from the h grid's eigenpairs,
-which are already O(h^2) accurate; each eigenvalue is the energy quotient
-in extended precision, so that the floor sits orders of magnitude below
-the smallest expansion residuals being measured.  The eigenvector that a
-comparison uses is polished by bordered Newton steps with
-extended-precision residuals when it is compared.
+pair.  One routine builds the operator in 1D and 2D as one record,
+FDOperator, with the harmonic averages as 12-point Gauss-Legendre cell
+integrals of 1/a (which keeps the discretization error smooth in h though
+the coefficient oscillates) taken on one period of fast phases; its
+diagonal and couplings are the one copy of the stencil that the
+tridiagonal, banded and sparse solves read.  In 1D the h grid is solved by
+LAPACK, and the h/2 grid by shifted inverse iteration from the h grid's
+eigenpairs, which are already O(h^2) accurate; each eigenvalue is the
+record's energy quotient in extended precision, so that the floor sits
+orders of magnitude below the smallest expansion residuals being measured.
+The eigenvector that a comparison uses is polished on the record by
+bordered Newton steps with extended-precision residuals when it is
+compared.
 
 Separable two-dimensional problems (diagonal a with axis-aligned
 oscillation and an additively separable potential) factor exactly: the
@@ -25,6 +28,7 @@ and for cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -125,6 +129,11 @@ class FineGrid:
                 f"h = {self.h:.3g} exceeds eps/8 = {eps / 8:.3g}"
             )
 
+    def normalize(self, vecs: np.ndarray) -> np.ndarray:
+        """Rows of node values, L2-normalized with the grid measure."""
+        return vecs / (np.linalg.norm(vecs, axis=1, keepdims=True)
+                       * self.h ** (self.dim / 2.0))
+
 
 @dataclass
 class ReferenceSpectrum:
@@ -132,8 +141,8 @@ class ReferenceSpectrum:
 
     Eigenvectors (interior node values, L2-normalized with the grid measure)
     are kept from the fine member of the pair, unpolished; in 1D they come
-    with the operator data on that grid, from which match_and_compare
-    polishes the one it compares and takes its gradient.
+    with the operator on that grid, on which match_and_compare polishes the
+    one it compares and takes its gradient.
     ``path`` names the eigensolve route: tridiagonal, separable or sparse.
     """
 
@@ -146,30 +155,131 @@ class ReferenceSpectrum:
     eigenvectors: np.ndarray | None  # (count, m) on the h/2 grid
     fine_grid: FineGrid
     path: str
-    cell_coefficients: np.ndarray | None = None  # 1D: harmonic cell averages
-    node_coefficients: np.ndarray | None = None  # 1D: a(x_i/eps) at nodes
-    node_potential: np.ndarray | None = None     # 1D: W(x_i) at nodes
+    operator: FDOperator | None = None  # 1D, with the eigenvectors
 
 
 # --- the fine-grid operator ------------------------------------------------------
 
 
-def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid) -> tuple:
-    """The symmetric finite-difference operator of -div(a(./eps) grad) + W
-    for a diagonal a, fns[ax] = a_ax,ax as CoefficientField.entry gives it.
+@dataclass(frozen=True, eq=False)
+class FDOperator:
+    """The symmetric finite-difference operator T of -div(a(./eps) grad) + W
+    on the interior nodes of a FineGrid, for a diagonal a.
+
+    edges[ax] is the harmonic average of a_ax,ax(./eps) over every cell edge
+    along ax (n_cells along ax, n along the others), anodes[ax] is
+    a_ax,ax(x/eps) at the nodes, wdiag is W there and h the spacing.  diag
+    and off are the stencil, written once; the 1D methods band, quotient,
+    polish and flux_gradient act on a tridiagonal T.
+    """
+
+    edges: tuple
+    anodes: tuple
+    wdiag: np.ndarray
+    h: float
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        """sum_ax (a_left + a_right) / h^2 + W at every node."""
+        return sum((a[(slice(None),) * ax + (slice(-1),)]
+                    + a[(slice(None),) * ax + (slice(1, None),)]) / self.h ** 2
+                   for ax, a in enumerate(self.edges)) + self.wdiag
+
+    @cached_property
+    def off(self) -> tuple:
+        """Per axis ax, -a / h^2 on every interior edge along ax: the
+        coupling of each node with its next neighbour along ax."""
+        return tuple(-a[(slice(None),) * ax + (slice(1, -1),)] / self.h ** 2
+                     for ax, a in enumerate(self.edges))
+
+    def band(self, shift) -> np.ndarray:
+        """T - shift in the (1, 1) layout of solve_banded.  diag - shift is
+        formed in the precision of shift and rounded into the band."""
+        band = np.zeros((3, self.wdiag.size))
+        band[0, 1:] = band[2, :-1] = self.off[0]
+        band[1] = self.diag - shift
+        return band
+
+    def quotient(self, v) -> np.longdouble:
+        """Rayleigh quotient of v through the factored energy form, in long
+        double.
+
+        sum_cells a_c (dv)^2 / h^2 + sum_i W_i v_i^2, all terms positive, so
+        the quotient carries no 1/h^2 cancellation and is accurate to a few
+        ulp of lambda regardless of the grid (the assembled matrix form loses
+        eps_mach * |T| ~ eps_mach / h^2, which dominates fine grids).
+        """
+        v = np.asarray(v, dtype=np.longdouble)
+        dv = np.diff(v, prepend=np.longdouble(0), append=np.longdouble(0))
+        kinetic = np.sum(self.edges[0] * dv * dv) / np.longdouble(self.h) ** 2
+        potential = np.sum(self.wdiag * v * v)
+        return (kinetic + potential) / np.sum(v * v)
+
+    def polish(self, vec: np.ndarray) -> np.ndarray:
+        """The eigenvector near vec, by bordered Newton steps in extended
+        precision (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20,
+        1983).
+
+        Each step forms Tv, mu = v.Tv and r = Tv - mu v in long double,
+        solves (T - mu) [y, z] = [r, v] once in float64, and moves v to
+        v - y + (v.y / v.z) z, the Newton step that keeps the correction
+        orthogonal to v.  It stops when |r| no longer decreases (or T - mu is
+        exactly singular, i.e. the pair has converged), after at most
+        POLISH_STEPS steps.
+        """
+        d = self.diag.astype(np.longdouble)
+        e = self.off[0].astype(np.longdouble)
+        v = w = vec.astype(np.longdouble)
+        best = np.inf
+        for step in range(POLISH_STEPS + 1):
+            w /= np.sqrt(np.dot(w, w))
+            Tw = d * w
+            Tw[:-1] += e * w[1:]
+            Tw[1:] += e * w[:-1]
+            mu = np.dot(w, Tw)
+            r = Tw - mu * w
+            rr = np.dot(r, r)
+            if not rr < best:
+                break
+            v, best = w, rr
+            if step == POLISH_STEPS:
+                break
+            rhs = np.stack([r, v], axis=1).astype(float)
+            try:
+                y, z = sla.solve_banded((1, 1), self.band(mu), rhs,
+                                        check_finite=False).T
+            except np.linalg.LinAlgError:
+                break                     # mu is an eigenvalue of T in float64
+            # y and z enter in long double, as v does
+            w = v - y + (np.dot(v, y) / np.dot(v, z)) * z
+        return v.astype(float)
+
+    def flux_gradient(self, v: np.ndarray) -> np.ndarray:
+        """Gradient of node values v (Dirichlet) through the flux, (1, n).
+
+        psi'(x_i) = (F_{i-1/2} + F_{i+1/2}) / (2 a(x_i/eps)) with the
+        discrete flux F = a_c dpsi / h.  F' = (W - lambda) psi is bounded
+        independently of eps, so the error is O(h^2) uniformly in eps, while
+        central differences of psi carry h^2 psi''' ~ (h/eps)^2: a floor
+        that does not decay on grids with h proportional to eps.  For a = 1
+        the two coincide.
+        """
+        dv = np.diff(v, prepend=0.0, append=0.0)
+        flux = self.edges[0] * dv / self.h
+        return (0.5 * (flux[:-1] + flux[1:]) / self.anodes[0]).reshape(1, -1)
+
+
+def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid):
+    """The FDOperator of -div(a(./eps) grad) + W on grid for a diagonal a,
+    fns[ax] = a_ax,ax as CoefficientField.entry gives it.
 
     Each fns[ax] is called once, on one period of phases (cell_phases) as a
     tensor grid: the 12 Gauss-Legendre points and the node of every cell
-    along ax, the node along every other axis.  Returns (edges, diag, wdiag,
-    anodes) on the interior nodes: edges[ax], the harmonic average of
-    a_ax,ax(./eps) over every cell edge along ax (n_cells along ax, n along
-    the others); diag = sum_ax (a_left + a_right) / h^2 + W; wdiag = W; and
-    anodes[ax] = a_ax,ax(x/eps).
+    along ax, the node along every other axis.
     """
     gl, glw = np.polynomial.legendre.leggauss(12)
     y, cell = grid.cell_phases(eps, np.append(0.5 * (1.0 + gl), 0.0))
     d, node = grid.dim, cell[1:]
-    n = node.size
     rows = np.arange(y.size).reshape(y.shape)
     node_rows = np.arange(len(y))[:, None]
     edges, anodes = [], []
@@ -187,75 +297,16 @@ def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid) -> tuple:
         edges.append(harm[np.ix_(*(cell if k == ax else node
                                    for k in range(d)))])
         anodes.append(vals[..., -1][np.ix_(*(node,) * d)])
-    wdiag = W(grid.points()).reshape((n,) * d)
-    diag = sum((a[(slice(None),) * ax + (slice(-1),)]
-                + a[(slice(None),) * ax + (slice(1, None),)]) / grid.h ** 2
-               for ax, a in enumerate(edges)) + wdiag
-    return edges, diag, wdiag, anodes
+    return FDOperator(tuple(edges), tuple(anodes),
+                      W(grid.points()).reshape((node.size,) * d), grid.h)
 
 
 # --- 1D path -------------------------------------------------------------------
 
 
-def _energy_quotient(aharm, wdiag, h, v):
-    """Rayleigh quotient through the factored energy form.
-
-    sum_cells a_c (dv)^2 / h^2 + sum_i W_i v_i^2, all terms positive, so the
-    quotient carries no 1/h^2 cancellation and is accurate to a few ulp of
-    lambda regardless of the grid (the assembled matrix form loses
-    eps_mach * |T| ~ eps_mach / h^2, which dominates fine grids).
-    """
-    dv = np.diff(np.concatenate(([np.longdouble(0)], v, [np.longdouble(0)])))
-    kinetic = np.sum(aharm * dv * dv) / np.longdouble(h) ** 2
-    potential = np.sum(wdiag * v * v)
-    return (kinetic + potential) / np.sum(v * v)
-
-
-def _refine_eigenpair(diag, off, vec, aharm, wdiag, h):
-    """Bordered Newton polish of one eigenpair in extended precision
-    (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983).
-
-    Each step forms Tv, mu = v.Tv and r = Tv - mu v in long double, solves
-    (T - mu) [y, z] = [r, v] once in float64, and moves v to
-    v - y + (v.y / v.z) z, the Newton step that keeps the correction
-    orthogonal to v.  It stops when |r| no longer decreases (or T - mu is
-    exactly singular, i.e. the pair has converged), after at most
-    POLISH_STEPS steps.  The eigenvalue is the cancellation-free energy
-    quotient of the polished vector.
-    """
-    d, e = diag.astype(np.longdouble), off.astype(np.longdouble)
-    band = np.zeros((3, d.size))
-    band[0, 1:] = band[2, :-1] = off
-    v = w = vec.astype(np.longdouble)
-    best = np.inf
-    for step in range(POLISH_STEPS + 1):
-        w /= np.sqrt(np.dot(w, w))
-        Tw = d * w
-        Tw[:-1] += e * w[1:]
-        Tw[1:] += e * w[:-1]
-        mu = np.dot(w, Tw)
-        r = Tw - mu * w
-        rr = np.dot(r, r)
-        if not rr < best:
-            break
-        v, best = w, rr
-        if step == POLISH_STEPS:
-            break
-        band[1] = d - mu
-        try:
-            y, z = sla.solve_banded(
-                (1, 1), band, np.stack([r, v], axis=1).astype(float),
-                check_finite=False).T.astype(np.longdouble)
-        except np.linalg.LinAlgError:
-            break                     # mu is an eigenvalue of T in float64
-        w = v - y + (np.dot(v, y) / np.dot(v, z)) * z
-    return float(_energy_quotient(aharm, wdiag, h, v)), v.astype(float)
-
-
 def _solve_1d(coeff_at, W, eps, grid, count):
     """The count lowest eigenvalues on grid and on its h/2 refinement, the
-    h/2 eigenvectors, and the h/2 operator data: the harmonic cell averages,
-    W and the coefficient at the nodes.
+    h/2 eigenvectors, and the h/2 FDOperator.
 
     The h grid is solved by LAPACK (bisection and inverse iteration).  On
     h/2 each h pair k is the shift and the start of INVERSE_STEPS shifted
@@ -266,31 +317,26 @@ def _solve_1d(coeff_at, W, eps, grid, count):
     Raises ConvergenceFailure when the h/2 eigenvalues are not increasing,
     or one lies nearer another pair's h eigenvalue than its own.
     """
-    (ah,), diag, wdiag, _ = _fd_operator([coeff_at], W, eps, grid)
+    op = _fd_operator([coeff_at], W, eps, grid)
     _, vecs = sla.eigh_tridiagonal(
-        diag, -ah[1:-1] / grid.h ** 2, select="i", select_range=(0, count - 1)
+        op.diag, op.off[0], select="i", select_range=(0, count - 1)
     )
-    vals = np.array([_energy_quotient(ah, wdiag, grid.h,
-                                      v.astype(np.longdouble))
-                     for v in vecs.T], dtype=float)
+    vals = np.array([op.quotient(v) for v in vecs.T], dtype=float)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     fine = FineGrid(1, grid.radius, grid.h / 2.0)
-    (fah,), fdiag, fwdiag, (fanode,) = _fd_operator([coeff_at], W, eps, fine)
-    band = np.zeros((3, fdiag.size))
-    band[0, 1:] = band[2, :-1] = -fah[1:-1] / fine.h ** 2
+    fop = _fd_operator([coeff_at], W, eps, fine)
     x = -grid.radius + grid.h * np.arange(grid.n_cells + 1)
     fine_x = -fine.radius + fine.h * np.arange(1, fine.n_cells)
     fine_vals = np.empty(count)
-    fine_vecs = np.empty((count, fdiag.size))
+    fine_vecs = np.empty((count, fine_x.size))
     for k in range(count):
         v = np.interp(fine_x, x, np.pad(vecs[:, k], 1))
-        band[1] = fdiag - vals[k]
+        band = fop.band(vals[k])
         for _ in range(INVERSE_STEPS):
             v = sla.solve_banded((1, 1), band, v, check_finite=False)
             v /= np.linalg.norm(v)
-        fine_vals[k] = _energy_quotient(fah, fwdiag, fine.h,
-                                        v.astype(np.longdouble))
+        fine_vals[k] = fop.quotient(v)
         fine_vecs[k] = v
     gap = np.abs(fine_vals[:, None] - vals)
     if not (np.all(np.diff(fine_vals) > 0)
@@ -299,7 +345,7 @@ def _solve_1d(coeff_at, W, eps, grid, count):
             f"inverse iteration on the h/2 grid lost the order of the h "
             f"grid's eigenvalues: {fine_vals} from {vals}"
         )
-    return vals, fine_vals, fine_vecs, fah, fwdiag, fanode
+    return vals, fine_vals, fine_vecs, fop
 
 
 # --- 2D paths -------------------------------------------------------------------
@@ -392,15 +438,13 @@ def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
         raise ConvergenceFailure(
             f"2D grid of {n * n} unknowns exceeds the cap {MAX_UNKNOWNS_2D}"
         )
-    edges, diag, _, _ = _fd_operator(
-        [coeff.entry(0, 0), coeff.entry(1, 1)], W, eps, grid)
-    bands, offsets = [diag.ravel()], [0]
-    for ax, a in enumerate(edges):
+    op = _fd_operator([coeff.entry(0, 0), coeff.entry(1, 1)], W, eps, grid)
+    bands, offsets = [op.diag.ravel()], [0]
+    for ax, c in enumerate(op.off):
         # the coupling of each node with its neighbour along ax, stride
         # n^(d-1-ax) apart in C order; the last node along ax has none
-        off = np.pad(-a[(slice(None),) * ax + (slice(1, -1),)] / grid.h ** 2,
-                     [(0, int(k == ax)) for k in range(a.ndim)]).ravel()
-        stride = n ** (a.ndim - 1 - ax)
+        off = np.pad(c, [(0, int(k == ax)) for k in range(c.ndim)]).ravel()
+        stride = n ** (c.ndim - 1 - ax)
         bands += [off[:-stride]] * 2
         offsets += [stride, -stride]
     return sp.diags(bands, offsets, format="csr")
@@ -425,11 +469,12 @@ def _solve_2d_sparse(coeff, W, eps, grid, count, sigma_shift):
 
 def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
                grid: FineGrid, count: int,
-               keep_vectors: bool = True) -> ReferenceSpectrum:
+               keep_vectors: bool) -> ReferenceSpectrum:
     """Lowest eigenpairs of -div(a(./eps) grad) + W on the truncated box.
 
     Solves at h and h/2 and Richardson-extrapolates the eigenvalues;
-    eigenvectors are returned on the h/2 grid, unpolished.  Raises
+    eigenvectors are returned on the h/2 grid, unpolished, only with
+    keep_vectors, and in 1D with the h/2 operator.  Raises
     GridTooCoarse when h does not resolve eps, or when the box holds fewer
     than max(count, 2) interior nodes per axis.
     """
@@ -441,12 +486,10 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
             f"need at least {max(count, 2)}"
         )
     fine = FineGrid(grid.dim, grid.radius, grid.h / 2.0)
-    cell_coeff = node_coeff = node_potential = None
+    op = None
     if grid.dim == 1:
-        vals_h, vals_h2, vecs, ah, wdiag, anode = _solve_1d(
+        vals_h, vals_h2, vecs, op = _solve_1d(
             coeff.entry(0, 0), W, eps, grid, count)
-        if keep_vectors:
-            cell_coeff, node_potential, node_coeff = ah, wdiag, anode
         path = "tridiagonal"
     else:
         parts = _separable_parts(coeff, W)
@@ -459,20 +502,14 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
             vals_h, _ = _solve_2d_sparse(coeff, W, eps, grid, count, 0.0)
             vals_h2, vecs = _solve_2d_sparse(coeff, W, eps, fine, count, 0.0)
             path = "sparse"
-    rich = (4.0 * vals_h2 - vals_h) / 3.0
-    est = np.abs(vals_h2 - vals_h) / 3.0
-    if keep_vectors:
-        # L2-normalize with the grid measure
-        vecs = vecs / (np.linalg.norm(vecs, axis=1, keepdims=True)
-                       * fine.h ** (grid.dim / 2.0))
     return ReferenceSpectrum(
         eps=eps, grid=grid,
         eigenvalues_h=vals_h, eigenvalues_h2=vals_h2,
-        eigenvalues=rich, error_estimates=est,
-        eigenvectors=vecs if keep_vectors else None,
+        eigenvalues=(4.0 * vals_h2 - vals_h) / 3.0,
+        error_estimates=np.abs(vals_h2 - vals_h) / 3.0,
+        eigenvectors=fine.normalize(vecs) if keep_vectors else None,
         fine_grid=fine, path=path,
-        cell_coefficients=cell_coeff, node_coefficients=node_coeff,
-        node_potential=node_potential,
+        operator=op if keep_vectors else None,
     )
 
 
@@ -507,22 +544,6 @@ class ComparisonRow:
     runtime_s: float = 0.0
 
 
-def _flux_gradient(vec: np.ndarray, ref: ReferenceSpectrum) -> np.ndarray:
-    """1D gradient of interior node values (Dirichlet) through the flux.
-
-    psi'(x_i) = (F_{i-1/2} + F_{i+1/2}) / (2 a(x_i/eps)) with the discrete
-    flux F = aharm * dpsi / h.  F' = (W - lambda) psi is bounded
-    independently of eps, so the error is O(h^2) uniformly in eps, while
-    central differences of psi carry h^2 psi''' ~ (h/eps)^2: a floor that
-    does not decay on grids with h proportional to eps.  For a = 1 the two
-    coincide.
-    """
-    dv = np.diff(np.concatenate(([0.0], vec, [0.0])))
-    flux = ref.cell_coefficients * dv / ref.fine_grid.h
-    return (0.5 * (flux[:-1] + flux[1:])
-            / ref.node_coefficients).reshape(1, -1)
-
-
 def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
                       P: int) -> list:
     """Per-branch eigenvalue / L2 / H1 errors against the expansion.
@@ -530,15 +551,15 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
     The reference eigenvector for branch r is the one with the dominant
     overlap against the rotated envelope U_{0,r}; it is rescaled so that
     int psi U_{0,r} dx = 1, matching the normalization in which the
-    expansion is stated.  A 1D reference from solve_Leps keeps its operator
-    data, and the picked vector is polished by _refine_eigenpair before it
-    is compared; any other reference's vector is used as given, and the row
-    eigenvalues are always those of the reference.  A reference without
-    eigenvectors is matched by index, cluster[0] + r, and its rows carry
-    NaN L2 and H1 errors.  The H1 error is formed exactly when the
-    reference carries its 1D coefficient data (_flux_gradient); otherwise
-    (2D, or built by hand) it is NaN, since central differences on a grid
-    with h ~ eps leave an eps-independent floor in the gradient.  Raises
+    expansion is stated.  A 1D reference from solve_Leps keeps its
+    operator: the picked vector is polished on it (FDOperator.polish)
+    before it is compared, and the H1 error is formed from its
+    eps-uniform flux gradient.  Any other reference's vector is used as
+    given and its H1 error is NaN (2D, or built by hand), since central
+    differences on a grid with h ~ eps leave an eps-independent floor in
+    the gradient.  The row eigenvalues are always those of the reference.
+    A reference without eigenvectors is matched by index, cluster[0] + r,
+    and its rows carry NaN L2 and H1 errors.  Raises
     MatchingAmbiguous when no assignment dominates by the requested ratio.
     """
     from .expansion import assemble, lambda_tilde
@@ -547,7 +568,7 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
     if not isinstance(branches, (list, tuple)):
         branches = [branches]
     vectors = ref.eigenvectors is not None
-    gradient = ref.cell_coefficients is not None
+    op = ref.operator
     if vectors:
         grid = ref.fine_grid
         pts = grid.points()
@@ -561,7 +582,7 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
         # period of node phases; both tables are gone before the polish
         sample_x = HermiteSampler(br.spectrum.basis, coords, P + 1, index)
         u0 = sample_x(br.U[0])
-        return u0, assemble(br, eps, pts, P=P, gradient=gradient,
+        return u0, assemble(br, eps, pts, P=P, gradient=op is not None,
                             sample_x=sample_x,
                             sample_y=FourierSampler(br.table.grid, *phases))
 
@@ -586,22 +607,16 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
                     )
             used.add(pick)
             vec, overlap = ref.eigenvectors[pick], overlaps[pick]
-            if ref.node_potential is not None:
-                # polish the picked vector on the operator _fd_operator
-                # built, then normalize it as solve_Leps does and overlap
-                # it as above, as a one-row array
-                ah, wd, h = ref.cell_coefficients, ref.node_potential, grid.h
-                row = _refine_eigenpair((ah[:-1] + ah[1:]) / h ** 2 + wd,
-                                        -ah[1:-1] / h ** 2, vec, ah, wd,
-                                        h)[1][None]
-                row /= (np.linalg.norm(row, axis=1, keepdims=True)
-                        * h ** (grid.dim / 2.0))
+            if op is not None:
+                # polish the picked vector, then normalize it as solve_Leps
+                # does and overlap it as above, as a one-row array
+                row = grid.normalize(op.polish(vec)[None])
                 vec, overlap = row[0], (row @ u0 * measure)[0]
             psi = vec / overlap
             diff = psi - asm.w
             l2 = float(np.sqrt(np.sum(diff ** 2) * measure))
-            if gradient:
-                gd = _flux_gradient(psi, ref) - asm.grad_w
+            if op is not None:
+                gd = op.flux_gradient(psi) - asm.grad_w
                 h1 = float(np.sqrt(np.sum(diff ** 2) * measure
                                    + np.sum(gd ** 2) * measure))
         lam_ref = float(ref.eigenvalues[pick])

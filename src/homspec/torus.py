@@ -599,7 +599,12 @@ def solve_cell(coeff: CoefficientField,
     G must be mean-free (tolerance 1e-12 relative); the tiny residual mean is
     subtracted before the solve.  Raises SingularSystem when preconditioned
     CG fails to reach the relative residual tol in CG_MAXITER iterations,
-    or breaks down before: r.z or p.Ap not positive and finite.
+    or breaks down before: r.z not positive and finite, or p.Ap / r.z not
+    finite or below lam_min / (2 cbar).  In exact arithmetic p.Ap / r.z =
+    1/alpha lies in the spectrum of the preconditioned operator (Saad,
+    Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, 6.7), which
+    is bounded below by lam_min / cbar; once conjugacy is lost at rounding
+    level it falls far below that.
 
     The source is formed on the grid; CG then runs on its half spectrum,
     where the preconditioner is a diagonal scaling and the inner products
@@ -634,21 +639,23 @@ def solve_cell(coeff: CoefficientField,
     # the constant-coefficient Laplacian's inverse, zero on the mean
     inv = 1.0 / (0.5 * (coeff.lam_min + coeff.lam_max) * grid.k_squared)
     inv.flat[0] = 0.0
+    # lam_min / (2 cbar): half the least 1/alpha of CG in exact arithmetic
+    floor = coeff.lam_min / (coeff.lam_min + coeff.lam_max)
 
     uh = np.zeros(grid.half_shape, dtype=complex)
     r = _rfft(b)
     p = z = inv * r
     rz = _parseval_dot(grid, r, z)
-    # past a breakdown the iterates grow until they overflow: the inner
-    # products below catch that, so numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # past a breakdown the iterates may grow until they overflow, or r.z may
+    # reach 0: the check below catches both, so numpy need not warn of them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(CG_MAXITER):
             Ap = _operator_half(coeff, p)
             pAp = _parseval_dot(grid, p, Ap)
-            if not (0.0 < rz < np.inf and 0.0 < pAp < np.inf):
+            if not (0.0 < rz < np.inf and floor <= pAp / rz < np.inf):
                 raise SingularSystem(
-                    f"cell solve broke down at CG iteration {it}: "
-                    f"r.z = {rz:.3e}, p.Ap = {pAp:.3e}"
+                    f"cell solve broke down at CG iteration {it}: p.Ap / r.z "
+                    f"= {pAp / rz:.3e}, bound lam_min / (2 cbar) = {floor:.3e}"
                 )
             alpha = rz / pAp
             uh += alpha * p

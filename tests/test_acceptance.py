@@ -94,7 +94,7 @@ def ctx_1d():
     refs = {}
     for eps in (1 / 10, 1 / 20, 1 / 40, 1 / 80, 1 / 160):
         grid = FineGrid(1, 7.0, eps / 16)
-        refs[eps] = solve_Leps(coeff, W, eps, grid, 3)
+        refs[eps] = solve_Leps(coeff, W, eps, grid, 3, keep_vectors=True)
     elapsed = time.perf_counter() - t0
     return {"coeff": coeff, "W": W, "spec": spec, "branch": branch,
             "refs": refs, "build_s": elapsed}

@@ -15,11 +15,10 @@ from homspec.classical import build_suite
 from homspec.expansion import simple_recursion
 from homspec.hermite import MacroBasis, default_sigma, solve_spectrum
 from homspec.reference import (
+    FDOperator,
     FineGrid,
     _assemble_2d,
-    _energy_quotient,
     _fd_operator,
-    _refine_eigenpair,
     _separable_parts,
     _solve_1d,
     _solve_2d_separable,
@@ -74,7 +73,7 @@ class TestSolve1D:
     def test_oscillator_richardson(self):
         c = coeff_identity_1d()
         grid = FineGrid(1, 7.0, 1.0 / 64)
-        ref = solve_Leps(c, w1(), 0.5, grid, 3)
+        ref = solve_Leps(c, w1(), 0.5, grid, 3, keep_vectors=True)
         assert abs(ref.eigenvalues[0] - 1.0) < 1e-7
         assert np.allclose(ref.eigenvalues, [1.0, 3.0, 5.0], atol=1e-6)
         # Richardson beats both raw grids
@@ -93,17 +92,21 @@ class TestSolve1D:
     def test_grid_too_coarse(self):
         c = coeff_identity_1d()
         with pytest.raises(GridTooCoarse):
-            solve_Leps(c, w1(), 0.01, FineGrid(1, 6.0, 1.0 / 128), 1)
+            solve_Leps(c, w1(), 0.01, FineGrid(1, 6.0, 1.0 / 128), 1,
+                       keep_vectors=True)
 
     def test_box_too_small(self):
         # one interior node, and fewer nodes than eigenpairs: both are
         # refused before any eigensolve
         c = coeff_identity_1d()
         with pytest.raises(GridTooCoarse, match="interior nodes"):
-            solve_Leps(c, w1(), 0.5, FineGrid(1, 1.0 / 16, 1.0 / 16), 1)
+            solve_Leps(c, w1(), 0.5, FineGrid(1, 1.0 / 16, 1.0 / 16), 1,
+                       keep_vectors=True)
         with pytest.raises(GridTooCoarse, match="at least 4"):
-            solve_Leps(c, w1(), 0.5, FineGrid(1, 2.0 / 16, 1.0 / 16), 4)
-        ref = solve_Leps(c, w1(), 0.5, FineGrid(1, 2.0 / 16, 1.0 / 16), 3)
+            solve_Leps(c, w1(), 0.5, FineGrid(1, 2.0 / 16, 1.0 / 16), 4,
+                       keep_vectors=True)
+        ref = solve_Leps(c, w1(), 0.5, FineGrid(1, 2.0 / 16, 1.0 / 16), 3,
+                         keep_vectors=True)
         assert ref.eigenvalues.shape == (3,)
 
     def test_oscillating_coefficient_floor(self):
@@ -115,7 +118,7 @@ class TestSolve1D:
         )
         eps = 1.0 / 16
         fg = FineGrid(1, 7.0, eps / 16)
-        ref = solve_Leps(c, w1(), eps, fg, 1)
+        ref = solve_Leps(c, w1(), eps, fg, 1, keep_vectors=True)
         lam0 = 3.0 ** 0.25
         # zeroth-order envelope: |lam_eps - lam0| <= C eps lam0^{3/2}
         assert abs(ref.eigenvalues[0] - lam0) < 0.5 * eps * lam0 ** 1.5
@@ -254,20 +257,66 @@ class TestFdOperator:
         if sampled:
             coeff = CoefficientField.from_samples(coeff.grid, coeff.a.values)
         W = SlowPolynomial(dim, {(2,) + (0,) * (dim - 1): 1.0})
-        edges, diag, wdiag, anodes = _fd_operator(
+        op = _fd_operator(
             [coeff.entry(ax, ax) for ax in range(dim)], W, eps, grid)
         n = grid.n_interior
         want_diag = W(grid.points()).reshape((n,) * dim)
-        assert np.array_equal(wdiag, want_diag)
+        assert np.array_equal(op.wdiag, want_diag)
         for ax in range(dim):
             want_edges, want_nodes = self._direct(fn, eps, grid, ax)
-            assert edges[ax].shape == want_edges.shape
-            assert np.max(np.abs(edges[ax] / want_edges - 1.0)) <= 1e-12
-            assert np.max(np.abs(anodes[ax] / want_nodes - 1.0)) <= 1e-12
+            assert op.edges[ax].shape == want_edges.shape
+            assert np.max(np.abs(op.edges[ax] / want_edges - 1.0)) <= 1e-12
+            assert np.max(np.abs(op.anodes[ax] / want_nodes - 1.0)) <= 1e-12
             want_diag = want_diag + (
                 np.take(want_edges, range(n), axis=ax)
                 + np.take(want_edges, range(1, n + 1), axis=ax)) / h ** 2
-        assert np.max(np.abs(diag / want_diag - 1.0)) <= 1e-12
+        assert np.max(np.abs(op.diag / want_diag - 1.0)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 2]),
+           amps=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+           phase=st.floats(0.0, 1.0), eps=st.floats(0.05, 0.5),
+           cells=st.integers(8, 40), shift=st.floats(-1e3, 1e3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_operator_behind_every_product(self, dim, amps, phase, eps,
+                                               cells, shift, seed):
+        # for a random smooth a, (T - s) v from the band of T - s, from
+        # diag and off, and in 2D from the assembled CSR matrix agree to
+        # rounding, and in 1D the energy quotient is v.Tv / v.v to within
+        # eps_mach |T|
+        def fn(*ys):
+            return (2.0 + 0.1 * np.sin(TWO_PI * ys[-1])
+                    + sum(c * np.cos(TWO_PI * (k + 1) * (ys[0] + phase))
+                          for k, c in enumerate(amps)))
+
+        coeff = CoefficientField.from_isotropic(TorusGrid(dim, 16), fn)
+        W = SlowPolynomial(dim, {(2,) + (0,) * (dim - 1): 1.0})
+        h = eps / 8
+        grid = FineGrid(dim, 0.5 * cells * h, h)
+        op = _fd_operator([coeff.entry(ax, ax) for ax in range(dim)], W,
+                          eps, grid)
+        v = np.random.default_rng(seed).standard_normal(op.wdiag.shape)
+        # T v from diag and off, in long double
+        vl = v.astype(np.longdouble)
+        Tv = op.diag * vl
+        for ax, c in enumerate(op.off):
+            lo = (slice(None),) * ax + (slice(None, -1),)
+            hi = (slice(None),) * ax + (slice(1, None),)
+            Tv[lo] += c * vl[hi]
+            Tv[hi] += c * vl[lo]
+        norm = np.max(op.diag) + 2 * sum(np.max(-c) for c in op.off)
+        tol = 4 * np.finfo(float).eps * (norm + abs(shift)) * np.max(abs(v))
+        if dim == 1:
+            band = op.band(shift)
+            got = band[1] * v
+            got[:-1] += band[0, 1:] * v[1:]
+            got[1:] += band[2, :-1] * v[:-1]
+            assert abs(float(op.quotient(v)) - float(vl @ Tv / (vl @ vl))) \
+                <= np.finfo(float).eps * norm
+        else:
+            A = _assemble_2d(coeff, W, eps, grid)
+            got = (A @ v.ravel()).reshape(v.shape) - shift * v
+        assert np.max(np.abs(got - (Tv - shift * v))) <= tol
 
 
 def separable_2d(phase1=0.0, phase2=0.0):
@@ -285,9 +334,15 @@ class TestSeparableFastPath:
     @settings(max_examples=15, deadline=None)
     @given(phase1=st.floats(0.0, 1.0), phase2=st.floats(0.0, 1.0),
            count=st.integers(1, 8), rule=st.sampled_from([8, 16]))
+    # LAPACK's vectors depend on how many pairs are asked for: here the h
+    # eigenvalue of mode 2 on the second axis moves by 1 ulp between 5 and
+    # 9 pairs asked
+    @example(phase1=0.0, phase2=0.6327393334570294, count=5, rule=16)
     def test_count_modes_per_axis(self, phase1, phase2, count, rule):
-        # count 1D modes per axis give the count lowest sums, bit for bit,
-        # of spectra computed with count + 4 modes, on h and on h/2
+        # count 1D modes per axis give the count lowest sums of spectra
+        # computed with count + 4 modes, on h and on h/2: bit for bit, with
+        # the count modes of each axis taken from the count-mode solve, whose
+        # values are within 1 ulp of the wider solve's
         parts = _separable_parts(*separable_2d(phase1, phase2))
         eps = 0.5
         grid = FineGrid(2, 3.0, eps / rule)
@@ -295,10 +350,16 @@ class TestSeparableFastPath:
                                                     False)
         assert vecs is None
         g1 = FineGrid(1, grid.radius, grid.h)
-        wide = [_solve_1d(a, W, eps, g1, count + 4)
-                for a, W in ((parts[0], parts[2]), (parts[1], parts[3]))]
+        axes = ((parts[0], parts[2]), (parts[1], parts[3]))
+        narrow = [_solve_1d(a, W, eps, g1, count) for a, W in axes]
+        wide = [_solve_1d(a, W, eps, g1, count + 4) for a, W in axes]
         for vals, g in ((vals_h, 0), (vals_h2, 1)):
-            sums = np.sort(np.add.outer(wide[0][g], wide[1][g]).ravel())
+            spectra = []
+            for few, many in zip(narrow, wide):
+                assert np.all(np.abs(few[g] - many[g][:count])
+                              <= np.spacing(many[g][:count]))
+                spectra.append(np.concatenate([few[g], many[g][count:]]))
+            sums = np.sort(np.add.outer(*spectra).ravel())
             assert np.array_equal(vals, sums[:count])
 
     def test_no_vectors_unless_kept(self):
@@ -336,12 +397,22 @@ class TestSeparableFastPath:
 def _lapack_route(a, W, eps, grid, count):
     """The count lowest eigenvalues on grid as LAPACK vectors and their
     energy quotients give them, sorted."""
-    (ah,), diag, wd, _ = _fd_operator([a], W, eps, grid)
-    _, vecs = sla.eigh_tridiagonal(diag, -ah[1:-1] / grid.h ** 2, select="i",
+    op = _fd_operator([a], W, eps, grid)
+    _, vecs = sla.eigh_tridiagonal(op.diag, op.off[0], select="i",
                                    select_range=(0, count - 1))
-    return np.sort([float(_energy_quotient(ah, wd, grid.h,
-                                           v.astype(np.longdouble)))
-                    for v in vecs.T])
+    return np.sort([float(op.quotient(v)) for v in vecs.T])
+
+
+def _cosine_entry(phase, amp):
+    """a(y) = 2 + amp cos(2 pi (y + phase)) as CoefficientField.entry."""
+    return CoefficientField.from_isotropic(
+        TorusGrid(1, 64),
+        lambda y: 2.0 + amp * np.cos(TWO_PI * (y + phase))).entry(0, 0)
+
+
+# the exact h/2 eigenvalue of this case lies 2e-4 ulp from a rounding
+# midpoint, and the two routes round to either side of it
+MIDPOINT = 0.45061675642819243
 
 
 class TestInverseIteration:
@@ -353,16 +424,31 @@ class TestInverseIteration:
     # off (the LAPACK route is within 0.4 ulp of the exact eigenvalue)
     @example(phase=0.8559122943833432, amp=0.27677533101189356, rule=8,
              eps=0.5, count=8)
+    @example(phase=MIDPOINT, amp=MIDPOINT, rule=16, eps=0.5, count=1)
     def test_equals_lapack_route(self, phase, amp, rule, eps, count):
         # the h/2 eigenvalues that inverse iteration finds from the h grid
-        # are those of the LAPACK vectors on h/2, bit for bit
-        a = CoefficientField.from_isotropic(
-            TorusGrid(1, 64),
-            lambda y: 2.0 + amp * np.cos(TWO_PI * (y + phase))).entry(0, 0)
+        # are within 1 ulp of those of the LAPACK vectors on h/2: the two
+        # are energy quotients of different vectors, so an eigenvalue at a
+        # rounding midpoint may round either way
+        a = _cosine_entry(phase, amp)
         grid = FineGrid(1, 3.0, eps / rule)
         got = _solve_1d(a, w1(), eps, grid, count)[1]
         fine = FineGrid(1, grid.radius, grid.h / 2)
-        assert np.array_equal(got, _lapack_route(a, w1(), eps, fine, count))
+        want = _lapack_route(a, w1(), eps, fine, count)
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+
+    def test_midpoint_against_mpmath(self):
+        # the MIDPOINT case: both routes are within 2 ulp of the eigenvalue
+        # that 40-digit bisection finds
+        a, eps = _cosine_entry(MIDPOINT, MIDPOINT), 0.5
+        grid = FineGrid(1, 3.0, eps / 16)
+        _, got, _, op = _solve_1d(a, w1(), eps, grid, 1)
+        want = _lapack_route(a, w1(), eps, FineGrid(1, 3.0, op.h), 1)
+        with mpmath.workdps(40):
+            for lam in (got[0], want[0]):
+                exact = _sturm_eigenvalue(op, 0, lam)
+                rel = float((mpmath.mpf(lam) - exact) / exact)
+                assert abs(rel) <= 2 * 2.0 ** -52
 
     def test_corrupted_coarse_pair_raises(self, monkeypatch):
         # pair 1 of the h grid handed the vector of pair 0: both inverse
@@ -383,22 +469,22 @@ class TestInverseIteration:
 
 
 def _pin_problem():
-    """Tridiagonal (diag, off, aharm, wdiag, h) of 2047 nodes, built with
-    exact binary arithmetic so that its bits do not depend on any library."""
+    """1D operator of 2047 nodes and its node coordinates, built with exact
+    binary arithmetic so that its bits do not depend on any library."""
     R, h = 4.0, 1.0 / 256
     n_cells = int(2 * R / h)
     ah = 1.0 + (np.arange(n_cells) % 4) / 8.0
     x = -R + h * np.arange(1, n_cells)
-    wd = x * x
-    return (ah[:-1] + ah[1:]) / h ** 2 + wd, -ah[1:-1] / h ** 2, ah, wd, h, x
+    return FDOperator((ah,), anodes=(), wdiag=x * x, h=h), x
 
 
-def _sturm_eigenvalue(ah, wd, h, k, guess):
-    """k-th eigenvalue (from 0) of the energy-form matrix, bisected in
-    mpmath arithmetic within 1e-8 relative of guess."""
-    h2 = mpmath.mpf(h) ** 2
-    a = [mpmath.mpf(float(v)) for v in ah]
-    d = [(a[i] + a[i + 1]) / h2 + mpmath.mpf(float(w)) for i, w in enumerate(wd)]
+def _sturm_eigenvalue(op, k, guess):
+    """k-th eigenvalue (from 0) of the energy form of the 1D operator op,
+    bisected in mpmath arithmetic within 1e-8 relative of guess."""
+    h2 = mpmath.mpf(op.h) ** 2
+    a = [mpmath.mpf(float(v)) for v in op.edges[0]]
+    d = [(a[i] + a[i + 1]) / h2 + mpmath.mpf(float(w))
+         for i, w in enumerate(op.wdiag)]
     e2 = [(a[i] / h2) ** 2 for i in range(1, len(a) - 1)]
 
     def below(x):
@@ -417,18 +503,16 @@ def _sturm_eigenvalue(ah, wd, h, k, guess):
     return (lo + hi) / 2
 
 
-def _thomas_polish(diag, off, lam, vec, aharm, wdiag, h, sweeps=2):
+def _thomas_polish(op, lam, vec, sweeps=2):
     """The long-double inverse-iteration polish that the Newton polish
     replaced, kept verbatim as an oracle for it."""
-    d = diag.astype(np.longdouble)
+    d = op.diag.astype(np.longdouble)
     v = vec.astype(np.longdouble)
     v /= np.sqrt(np.dot(v, v))
-    ah = aharm.astype(np.longdouble)
-    wd = wdiag.astype(np.longdouble)
     lam = np.longdouble(lam)
     zero = np.longdouble(0)
     tiny = np.longdouble(1e-30)
-    e = list(off.astype(np.longdouble))
+    e = list(op.off[0].astype(np.longdouble))
     lower, upper = [zero] + e, e + [zero]
     for _ in range(sweeps):
         # Thomas solve of (T - lam) w = v: forward elimination with the
@@ -452,7 +536,7 @@ def _thomas_polish(diag, off, lam, vec, aharm, wdiag, h, sweeps=2):
         if not np.isfinite(nrm) or nrm == 0:
             break
         v = w / nrm
-        lam = _energy_quotient(ah, wd, h, v)
+        lam = op.quotient(v)
     return float(lam), v.astype(float)
 
 
@@ -463,7 +547,7 @@ class TestPolish:
         # eigenvalue bits recorded from the Thomas loop above, which the
         # Newton polish reproduces; the vectors agree with that loop's (whose
         # own bits stay pinned) to a few ulp, up to sign
-        diag, off, ah, wd, h, x = _pin_problem()
+        op, x = _pin_problem()
         g = 1.0 - x * x / (2 * 1.082 * 64)
         for _ in range(6):
             g = g * g                      # (1 - t/64)^64 ~ exp(-t)
@@ -475,9 +559,9 @@ class TestPolish:
         ]
         for start, shift, (lam_hex, oracle_sha) in zip(
                 starts, (1.08, 3.25, 5.41), pinned):
-            lam, v = _refine_eigenpair(diag, off, start, ah, wd, h)
-            assert float.hex(lam) == lam_hex
-            lam_t, v_t = _thomas_polish(diag, off, shift, start, ah, wd, h)
+            v = op.polish(start)
+            assert float.hex(float(op.quotient(v))) == lam_hex
+            lam_t, v_t = _thomas_polish(op, shift, start)
             assert float.hex(lam_t) == lam_hex
             assert hashlib.sha256(v_t.tobytes()).hexdigest()[:16] == oracle_sha
             gap = min(np.linalg.norm(v - v_t), np.linalg.norm(v + v_t))
@@ -494,14 +578,12 @@ class TestPolish:
         c = CoefficientField.from_isotropic(
             TorusGrid(1, 64), lambda y: 2.0 + np.cos(TWO_PI * y))
         a = c.entry(0, 0)
-        (ah,), diag, wd, _ = _fd_operator([a], w1(), eps, grid)
-        off = -ah[1:-1] / grid.h ** 2
-        vals, vecs = sla.eigh_tridiagonal(diag, off, select="i",
+        op = _fd_operator([a], w1(), eps, grid)
+        vals, vecs = sla.eigh_tridiagonal(op.diag, op.off[0], select="i",
                                           select_range=(0, 0))
-        lam, v = _refine_eigenpair(diag, off, vecs[:, 0], ah, wd, grid.h)
-        lam_t, v_t = _thomas_polish(diag, off, vals[0], vecs[:, 0], ah, wd,
-                                    grid.h)
-        assert lam == lam_t
+        v = op.polish(vecs[:, 0])
+        lam_t, v_t = _thomas_polish(op, vals[0], vecs[:, 0])
+        assert float(op.quotient(v)) == lam_t
         gap = min(np.linalg.norm(v - v_t), np.linalg.norm(v + v_t))
         assert gap <= 1e-13 * np.linalg.norm(v_t)
 
@@ -514,11 +596,11 @@ class TestPolish:
         # tridiag(-1, 2, -1) with (1, 0, -1), and a matrix whose first node
         # is decoupled, where T - mu is exactly singular in float64; the
         # start is kept in both
-        ah = np.array(aharm)
+        op = FDOperator((np.array(aharm),), anodes=(), wdiag=np.zeros(3),
+                        h=1.0)
         start = np.array(start)
-        got, v = _refine_eigenpair(ah[:-1] + ah[1:], -ah[1:-1], start, ah,
-                                   np.zeros(3), 1.0)
-        assert got == pytest.approx(lam, rel=1e-15)
+        v = op.polish(start)
+        assert float(op.quotient(v)) == pytest.approx(lam, rel=1e-15)
         assert np.allclose(v, start / np.linalg.norm(start), rtol=0,
                            atol=1e-15)
 
@@ -535,16 +617,14 @@ class TestPolish:
         a = c.entry(0, 0)
         grid = FineGrid(1, radius, eps / rule)
         assert 90 <= grid.n_interior <= 200
-        _, inverse, vecs, ah, wd, _ = _solve_1d(
+        _, inverse, vecs, op = _solve_1d(
             a, w1(), eps, FineGrid(1, radius, 2 * grid.h), 3)
         assert vecs.shape == (3, grid.n_interior)
-        diag = (ah[:-1] + ah[1:]) / grid.h ** 2 + wd
-        polished = [_refine_eigenpair(diag, -ah[1:-1] / grid.h ** 2, v, ah,
-                                      wd, grid.h)[0] for v in vecs]
+        polished = [float(op.quotient(op.polish(v))) for v in vecs]
         for vals in (_lapack_route(a, w1(), eps, grid, 3), inverse, polished):
             with mpmath.workdps(40):
                 for k, lam in enumerate(vals):
-                    exact = _sturm_eigenvalue(ah, wd, grid.h, k, lam)
+                    exact = _sturm_eigenvalue(op, k, lam)
                     rel = float((mpmath.mpf(lam) - exact) / exact)
                     assert abs(rel) <= 2 * 2.0 ** -52
 
@@ -572,7 +652,7 @@ class TestMatching:
         spec = solve_spectrum(np.array([[1.0]]), W, basis, 4)
         br = simple_recursion(build_suite(c, W)[0], spec, 1, 2)
         fg = FineGrid(1, 7.0, 1.0 / 128)
-        ref = solve_Leps(c, W, 0.5, fg, 2)
+        ref = solve_Leps(c, W, 0.5, fg, 2, keep_vectors=True)
         rows = match_and_compare(ref, br, 0.5, P=2)
         assert rows[0].eig_err < 1e-9            # discretization floor only
         assert rows[0].l2_err < 1e-5
@@ -583,7 +663,7 @@ class TestMatching:
         errs = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             fg = FineGrid(1, 7.0, eps / 16)
-            ref = solve_Leps(coeff, W, eps, fg, 1)
+            ref = solve_Leps(coeff, W, eps, fg, 1, keep_vectors=True)
             rows = match_and_compare(ref, br, eps, P=0)
             errs.append((eps, rows[0].eig_err))
         slope, _, r2 = fit_rate(errs)
@@ -595,7 +675,7 @@ class TestMatching:
         errs = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             fg = FineGrid(1, 7.0, eps / 16)
-            ref = solve_Leps(coeff, W, eps, fg, 1)
+            ref = solve_Leps(coeff, W, eps, fg, 1, keep_vectors=True)
             rows = match_and_compare(ref, br, eps, P=1)
             errs.append((eps, rows[0].l2_err))
         slope, _, _ = fit_rate(errs)
@@ -610,7 +690,7 @@ class TestMatching:
         errs = {1: [], 3: []}
         for eps in (1 / 8, 1 / 16, 1 / 32):
             fg = FineGrid(1, 7.0, eps / 16)
-            ref = solve_Leps(coeff, W, eps, fg, 1)
+            ref = solve_Leps(coeff, W, eps, fg, 1, keep_vectors=True)
             for P in errs:
                 rows = match_and_compare(ref, br, eps, P=P)
                 errs[P].append((eps, rows[0].h1_err))
@@ -624,7 +704,8 @@ class TestMatching:
         import homspec.hermite as hermite
         coeff, W, br = branch_1d
         eps = 1 / 8
-        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1)
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1,
+                         keep_vectors=True)
         calls = []
         table_values = hermite.hermite_function_values
 
@@ -644,7 +725,8 @@ class TestMatching:
         import homspec.torus as torus
         coeff, W, br = branch_1d
         eps = 1 / 8
-        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1)
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1,
+                         keep_vectors=True)
         rows = []
         axis_basis = torus._axis_basis
 
@@ -658,29 +740,24 @@ class TestMatching:
         assert rows and max(rows) <= 32
 
     def test_compare_polishes_the_picked_vector(self, branch_1d, monkeypatch):
-        # solve_Leps keeps its h/2 vectors unpolished; the comparison
-        # polishes the one it picks, on the operator _fd_operator builds
-        import homspec.reference as reference
+        # solve_Leps keeps its h/2 vectors unpolished, with the h/2
+        # operator; the comparison polishes the one it picks, on it
         coeff, W, br = branch_1d
         eps = 1 / 8
-        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 3)
-        fine = ref.fine_grid
-        (ah,), diag, wd, _ = _fd_operator([coeff.entry(0, 0)], W, eps, fine)
-        assert np.array_equal(ah, ref.cell_coefficients)
-        assert np.array_equal(wd, ref.node_potential)
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 3,
+                         keep_vectors=True)
         calls = []
-        polish = reference._refine_eigenpair
+        polish = FDOperator.polish
 
-        def recording(d, off, vec, *rest):
-            calls.append((d, off, vec))
-            return polish(d, off, vec, *rest)
+        def recording(op, vec):
+            calls.append((op, vec))
+            return polish(op, vec)
 
-        monkeypatch.setattr(reference, "_refine_eigenpair", recording)
+        monkeypatch.setattr(FDOperator, "polish", recording)
         rows = match_and_compare(ref, br, eps, P=1)
         assert len(calls) == 1
-        d, off, vec = calls[0]
-        assert np.array_equal(d, diag)
-        assert np.array_equal(off, -ah[1:-1] / fine.h ** 2)
+        op, vec = calls[0]
+        assert op is ref.operator
         assert np.array_equal(vec, ref.eigenvectors[0])
         assert rows[0].lambda_ref == ref.eigenvalues_h2[0]
         assert 0.0 < rows[0].l2_err < 1e-3
@@ -690,7 +767,8 @@ class TestMatching:
         # only by the rounding of the unreduced per-node phases
         coeff, W, br = branch_1d
         eps = 1 / 32
-        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1)
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1,
+                         keep_vectors=True)
         lattice = match_and_compare(ref, br, eps, P=3)[0]
         monkeypatch.setattr(FineGrid, "phases",
                             lambda grid, e: (grid.points() / e, None))
@@ -712,8 +790,9 @@ class TestMatching:
         W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
         spec = solve_spectrum(np.eye(2), W, MacroBasis(2, 12, 1.0), 4)
         br = simple_recursion(build_suite(c, W)[0], spec, 1, 2)
-        ref = solve_Leps(c, W, 0.5, FineGrid(2, 4.0, 1.0 / 16), 1)
-        assert ref.eigenvectors is not None and ref.cell_coefficients is None
+        ref = solve_Leps(c, W, 0.5, FineGrid(2, 4.0, 1.0 / 16), 1,
+                         keep_vectors=True)
+        assert ref.eigenvectors is not None and ref.operator is None
         rows = match_and_compare(ref, br, 0.5, P=2)
         assert np.isnan(rows[0].h1_err)
         assert 0.0 < rows[0].l2_err < 1e-3
