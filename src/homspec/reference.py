@@ -27,7 +27,7 @@ and for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -197,7 +197,7 @@ class FDOperator:
         formed in the precision of shift and rounded into the band."""
         band = np.zeros((3, self.wdiag.size))
         band[0, 1:] = band[2, :-1] = self.off[0]
-        band[1] = self.diag - shift
+        band[1] = self.diag.astype(np.asarray(shift).dtype, copy=False) - shift
         return band
 
     def quotient(self, v) -> np.longdouble:
@@ -345,7 +345,9 @@ def _solve_1d(coeff_at, W, eps, grid, count):
             f"inverse iteration on the h/2 grid lost the order of the h "
             f"grid's eigenvalues: {fine_vals} from {vals}"
         )
-    return vals, fine_vals, fine_vecs, fop
+    # the record without the stencil that inverse iteration cached: a 1D
+    # sweep holds every eps's reference, and only the polish reads it again
+    return vals, fine_vals, fine_vecs, replace(fop)
 
 
 # --- 2D paths -------------------------------------------------------------------

@@ -429,6 +429,18 @@ def _parseval_dot(grid: TorusGrid, ah: np.ndarray, bh: np.ndarray) -> float:
 
 # --- coefficient fields ------------------------------------------------------
 
+def _eig_bounds(v: np.ndarray) -> tuple:
+    """Least and greatest pointwise eigenvalue of the symmetric d x d
+    coefficient values v, d = 1 or 2."""
+    if v.shape[0] == 1:
+        w = v[0, 0]
+        return float(w.min()), float(w.max())
+    tr = v[0, 0] + v[1, 1]
+    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+    disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
+    return float((tr / 2 - disc).min()), float((tr / 2 + disc).max())
+
+
 class CoefficientField:
     """Symmetric uniformly elliptic d x d coefficient a(y) on the torus.
 
@@ -453,23 +465,13 @@ class CoefficientField:
         self.a = a
         self.entry_fns = entry_fns
         self.from_samples = from_samples
-        lo, hi = self._eig_bounds()
+        lo, hi = _eig_bounds(a.values)
         if lo <= 0.0:
             raise NotElliptic(f"coefficient not positive definite, min eig {lo:.3e}")
         self.lam_min = lo
         self.lam_max = hi
         self.theta = hi / lo
         self._padded = None
-
-    def _eig_bounds(self):
-        v = self.a.values
-        if self.grid.dim == 1:
-            w = v[0, 0]
-            return float(w.min()), float(w.max())
-        tr = v[0, 0] + v[1, 1]
-        det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-        disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
-        return float((tr / 2 - disc).min()), float((tr / 2 + disc).max())
 
     @classmethod
     def from_isotropic(cls, grid: TorusGrid, fn) -> "CoefficientField":
@@ -600,11 +602,14 @@ def solve_cell(coeff: CoefficientField,
     subtracted before the solve.  Raises SingularSystem when preconditioned
     CG fails to reach the relative residual tol in CG_MAXITER iterations,
     or breaks down before: r.z not positive and finite, or p.Ap / r.z not
-    finite or below lam_min / (2 cbar).  In exact arithmetic p.Ap / r.z =
-    1/alpha lies in the spectrum of the preconditioned operator (Saad,
-    Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, 6.7), which
-    is bounded below by lam_min / cbar; once conjugacy is lost at rounding
-    level it falls far below that.
+    positive and finite or below lo / (2 cbar), lo the least eigenvalue of
+    the coefficient that the operator multiplies by, its interpolant on the
+    3/2 grid (padded_values).  In exact arithmetic p.Ap / r.z = 1/alpha
+    lies in the spectrum of the preconditioned operator (Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., 2003, 6.7), which is bounded
+    below by lo / cbar; once conjugacy is lost at rounding level it falls
+    far below that.  Where the interpolant of rough samples undershoots to
+    lo <= 0, only the sign is checked.
 
     The source is formed on the grid; CG then runs on its half spectrum,
     where the preconditioner is a diagonal scaling and the inner products
@@ -639,8 +644,9 @@ def solve_cell(coeff: CoefficientField,
     # the constant-coefficient Laplacian's inverse, zero on the mean
     inv = 1.0 / (0.5 * (coeff.lam_min + coeff.lam_max) * grid.k_squared)
     inv.flat[0] = 0.0
-    # lam_min / (2 cbar): half the least 1/alpha of CG in exact arithmetic
-    floor = coeff.lam_min / (coeff.lam_min + coeff.lam_max)
+    # lo / (2 cbar): half the least 1/alpha of CG in exact arithmetic
+    lo = _eig_bounds(coeff.padded_values())[0]
+    floor = max(lo, 0.0) / (coeff.lam_min + coeff.lam_max)
 
     uh = np.zeros(grid.half_shape, dtype=complex)
     r = _rfft(b)
@@ -652,10 +658,11 @@ def solve_cell(coeff: CoefficientField,
         for it in range(CG_MAXITER):
             Ap = _operator_half(coeff, p)
             pAp = _parseval_dot(grid, p, Ap)
-            if not (0.0 < rz < np.inf and floor <= pAp / rz < np.inf):
+            if not (0.0 < rz < np.inf and 0.0 < pAp / rz < np.inf
+                    and pAp / rz >= floor):
                 raise SingularSystem(
                     f"cell solve broke down at CG iteration {it}: p.Ap / r.z "
-                    f"= {pAp / rz:.3e}, bound lam_min / (2 cbar) = {floor:.3e}"
+                    f"= {pAp / rz:.3e}, bound lo / (2 cbar) = {floor:.3e}"
                 )
             alpha = rz / pAp
             uh += alpha * p

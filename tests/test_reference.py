@@ -330,19 +330,27 @@ def separable_2d(phase1=0.0, phase2=0.0):
     return c, SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
 
 
+# (phase2, count, rule, k): mode k of the second axis of separable_2d(0,
+# phase2) on the h grid (eps = 0.5, h = eps / rule) lies at a rounding
+# midpoint, and the count- and (count + 4)-pair solves round it to either
+# side; both failed the bit-for-bit comparison of count-pair with wider sums
+MODE_COUNT_MIDPOINTS = [(0.6327393334570294, 5, 16, 2),
+                        (0.7129680542099873, 3, 8, 0)]
+
+
 class TestSeparableFastPath:
     @settings(max_examples=15, deadline=None)
     @given(phase1=st.floats(0.0, 1.0), phase2=st.floats(0.0, 1.0),
            count=st.integers(1, 8), rule=st.sampled_from([8, 16]))
-    # LAPACK's vectors depend on how many pairs are asked for: here the h
-    # eigenvalue of mode 2 on the second axis moves by 1 ulp between 5 and
-    # 9 pairs asked
-    @example(phase1=0.0, phase2=0.6327393334570294, count=5, rule=16)
+    @example(phase1=0.0, phase2=MODE_COUNT_MIDPOINTS[0][0], count=5, rule=16)
+    @example(phase1=0.0, phase2=MODE_COUNT_MIDPOINTS[1][0], count=3, rule=8)
     def test_count_modes_per_axis(self, phase1, phase2, count, rule):
         # count 1D modes per axis give the count lowest sums of spectra
-        # computed with count + 4 modes, on h and on h/2: bit for bit, with
-        # the count modes of each axis taken from the count-mode solve, whose
-        # values are within 1 ulp of the wider solve's
+        # computed with count + 4 modes, on h and on h/2: bit for bit those
+        # of the count-pair values plus the wider solve's extra modes.  The
+        # count-pair values are within 1 ulp of the wider solve's: each is
+        # the energy quotient of a LAPACK vector, and those vectors depend
+        # on how many pairs are asked for
         parts = _separable_parts(*separable_2d(phase1, phase2))
         eps = 0.5
         grid = FineGrid(2, 3.0, eps / rule)
@@ -361,6 +369,24 @@ class TestSeparableFastPath:
                 spectra.append(np.concatenate([few[g], many[g][count:]]))
             sums = np.sort(np.add.outer(*spectra).ravel())
             assert np.array_equal(vals, sums[:count])
+
+    @pytest.mark.parametrize("phase2, count, rule, k", MODE_COUNT_MIDPOINTS)
+    def test_mode_count_midpoints_against_mpmath(self, phase2, count, rule,
+                                                 k):
+        # the two values of each midpoint case are at most 1 ulp apart, and
+        # both lie within 2 ulp of the eigenvalue that 40-digit bisection
+        # finds; the wider solve's is the correctly rounded one (-0.49996 and
+        # -0.49912 ulp from it, against +0.50004 and +0.50088)
+        _, a, _, W = _separable_parts(*separable_2d(0.0, phase2))
+        g1 = FineGrid(1, 3.0, 0.5 / rule)
+        few, many = (_solve_1d(a, W, 0.5, g1, c)[0][k]
+                     for c in (count, count + 4))
+        assert abs(few - many) <= np.spacing(many)
+        with mpmath.workdps(40):
+            exact = _sturm_eigenvalue(_fd_operator([a], W, 0.5, g1), k, many)
+            for lam in (few, many):
+                rel = float((mpmath.mpf(lam) - exact) / exact)
+                assert abs(rel) <= 2 * 2.0 ** -52
 
     def test_no_vectors_unless_kept(self):
         # the coarse and the fine grid both stop at eigenvalues: nothing of

@@ -279,6 +279,22 @@ class TestSolveCell:
         with pytest.raises(SingularSystem, match="in 2 iterations"):
             solve_cell(c, G=G)
 
+    @pytest.mark.parametrize("grid", [grid1(32), grid2(32)])
+    def test_rough_sampled_step_converges(self, grid):
+        # a 1:20 step sampled on 32 points per axis: its interpolant on the
+        # 3/2 grid, which the operator multiplies by, undershoots to -1.6,
+        # and 1/alpha = p.Ap / r.z falls to 0.044, below half the samples'
+        # lam_min / cbar (0.048) but positive; CG converges, and the breakdown
+        # check must not refuse it
+        y = grid.coords()[0]
+        step = np.where((y >= 0.25) & (y < 0.75), 20.0, 1.0)
+        d = grid.dim
+        c = CoefficientField.from_samples(
+            grid, np.eye(d).reshape((d, d) + (1,) * d) * step)
+        F = PeriodicField(grid, c.a.values[0])
+        u = solve_cell(c, F=F)
+        assert cell_residual(c, u, F=F) <= 1e-10 * hminus1_norm(div_y(F))
+
     def test_nonzero_mean_rejected(self):
         g = grid1()
         c = CoefficientField.identity(g)
