@@ -137,7 +137,7 @@ def cmd_spectrum(cfg: RunConfig, args):
 
 
 def cmd_expand(cfg: RunConfig, args):
-    from .expansion import assemble, lambda_tilde
+    from .expansion import assemble, envelope_requests, lambda_tilde
     from .hermite import HermiteSampler
     from .pipeline import (expansion_summary, stage_expand, stage_homogenize,
                            stage_spectrum)
@@ -155,16 +155,21 @@ def cmd_expand(cfg: RunConfig, args):
     _dump(payload, args.out, "expand.json")
     if args.out and args.w_samples > 0:
         # one Hermite table for every column and one Fourier basis per eps,
-        # shared by the branches, each on the grid's axis coordinates
+        # shared by the branches, each on the grid's axis coordinates; each
+        # envelope derivative is one request to the table
         coords, index, pts = _sample_grid(cfg.dim, spec.basis.sigma,
                                         args.w_samples)
         sample_x = HermiteSampler(spec.basis, coords, P_build + 1, index)
         columns = []
         for eps in cfg.eps_list:
             sample_y = FourierSampler(store.grid, coords / eps, index)
+            P = P_eps[eps]
             columns += [(f"w_eps{eps}_branch{br.label}",
-                         assemble(br, eps, pts, P=P_eps[eps], gradient=False,
-                                  sample_x=sample_x, sample_y=sample_y).w)
+                         assemble(br, eps, pts, P=P, gradient=False,
+                                  envelopes=[sample_x(br.U[k], alpha)
+                                             for k, alpha in
+                                             envelope_requests(br, P, False)],
+                                  sample_y=sample_y).w)
                         for br in branches]
         _write_grid_samples(args.out, "w_samples.csv", coords, index, columns)
     return 0

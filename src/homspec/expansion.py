@@ -52,7 +52,6 @@ from .errors import (
     SolvabilityViolated,
 )
 from .hermite import (
-    HermiteSampler,
     MacroFunction,
     QuadratureRule,
     SpectrumResult,
@@ -639,19 +638,58 @@ def lambda_tilde_shift(branch: ExpansionBranch, eps: float, P: int) -> float:
     return float(sum(eps ** p * branch.mu[p] for p in range(1, P + 1)))
 
 
+def _live(branch: ExpansionBranch, P: int) -> list:
+    """Orders k <= P whose envelope U_k is not zero."""
+    return [k for k, Uk in enumerate(branch.U[:P + 1])
+            if Uk is not None and Uk.norm() != 0.0]
+
+
+def _terms(branch: ExpansionBranch, P: int):
+    """(k, q, alpha) of every term eps^(q+k) d^alpha U_k chi_{q,alpha} of
+    w_eps, in the order assemble sums them: live k, then q <= P - k, then
+    |alpha| <= q."""
+    for k in _live(branch, P):
+        for q in range(0, P + 1 - k):
+            for mm in range(0, q + 1):
+                for alpha in monomials_of_degree(branch.table.d, mm):
+                    yield k, q, alpha
+
+
+def _up(alpha: tuple, i: int) -> tuple:
+    """alpha + e_i."""
+    return tuple(a + (ax == i) for ax, a in enumerate(alpha))
+
+
+def envelope_requests(branch: ExpansionBranch, P: int,
+                      gradient: bool) -> list:
+    """(k, alpha) of every envelope derivative d^alpha U_k that assemble
+    reads, each once: those of the terms whose corrector is not zero, and
+    with the gradient their first derivatives along every axis.  U_0 itself
+    comes first."""
+    requests = {}
+    for k, q, alpha in _terms(branch, P):
+        if branch.table.chi(q, alpha).is_zero():
+            continue
+        requests[k, alpha] = None
+        if gradient:
+            for i in range(branch.table.d):
+                requests[k, _up(alpha, i)] = None
+    return list(requests)
+
+
 def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
-             gradient: bool, sample_x: HermiteSampler,
+             gradient: bool, envelopes: list | np.ndarray,
              sample_y: FourierSampler) -> Assembly:
     """Assemble w_eps(x) = sum eps^p d^alpha U_k : chi(x, x/eps).
 
     The gradient is exact: spectral y-derivatives scaled by 1/eps plus slow
-    x-derivatives of the polynomial factors and envelopes.  Every envelope
-    derivative is sampled through ``sample_x``, a HermiteSampler of the
-    branch's basis at ``points`` with max_order at least P + 1, and every
-    corrector shape through ``sample_y``, a FourierSampler of the corrector
-    grid at the fast variable ``points / eps`` (reduced mod 1 as the caller
-    likes, such as on a lattice of phases).  Each envelope derivative and
-    each corrector shape is sampled once per call.
+    x-derivatives of the polynomial factors and envelopes.  Row i of
+    ``envelopes`` holds the values at ``points`` of request i of
+    envelope_requests(branch, P, gradient), such as a HermiteSampler's
+    batch gives them, and every corrector shape is sampled through
+    ``sample_y``, a FourierSampler of the corrector grid at the fast
+    variable ``points / eps`` (reduced mod 1 as the caller likes, such as on
+    a lattice of phases), once per call.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -660,17 +698,16 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = branch.table.d
     m = pts.shape[0]
+    row = {req: i for i, req in
+           enumerate(envelope_requests(branch, P, gradient))}
+    if len(envelopes) != len(row):
+        raise ValueError(f"{len(envelopes)} envelope rows for "
+                         f"{len(row)} requests")
     w = np.zeros(m)
     gw = np.zeros((d, m)) if gradient else None
     table = branch.table
-    live = [k for k, Uk in enumerate(branch.U[:P + 1])
-            if Uk is not None and Uk.norm() != 0.0]
-    envelopes, shapes = {}, {}
-
-    def envelope(Uk, alpha):
-        if alpha not in envelopes:
-            envelopes[alpha] = sample_x(Uk, alpha)
-        return envelopes[alpha]
+    live = _live(branch, P)
+    shapes = {}
 
     def shape(q, alpha, last):
         # chi(q, alpha) and, with the gradient, its x- and y-derivative
@@ -685,29 +722,21 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
                  for i in range(d)] if gradient else None)
         return shapes.pop((q, alpha)) if last else shapes[q, alpha]
 
-    for k in live:
-        Uk = branch.U[k]
-        envelopes.clear()
-        for q in range(0, P + 1 - k):
-            # no later order samples the shapes of order q
-            last = not any(k < j <= P - q for j in live)
-            for mm in range(0, q + 1):
-                for alpha in monomials_of_degree(d, mm):
-                    sampled = shape(q, alpha, last)
-                    if sampled is None:
-                        continue
-                    cvals, derivs = sampled
-                    scalef = eps ** (q + k)
-                    du = envelope(Uk, alpha)
-                    w += scalef * du * cvals
-                    if not gradient:
-                        continue
-                    for i, (dxc, dyc) in enumerate(derivs):
-                        e_i = tuple(1 if ax == i else 0 for ax in range(d))
-                        a_up = tuple(x + y for x, y in zip(alpha, e_i))
-                        gw[i] += scalef * envelope(Uk, a_up) * cvals
-                        if dxc is not None:
-                            gw[i] += scalef * du * dxc
-                        if dyc is not None:
-                            gw[i] += scalef / eps * du * dyc
+    for k, q, alpha in _terms(branch, P):
+        # no later order samples the shapes of order q
+        sampled = shape(q, alpha, not any(k < j <= P - q for j in live))
+        if sampled is None:
+            continue
+        cvals, derivs = sampled
+        scalef = eps ** (q + k)
+        du = envelopes[row[k, alpha]]
+        w += scalef * du * cvals
+        if not gradient:
+            continue
+        for i, (dxc, dyc) in enumerate(derivs):
+            gw[i] += scalef * envelopes[row[k, _up(alpha, i)]] * cvals
+            if dxc is not None:
+                gw[i] += scalef * du * dxc
+            if dyc is not None:
+                gw[i] += scalef / eps * du * dyc
     return Assembly(w, gw)

@@ -188,26 +188,36 @@ def assemble_L0(abar: np.ndarray, W: SlowPolynomial,
 # --- functions -----------------------------------------------------------------
 
 
-def hermite_function_values(x: np.ndarray, nmax: int, sigma: float) -> np.ndarray:
-    """Matrix of psi_n(x/sigma)/sqrt(sigma) for n < nmax, shape (len(x), nmax).
+def _hermite_rows(x: np.ndarray, nmax: int, sigma: float):
+    """Blocks of SAMPLE_BLOCK points of x as (slice, rows): rows[n] holds
+    psi_n(x/sigma)/sqrt(sigma) at the block's points, for n < nmax.
 
-    Stable recurrence with the Gaussian folded in; values underflow to zero
-    gracefully far in the tails.  The recurrence runs along the contiguous
-    rows of a transposed block of SAMPLE_BLOCK points, which is then copied
-    into the table.
+    The one copy of the stable recurrence, with the Gaussian folded in;
+    values underflow to zero gracefully far in the tails.  It runs along
+    the contiguous rows of each block, in one buffer that the next block
+    overwrites.
     """
     z = np.ravel(np.asarray(x, dtype=float)) / sigma
-    out = np.empty((z.size, nmax))
+    buf = np.empty((nmax, min(z.size, SAMPLE_BLOCK)))
     for start in range(0, z.size, SAMPLE_BLOCK):
-        zb = z[start:start + SAMPLE_BLOCK]
-        rows = np.empty((nmax, zb.size))
+        blk = slice(start, start + SAMPLE_BLOCK)
+        zb = z[blk]
+        rows = buf[:, :zb.size]
         rows[0] = np.pi ** -0.25 * np.exp(-0.5 * zb ** 2) / np.sqrt(sigma)
         if nmax > 1:
             rows[1] = np.sqrt(2.0) * zb * rows[0]
         for n in range(1, nmax - 1):
             rows[n + 1] = (np.sqrt(2.0 / (n + 1)) * zb * rows[n]
                            - np.sqrt(n / (n + 1.0)) * rows[n - 1])
-        out[start:start + SAMPLE_BLOCK] = rows.T
+        yield blk, rows
+
+
+def hermite_function_values(x: np.ndarray, nmax: int, sigma: float) -> np.ndarray:
+    """Matrix of psi_n(x/sigma)/sqrt(sigma) for n < nmax, shape (len(x), nmax):
+    the rows of _hermite_rows, one block at a time, copied into the table."""
+    out = np.empty((np.size(x), nmax))
+    for blk, rows in _hermite_rows(x, nmax, sigma):
+        out[blk] = rows.T
     return out
 
 
@@ -262,13 +272,15 @@ class HermiteSampler:
     """Derivatives of functions on one MacroBasis at one fixed point set.
 
     Point p has coordinate ``points[index[ax][p], ax]`` on axis ax; without
-    ``index`` it is row p of ``points``.  Holds one hermite_function_values
-    table per axis, built on the rows of ``points``, with basis.size +
+    ``index`` it is row p of ``points``.  A single request, ``sampler(f,
+    alpha)``, reads one hermite_function_values table per axis, built on the
+    rows of ``points`` at the first such request, with basis.size +
     max_order columns.  The recurrence fills columns left to right, so the
-    first Ne columns equal the table built for Ne alone, bit for bit.
+    first Ne columns equal the table built for Ne alone, bit for bit.  A
+    known batch of requests, ``sampler.batch(requests)``, builds no table.
     """
 
-    __slots__ = ("basis", "max_order", "tables", "index")
+    __slots__ = ("basis", "max_order", "points", "index", "_tables")
 
     def __init__(self, basis: MacroBasis, points: np.ndarray, max_order: int,
                  index: list | None = None):
@@ -277,36 +289,72 @@ class HermiteSampler:
             raise ValueError("points must have d columns")
         self.basis = basis
         self.max_order = max_order
-        self.tables = [hermite_function_values(pts[:, ax],
-                                               basis.size + max_order,
-                                               basis.sigma)
-                       for ax in range(basis.dim)]
+        self.points = pts
         self.index = index
+        self._tables = None
 
-    def __call__(self, f: MacroFunction,
-                 alpha: tuple | None = None) -> np.ndarray:
-        """Values of d^alpha f at the sampler's points.
+    @property
+    def tables(self) -> list:
+        """One hermite_function_values table per axis on the rows of points."""
+        if self._tables is None:
+            self._tables = [hermite_function_values(
+                self.points[:, ax], self.basis.size + self.max_order,
+                self.basis.sigma) for ax in range(self.basis.dim)]
+        return self._tables
+
+    def _core(self, f: MacroFunction, alpha: tuple, Ne: int) -> np.ndarray:
+        """Coefficients of d^alpha f on Ne modes per axis.
 
         The coefficients are lifted to an extended basis before applying the
         ladder derivative, so no derivative content is lost to truncation.
         """
-        d = self.basis.dim
-        alpha = tuple(alpha) if alpha is not None else (0,) * d
         order = sum(alpha)
         if order > self.max_order:
             raise ValueError(f"derivative order {order} exceeds the sampler's "
                              f"max_order {self.max_order}")
         if f.basis != self.basis:
             raise ValueError("function lives on a different basis")
-        Ne = self.basis.size + order
         core = extended_coefficients(f, alpha, Ne)
         # subnormal coefficients (rounding residue of exact zeros, such as
         # the off-parity modes of an oscillator eigenvector) add nothing a
         # double can hold to the normal terms, but slow the BLAS product
         # over every point several times over
         core[np.abs(core) < np.finfo(float).tiny] = 0.0
-        return tensor_contract([t[:, :Ne] for t in self.tables], core,
-                               self.index)
+        return core
+
+    def __call__(self, f: MacroFunction,
+                 alpha: tuple | None = None) -> np.ndarray:
+        """Values of d^alpha f at the sampler's points, from the tables."""
+        alpha = tuple(alpha) if alpha is not None else (0,) * self.basis.dim
+        Ne = self.basis.size + sum(alpha)
+        return tensor_contract([t[:, :Ne] for t in self.tables],
+                               self._core(f, alpha, Ne), self.index)
+
+    def batch(self, requests: list) -> np.ndarray:
+        """Values of d^alpha f at the sampler's points for every (f, alpha)
+        of requests, shape (len(requests), m).
+
+        Each request is lifted once to Ne modes per axis, Ne = basis.size
+        plus the highest order requested.  The recurrence then runs over
+        SAMPLE_BLOCK points at a time, and each block's rows are contracted
+        with every request's coefficients in one product, so only the
+        result is kept: no m x Ne table is built.
+        """
+        d, sigma = self.basis.dim, self.basis.sigma
+        Ne = self.basis.size + max(
+            (sum(alpha) for _, alpha in requests), default=0)
+        cores = np.stack([self._core(f, tuple(alpha), Ne)
+                          for f, alpha in requests])
+        pts = self.points if self.index is None else np.stack(
+            [self.points[ix, ax] for ax, ix in enumerate(self.index)], axis=1)
+        out = np.empty((len(requests), pts.shape[0]))
+        for blocks in zip(*(_hermite_rows(pts[:, ax], Ne, sigma)
+                            for ax in range(d))):
+            blk = blocks[0][0]
+            rows = [r for _, r in blocks]
+            out[:, blk] = (cores @ rows[0] if d == 1 else np.einsum(
+                "kab,ap,bp->kp", cores, *rows, optimize=True))
+        return out
 
 
 def extended_coefficients(f: MacroFunction, alpha: tuple, Ne: int) -> np.ndarray:

@@ -252,6 +252,7 @@ def run(cfg: RunConfig):
             "eps": eps, "P": P_eps[eps], "path": ref.path,
             "richardson_estimate": [float(v) for v in ref.error_estimates],
             "lambda_ref": [float(v) for v in ref.eigenvalues],
+            "polish_steps": [row.polish_steps for row in eps_rows],
         })
 
     series = [("eig", lambda row: row.eig_err),
@@ -338,7 +339,8 @@ def rows_from_csv(text: str) -> list:
         lambda_tilde=float(rec["lambda_tilde"]),
         eig_err=float(rec["eig_err"]), l2_err=float(rec["l2_err"]),
         h1_err=float(rec["h1_err"]), h=float(rec["h"]),
-        radius=float(rec["R"]), runtime_s=float(rec["runtime_s"]),
+        radius=float(rec["R"]), polish_steps=None,
+        runtime_s=float(rec["runtime_s"]),
     ) for rec in csv.DictReader(io.StringIO(text))]
 
 

@@ -27,7 +27,7 @@ and for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +45,7 @@ from .torus import CoefficientField, FourierSampler, tensor_rows
 MAX_UNKNOWNS_2D = 1_200_000
 MAX_OVERLAP_CONDITION = 10.0   # picked overlap / runner-up within a cluster
 POLISH_STEPS = 4               # cap on Newton steps per eigenpair
+POLISH_PLATEAU = 4.0           # least cut of |r|^2 per Newton step
 INVERSE_STEPS = 3              # inverse iterations per h/2 eigenpair
 
 
@@ -215,17 +216,18 @@ class FDOperator:
         potential = np.sum(self.wdiag * v * v)
         return (kinetic + potential) / np.sum(v * v)
 
-    def polish(self, vec: np.ndarray) -> np.ndarray:
+    def polish(self, vec: np.ndarray) -> tuple:
         """The eigenvector near vec, by bordered Newton steps in extended
         precision (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20,
-        1983).
+        1983), and the number of steps taken.
 
         Each step forms Tv, mu = v.Tv and r = Tv - mu v in long double,
         solves (T - mu) [y, z] = [r, v] once in float64, and moves v to
         v - y + (v.y / v.z) z, the Newton step that keeps the correction
-        orthogonal to v.  It stops when |r| no longer decreases (or T - mu is
-        exactly singular, i.e. the pair has converged), after at most
-        POLISH_STEPS steps.
+        orthogonal to v.  It stops at the rounding plateau: when a step cuts
+        |r|^2 by less than POLISH_PLATEAU (keeping the step's vector if it
+        is lower), when |r| no longer decreases, when T - mu is exactly
+        singular (the pair has converged), or after POLISH_STEPS steps.
         """
         d = self.diag.astype(np.longdouble)
         e = self.off[0].astype(np.longdouble)
@@ -237,22 +239,32 @@ class FDOperator:
             Tw[:-1] += e * w[1:]
             Tw[1:] += e * w[:-1]
             mu = np.dot(w, Tw)
-            r = Tw - mu * w
+            r = Tw                        # Tw - mu w, formed in place
+            r -= mu * w
             rr = np.dot(r, r)
             if not rr < best:
                 break
+            plateau = POLISH_PLATEAU * rr > best
             v, best = w, rr
-            if step == POLISH_STEPS:
+            if plateau or step == POLISH_STEPS:
                 break
-            rhs = np.stack([r, v], axis=1).astype(float)
+            # each step's work arrays are dropped as soon as they are read,
+            # and the solve overwrites its inputs: on the finest 1D grids
+            # the polish would otherwise set the comparison's peak memory
+            rhs = np.empty((v.size, 2))
+            rhs[:, 0], rhs[:, 1] = r, v
+            del Tw, r
             try:
                 y, z = sla.solve_banded((1, 1), self.band(mu), rhs,
+                                        overwrite_ab=True, overwrite_b=True,
                                         check_finite=False).T
             except np.linalg.LinAlgError:
                 break                     # mu is an eigenvalue of T in float64
             # y and z enter in long double, as v does
-            w = v - y + (np.dot(v, y) / np.dot(v, z)) * z
-        return v.astype(float)
+            w = v - y
+            w += (np.dot(v, y) / np.dot(v, z)) * z
+            del rhs, y, z
+        return v.astype(float), step
 
     def flux_gradient(self, v: np.ndarray) -> np.ndarray:
         """Gradient of node values v (Dirichlet) through the flux, (1, n).
@@ -543,6 +555,9 @@ class ComparisonRow:
     h1_err: float
     h: float
     radius: float
+    # Newton steps of the polish, None without one: a diagnostic that
+    # sweep.csv does not carry, so rows equal without it
+    polish_steps: int | None = field(compare=False)
     runtime_s: float = 0.0
 
 
@@ -564,7 +579,7 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
     and its rows carry NaN L2 and H1 errors.  Raises
     MatchingAmbiguous when no assignment dominates by the requested ratio.
     """
-    from .expansion import assemble, lambda_tilde
+    from .expansion import assemble, envelope_requests, lambda_tilde
     from .hermite import HermiteSampler
 
     if not isinstance(branches, (list, tuple)):
@@ -574,24 +589,27 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
     if vectors:
         grid = ref.fine_grid
         pts = grid.points()
-        coords, index = grid.nodes()
         phases = grid.phases(eps)
         measure = grid.h ** grid.dim
 
     def predicted(br):
-        # one Hermite table on the node coordinates serves the overlap with
-        # U_0 and the assembly, and the corrector shapes are sampled at one
-        # period of node phases; both tables are gone before the polish
-        sample_x = HermiteSampler(br.spectrum.basis, coords, P + 1, index)
-        u0 = sample_x(br.U[0])
-        return u0, assemble(br, eps, pts, P=P, gradient=op is not None,
-                            sample_x=sample_x,
-                            sample_y=FourierSampler(br.table.grid, *phases))
+        # one batch at the nodes samples U_0 (its first row) for the overlap
+        # and every envelope derivative of the assembly, and the corrector
+        # shapes are sampled at one period of node phases; only a copy of
+        # the U_0 row outlives the assembly, so the batch is gone before the
+        # polish
+        requests = envelope_requests(br, P, op is not None)
+        envelopes = HermiteSampler(br.spectrum.basis, pts, P + 1).batch(
+            [(br.U[k], alpha) for k, alpha in requests])
+        return envelopes[0].copy(), assemble(
+            br, eps, pts, P=P, gradient=op is not None, envelopes=envelopes,
+            sample_y=FourierSampler(br.table.grid, *phases))
 
     rows = []
     used = set()
     for br in branches:
         l2 = h1 = float("nan")
+        steps = None
         if not vectors:
             pick = min(br.cluster[0] + br.label, len(ref.eigenvalues) - 1)
         else:
@@ -612,7 +630,8 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
             if op is not None:
                 # polish the picked vector, then normalize it as solve_Leps
                 # does and overlap it as above, as a one-row array
-                row = grid.normalize(op.polish(vec)[None])
+                polished, steps = op.polish(vec)
+                row = grid.normalize(polished[None])
                 vec, overlap = row[0], (row @ u0 * measure)[0]
             psi = vec / overlap
             diff = psi - asm.w
@@ -630,7 +649,7 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
             lambda_tilde=lam_tilde,
             eig_err=abs(lam_ref - lam_tilde),
             l2_err=l2, h1_err=h1,
-            h=ref.grid.h, radius=ref.grid.radius,
+            h=ref.grid.h, radius=ref.grid.radius, polish_steps=steps,
         ))
     return rows
 

@@ -18,6 +18,7 @@ from homspec.expansion import (
     assemble,
     build_D_matrix,
     choose_P,
+    envelope_requests,
     lambda_tilde,
     lambda_tilde_shift,
     multiple_recursion,
@@ -43,11 +44,18 @@ def store(coeff, W, tol=1e-13):
     return build_suite(coeff, W, tol=tol)[0]
 
 
+def envelope_batch(branch, pts, P, gradient):
+    """Every envelope derivative that assemble reads at pts, as one batch."""
+    return HermiteSampler(branch.spectrum.basis, pts, P + 1).batch(
+        [(branch.U[k], alpha)
+         for k, alpha in envelope_requests(branch, P, gradient)])
+
+
 def assemble_at(branch, eps, pts, P):
-    """assemble with its gradient, sampling at pts through one Hermite table
+    """assemble with its gradient, sampling at pts through one Hermite batch
     and one Fourier basis."""
     return assemble(branch, eps, pts, P=P, gradient=True,
-                    sample_x=HermiteSampler(branch.spectrum.basis, pts, P + 1),
+                    envelopes=envelope_batch(branch, pts, P, True),
                     sample_y=FourierSampler(branch.table.grid, pts / eps))
 
 
@@ -459,10 +467,11 @@ class TestAssemble:
             + eps * chi1.evaluate(pts / eps) * phi.evaluate(pts, (2,))
         assert np.max(np.abs(asm.grad_w[0] - expect)) < 1e-10
 
-    def test_one_basis_and_table_per_point_set(self, case_1d, monkeypatch):
-        # every corrector shape and envelope derivative reuses the caller's
-        # Fourier basis and Hermite table; rebuilding them per call would
-        # make 15 Fourier bases and 14 Hermite tables here
+    def test_one_basis_and_no_table_per_point_set(self, case_1d,
+                                                   monkeypatch):
+        # every corrector shape reuses the caller's Fourier basis, and every
+        # envelope derivative comes from its batch; rebuilding the basis per
+        # call would make 15 Fourier bases, and no Hermite table is built
         import homspec.expansion as expansion
         import homspec.hermite as hermite
         _, _, _, branch = case_1d
@@ -483,11 +492,11 @@ class TestAssemble:
         monkeypatch.setattr(hermite, "hermite_function_values", counting_values)
         pts = np.linspace(-2.0, 2.0, 101).reshape(-1, 1)
         asm = assemble(branch, 0.05, pts, P=3, gradient=True,
-                       sample_x=HermiteSampler(branch.spectrum.basis, pts, 4),
+                       envelopes=envelope_batch(branch, pts, 3, True),
                        sample_y=expansion.FourierSampler(branch.table.grid,
                                                          pts / 0.05))
         assert np.all(np.isfinite(asm.grad_w))
-        assert counts == {"fourier": 1, "hermite": 1}
+        assert counts == {"fourier": 1, "hermite": 0}
 
 
 
@@ -566,7 +575,9 @@ class TestMatchingAmbiguity:
             sample_x = HermiteSampler(br.spectrum.basis, pts, P + 1)
             psi = vecs[r] / (vecs[r] @ sample_x(br.U[0]) * grid.h ** 2)
             asm = assemble(br, eps, pts, P=P, gradient=False,
-                           sample_x=sample_x,
+                           envelopes=[sample_x(br.U[k], alpha)
+                                      for k, alpha
+                                      in envelope_requests(br, P, False)],
                            sample_y=FourierSampler(br.table.grid, per_point_y))
             l2 = np.sqrt(np.sum((psi - asm.w) ** 2) * grid.h ** 2)
             assert row.l2_err > 0.0

@@ -378,6 +378,17 @@ class TestPipeline:
         assert [e["path"] for e in manifest.per_eps] == (
             ["tridiagonal"] * len(cfg.eps_list))
 
+    def test_per_eps_polish_steps(self, mini_run):
+        # each eps records the Newton steps of every compared pair's polish:
+        # one step reaches the rounding floor and the next stops on the
+        # plateau
+        from homspec.reference import POLISH_STEPS
+        cfg, manifest, rows = mini_run
+        assert [e["polish_steps"] for e in manifest.per_eps] == [
+            [row.polish_steps for row in rows if row.eps == eps]
+            for eps in cfg.eps_list]
+        assert all(1 <= row.polish_steps <= POLISH_STEPS for row in rows)
+
     def test_manifest_hierarchy_field(self, mini_run):
         _, manifest, _ = mini_run
         assert manifest.hierarchy_residual_max < 1e-8

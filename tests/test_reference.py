@@ -585,7 +585,7 @@ class TestPolish:
         ]
         for start, shift, (lam_hex, oracle_sha) in zip(
                 starts, (1.08, 3.25, 5.41), pinned):
-            v = op.polish(start)
+            v, _ = op.polish(start)
             assert float.hex(float(op.quotient(v))) == lam_hex
             lam_t, v_t = _thomas_polish(op, shift, start)
             assert float.hex(lam_t) == lam_hex
@@ -607,7 +607,7 @@ class TestPolish:
         op = _fd_operator([a], w1(), eps, grid)
         vals, vecs = sla.eigh_tridiagonal(op.diag, op.off[0], select="i",
                                           select_range=(0, 0))
-        v = op.polish(vecs[:, 0])
+        v, _ = op.polish(vecs[:, 0])
         lam_t, v_t = _thomas_polish(op, vals[0], vecs[:, 0])
         assert float(op.quotient(v)) == lam_t
         gap = min(np.linalg.norm(v - v_t), np.linalg.norm(v + v_t))
@@ -625,7 +625,7 @@ class TestPolish:
         op = FDOperator((np.array(aharm),), anodes=(), wdiag=np.zeros(3),
                         h=1.0)
         start = np.array(start)
-        v = op.polish(start)
+        v, _ = op.polish(start)
         assert float(op.quotient(v)) == pytest.approx(lam, rel=1e-15)
         assert np.allclose(v, start / np.linalg.norm(start), rtol=0,
                            atol=1e-15)
@@ -646,13 +646,39 @@ class TestPolish:
         _, inverse, vecs, op = _solve_1d(
             a, w1(), eps, FineGrid(1, radius, 2 * grid.h), 3)
         assert vecs.shape == (3, grid.n_interior)
-        polished = [float(op.quotient(op.polish(v))) for v in vecs]
+        polished = [float(op.quotient(op.polish(v)[0])) for v in vecs]
         for vals in (_lapack_route(a, w1(), eps, grid, 3), inverse, polished):
             with mpmath.workdps(40):
                 for k, lam in enumerate(vals):
                     exact = _sturm_eigenvalue(op, k, lam)
                     rel = float((mpmath.mpf(lam) - exact) / exact)
                     assert abs(rel) <= 2 * 2.0 ** -52
+
+    def test_polish_stops_on_the_plateau(self, branch_1d, monkeypatch):
+        # from the inverse-iteration vector one Newton step reaches the
+        # rounding floor of |r|^2; the second cuts it by less than
+        # POLISH_PLATEAU, so the polish stops there.  Without the plateau
+        # rule it takes a third step here, which leaves the quotient as it is
+        coeff, W, br = branch_1d
+        eps = 1 / 8
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1,
+                         keep_vectors=True)
+        op = ref.operator
+        solves = []
+        solve = sla.solve_banded
+
+        def counting(*args, **kwargs):
+            solves.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "solve_banded", counting)
+        v, steps = op.polish(ref.eigenvectors[0])
+        assert steps == len(solves) == 2
+        import homspec.reference as reference
+        monkeypatch.setattr(reference, "POLISH_PLATEAU", 0.0)
+        w, more = op.polish(ref.eigenvectors[0])
+        assert more > steps
+        assert op.quotient(w) == pytest.approx(op.quotient(v), rel=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -725,24 +751,47 @@ class TestMatching:
         assert 0.9 <= slope1 <= 1.1
         assert slope3 >= 2.5
 
-    def test_one_hermite_table_per_branch(self, branch_1d, monkeypatch):
-        # the overlap with U_0 and the assembly share one Hermite table
+    def test_one_recurrence_pass_per_branch(self, branch_1d, monkeypatch):
+        # one pass of the Hermite recurrence over the node coordinates serves
+        # the overlap with U_0 and the assembly; no table is built, since
+        # a table is filled by the same recurrence
         import homspec.hermite as hermite
         coeff, W, br = branch_1d
         eps = 1 / 8
         ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1,
                          keep_vectors=True)
         calls = []
-        table_values = hermite.hermite_function_values
+        recurrence = hermite._hermite_rows
 
-        def counting_values(*args):
-            calls.append(args[1])
-            return table_values(*args)
+        def counting_rows(x, nmax, sigma):
+            calls.append((np.size(x), nmax))
+            return recurrence(x, nmax, sigma)
 
-        monkeypatch.setattr(hermite, "hermite_function_values", counting_values)
+        monkeypatch.setattr(hermite, "_hermite_rows", counting_rows)
         rows = match_and_compare(ref, br, eps, P=2)
         assert np.isfinite(rows[0].h1_err)
-        assert calls == [br.spectrum.basis.size + 3]
+        assert calls == [(ref.fine_grid.n_interior,
+                          br.spectrum.basis.size + 3)]
+
+    def test_compare_peaks_below_half_a_table(self, branch_1d):
+        # the comparison builds no m x (N + P + 1) Hermite table: on 57 343
+        # h/2 nodes its allocations peak below half of one.  The batch holds
+        # one row per envelope derivative (8 here), and the polish runs once
+        # the batch is gone
+        coeff, W, br = branch_1d
+        eps, P = 1 / 128, 3
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1,
+                         keep_vectors=True)
+        m = ref.fine_grid.n_interior
+        assert m >= 35_000
+        tracemalloc.start()
+        try:
+            rows = match_and_compare(ref, br, eps, P=P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(rows[0].h1_err)
+        assert peak < 0.5 * m * (br.spectrum.basis.size + P + 1) * 8
 
     def test_corrector_bases_span_one_period(self, branch_1d, monkeypatch):
         # the fine-grid nodes repeat p = eps/h = 32 fast phases, so no
