@@ -30,12 +30,23 @@ def _make_dir(out_dir: str) -> str:
 
 
 def _write(out_dir: str, name: str, text: str):
-    """Write text to out_dir/name, making out_dir; a file that cannot be
-    written is a config error."""
+    """Write text to out_dir/name: _write_pieces with one piece.  Every
+    artifact held as one text comes here, and perfbench's tracer wraps
+    this name to count the bytes of that text."""
+    return _write_pieces(out_dir, name, [text])
+
+
+def _write_pieces(out_dir: str, name: str, pieces):
+    """Write the text pieces in turn to out_dir/name, making out_dir, and
+    return its path; a file that cannot be written is a config error.
+
+    Each piece is encoded and written as it is taken, so pieces from a
+    generator never exist together.
+    """
     path = os.path.join(_make_dir(out_dir), name)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
@@ -61,8 +72,8 @@ def _sample_grid(dim, sigma, n):
             np.stack([x[r] for r in index], axis=1))
 
 
-# Rows per block of a grid-sample CSV: the formatted values of one block are
-# held at once, so the block bounds those transient strings.
+# Rows per block of a grid-sample CSV: the writer formats and writes one
+# block at a time, so the block bounds the file's text held at once.
 CSV_BLOCK = 1024
 
 
@@ -71,19 +82,23 @@ def _write_grid_samples(out_dir, name, coords, index, columns):
     ``columns``; point p has coordinate coords[index[ax][p], ax] on axis ax.
 
     Each distinct coordinate is formatted once, and every value as repr,
-    which is what csv.writer writes for a float; the rows are formatted in
-    blocks of CSV_BLOCK.
+    which is what csv.writer writes for a float.  The rows are formatted
+    and written in blocks of CSV_BLOCK, so the writer holds one block's
+    text besides each axis's coordinate strings.
     """
     axes = [np.array(list(map(repr, coords[:, ax].tolist())), dtype=object)
             for ax in range(coords.shape[1])]
-    blocks = [",".join([f"x{ax + 1}" for ax in range(len(axes))]
-                       + [h for h, _ in columns])]
-    for start in range(0, len(index[0]), CSV_BLOCK):
-        rows = slice(start, start + CSV_BLOCK)
-        cols = [x[ix[rows]] for x, ix in zip(axes, index)]
-        cols += [map(repr, v[rows].tolist()) for _, v in columns]
-        blocks.append("\n".join(map(",".join, zip(*cols))))
-    print(_write(out_dir, name, "\n".join(blocks) + "\n"))
+
+    def blocks():
+        yield ",".join([f"x{ax + 1}" for ax in range(len(axes))]
+                       + [h for h, _ in columns]) + "\n"
+        for start in range(0, len(index[0]), CSV_BLOCK):
+            rows = slice(start, start + CSV_BLOCK)
+            cols = [x[ix[rows]] for x, ix in zip(axes, index)]
+            cols += [map(repr, v[rows].tolist()) for _, v in columns]
+            yield "\n".join(map(",".join, zip(*cols))) + "\n"
+
+    print(_write_pieces(out_dir, name, blocks()))
 
 
 def cmd_homogenize(cfg: RunConfig, args):

@@ -128,6 +128,8 @@ def _lift(N: int, Ne: int, order: int, sigma: float) -> np.ndarray:
 
 
 def _kron_chain(blocks: list) -> np.ndarray:
+    """Kronecker product of the blocks; a single block is returned as is,
+    so a caller that writes to the product passes a fresh one."""
     out = blocks[0]
     for b in blocks[1:]:
         out = np.kron(out, b)
@@ -144,8 +146,10 @@ def poly_multiply_op(W: SlowPolynomial, basis: MacroBasis) -> np.ndarray:
     N, d = basis.size, basis.dim
     out = np.zeros((basis.total, basis.total))
     for alpha, c in W.coeffs.items():
-        blocks = [_axis_x_power(N, alpha[ax], basis.sigma) for ax in range(d)]
-        out += c * _kron_chain(blocks)
+        term = _kron_chain([_axis_x_power(N, alpha[ax], basis.sigma)
+                            for ax in range(d)])
+        term *= c
+        out += term
     return out
 
 
@@ -181,8 +185,13 @@ def assemble_L0(abar: np.ndarray, W: SlowPolynomial,
                 blocks = [np.eye(N)] * d
                 blocks[i] = _lift(N, N, 1, basis.sigma).T
                 blocks[j] = _lift(N, N, 1, basis.sigma)
-            L += abar[i, j] * _kron_chain(blocks)
-    return 0.5 * (L + L.T)
+            term = _kron_chain(blocks)
+            term *= abar[i, j]
+            L += term
+    # in place: numpy buffers the transposed operand it overlaps
+    L += L.T
+    L *= 0.5
+    return L
 
 
 # --- functions -----------------------------------------------------------------

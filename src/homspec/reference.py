@@ -43,6 +43,7 @@ from .slowpoly import SlowPolynomial
 from .torus import CoefficientField, FourierSampler, tensor_rows
 
 MAX_UNKNOWNS_2D = 1_200_000
+MAX_NODES_PER_AXIS = 1 << 22   # h/2 grid nodes per axis: 32 MB a float64 axis
 MAX_OVERLAP_CONDITION = 10.0   # picked overlap / runner-up within a cluster
 POLISH_STEPS = 4               # cap on Newton steps per eigenpair
 POLISH_PLATEAU = 4.0           # least cut of |r|^2 per Newton step
@@ -490,7 +491,9 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     eigenvectors are returned on the h/2 grid, unpolished, only with
     keep_vectors, and in 1D with the h/2 operator.  Raises
     GridTooCoarse when h does not resolve eps, or when the box holds fewer
-    than max(count, 2) interior nodes per axis.
+    than max(count, 2) interior nodes per axis, and ConvergenceFailure,
+    before any array is built, when the h/2 grid holds more than
+    MAX_NODES_PER_AXIS.
     """
     grid.check_resolves(eps)
     if grid.n_interior < max(count, 2):
@@ -500,6 +503,12 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
             f"need at least {max(count, 2)}"
         )
     fine = FineGrid(grid.dim, grid.radius, grid.h / 2.0)
+    if fine.n_interior > MAX_NODES_PER_AXIS:
+        raise ConvergenceFailure(
+            f"{fine.n_interior:.3g} nodes per axis on [-{grid.radius:.3g}, "
+            f"{grid.radius:.3g}] with h/2 = {fine.h:.3g} exceed the cap "
+            f"{MAX_NODES_PER_AXIS}"
+        )
     op = None
     if grid.dim == 1:
         vals_h, vals_h2, vecs, op = _solve_1d(

@@ -145,12 +145,29 @@ class SeparableField:
         x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
         out = np.zeros(x_pts.shape[0])
         for b, f in self.terms.items():
-            mono = np.ones(x_pts.shape[0])
-            for ax, p in enumerate(b):
-                if p:
-                    mono = mono * x_pts[:, ax] ** p
-            out += mono * sample(f)
+            # the sampler returns a fresh array; no term's arrays outlive
+            # its addition
+            out += _times_monomial(sample(f), x_pts, b)
         return out
 
     def __repr__(self):
         return f"SeparableField({len(self.terms)} terms, deg {self.degree()})"
+
+
+def _times_monomial(values: np.ndarray, x_pts: np.ndarray,
+                    beta: tuple) -> np.ndarray:
+    """values times the monomial x^beta at x_pts, in place: the x-powers are
+    multiplied left to right and then into values, so each product rounds
+    as in (x_1^beta_1 * x_2^beta_2) * values; the constant monomial leaves
+    values as they are."""
+    mono = None
+    for ax, p in enumerate(beta):
+        if p:
+            power = x_pts[:, ax] ** p
+            if mono is None:
+                mono = power
+            else:
+                mono *= power
+    if mono is not None:
+        values *= mono
+    return values

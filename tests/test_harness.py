@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -469,6 +470,27 @@ class TestGridSamples:
         w.writerows(np.column_stack([pts] + [v for _, v in columns]).tolist())
         assert (out / "g.csv").read_text() == buf.getvalue()
 
+    def test_writer_holds_one_block(self, tmp_path):
+        # the rows are formatted and written one CSV_BLOCK at a time, so the
+        # writer's allocations peak below half of the file: a writer that
+        # joins every block into one text holds several times the file
+        rng = np.random.default_rng(7)
+        n = 128
+        assert n ** 2 == 16 * cli.CSV_BLOCK
+        coords = np.repeat(np.linspace(-4.0, 4.0, n)[:, None], 2, axis=1)
+        index = tensor_rows(n, 2)
+        columns = [(f"c{i}", rng.standard_normal(n ** 2)) for i in range(3)]
+        tracemalloc.start()
+        try:
+            cli._write_grid_samples(str(tmp_path), "g.csv", coords, index,
+                                    columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "g.csv").stat().st_size
+        assert size > 1_000_000
+        assert peak < 0.5 * size
+
 
 class TestVerify:
     def test_all_pass(self):
@@ -873,6 +895,33 @@ class TestCLI:
                          "--out", str(out), "sweep"])
         assert code == 3
         assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, argv, name", [
+        ("expand", ["--w-samples", "3"], "w_samples.csv"),
+        ("spectrum", ["--eigenfunction-samples", "3"], "eigenfunctions.csv")])
+    def test_unwritable_grid_samples_exit_code(self, tmp_path, command, argv,
+                                               name):
+        # a directory in the place of the grid-sample CSV: the streamed
+        # writer's open fails as one config error line, as every artifact's
+        cfgfile = self._minimal(tmp_path)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        r = self._run("--config", str(cfgfile), "--out", str(out), command,
+                      *argv, cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: cannot write ",
+                                str(out / name))
+
+    @pytest.mark.parametrize("command", ["reference", "sweep"])
+    def test_box_too_large_exit_code(self, tmp_path, command):
+        # a radius of 1e30 puts 6.4e32 nodes on each axis of the h/2 grid:
+        # the reference refuses it before building an array, not with
+        # numpy's ValueError from an arange of that length
+        cfgfile = self._minimal(tmp_path, "[discretization]",
+                                "[discretization]\nradius = 1e30")
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                      command, cwd=str(tmp_path))
+        self._fails_in_one_line(r, 4, "numerical failure: ",
+                                f"exceed the cap {reference.MAX_NODES_PER_AXIS}")
 
     @pytest.mark.parametrize("sigma", ["1e200", "1e-300"])
     def test_far_hermite_scale_exit_code(self, tmp_path, sigma):

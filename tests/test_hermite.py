@@ -69,6 +69,50 @@ class TestAssembly:
         L = assemble_L0(np.array([[1.5, 0.2], [0.2, 1.0]]), W, basis)
         assert np.max(np.abs(L - L.T)) == 0.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+           N=st.integers(8, 14), sigma=st.floats(0.3, 3.0))
+    def test_in_place_equals_out_of_place(self, seed, dim, N, sigma):
+        # L0 accumulates its Kronecker terms and symmetrizes in place: the
+        # same products and sums as the out-of-place formula, bit for bit
+        rng = np.random.default_rng(seed)
+        diag = rng.uniform(0.5, 3.0, dim)
+        abar = np.diag(diag)
+        W = {(2,) + (0,) * (dim - 1): rng.uniform(0.5, 2.0),
+             (0,) * dim: rng.uniform(-1.0, 1.0),
+             (1,) + (0,) * (dim - 1): rng.uniform(-1.0, 1.0)}
+        if dim == 2:
+            # SPD with a nonzero coupling, and a cross term in W
+            abar[0, 1] = abar[1, 0] = (rng.choice([-1.0, 1.0])
+                                       * rng.uniform(0.1, 0.9)
+                                       * np.sqrt(diag[0] * diag[1]))
+            W[(0, 2)] = rng.uniform(0.5, 2.0)
+            W[(1, 1)] = (rng.uniform(-0.9, 0.9)
+                         * 2.0 * np.sqrt(W[(2, 0)] * W[(0, 2)]))
+        W = SlowPolynomial(dim, W)
+        basis = MacroBasis(dim, N, sigma)
+
+        def oracle():
+            L = np.zeros((basis.total, basis.total))
+            for alpha, c in W.coeffs.items():
+                L += c * hermite._kron_chain(
+                    [hermite._axis_x_power(N, alpha[ax], sigma)
+                     for ax in range(dim)])
+            for i in range(dim):
+                for j in range(dim):
+                    blocks = [np.eye(N)] * dim
+                    if i == j:
+                        blocks[i] = hermite._axis_kinetic(N, sigma)
+                    else:
+                        blocks[i] = _lift(N, N, 1, sigma).T
+                        blocks[j] = _lift(N, N, 1, sigma)
+                    L += abar[i, j] * hermite._kron_chain(blocks)
+            return 0.5 * (L + L.T)
+
+        L = assemble_L0(abar, W, basis)
+        assert np.array_equal(L, oracle())
+        assert np.array_equal(L, L.T)
+
     def test_nonconfining_rejected(self):
         basis = MacroBasis(1, 8, 1.0)
         with pytest.raises(NonConfining):

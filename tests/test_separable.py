@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from homspec.separable import SeparableField
 from homspec.slowpoly import SlowPolynomial
-from homspec.torus import PeriodicField, TorusGrid
+from homspec.torus import FourierSampler, PeriodicField, TorusGrid, tensor_rows
 
 TOL = 1e-13
 
@@ -72,3 +72,40 @@ class TestRingLaws:
         means = [f.ring().y_mean()] + [f.dy(ax).y_mean() for ax in range(dim)]
         for poly in means:
             assert all(abs(c) <= TOL for c in poly.coeffs.values())
+
+
+class TestEvalXY:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+           n=st.sampled_from([4, 8]),
+           monomials=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                             min_size=1, max_size=6),
+           indexed=st.booleans())
+    def test_equals_ones_based_formula(self, seed, dim, n, monomials,
+                                       indexed):
+        # each sample scaled in place by its monomial, the constant one
+        # added as is: bitwise what summing ones * x-powers * sample gives
+        rng = np.random.default_rng(seed)
+        grid = TorusGrid(dim, n)
+        f = SeparableField(grid, {
+            beta[:dim]: PeriodicField(grid, rng.standard_normal(grid.shape))
+            for beta in monomials})
+        if indexed:
+            k = 7
+            index = tensor_rows(k, dim)
+            y = rng.uniform(-3.0, 3.0, (k, dim))
+            sample = FourierSampler(grid, y, index)
+            x = np.stack([rng.uniform(-4.0, 4.0, k)[ix] for ix in index],
+                         axis=1)
+        else:
+            m = 300
+            sample = FourierSampler(grid, rng.uniform(-3.0, 3.0, (m, dim)))
+            x = rng.uniform(-4.0, 4.0, (m, dim))
+        expect = np.zeros(x.shape[0])
+        for beta, shape in f.terms.items():
+            mono = np.ones(x.shape[0])
+            for ax, p in enumerate(beta):
+                if p:
+                    mono = mono * x[:, ax] ** p
+            expect += mono * sample(shape)
+        assert np.array_equal(f.eval_xy(x, sample), expect)
