@@ -52,6 +52,7 @@ from .errors import (
     SolvabilityViolated,
 )
 from .hermite import (
+    HermiteSampler,
     MacroFunction,
     QuadratureRule,
     SpectrumResult,
@@ -623,10 +624,11 @@ def multiple_recursion(store: CorrectorTable, spec: SpectrumResult, j: int,
 @dataclass
 class Assembly:
     """Samples of the expanded eigenfunction (and of its gradient, when
-    asked for)."""
+    asked for), and a copy of those of U_0."""
 
     w: np.ndarray
     grad_w: np.ndarray | None
+    u0: np.ndarray
 
 
 def lambda_tilde(branch: ExpansionBranch, eps: float, P: int) -> float:
@@ -678,18 +680,20 @@ def envelope_requests(branch: ExpansionBranch, P: int,
 
 
 def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
-             gradient: bool, envelopes: list | np.ndarray,
+             gradient: bool, sample_x: HermiteSampler,
              sample_y: FourierSampler) -> Assembly:
     """Assemble w_eps(x) = sum eps^p d^alpha U_k : chi(x, x/eps).
 
     The gradient is exact: spectral y-derivatives scaled by 1/eps plus slow
-    x-derivatives of the polynomial factors and envelopes.  Row i of
-    ``envelopes`` holds the values at ``points`` of request i of
-    envelope_requests(branch, P, gradient), such as a HermiteSampler's
-    batch gives them, and every corrector shape is sampled through
-    ``sample_y``, a FourierSampler of the corrector grid at the fast
-    variable ``points / eps`` (reduced mod 1 as the caller likes, such as on
-    a lattice of phases), once per call.
+    x-derivatives of the polynomial factors and envelopes.  Every envelope
+    derivative of envelope_requests(branch, P, gradient) is sampled at
+    ``points`` in one call of ``sample_x``, a HermiteSampler of the
+    branch's basis at those points (as rows or through an index) of order
+    P + 1 or more, and every corrector shape through ``sample_y``, a
+    FourierSampler of the corrector grid at the fast variable
+    ``points / eps`` (reduced mod 1 as the caller likes, such as on a
+    lattice of phases), once per call.  Of the envelope samples, only a
+    copy of U_0's outlives the call.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -698,11 +702,9 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = branch.table.d
     m = pts.shape[0]
-    row = {req: i for i, req in
-           enumerate(envelope_requests(branch, P, gradient))}
-    if len(envelopes) != len(row):
-        raise ValueError(f"{len(envelopes)} envelope rows for "
-                         f"{len(row)} requests")
+    requests = envelope_requests(branch, P, gradient)
+    row = {req: i for i, req in enumerate(requests)}
+    envelopes = sample_x([(branch.U[k], alpha) for k, alpha in requests])
     w = np.zeros(m)
     gw = np.zeros((d, m)) if gradient else None
     table = branch.table
@@ -739,4 +741,4 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
                 gw[i] += scalef * du * dxc
             if dyc is not None:
                 gw[i] += scalef / eps * du * dyc
-    return Assembly(w, gw)
+    return Assembly(w, gw, envelopes[0].copy())

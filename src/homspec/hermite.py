@@ -268,25 +268,35 @@ class MacroFunction:
 
     def evaluate(self, points: np.ndarray,
                  alpha: tuple | None = None) -> np.ndarray:
-        """Values of d^alpha(self) at points (m, d); exact derivative route.
+        """Values of d^alpha(self) at the rows of points (m, d): one request
+        to a HermiteSampler on them.
 
         To evaluate many functions or derivatives at one point set, build a
         HermiteSampler once.
         """
         alpha = tuple(alpha) if alpha is not None else (0,) * self.basis.dim
-        return HermiteSampler(self.basis, points, sum(alpha))(self, alpha)
+        sample = HermiteSampler(self.basis, points, sum(alpha))
+        return sample([(self, alpha)])[0]
 
 
 class HermiteSampler:
     """Derivatives of functions on one MacroBasis at one fixed point set.
 
-    Point p has coordinate ``points[index[ax][p], ax]`` on axis ax; without
-    ``index`` it is row p of ``points``.  A single request, ``sampler(f,
-    alpha)``, reads one hermite_function_values table per axis, built on the
-    rows of ``points`` at the first such request, with basis.size +
-    max_order columns.  The recurrence fills columns left to right, so the
-    first Ne columns equal the table built for Ne alone, bit for bit.  A
-    known batch of requests, ``sampler.batch(requests)``, builds no table.
+    ``sampler(requests)`` gives d^alpha f at every point for each (f, alpha)
+    of requests, shape (len(requests), m); the point set chooses the route.
+
+    With ``index``, point p has coordinate ``points[index[ax][p], ax]`` on
+    axis ax, and the rows of ``points`` are few: one
+    hermite_function_values table per axis is built on them at the first
+    call, with basis.size + max_order columns, and each request reads its
+    first basis.size + |alpha|.  The recurrence fills columns left to
+    right, so those equal the table built for that many alone, bit for bit.
+
+    Without ``index``, point p is row p of ``points``, and no table is
+    built: every request is lifted to Ne modes per axis, Ne = basis.size
+    plus the highest order requested, and the recurrence runs over
+    SAMPLE_BLOCK points at a time, each block's rows contracted with every
+    request's coefficients in one product.
     """
 
     __slots__ = ("basis", "max_order", "points", "index", "_tables")
@@ -331,33 +341,22 @@ class HermiteSampler:
         core[np.abs(core) < np.finfo(float).tiny] = 0.0
         return core
 
-    def __call__(self, f: MacroFunction,
-                 alpha: tuple | None = None) -> np.ndarray:
-        """Values of d^alpha f at the sampler's points, from the tables."""
-        alpha = tuple(alpha) if alpha is not None else (0,) * self.basis.dim
-        Ne = self.basis.size + sum(alpha)
-        return tensor_contract([t[:, :Ne] for t in self.tables],
-                               self._core(f, alpha, Ne), self.index)
-
-    def batch(self, requests: list) -> np.ndarray:
+    def __call__(self, requests: list) -> np.ndarray:
         """Values of d^alpha f at the sampler's points for every (f, alpha)
-        of requests, shape (len(requests), m).
-
-        Each request is lifted once to Ne modes per axis, Ne = basis.size
-        plus the highest order requested.  The recurrence then runs over
-        SAMPLE_BLOCK points at a time, and each block's rows are contracted
-        with every request's coefficients in one product, so only the
-        result is kept: no m x Ne table is built.
-        """
+        of requests, shape (len(requests), m)."""
+        if self.index is not None:
+            out = np.empty((len(requests), self.index[0].size))
+            for row, (f, alpha) in zip(out, requests):
+                Ne = self.basis.size + sum(alpha)
+                row[:] = tensor_contract([t[:, :Ne] for t in self.tables],
+                                         self._core(f, alpha, Ne), self.index)
+            return out
         d, sigma = self.basis.dim, self.basis.sigma
         Ne = self.basis.size + max(
             (sum(alpha) for _, alpha in requests), default=0)
-        cores = np.stack([self._core(f, tuple(alpha), Ne)
-                          for f, alpha in requests])
-        pts = self.points if self.index is None else np.stack(
-            [self.points[ix, ax] for ax, ix in enumerate(self.index)], axis=1)
-        out = np.empty((len(requests), pts.shape[0]))
-        for blocks in zip(*(_hermite_rows(pts[:, ax], Ne, sigma)
+        cores = np.stack([self._core(f, alpha, Ne) for f, alpha in requests])
+        out = np.empty((len(requests), self.points.shape[0]))
+        for blocks in zip(*(_hermite_rows(self.points[:, ax], Ne, sigma)
                             for ax in range(d))):
             blk = blocks[0][0]
             rows = [r for _, r in blocks]
@@ -390,8 +389,9 @@ class QuadratureRule:
 
     Handles integrals int p(x) f(x) g(x) dx with f, g in the (extended)
     basis and p polynomial: total polynomial degree up to 2Q-1 is exact.
-    ``values(f, alpha)`` is d^alpha f at the nodes, flattened: a
-    HermiteSampler on the nodes of derivatives up to n_ext - basis.size.
+    ``values(f, alpha)`` is d^alpha f at the nodes, flattened, from
+    ``sampler``: a HermiteSampler on the nodes of derivatives up to
+    n_ext - basis.size.
     """
 
     def __init__(self, basis: MacroBasis, n_ext: int):
@@ -400,9 +400,15 @@ class QuadratureRule:
         self.x1 = basis.sigma * z
         self.w1 = basis.sigma * wmod
         self.index = tensor_rows(z.size, basis.dim)
-        self.values = HermiteSampler(
+        self.sampler = HermiteSampler(
             basis, np.repeat(self.x1[:, None], basis.dim, axis=1),
             n_ext - basis.size, self.index)
+
+    def values(self, f: MacroFunction,
+               alpha: tuple | None = None) -> np.ndarray:
+        """d^alpha f at the nodes, flattened: one request to the sampler."""
+        alpha = tuple(alpha) if alpha is not None else (0,) * self.basis.dim
+        return self.sampler([(f, alpha)])[0]
 
     def points(self) -> np.ndarray:
         """Physical quadrature nodes, (M, d)."""
@@ -428,7 +434,7 @@ class QuadratureRule:
         b = self.basis
         alpha = tuple(alpha) if alpha is not None else (0,) * b.dim
         blocks = [t @ _lift(b.size, t.shape[1], k, b.sigma) * self.w1[:, None]
-                  for t, k in zip(self.values.tables, alpha)]
+                  for t, k in zip(self.sampler.tables, alpha)]
         out = blocks[0].T @ values.reshape((self.x1.size,) * b.dim)
         for blk in blocks[1:]:
             out = out @ blk

@@ -210,8 +210,11 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
 
 def run(cfg: RunConfig):
     """Execute the full pipeline; returns (manifest, comparison rows)."""
-    from .reference import fit_rate, match_and_compare
     timings = {}
+    # the first import of the reference stage loads scipy
+    t0 = time.perf_counter()
+    from .reference import fit_rate, match_and_compare
+    timings["imports"] = time.perf_counter() - t0
     warnings = []
     # eigenfunctions are compared in 1D only: a 2D reference keeps no vectors
     compare = cfg.compare_eigenfunctions and cfg.dim == 1
@@ -310,38 +313,41 @@ def run(cfg: RunConfig):
 
 # --- artifacts -------------------------------------------------------------------
 
-CSV_COLUMNS = ("epsilon", "j", "branch", "lambda_ref",
-               "lambda_ref_richardson", "lambda_tilde", "eig_err",
-               "l2_err", "h1_err", "h", "R", "runtime_s")
+# the columns of sweep.csv as (header, ComparisonRow field, type): a float
+# is written as its repr, runtime_s to the millisecond
+CSV_COLUMNS = (
+    ("epsilon", "eps", float), ("j", "j", int), ("branch", "branch", int),
+    ("lambda_ref", "lambda_ref", float),
+    ("lambda_ref_richardson", "lambda_ref_richardson", float),
+    ("lambda_tilde", "lambda_tilde", float), ("eig_err", "eig_err", float),
+    ("l2_err", "l2_err", float), ("h1_err", "h1_err", float),
+    ("h", "h", float), ("R", "radius", float),
+    ("runtime_s", "runtime_s", float),
+)
+
+
+def _csv_cell(name: str, kind: type, value):
+    if name == "runtime_s":
+        return f"{value:.3f}"
+    return repr(value) if kind is float else value
 
 
 def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
+    w.writerow(header for header, _, _ in CSV_COLUMNS)
     for row in rows:
-        w.writerow([
-            repr(row.eps), row.j, row.branch, repr(row.lambda_ref),
-            repr(row.lambda_ref_richardson), repr(row.lambda_tilde),
-            repr(row.eig_err), repr(row.l2_err), repr(row.h1_err),
-            repr(row.h), repr(row.radius), f"{row.runtime_s:.3f}",
-        ])
+        w.writerow(_csv_cell(name, kind, getattr(row, name))
+                   for _, name, kind in CSV_COLUMNS)
     return buf.getvalue()
 
 
 def rows_from_csv(text: str) -> list:
     """Rows of a ``sweep.csv`` text as written by rows_to_csv."""
     from .reference import ComparisonRow
-    return [ComparisonRow(
-        eps=float(rec["epsilon"]), j=int(rec["j"]), branch=int(rec["branch"]),
-        lambda_ref=float(rec["lambda_ref"]),
-        lambda_ref_richardson=float(rec["lambda_ref_richardson"]),
-        lambda_tilde=float(rec["lambda_tilde"]),
-        eig_err=float(rec["eig_err"]), l2_err=float(rec["l2_err"]),
-        h1_err=float(rec["h1_err"]), h=float(rec["h"]),
-        radius=float(rec["R"]), polish_steps=None,
-        runtime_s=float(rec["runtime_s"]),
-    ) for rec in csv.DictReader(io.StringIO(text))]
+    return [ComparisonRow(polish_steps=None, **{
+        name: kind(rec[header]) for header, name, kind in CSV_COLUMNS})
+        for rec in csv.DictReader(io.StringIO(text))]
 
 
 def emit_plot_data(fits: dict, rows) -> dict:

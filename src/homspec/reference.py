@@ -141,10 +141,10 @@ class FineGrid:
 class ReferenceSpectrum:
     """Eigenvalues at (h, h/2) with Richardson extrapolation.
 
-    Eigenvectors (interior node values, L2-normalized with the grid measure)
-    are kept from the fine member of the pair, unpolished; in 1D they come
+    A 1D reference may keep the eigenvectors of the fine member of the pair
+    (interior node values, L2-normalized with the grid measure), unpolished,
     with the operator on that grid, on which match_and_compare polishes the
-    one it compares and takes its gradient.
+    one it compares and takes its gradient; otherwise both are None.
     ``path`` names the eigensolve route: tridiagonal, separable or sparse.
     """
 
@@ -157,7 +157,7 @@ class ReferenceSpectrum:
     eigenvectors: np.ndarray | None  # (count, m) on the h/2 grid
     fine_grid: FineGrid
     path: str
-    operator: FDOperator | None = None  # 1D, with the eigenvectors
+    operator: FDOperator | None = None  # with the eigenvectors
 
 
 # --- the fine-grid operator ------------------------------------------------------
@@ -408,10 +408,9 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
     )
 
 
-def _solve_2d_separable(parts, eps, grid, count, vectors):
+def _solve_2d_separable(parts, eps, grid, count):
     """The count lowest sums of the two 1D spectra on grid and on its h/2
-    refinement, and the h/2 Kronecker eigenvectors (n^2 values each) only
-    when ``vectors`` asks for them.
+    refinement.
 
     count modes per axis suffice: the 1D eigenvalues are simple and
     increasing, so a pair (i, j) with i >= count lies above the count sums
@@ -427,13 +426,8 @@ def _solve_2d_separable(parts, eps, grid, count, vectors):
         return sorted((vals1[i] + vals2[j], i, j)
                       for i in range(count) for j in range(count))[:count]
 
-    fine = lowest(one[1], two[1])
-    vals_h = np.array([p[0] for p in lowest(one[0], two[0])])
-    vals_h2 = np.array([p[0] for p in fine])
-    if not vectors:
-        return vals_h, vals_h2, None
-    return vals_h, vals_h2, np.stack([np.outer(one[2][i], two[2][j]).ravel()
-                                      for (_, i, j) in fine])
+    return tuple(np.array([p[0] for p in lowest(one[g], two[g])])
+                 for g in (0, 1))
 
 
 def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
@@ -466,17 +460,17 @@ def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
 
 
 def _solve_2d_sparse(coeff, W, eps, grid, count, sigma_shift):
+    """The count eigenvalues nearest sigma_shift, ascending."""
     import scipy.sparse.linalg as spla
     A = _assemble_2d(coeff, W, eps, grid)
     # a seeded start keeps runs bit-reproducible (ARPACK draws a random one);
     # a constant one would miss the odd eigenvectors of a symmetric problem
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
-        vals, vecs = spla.eigsh(A, k=count, sigma=sigma_shift, which="LM", v0=v0)
+        vals, _ = spla.eigsh(A, k=count, sigma=sigma_shift, which="LM", v0=v0)
     except Exception as exc:          # noqa: BLE001 - surfaced as library error
         raise ConvergenceFailure(f"sparse eigensolve failed: {exc}") from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order].T
+    return np.sort(vals)
 
 
 # --- public entry points ----------------------------------------------------------
@@ -487,9 +481,9 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
                keep_vectors: bool) -> ReferenceSpectrum:
     """Lowest eigenpairs of -div(a(./eps) grad) + W on the truncated box.
 
-    Solves at h and h/2 and Richardson-extrapolates the eigenvalues;
-    eigenvectors are returned on the h/2 grid, unpolished, only with
-    keep_vectors, and in 1D with the h/2 operator.  Raises
+    Solves at h and h/2 and Richardson-extrapolates the eigenvalues.  With
+    keep_vectors a 1D reference keeps its h/2 eigenvectors, unpolished,
+    and the h/2 operator; a 2D reference keeps neither.  Raises
     GridTooCoarse when h does not resolve eps, or when the box holds fewer
     than max(count, 2) interior nodes per axis, and ConvergenceFailure,
     before any array is built, when the h/2 grid holds more than
@@ -509,30 +503,29 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
             f"{grid.radius:.3g}] with h/2 = {fine.h:.3g} exceed the cap "
             f"{MAX_NODES_PER_AXIS}"
         )
-    op = None
+    vecs = op = None
     if grid.dim == 1:
-        vals_h, vals_h2, vecs, op = _solve_1d(
+        vals_h, vals_h2, fine_vecs, fine_op = _solve_1d(
             coeff.entry(0, 0), W, eps, grid, count)
+        if keep_vectors:
+            vecs, op = fine.normalize(fine_vecs), fine_op
         path = "tridiagonal"
     else:
         parts = _separable_parts(coeff, W)
         if parts is not None:
-            vals_h, vals_h2, vecs = _solve_2d_separable(
-                parts, eps, grid, count, keep_vectors)
+            vals_h, vals_h2 = _solve_2d_separable(parts, eps, grid, count)
             path = "separable"
         else:
             # shift-invert about 0, below the positive definite spectrum
-            vals_h, _ = _solve_2d_sparse(coeff, W, eps, grid, count, 0.0)
-            vals_h2, vecs = _solve_2d_sparse(coeff, W, eps, fine, count, 0.0)
+            vals_h, vals_h2 = (_solve_2d_sparse(coeff, W, eps, g, count, 0.0)
+                               for g in (grid, fine))
             path = "sparse"
     return ReferenceSpectrum(
         eps=eps, grid=grid,
         eigenvalues_h=vals_h, eigenvalues_h2=vals_h2,
         eigenvalues=(4.0 * vals_h2 - vals_h) / 3.0,
         error_estimates=np.abs(vals_h2 - vals_h) / 3.0,
-        eigenvectors=fine.normalize(vecs) if keep_vectors else None,
-        fine_grid=fine, path=path,
-        operator=op if keep_vectors else None,
+        eigenvectors=vecs, fine_grid=fine, path=path, operator=op,
     )
 
 
@@ -570,60 +563,48 @@ class ComparisonRow:
     runtime_s: float = 0.0
 
 
-def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
+def match_and_compare(ref: ReferenceSpectrum, branches: list, eps: float,
                       P: int) -> list:
     """Per-branch eigenvalue / L2 / H1 errors against the expansion.
 
-    The reference eigenvector for branch r is the one with the dominant
-    overlap against the rotated envelope U_{0,r}; it is rescaled so that
+    A reference with an operator (1D, from solve_Leps with keep_vectors)
+    is matched by overlap: the eigenvector for branch r is the one with the
+    dominant overlap against the rotated envelope U_{0,r}.  It is polished
+    on the operator (FDOperator.polish) and rescaled so that
     int psi U_{0,r} dx = 1, matching the normalization in which the
-    expansion is stated.  A 1D reference from solve_Leps keeps its
-    operator: the picked vector is polished on it (FDOperator.polish)
-    before it is compared, and the H1 error is formed from its
-    eps-uniform flux gradient.  Any other reference's vector is used as
-    given and its H1 error is NaN (2D, or built by hand), since central
-    differences on a grid with h ~ eps leave an eps-independent floor in
-    the gradient.  The row eigenvalues are always those of the reference.
-    A reference without eigenvectors is matched by index, cluster[0] + r,
-    and its rows carry NaN L2 and H1 errors.  Raises
-    MatchingAmbiguous when no assignment dominates by the requested ratio.
+    expansion is stated, and the H1 error is formed from its eps-uniform
+    flux gradient.  Raises MatchingAmbiguous when no assignment dominates
+    by MAX_OVERLAP_CONDITION.  Any other reference is matched by index,
+    cluster[0] + r, and its rows carry NaN L2 and H1 errors.  The row
+    eigenvalues are always those of the reference.
     """
-    from .expansion import assemble, envelope_requests, lambda_tilde
+    from .expansion import assemble, lambda_tilde
     from .hermite import HermiteSampler
 
-    if not isinstance(branches, (list, tuple)):
-        branches = [branches]
-    vectors = ref.eigenvectors is not None
     op = ref.operator
-    if vectors:
+    if op is not None:
         grid = ref.fine_grid
         pts = grid.points()
         phases = grid.phases(eps)
-        measure = grid.h ** grid.dim
-
-    def predicted(br):
-        # one batch at the nodes samples U_0 (its first row) for the overlap
-        # and every envelope derivative of the assembly, and the corrector
-        # shapes are sampled at one period of node phases; only a copy of
-        # the U_0 row outlives the assembly, so the batch is gone before the
-        # polish
-        requests = envelope_requests(br, P, op is not None)
-        envelopes = HermiteSampler(br.spectrum.basis, pts, P + 1).batch(
-            [(br.U[k], alpha) for k, alpha in requests])
-        return envelopes[0].copy(), assemble(
-            br, eps, pts, P=P, gradient=op is not None, envelopes=envelopes,
-            sample_y=FourierSampler(br.table.grid, *phases))
 
     rows = []
     used = set()
     for br in branches:
         l2 = h1 = float("nan")
         steps = None
-        if not vectors:
+        if op is None:
             pick = min(br.cluster[0] + br.label, len(ref.eigenvalues) - 1)
         else:
-            u0, asm = predicted(br)
-            overlaps = ref.eigenvectors @ u0 * measure
+            # one blocked pass at the nodes samples U_0 for the overlap and
+            # every envelope derivative of the assembly, and the corrector
+            # shapes are sampled at one period of node phases; only a copy
+            # of U_0's samples outlives the assembly, so the envelope rows
+            # are gone before the polish
+            asm = assemble(br, eps, pts, P=P, gradient=True,
+                           sample_x=HermiteSampler(br.spectrum.basis, pts,
+                                                   P + 1),
+                           sample_y=FourierSampler(br.table.grid, *phases))
+            overlaps = ref.eigenvectors @ asm.u0 * grid.h
             order = [i for i in np.argsort(-np.abs(overlaps)) if i not in used]
             pick = order[0]
             if len(branches) > 1 and len(order) > 1:
@@ -635,20 +616,16 @@ def match_and_compare(ref: ReferenceSpectrum, branches, eps: float,
                         f"{MAX_OVERLAP_CONDITION} for branch {br.label}"
                     )
             used.add(pick)
-            vec, overlap = ref.eigenvectors[pick], overlaps[pick]
-            if op is not None:
-                # polish the picked vector, then normalize it as solve_Leps
-                # does and overlap it as above, as a one-row array
-                polished, steps = op.polish(vec)
-                row = grid.normalize(polished[None])
-                vec, overlap = row[0], (row @ u0 * measure)[0]
-            psi = vec / overlap
+            # polish the picked vector, then normalize it as solve_Leps
+            # does and overlap it as above, as a one-row array
+            polished, steps = op.polish(ref.eigenvectors[pick])
+            row = grid.normalize(polished[None])
+            psi = row[0] / (row @ asm.u0 * grid.h)[0]
             diff = psi - asm.w
-            l2 = float(np.sqrt(np.sum(diff ** 2) * measure))
-            if op is not None:
-                gd = op.flux_gradient(psi) - asm.grad_w
-                h1 = float(np.sqrt(np.sum(diff ** 2) * measure
-                                   + np.sum(gd ** 2) * measure))
+            gd = op.flux_gradient(psi) - asm.grad_w
+            l2 = float(np.sqrt(np.sum(diff ** 2) * grid.h))
+            h1 = float(np.sqrt(np.sum(diff ** 2) * grid.h
+                               + np.sum(gd ** 2) * grid.h))
         lam_ref = float(ref.eigenvalues[pick])
         lam_tilde = lambda_tilde(br, eps, P)
         rows.append(ComparisonRow(

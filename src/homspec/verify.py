@@ -68,14 +68,8 @@ def _coeff_2d():
     ])
 
 
-def run_invariants(tolerance_scale: float = 1.0,
-                   tamper_abar3: float = 0.0) -> list:
-    """Run every invariant; returns a list of CheckResult.
-
-    tamper_abar3 is a test hook: it perturbs the symmetrized third-order
-    tensor before the cyclic identity is checked, which must be reported as
-    a failure.
-    """
+def run_invariants(tolerance_scale: float = 1.0) -> list:
+    """Run every invariant; returns a list of CheckResult."""
     ts = tolerance_scale
     out = []
 
@@ -119,7 +113,6 @@ def run_invariants(tolerance_scale: float = 1.0,
     store2, _, abar3s = build_suite(
         c2, SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0}), tol=1e-13)
     diag = suite_diagnostics(store2)
-    abar3s[0, 0, 0] += tamper_abar3
     check("cyclic_identity", cyclic_check(abar3s), 1e-10)
     check("abar_symmetry", diag["abar_asymmetry"], 1e-12)
     bracket = max(c2.lam_min - diag["abar_eig_min"],

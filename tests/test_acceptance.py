@@ -154,7 +154,7 @@ def test_a3_h1_eigenfunction_rate(ctx_1d):
     branch, refs = ctx_1d["branch"], ctx_1d["refs"]
     h1_pts, l2_pts = [], []
     for eps, ref in refs.items():
-        row = match_and_compare(ref, branch, eps, P=1)[0]
+        row = match_and_compare(ref, [branch], eps, P=1)[0]
         h1_pts.append((eps, row.h1_err))
         l2_pts.append((eps, row.l2_err))
     h1_slope, _, h1_r2 = fit_rate(h1_pts)

@@ -44,18 +44,11 @@ def store(coeff, W, tol=1e-13):
     return build_suite(coeff, W, tol=tol)[0]
 
 
-def envelope_batch(branch, pts, P, gradient):
-    """Every envelope derivative that assemble reads at pts, as one batch."""
-    return HermiteSampler(branch.spectrum.basis, pts, P + 1).batch(
-        [(branch.U[k], alpha)
-         for k, alpha in envelope_requests(branch, P, gradient)])
-
-
 def assemble_at(branch, eps, pts, P):
-    """assemble with its gradient, sampling at pts through one Hermite batch
-    and one Fourier basis."""
+    """assemble with its gradient, sampling at pts through one Hermite
+    sampler and one Fourier basis."""
     return assemble(branch, eps, pts, P=P, gradient=True,
-                    envelopes=envelope_batch(branch, pts, P, True),
+                    sample_x=HermiteSampler(branch.spectrum.basis, pts, P + 1),
                     sample_y=FourierSampler(branch.table.grid, pts / eps))
 
 
@@ -470,8 +463,9 @@ class TestAssemble:
     def test_one_basis_and_no_table_per_point_set(self, case_1d,
                                                    monkeypatch):
         # every corrector shape reuses the caller's Fourier basis, and every
-        # envelope derivative comes from its batch; rebuilding the basis per
-        # call would make 15 Fourier bases, and no Hermite table is built
+        # envelope derivative comes from its Hermite sampler's one pass over
+        # the points; rebuilding the basis per call would make 15 Fourier
+        # bases, and no Hermite table is built
         import homspec.expansion as expansion
         import homspec.hermite as hermite
         _, _, _, branch = case_1d
@@ -492,11 +486,34 @@ class TestAssemble:
         monkeypatch.setattr(hermite, "hermite_function_values", counting_values)
         pts = np.linspace(-2.0, 2.0, 101).reshape(-1, 1)
         asm = assemble(branch, 0.05, pts, P=3, gradient=True,
-                       envelopes=envelope_batch(branch, pts, 3, True),
+                       sample_x=HermiteSampler(branch.spectrum.basis, pts, 4),
                        sample_y=expansion.FourierSampler(branch.table.grid,
                                                          pts / 0.05))
         assert np.all(np.isfinite(asm.grad_w))
         assert counts == {"fourier": 1, "hermite": 0}
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_one_sampler_call_with_its_own_requests(self, case_1d, gradient):
+        # assemble asks its Hermite sampler once, for exactly the envelope
+        # derivatives of envelope_requests in their order, and keeps a copy
+        # of the first row, U_0's samples
+        _, _, _, branch = case_1d
+        pts = np.linspace(-2.0, 2.0, 41).reshape(-1, 1)
+        P = 3
+        sampler = HermiteSampler(branch.spectrum.basis, pts, P + 1)
+        calls = []
+
+        def spy(requests):
+            calls.append(list(requests))
+            return sampler(requests)
+
+        asm = assemble(branch, 0.05, pts, P=P, gradient=gradient,
+                       sample_x=spy,
+                       sample_y=FourierSampler(branch.table.grid, pts / 0.05))
+        want = [(branch.U[k], alpha)
+                for k, alpha in envelope_requests(branch, P, gradient)]
+        assert calls == [want]
+        assert np.array_equal(asm.u0, sampler([want[0]])[0])
 
 
 
@@ -524,66 +541,24 @@ class TestStageExpand:
 
 
 class TestMatchingAmbiguity:
-    def test_degenerate_overlaps_detected(self, case_2d_laminate):
-        # hand the matcher a reference whose cluster eigenvectors are copies:
-        # no assignment can dominate and MatchingAmbiguous must surface
-        from homspec.errors import MatchingAmbiguous
-        from homspec.reference import FineGrid, ReferenceSpectrum, match_and_compare
-        coeff, W, spec = case_2d_laminate
-        branches = multiple_recursion(store(coeff, W), spec, 2, 2)
-        grid = FineGrid(2, 5.0, 0.125)
-        pts = grid.points()
-        v = branches[0].U[0].evaluate(pts)
-        v = v / (np.linalg.norm(v) * grid.h)
-        ref = ReferenceSpectrum(
-            eps=0.125, grid=grid,
-            eigenvalues_h=np.array([4.0, 4.0]),
-            eigenvalues_h2=np.array([4.0, 4.0]),
-            eigenvalues=np.array([4.0, 4.0]),
-            error_estimates=np.zeros(2),
-            eigenvectors=np.stack([v, v]),
-            fine_grid=grid, path="by hand",
-        )
-        with pytest.raises(MatchingAmbiguous):
-            match_and_compare(ref, branches, 0.125, P=2)
+    def test_degenerate_overlaps_detected(self, case_1d):
+        # hand the matcher a 1D reference, with its operator, whose two
+        # eigenvectors are copies: no assignment of the branches of lambda_1
+        # and lambda_2 can dominate and MatchingAmbiguous must surface
+        from dataclasses import replace
 
-    def test_2d_node_tables_match_per_point_sampling(self, case_2d_laminate):
-        # match_and_compare samples the envelopes on the 79 node coordinates
-        # per axis and the correctors on eps/h = 4 phases per axis; sampling
-        # both once per node must give the same rows
-        from homspec.reference import FineGrid, ReferenceSpectrum, match_and_compare
-        coeff, W, spec = case_2d_laminate
-        branches = multiple_recursion(store(coeff, W), spec, 2, 3)
-        eps, P = 0.5, 3
-        grid = FineGrid(2, 5.0, 0.125)
-        pts = grid.points()
-        vecs = []
-        for br in branches:
-            v = br.U[0].evaluate(pts)
-            vecs.append(v / (np.linalg.norm(v) * grid.h))
-        lam = np.array([4.0, 4.5])
-        ref = ReferenceSpectrum(
-            eps=eps, grid=grid, eigenvalues_h=lam, eigenvalues_h2=lam,
-            eigenvalues=lam, error_estimates=np.zeros(2),
-            eigenvectors=np.stack(vecs), fine_grid=grid, path="by hand",
-        )
-        rows = match_and_compare(ref, branches, eps, P=P)
-        y, index = grid.phases(eps)
-        per_point_y = np.stack([y[ix, ax] for ax, ix in enumerate(index)],
-                               axis=1)
-        for r, (br, row) in enumerate(zip(branches, rows)):
-            sample_x = HermiteSampler(br.spectrum.basis, pts, P + 1)
-            psi = vecs[r] / (vecs[r] @ sample_x(br.U[0]) * grid.h ** 2)
-            asm = assemble(br, eps, pts, P=P, gradient=False,
-                           envelopes=[sample_x(br.U[k], alpha)
-                                      for k, alpha
-                                      in envelope_requests(br, P, False)],
-                           sample_y=FourierSampler(br.table.grid, per_point_y))
-            l2 = np.sqrt(np.sum((psi - asm.w) ** 2) * grid.h ** 2)
-            assert row.l2_err > 0.0
-            assert row.l2_err == pytest.approx(l2, rel=1e-12, abs=0.0)
-            assert row.eig_err == pytest.approx(
-                abs(lam[r] - lambda_tilde(br, eps, P)), rel=1e-12, abs=0.0)
+        from homspec.errors import MatchingAmbiguous
+        from homspec.reference import FineGrid, match_and_compare, solve_Leps
+        coeff, W, spec, branch = case_1d
+        branches = [branch, simple_recursion(store(coeff, W), spec, 2, 2)]
+        eps = 0.125
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 2,
+                         keep_vectors=True)
+        assert ref.operator is not None
+        v = ref.eigenvectors[0]
+        with pytest.raises(MatchingAmbiguous):
+            match_and_compare(replace(ref, eigenvectors=np.stack([v, v])),
+                              branches, eps, P=2)
 
 
 class TestChooseP:

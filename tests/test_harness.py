@@ -498,8 +498,19 @@ class TestVerify:
         failing = [r for r in results if not r.passed]
         assert not failing, report(results)
 
-    def test_tamper_detected(self):
-        results = run_invariants(tamper_abar3=1e-3)
+    def test_tamper_detected(self, monkeypatch):
+        # perturb the symmetrized third-order tensor before the real check:
+        # the broken cyclic identity must be reported as a failure
+        import homspec.verify as verify
+        check = verify.cyclic_check
+
+        def tampered(abar3s):
+            abar3s = abar3s.copy()
+            abar3s[0, 0, 0] += 1e-3
+            return check(abar3s)
+
+        monkeypatch.setattr(verify, "cyclic_check", tampered)
+        results = run_invariants()
         cyc = [r for r in results if r.name == "cyclic_identity"]
         assert cyc and not cyc[0].passed
 

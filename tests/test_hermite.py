@@ -31,7 +31,7 @@ from homspec.hermite import (
     spectral_gap,
 )
 from homspec.slowpoly import SlowPolynomial
-from homspec.torus import SAMPLE_BLOCK, tensor_rows
+from homspec.torus import SAMPLE_BLOCK, tensor_contract, tensor_rows
 
 
 def w_iso(dim):
@@ -329,6 +329,18 @@ class TestQuadratureRule:
             quad.values(f, (K + 1,) + (0,) * (dim - 1))
 
 
+def within_4d_ulp(got, want, tables, core, index):
+    """got equals want within 4 ulp per axis of sum |c_n psi_n| at each
+    point, the size of the terms the contraction of core with the tables
+    sums, gathered by index."""
+    terms = np.abs(core)
+    for t in tables:
+        terms = np.moveaxis(np.tensordot(np.abs(t), terms, axes=(1, 0)), 0, -1)
+    return np.all(np.abs(got - want)
+                  <= 4 * len(tables) * np.finfo(float).eps
+                  * terms[tuple(index)])
+
+
 class TestHermiteSampler:
     @pytest.mark.parametrize("order", [0, 1])
     def test_subnormal_coefficients_reach_no_contraction(self, monkeypatch,
@@ -349,10 +361,10 @@ class TestHermiteSampler:
 
         monkeypatch.setattr(hermite, "tensor_contract", spy)
         pts = np.linspace(-3.0, 3.0, 50)[:, None]
-        sample = HermiteSampler(basis, pts, order)
-        got = sample(MacroFunction(basis, c), (order,))
-        assert np.array_equal(got, sample(MacroFunction(basis, clean),
-                                          (order,)))
+        sample = HermiteSampler(basis, pts, order, [np.arange(50)])
+        got = sample([(MacroFunction(basis, c), (order,))])
+        assert np.array_equal(got, sample([(MacroFunction(basis, clean),
+                                            (order,))]))
         tiny = np.finfo(float).tiny
         assert all(np.all((k == 0) | (np.abs(k) >= tiny)) for k in cores)
 
@@ -392,18 +404,22 @@ class TestHermiteSampler:
            sigma=st.floats(0.3, 3.0),
            K=st.integers(0, 6))
     def test_1d_bit_identical_to_per_call_table(self, seed, size, sigma, K):
+        # the index route reads the per-call table's values bit for bit;
+        # evaluate, one request of the point-list route, stays within 4 ulp
+        # of sum |c_n psi_n|
         rng = np.random.default_rng(seed)
         basis = MacroBasis(1, size, sigma)
         f = MacroFunction(basis, rng.standard_normal(size))
         pts = rng.uniform(-6.0, 6.0, (257, 1))
-        sample = HermiteSampler(basis, pts, K)
+        sample = HermiteSampler(basis, pts, K, [np.arange(257)])
         for order in range(K + 1):
             Ne = size + order
-            c = extended_coefficients(f, (order,), Ne)
-            per_call = hermite_function_values(pts[:, 0], Ne, sigma) \
-                @ c.reshape(-1)
-            assert np.array_equal(sample(f, (order,)), per_call)
-            assert np.array_equal(f.evaluate(pts, (order,)), per_call)
+            c = extended_coefficients(f, (order,), Ne).reshape(-1)
+            table = hermite_function_values(pts[:, 0], Ne, sigma)
+            per_call = table @ c
+            assert np.array_equal(sample([(f, (order,))])[0], per_call)
+            assert within_4d_ulp(f.evaluate(pts, (order,)), per_call,
+                                 [table], c, [np.arange(257)])
 
     def test_2d_matches_naive_contraction(self):
         rng = np.random.default_rng(5)
@@ -417,7 +433,7 @@ class TestHermiteSampler:
             B0, B1 = (hermite_function_values(pts[:, ax], Ne, basis.sigma)
                       for ax in range(2))
             naive = np.einsum("pa,ab,pb->p", B0, c, B1)
-            assert np.max(np.abs(sample(f, alpha) - naive)) \
+            assert np.max(np.abs(sample([(f, alpha)])[0] - naive)) \
                 < 1e-13 * max(1.0, np.max(np.abs(naive)))
 
     @settings(max_examples=25, deadline=None)
@@ -445,8 +461,8 @@ class TestHermiteSampler:
         alphas = [(k,) for k in range(K + 1)] if dim == 1 else [
             (i, k - i) for k in range(K + 1) for i in range(k + 1)]
         for alpha in alphas:
-            want = per_point(f, alpha)
-            got = indexed(f, alpha)
+            want = per_point([(f, alpha)])[0]
+            got = indexed([(f, alpha)])[0]
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -460,44 +476,75 @@ class TestHermiteSampler:
            m=st.integers(1, SAMPLE_BLOCK + 300))
     def test_batch_equals_per_request(self, seed, dim, size, sigma, P, count,
                                       m):
-        # the blocked pass gives every request's per-request value within 4
-        # ulp per axis of sum |c_n psi_n|, the size of the terms it sums, out
-        # to the Gaussian tails; in 2D on a tensor grid with an index.  The
-        # largest seen over 1 500 random cases was 2.7 ulp in 1D, 6.1 in 2D
+        # the point-list route gives every request's value of the index
+        # route within 4 ulp per axis of sum |c_n psi_n|, the size of the
+        # terms it sums, out to the Gaussian tails; in 2D on the points of a
+        # tensor grid.  The largest seen over 1 500 random cases was 2.7 ulp
+        # in 1D, 6.1 in 2D
         rng = np.random.default_rng(seed)
         basis = MacroBasis(dim, size, sigma)
         reach = 1.5 * sigma * np.sqrt(2.0 * (size + P + 1) + 1.0)
-        if dim == 1:
-            points, index = rng.uniform(-reach, reach, (m, 1)), None
-        else:
-            rows = 1 + m % 70
-            points = rng.uniform(-reach, reach, (rows, 2))
-            index = tensor_rows(rows, 2)
-        sample = HermiteSampler(basis, points, P + 1, index)
+        rows = m if dim == 1 else 1 + m % 70
+        coords = rng.uniform(-reach, reach, (rows, dim))
+        index = [np.arange(m)] if dim == 1 else tensor_rows(rows, 2)
+        pts = np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
+        table = HermiteSampler(basis, coords, P + 1, index)
         requests = [(MacroFunction(basis, rng.standard_normal(basis.total)
                                    * 10.0 ** rng.uniform(-3, 3)),
                      tuple(int(a) for a in rng.multinomial(
                          rng.integers(0, P + 2), [1 / dim] * dim)))
                     for _ in range(count)]
-        got = sample.batch(requests)
-        assert got.shape == (count, index[0].size if index else m)
-        for (f, alpha), values in zip(requests, got):
+        got = HermiteSampler(basis, pts, P + 1)(requests)
+        assert got.shape == (count, pts.shape[0])
+        for (f, alpha), values, want in zip(requests, got, table(requests)):
             Ne = size + sum(alpha)
-            terms = np.abs(extended_coefficients(f, alpha, Ne))
-            for t in sample.tables:
-                terms = np.moveaxis(
-                    np.tensordot(np.abs(t[:, :Ne]), terms, axes=(1, 0)),
-                    0, -1)
-            terms = terms.T if index is None else terms[tuple(index)]
-            err = np.abs(values - sample(f, alpha))
-            assert np.all(err <= 4 * dim * np.finfo(float).eps
-                          * terms.ravel())
+            assert within_4d_ulp(values, want,
+                                 [t[:, :Ne] for t in table.tables],
+                                 extended_coefficients(f, alpha, Ne), index)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dim=st.sampled_from([1, 2]),
+           size=st.integers(8, 20),
+           sigma=st.floats(0.3, 3.0),
+           orders=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+           rows=st.integers(1, 40),
+           tensor=st.booleans(),
+           m=st.integers(1, 300))
+    def test_route_follows_the_point_set(self, seed, dim, size, sigma,
+                                         orders, rows, tensor, m):
+        # with an index every request equals, bit for bit, the per-call
+        # hermite_function_values tables on its own size + |alpha| columns
+        # gathered by the index; the same requests at the gathered points,
+        # without an index, stay within 4 ulp per axis of sum |c_n psi_n|
+        rng = np.random.default_rng(seed)
+        basis = MacroBasis(dim, size, sigma)
+        K = max(orders)
+        coords = rng.uniform(-3.0 * sigma, 3.0 * sigma, (rows, dim))
+        index = (tensor_rows(rows, dim) if tensor
+                 else [rng.integers(0, rows, m) for _ in range(dim)])
+        pts = np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
+        requests = [(MacroFunction(basis, rng.standard_normal(basis.total)),
+                     tuple(int(a)
+                           for a in rng.multinomial(k, [1 / dim] * dim)))
+                    for k in orders]
+        indexed = HermiteSampler(basis, coords, K, index)(requests)
+        listed = HermiteSampler(basis, pts, K)(requests)
+        assert indexed.shape == listed.shape == (len(orders), pts.shape[0])
+        for (f, alpha), got, near in zip(requests, indexed, listed):
+            Ne = size + sum(alpha)
+            tables = [hermite_function_values(coords[:, ax], Ne, sigma)
+                      for ax in range(dim)]
+            c = extended_coefficients(f, alpha, Ne)
+            assert np.array_equal(got, tensor_contract(tables, c, index))
+            assert within_4d_ulp(near, got, tables, c, index)
 
     def test_order_above_max_rejected(self):
         basis = MacroBasis(1, 10, 1.0)
         f = MacroFunction(basis, np.ones(10))
         sample = HermiteSampler(basis, np.zeros((3, 1)), 1)
         with pytest.raises(ValueError, match="max_order"):
-            sample(f, (2,))
+            sample([(f, (2,))])
         with pytest.raises(ValueError):
-            sample(MacroFunction(MacroBasis(1, 12, 1.0), np.ones(12)))
+            sample([(MacroFunction(MacroBasis(1, 12, 1.0), np.ones(12)),
+                     (0,))])

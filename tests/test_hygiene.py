@@ -16,12 +16,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 KEPT_DEFAULTS = {
     # the console script calls main() with none; perfbench/child.py passes it
     "cli.py:main(argv=)",
-    # the per-call oracle that the tests check HermiteSampler against, and
-    # that the benchmark's tracer wraps
+    # one request to a HermiteSampler at a point list, which the tests use
+    # to sample a function once and the benchmark's tracer wraps
     "hermite.py:MacroFunction.evaluate(alpha=)",
-    # the tamper hook through which the tests check that a broken cyclic
-    # identity is reported
-    "verify.py:run_invariants(tamper_abar3=)",
 }
 
 # parameters that their function's body never reads, kept on purpose
@@ -54,8 +51,8 @@ SHARED_METHODS = {
     },
     "evaluate": {
         "MacroFunction": "no package code: perfbench/tracer.py wraps it, "
-                         "and the tests use it as the per-call oracle that "
-                         "HermiteSampler is checked against",
+                         "and the tests use it to sample a function once, "
+                         "as one request to a HermiteSampler",
         "PeriodicField": "verify.run_invariants and test_torus, as the "
                          "per-call route that FourierSampler is checked "
                          "against",
@@ -228,11 +225,18 @@ def _serialized_whole(cls: ast.ClassDef) -> bool:
 
 
 def _unread_fields(trees) -> list:
-    """Dataclass fields that no package code reads as an attribute; classes
-    written out whole through asdict (RunManifest) are exempt."""
+    """Dataclass fields that no package code reads as an attribute, or by
+    name through the sweep.csv schema; classes written out whole through
+    asdict (RunManifest) are exempt."""
     read = {node.attr for _, tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
+    # rows_to_csv reads the field named in each (header, field, type) row
+    # of pipeline.CSV_COLUMNS with getattr
+    read |= {row.elts[1].value for _, tree in trees for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets]
+             == ["CSV_COLUMNS"] for row in node.value.elts}
     unread = []
     for path, tree in trees:
         for cls in tree.body:
