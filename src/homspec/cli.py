@@ -189,19 +189,21 @@ def cmd_reference(cfg: RunConfig, args):
     warnings = []
     store, abar, _ = stage_homogenize(cfg, warnings)
     spec = stage_spectrum(cfg, store.W, abar)
-    radius, radius_shift, _, refs = stage_reference(
-        cfg, store, spec, keep_vectors=False, warnings=warnings)
-    payload = {"radius": radius, "radius_shift": radius_shift, "per_eps": [],
-               "warnings": warnings}
-    for eps in cfg.eps_list:
-        ref, _ = refs[eps]
-        payload["per_eps"].append({
-            "eps": eps,
+    per_eps = []
+
+    def entry(ref):
+        per_eps.append({
+            "eps": ref.eps,
             "lambda_h": [float(v) for v in ref.eigenvalues_h],
             "lambda_richardson": [float(v) for v in ref.eigenvalues],
             "estimate": [float(v) for v in ref.error_estimates],
             "path": ref.path,
         })
+
+    radius, radius_shift, _, _ = stage_reference(
+        cfg, store, spec, keep_vectors=False, warnings=warnings, each=entry)
+    payload = {"radius": radius, "radius_shift": radius_shift,
+               "per_eps": per_eps, "warnings": warnings}
     _dump(payload, args.out, "reference.json")
     return 0
 

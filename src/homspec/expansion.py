@@ -624,7 +624,7 @@ def multiple_recursion(store: CorrectorTable, spec: SpectrumResult, j: int,
 @dataclass
 class Assembly:
     """Samples of the expanded eigenfunction (and of its gradient, when
-    asked for), and a copy of those of U_0."""
+    asked for), and those of U_0."""
 
     w: np.ndarray
     grad_w: np.ndarray | None
@@ -687,13 +687,14 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
     The gradient is exact: spectral y-derivatives scaled by 1/eps plus slow
     x-derivatives of the polynomial factors and envelopes.  Every envelope
     derivative of envelope_requests(branch, P, gradient) is sampled at
-    ``points`` in one call of ``sample_x``, a HermiteSampler of the
-    branch's basis at those points (as rows or through an index) of order
-    P + 1 or more, and every corrector shape through ``sample_y``, a
+    ``points`` in one ``blocks`` call of ``sample_x``, a HermiteSampler of
+    the branch's basis at those points (as rows or through an index) of
+    order P + 1 or more, and every corrector shape through ``sample_y``, a
     FourierSampler of the corrector grid at the fast variable
     ``points / eps`` (reduced mod 1 as the caller likes, such as on a
-    lattice of phases), once per call.  Of the envelope samples, only a
-    copy of U_0's outlives the call.
+    lattice of phases), its phase table formed once per call.  The points
+    are walked in the blocks that sample_x hands out, so of the samples
+    only w, its gradient and U_0's exist for every point at once.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -704,41 +705,46 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
     m = pts.shape[0]
     requests = envelope_requests(branch, P, gradient)
     row = {req: i for i, req in enumerate(requests)}
-    envelopes = sample_x([(branch.U[k], alpha) for k, alpha in requests])
+    terms = list(_terms(branch, P))
+
+    def sampler(f):
+        return None if f.is_zero() else f.sampler(sample_y)
+
+    # chi(q, alpha) and, with the gradient, its x- and y-derivative along
+    # every axis (None where one vanishes), as samplers that form their
+    # phase tables here, once; None when chi vanishes
+    shapes = {}
+    for _, q, alpha in terms:
+        if (q, alpha) not in shapes:
+            chi = branch.table.chi(q, alpha)
+            shapes[q, alpha] = None if chi.is_zero() else (
+                sampler(chi),
+                [(sampler(chi.dx(i)), sampler(chi.dy(i))) for i in range(d)]
+                if gradient else [])
     w = np.zeros(m)
     gw = np.zeros((d, m)) if gradient else None
-    table = branch.table
-    live = _live(branch, P)
-    shapes = {}
-
-    def shape(q, alpha, last):
-        # chi(q, alpha) and, with the gradient, its x- and y-derivative
-        # along every axis (None where one vanishes); None when chi does.
-        # Dropped on its last use
-        if (q, alpha) not in shapes:
-            chi = table.chi(q, alpha)
-            shapes[q, alpha] = None if chi.is_zero() else (
-                chi.eval_xy(pts, sample_y),
-                [[None if f.is_zero() else f.eval_xy(pts, sample_y)
-                  for f in (chi.dx(i), chi.dy(i))]
-                 for i in range(d)] if gradient else None)
-        return shapes.pop((q, alpha)) if last else shapes[q, alpha]
-
-    for k, q, alpha in _terms(branch, P):
-        # no later order samples the shapes of order q
-        sampled = shape(q, alpha, not any(k < j <= P - q for j in live))
-        if sampled is None:
-            continue
-        cvals, derivs = sampled
-        scalef = eps ** (q + k)
-        du = envelopes[row[k, alpha]]
-        w += scalef * du * cvals
-        if not gradient:
-            continue
-        for i, (dxc, dyc) in enumerate(derivs):
-            gw[i] += scalef * envelopes[row[k, _up(alpha, i)]] * cvals
-            if dxc is not None:
-                gw[i] += scalef * du * dxc
-            if dyc is not None:
-                gw[i] += scalef / eps * du * dyc
-    return Assembly(w, gw, envelopes[0].copy())
+    u0 = np.empty(m)
+    for blk, envelopes in sample_x.blocks([(branch.U[k], alpha)
+                                           for k, alpha in requests]):
+        x = pts[blk]
+        u0[blk] = envelopes[0]
+        sampled = {}    # each shape on this block, sampled once
+        for k, q, alpha in terms:
+            if shapes[q, alpha] is None:
+                continue
+            if (q, alpha) not in sampled:
+                chi_at, derivs = shapes[q, alpha]
+                sampled[q, alpha] = chi_at(x, blk), [
+                    [None if f is None else f(x, blk) for f in pair]
+                    for pair in derivs]
+            cvals, dvals = sampled[q, alpha]
+            scalef = eps ** (q + k)
+            du = envelopes[row[k, alpha]]
+            w[blk] += scalef * du * cvals
+            for i, (dxc, dyc) in enumerate(dvals):
+                gw[i, blk] += scalef * envelopes[row[k, _up(alpha, i)]] * cvals
+                if dxc is not None:
+                    gw[i, blk] += scalef * du * dxc
+                if dyc is not None:
+                    gw[i, blk] += scalef / eps * du * dyc
+    return Assembly(w, gw, u0)

@@ -296,7 +296,8 @@ class HermiteSampler:
     built: every request is lifted to Ne modes per axis, Ne = basis.size
     plus the highest order requested, and the recurrence runs over
     SAMPLE_BLOCK points at a time, each block's rows contracted with every
-    request's coefficients in one product.
+    request's coefficients in one product.  ``blocks`` hands the values
+    out block by block.
     """
 
     __slots__ = ("basis", "max_order", "points", "index", "_tables")
@@ -351,18 +352,34 @@ class HermiteSampler:
                 row[:] = tensor_contract([t[:, :Ne] for t in self.tables],
                                          self._core(f, alpha, Ne), self.index)
             return out
+        out = np.empty((len(requests), self.points.shape[0]))
+        for blk, values in self.blocks(requests):
+            out[:, blk] = values
+        return out
+
+    def blocks(self, requests: list):
+        """The values of __call__, SAMPLE_BLOCK points at a time: (slice,
+        (len(requests), block size)) per block, in order.
+
+        On the point-list route each block of the recurrence is contracted
+        as it is filled, so no request's values exist for every point; on
+        the index route they are formed at once and handed out in slices.
+        """
+        if self.index is not None:
+            out = self(requests)
+            for start in range(0, out.shape[1], SAMPLE_BLOCK):
+                blk = slice(start, start + SAMPLE_BLOCK)
+                yield blk, out[:, blk]
+            return
         d, sigma = self.basis.dim, self.basis.sigma
         Ne = self.basis.size + max(
             (sum(alpha) for _, alpha in requests), default=0)
         cores = np.stack([self._core(f, alpha, Ne) for f, alpha in requests])
-        out = np.empty((len(requests), self.points.shape[0]))
         for blocks in zip(*(_hermite_rows(self.points[:, ax], Ne, sigma)
                             for ax in range(d))):
-            blk = blocks[0][0]
             rows = [r for _, r in blocks]
-            out[:, blk] = (cores @ rows[0] if d == 1 else np.einsum(
+            yield blocks[0][0], (cores @ rows[0] if d == 1 else np.einsum(
                 "kab,ap,bp->kp", cores, *rows, optimize=True))
-        return out
 
 
 def extended_coefficients(f: MacroFunction, alpha: tuple, Ne: int) -> np.ndarray:

@@ -6,14 +6,13 @@ verbatim (plus a hash) so a run can be reproduced from the manifest alone.
 All artifacts are deterministic for a fixed config on one machine, with the
 BLAS thread count fixed, except for the recorded wall-clock column.  The
 reference stage's names, and scipy with them, are imported by the functions
-that use them, so the homogenize, spectrum and expand commands never load
-scipy.
+that use them, as is hashlib by config_hash, so the homogenize, spectrum and
+expand commands load neither scipy nor OpenSSL's binding.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import time
@@ -73,6 +72,9 @@ class RunManifest:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    # imported here, its one use: hashlib loads OpenSSL's binding, which
+    # the homogenize, spectrum and expand commands do not need
+    import hashlib
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
 
 
@@ -165,15 +167,17 @@ def expansion_summary(branches) -> dict:
 
 
 def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
-                    warnings: list):
+                    warnings: list, each) -> tuple:
     """Fine-grid reference spectra at every eps of the sweep, one after the
-    other.
+    other: each(ref) is called with every eps's ReferenceSpectrum in the
+    order of cfg.eps_list, and the reference is dropped once it returns,
+    so one eps's vectors are held at a time.
 
-    Returns (radius, radius_shift, ref_count, refs) with refs[eps] =
-    (ReferenceSpectrum, seconds spent on it).  With validate_radius the box
-    is doubled once at the largest eps: radius_shift is the relative
-    eigenvalue shift (None without validate_radius), and a shift above 1e-9
-    adds RadiusNotConverged.
+    Returns (radius, radius_shift, ref_count, seconds), seconds[i] the time
+    spent solving the i-th eps.  With validate_radius the box is doubled
+    once at the largest eps, after the last reference: radius_shift is the
+    relative shift of that eps's eigenvalues (None without
+    validate_radius), and a shift above 1e-9 adds RadiusNotConverged.
     """
     from .reference import (FineGrid, solve_Leps, truncation_radius,
                             validate_radius)
@@ -185,27 +189,29 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
         cfg.radius_safety,
     )
     ref_count = max(b + 1, 3)
-
-    def grid(eps):
-        return FineGrid(cfg.dim, radius, eps / cfg.fd_h_rule)
-
-    def one_eps(eps):
+    largest = max(cfg.eps_list)
+    seconds = []
+    for eps in cfg.eps_list:
         start = time.perf_counter()
-        ref = solve_Leps(coeff, W, eps, grid(eps), ref_count,
-                         keep_vectors=keep_vectors)
-        return ref, time.perf_counter() - start
-
-    refs = {eps: one_eps(eps) for eps in cfg.eps_list}
+        ref = solve_Leps(coeff, W, eps, FineGrid(cfg.dim, radius,
+                                                 eps / cfg.fd_h_rule),
+                         ref_count, keep_vectors=keep_vectors)
+        seconds.append(time.perf_counter() - start)
+        if eps == largest:
+            kept = ref.grid, ref.eigenvalues
+        each(ref)
+        # the loop variable would hold the reference through the next solve
+        del ref
     radius_shift = None
     if cfg.validate_radius:
-        radius_shift = validate_radius(coeff, W, refs[max(cfg.eps_list)][0])
+        radius_shift = validate_radius(coeff, W, largest, *kept)
         if radius_shift > 1e-9:
             warnings.append({
                 "code": "RadiusNotConverged",
                 "detail": f"doubling the box moved eigenvalues by "
                           f"{radius_shift:.3e} relative",
             })
-    return radius, radius_shift, ref_count, refs
+    return radius, radius_shift, ref_count, seconds
 
 
 def run(cfg: RunConfig):
@@ -231,32 +237,34 @@ def run(cfg: RunConfig):
     timings["expand"] = time.perf_counter() - t0
     summary = expansion_summary(branches)
 
-    t0 = time.perf_counter()
-    radius, radius_shift, ref_count, refs = stage_reference(
-        cfg, store, spec, compare, warnings)
-    timings["reference"] = time.perf_counter() - t0
-
-    rows = []
+    compared = []       # per eps: its rows and the seconds comparing them
     per_eps_meta = []
-    timings["compare"] = 0.0
-    for eps in cfg.eps_list:
+
+    def compare_eps(ref):
         t0 = time.perf_counter()
-        # a reference is dropped once compared: only one eps's vectors
-        # are held at a time
-        ref, elapsed = refs.pop(eps)
+        eps = ref.eps
         eps_rows = match_and_compare(ref, branches, eps, P=P_eps[eps])
-        compared = time.perf_counter() - t0
-        timings["compare"] += compared
-        share = (elapsed + compared) / max(len(eps_rows), 1)
-        for row in eps_rows:
-            row.runtime_s = share
-        rows.extend(eps_rows)
+        compared.append((eps_rows, time.perf_counter() - t0))
         per_eps_meta.append({
             "eps": eps, "P": P_eps[eps], "path": ref.path,
             "richardson_estimate": [float(v) for v in ref.error_estimates],
             "lambda_ref": [float(v) for v in ref.eigenvalues],
             "polish_steps": [row.polish_steps for row in eps_rows],
         })
+
+    # each eps is solved, compared and dropped in turn; the reference
+    # timing is the stage's wall less its comparisons
+    t0 = time.perf_counter()
+    radius, radius_shift, ref_count, solved = stage_reference(
+        cfg, store, spec, compare, warnings, compare_eps)
+    timings["compare"] = sum(elapsed for _, elapsed in compared)
+    timings["reference"] = time.perf_counter() - t0 - timings["compare"]
+    rows = []
+    for (eps_rows, elapsed), solve_s in zip(compared, solved):
+        share = (solve_s + elapsed) / max(len(eps_rows), 1)
+        for row in eps_rows:
+            row.runtime_s = share
+        rows.extend(eps_rows)
 
     series = [("eig", lambda row: row.eig_err),
               ("zeroth",

@@ -27,7 +27,7 @@ and for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -117,13 +117,11 @@ class FineGrid:
                 np.arange(self.n_cells) % p)
 
     def phases(self, eps: float) -> tuple:
-        """Distinct fast phases x/eps mod 1 of the interior nodes as (r, d)
-        columns, and each of points()'s rows among them, one index per axis:
-        node i is the left edge of cell i in cell_phases."""
+        """Distinct fast phases x/eps mod 1 of the interior nodes of a 1D
+        grid as an (r, 1) column, and each node's row among them as a
+        one-axis index: node i is the left edge of cell i in cell_phases."""
         y, cell = self.cell_phases(eps, [0.0])
-        node = cell[1:]
-        return (np.repeat(y, self.dim, axis=1),
-                [node[r] for r in tensor_rows(node.size, self.dim)])
+        return y, [cell[1:]]
 
     def check_resolves(self, eps: float):
         if self.h > eps / 8.0 + 1e-15:
@@ -132,9 +130,10 @@ class FineGrid:
             )
 
     def normalize(self, vecs: np.ndarray) -> np.ndarray:
-        """Rows of node values, L2-normalized with the grid measure."""
-        return vecs / (np.linalg.norm(vecs, axis=1, keepdims=True)
-                       * self.h ** (self.dim / 2.0))
+        """Rows of node values of a 1D grid, L2-normalized with the grid
+        measure in place; returns them."""
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True) * self.h ** 0.5
+        return vecs
 
 
 @dataclass
@@ -196,10 +195,11 @@ class FDOperator:
 
     def band(self, shift) -> np.ndarray:
         """T - shift in the (1, 1) layout of solve_banded.  diag - shift is
-        formed in the precision of shift and rounded into the band."""
+        formed in the precision of shift and rounded into the band, one
+        buffered chunk at a time."""
         band = np.zeros((3, self.wdiag.size))
         band[0, 1:] = band[2, :-1] = self.off[0]
-        band[1] = self.diag.astype(np.asarray(shift).dtype, copy=False) - shift
+        np.subtract(self.diag, shift, out=band[1], casting="unsafe")
         return band
 
     def quotient(self, v) -> np.longdouble:
@@ -211,11 +211,23 @@ class FDOperator:
         ulp of lambda regardless of the grid (the assembled matrix form loses
         eps_mach * |T| ~ eps_mach / h^2, which dominates fine grids).
         """
-        v = np.asarray(v, dtype=np.longdouble)
-        dv = np.diff(v, prepend=np.longdouble(0), append=np.longdouble(0))
-        kinetic = np.sum(self.edges[0] * dv * dv) / np.longdouble(self.h) ** 2
-        potential = np.sum(self.wdiag * v * v)
-        return (kinetic + potential) / np.sum(v * v)
+        ld = np.longdouble
+        v = np.asarray(v, dtype=ld)
+        # dv, the differences with the Dirichlet zeros at both ends, and
+        # one buffer for the products; the float64 stencil is promoted as
+        # it is read, which rounds nothing
+        dv = np.empty(v.size + 1, dtype=ld)
+        dv[0], dv[-1] = v[0], -v[-1]
+        np.subtract(v[1:], v[:-1], out=dv[1:-1])
+        prod = np.multiply(self.edges[0], dv, dtype=ld)
+        prod *= dv
+        kinetic = np.sum(prod) / ld(self.h) ** 2
+        prod = prod[:-1]
+        np.multiply(self.wdiag, v, out=prod, dtype=ld)
+        prod *= v
+        potential = np.sum(prod)
+        np.multiply(v, v, out=prod)
+        return (kinetic + potential) / np.sum(prod)
 
     def polish(self, vec: np.ndarray) -> tuple:
         """The eigenvector near vec, by bordered Newton steps in extended
@@ -230,18 +242,19 @@ class FDOperator:
         is lower), when |r| no longer decreases, when T - mu is exactly
         singular (the pair has converged), or after POLISH_STEPS steps.
         """
-        d = self.diag.astype(np.longdouble)
-        e = self.off[0].astype(np.longdouble)
+        d, e = self.diag, self.off[0]
         v = w = vec.astype(np.longdouble)
         best = np.inf
         for step in range(POLISH_STEPS + 1):
             w /= np.sqrt(np.dot(w, w))
-            Tw = d * w
-            Tw[:-1] += e * w[1:]
-            Tw[1:] += e * w[:-1]
+            # the products in long double, in one work buffer; the
+            # float64 stencil is promoted as it is read, which rounds nothing
+            Tw, tmp = d * w, np.empty_like(w)
+            Tw[:-1] += np.multiply(e, w[1:], out=tmp[:-1])
+            Tw[1:] += np.multiply(e, w[:-1], out=tmp[1:])
             mu = np.dot(w, Tw)
             r = Tw                        # Tw - mu w, formed in place
-            r -= mu * w
+            r -= np.multiply(mu, w, out=tmp)
             rr = np.dot(r, r)
             if not rr < best:
                 break
@@ -250,21 +263,25 @@ class FDOperator:
             if plateau or step == POLISH_STEPS:
                 break
             # each step's work arrays are dropped as soon as they are read,
-            # and the solve overwrites its inputs: on the finest 1D grids
-            # the polish would otherwise set the comparison's peak memory
-            rhs = np.empty((v.size, 2))
+            # and the solve overwrites its inputs, the right-hand sides in
+            # LAPACK's column order: on the finest 1D grids the polish sets
+            # the comparison's peak memory
+            rhs = np.empty((v.size, 2), order="F")
             rhs[:, 0], rhs[:, 1] = r, v
-            del Tw, r
+            del Tw, r, tmp
             try:
                 y, z = sla.solve_banded((1, 1), self.band(mu), rhs,
                                         overwrite_ab=True, overwrite_b=True,
                                         check_finite=False).T
             except np.linalg.LinAlgError:
                 break                     # mu is an eigenvalue of T in float64
-            # y and z enter in long double, as v does
+            # y and z enter in long double, as v does, through the work buffer
+            tmp = y.astype(np.longdouble)
+            vy = np.dot(v, tmp)
+            tmp[:] = z
             w = v - y
-            w += (np.dot(v, y) / np.dot(v, z)) * z
-            del rhs, y, z
+            w += np.multiply(vy / np.dot(v, tmp), z, out=tmp)
+            del rhs, y, z, tmp
         return v.astype(float), step
 
     def flux_gradient(self, v: np.ndarray) -> np.ndarray:
@@ -319,7 +336,8 @@ def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid):
 
 def _solve_1d(coeff_at, W, eps, grid, count):
     """The count lowest eigenvalues on grid and on its h/2 refinement, the
-    h/2 eigenvectors, and the h/2 FDOperator.
+    h/2 eigenvectors, and the h/2 FDOperator with the stencil that inverse
+    iteration cached, which the polish reads again.
 
     The h grid is solved by LAPACK (bisection and inverse iteration).  On
     h/2 each h pair k is the shift and the start of INVERSE_STEPS shifted
@@ -335,6 +353,7 @@ def _solve_1d(coeff_at, W, eps, grid, count):
         op.diag, op.off[0], select="i", select_range=(0, count - 1)
     )
     vals = np.array([op.quotient(v) for v in vecs.T], dtype=float)
+    del op
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     fine = FineGrid(1, grid.radius, grid.h / 2.0)
@@ -347,8 +366,10 @@ def _solve_1d(coeff_at, W, eps, grid, count):
         v = np.interp(fine_x, x, np.pad(vecs[:, k], 1))
         band = fop.band(vals[k])
         for _ in range(INVERSE_STEPS):
-            v = sla.solve_banded((1, 1), band, v, check_finite=False)
+            v = sla.solve_banded((1, 1), band, v, overwrite_b=True,
+                                 check_finite=False)
             v /= np.linalg.norm(v)
+        del band
         fine_vals[k] = fop.quotient(v)
         fine_vecs[k] = v
     gap = np.abs(fine_vals[:, None] - vals)
@@ -358,9 +379,7 @@ def _solve_1d(coeff_at, W, eps, grid, count):
             f"inverse iteration on the h/2 grid lost the order of the h "
             f"grid's eigenvalues: {fine_vals} from {vals}"
         )
-    # the record without the stencil that inverse iteration cached: a 1D
-    # sweep holds every eps's reference, and only the polish reads it again
-    return vals, fine_vals, fine_vecs, replace(fop)
+    return vals, fine_vals, fine_vecs, fop
 
 
 # --- 2D paths -------------------------------------------------------------------
@@ -529,14 +548,15 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     )
 
 
-def validate_radius(coeff, W, ref: ReferenceSpectrum) -> float:
-    """Relative eigenvalue shift of the reference ref when its box radius
-    is doubled; only the doubled box is solved."""
-    grid = ref.grid
+def validate_radius(coeff, W, eps: float, grid: FineGrid,
+                    eigenvalues: np.ndarray) -> float:
+    """Relative shift of the (Richardson) eigenvalues of a reference at eps
+    on grid when the box radius is doubled; only the doubled box is
+    solved."""
     big = FineGrid(grid.dim, 2.0 * grid.radius, grid.h)
-    wide = solve_Leps(coeff, W, ref.eps, big, len(ref.eigenvalues),
+    wide = solve_Leps(coeff, W, eps, big, len(eigenvalues),
                       keep_vectors=False)
-    shift = np.max(np.abs(ref.eigenvalues - wide.eigenvalues)
+    shift = np.max(np.abs(eigenvalues - wide.eigenvalues)
                    / np.maximum(np.abs(wide.eigenvalues), 1.0))
     return float(shift)
 
@@ -581,12 +601,7 @@ def match_and_compare(ref: ReferenceSpectrum, branches: list, eps: float,
     from .expansion import assemble, lambda_tilde
     from .hermite import HermiteSampler
 
-    op = ref.operator
-    if op is not None:
-        grid = ref.fine_grid
-        pts = grid.points()
-        phases = grid.phases(eps)
-
+    op, grid = ref.operator, ref.fine_grid
     rows = []
     used = set()
     for br in branches:
@@ -597,13 +612,17 @@ def match_and_compare(ref: ReferenceSpectrum, branches: list, eps: float,
         else:
             # one blocked pass at the nodes samples U_0 for the overlap and
             # every envelope derivative of the assembly, and the corrector
-            # shapes are sampled at one period of node phases; only a copy
-            # of U_0's samples outlives the assembly, so the envelope rows
-            # are gone before the polish
+            # shapes at one period of node phases, a block of nodes at a
+            # time: of the samples only w, its gradient and U_0's are held
+            # for every node, and the nodes and their phase index are
+            # dropped with the samplers, before the polish
+            pts = grid.points()
             asm = assemble(br, eps, pts, P=P, gradient=True,
                            sample_x=HermiteSampler(br.spectrum.basis, pts,
                                                    P + 1),
-                           sample_y=FourierSampler(br.table.grid, *phases))
+                           sample_y=FourierSampler(br.table.grid,
+                                                   *grid.phases(eps)))
+            del pts
             overlaps = ref.eigenvectors @ asm.u0 * grid.h
             order = [i for i in np.argsort(-np.abs(overlaps)) if i not in used]
             pick = order[0]

@@ -139,16 +139,23 @@ class SeparableField:
 
     # --- evaluation ---
 
-    def eval_xy(self, x_pts: np.ndarray, sample: FourierSampler) -> np.ndarray:
-        """chi(x_i, y_i) for x_pts of shape (m, d) paired with the m points
-        y_i of ``sample``, a FourierSampler on this field's grid."""
-        x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
-        out = np.zeros(x_pts.shape[0])
-        for b, f in self.terms.items():
-            # the sampler returns a fresh array; no term's arrays outlive
-            # its addition
-            out += _times_monomial(sample(f), x_pts, b)
-        return out
+    def sampler(self, sample: FourierSampler):
+        """The field at points of ``sample``, a FourierSampler on this
+        field's grid, as a function of (x_pts, blk): chi(x_i, y_i) for the
+        points y_i at the slice blk of the sampler's points, x_pts their
+        slow coordinates, (len, d).  Each shape's phase table is formed
+        here, once, and read at every slice."""
+        tables = [(b, sample.table(f)) for b, f in self.terms.items()]
+
+        def at(x_pts: np.ndarray, blk: slice) -> np.ndarray:
+            out = np.zeros(x_pts.shape[0])
+            for b, table in tables:
+                # the gather is a fresh array; no term's arrays outlive
+                # its addition
+                out += _times_monomial(sample.gather(table, blk), x_pts, b)
+            return out
+
+        return at
 
     def __repr__(self):
         return f"SeparableField({len(self.terms)} terms, deg {self.degree()})"

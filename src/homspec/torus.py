@@ -230,15 +230,26 @@ class PeriodicField:
 SAMPLE_BLOCK = 4096
 
 
+def tensor_table(tables: list, core: np.ndarray) -> np.ndarray:
+    """Real part of ``core`` contracted with one table per axis on the
+    tensor grid of the tables' rows: tables[0] @ core @ tables[1].T, with
+    one axis per table.  A complex product is not kept behind its real
+    part."""
+    table = tables[0] @ core
+    for t in tables[1:]:
+        table = table @ t.T
+    return np.ascontiguousarray(table.real)
+
+
 def tensor_contract(tables: list, core: np.ndarray,
                     index: tuple | None = None) -> np.ndarray:
     """Real part of ``core`` contracted with one table per axis, per point.
 
     With ``index`` point p takes row index[ax][p] of tables[ax], gathered
-    from the table tables[0] @ core @ tables[1].T, which is formed once: a
-    tensor grid then costs its distinct coordinates per axis, not its
-    points.  Without it point p takes row p of every table; in 2D that is
-    contracted per point, in blocks.
+    from tensor_table, which is formed once: a tensor grid then costs its
+    distinct coordinates per axis, not its points.  Without it point p
+    takes row p of every table; in 2D that is contracted per point, in
+    blocks.
     """
     if index is None and len(tables) == 2:
         left, right = tables
@@ -247,10 +258,7 @@ def tensor_contract(tables: list, core: np.ndarray,
             blk = slice(start, start + SAMPLE_BLOCK)
             out[blk] = np.einsum("pb,pb->p", left[blk] @ core, right[blk]).real
         return out
-    table = tables[0] @ core
-    for t in tables[1:]:
-        table = table @ t.T
-    table = np.real(table)
+    table = tensor_table(tables, core)
     return table if index is None else table[tuple(index)]
 
 
@@ -284,8 +292,10 @@ class FourierSampler:
     ``index`` it is row p of ``points``.  The per-axis Fourier basis is built
     once on the rows of ``points`` up to the last one ``index`` reads, so a
     point set with few distinct coordinates per axis, such as the fine-grid
-    phases of FineGrid.phases, costs few rows on each.  Each call is one
-    FFT, one product with the spectrum and one gather.
+    phases of FineGrid.phases, costs few rows on each.  A field's ``table``
+    is one FFT, and with an index its product with the bases; ``gather``
+    reads the values at any slice of the points from it, so a caller that
+    walks the points in blocks forms each field's table once.
     """
 
     __slots__ = ("grid", "bases", "index")
@@ -304,12 +314,25 @@ class FourierSampler:
 
     def __call__(self, field: PeriodicField) -> np.ndarray:
         """Values of a scalar field on this grid at the sampler's points."""
+        return self.gather(self.table(field), slice(None))
+
+    def table(self, field: PeriodicField) -> np.ndarray:
+        """The phase table of a scalar field on this grid: with an index,
+        its values on the tensor grid of the basis rows (tensor_table);
+        without, its spectrum."""
         if field.rank != 0:
             raise GridMismatch("evaluate is defined for scalar fields")
         if field.grid != self.grid:
             raise GridMismatch("field lives on a different grid")
         fh = np.fft.fftn(field.values) / self.grid.npoints
-        return tensor_contract(self.bases, fh, self.index)
+        return fh if self.index is None else tensor_table(self.bases, fh)
+
+    def gather(self, table: np.ndarray, blk: slice) -> np.ndarray:
+        """Values at the points ``blk`` of the field whose ``table`` is
+        given."""
+        if self.index is None:
+            return tensor_contract([b[blk] for b in self.bases], table)
+        return table[tuple(ix[blk] for ix in self.index)]
 
 
 def _rfft(values: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homspec.classical import build_suite
@@ -494,27 +494,94 @@ class TestAssemble:
 
     @pytest.mark.parametrize("gradient", [False, True])
     def test_one_sampler_call_with_its_own_requests(self, case_1d, gradient):
-        # assemble asks its Hermite sampler once, for exactly the envelope
-        # derivatives of envelope_requests in their order, and keeps a copy
-        # of the first row, U_0's samples
+        # assemble asks its Hermite sampler once, for the blocks of exactly
+        # the envelope derivatives of envelope_requests in their order, and
+        # keeps the first row, U_0's samples
         _, _, _, branch = case_1d
         pts = np.linspace(-2.0, 2.0, 41).reshape(-1, 1)
         P = 3
         sampler = HermiteSampler(branch.spectrum.basis, pts, P + 1)
         calls = []
 
-        def spy(requests):
-            calls.append(list(requests))
-            return sampler(requests)
+        class Spy:
+            def blocks(self, requests):
+                calls.append(list(requests))
+                return sampler.blocks(requests)
 
         asm = assemble(branch, 0.05, pts, P=P, gradient=gradient,
-                       sample_x=spy,
+                       sample_x=Spy(),
                        sample_y=FourierSampler(branch.table.grid, pts / 0.05))
         want = [(branch.U[k], alpha)
                 for k, alpha in envelope_requests(branch, P, gradient)]
         assert calls == [want]
         assert np.array_equal(asm.u0, sampler([want[0]])[0])
 
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 90),
+           block=st.integers(1, 100), indexed=st.booleans())
+    def test_blocks_meet_at_their_seams(self, case_1d, seed, m, block,
+                                        indexed):
+        # assemble walks the points in the blocks its Hermite sampler hands
+        # out, SAMPLE_BLOCK points each: with blocks of 1 to more than m
+        # points they tile the points in order, and w, its gradient and
+        # U_0's samples agree with a one-block run to 1e-13 of their
+        # largest value; a gap would leave a point's values unset and an
+        # overlap would add a term twice.  Each corrector shape's phase
+        # table is formed once per call, however many blocks there are
+        import homspec.hermite as hermite
+        assume(m % block != 0)
+        _, _, _, branch = case_1d
+        eps, P = 0.05, 3
+        rng = np.random.default_rng(seed)
+        if indexed:
+            coords = rng.uniform(-3.0, 3.0, (7, 1))
+            index = [rng.integers(0, 7, m)]
+            pts = coords[index[0]]
+        else:
+            coords, index = rng.uniform(-3.0, 3.0, (m, 1)), None
+            pts = coords
+        seen, tables = [], []
+
+        class Recording(HermiteSampler):
+            __slots__ = ()
+
+            def blocks(self, requests):
+                for blk, values in super().blocks(requests):
+                    seen.append(blk.indices(m))
+                    yield blk, values
+
+        class Counting(FourierSampler):
+            __slots__ = ()
+
+            def table(self, field):
+                tables.append(field)
+                return super().table(field)
+
+        def run():
+            seen.clear()
+            tables.clear()
+            return assemble(
+                branch, eps, pts, P=P, gradient=True,
+                sample_x=Recording(branch.spectrum.basis, coords, P + 1,
+                                   index),
+                sample_y=Counting(branch.table.grid, coords / eps, index))
+
+        whole = run()
+        assert seen == [(0, m, 1)]
+        formed = len(tables)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hermite, "SAMPLE_BLOCK", block)
+            blocked = run()
+        assert seen == [(start, min(start + block, m), 1)
+                        for start in range(0, m, block)]
+        assert len(tables) == formed
+        for got, want in ((blocked.w, whole.w), (blocked.grad_w, whole.grad_w),
+                          (blocked.u0, whole.u0)):
+            assert got.shape == want.shape
+            assert (np.max(np.abs(got - want))
+                    <= 1e-13 * np.max(np.abs(want)))
 
 
 class TestStageExpand:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -424,6 +425,45 @@ class TestPipeline:
         assert calls[-1] == (max(cfg.eps_list), 14.0)
         assert 0.0 <= manifest.radius_shift < 1e-9
 
+    def test_no_reference_outlives_its_eps(self, monkeypatch):
+        # stage_reference drops each eps's reference once it is compared:
+        # none is alive when the next eps, or the doubled box, is solved
+        alive = []
+        solve = reference.solve_Leps
+
+        def tracking(*args, **kwargs):
+            assert all(ref() is None for ref in alive)
+            out = solve(*args, **kwargs)
+            alive.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(reference, "solve_Leps", tracking)
+        cfg = parse_config(MINIMAL.replace(
+            "radius = 7.0", "radius = 7.0\nvalidate_radius = true"))
+        _, rows = run(cfg)
+        assert len(alive) == len(cfg.eps_list) + 1
+        assert all(np.isfinite(row.l2_err) for row in rows)
+
+    def test_1d_sweep_holds_one_eps(self):
+        # a 1D sweep solves, compares and drops one eps at a time, and the
+        # comparison samples the nodes a block at a time: the run's
+        # allocations peak below 26 float64 arrays of the finest h/2 grid
+        # (about 30 when every eps's reference was held through the
+        # comparisons and the envelopes were sampled at every node at once)
+        cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
+                                       "configs", "simple-1d.ini"))
+        tracemalloc.start()
+        try:
+            manifest, rows = run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = reference.FineGrid(1, manifest.radius, min(cfg.eps_list)
+                               / cfg.fd_h_rule / 2.0).n_interior
+        assert m > 70_000
+        assert all(np.isfinite(row.h1_err) for row in rows)
+        assert peak < 26 * 8 * m
+
     def test_manifest_cell_solves(self):
         # homogenize and the two-branch cluster share one corrector store:
         # the multiple-2d sweep solves 7 cell problems (13 when homogenize
@@ -600,8 +640,9 @@ class TestCLI:
 
     def test_expand_never_imports_scipy(self, tmp_path):
         # expand needs no reference solve, so it must not pay for importing
-        # scipy; a sweep in the same process still loads it and writes the
-        # sweep.csv of an in-process run
+        # scipy, nor hash a config, so it must not load OpenSSL's binding
+        # (_hashlib); a sweep in the same process still loads scipy and
+        # writes the sweep.csv of an in-process run
         cfg_path = os.path.join(os.path.dirname(__file__), "..", "configs",
                                 "minimal.ini")
         script = (
@@ -609,7 +650,7 @@ class TestCLI:
             "from homspec.cli import main\n"
             f"base = ['--config', {cfg_path!r}, '--out', {str(tmp_path)!r}]\n"
             "assert main(base + ['expand', '--w-samples', '5']) == 0\n"
-            "print('scipy' in sys.modules)\n"
+            "print('scipy' in sys.modules, '_hashlib' in sys.modules)\n"
             "assert main(base + ['sweep']) == 0\n"
             "print('scipy' in sys.modules)\n"
         )
@@ -619,7 +660,7 @@ class TestCLI:
                            text=True, cwd=str(tmp_path), env=env)
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines()[-1] == "True"
-        assert "False" in r.stdout.splitlines()
+        assert "False False" in r.stdout.splitlines()
         assert len(_csv_floats((tmp_path / "w_samples.csv").read_text())) == 5
 
         def without_runtime(text):

@@ -55,8 +55,8 @@ class TestTruncationRadius:
         # by far less than 1e-9 relative
         c = coeff_identity_1d()
         grid = FineGrid(1, 6.0, 1.0 / 128)
-        shift = validate_radius(
-            c, w1(), solve_Leps(c, w1(), 0.25, grid, 2, keep_vectors=False))
+        ref = solve_Leps(c, w1(), 0.25, grid, 2, keep_vectors=False)
+        shift = validate_radius(c, w1(), 0.25, grid, ref.eigenvalues)
         assert shift < 1e-9
 
     def test_small_radius_detected(self):
@@ -64,8 +64,8 @@ class TestTruncationRadius:
         # around 1e-4, which the doubling check must expose
         c = coeff_identity_1d()
         grid = FineGrid(1, 3.0, 1.0 / 128)
-        shift = validate_radius(
-            c, w1(), solve_Leps(c, w1(), 0.25, grid, 1, keep_vectors=False))
+        ref = solve_Leps(c, w1(), 0.25, grid, 1, keep_vectors=False)
+        shift = validate_radius(c, w1(), 0.25, grid, ref.eigenvalues)
         assert shift > 1e-7
 
 

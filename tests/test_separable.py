@@ -108,4 +108,4 @@ class TestEvalXY:
                 if p:
                     mono = mono * x[:, ax] ** p
             expect += mono * sample(shape)
-        assert np.array_equal(f.eval_xy(x, sample), expect)
+        assert np.array_equal(f.sampler(sample)(x, slice(None)), expect)

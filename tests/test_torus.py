@@ -544,24 +544,6 @@ class TestFineGridPhases:
         assert got.shape == (grid.n_interior,)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(f.values))
 
-    @settings(max_examples=8, deadline=None)
-    @given(rule=st.sampled_from([8, 10.5]),
-           radius=st.floats(0.2, 0.5),
-           eps=st.floats(0.1, 0.3),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_2d_lattice_follows_points_order(self, rule, radius, eps, seed):
-        grid = FineGrid(2, radius, eps / rule / 2.0)
-        p = round(2 * rule)
-        coords, index = grid.phases(eps)
-        assert coords.shape == (p, 2)
-        f, exact = random_trig_field(grid2(8), seed)
-        got = FourierSampler(f.grid, coords, index)(f)
-        y = lattice_phases(grid, eps, p)
-        n = y.size
-        want = exact(np.stack([np.repeat(y, n), np.tile(y, n)], axis=1))
-        assert got.shape == (grid.points().shape[0],)
-        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(f.values))
-
     @settings(max_examples=10, deadline=None)
     @given(ratio=st.floats(17.0, 40.0).filter(
                lambda r: abs(r - round(r)) > 1e-6),
