@@ -4,7 +4,9 @@ reference -> compare pipeline, manifests, and CSV artifacts.
 A run is driven entirely by a RunConfig; the manifest embeds the config
 verbatim (plus a hash) so a run can be reproduced from the manifest alone.
 All artifacts are deterministic for a fixed config on one machine, with the
-BLAS thread count fixed, except for the recorded wall-clock column.  The
+BLAS thread count fixed, except for the recorded wall-clock column; a 1D
+sweep's do not depend on the thread count, since its reductions over the
+fine grid are numpy sums, not BLAS products split over threads.  The
 reference stage's names, and scipy with them, are imported by the functions
 that use them, as is hashlib by config_hash, so the homogenize, spectrum and
 expand commands load neither scipy nor OpenSSL's binding.
@@ -35,6 +37,9 @@ from .hermite import MacroBasis, default_sigma, solve_spectrum, spectral_gap
 from .torus import TorusGrid
 
 P_BUILD_CAP = 5
+# mantissa bits of x87 extended precision, in which the reference's energy
+# quotients and polish are formed
+EXTENDED_NMANT = 63
 
 
 @dataclass
@@ -59,6 +64,7 @@ class RunManifest:
     E: list | None
     radius: float
     radius_shift: float | None
+    longdouble_nmant: int       # np.finfo(np.longdouble).nmant of the run
     hierarchy_residual_max: float
     per_eps: list               # rows as dicts (the CSV table)
     fits: dict
@@ -76,6 +82,21 @@ def config_hash(cfg: RunConfig) -> str:
     # the homogenize, spectrum and expand commands do not need
     import hashlib
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
+
+
+def precision_warnings(nmant: int) -> list:
+    """The reference's warnings on a long double of nmant mantissa bits:
+    NarrowLongDouble below EXTENDED_NMANT (long double is float64 on
+    aarch64 macOS and MSVC), where the energy quotients and the polish lose
+    the floor far below the expansion's residuals; none otherwise."""
+    if nmant >= EXTENDED_NMANT:
+        return []
+    return [{"code": "NarrowLongDouble", "nmant": nmant,
+             "detail": f"long double carries {nmant} mantissa bits, not "
+                       f"{EXTENDED_NMANT}: the reference eigenvalues and "
+                       "the polished eigenvectors are formed in float64, "
+                       "whose rounding on fine grids can reach the errors "
+                       "being measured"}]
 
 
 # --- stages ----------------------------------------------------------------------
@@ -177,7 +198,9 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
     spent solving the i-th eps.  With validate_radius the box is doubled
     once at the largest eps, after the last reference: radius_shift is the
     relative shift of that eps's eigenvalues (None without
-    validate_radius), and a shift above 1e-9 adds RadiusNotConverged.
+    validate_radius), and a shift above 1e-9 adds RadiusNotConverged.  A
+    long double narrower than x87 extended precision adds
+    NarrowLongDouble (precision_warnings).
     """
     from .reference import (FineGrid, solve_Leps, truncation_radius,
                             validate_radius)
@@ -189,6 +212,7 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
         cfg.radius_safety,
     )
     ref_count = max(b + 1, 3)
+    warnings.extend(precision_warnings(np.finfo(np.longdouble).nmant))
     largest = max(cfg.eps_list)
     seconds = []
     for eps in cfg.eps_list:
@@ -308,6 +332,7 @@ def run(cfg: RunConfig):
         P_built=P_build,
         radius=radius,
         radius_shift=radius_shift,
+        longdouble_nmant=int(np.finfo(np.longdouble).nmant),
         hierarchy_residual_max=hierarchy_residual_max(branches),
         **summary,
         per_eps=per_eps_meta,

@@ -10,13 +10,16 @@ integrals of 1/a (which keeps the discretization error smooth in h though
 the coefficient oscillates) taken on one period of fast phases; its
 diagonal and couplings are the one copy of the stencil that the
 tridiagonal, banded and sparse solves read.  In 1D the h grid is solved by
-LAPACK, and the h/2 grid by shifted inverse iteration from the h grid's
-eigenpairs, which are already O(h^2) accurate; each eigenvalue is the
-record's energy quotient in extended precision, so that the floor sits
-orders of magnitude below the smallest expansion residuals being measured.
-The eigenvector that a comparison uses is polished on the record by
-bordered Newton steps with extended-precision residuals when it is
-compared.
+LAPACK, whose bisection stops at a stated width (BISECT_WIDTH) since only
+its vectors are kept, and the h/2 grid by shifted inverse iteration from
+the h grid's eigenpairs, which are already O(h^2) accurate, with each
+shifted band factored once; each eigenvalue is the record's energy
+quotient in extended precision, so that the floor sits orders of magnitude
+below the smallest expansion residuals being measured.  The eigenvector
+that a comparison uses is polished on the record by bordered Newton steps
+with extended-precision residuals when it is compared, each step one
+solve of its own shift.  Sums over the fine grid are numpy's, which do not
+depend on the BLAS thread count.
 
 Separable two-dimensional problems (diagonal a with axis-aligned
 oscillation and an additively separable potential) factor exactly: the
@@ -32,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     ConvergenceFailure,
@@ -48,6 +52,7 @@ MAX_OVERLAP_CONDITION = 10.0   # picked overlap / runner-up within a cluster
 POLISH_STEPS = 4               # cap on Newton steps per eigenpair
 POLISH_PLATEAU = 4.0           # least cut of |r|^2 per Newton step
 INVERSE_STEPS = 3              # inverse iterations per h/2 eigenpair
+BISECT_WIDTH = 1e-4            # interval at which h-grid bisection stops
 
 
 def truncation_radius(lam: float, lambda_minus: float, safety: float) -> float:
@@ -196,7 +201,9 @@ class FDOperator:
     def band(self, shift) -> np.ndarray:
         """T - shift in the (1, 1) layout of solve_banded.  diag - shift is
         formed in the precision of shift and rounded into the band, one
-        buffered chunk at a time."""
+        buffered chunk at a time.  Each row is contiguous: _solve_1d
+        factors the rows in place (gttrf) once per shift, and the polish
+        hands the band to one solve_banded call that overwrites it."""
         band = np.zeros((3, self.wdiag.size))
         band[0, 1:] = band[2, :-1] = self.off[0]
         np.subtract(self.diag, shift, out=band[1], casting="unsafe")
@@ -339,19 +346,34 @@ def _solve_1d(coeff_at, W, eps, grid, count):
     h/2 eigenvectors, and the h/2 FDOperator with the stencil that inverse
     iteration cached, which the polish reads again.
 
-    The h grid is solved by LAPACK (bisection and inverse iteration).  On
-    h/2 each h pair k is the shift and the start of INVERSE_STEPS shifted
-    inverse iterations in float64 (Ipsen, SIAM Rev. 39, 1997): its vector,
-    interpolated linearly onto the h/2 nodes with 0 at the Dirichlet ends,
-    is already O(h^2) from the h/2 one.  Every eigenvalue is the energy
-    quotient of its vector, whose error is second order in the vector's.
-    Raises ConvergenceFailure when the h/2 eigenvalues are not increasing,
-    or one lies nearer another pair's h eigenvalue than its own.
+    The h grid is solved by LAPACK: bisection (stebz) stops once each
+    eigenvalue lies in an interval of width BISECT_WIDTH, and inverse
+    iteration (stein) from that approximate shift gives the vectors.  The
+    width is absolute: where the lowest count eigenvalues lie at least
+    about 0.1 apart, stein's iterates from that shift converge to rounding,
+    and the quotients of its vectors equal those from full-precision
+    bisection bit for bit, but at float64 rounding midpoints, where either
+    may round up (closer eigenvalues, 0.06 apart, left one quotient in 150
+    problems 4 ulp off).  LAPACK's eigenvalues are not kept.  On h/2 each h pair k is the shift and the start of INVERSE_STEPS
+    shifted inverse iterations in float64 (Ipsen, SIAM Rev. 39, 1997): its
+    vector, interpolated linearly onto the h/2 nodes with 0 at the
+    Dirichlet ends, is already O(h^2) from the h/2 one.  Each shifted band
+    is factored once, in place (gttrf), and every iteration is one
+    triangular solve pair (gttrs).  Every eigenvalue is the energy quotient
+    of its vector, whose error is second order in the vector's.  Raises
+    ConvergenceFailure when LAPACK's inverse iteration does not converge,
+    when a shifted band has a zero pivot, when the h/2 eigenvalues are not
+    increasing, or when one lies nearer another pair's h eigenvalue than its
+    own.
     """
     op = _fd_operator([coeff_at], W, eps, grid)
-    _, vecs = sla.eigh_tridiagonal(
-        op.diag, op.off[0], select="i", select_range=(0, count - 1)
-    )
+    try:
+        _, vecs = sla.eigh_tridiagonal(
+            op.diag, op.off[0], select="i", select_range=(0, count - 1),
+            tol=BISECT_WIDTH,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"h grid eigensolve failed: {exc}") from exc
     vals = np.array([op.quotient(v) for v in vecs.T], dtype=float)
     del op
     order = np.argsort(vals)
@@ -364,12 +386,22 @@ def _solve_1d(coeff_at, W, eps, grid, count):
     fine_vecs = np.empty((count, fine_x.size))
     for k in range(count):
         v = np.interp(fine_x, x, np.pad(vecs[:, k], 1))
+        # the band's rows become the LU factors
         band = fop.band(vals[k])
+        *lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:],
+                           overwrite_dl=True, overwrite_d=True,
+                           overwrite_du=True)
+        if info > 0:
+            raise ConvergenceFailure(
+                f"the h/2 band shifted by the h eigenvalue {vals[k]!r} has "
+                f"a zero pivot at row {info}"
+            )
         for _ in range(INVERSE_STEPS):
-            v = sla.solve_banded((1, 1), band, v, overwrite_b=True,
-                                 check_finite=False)
-            v /= np.linalg.norm(v)
-        del band
+            v, _ = dgttrs(*lu, v, overwrite_b=True)
+            # a serial sum: a BLAS norm splits long vectors over threads,
+            # and its bits with them
+            v /= np.sqrt(np.sum(v * v))
+        del band, lu
         fine_vals[k] = fop.quotient(v)
         fine_vecs[k] = v
     gap = np.abs(fine_vals[:, None] - vals)
@@ -623,7 +655,10 @@ def match_and_compare(ref: ReferenceSpectrum, branches: list, eps: float,
                            sample_y=FourierSampler(br.table.grid,
                                                    *grid.phases(eps)))
             del pts
-            overlaps = ref.eigenvectors @ asm.u0 * grid.h
+            # serial sums of products, as in _solve_1d: a BLAS product
+            # splits m-long rows over threads
+            overlaps = np.array([np.sum(v * asm.u0)
+                                 for v in ref.eigenvectors]) * grid.h
             order = [i for i in np.argsort(-np.abs(overlaps)) if i not in used]
             pick = order[0]
             if len(branches) > 1 and len(order) > 1:
@@ -638,8 +673,8 @@ def match_and_compare(ref: ReferenceSpectrum, branches: list, eps: float,
             # polish the picked vector, then normalize it as solve_Leps
             # does and overlap it as above, as a one-row array
             polished, steps = op.polish(ref.eigenvectors[pick])
-            row = grid.normalize(polished[None])
-            psi = row[0] / (row @ asm.u0 * grid.h)[0]
+            row = grid.normalize(polished[None])[0]
+            psi = row / (np.sum(row * asm.u0) * grid.h)
             diff = psi - asm.w
             gd = op.flux_gradient(psi) - asm.grad_w
             l2 = float(np.sqrt(np.sum(diff ** 2) * grid.h))

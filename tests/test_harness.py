@@ -16,7 +16,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from homspec import cli, reference
+from homspec import cli, pipeline, reference
 from homspec.config import (
     SETTINGS,
     load_config,
@@ -26,7 +26,8 @@ from homspec.config import (
     serialize_config,
 )
 from homspec.errors import ConfigError
-from homspec.pipeline import emit_plot_data, rows_from_csv, rows_to_csv, run
+from homspec.pipeline import (emit_plot_data, precision_warnings,
+                              rows_from_csv, rows_to_csv, run)
 from homspec.torus import tensor_rows
 from homspec.verify import report, run_invariants
 
@@ -464,6 +465,22 @@ class TestPipeline:
         assert all(np.isfinite(row.h1_err) for row in rows)
         assert peak < 26 * 8 * m
 
+    def test_long_double_width(self, monkeypatch):
+        # one rule decides the precision warning: below the 63 mantissa
+        # bits of x87 extended precision the reference's floor is gone
+        assert precision_warnings(63) == precision_warnings(112) == []
+        [warning] = precision_warnings(52)
+        assert warning["code"] == "NarrowLongDouble"
+        assert warning["nmant"] == 52
+        # a sweep records the width it ran with and carries the rule's
+        # warning, here from a rule that asks one bit more than it has
+        nmant = np.finfo(np.longdouble).nmant
+        monkeypatch.setattr(pipeline, "EXTENDED_NMANT", nmant + 1)
+        manifest, _ = run(load_config(os.path.join(
+            os.path.dirname(__file__), "..", "configs", "minimal.ini")))
+        assert manifest.longdouble_nmant == nmant
+        assert [w["code"] for w in manifest.warnings] == ["NarrowLongDouble"]
+
     def test_manifest_cell_solves(self):
         # homogenize and the two-branch cluster share one corrector store:
         # the multiple-2d sweep solves 7 cell problems (13 when homogenize
@@ -562,8 +579,8 @@ class TestVerify:
 
 
 class TestCLI:
-    def _run(self, *argv, cwd):
-        env = dict(os.environ)
+    def _run(self, *argv, cwd, **variables):
+        env = dict(os.environ, **variables)
         env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
         return subprocess.run(
             [sys.executable, "-m", "homspec.cli", *argv],
@@ -839,6 +856,77 @@ class TestCLI:
         assert r.stderr.startswith(prefix), r.stderr
         assert r.stderr.count("\n") == 1, r.stderr
         assert needle in r.stderr
+
+    def test_1d_sweep_independent_of_blas_threads(self, tmp_path):
+        # simple-1d's finest h/2 grid holds 71 679 nodes, far above the
+        # ~10 000 elements from which OpenBLAS splits a dot product over
+        # threads: the sweep writes the same bytes under one BLAS thread and
+        # two, but for the wall times (sweep.csv's runtime_s, the manifest's
+        # timings)
+        config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                              "simple-1d.ini")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            r = self._run("--config", config, "--out", str(out), "sweep",
+                          cwd=str(tmp_path), OPENBLAS_NUM_THREADS=threads,
+                          OMP_NUM_THREADS=threads)
+            assert r.returncode == 0, r.stderr
+            files = {}
+            for path in sorted(out.iterdir()):
+                text = path.read_text()
+                if path.name == "sweep.csv":
+                    text = "\n".join(line.rsplit(",", 1)[0]
+                                     for line in text.splitlines())
+                elif path.name == "manifest.json":
+                    manifest = json.loads(text)
+                    del manifest["timings"]
+                    text = json.dumps(manifest, sort_keys=True)
+                files[path.name] = text
+            outputs.append(files)
+        one, two = outputs
+        assert "sweep.csv" in one and one.keys() == two.keys()
+        assert [name for name in one if one[name] != two[name]] == []
+
+    @pytest.mark.parametrize("failure", ["stein", "pivot"])
+    def test_lapack_failure_exit_code(self, tmp_path, monkeypatch, capsys,
+                                      failure):
+        # LAPACK failures of the 1D eigensolve end as one numerical failure
+        # line, exit 4: stein reporting an eigenvector that did not converge
+        # (scipy's LinAlgError; it takes pathological input, so LAPACK's
+        # report is forced here), and a shifted h/2 band with a zero column,
+        # exactly singular, on which gttrf reports a zero pivot
+        if failure == "stein":
+            # eigh_tridiagonal's module looks its LAPACK routines up by name
+            import scipy.linalg._decomp as decomp
+            lookup = decomp.get_lapack_funcs
+
+            def unconverged(names, arrays):
+                funcs = lookup(names, arrays)
+                if names != ("stein",):
+                    return funcs
+                stein, = funcs
+                return [lambda *args: (stein(*args)[0], 1)]
+
+            monkeypatch.setattr(decomp, "get_lapack_funcs", unconverged)
+            needle = "stein (eigh_tridiagonal) 1 eigenvectors failed"
+        else:
+            band = reference.FDOperator.band
+
+            def singular(self, shift):
+                out = band(self, shift)
+                out[1, 0] = out[2, 0] = 0.0
+                return out
+
+            monkeypatch.setattr(reference.FDOperator, "band", singular)
+            needle = "zero pivot at row 1"
+        cfgfile = self._minimal(tmp_path)
+        code = cli.main(["--config", str(cfgfile),
+                         "--out", str(tmp_path / "out"), "sweep"])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err.startswith("numerical failure: ") and needle in err, err
+        assert err.count("\n") == 1, err
 
     def test_unreadable_config_exit_code(self, tmp_path):
         r = self._run("--config", str(tmp_path / "missing.ini"), "sweep",

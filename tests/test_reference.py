@@ -10,6 +10,7 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import homspec.reference as reference
 from homspec.errors import ConvergenceFailure, DegenerateFit, GridTooCoarse
 from homspec.classical import build_suite
 from homspec.expansion import simple_recursion
@@ -412,13 +413,38 @@ class TestSeparableFastPath:
         assert sep.eigenvectors is None and sep.operator is None
 
 
-def _lapack_route(a, W, eps, grid, count):
-    """The count lowest eigenvalues on grid as LAPACK vectors and their
-    energy quotients give them, sorted."""
+def _lapack_route(a, W, eps, grid, count, dtype=float):
+    """The count lowest eigenvalues on grid as LAPACK vectors, from
+    bisection to full precision, and their energy quotients give them,
+    sorted, rounded to dtype."""
     op = _fd_operator([a], W, eps, grid)
     _, vecs = sla.eigh_tridiagonal(op.diag, op.off[0], select="i",
                                    select_range=(0, count - 1))
-    return np.sort([float(op.quotient(v)) for v in vecs.T])
+    return np.sort([op.quotient(v) for v in vecs.T]).astype(dtype)
+
+
+def _well(c, count):
+    """W = c x^2 and a box radius that holds its count lowest
+    eigenfunctions: lambda_count of the well is about sqrt(2 c) (2 count - 1)
+    for an abar between sqrt(3) and 2."""
+    lam = np.sqrt(2.0 * c) * (2 * count - 1)
+    return SlowPolynomial(1, {(2,): c}), truncation_radius(lam, c, 2.0)
+
+
+def _banded_oracle(mp):
+    """Route _solve_1d's inverse iteration through one solve_banded call
+    per step on a copy of the unfactored band, as it ran before each shift
+    was factored once."""
+    def keep(dl, d, du, **_):
+        band = np.zeros((3, d.size))
+        band[0, 1:], band[1], band[2, :-1] = du, d, dl
+        return band, 0
+
+    def solve(band, b, **_):
+        return sla.solve_banded((1, 1), band, b, check_finite=False), 0
+
+    mp.setattr(reference, "dgttrf", keep)
+    mp.setattr(reference, "dgttrs", solve)
 
 
 def _cosine_entry(phase, amp):
@@ -431,6 +457,36 @@ def _cosine_entry(phase, amp):
 # the exact h/2 eigenvalue of this case lies 2e-4 ulp from a rounding
 # midpoint, and the two routes round to either side of it
 MIDPOINT = 0.45061675642819243
+
+
+class TestShallowBisection:
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="midpoint distance in x87 80-bit long double")
+    @settings(max_examples=20, deadline=None)
+    @given(phase=st.floats(0.0, 1.0), amp=st.floats(0.1, 1.0),
+           c=st.floats(0.01, 100.0), rule=st.sampled_from([8, 16]),
+           eps=st.sampled_from([0.5, 0.25]), count=st.integers(1, 8))
+    # the lowest quotient sits at a rounding midpoint and lands 1 ulp off
+    @example(phase=0.301, amp=0.265, c=1.358, rule=16, eps=0.25, count=8)
+    # at a width of 1e-3 the lowest quotient lands 116 ulp off
+    @example(phase=0.754, amp=0.215, c=0.021, rule=16, eps=0.25, count=2)
+    def test_quotients_equal_full_bisection(self, phase, amp, c, rule, eps,
+                                            count):
+        # bisection stopped at BISECT_WIDTH leaves stein's vectors within
+        # rounding of those from full-precision bisection: the h-grid
+        # quotients are bit for bit those of the default width, but where a
+        # long-double quotient lies within 2^-8 ulp of a float64 rounding
+        # midpoint, where the two vectors' quotients may round either way
+        a, (W, radius) = _cosine_entry(phase, amp), _well(c, count)
+        grid = FineGrid(1, radius, eps / rule)
+        got = _solve_1d(a, W, eps, grid, count)[0]
+        exact = _lapack_route(a, W, eps, grid, count, np.longdouble)
+        want = exact.astype(float)
+        off = got != want
+        ulp = np.spacing(want[off])
+        assert np.all(np.abs(got[off] - want[off]) == ulp)
+        midpoint = (got[off].astype(np.longdouble) + want[off]) / 2
+        assert np.all(np.abs(exact[off] - midpoint) <= ulp / 256)
 
 
 class TestInverseIteration:
@@ -467,6 +523,24 @@ class TestInverseIteration:
                 exact = _sturm_eigenvalue(op, 0, lam)
                 rel = float((mpmath.mpf(lam) - exact) / exact)
                 assert abs(rel) <= 2 * 2.0 ** -52
+
+    @settings(max_examples=20, deadline=None)
+    @given(phase=st.floats(0.0, 1.0), amp=st.floats(0.1, 1.0),
+           c=st.floats(0.01, 100.0), rule=st.sampled_from([8, 16]),
+           eps=st.sampled_from([0.5, 0.25]), count=st.integers(1, 8))
+    def test_one_factorization_equals_solve_banded(self, phase, amp, c, rule,
+                                                   eps, count):
+        # each shift factored once (gttrf) and solved INVERSE_STEPS times
+        # (gttrs) gives the iterates of one solve_banded (gtsv) call per
+        # step, which repeats the same elimination: bit for bit
+        a, (W, radius) = _cosine_entry(phase, amp), _well(c, count)
+        grid = FineGrid(1, radius, eps / rule)
+        got = _solve_1d(a, W, eps, grid, count)
+        with pytest.MonkeyPatch.context() as mp:
+            _banded_oracle(mp)
+            want = _solve_1d(a, W, eps, grid, count)
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
 
     def test_corrupted_coarse_pair_raises(self, monkeypatch):
         # pair 1 of the h grid handed the vector of pair 0: both inverse
@@ -650,9 +724,11 @@ class TestPolish:
         # from the inverse-iteration vector one Newton step reaches the
         # rounding floor of |r|^2; the second cuts it by less than
         # POLISH_PLATEAU, so the polish stops there.  Without the plateau
-        # rule it takes a third step here, which leaves the quotient as it is
+        # rule it takes a third step here, which leaves the quotient as it
+        # is (at other eps the second step's |r| stops decreasing, and that
+        # rule stops the polish)
         coeff, W, br = branch_1d
-        eps = 1 / 8
+        eps = 1 / 10
         ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1,
                          keep_vectors=True)
         op = ref.operator
