@@ -198,6 +198,7 @@ def cmd_reference(cfg: RunConfig, args):
             "lambda_richardson": [float(v) for v in ref.eigenvalues],
             "estimate": [float(v) for v in ref.error_estimates],
             "path": ref.path,
+            "h_route": list(ref.h_routes),
         })
 
     radius, radius_shift, _, _ = stage_reference(

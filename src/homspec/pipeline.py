@@ -194,6 +194,10 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
     order of cfg.eps_list, and the reference is dropped once it returns,
     so one eps's vectors are held at a time.
 
+    Each eps after the first is solved from the h/2 eigenvalues of the one
+    before as shifts (solve_Leps), which the expansion under test never
+    enters; the doubled box is solved without.
+
     Returns (radius, radius_shift, ref_count, seconds), seconds[i] the time
     spent solving the i-th eps.  With validate_radius the box is doubled
     once at the largest eps, after the last reference: radius_shift is the
@@ -215,14 +219,16 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
     warnings.extend(precision_warnings(np.finfo(np.longdouble).nmant))
     largest = max(cfg.eps_list)
     seconds = []
+    shifts = None
     for eps in cfg.eps_list:
         start = time.perf_counter()
         ref = solve_Leps(coeff, W, eps, FineGrid(cfg.dim, radius,
                                                  eps / cfg.fd_h_rule),
-                         ref_count, keep_vectors=keep_vectors)
+                         ref_count, keep_vectors=keep_vectors, shifts=shifts)
         seconds.append(time.perf_counter() - start)
         if eps == largest:
             kept = ref.grid, ref.eigenvalues
+        shifts = ref.axis_eigenvalues_h2 or None
         each(ref)
         # the loop variable would hold the reference through the next solve
         del ref
@@ -271,6 +277,7 @@ def run(cfg: RunConfig):
         compared.append((eps_rows, time.perf_counter() - t0))
         per_eps_meta.append({
             "eps": eps, "P": P_eps[eps], "path": ref.path,
+            "h_route": list(ref.h_routes),
             "richardson_estimate": [float(v) for v in ref.error_estimates],
             "lambda_ref": [float(v) for v in ref.eigenvalues],
             "polish_steps": [row.polish_steps for row in eps_rows],

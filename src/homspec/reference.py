@@ -9,17 +9,22 @@ FDOperator, with the harmonic averages as 12-point Gauss-Legendre cell
 integrals of 1/a (which keeps the discretization error smooth in h though
 the coefficient oscillates) taken on one period of fast phases; its
 diagonal and couplings are the one copy of the stencil that the
-tridiagonal, banded and sparse solves read.  In 1D the h grid is solved by
+tridiagonal, banded and sparse solves read.  In 1D the h grid is solved
+from shifts when the caller has them (the previous eps's h/2 eigenvalues,
+in a sweep), by shifted inverse iteration from a fixed start, or else by
 LAPACK, whose bisection stops at a stated width (BISECT_WIDTH) since only
-its vectors are kept, and the h/2 grid by shifted inverse iteration from
-the h grid's eigenpairs, which are already O(h^2) accurate, with each
-shifted band factored once; each eigenvalue is the record's energy
-quotient in extended precision, so that the floor sits orders of magnitude
-below the smallest expansion residuals being measured.  The eigenvector
-that a comparison uses is polished on the record by bordered Newton steps
-with extended-precision residuals when it is compared, each step one
-solve of its own shift.  Sums over the fine grid are numpy's, which do not
-depend on the BLAS thread count.
+its vectors are kept; either route's pairs are accepted only under a
+certificate, disjoint residual intervals and a Sturm count, that they are
+the lowest ones, and the shifted route falls back to LAPACK when it
+fails.  The h/2 grid is solved by shifted inverse iteration from the h
+grid's eigenpairs, which are already O(h^2) accurate.  Each shifted band
+is factored once; each eigenvalue is the record's energy quotient in
+extended precision, so that the floor sits orders of magnitude below the
+smallest expansion residuals being measured.  The eigenvector that a
+comparison uses is polished on the record by bordered Newton steps with
+extended-precision residuals when it is compared, each step one solve of
+its own shift.  Sums over the fine grid are numpy's, which do not depend on
+the BLAS thread count.
 
 Separable two-dimensional problems (diagonal a with axis-aligned
 oscillation and an additively separable potential) factor exactly: the
@@ -35,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .errors import (
     ConvergenceFailure,
@@ -53,6 +58,13 @@ POLISH_STEPS = 4               # cap on Newton steps per eigenpair
 POLISH_PLATEAU = 4.0           # least cut of |r|^2 per Newton step
 INVERSE_STEPS = 3              # inverse iterations per h/2 eigenpair
 BISECT_WIDTH = 1e-4            # interval at which h-grid bisection stops
+WARM_STEPS = 8                 # cap on inverse iterations per shifted h pair
+# sign-aligned change of unit iterates at which a shifted h pair has
+# converged: the energy quotient, second order in the vector's error, no
+# longer moves; the iterates' rounding floor lies near 1e-11 at 35 839 nodes
+WARM_TOL = 2.0 ** -30
+# 12-point Gauss-Legendre nodes and weights on [-1, 1] of the cell averages
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def truncation_radius(lam: float, lambda_minus: float, safety: float) -> float:
@@ -150,6 +162,11 @@ class ReferenceSpectrum:
     with the operator on that grid, on which match_and_compare polishes the
     one it compares and takes its gradient; otherwise both are None.
     ``path`` names the eigensolve route: tridiagonal, separable or sparse.
+    A tridiagonal or separable reference is solved as 1D factors, the one
+    axis or each axis: per factor, ``axis_eigenvalues_h2`` holds its h/2
+    eigenvalues, the shifts that solve_Leps takes at the next eps, and
+    ``h_routes`` how its h grid was solved, "warm" (from shifts) or
+    "bisection" (LAPACK); both are empty on the sparse path.
     """
 
     eps: float
@@ -162,6 +179,8 @@ class ReferenceSpectrum:
     fine_grid: FineGrid
     path: str
     operator: FDOperator | None = None  # with the eigenvectors
+    axis_eigenvalues_h2: tuple = ()
+    h_routes: tuple = ()
 
 
 # --- the fine-grid operator ------------------------------------------------------
@@ -289,6 +308,9 @@ class FDOperator:
             w = v - y
             w += np.multiply(vy / np.dot(v, tmp), z, out=tmp)
             del rhs, y, z, tmp
+        # the last step's work arrays go before the float64 copy, whichever
+        # rule stopped the polish, so that the exit does not set the peak
+        w = Tw = r = tmp = rhs = None
         return v.astype(float), step
 
     def flux_gradient(self, v: np.ndarray) -> np.ndarray:
@@ -314,8 +336,7 @@ def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid):
     tensor grid: the 12 Gauss-Legendre points and the node of every cell
     along ax, the node along every other axis.
     """
-    gl, glw = np.polynomial.legendre.leggauss(12)
-    y, cell = grid.cell_phases(eps, np.append(0.5 * (1.0 + gl), 0.0))
+    y, cell = grid.cell_phases(eps, np.append(0.5 * (1.0 + GL_NODES), 0.0))
     d, node = grid.dim, cell[1:]
     rows = np.arange(y.size).reshape(y.shape)
     node_rows = np.arange(len(y))[:, None]
@@ -330,7 +351,7 @@ def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid):
                                 [j for j in range(d) if j != k])
                  for k in range(d)]
         vals = np.broadcast_to(fn(coords, index), (len(y),) * d + y.shape[1:])
-        harm = 1.0 / (0.5 * ((1.0 / vals[..., :-1]) @ glw))
+        harm = 1.0 / (0.5 * ((1.0 / vals[..., :-1]) @ GL_WEIGHTS))
         edges.append(harm[np.ix_(*(cell if k == ax else node
                                    for k in range(d)))])
         anodes.append(vals[..., -1][np.ix_(*(node,) * d)])
@@ -341,32 +362,98 @@ def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid):
 # --- 1D path -------------------------------------------------------------------
 
 
-def _solve_1d(coeff_at, W, eps, grid, count):
-    """The count lowest eigenvalues on grid and on its h/2 refinement, the
-    h/2 eigenvectors, and the h/2 FDOperator with the stencil that inverse
-    iteration cached, which the polish reads again.
+def _factor(op, shift) -> tuple:
+    """The LU factors of T - shift for gttrs, formed in place on the rows of
+    op.band(shift) by gttrf, and its info: k > 0 when the k-th pivot is
+    zero."""
+    band = op.band(shift)
+    *lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:],
+                       overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    return lu, info
 
-    The h grid is solved by LAPACK: bisection (stebz) stops once each
-    eigenvalue lies in an interval of width BISECT_WIDTH, and inverse
-    iteration (stein) from that approximate shift gives the vectors.  The
-    width is absolute: where the lowest count eigenvalues lie at least
-    about 0.1 apart, stein's iterates from that shift converge to rounding,
-    and the quotients of its vectors equal those from full-precision
-    bisection bit for bit, but at float64 rounding midpoints, where either
-    may round up (closer eigenvalues, 0.06 apart, left one quotient in 150
-    problems 4 ulp off).  LAPACK's eigenvalues are not kept.  On h/2 each h pair k is the shift and the start of INVERSE_STEPS
-    shifted inverse iterations in float64 (Ipsen, SIAM Rev. 39, 1997): its
-    vector, interpolated linearly onto the h/2 nodes with 0 at the
-    Dirichlet ends, is already O(h^2) from the h/2 one.  Each shifted band
-    is factored once, in place (gttrf), and every iteration is one
-    triangular solve pair (gttrs).  Every eigenvalue is the energy quotient
-    of its vector, whose error is second order in the vector's.  Raises
-    ConvergenceFailure when LAPACK's inverse iteration does not converge,
-    when a shifted band has a zero pivot, when the h/2 eigenvalues are not
-    increasing, or when one lies nearer another pair's h eigenvalue than its
-    own.
+
+def _normalized(v: np.ndarray) -> np.ndarray:
+    """v scaled to unit 2-norm in place; returns it."""
+    # a serial sum: a BLAS norm splits long vectors over threads, and its
+    # bits with them
+    v /= np.sqrt(np.sum(v * v))
+    return v
+
+
+def _warm_vectors(op, shifts):
+    """One unit vector per shift, as rows, by shifted inverse iteration on
+    op's tridiagonal from a fixed start, or None when a shifted band has a
+    zero pivot or a shift's iterates have not converged (their last
+    sign-aligned change above WARM_TOL) after WARM_STEPS steps."""
+    n = op.wdiag.size
+    vecs = np.empty((len(shifts), n))
+    for k, shift in enumerate(shifts):
+        lu, info = _factor(op, shift)
+        if info > 0:
+            return None
+        # a ramp: its even and odd parts are both nonzero, so no mirror
+        # symmetry of the problem leaves it orthogonal to a low mode
+        v = _normalized(np.linspace(1.0, 2.0, n))
+        for _ in range(WARM_STEPS):
+            w = _normalized(dgttrs(*lu, v)[0])
+            aligned = np.copysign(1.0, np.sum(v * w))
+            change = np.sqrt(np.sum((w - aligned * v) ** 2))
+            v = w
+            if change <= WARM_TOL:
+                break
+        else:
+            return None
+        vecs[k] = v
+    return vecs
+
+
+def _certified(op, vals, vecs) -> bool:
+    """Whether vals, the energy quotients of the unit rows of vecs, are the
+    len(vals) lowest eigenvalues of op's tridiagonal T, one per row.
+
+    Each interval vals[k] -+ |T v_k - vals[k] v_k| holds an eigenvalue of
+    T.  When the intervals are disjoint and increasing and a Sturm count
+    finds len(vals) eigenvalues up to the top of the last, each holds
+    exactly one and they are the lowest (Parlett, The Symmetric Eigenvalue
+    Problem, 1998, ch. 3 and 10).  The residuals are formed in float64 and
+    the count is stebz's in value mode, with a tolerance so wide that it
+    does not bisect.
     """
-    op = _fd_operator([coeff_at], W, eps, grid)
+    d, e = op.diag, op.off[0]
+    res = np.empty(len(vals))
+    for k, v in enumerate(vecs):
+        r = d * v
+        r[:-1] += e * v[1:]
+        r[1:] += e * v[:-1]
+        r -= vals[k] * v
+        res[k] = np.sqrt(np.sum(r * r))
+    top = vals + res
+    if not np.all(top[:-1] < (vals - res)[1:]):
+        return False
+    m, *_, info = dstebz(d, e, 1, -np.inf, top[-1], 0, 0, np.inf, b"E")
+    return info == 0 and m == len(vals)
+
+
+def _h_pairs(op, count, shifts) -> tuple:
+    """The count lowest eigenvalues of op's tridiagonal, increasing, their
+    unit vectors as rows, and the route that found them.
+
+    With shifts the route is "warm": _warm_vectors from them.  Without, or
+    when that route finds no vectors or its pairs fail the certificate
+    (_certified), it is "bisection": LAPACK's bisection (stebz) stops once
+    each eigenvalue lies in an interval of width BISECT_WIDTH, and inverse
+    iteration (stein) from that approximate shift gives the vectors.  Each
+    eigenvalue is the energy quotient of its vector, which is second order
+    in the vector's error, so the two routes agree bit for bit but at
+    float64 rounding midpoints, where either may round up.  Raises
+    ConvergenceFailure when LAPACK fails or its pairs fail the certificate.
+    """
+    if shifts is not None:
+        vecs = _warm_vectors(op, shifts)
+        if vecs is not None:
+            vals = np.array([op.quotient(v) for v in vecs], dtype=float)
+            if _certified(op, vals, vecs):
+                return vals, vecs, "warm"
     try:
         _, vecs = sla.eigh_tridiagonal(
             op.diag, op.off[0], select="i", select_range=(0, count - 1),
@@ -375,9 +462,40 @@ def _solve_1d(coeff_at, W, eps, grid, count):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"h grid eigensolve failed: {exc}") from exc
     vals = np.array([op.quotient(v) for v in vecs.T], dtype=float)
-    del op
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = vals[order], vecs.T[order]
+    if not _certified(op, vals, vecs):
+        raise ConvergenceFailure(
+            f"LAPACK's h grid eigenpairs {vals} are not certified as the "
+            f"{count} lowest: their residual intervals overlap or a Sturm "
+            f"count disagrees"
+        )
+    return vals, vecs, "bisection"
+
+
+def _solve_1d(coeff_at, W, eps, grid, count, shifts=None):
+    """The count lowest eigenvalues on grid and on its h/2 refinement, the
+    h/2 eigenvectors, the h/2 FDOperator with the stencil that inverse
+    iteration cached, which the polish reads again, and the h grid's route.
+
+    The h grid is solved by _h_pairs: from shifts, count increasing values
+    near its eigenvalues (the previous eps's h/2 eigenvalues, in a sweep),
+    or by LAPACK.  On h/2 each h pair k is the shift and the start of
+    INVERSE_STEPS shifted inverse iterations in float64 (Ipsen, SIAM Rev.
+    39, 1997): its vector, interpolated linearly onto the h/2 nodes with 0
+    at the Dirichlet ends, is already O(h^2) from the h/2 one.  Each shifted
+    band is factored once, in place (gttrf), and every iteration is one
+    triangular solve pair (gttrs).  Every eigenvalue is the energy quotient
+    of its vector, whose error is second order in the vector's.  Raises
+    ConvergenceFailure when the h grid cannot be solved, when a shifted
+    h/2 band has a zero pivot, when the h/2 eigenvalues are not increasing,
+    or when one lies nearer another pair's h eigenvalue than its own.
+    """
+    if shifts is not None and len(shifts) != count:
+        raise ValueError(f"{len(shifts)} shifts for {count} eigenpairs")
+    op = _fd_operator([coeff_at], W, eps, grid)
+    vals, vecs, route = _h_pairs(op, count, shifts)
+    del op
     fine = FineGrid(1, grid.radius, grid.h / 2.0)
     fop = _fd_operator([coeff_at], W, eps, fine)
     x = -grid.radius + grid.h * np.arange(grid.n_cells + 1)
@@ -385,23 +503,16 @@ def _solve_1d(coeff_at, W, eps, grid, count):
     fine_vals = np.empty(count)
     fine_vecs = np.empty((count, fine_x.size))
     for k in range(count):
-        v = np.interp(fine_x, x, np.pad(vecs[:, k], 1))
-        # the band's rows become the LU factors
-        band = fop.band(vals[k])
-        *lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:],
-                           overwrite_dl=True, overwrite_d=True,
-                           overwrite_du=True)
+        v = np.interp(fine_x, x, np.pad(vecs[k], 1))
+        lu, info = _factor(fop, vals[k])
         if info > 0:
             raise ConvergenceFailure(
                 f"the h/2 band shifted by the h eigenvalue {vals[k]!r} has "
                 f"a zero pivot at row {info}"
             )
         for _ in range(INVERSE_STEPS):
-            v, _ = dgttrs(*lu, v, overwrite_b=True)
-            # a serial sum: a BLAS norm splits long vectors over threads,
-            # and its bits with them
-            v /= np.sqrt(np.sum(v * v))
-        del band, lu
+            v = _normalized(dgttrs(*lu, v, overwrite_b=True)[0])
+        del lu
         fine_vals[k] = fop.quotient(v)
         fine_vecs[k] = v
     gap = np.abs(fine_vals[:, None] - vals)
@@ -411,7 +522,7 @@ def _solve_1d(coeff_at, W, eps, grid, count):
             f"inverse iteration on the h/2 grid lost the order of the h "
             f"grid's eigenvalues: {fine_vals} from {vals}"
         )
-    return vals, fine_vals, fine_vecs, fop
+    return vals, fine_vals, fine_vecs, fop, route
 
 
 # --- 2D paths -------------------------------------------------------------------
@@ -459,9 +570,10 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
     )
 
 
-def _solve_2d_separable(parts, eps, grid, count):
+def _solve_2d_separable(parts, eps, grid, count, shifts=None):
     """The count lowest sums of the two 1D spectra on grid and on its h/2
-    refinement.
+    refinement, and per axis its h/2 eigenvalues and its h grid's route;
+    shifts, if given, hold _solve_1d's shifts for each axis.
 
     count modes per axis suffice: the 1D eigenvalues are simple and
     increasing, so a pair (i, j) with i >= count lies above the count sums
@@ -470,15 +582,17 @@ def _solve_2d_separable(parts, eps, grid, count):
     """
     a1, a2, W1, W2 = parts
     g1 = FineGrid(1, grid.radius, grid.h)
-    one, two = (_solve_1d(a, Wa, eps, g1, count)
-                for a, Wa in ((a1, W1), (a2, W2)))
+    one, two = (_solve_1d(a, Wa, eps, g1, count, s)
+                for (a, Wa), s in zip(((a1, W1), (a2, W2)),
+                                      shifts or (None, None)))
 
     def lowest(vals1, vals2):
         return sorted((vals1[i] + vals2[j], i, j)
                       for i in range(count) for j in range(count))[:count]
 
-    return tuple(np.array([p[0] for p in lowest(one[g], two[g])])
-                 for g in (0, 1))
+    return (*(np.array([p[0] for p in lowest(one[g], two[g])])
+              for g in (0, 1)),
+            (one[1], two[1]), (one[4], two[4]))
 
 
 def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
@@ -528,17 +642,21 @@ def _solve_2d_sparse(coeff, W, eps, grid, count, sigma_shift):
 
 
 def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
-               grid: FineGrid, count: int,
-               keep_vectors: bool) -> ReferenceSpectrum:
+               grid: FineGrid, count: int, keep_vectors: bool,
+               shifts: tuple | None = None) -> ReferenceSpectrum:
     """Lowest eigenpairs of -div(a(./eps) grad) + W on the truncated box.
 
     Solves at h and h/2 and Richardson-extrapolates the eigenvalues.  With
     keep_vectors a 1D reference keeps its h/2 eigenvectors, unpolished,
-    and the h/2 operator; a 2D reference keeps neither.  Raises
-    GridTooCoarse when h does not resolve eps, or when the box holds fewer
-    than max(count, 2) interior nodes per axis, and ConvergenceFailure,
-    before any array is built, when the h/2 grid holds more than
-    MAX_NODES_PER_AXIS.
+    and the h/2 operator; a 2D reference keeps neither.  shifts, when
+    given, are another reference's axis_eigenvalues_h2, count increasing
+    values per 1D factor (in a sweep, the previous eps's): each factor's h
+    grid is then solved by inverse iteration from them, under _solve_1d's
+    certificate, and by LAPACK where that fails; the sparse path takes
+    none.  Raises GridTooCoarse when h does not resolve eps, or when the
+    box holds fewer than max(count, 2) interior nodes per axis, and
+    ConvergenceFailure, before any array is built, when the h/2 grid holds
+    more than MAX_NODES_PER_AXIS.
     """
     grid.check_resolves(eps)
     if grid.n_interior < max(count, 2):
@@ -555,16 +673,19 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
             f"{MAX_NODES_PER_AXIS}"
         )
     vecs = op = None
+    axes, routes = (), ()
     if grid.dim == 1:
-        vals_h, vals_h2, fine_vecs, fine_op = _solve_1d(
-            coeff.entry(0, 0), W, eps, grid, count)
+        vals_h, vals_h2, fine_vecs, fine_op, route = _solve_1d(
+            coeff.entry(0, 0), W, eps, grid, count,
+            shifts[0] if shifts else None)
         if keep_vectors:
             vecs, op = fine.normalize(fine_vecs), fine_op
-        path = "tridiagonal"
+        path, axes, routes = "tridiagonal", (vals_h2,), (route,)
     else:
         parts = _separable_parts(coeff, W)
         if parts is not None:
-            vals_h, vals_h2 = _solve_2d_separable(parts, eps, grid, count)
+            vals_h, vals_h2, axes, routes = _solve_2d_separable(
+                parts, eps, grid, count, shifts)
             path = "separable"
         else:
             # shift-invert about 0, below the positive definite spectrum
@@ -577,6 +698,7 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
         eigenvalues=(4.0 * vals_h2 - vals_h) / 3.0,
         error_estimates=np.abs(vals_h2 - vals_h) / 3.0,
         eigenvectors=vecs, fine_grid=fine, path=path, operator=op,
+        axis_eigenvalues_h2=axes, h_routes=routes,
     )
 
 

@@ -465,6 +465,16 @@ class TestPipeline:
         assert all(np.isfinite(row.h1_err) for row in rows)
         assert peak < 26 * 8 * m
 
+    def test_h_routes_of_a_sweep(self):
+        # the first eps solves its h grid by bisection, and every later one
+        # warm, from the h/2 eigenvalues of the eps before
+        cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
+                                       "configs", "simple-1d.ini"))
+        manifest, _ = run(cfg)
+        assert cfg.eps_list[0] == 0.1 and len(cfg.eps_list) == 5
+        assert [e["h_route"] for e in manifest.per_eps] == (
+            [["bisection"]] + [["warm"]] * 4)
+
     def test_long_double_width(self, monkeypatch):
         # one rule decides the precision warning: below the 63 mantissa
         # bits of x87 extended precision the reference's floor is gone
@@ -748,6 +758,9 @@ class TestCLI:
         assert payload["radius"] == manifest.radius
         assert payload["radius_shift"] is None and payload["warnings"] == []
         assert [e["eps"] for e in payload["per_eps"]] == [0.125, 0.0625, 0.03125]
+        assert ([e["h_route"] for e in payload["per_eps"]]
+                == [e["h_route"] for e in manifest.per_eps]
+                == [["bisection"], ["warm"], ["warm"]])
         assert payload["per_eps"][0]["lambda_richardson"][0] == pytest.approx(
             manifest.per_eps[0]["lambda_ref"][0], rel=1e-12)
 
@@ -926,6 +939,21 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 4, err
         assert err.startswith("numerical failure: ") and needle in err, err
+        assert err.count("\n") == 1, err
+
+    def test_uncertified_h_grid_exit_code(self, tmp_path, monkeypatch,
+                                          capsys):
+        # bisection stopped at a width of 10 hands stein merged shifts on
+        # simple-1d's first h grid, and its vectors are not eigenvectors:
+        # their pairs fail the certificate, one numerical failure line
+        monkeypatch.setattr(reference, "BISECT_WIDTH", 10.0)
+        cfgfile = os.path.join(os.path.dirname(__file__), "..", "configs",
+                               "simple-1d.ini")
+        code = cli.main(["--config", cfgfile,
+                         "--out", str(tmp_path / "out"), "sweep"])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err.startswith("numerical failure: ") and "not certified" in err
         assert err.count("\n") == 1, err
 
     def test_unreadable_config_exit_code(self, tmp_path):

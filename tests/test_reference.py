@@ -355,7 +355,8 @@ class TestSeparableFastPath:
         parts = _separable_parts(*separable_2d(phase1, phase2))
         eps = 0.5
         grid = FineGrid(2, 3.0, eps / rule)
-        vals_h, vals_h2 = _solve_2d_separable(parts, eps, grid, count)
+        vals_h, vals_h2, _, _ = _solve_2d_separable(parts, eps, grid,
+                                                    count)
         g1 = FineGrid(1, grid.radius, grid.h)
         axes = ((parts[0], parts[2]), (parts[1], parts[3]))
         narrow = [_solve_1d(a, W, eps, g1, count) for a, W in axes]
@@ -516,7 +517,7 @@ class TestInverseIteration:
         # that 40-digit bisection finds
         a, eps = _cosine_entry(MIDPOINT, MIDPOINT), 0.5
         grid = FineGrid(1, 3.0, eps / 16)
-        _, got, _, op = _solve_1d(a, w1(), eps, grid, 1)
+        _, got, _, op, _ = _solve_1d(a, w1(), eps, grid, 1)
         want = _lapack_route(a, w1(), eps, FineGrid(1, 3.0, op.h), 1)
         with mpmath.workdps(40):
             for lam in (got[0], want[0]):
@@ -543,8 +544,85 @@ class TestInverseIteration:
         assert np.array_equal(got[2], want[2])
 
     def test_corrupted_coarse_pair_raises(self, monkeypatch):
-        # pair 1 of the h grid handed the vector of pair 0: both inverse
-        # iterations land on the lowest h/2 eigenvalue
+        # pair 1 of the h grid handed pair 0 past the certificate: both
+        # inverse iterations land on the lowest h/2 eigenvalue
+        h_pairs = reference._h_pairs
+
+        def corrupted(*args):
+            vals, vecs, route = h_pairs(*args)
+            vals[1], vecs[1] = vals[0], vecs[0]
+            return vals, vecs, route
+
+        monkeypatch.setattr(reference, "_h_pairs", corrupted)
+        c = CoefficientField.from_isotropic(
+            TorusGrid(1, 64), lambda y: 2.0 + np.cos(TWO_PI * y))
+        with pytest.raises(ConvergenceFailure, match="h/2 grid"):
+            solve_Leps(c, w1(), 0.5, FineGrid(1, 4.0, 1.0 / 16), 3,
+                       keep_vectors=False)
+
+
+class TestWarmStart:
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="midpoint distance in x87 80-bit long double")
+    @settings(max_examples=20, deadline=None)
+    # eps at most 0.22 of the well's width c^(-1/4): at eps = 0.5 and
+    # c = 1 the top h/2 eigenvalues of 2 eps lie 30% of a gap from those of
+    # eps, too far for WARM_STEPS iterations, and the solve falls back
+    @given(phase=st.floats(0.0, 1.0), amp=st.floats(0.1, 1.0),
+           c=st.floats(0.01, 10.0), rule=st.sampled_from([8, 16]),
+           eps=st.sampled_from([0.125, 0.0625]), count=st.integers(1, 8),
+           scales=st.one_of(st.none(), st.lists(
+               st.floats(-1e-3, 1e-3), min_size=8, max_size=8)))
+    def test_warm_equals_cold(self, phase, amp, c, rule, eps, count, scales):
+        # from shifts within 1e-3 relative of the h eigenvalues, or from the
+        # h/2 eigenvalues of twice eps, whose h/2 grid is this h grid, the
+        # h grid is solved warm: its quotients are bit for bit the cold
+        # route's but where the long-double quotient lies within 2^-8 ulp
+        # of a float64 rounding midpoint, where either may round up
+        a, (W, radius) = _cosine_entry(phase, amp), _well(c, count)
+        grid = FineGrid(1, radius, eps / rule)
+        *cold, cold_route = _solve_1d(a, W, eps, grid, count)
+        if scales is None:
+            shifts = _solve_1d(a, W, 2 * eps, FineGrid(1, radius, 2 * grid.h),
+                               count)[1]
+        else:
+            shifts = cold[0] * (1.0 + np.array(scales[:count]))
+        got, *_, route = _solve_1d(a, W, eps, grid, count, shifts)
+        assert (cold_route, route) == ("bisection", "warm")
+        want = cold[0]
+        off = got != want
+        ulp = np.spacing(want[off])
+        assert np.all(np.abs(got[off] - want[off]) == ulp)
+        exact = _lapack_route(a, W, eps, grid, count, np.longdouble)[off]
+        midpoint = (got[off].astype(np.longdouble) + want[off]) / 2
+        assert np.all(np.abs(exact - midpoint) <= ulp / 256)
+
+    @settings(max_examples=20, deadline=None)
+    @given(phase=st.floats(0.0, 1.0), amp=st.floats(0.1, 1.0),
+           c=st.floats(0.01, 100.0), rule=st.sampled_from([8, 16]),
+           eps=st.sampled_from([0.5, 0.25]), count=st.integers(1, 8))
+    # one shift: its pair is lambda_2's, and only the Sturm count, which
+    # finds two eigenvalues below its interval's top, refuses it
+    @example(phase=0.0, amp=0.5, c=1.0, rule=8, eps=0.5, count=1)
+    def test_shifts_near_one_eigenvalue_fall_back(self, phase, amp, c, rule,
+                                                  eps, count):
+        # shifts that all lie near lambda_2 all converge to its vector: the
+        # pairs fail the certificate, and the h grid is solved by LAPACK, to
+        # the bits of a solve without shifts
+        a, (W, radius) = _cosine_entry(phase, amp), _well(c, count)
+        grid = FineGrid(1, radius, eps / rule)
+        want = _solve_1d(a, W, eps, grid, count)
+        lam2 = _lapack_route(a, W, eps, grid, 2)[1]
+        got = _solve_1d(a, W, eps, grid, count,
+                        lam2 * (1.0 + 1e-6 * np.arange(count)))
+        assert got[4] == want[4] == "bisection"
+        for g, w in zip(got[:3], want[:3]):
+            assert np.array_equal(g, w)
+
+    def test_uncertified_lapack_pairs_raise(self, monkeypatch):
+        # pair 1 of LAPACK's h grid handed the vector of pair 0: the two
+        # residual intervals coincide, and the h grid raises before the h/2
+        # pass
         eigh = sla.eigh_tridiagonal
 
         def corrupted(*args, **kwargs):
@@ -555,9 +633,24 @@ class TestInverseIteration:
         monkeypatch.setattr(sla, "eigh_tridiagonal", corrupted)
         c = CoefficientField.from_isotropic(
             TorusGrid(1, 64), lambda y: 2.0 + np.cos(TWO_PI * y))
-        with pytest.raises(ConvergenceFailure, match="h/2 grid"):
+        with pytest.raises(ConvergenceFailure, match="not certified"):
             solve_Leps(c, w1(), 0.5, FineGrid(1, 4.0, 1.0 / 16), 3,
                        keep_vectors=False)
+
+    def test_separable_axes_warm(self):
+        # a separable reference hands each axis's h/2 eigenvalues to the
+        # next eps, whose axes are then solved warm, to the same sums
+        c, W = separable_2d()
+        count, grid = 3, FineGrid(2, 3.0, 1.0 / 32)
+        first = solve_Leps(c, W, 0.5, FineGrid(2, 3.0, 1.0 / 16), count,
+                           keep_vectors=False)
+        assert first.h_routes == ("bisection", "bisection")
+        cold = solve_Leps(c, W, 0.25, grid, count, keep_vectors=False)
+        warm = solve_Leps(c, W, 0.25, grid, count, keep_vectors=False,
+                          shifts=first.axis_eigenvalues_h2)
+        assert warm.h_routes == ("warm", "warm")
+        assert np.array_equal(warm.eigenvalues_h, cold.eigenvalues_h)
+        assert np.array_equal(warm.eigenvalues_h2, cold.eigenvalues_h2)
 
 
 def _pin_problem():
@@ -709,7 +802,7 @@ class TestPolish:
         a = c.entry(0, 0)
         grid = FineGrid(1, radius, eps / rule)
         assert 90 <= grid.n_interior <= 200
-        _, inverse, vecs, op = _solve_1d(
+        _, inverse, vecs, op, _ = _solve_1d(
             a, w1(), eps, FineGrid(1, radius, 2 * grid.h), 3)
         assert vecs.shape == (3, grid.n_interior)
         polished = [float(op.quotient(op.polish(v)[0])) for v in vecs]
@@ -719,6 +812,30 @@ class TestPolish:
                     exact = _sturm_eigenvalue(op, k, lam)
                     rel = float((mpmath.mpf(lam) - exact) / exact)
                     assert abs(rel) <= 2 * 2.0 ** -52
+
+    def test_polish_exits_at_one_peak(self, branch_1d, monkeypatch):
+        # the last step's work arrays go before the float64 copy on every
+        # exit: the polish peaks alike when the plateau rule stops it and
+        # when a step fails to cut |r|, whose vector and products would
+        # otherwise outlive the loop (about 6 bytes a node more)
+        coeff, W, _ = branch_1d
+        eps = 1 / 128
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1,
+                         keep_vectors=True)
+        m = ref.fine_grid.n_interior
+        peaks = {}
+        for plateau in (np.inf, 0.0):
+            monkeypatch.setattr(reference, "POLISH_PLATEAU", plateau)
+            tracemalloc.start()
+            try:
+                _, steps = ref.operator.polish(ref.eigenvectors[0])
+                _, peaks[steps] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # the plateau stops the step after the first solve; without it the
+        # next step's |r| does not decrease
+        assert sorted(peaks) == [1, 2]
+        assert abs(peaks[1] - peaks[2]) < m
 
     def test_polish_stops_on_the_plateau(self, branch_1d, monkeypatch):
         # from the inverse-iteration vector one Newton step reaches the
