@@ -9,22 +9,23 @@ FDOperator, with the harmonic averages as 12-point Gauss-Legendre cell
 integrals of 1/a (which keeps the discretization error smooth in h though
 the coefficient oscillates) taken on one period of fast phases; its
 diagonal and couplings are the one copy of the stencil that the
-tridiagonal, banded and sparse solves read.  In 1D the h grid is solved
-from shifts when the caller has them (the previous eps's h/2 eigenvalues,
-in a sweep), by shifted inverse iteration from a fixed start, or else by
-LAPACK, whose bisection stops at a stated width (BISECT_WIDTH) since only
-its vectors are kept; either route's pairs are accepted only under a
-certificate, disjoint residual intervals and a Sturm count, that they are
-the lowest ones, and the shifted route falls back to LAPACK when it
-fails.  The h/2 grid is solved by shifted inverse iteration from the h
-grid's eigenpairs, which are already O(h^2) accurate.  Each shifted band
-is factored once; each eigenvalue is the record's energy quotient in
-extended precision, so that the floor sits orders of magnitude below the
-smallest expansion residuals being measured.  The eigenvector that a
-comparison uses is polished on the record by bordered Newton steps with
-extended-precision residuals when it is compared, each step one solve of
-its own shift.  Sums over the fine grid are numpy's, which do not depend on
-the BLAS thread count.
+tridiagonal, banded and sparse solves read.  A 1D problem is solved as
+one axis of a separable one.  Its h grid is solved by shifted inverse
+iteration from a fixed start, one shift per pair: the caller's shifts
+when it has them (the previous eps's h/2 eigenvalues, in a sweep), or
+else LAPACK's bisection, stopped at a stated width (BISECT_WIDTH) since
+only the vectors it leads to are kept; the pairs are accepted only under
+a certificate, disjoint residual intervals and a Sturm count, that they
+are the lowest ones, and the caller's shifts fall back to bisection's
+when they fail.  The h/2 grid is solved by shifted inverse iteration from
+the h grid's eigenpairs, which are already O(h^2) accurate.  Each shifted
+band is factored once; each vector is a unit row, and each eigenvalue the
+record's energy quotient in extended precision, so that the floor sits
+orders of magnitude below the smallest expansion residuals being
+measured.  The eigenvector that a comparison uses is polished on the
+record by bordered Newton steps with extended-precision residuals when it
+is compared, each step one solve of its own shift.  Sums over the fine
+grid are numpy's, which do not depend on the BLAS thread count.
 
 Separable two-dimensional problems (diagonal a with axis-aligned
 oscillation and an additively separable potential) factor exactly: the
@@ -35,6 +36,7 @@ and for cross-validation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -146,27 +148,21 @@ class FineGrid:
                 f"h = {self.h:.3g} exceeds eps/8 = {eps / 8:.3g}"
             )
 
-    def normalize(self, vecs: np.ndarray) -> np.ndarray:
-        """Rows of node values of a 1D grid, L2-normalized with the grid
-        measure in place; returns them."""
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True) * self.h ** 0.5
-        return vecs
-
 
 @dataclass
 class ReferenceSpectrum:
     """Eigenvalues at (h, h/2) with Richardson extrapolation.
 
     A 1D reference may keep the eigenvectors of the fine member of the pair
-    (interior node values, L2-normalized with the grid measure), unpolished,
-    with the operator on that grid, on which match_and_compare polishes the
-    one it compares and takes its gradient; otherwise both are None.
-    ``path`` names the eigensolve route: tridiagonal, separable or sparse.
-    A tridiagonal or separable reference is solved as 1D factors, the one
-    axis or each axis: per factor, ``axis_eigenvalues_h2`` holds its h/2
-    eigenvalues, the shifts that solve_Leps takes at the next eps, and
-    ``h_routes`` how its h grid was solved, "warm" (from shifts) or
-    "bisection" (LAPACK); both are empty on the sparse path.
+    (interior node values as unit rows), unpolished, with the operator on
+    that grid, on which match_and_compare polishes the one it compares and
+    takes its gradient; otherwise both are None.  ``path`` names the
+    eigensolve route: tridiagonal, separable or sparse.  A tridiagonal or
+    separable reference is solved as 1D factors, the one axis or each axis:
+    per factor, ``axis_eigenvalues_h2`` holds its h/2 eigenvalues, the
+    shifts that solve_Leps takes at the next eps, and ``h_routes`` where
+    its h grid's shifts came from, "warm" (the caller's) or "bisection"
+    (LAPACK's); both are empty on the sparse path.
     """
 
     eps: float
@@ -194,8 +190,8 @@ class FDOperator:
     edges[ax] is the harmonic average of a_ax,ax(./eps) over every cell edge
     along ax (n_cells along ax, n along the others), anodes[ax] is
     a_ax,ax(x/eps) at the nodes, wdiag is W there and h the spacing.  diag
-    and off are the stencil, written once; the 1D methods band, quotient,
-    polish and flux_gradient act on a tridiagonal T.
+    and off are the stencil, written once; the 1D methods band, apply,
+    quotient, polish and flux_gradient act on a tridiagonal T.
     """
 
     edges: tuple
@@ -220,13 +216,22 @@ class FDOperator:
     def band(self, shift) -> np.ndarray:
         """T - shift in the (1, 1) layout of solve_banded.  diag - shift is
         formed in the precision of shift and rounded into the band, one
-        buffered chunk at a time.  Each row is contiguous: _solve_1d
+        buffered chunk at a time.  Each row is contiguous: _factor
         factors the rows in place (gttrf) once per shift, and the polish
         hands the band to one solve_banded call that overwrites it."""
         band = np.zeros((3, self.wdiag.size))
         band[0, 1:] = band[2, :-1] = self.off[0]
         np.subtract(self.diag, shift, out=band[1], casting="unsafe")
         return band
+
+    def apply(self, v) -> np.ndarray:
+        """T v in the precision of v, in one work buffer; the float64
+        stencil is promoted as it is read, which rounds nothing."""
+        e = self.off[0]
+        Tv, tmp = self.diag * v, np.empty_like(v)
+        Tv[:-1] += np.multiply(e, v[1:], out=tmp[:-1])
+        Tv[1:] += np.multiply(e, v[:-1], out=tmp[1:])
+        return Tv
 
     def quotient(self, v) -> np.longdouble:
         """Rayleigh quotient of v through the factored energy form, in long
@@ -268,19 +273,14 @@ class FDOperator:
         is lower), when |r| no longer decreases, when T - mu is exactly
         singular (the pair has converged), or after POLISH_STEPS steps.
         """
-        d, e = self.diag, self.off[0]
         v = w = vec.astype(np.longdouble)
         best = np.inf
         for step in range(POLISH_STEPS + 1):
             w /= np.sqrt(np.dot(w, w))
-            # the products in long double, in one work buffer; the
-            # float64 stencil is promoted as it is read, which rounds nothing
-            Tw, tmp = d * w, np.empty_like(w)
-            Tw[:-1] += np.multiply(e, w[1:], out=tmp[:-1])
-            Tw[1:] += np.multiply(e, w[:-1], out=tmp[1:])
+            Tw = self.apply(w)            # in long double
             mu = np.dot(w, Tw)
             r = Tw                        # Tw - mu w, formed in place
-            r -= np.multiply(mu, w, out=tmp)
+            r -= mu * w
             rr = np.dot(r, r)
             if not rr < best:
                 break
@@ -294,7 +294,7 @@ class FDOperator:
             # the comparison's peak memory
             rhs = np.empty((v.size, 2), order="F")
             rhs[:, 0], rhs[:, 1] = r, v
-            del Tw, r, tmp
+            del Tw, r
             try:
                 y, z = sla.solve_banded((1, 1), self.band(mu), rhs,
                                         overwrite_ab=True, overwrite_b=True,
@@ -359,7 +359,7 @@ def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid):
                       W(grid.points()).reshape((node.size,) * d), grid.h)
 
 
-# --- 1D path -------------------------------------------------------------------
+# --- 1D axes -------------------------------------------------------------------
 
 
 def _factor(op, shift) -> tuple:
@@ -380,17 +380,26 @@ def _normalized(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _warm_vectors(op, shifts):
-    """One unit vector per shift, as rows, by shifted inverse iteration on
-    op's tridiagonal from a fixed start, or None when a shifted band has a
-    zero pivot or a shift's iterates have not converged (their last
-    sign-aligned change above WARM_TOL) after WARM_STEPS steps."""
+def _shifted_pairs(op, shifts) -> tuple:
+    """One eigenpair of op's tridiagonal per shift, by shifted inverse
+    iteration from a fixed start: the energy quotients and their unit
+    vectors as rows, certified (_certified) as the len(shifts) lowest.
+
+    Each shift is factored once (_factor) and iterated until the
+    sign-aligned change of the unit iterates is at most WARM_TOL.  Raises
+    ConvergenceFailure, naming the check that failed, when a shifted band
+    has a zero pivot, when a shift's iterates have not converged after
+    WARM_STEPS steps, or when the pairs fail the certificate.
+    """
     n = op.wdiag.size
     vecs = np.empty((len(shifts), n))
     for k, shift in enumerate(shifts):
         lu, info = _factor(op, shift)
         if info > 0:
-            return None
+            raise ConvergenceFailure(
+                f"the h band shifted by {float(shift)!r} has a zero pivot "
+                f"at row {info}"
+            )
         # a ramp: its even and odd parts are both nonzero, so no mirror
         # symmetry of the problem leaves it orthogonal to a low mode
         v = _normalized(np.linspace(1.0, 2.0, n))
@@ -402,9 +411,19 @@ def _warm_vectors(op, shifts):
             if change <= WARM_TOL:
                 break
         else:
-            return None
+            raise ConvergenceFailure(
+                f"inverse iteration from the h shift {float(shift)!r} did not "
+                f"converge within WARM_STEPS = {WARM_STEPS} steps"
+            )
         vecs[k] = v
-    return vecs
+    vals = np.array([op.quotient(v) for v in vecs], dtype=float)
+    if not _certified(op, vals, vecs):
+        raise ConvergenceFailure(
+            f"the h grid eigenpairs {vals} are not certified as the "
+            f"{len(vals)} lowest: their residual intervals overlap or a "
+            f"Sturm count disagrees"
+        )
+    return vals, vecs
 
 
 def _certified(op, vals, vecs) -> bool:
@@ -419,77 +438,70 @@ def _certified(op, vals, vecs) -> bool:
     the count is stebz's in value mode, with a tolerance so wide that it
     does not bisect.
     """
-    d, e = op.diag, op.off[0]
     res = np.empty(len(vals))
     for k, v in enumerate(vecs):
-        r = d * v
-        r[:-1] += e * v[1:]
-        r[1:] += e * v[:-1]
+        r = op.apply(v)
         r -= vals[k] * v
         res[k] = np.sqrt(np.sum(r * r))
     top = vals + res
     if not np.all(top[:-1] < (vals - res)[1:]):
         return False
-    m, *_, info = dstebz(d, e, 1, -np.inf, top[-1], 0, 0, np.inf, b"E")
+    m, *_, info = dstebz(op.diag, op.off[0], 1, -np.inf, top[-1], 0, 0,
+                         np.inf, b"E")
     return info == 0 and m == len(vals)
 
 
 def _h_pairs(op, count, shifts) -> tuple:
     """The count lowest eigenvalues of op's tridiagonal, increasing, their
-    unit vectors as rows, and the route that found them.
+    unit vectors as rows, and where the shifts of _shifted_pairs came from.
 
-    With shifts the route is "warm": _warm_vectors from them.  Without, or
-    when that route finds no vectors or its pairs fail the certificate
-    (_certified), it is "bisection": LAPACK's bisection (stebz) stops once
-    each eigenvalue lies in an interval of width BISECT_WIDTH, and inverse
-    iteration (stein) from that approximate shift gives the vectors.  Each
-    eigenvalue is the energy quotient of its vector, which is second order
-    in the vector's error, so the two routes agree bit for bit but at
-    float64 rounding midpoints, where either may round up.  Raises
-    ConvergenceFailure when LAPACK fails or its pairs fail the certificate.
+    With shifts the route is "warm": the caller's.  Without, or when they
+    fail, it is "bisection": LAPACK's bisection (stebz) in index mode stops
+    once each eigenvalue lies in an interval of width BISECT_WIDTH, and
+    those approximate eigenvalues are the shifts.  Each eigenvalue is the
+    energy quotient of its vector, which is second order in the vector's
+    error, so the two routes agree bit for bit but at float64 rounding
+    midpoints, where either may round up.  Raises ConvergenceFailure when
+    the bisection fails or its shifts give no certified pairs.
     """
     if shifts is not None:
-        vecs = _warm_vectors(op, shifts)
-        if vecs is not None:
-            vals = np.array([op.quotient(v) for v in vecs], dtype=float)
-            if _certified(op, vals, vecs):
-                return vals, vecs, "warm"
-    try:
-        _, vecs = sla.eigh_tridiagonal(
-            op.diag, op.off[0], select="i", select_range=(0, count - 1),
-            tol=BISECT_WIDTH,
-        )
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"h grid eigensolve failed: {exc}") from exc
-    vals = np.array([op.quotient(v) for v in vecs.T], dtype=float)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs.T[order]
-    if not _certified(op, vals, vecs):
+        try:
+            return (*_shifted_pairs(op, shifts), "warm")
+        except ConvergenceFailure:
+            pass
+    m, w, *_, info = dstebz(op.diag, op.off[0], 2, 0.0, 0.0, 1, count,
+                            BISECT_WIDTH, b"E")
+    if info or m != count:
         raise ConvergenceFailure(
-            f"LAPACK's h grid eigenpairs {vals} are not certified as the "
-            f"{count} lowest: their residual intervals overlap or a Sturm "
-            f"count disagrees"
+            f"h grid bisection (stebz) found {m} of {count} eigenvalues, "
+            f"info {info}"
         )
-    return vals, vecs, "bisection"
+    try:
+        return (*_shifted_pairs(op, w[:m]), "bisection")
+    except ConvergenceFailure as exc:
+        raise ConvergenceFailure(f"h grid bisection's shifts failed: {exc}") \
+            from exc
 
 
 def _solve_1d(coeff_at, W, eps, grid, count, shifts=None):
     """The count lowest eigenvalues on grid and on its h/2 refinement, the
-    h/2 eigenvectors, the h/2 FDOperator with the stencil that inverse
-    iteration cached, which the polish reads again, and the h grid's route.
+    h/2 eigenvectors as unit rows, the h/2 FDOperator with the stencil that
+    inverse iteration cached, which the polish reads again, and the h
+    grid's route.
 
     The h grid is solved by _h_pairs: from shifts, count increasing values
     near its eigenvalues (the previous eps's h/2 eigenvalues, in a sweep),
-    or by LAPACK.  On h/2 each h pair k is the shift and the start of
-    INVERSE_STEPS shifted inverse iterations in float64 (Ipsen, SIAM Rev.
-    39, 1997): its vector, interpolated linearly onto the h/2 nodes with 0
-    at the Dirichlet ends, is already O(h^2) from the h/2 one.  Each shifted
-    band is factored once, in place (gttrf), and every iteration is one
-    triangular solve pair (gttrs).  Every eigenvalue is the energy quotient
-    of its vector, whose error is second order in the vector's.  Raises
-    ConvergenceFailure when the h grid cannot be solved, when a shifted
-    h/2 band has a zero pivot, when the h/2 eigenvalues are not increasing,
-    or when one lies nearer another pair's h eigenvalue than its own.
+    or from those of a bisection.  On h/2 each h pair k is the shift and the
+    start of INVERSE_STEPS shifted inverse iterations in float64 (Ipsen,
+    SIAM Rev. 39, 1997): its vector, interpolated linearly onto the h/2
+    nodes with 0 at the Dirichlet ends, is already O(h^2) from the h/2 one.
+    Each shifted band is factored once, in place (gttrf), and every
+    iteration is one triangular solve pair (gttrs).  Every eigenvalue is
+    the energy quotient of its vector, whose error is second order in the
+    vector's.  Raises ConvergenceFailure when the h grid cannot be solved,
+    when a shifted h/2 band has a zero pivot, when the h/2 eigenvalues are
+    not increasing, or when one lies nearer another pair's h eigenvalue
+    than its own.
     """
     if shifts is not None and len(shifts) != count:
         raise ValueError(f"{len(shifts)} shifts for {count} eigenpairs")
@@ -507,8 +519,8 @@ def _solve_1d(coeff_at, W, eps, grid, count, shifts=None):
         lu, info = _factor(fop, vals[k])
         if info > 0:
             raise ConvergenceFailure(
-                f"the h/2 band shifted by the h eigenvalue {vals[k]!r} has "
-                f"a zero pivot at row {info}"
+                f"the h/2 band shifted by the h eigenvalue "
+                f"{float(vals[k])!r} has a zero pivot at row {info}"
             )
         for _ in range(INVERSE_STEPS):
             v = _normalized(dgttrs(*lu, v, overwrite_b=True)[0])
@@ -525,15 +537,16 @@ def _solve_1d(coeff_at, W, eps, grid, count, shifts=None):
     return vals, fine_vals, fine_vecs, fop, route
 
 
-# --- 2D paths -------------------------------------------------------------------
-
-
 def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
-    """Split a diagonal axis-aligned problem into two 1D problems, or None.
+    """The 1D axes of a problem, (a_k, W_k) per axis with a_k as
+    CoefficientField.entry gives it, or None when it does not separate.
 
-    Requires a = diag(a1(y1), a2(y2)) and W = W1(x1) + W2(x2).
+    A 1D problem is its one axis.  A 2D one separates when a = diag(a1(y1),
+    a2(y2)) and W = W1(x1) + W2(x2).
     """
-    if coeff.grid.dim != 2 or coeff.entry_fns is None:
+    if coeff.grid.dim == 1:
+        return [(coeff.entry(0, 0), W)]
+    if coeff.entry_fns is None:
         return None
     fns = coeff.entry_fns
     if fns[0][0] is None or fns[1][1] is None:
@@ -563,36 +576,15 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
             return None
     f1, f2 = coeff.entry(0, 0), coeff.entry(1, 1)
     # a 1D point set is a 2D one with the other coordinate 0
-    return (
-        (lambda c, ix: f1(np.hstack([c, 0 * c]), [ix[0], ix[0]])),
-        (lambda c, ix: f2(np.hstack([0 * c, c]), [ix[0], ix[0]])),
-        SlowPolynomial(1, W1), SlowPolynomial(1, W2),
-    )
+    return [
+        (lambda c, ix: f1(np.hstack([c, 0 * c]), [ix[0], ix[0]]),
+         SlowPolynomial(1, W1)),
+        (lambda c, ix: f2(np.hstack([0 * c, c]), [ix[0], ix[0]]),
+         SlowPolynomial(1, W2)),
+    ]
 
 
-def _solve_2d_separable(parts, eps, grid, count, shifts=None):
-    """The count lowest sums of the two 1D spectra on grid and on its h/2
-    refinement, and per axis its h/2 eigenvalues and its h grid's route;
-    shifts, if given, hold _solve_1d's shifts for each axis.
-
-    count modes per axis suffice: the 1D eigenvalues are simple and
-    increasing, so a pair (i, j) with i >= count lies above the count sums
-    (c, j), c < count, and cannot be among the count lowest (the same holds
-    for j).
-    """
-    a1, a2, W1, W2 = parts
-    g1 = FineGrid(1, grid.radius, grid.h)
-    one, two = (_solve_1d(a, Wa, eps, g1, count, s)
-                for (a, Wa), s in zip(((a1, W1), (a2, W2)),
-                                      shifts or (None, None)))
-
-    def lowest(vals1, vals2):
-        return sorted((vals1[i] + vals2[j], i, j)
-                      for i in range(count) for j in range(count))[:count]
-
-    return (*(np.array([p[0] for p in lowest(one[g], two[g])])
-              for g in (0, 1)),
-            (one[1], two[1]), (one[4], two[4]))
+# --- 2D path --------------------------------------------------------------------
 
 
 def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
@@ -646,14 +638,17 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
                shifts: tuple | None = None) -> ReferenceSpectrum:
     """Lowest eigenpairs of -div(a(./eps) grad) + W on the truncated box.
 
-    Solves at h and h/2 and Richardson-extrapolates the eigenvalues.  With
-    keep_vectors a 1D reference keeps its h/2 eigenvectors, unpolished,
-    and the h/2 operator; a 2D reference keeps neither.  shifts, when
-    given, are another reference's axis_eigenvalues_h2, count increasing
-    values per 1D factor (in a sweep, the previous eps's): each factor's h
-    grid is then solved by inverse iteration from them, under _solve_1d's
-    certificate, and by LAPACK where that fails; the sparse path takes
-    none.  Raises GridTooCoarse when h does not resolve eps, or when the
+    Solves at h and h/2 and Richardson-extrapolates the eigenvalues.  A
+    1D problem, and a separable 2D one, is solved per 1D axis
+    (_separable_parts, _solve_1d), its eigenvalues the count lowest sums
+    of one per axis; any other 2D problem by sparse shift-invert.  With
+    keep_vectors a 1D reference keeps its h/2 eigenvectors, unit rows
+    unpolished, and the h/2 operator; a 2D reference keeps neither.
+    shifts, when given, are another reference's axis_eigenvalues_h2, count
+    increasing values per 1D axis (in a sweep, the previous eps's): each
+    axis's h grid is then solved by inverse iteration from them, under
+    _h_pairs's certificate, and from a bisection's shifts where that
+    fails; the sparse path takes none.  Raises GridTooCoarse when h does not resolve eps, or when the
     box holds fewer than max(count, 2) interior nodes per axis, and
     ConvergenceFailure, before any array is built, when the h/2 grid holds
     more than MAX_NODES_PER_AXIS.
@@ -672,33 +667,35 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
             f"{grid.radius:.3g}] with h/2 = {fine.h:.3g} exceed the cap "
             f"{MAX_NODES_PER_AXIS}"
         )
+    axes = _separable_parts(coeff, W)
     vecs = op = None
-    axes, routes = (), ()
-    if grid.dim == 1:
-        vals_h, vals_h2, fine_vecs, fine_op, route = _solve_1d(
-            coeff.entry(0, 0), W, eps, grid, count,
-            shifts[0] if shifts else None)
-        if keep_vectors:
-            vecs, op = fine.normalize(fine_vecs), fine_op
-        path, axes, routes = "tridiagonal", (vals_h2,), (route,)
+    if axes is None:
+        # shift-invert about 0, below the positive definite spectrum
+        vals_h, vals_h2 = (_solve_2d_sparse(coeff, W, eps, g, count, 0.0)
+                           for g in (grid, fine))
+        path, axes_h2, routes = "sparse", (), ()
     else:
-        parts = _separable_parts(coeff, W)
-        if parts is not None:
-            vals_h, vals_h2, axes, routes = _solve_2d_separable(
-                parts, eps, grid, count, shifts)
-            path = "separable"
-        else:
-            # shift-invert about 0, below the positive definite spectrum
-            vals_h, vals_h2 = (_solve_2d_sparse(coeff, W, eps, g, count, 0.0)
-                               for g in (grid, fine))
-            path = "sparse"
+        g1 = FineGrid(1, grid.radius, grid.h)
+        axes_h, axes_h2, axis_vecs, axis_ops, routes = zip(*(
+            _solve_1d(a, Wa, eps, g1, count, s)
+            for (a, Wa), s in zip(axes, shifts or [None] * len(axes))))
+        # the count lowest sums of one eigenvalue per axis: count modes per
+        # axis suffice, since the 1D eigenvalues are simple and increasing,
+        # so a sum with mode i >= count on one axis lies above the count
+        # sums with modes c < count there
+        vals_h, vals_h2 = (np.array(sorted(map(
+            sum, itertools.product(*spectra)))[:count])
+            for spectra in (axes_h, axes_h2))
+        if keep_vectors and grid.dim == 1:
+            (vecs,), (op,) = axis_vecs, axis_ops
+        path = "tridiagonal" if grid.dim == 1 else "separable"
     return ReferenceSpectrum(
         eps=eps, grid=grid,
         eigenvalues_h=vals_h, eigenvalues_h2=vals_h2,
         eigenvalues=(4.0 * vals_h2 - vals_h) / 3.0,
         error_estimates=np.abs(vals_h2 - vals_h) / 3.0,
         eigenvectors=vecs, fine_grid=fine, path=path, operator=op,
-        axis_eigenvalues_h2=axes, h_routes=routes,
+        axis_eigenvalues_h2=axes_h2, h_routes=routes,
     )
 
 
@@ -792,11 +789,10 @@ def match_and_compare(ref: ReferenceSpectrum, branches: list, eps: float,
                         f"{MAX_OVERLAP_CONDITION} for branch {br.label}"
                     )
             used.add(pick)
-            # polish the picked vector, then normalize it as solve_Leps
-            # does and overlap it as above, as a one-row array
-            polished, steps = op.polish(ref.eigenvectors[pick])
-            row = grid.normalize(polished[None])[0]
-            psi = row / (np.sum(row * asm.u0) * grid.h)
+            # polish the picked vector, then scale it in place so that its
+            # overlap, formed as above, is 1
+            psi, steps = op.polish(ref.eigenvectors[pick])
+            psi /= np.sum(psi * asm.u0) * grid.h
             diff = psi - asm.w
             gd = op.flux_gradient(psi) - asm.grad_w
             l2 = float(np.sqrt(np.sum(diff ** 2) * grid.h))

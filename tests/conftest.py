@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import homspec.reference as reference
 from homspec.torus import PeriodicField, grad_y, solve_cell
 
 
@@ -53,3 +54,19 @@ def _ordered_pair_correctors(coeff, tol):
 def ordered_pairs():
     """ordered_pairs(coeff, tol) -> (chi1, chi2, abar3), the oracle."""
     return _ordered_pair_correctors
+
+
+@pytest.fixture
+def merged_bisection(monkeypatch):
+    """Hand the bisection shift of pair 0 of a 1D h grid to pair 1 as well:
+    both converge to the lowest vector, and the pairs fail the
+    certificate."""
+    stebz = reference.dstebz
+
+    def merged(d, e, rng, *args):
+        m, w, *rest = stebz(d, e, rng, *args)
+        if rng == 2:                      # index mode, the bisection
+            w[1] = w[0]
+        return (m, w, *rest)
+
+    monkeypatch.setattr(reference, "dstebz", merged)

@@ -16,6 +16,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from homspec.classical import build_suite, cyclic_check
 from homspec.expansion import (
@@ -32,6 +34,7 @@ from homspec.reference import (
     fit_rate,
     match_and_compare,
     solve_Leps,
+    truncation_radius,
 )
 from homspec.slowpoly import SlowPolynomial
 from homspec.torus import CoefficientField, TorusGrid, grad_y
@@ -191,6 +194,44 @@ def test_a4_higher_order_gain(ctx_1d):
         f"P=3 error slope {slope:.2f} (>= 2.8), r2 {r2:.4f}; P=3 error below "
         f"P=0 at every eps: {below}",
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), base=st.floats(1.5, 3.0),
+       c=st.floats(0.5, 2.0))
+def test_rate_over_random_smooth_problems(seed, base, c):
+    # the paper's claim, corrections characterized to any order, on random
+    # smooth 1D problems a = random_trig_coeff (amp 0.4) and W = c x^2:
+    # the P = 0 eigenvalue error falls as eps^2, and P = 3 gains a full
+    # order over P = 2, since mu_1 and mu_3 vanish in 1D.  The first eps
+    # solves its h grid from bisection's shifts, the later ones from the
+    # h/2 eigenvalues of the eps before.  h is eps/32: at eps/16 the
+    # reference's Richardson floor, about eps^2 (h/eps)^4 times a constant
+    # of the draw, reaches the P = 3 error at eps = 1/40 in about 2% of
+    # draws (P = 3 slopes down to 3.2; at eps/32 none below 4.0 in 59)
+    coeff = random_trig_coeff(np.random.default_rng(seed), TorusGrid(1, 64),
+                              amp=0.4, base=base)
+    # amp 0.4 does not keep every draw elliptic
+    assume(np.min(coeff.a.values) >= 0.5)
+    W = SlowPolynomial(1, {(2,): c})
+    store, abar, _ = build_suite(coeff, W, tol=1e-13)
+    spec = solve_spectrum(abar, W, MacroBasis(1, 40, default_sigma(abar, W)),
+                          4)
+    branch = simple_recursion(store, spec, 1, 4)
+    radius = truncation_radius(spec.eigenvalue(3), c, 3.0)
+    p0, p3, routes, shifts = [], [], [], None
+    for eps in (1 / 10, 1 / 20, 1 / 40):
+        ref = solve_Leps(coeff, W, eps, FineGrid(1, radius, eps / 32), 3,
+                         keep_vectors=False, shifts=shifts)
+        shifts = ref.axis_eigenvalues_h2
+        routes += ref.h_routes
+        lam = ref.eigenvalues[0]
+        p0.append((eps, abs(lam - lambda_tilde(branch, eps, 0))))
+        p3.append((eps, abs(lam - lambda_tilde(branch, eps, 3))))
+    assert routes == ["bisection", "warm", "warm"]
+    assert 1.9 <= fit_rate(p0)[0] <= 2.1
+    assert fit_rate(p3)[0] >= 3.8
+    assert all(e3 < e0 for (_, e3), (_, e0) in zip(p3, p0))
 
 
 def test_a5_identity_suite():

@@ -1,0 +1,103 @@
+"""The bundled configs' sweep outputs, pinned.
+
+For configs/minimal.ini, simple-1d.ini and multiple-2d.ini, sweep.csv
+without its runtime_s column and the manifest without its timings are held
+in bundled_outputs.json.  A change that moves them regenerates the fixture
+with
+
+    PYTHONPATH=src python tests/test_bundled_outputs.py
+
+and states the shift.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+FIXTURE = os.path.join(HERE, "bundled_outputs.json")
+CONFIGS = ("minimal", "simple-1d", "multiple-2d")
+# without x87's 64-bit long double mantissa the reference's energy
+# quotients, and the errors measured from them, round differently: there
+# every number is held to this relative bound, with an absolute floor
+# at the rounding of the eigenvalues that the errors are differences of
+RTOL, ATOL = 1e-4, 1e-13
+
+
+def bundled_outputs(config: str) -> dict:
+    """sweep.csv without runtime_s and the manifest without timings, from
+    one sweep of the bundled config in a subprocess at one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(HERE, "..", "src"))
+    with tempfile.TemporaryDirectory() as out:
+        r = subprocess.run(
+            [sys.executable, "-m", "homspec.cli", "--config",
+             os.path.join(HERE, "..", "configs", f"{config}.ini"),
+             "--out", out, "sweep"],
+            capture_output=True, text=True, env=env, cwd=out)
+        assert r.returncode == 0, r.stderr
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            sweep = "\n".join(line.rsplit(",", 1)[0]
+                              for line in fh.read().splitlines())
+        with open(os.path.join(out, "manifest.json")) as fh:
+            manifest = json.load(fh)
+    del manifest["timings"]
+    return {"sweep": sweep, "manifest": manifest}
+
+
+def _assert_close(got, want, key):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), key
+        for k in want:
+            _assert_close(got[k], want[k], f"{key}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), key
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{key}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=RTOL, abs=ATOL,
+                                    nan_ok=True), key
+    else:
+        assert got == want, key
+
+
+def _numbers(csv_text):
+    """The rows of a CSV text, each field a float where it reads as one."""
+    def number(field):
+        try:
+            return float(field)
+        except ValueError:
+            return field
+    return [[number(f) for f in line.split(",")]
+            for line in csv_text.splitlines()]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_bundled_outputs_pinned(config):
+    # byte for byte with x87 extended precision, which the fixture was
+    # generated with; elsewhere every number within RTOL (or ATOL), and
+    # the long double width and the warning it raises left out
+    with open(FIXTURE) as fh:
+        want = json.load(fh)[config]
+    got = bundled_outputs(config)
+    if np.finfo(np.longdouble).nmant == 63:
+        assert got["sweep"] == want["sweep"]
+        assert (json.dumps(got["manifest"], sort_keys=True)
+                == json.dumps(want["manifest"], sort_keys=True))
+        return
+    _assert_close(_numbers(got["sweep"]), _numbers(want["sweep"]), "sweep")
+    for manifest in (got["manifest"], want["manifest"]):
+        del manifest["longdouble_nmant"], manifest["warnings"]
+    _assert_close(got["manifest"], want["manifest"], "manifest")
+
+
+if __name__ == "__main__":
+    pinned = {config: bundled_outputs(config) for config in CONFIGS}
+    with open(FIXTURE, "w") as fh:
+        json.dump(pinned, fh, indent=1, sort_keys=True)
+        fh.write("\n")

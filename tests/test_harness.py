@@ -901,29 +901,15 @@ class TestCLI:
         assert "sweep.csv" in one and one.keys() == two.keys()
         assert [name for name in one if one[name] != two[name]] == []
 
-    @pytest.mark.parametrize("failure", ["stein", "pivot"])
+    @pytest.mark.parametrize("failure", ["pivot", "steps"])
     def test_lapack_failure_exit_code(self, tmp_path, monkeypatch, capsys,
                                       failure):
-        # LAPACK failures of the 1D eigensolve end as one numerical failure
-        # line, exit 4: stein reporting an eigenvector that did not converge
-        # (scipy's LinAlgError; it takes pathological input, so LAPACK's
-        # report is forced here), and a shifted h/2 band with a zero column,
-        # exactly singular, on which gttrf reports a zero pivot
-        if failure == "stein":
-            # eigh_tridiagonal's module looks its LAPACK routines up by name
-            import scipy.linalg._decomp as decomp
-            lookup = decomp.get_lapack_funcs
-
-            def unconverged(names, arrays):
-                funcs = lookup(names, arrays)
-                if names != ("stein",):
-                    return funcs
-                stein, = funcs
-                return [lambda *args: (stein(*args)[0], 1)]
-
-            monkeypatch.setattr(decomp, "get_lapack_funcs", unconverged)
-            needle = "stein (eigh_tridiagonal) 1 eigenvectors failed"
-        else:
+        # failures of the 1D eigensolve end as one numerical failure line,
+        # exit 4, that names the check that failed: a shifted band with a
+        # zero column, exactly singular, on which gttrf reports a zero
+        # pivot, and bisection stopped at a width of 10, whose shifts lie so
+        # far from the eigenvalues that inverse iteration does not converge
+        if failure == "pivot":
             band = reference.FDOperator.band
 
             def singular(self, shift):
@@ -933,6 +919,9 @@ class TestCLI:
 
             monkeypatch.setattr(reference.FDOperator, "band", singular)
             needle = "zero pivot at row 1"
+        else:
+            monkeypatch.setattr(reference, "BISECT_WIDTH", 10.0)
+            needle = "did not converge within WARM_STEPS = 8 steps"
         cfgfile = self._minimal(tmp_path)
         code = cli.main(["--config", str(cfgfile),
                          "--out", str(tmp_path / "out"), "sweep"])
@@ -941,12 +930,11 @@ class TestCLI:
         assert err.startswith("numerical failure: ") and needle in err, err
         assert err.count("\n") == 1, err
 
-    def test_uncertified_h_grid_exit_code(self, tmp_path, monkeypatch,
+    def test_uncertified_h_grid_exit_code(self, tmp_path, merged_bisection,
                                           capsys):
-        # bisection stopped at a width of 10 hands stein merged shifts on
-        # simple-1d's first h grid, and its vectors are not eigenvectors:
-        # their pairs fail the certificate, one numerical failure line
-        monkeypatch.setattr(reference, "BISECT_WIDTH", 10.0)
+        # bisection's shift of pair 1 of simple-1d's first h grid handed
+        # that of pair 0: their pairs fail the certificate, one numerical
+        # failure line
         cfgfile = os.path.join(os.path.dirname(__file__), "..", "configs",
                                "simple-1d.ini")
         code = cli.main(["--config", cfgfile,

@@ -22,7 +22,6 @@ from homspec.reference import (
     _fd_operator,
     _separable_parts,
     _solve_1d,
-    _solve_2d_separable,
     fit_rate,
     match_and_compare,
     solve_Leps,
@@ -350,18 +349,18 @@ class TestSeparableFastPath:
         # computed with count + 4 modes, on h and on h/2: bit for bit those
         # of the count-pair values plus the wider solve's extra modes.  The
         # count-pair values are within 1 ulp of the wider solve's: each is
-        # the energy quotient of a LAPACK vector, and those vectors depend
-        # on how many pairs are asked for
-        parts = _separable_parts(*separable_2d(phase1, phase2))
+        # the energy quotient of a vector from bisection's shifts, and the
+        # bisection depends on how many pairs are asked for
+        coeff, W2 = separable_2d(phase1, phase2)
+        axes = _separable_parts(coeff, W2)
         eps = 0.5
         grid = FineGrid(2, 3.0, eps / rule)
-        vals_h, vals_h2, _, _ = _solve_2d_separable(parts, eps, grid,
-                                                    count)
+        ref = solve_Leps(coeff, W2, eps, grid, count, keep_vectors=False)
+        assert ref.path == "separable"
         g1 = FineGrid(1, grid.radius, grid.h)
-        axes = ((parts[0], parts[2]), (parts[1], parts[3]))
         narrow = [_solve_1d(a, W, eps, g1, count) for a, W in axes]
         wide = [_solve_1d(a, W, eps, g1, count + 4) for a, W in axes]
-        for vals, g in ((vals_h, 0), (vals_h2, 1)):
+        for vals, g in ((ref.eigenvalues_h, 0), (ref.eigenvalues_h2, 1)):
             spectra = []
             for few, many in zip(narrow, wide):
                 assert np.all(np.abs(few[g] - many[g][:count])
@@ -377,7 +376,7 @@ class TestSeparableFastPath:
         # both lie within 2 ulp of the eigenvalue that 40-digit bisection
         # finds; the wider solve's is the correctly rounded one (-0.49996 and
         # -0.49912 ulp from it, against +0.50004 and +0.50088)
-        _, a, _, W = _separable_parts(*separable_2d(0.0, phase2))
+        _, (a, W) = _separable_parts(*separable_2d(0.0, phase2))
         g1 = FineGrid(1, 3.0, 0.5 / rule)
         few, many = (_solve_1d(a, W, 0.5, g1, c)[0][k]
                      for c in (count, count + 4))
@@ -473,11 +472,12 @@ class TestShallowBisection:
     @example(phase=0.754, amp=0.215, c=0.021, rule=16, eps=0.25, count=2)
     def test_quotients_equal_full_bisection(self, phase, amp, c, rule, eps,
                                             count):
-        # bisection stopped at BISECT_WIDTH leaves stein's vectors within
-        # rounding of those from full-precision bisection: the h-grid
-        # quotients are bit for bit those of the default width, but where a
-        # long-double quotient lies within 2^-8 ulp of a float64 rounding
-        # midpoint, where the two vectors' quotients may round either way
+        # inverse iteration from the shifts of bisection stopped at
+        # BISECT_WIDTH gives vectors within rounding of LAPACK's from
+        # full-precision bisection: the h-grid quotients are bit for bit
+        # theirs, but where a long-double quotient lies within 2^-8 ulp of a
+        # float64 rounding midpoint, where the two vectors' quotients may
+        # round either way
         a, (W, radius) = _cosine_entry(phase, amp), _well(c, count)
         grid = FineGrid(1, radius, eps / rule)
         got = _solve_1d(a, W, eps, grid, count)[0]
@@ -607,8 +607,8 @@ class TestWarmStart:
     def test_shifts_near_one_eigenvalue_fall_back(self, phase, amp, c, rule,
                                                   eps, count):
         # shifts that all lie near lambda_2 all converge to its vector: the
-        # pairs fail the certificate, and the h grid is solved by LAPACK, to
-        # the bits of a solve without shifts
+        # pairs fail the certificate, and the h grid is solved from
+        # bisection's shifts, to the bits of a solve without shifts
         a, (W, radius) = _cosine_entry(phase, amp), _well(c, count)
         grid = FineGrid(1, radius, eps / rule)
         want = _solve_1d(a, W, eps, grid, count)
@@ -619,18 +619,10 @@ class TestWarmStart:
         for g, w in zip(got[:3], want[:3]):
             assert np.array_equal(g, w)
 
-    def test_uncertified_lapack_pairs_raise(self, monkeypatch):
-        # pair 1 of LAPACK's h grid handed the vector of pair 0: the two
-        # residual intervals coincide, and the h grid raises before the h/2
-        # pass
-        eigh = sla.eigh_tridiagonal
-
-        def corrupted(*args, **kwargs):
-            vals, vecs = eigh(*args, **kwargs)
-            vecs[:, 1] = vecs[:, 0]
-            return vals, vecs
-
-        monkeypatch.setattr(sla, "eigh_tridiagonal", corrupted)
+    def test_uncertified_lapack_pairs_raise(self, merged_bisection):
+        # bisection's shift of pair 1 of the h grid handed that of pair 0:
+        # the two residual intervals coincide, and the h grid raises before
+        # the h/2 pass
         c = CoefficientField.from_isotropic(
             TorusGrid(1, 64), lambda y: 2.0 + np.cos(TWO_PI * y))
         with pytest.raises(ConvergenceFailure, match="not certified"):
@@ -817,9 +809,12 @@ class TestPolish:
         # the last step's work arrays go before the float64 copy on every
         # exit: the polish peaks alike when the plateau rule stops it and
         # when a step fails to cut |r|, whose vector and products would
-        # otherwise outlive the loop (about 6 bytes a node more)
+        # otherwise outlive the loop (about 6 bytes a node more).  At
+        # eps = 1/64 the second step's |r| does not decrease; at other eps
+        # the step counts of the cold vector differ (at 1/128 the third
+        # step's |r| is the first that does not decrease)
         coeff, W, _ = branch_1d
-        eps = 1 / 128
+        eps = 1 / 64
         ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1,
                          keep_vectors=True)
         m = ref.fine_grid.n_interior
@@ -841,11 +836,11 @@ class TestPolish:
         # from the inverse-iteration vector one Newton step reaches the
         # rounding floor of |r|^2; the second cuts it by less than
         # POLISH_PLATEAU, so the polish stops there.  Without the plateau
-        # rule it takes a third step here, which leaves the quotient as it
-        # is (at other eps the second step's |r| stops decreasing, and that
-        # rule stops the polish)
+        # rule it takes further steps at eps = 1/16, which leave the
+        # quotient as it is (at other eps, 1/10 among them, the second
+        # step's |r| stops decreasing, and that rule stops the polish)
         coeff, W, br = branch_1d
-        eps = 1 / 10
+        eps = 1 / 16
         ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1,
                          keep_vectors=True)
         op = ref.operator
