@@ -278,7 +278,6 @@ class ExpansionBranch:
     D: np.ndarray | None = None
     E: np.ndarray | None = None
     mu1_computed: float = 0.0       # solvability value before snapping to 0
-    alphas: dict = field(default_factory=dict)   # level -> kernel coefficients
     hierarchy_residuals: dict = field(default_factory=dict)
     solvability_residuals: dict = field(default_factory=dict)
 
@@ -529,7 +528,6 @@ def _run_branch(table, spec, j, P, label, D, E, mu2_list) -> ExpansionBranch:
                     continue
                 alpha += (np.dot(E[t], residual_vec) /
                           (mu2_list[t] - mu2_val)) * E[t]
-            branch.alphas[K - 3] = alpha.copy()
             if np.linalg.norm(alpha) > 1e-14 * max(np.linalg.norm(w_vec), 1.0):
                 branch.U[K - 3] = MacroFunction(
                     basis, branch.U[K - 3].coeffs + alpha @ phi_mat

@@ -10,15 +10,15 @@ integrals of 1/a (which keeps the discretization error smooth in h though
 the coefficient oscillates) taken on one period of fast phases; its
 diagonal and couplings are the one copy of the stencil that the
 tridiagonal, banded and sparse solves read.  A 1D problem is solved as
-one axis of a separable one.  Its h grid is solved by shifted inverse
-iteration from a fixed start, one shift per pair: the caller's shifts
-when it has them (the previous eps's h/2 eigenvalues, in a sweep), or
-else LAPACK's bisection, stopped at a stated width (BISECT_WIDTH) since
-only the vectors it leads to are kept; the pairs are accepted only under
-a certificate, disjoint residual intervals and a Sturm count, that they
-are the lowest ones, and the caller's shifts fall back to bisection's
-when they fail.  The h/2 grid is solved by shifted inverse iteration from
-the h grid's eigenpairs, which are already O(h^2) accurate.  Each shifted
+one axis of a separable one.  Both grids of an axis are solved by one
+routine, shifted inverse iteration, one shift per pair, accepted only
+under a certificate, disjoint residual intervals and a Sturm count, that
+the pairs are the lowest ones.  The h grid starts from a fixed vector and
+the caller's shifts when it has them (the previous eps's h/2
+eigenvalues, in a sweep); the h/2 grid from the h grid's eigenpairs,
+which are already O(h^2) accurate, as shifts and starts.  Shifts that
+fail fall back to LAPACK's bisection, stopped at a stated width
+(BISECT_WIDTH) since only the vectors it leads to are kept.  Each shifted
 band is factored once; each vector is a unit row, and each eigenvalue the
 record's energy quotient in extended precision, so that the floor sits
 orders of magnitude below the smallest expansion residuals being
@@ -45,6 +45,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .errors import (
+    ConfigError,
     ConvergenceFailure,
     DegenerateFit,
     GridTooCoarse,
@@ -58,10 +59,9 @@ MAX_NODES_PER_AXIS = 1 << 22   # h/2 grid nodes per axis: 32 MB a float64 axis
 MAX_OVERLAP_CONDITION = 10.0   # picked overlap / runner-up within a cluster
 POLISH_STEPS = 4               # cap on Newton steps per eigenpair
 POLISH_PLATEAU = 4.0           # least cut of |r|^2 per Newton step
-INVERSE_STEPS = 3              # inverse iterations per h/2 eigenpair
-BISECT_WIDTH = 1e-4            # interval at which h-grid bisection stops
-WARM_STEPS = 8                 # cap on inverse iterations per shifted h pair
-# sign-aligned change of unit iterates at which a shifted h pair has
+BISECT_WIDTH = 1e-4            # interval at which 1D bisection stops
+WARM_STEPS = 8                 # cap on inverse iterations per shifted pair
+# sign-aligned change of unit iterates at which a shifted pair has
 # converged: the energy quotient, second order in the vector's error, no
 # longer moves; the iterates' rounding floor lies near 1e-11 at 35 839 nodes
 WARM_TOL = 2.0 ** -30
@@ -380,46 +380,60 @@ def _normalized(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _shifted_pairs(op, shifts) -> tuple:
+def _ramps(vecs: np.ndarray) -> np.ndarray:
+    """Every row of vecs set to one unit ramp in place; returns vecs.  A
+    ramp's even and odd parts are both nonzero, so no mirror symmetry of
+    the problem leaves it orthogonal to a low mode."""
+    vecs[:] = _normalized(np.linspace(1.0, 2.0, vecs.shape[1]))
+    return vecs
+
+
+def _shifted_pairs(op, shifts, vecs, name) -> tuple:
     """One eigenpair of op's tridiagonal per shift, by shifted inverse
-    iteration from a fixed start: the energy quotients and their unit
-    vectors as rows, certified (_certified) as the len(shifts) lowest.
+    iteration from the unit rows of vecs, which it iterates in place: the
+    energy quotients and vecs, certified (_certified) as the len(shifts)
+    lowest.
 
     Each shift is factored once (_factor) and iterated until the
-    sign-aligned change of the unit iterates is at most WARM_TOL.  Raises
-    ConvergenceFailure, naming the check that failed, when a shifted band
-    has a zero pivot, when a shift's iterates have not converged after
-    WARM_STEPS steps, or when the pairs fail the certificate.
+    sign-aligned change of the unit iterates is at most WARM_TOL; its
+    factors are dropped before the next shift's, and the last before the
+    quotients and the certificate.  Raises ConvergenceFailure, naming the
+    check that failed and the grid (name), when a shifted band has a zero
+    pivot, when a shift's iterates have not converged after WARM_STEPS
+    steps, or when the pairs fail the certificate.
     """
-    n = op.wdiag.size
-    vecs = np.empty((len(shifts), n))
+    # each step solves in place on one work vector and forms the change in
+    # v: fewer grid-sized temporaries pass through the heap, whose layout
+    # on the finest grids sets a 1D sweep's peak resident memory
+    w = np.empty(vecs.shape[1])
     for k, shift in enumerate(shifts):
         lu, info = _factor(op, shift)
         if info > 0:
             raise ConvergenceFailure(
-                f"the h band shifted by {float(shift)!r} has a zero pivot "
-                f"at row {info}"
+                f"the {name} band shifted by {float(shift)!r} has a zero "
+                f"pivot at row {info}"
             )
-        # a ramp: its even and odd parts are both nonzero, so no mirror
-        # symmetry of the problem leaves it orthogonal to a low mode
-        v = _normalized(np.linspace(1.0, 2.0, n))
+        v = vecs[k]
         for _ in range(WARM_STEPS):
-            w = _normalized(dgttrs(*lu, v)[0])
-            aligned = np.copysign(1.0, np.sum(v * w))
-            change = np.sqrt(np.sum((w - aligned * v) ** 2))
-            v = w
+            w[:] = v
+            w = _normalized(dgttrs(*lu, w, overwrite_b=True)[0])
+            v *= np.copysign(1.0, np.sum(v * w))
+            v -= w
+            change = np.sqrt(np.sum(v * v))
+            v[:] = w
             if change <= WARM_TOL:
                 break
         else:
             raise ConvergenceFailure(
-                f"inverse iteration from the h shift {float(shift)!r} did not "
-                f"converge within WARM_STEPS = {WARM_STEPS} steps"
+                f"inverse iteration from the {name} shift {float(shift)!r} "
+                f"did not converge within WARM_STEPS = {WARM_STEPS} steps"
             )
-        vecs[k] = v
+        lu = None
+    del w
     vals = np.array([op.quotient(v) for v in vecs], dtype=float)
     if not _certified(op, vals, vecs):
         raise ConvergenceFailure(
-            f"the h grid eigenpairs {vals} are not certified as the "
+            f"the {name} grid eigenpairs {vals} are not certified as the "
             f"{len(vals)} lowest: their residual intervals overlap or a "
             f"Sturm count disagrees"
         )
@@ -436,51 +450,62 @@ def _certified(op, vals, vecs) -> bool:
     exactly one and they are the lowest (Parlett, The Symmetric Eigenvalue
     Problem, 1998, ch. 3 and 10).  The residuals are formed in float64 and
     the count is stebz's in value mode, with a tolerance so wide that it
-    does not bisect.
+    does not bisect.  Both are exact only up to rounding of the size of
+    eps_mach |T|, so each interval is widened by 4 eps_mach |T| and the
+    count is taken that far above the top: a converged residual is of that
+    size, and on a grid of a few nodes the count at the bare top may miss
+    the eigenvalue that the interval holds.
     """
+    # |T| bounded by Gershgorin's discs
+    slack = 4 * np.finfo(float).eps * (np.abs(op.diag).max()
+                                       + 2 * np.abs(op.off[0]).max())
     res = np.empty(len(vals))
     for k, v in enumerate(vecs):
         r = op.apply(v)
         r -= vals[k] * v
-        res[k] = np.sqrt(np.sum(r * r))
+        res[k] = np.sqrt(np.sum(r * r)) + slack
     top = vals + res
     if not np.all(top[:-1] < (vals - res)[1:]):
         return False
-    m, *_, info = dstebz(op.diag, op.off[0], 1, -np.inf, top[-1], 0, 0,
-                         np.inf, b"E")
+    m, *_, info = dstebz(op.diag, op.off[0], 1, -np.inf, top[-1] + slack, 0,
+                         0, np.inf, b"E")
     return info == 0 and m == len(vals)
 
 
-def _h_pairs(op, count, shifts) -> tuple:
+def _h_pairs(op, count, shifts, starts=None, name="h") -> tuple:
     """The count lowest eigenvalues of op's tridiagonal, increasing, their
     unit vectors as rows, and where the shifts of _shifted_pairs came from.
 
-    With shifts the route is "warm": the caller's.  Without, or when they
-    fail, it is "bisection": LAPACK's bisection (stebz) in index mode stops
-    once each eigenvalue lies in an interval of width BISECT_WIDTH, and
-    those approximate eigenvalues are the shifts.  Each eigenvalue is the
-    energy quotient of its vector, which is second order in the vector's
-    error, so the two routes agree bit for bit but at float64 rounding
-    midpoints, where either may round up.  Raises ConvergenceFailure when
-    the bisection fails or its shifts give no certified pairs.
+    With shifts the route is "warm": the caller's, iterated from starts,
+    count unit rows that are overwritten, or else from a ramp.  Without, or
+    when they fail, it is "bisection": LAPACK's bisection (stebz) in index
+    mode stops once each eigenvalue lies in an interval of width
+    BISECT_WIDTH, and those approximate eigenvalues are the shifts, iterated
+    from the ramp.  Each eigenvalue is the energy quotient of its vector,
+    which is second order in the vector's error, so the two routes agree
+    bit for bit but at float64 rounding midpoints, where either may round
+    up.  Raises ConvergenceFailure, naming the grid (name), when the
+    bisection fails or its shifts give no certified pairs.
     """
+    vecs = np.empty((count, op.wdiag.size)) if starts is None else starts
     if shifts is not None:
         try:
-            return (*_shifted_pairs(op, shifts), "warm")
+            return (*_shifted_pairs(op, shifts, _ramps(vecs) if starts is None
+                                    else vecs, name), "warm")
         except ConvergenceFailure:
             pass
     m, w, *_, info = dstebz(op.diag, op.off[0], 2, 0.0, 0.0, 1, count,
                             BISECT_WIDTH, b"E")
     if info or m != count:
         raise ConvergenceFailure(
-            f"h grid bisection (stebz) found {m} of {count} eigenvalues, "
-            f"info {info}"
+            f"{name} grid bisection (stebz) found {m} of {count} "
+            f"eigenvalues, info {info}"
         )
     try:
-        return (*_shifted_pairs(op, w[:m]), "bisection")
+        return (*_shifted_pairs(op, w[:m], _ramps(vecs), name), "bisection")
     except ConvergenceFailure as exc:
-        raise ConvergenceFailure(f"h grid bisection's shifts failed: {exc}") \
-            from exc
+        raise ConvergenceFailure(
+            f"{name} grid bisection's shifts failed: {exc}") from exc
 
 
 def _solve_1d(coeff_at, W, eps, grid, count, shifts=None):
@@ -489,19 +514,16 @@ def _solve_1d(coeff_at, W, eps, grid, count, shifts=None):
     inverse iteration cached, which the polish reads again, and the h
     grid's route.
 
-    The h grid is solved by _h_pairs: from shifts, count increasing values
-    near its eigenvalues (the previous eps's h/2 eigenvalues, in a sweep),
-    or from those of a bisection.  On h/2 each h pair k is the shift and the
-    start of INVERSE_STEPS shifted inverse iterations in float64 (Ipsen,
-    SIAM Rev. 39, 1997): its vector, interpolated linearly onto the h/2
-    nodes with 0 at the Dirichlet ends, is already O(h^2) from the h/2 one.
-    Each shifted band is factored once, in place (gttrf), and every
-    iteration is one triangular solve pair (gttrs).  Every eigenvalue is
-    the energy quotient of its vector, whose error is second order in the
-    vector's.  Raises ConvergenceFailure when the h grid cannot be solved,
-    when a shifted h/2 band has a zero pivot, when the h/2 eigenvalues are
-    not increasing, or when one lies nearer another pair's h eigenvalue
-    than its own.
+    Both grids are solved by _h_pairs, under its certificate.  The h grid
+    is solved from shifts, count increasing values near its eigenvalues
+    (the previous eps's h/2 eigenvalues, in a sweep), or from those of a
+    bisection.  The h/2 grid is solved from the h grid's eigenpairs as
+    shifts and starts (Ipsen, SIAM Rev. 39, 1997): each h vector,
+    interpolated linearly onto the h/2 nodes with 0 at the Dirichlet ends,
+    is already O(h^2) from the h/2 one; when those pairs fail the
+    certificate, the h/2 grid falls back to bisection's shifts, as the h
+    grid does.  Raises ConvergenceFailure when either grid cannot be
+    solved, naming it.
     """
     if shifts is not None and len(shifts) != count:
         raise ValueError(f"{len(shifts)} shifts for {count} eigenpairs")
@@ -512,28 +534,14 @@ def _solve_1d(coeff_at, W, eps, grid, count, shifts=None):
     fop = _fd_operator([coeff_at], W, eps, fine)
     x = -grid.radius + grid.h * np.arange(grid.n_cells + 1)
     fine_x = -fine.radius + fine.h * np.arange(1, fine.n_cells)
-    fine_vals = np.empty(count)
-    fine_vecs = np.empty((count, fine_x.size))
+    # the starts are formed in the rows that the h/2 solve iterates in
+    # place and returns, and the h vectors go before it
+    starts = np.empty((count, fine_x.size))
     for k in range(count):
-        v = np.interp(fine_x, x, np.pad(vecs[k], 1))
-        lu, info = _factor(fop, vals[k])
-        if info > 0:
-            raise ConvergenceFailure(
-                f"the h/2 band shifted by the h eigenvalue "
-                f"{float(vals[k])!r} has a zero pivot at row {info}"
-            )
-        for _ in range(INVERSE_STEPS):
-            v = _normalized(dgttrs(*lu, v, overwrite_b=True)[0])
-        del lu
-        fine_vals[k] = fop.quotient(v)
-        fine_vecs[k] = v
-    gap = np.abs(fine_vals[:, None] - vals)
-    if not (np.all(np.diff(fine_vals) > 0)
-            and np.all(gap.diagonal() <= gap.min(axis=1))):
-        raise ConvergenceFailure(
-            f"inverse iteration on the h/2 grid lost the order of the h "
-            f"grid's eigenvalues: {fine_vals} from {vals}"
-        )
+        starts[k] = np.interp(fine_x, x, np.pad(vecs[k], 1))
+        _normalized(starts[k])
+    del vecs, x, fine_x
+    fine_vals, fine_vecs, _ = _h_pairs(fop, count, vals, starts, "h/2")
     return vals, fine_vals, fine_vecs, fop, route
 
 
@@ -589,15 +597,17 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
 
 def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
                  grid: FineGrid):
-    """Five-point symmetric FD matrix of _fd_operator, in CSR form;
-    off-diagonal entries of a are not supported on this path (the
-    pseudo-spectral side handles full matrices; fine-grid acceptance runs
-    use diagonal coefficients)."""
+    """Five-point symmetric FD matrix of _fd_operator, in CSR form.  Its
+    stencil takes a diagonal a only (the pseudo-spectral side handles full
+    matrices; fine-grid acceptance runs use diagonal coefficients), so a
+    nonzero a12 is a ConfigError."""
     import scipy.sparse as sp
     v = coeff.a.values
     if np.max(np.abs(v[0, 1])) > 0:
-        raise NotImplementedError(
-            "2D fine-grid path supports diagonal coefficients only"
+        raise ConfigError(
+            "problem.a12 (or the a12 samples of problem.a_samples) is "
+            "nonzero: the 2D fine-grid reference (reference, sweep) takes "
+            "diagonal coefficients only"
         )
     n = grid.n_interior
     if n * n > MAX_UNKNOWNS_2D:
@@ -648,17 +658,19 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     increasing values per 1D axis (in a sweep, the previous eps's): each
     axis's h grid is then solved by inverse iteration from them, under
     _h_pairs's certificate, and from a bisection's shifts where that
-    fails; the sparse path takes none.  Raises GridTooCoarse when h does not resolve eps, or when the
-    box holds fewer than max(count, 2) interior nodes per axis, and
-    ConvergenceFailure, before any array is built, when the h/2 grid holds
-    more than MAX_NODES_PER_AXIS.
+    fails; the sparse path takes none.  Raises GridTooCoarse when h does
+    not resolve eps, or when the box holds fewer than max(count, 3)
+    interior nodes per axis (scipy's gttrf wrapper refuses 2), ConfigError
+    when a 2D coefficient has a nonzero a12, and ConvergenceFailure, before
+    any array is built, when the h/2 grid holds more than
+    MAX_NODES_PER_AXIS.
     """
     grid.check_resolves(eps)
-    if grid.n_interior < max(count, 2):
+    if grid.n_interior < max(count, 3):
         raise GridTooCoarse(
             f"{grid.n_interior} interior nodes per axis on [-{grid.radius:.3g}, "
             f"{grid.radius:.3g}] with h = {grid.h:.3g}; {count} eigenpairs "
-            f"need at least {max(count, 2)}"
+            f"need at least {max(count, 3)}"
         )
     fine = FineGrid(grid.dim, grid.radius, grid.h / 2.0)
     if fine.n_interior > MAX_NODES_PER_AXIS:

@@ -768,7 +768,7 @@ class TestCLI:
     @pytest.mark.parametrize("radius", ["0.0078125", "0.01171875"])
     def test_box_too_small_exit_code(self, tmp_path, command, radius):
         # h = 0.125 / 16: the box holds 1 and 2 interior nodes, fewer than
-        # the max(count, 2) the reference needs; a radius of 0 is a config
+        # the max(count, 3) the reference needs; a radius of 0 is a config
         # error
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(MINIMAL.replace("radius = 7.0", f"radius = {radius}")
@@ -779,6 +779,17 @@ class TestCLI:
         assert r.stderr.startswith("error: ")
         assert "interior nodes" in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("command", ["reference", "sweep"])
+    def test_off_diagonal_2d_reference_exit_code(self, tmp_path, command):
+        # the 2D fine-grid stencil takes a diagonal a: a nonzero a12 is one
+        # config error line that names it, not a traceback
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(TWO_BRANCH.replace(
+            "a22 = 1", "a22 = 1\na12 = 0.2*sin(2*pi*(y1+y2))"))
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
+                      command, cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: ", "problem.a12")
 
     @pytest.mark.parametrize("key, value", [
         ("radius", "abc"),              # malformed text

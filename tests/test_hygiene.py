@@ -1,7 +1,8 @@
 """Every top-level function and public method in src/homspec is used by
 package code, every parameter of one or of a function nested in one is read,
 every defaulted parameter is passed by name or position by some call in
-src/homspec, and every dataclass field is read by package code.  Tests and
+src/homspec, every dataclass field is read by package code, and no package
+code raises NotImplementedError.  Tests and
 the benchmark are not callers: what only they use is kept, if at all, in a
 KEPT_* table with its reason."""
 
@@ -252,6 +253,16 @@ def _unread_fields(trees) -> list:
     return unread
 
 
+def _not_implemented(trees) -> list:
+    """module:line of every raise of NotImplementedError, bare or called."""
+    return [f"{path.name}:{node.lineno}" for path, tree in trees
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and "NotImplementedError" in (
+                getattr(node.exc, "id", None),
+                getattr(getattr(node.exc, "func", None), "id", None))]
+
+
 def test_no_unused_helpers():
     # a helper that only tests call is code the package carries for them:
     # delete it, or keep it in KEPT_UNCALLED with a reason
@@ -288,6 +299,14 @@ def test_every_field_is_read():
     assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
+def test_nothing_raises_not_implemented():
+    # an input the package cannot handle is a deliberate error (a
+    # ConfigError naming its key, exit 3); a NotImplementedError reaches
+    # cli.main as a traceback
+    raised = _not_implemented(_trees())
+    assert not raised, f"NotImplementedError raised at: {raised}"
+
+
 def test_gates_see_what_only_tests_use(tmp_path):
     # one package with one case of each kind the gates must not count as a
     # use: a helper that only a test calls, a default that only a **mapping
@@ -310,6 +329,8 @@ def test_gates_see_what_only_tests_use(tmp_path):
 
 
         def solve(x, maxiter=10):
+            if maxiter < 1:
+                raise NotImplementedError("maxiter below 1")
             return x * maxiter
 
 
@@ -339,6 +360,7 @@ def test_gates_see_what_only_tests_use(tmp_path):
                                          "mod.py:driver.check(note=)"]
     assert _unread_parameters(trees) == ["mod.py:driver.check(note)"]
     assert _unread_fields(trees) == ["mod.py:Pair.spare"]
+    assert _not_implemented(trees) == ["mod.py:16"]
 
 
 def test_tracer_restores_every_patch(monkeypatch):

@@ -96,12 +96,13 @@ class TestSolve1D:
                        keep_vectors=True)
 
     def test_box_too_small(self):
-        # one interior node, and fewer nodes than eigenpairs: both are
-        # refused before any eigensolve
+        # one interior node, two (fewer than gttrf takes), and fewer nodes
+        # than eigenpairs: all are refused before any eigensolve
         c = coeff_identity_1d()
-        with pytest.raises(GridTooCoarse, match="interior nodes"):
-            solve_Leps(c, w1(), 0.5, FineGrid(1, 1.0 / 16, 1.0 / 16), 1,
-                       keep_vectors=True)
+        for radius in (1.0 / 16, 1.5 / 16):
+            with pytest.raises(GridTooCoarse, match="at least 3"):
+                solve_Leps(c, w1(), 0.5, FineGrid(1, radius, 1.0 / 16), 1,
+                           keep_vectors=True)
         with pytest.raises(GridTooCoarse, match="at least 4"):
             solve_Leps(c, w1(), 0.5, FineGrid(1, 2.0 / 16, 1.0 / 16), 4,
                        keep_vectors=True)
@@ -494,19 +495,35 @@ class TestInverseIteration:
     @settings(max_examples=20, deadline=None)
     @given(phase=st.floats(0.0, 1.0), amp=st.floats(0.1, 1.0),
            rule=st.sampled_from([8, 16, 32]),
-           eps=st.sampled_from([0.5, 0.25]), count=st.integers(1, 8))
+           eps=st.sampled_from([0.5, 0.25]), count=st.integers(1, 8),
+           per_pair=st.one_of(st.none(), st.floats(4.0, 12.0)))
     # on this coarse grid two inverse iterations leave the top pair 12 ulp
     # off (the LAPACK route is within 0.4 ulp of the exact eigenvalue)
     @example(phase=0.8559122943833432, amp=0.27677533101189356, rule=8,
-             eps=0.5, count=8)
-    @example(phase=MIDPOINT, amp=MIDPOINT, rule=16, eps=0.5, count=1)
-    def test_equals_lapack_route(self, phase, amp, rule, eps, count):
+             eps=0.5, count=8, per_pair=None)
+    @example(phase=MIDPOINT, amp=MIDPOINT, rule=16, eps=0.5, count=1,
+             per_pair=None)
+    # a box of 26 h-grid nodes for 4 pairs: a fixed three inverse
+    # iterations from the h grid left an h/2 eigenvalue 5.6e7 ulp off
+    @example(phase=0.3840154184913098, amp=0.9886954084446584, rule=16,
+             eps=0.25, count=4, per_pair=6.398524339502504)
+    # a box of 5 h-grid nodes for 1 pair: the Sturm count at the bare top
+    # of the h pair's residual interval, off by a rounding of eps_mach |T|,
+    # missed the eigenvalue it holds, and the certificate refused the pair
+    @example(phase=0.3658435291805171, amp=0.15258020466142147, rule=8,
+             eps=0.25, count=1, per_pair=4.547277084333778)
+    def test_equals_lapack_route(self, phase, amp, rule, eps, count,
+                                 per_pair):
         # the h/2 eigenvalues that inverse iteration finds from the h grid
         # are within 1 ulp of those of the LAPACK vectors on h/2: the two
         # are energy quotients of different vectors, so an eigenvalue at a
-        # rounding midpoint may round either way
+        # rounding midpoint may round either way.  The box is [-3, 3], or
+        # one that holds per_pair h-grid nodes per pair, where the h pairs
+        # are far from the h/2 ones
         a = _cosine_entry(phase, amp)
-        grid = FineGrid(1, 3.0, eps / rule)
+        h = eps / rule
+        radius = 3.0 if per_pair is None else (per_pair * count + 1) * h / 2
+        grid = FineGrid(1, radius, h)
         got = _solve_1d(a, w1(), eps, grid, count)[1]
         fine = FineGrid(1, grid.radius, grid.h / 2)
         want = _lapack_route(a, w1(), eps, fine, count)
@@ -531,9 +548,9 @@ class TestInverseIteration:
            eps=st.sampled_from([0.5, 0.25]), count=st.integers(1, 8))
     def test_one_factorization_equals_solve_banded(self, phase, amp, c, rule,
                                                    eps, count):
-        # each shift factored once (gttrf) and solved INVERSE_STEPS times
-        # (gttrs) gives the iterates of one solve_banded (gtsv) call per
-        # step, which repeats the same elimination: bit for bit
+        # each shift factored once (gttrf) and solved once per inverse
+        # iteration (gttrs) gives the iterates of one solve_banded (gtsv)
+        # call per step, which repeats the same elimination: bit for bit
         a, (W, radius) = _cosine_entry(phase, amp), _well(c, count)
         grid = FineGrid(1, radius, eps / rule)
         got = _solve_1d(a, W, eps, grid, count)
@@ -543,22 +560,30 @@ class TestInverseIteration:
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
 
-    def test_corrupted_coarse_pair_raises(self, monkeypatch):
-        # pair 1 of the h grid handed pair 0 past the certificate: both
-        # inverse iterations land on the lowest h/2 eigenvalue
-        h_pairs = reference._h_pairs
+    def test_corrupted_coarse_pair_falls_back(self, monkeypatch):
+        # pair 1 of the h grid handed pair 0 past the certificate: both of
+        # its h/2 shifts and starts land on the lowest h/2 vector, the pairs
+        # fail the certificate, and the h/2 grid is solved from bisection's
+        # shifts, to the bits of an h/2 solve without shifts
+        a = _cosine_entry(0.0, 1.0)
+        eps, grid, count = 0.5, FineGrid(1, 4.0, 1.0 / 16), 3
+        fop = _fd_operator([a], w1(), eps, FineGrid(1, 4.0, grid.h / 2))
+        want = reference._h_pairs(fop, count, None)
+        h_pairs, calls = reference._h_pairs, []
 
-        def corrupted(*args):
-            vals, vecs, route = h_pairs(*args)
-            vals[1], vecs[1] = vals[0], vecs[0]
+        def corrupted(op, count, shifts, *args):
+            calls.append(shifts)
+            vals, vecs, route = h_pairs(op, count, shifts, *args)
+            if len(calls) == 1:           # the h grid
+                vals[1], vecs[1] = vals[0], vecs[0]
             return vals, vecs, route
 
         monkeypatch.setattr(reference, "_h_pairs", corrupted)
-        c = CoefficientField.from_isotropic(
-            TorusGrid(1, 64), lambda y: 2.0 + np.cos(TWO_PI * y))
-        with pytest.raises(ConvergenceFailure, match="h/2 grid"):
-            solve_Leps(c, w1(), 0.5, FineGrid(1, 4.0, 1.0 / 16), 3,
-                       keep_vectors=False)
+        _, got, vecs, _, _ = _solve_1d(a, w1(), eps, grid, count)
+        assert calls[1][0] == calls[1][1]
+        assert want[2] == "bisection"
+        assert np.array_equal(got, want[0])
+        assert np.array_equal(vecs, want[1])
 
 
 class TestWarmStart:
@@ -836,11 +861,11 @@ class TestPolish:
         # from the inverse-iteration vector one Newton step reaches the
         # rounding floor of |r|^2; the second cuts it by less than
         # POLISH_PLATEAU, so the polish stops there.  Without the plateau
-        # rule it takes further steps at eps = 1/16, which leave the
-        # quotient as it is (at other eps, 1/10 among them, the second
+        # rule it takes further steps at eps = 1/20, which leave the
+        # quotient as it is (at other eps, 1/16 among them, the second
         # step's |r| stops decreasing, and that rule stops the polish)
         coeff, W, br = branch_1d
-        eps = 1 / 16
+        eps = 1 / 20
         ref = solve_Leps(coeff, W, eps, FineGrid(1, 7.0, eps / 16), 1,
                          keep_vectors=True)
         op = ref.operator
