@@ -186,8 +186,10 @@ def cmd_expand(cfg: RunConfig, args):
 
 def cmd_reference(cfg: RunConfig, args):
     from .pipeline import stage_homogenize, stage_reference, stage_spectrum
+    from .reference import check_diagonal
     warnings = []
     store, abar, _ = stage_homogenize(cfg, warnings)
+    check_diagonal(store.coeff)
     spec = stage_spectrum(cfg, store.W, abar)
     per_eps = []
 

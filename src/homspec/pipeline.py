@@ -7,9 +7,10 @@ All artifacts are deterministic for a fixed config on one machine, with the
 BLAS thread count fixed, except for the recorded wall-clock column; a 1D
 sweep's do not depend on the thread count, since its reductions over the
 fine grid are numpy sums, not BLAS products split over threads.  The
-reference stage's names, and scipy with them, are imported by the functions
-that use them, as is hashlib by config_hash, so the homogenize, spectrum and
-expand commands load neither scipy nor OpenSSL's binding.
+reference stage's names, and with them scipy's _flapack alone (and
+scipy.sparse on the sparse 2D path), are imported by the functions that use
+them, as is hashlib by config_hash, so the homogenize, spectrum and expand
+commands load neither scipy nor OpenSSL's binding.
 """
 
 from __future__ import annotations
@@ -247,9 +248,9 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
 def run(cfg: RunConfig):
     """Execute the full pipeline; returns (manifest, comparison rows)."""
     timings = {}
-    # the first import of the reference stage loads scipy
+    # the first import of the reference stage loads LAPACK's _flapack
     t0 = time.perf_counter()
-    from .reference import fit_rate, match_and_compare
+    from .reference import check_diagonal, fit_rate, match_and_compare
     timings["imports"] = time.perf_counter() - t0
     warnings = []
     # eigenfunctions are compared in 1D only: a 2D reference keeps no vectors
@@ -257,6 +258,7 @@ def run(cfg: RunConfig):
     t0 = time.perf_counter()
     store, abar, abar3_sym = stage_homogenize(cfg, warnings)
     timings["homogenize"] = time.perf_counter() - t0
+    check_diagonal(store.coeff)
 
     t0 = time.perf_counter()
     spec = stage_spectrum(cfg, store.W, abar)

@@ -37,12 +37,14 @@ and for cross-validation.
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .errors import (
     ConfigError,
@@ -67,6 +69,29 @@ WARM_STEPS = 8                 # cap on inverse iterations per shifted pair
 WARM_TOL = 2.0 ** -30
 # 12-point Gauss-Legendre nodes and weights on [-1, 1] of the cell averages
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+
+def _lapack(*routines) -> list:
+    """The named routines of scipy's LAPACK wrappers, its
+    scipy.linalg._flapack extension, loaded from its file: importing any
+    scipy.linalg name runs the package init, about 0.1 s that clones the
+    numpy namespace, while the extension alone takes about 2 ms (find_spec
+    of a top-level name does not import it).  The module is registered
+    under its own name, so that a later scipy.linalg import uses it, and
+    one that is already loaded is used as it is."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        path = os.path.join(find_spec("scipy").submodule_search_locations[0],
+                            "linalg", "_flapack" + EXTENSION_SUFFIXES[0])
+        spec = spec_from_file_location(name, path)
+        sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return [getattr(sys.modules[name], r) for r in routines]
+
+
+# the tridiagonal LU (gttrf, gttrs), bisection and Sturm counts (stebz) and
+# the one-shot tridiagonal solve of the polish (gtsv); tests patch them here
+dgttrf, dgttrs, dstebz, dgtsv = _lapack("dgttrf", "dgttrs", "dstebz", "dgtsv")
 
 
 def truncation_radius(lam: float, lambda_minus: float, safety: float) -> float:
@@ -214,11 +239,12 @@ class FDOperator:
                      for ax, a in enumerate(self.edges))
 
     def band(self, shift) -> np.ndarray:
-        """T - shift in the (1, 1) layout of solve_banded.  diag - shift is
-        formed in the precision of shift and rounded into the band, one
-        buffered chunk at a time.  Each row is contiguous: _factor
-        factors the rows in place (gttrf) once per shift, and the polish
-        hands the band to one solve_banded call that overwrites it."""
+        """T - shift as three rows, the super-, main and subdiagonal (the
+        (1, 1) band layout), each padded to n.  diag - shift is formed in the
+        precision of shift and rounded into the band, one buffered chunk at a
+        time.  Each row is contiguous: _factor factors the rows in place
+        (gttrf) once per shift, and the polish hands them to one gtsv solve
+        that overwrites them."""
         band = np.zeros((3, self.wdiag.size))
         band[0, 1:] = band[2, :-1] = self.off[0]
         np.subtract(self.diag, shift, out=band[1], casting="unsafe")
@@ -295,22 +321,23 @@ class FDOperator:
             rhs = np.empty((v.size, 2), order="F")
             rhs[:, 0], rhs[:, 1] = r, v
             del Tw, r
-            try:
-                y, z = sla.solve_banded((1, 1), self.band(mu), rhs,
-                                        overwrite_ab=True, overwrite_b=True,
-                                        check_finite=False).T
-            except np.linalg.LinAlgError:
+            band = self.band(mu)
+            x, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs,
+                            True, True, True, True)[3:]
+            del band
+            if info:
                 break                     # mu is an eigenvalue of T in float64
+            y, z = x.T
             # y and z enter in long double, as v does, through the work buffer
             tmp = y.astype(np.longdouble)
             vy = np.dot(v, tmp)
             tmp[:] = z
             w = v - y
             w += np.multiply(vy / np.dot(v, tmp), z, out=tmp)
-            del rhs, y, z, tmp
+            del rhs, x, y, z, tmp
         # the last step's work arrays go before the float64 copy, whichever
         # rule stopped the polish, so that the exit does not set the peak
-        w = Tw = r = tmp = rhs = None
+        w = Tw = r = tmp = rhs = x = None
         return v.astype(float), step
 
     def flux_gradient(self, v: np.ndarray) -> np.ndarray:
@@ -597,18 +624,10 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
 
 def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
                  grid: FineGrid):
-    """Five-point symmetric FD matrix of _fd_operator, in CSR form.  Its
-    stencil takes a diagonal a only (the pseudo-spectral side handles full
-    matrices; fine-grid acceptance runs use diagonal coefficients), so a
-    nonzero a12 is a ConfigError."""
+    """Five-point symmetric FD matrix of _fd_operator, in CSR form, for a
+    diagonal a (check_diagonal)."""
     import scipy.sparse as sp
-    v = coeff.a.values
-    if np.max(np.abs(v[0, 1])) > 0:
-        raise ConfigError(
-            "problem.a12 (or the a12 samples of problem.a_samples) is "
-            "nonzero: the 2D fine-grid reference (reference, sweep) takes "
-            "diagonal coefficients only"
-        )
+    check_diagonal(coeff)
     n = grid.n_interior
     if n * n > MAX_UNKNOWNS_2D:
         raise ConvergenceFailure(
@@ -641,6 +660,20 @@ def _solve_2d_sparse(coeff, W, eps, grid, count, sigma_shift):
 
 
 # --- public entry points ----------------------------------------------------------
+
+
+def check_diagonal(coeff: CoefficientField) -> None:
+    """Raise ConfigError when a 2D coefficient has a nonzero a12: the
+    fine-grid stencil takes a diagonal a only (the pseudo-spectral side
+    handles full matrices; fine-grid acceptance runs use diagonal
+    coefficients).  The reference and sweep commands call it as soon as the
+    coefficient is built, before the spectrum and the expansion run."""
+    if coeff.grid.dim == 2 and np.max(np.abs(coeff.a.values[0, 1])) > 0:
+        raise ConfigError(
+            "problem.a12 (or the a12 samples of problem.a_samples) is "
+            "nonzero: the 2D fine-grid reference (reference, sweep) takes "
+            "diagonal coefficients only"
+        )
 
 
 def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,

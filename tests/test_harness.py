@@ -668,10 +668,17 @@ class TestCLI:
     def test_expand_never_imports_scipy(self, tmp_path):
         # expand needs no reference solve, so it must not pay for importing
         # scipy, nor hash a config, so it must not load OpenSSL's binding
-        # (_hashlib); a sweep in the same process still loads scipy and
-        # writes the sweep.csv of an in-process run
+        # (_hashlib); a 1D sweep and a separable 2D one in the same process
+        # load LAPACK's _flapack extension and not the scipy.linalg package,
+        # whose init (scipy._lib._array_api among it) costs about 0.1 s, and
+        # the 1D one writes the sweep.csv of an in-process run
         cfg_path = os.path.join(os.path.dirname(__file__), "..", "configs",
                                 "minimal.ini")
+        two = tmp_path / "two.ini"
+        two.write_text(TWO_BRANCH)
+        loaded = ("print(*(name in sys.modules for name in ("
+                  "'scipy.linalg._flapack', 'scipy.linalg', "
+                  "'scipy._lib._array_api')))\n")
         script = (
             "import sys\n"
             "from homspec.cli import main\n"
@@ -679,15 +686,20 @@ class TestCLI:
             "assert main(base + ['expand', '--w-samples', '5']) == 0\n"
             "print('scipy' in sys.modules, '_hashlib' in sys.modules)\n"
             "assert main(base + ['sweep']) == 0\n"
-            "print('scipy' in sys.modules)\n"
+            + loaded +
+            f"assert main(['--config', {str(two)!r}, '--out', "
+            f"{str(tmp_path / 'two')!r}, 'sweep']) == 0\n"
+            + loaded
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
         r = subprocess.run([sys.executable, "-c", script], capture_output=True,
                            text=True, cwd=str(tmp_path), env=env)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.splitlines()[-1] == "True"
-        assert "False False" in r.stdout.splitlines()
+        lines = r.stdout.splitlines()
+        assert "False False" in lines
+        assert [line for line in lines if line.startswith("True")] == [
+            "True False False"] * 2
         assert len(_csv_floats((tmp_path / "w_samples.csv").read_text())) == 5
 
         def without_runtime(text):
@@ -781,15 +793,26 @@ class TestCLI:
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("command", ["reference", "sweep"])
-    def test_off_diagonal_2d_reference_exit_code(self, tmp_path, command):
+    def test_off_diagonal_2d_reference_exit_code(self, tmp_path, command,
+                                                 monkeypatch, capsys):
         # the 2D fine-grid stencil takes a diagonal a: a nonzero a12 is one
-        # config error line that names it, not a traceback
+        # config error line that names it, not a traceback, given as soon
+        # as the coefficient is built: neither the spectrum nor the
+        # expansion runs
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the a12 check")
+
+        monkeypatch.setattr(pipeline, "stage_spectrum", never)
+        monkeypatch.setattr(pipeline, "stage_expand", never)
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(TWO_BRANCH.replace(
             "a22 = 1", "a22 = 1\na12 = 0.2*sin(2*pi*(y1+y2))"))
-        r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
-                      command, cwd=str(tmp_path))
-        self._fails_in_one_line(r, 3, "config error: ", "problem.a12")
+        code = cli.main(["--config", str(cfgfile), "--out", str(tmp_path),
+                         command])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("config error: ") and "problem.a12" in err, err
+        assert err.count("\n") == 1, err
 
     @pytest.mark.parametrize("key, value", [
         ("radius", "abc"),              # malformed text

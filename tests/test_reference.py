@@ -1,6 +1,10 @@
 """Fine-grid reference: truncation, Richardson, matching, rate fits."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import mpmath
@@ -11,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homspec.reference as reference
-from homspec.errors import ConvergenceFailure, DegenerateFit, GridTooCoarse
+from homspec.errors import (ConfigError, ConvergenceFailure, DegenerateFit,
+                            GridTooCoarse)
 from homspec.classical import build_suite
 from homspec.expansion import simple_recursion
 from homspec.hermite import MacroBasis, default_sigma, solve_spectrum
@@ -200,6 +205,60 @@ class TestSolve2D:
         assert first.path == "sparse"
         assert first.eigenvalues_h.tobytes() == second.eigenvalues_h.tobytes()
         assert first.eigenvalues_h2.tobytes() == second.eigenvalues_h2.tobytes()
+
+    def test_off_diagonal_coefficient_refused(self):
+        # the five-point stencil reads a11 and a22 only: solve_Leps refuses
+        # a nonzero a12 rather than drop it
+        def off(y1, y2):
+            return 0.2 * np.sin(TWO_PI * (y1 + y2))
+
+        c = CoefficientField.from_matrix(TorusGrid(2, 16), [
+            [lambda y1, y2: 2.0 + np.cos(TWO_PI * y1), off],
+            [off, lambda y1, y2: np.ones_like(y1)],
+        ])
+        W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
+        with pytest.raises(ConfigError, match="problem.a12"):
+            solve_Leps(c, W, 0.5, FineGrid(2, 2.0, 0.5 / 8), 3,
+                       keep_vectors=False)
+
+    @pytest.mark.parametrize("first", ["homspec.reference",
+                                       "scipy.linalg.lapack"])
+    def test_lapack_loader_beside_scipy_linalg(self, first):
+        # the reference loads scipy's _flapack extension from its file, and
+        # scipy.linalg imports it by name: in either order both hold the
+        # same routines, and a tridiagonal solve and a sparse one (which
+        # imports scipy.sparse.linalg, and with it scipy.linalg) run in one
+        # process
+        script = textwrap.dedent(f"""
+            import importlib
+            import numpy as np
+            importlib.import_module({first!r})
+            import scipy.linalg.lapack as lapack
+            from homspec import reference
+            from homspec.slowpoly import SlowPolynomial
+            from homspec.torus import CoefficientField, TorusGrid
+            assert lapack.dgttrf is reference.dgttrf
+            c = CoefficientField.from_isotropic(
+                TorusGrid(1, 16), lambda y: 2.0 + np.cos(2 * np.pi * y))
+            ref = reference.solve_Leps(
+                c, SlowPolynomial(1, {{(2,): 1.0}}), 0.5,
+                reference.FineGrid(1, 4.0, 1.0 / 16), 3, keep_vectors=True)
+            assert ref.path == "tridiagonal"
+            c = CoefficientField.from_matrix(TorusGrid(2, 16), [
+                [lambda y1, y2: 2.0 + np.cos(2 * np.pi * y1)
+                 * np.cos(2 * np.pi * y2), None],
+                [None, lambda y1, y2: np.ones_like(y1)],
+            ])
+            ref = reference.solve_Leps(
+                c, SlowPolynomial(2, {{(2, 0): 1.0, (0, 2): 1.0}}), 0.5,
+                reference.FineGrid(2, 2.0, 0.5 / 8), 3, keep_vectors=False)
+            assert ref.path == "sparse"
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(__file__), "..", "src"))
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=env)
+        assert r.returncode == 0, r.stderr
 
     def test_oscillator_2d(self):
         grid2 = TorusGrid(2, 16)
@@ -870,16 +929,15 @@ class TestPolish:
                          keep_vectors=True)
         op = ref.operator
         solves = []
-        solve = sla.solve_banded
+        solve = reference.dgtsv
 
         def counting(*args, **kwargs):
             solves.append(None)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(sla, "solve_banded", counting)
+        monkeypatch.setattr(reference, "dgtsv", counting)
         v, steps = op.polish(ref.eigenvectors[0])
         assert steps == len(solves) == 2
-        import homspec.reference as reference
         monkeypatch.setattr(reference, "POLISH_PLATEAU", 0.0)
         w, more = op.polish(ref.eigenvectors[0])
         assert more > steps
