@@ -203,7 +203,7 @@ def cmd_reference(cfg: RunConfig, args):
             "h_route": list(ref.h_routes),
         })
 
-    radius, radius_shift, _, _ = stage_reference(
+    radius, radius_shift = stage_reference(
         cfg, store, spec, keep_vectors=False, warnings=warnings, each=entry)
     payload = {"radius": radius, "radius_shift": radius_shift,
                "per_eps": per_eps, "warnings": warnings}

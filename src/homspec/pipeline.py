@@ -199,13 +199,12 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
     before as shifts (solve_Leps), which the expansion under test never
     enters; the doubled box is solved without.
 
-    Returns (radius, radius_shift, ref_count, seconds), seconds[i] the time
-    spent solving the i-th eps.  With validate_radius the box is doubled
-    once at the largest eps, after the last reference: radius_shift is the
-    relative shift of that eps's eigenvalues (None without
-    validate_radius), and a shift above 1e-9 adds RadiusNotConverged.  A
-    long double narrower than x87 extended precision adds
-    NarrowLongDouble (precision_warnings).
+    Returns (radius, radius_shift).  With validate_radius the box is
+    doubled once at the largest eps, after the last reference:
+    radius_shift is the relative shift of that eps's eigenvalues (None
+    without validate_radius), and a shift above 1e-9 adds
+    RadiusNotConverged.  A long double narrower than x87 extended
+    precision adds NarrowLongDouble (precision_warnings).
     """
     from .reference import (FineGrid, solve_Leps, truncation_radius,
                             validate_radius)
@@ -216,17 +215,14 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
         spec.eigenvalues[min(cfg.count, spec.count) - 1], lam_min,
         cfg.radius_safety,
     )
-    ref_count = max(b + 1, 3)
     warnings.extend(precision_warnings(np.finfo(np.longdouble).nmant))
     largest = max(cfg.eps_list)
-    seconds = []
     shifts = None
     for eps in cfg.eps_list:
-        start = time.perf_counter()
         ref = solve_Leps(coeff, W, eps, FineGrid(cfg.dim, radius,
                                                  eps / cfg.fd_h_rule),
-                         ref_count, keep_vectors=keep_vectors, shifts=shifts)
-        seconds.append(time.perf_counter() - start)
+                         max(b + 1, 3), keep_vectors=keep_vectors,
+                         shifts=shifts)
         if eps == largest:
             kept = ref.grid, ref.eigenvalues
         shifts = ref.axis_eigenvalues_h2 or None
@@ -242,41 +238,51 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
                 "detail": f"doubling the box moved eigenvalues by "
                           f"{radius_shift:.3e} relative",
             })
-    return radius, radius_shift, ref_count, seconds
+    return radius, radius_shift
 
 
 def run(cfg: RunConfig):
-    """Execute the full pipeline; returns (manifest, comparison rows)."""
+    """Execute the full pipeline; returns (manifest, comparison rows).
+
+    One lap clock, started on the first line, times it: lap(stage) adds
+    the seconds since the previous lap to timings[stage] and returns them,
+    so the stages imports, homogenize, spectrum, expand, reference,
+    compare and summary (the fits, the c1 envelope and the manifest
+    fields) add up to the whole call.  Each eps laps reference on entry to
+    its comparison (its solve) and compare on exit, and its rows'
+    runtime_s split the two laps.
+    """
+    last = time.perf_counter()
     timings = {}
+
+    def lap(stage):
+        nonlocal last
+        start, last = last, time.perf_counter()
+        timings[stage] = timings.get(stage, 0.0) + (last - start)
+        return last - start
+
     # the first import of the reference stage loads LAPACK's _flapack
-    t0 = time.perf_counter()
     from .reference import check_diagonal, fit_rate, match_and_compare
-    timings["imports"] = time.perf_counter() - t0
+    lap("imports")
     warnings = []
     # eigenfunctions are compared in 1D only: a 2D reference keeps no vectors
     compare = cfg.compare_eigenfunctions and cfg.dim == 1
-    t0 = time.perf_counter()
     store, abar, abar3_sym = stage_homogenize(cfg, warnings)
-    timings["homogenize"] = time.perf_counter() - t0
     check_diagonal(store.coeff)
-
-    t0 = time.perf_counter()
+    lap("homogenize")
     spec = stage_spectrum(cfg, store.W, abar)
-    timings["spectrum"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    lap("spectrum")
     branches, P_build, P_eps = stage_expand(cfg, store, spec, warnings)
-    timings["expand"] = time.perf_counter() - t0
     summary = expansion_summary(branches)
+    lap("expand")
 
-    compared = []       # per eps: its rows and the seconds comparing them
+    rows = []
     per_eps_meta = []
 
     def compare_eps(ref):
-        t0 = time.perf_counter()
+        solved = lap("reference")
         eps = ref.eps
         eps_rows = match_and_compare(ref, branches, eps, P=P_eps[eps])
-        compared.append((eps_rows, time.perf_counter() - t0))
         per_eps_meta.append({
             "eps": eps, "P": P_eps[eps], "path": ref.path,
             "h_route": list(ref.h_routes),
@@ -284,20 +290,15 @@ def run(cfg: RunConfig):
             "lambda_ref": [float(v) for v in ref.eigenvalues],
             "polish_steps": [row.polish_steps for row in eps_rows],
         })
-
-    # each eps is solved, compared and dropped in turn; the reference
-    # timing is the stage's wall less its comparisons
-    t0 = time.perf_counter()
-    radius, radius_shift, ref_count, solved = stage_reference(
-        cfg, store, spec, compare, warnings, compare_eps)
-    timings["compare"] = sum(elapsed for _, elapsed in compared)
-    timings["reference"] = time.perf_counter() - t0 - timings["compare"]
-    rows = []
-    for (eps_rows, elapsed), solve_s in zip(compared, solved):
-        share = (solve_s + elapsed) / max(len(eps_rows), 1)
+        elapsed = solved + lap("compare")
         for row in eps_rows:
-            row.runtime_s = share
+            row.runtime_s = elapsed / len(eps_rows)
         rows.extend(eps_rows)
+
+    radius, radius_shift = stage_reference(cfg, store, spec, compare,
+                                           warnings, compare_eps)
+    # the doubled box of validate_radius is solved after the last eps
+    lap("reference")
 
     series = [("eig", lambda row: row.eig_err),
               ("zeroth",
@@ -320,8 +321,7 @@ def run(cfg: RunConfig):
 
     # zeroth-order envelope constant per reference index
     c1 = {}
-    for k in range(min(ref_count, len(spec.eigenvalues))):
-        lam0k = spec.eigenvalues[k]
+    for k, lam0k in enumerate(spec.eigenvalues):
         ratios = [abs(meta["lambda_ref"][k] - lam0k)
                   / (meta["eps"] * lam0k ** 1.5)
                   for meta in per_eps_meta if k < len(meta["lambda_ref"])]
@@ -350,6 +350,8 @@ def run(cfg: RunConfig):
         warnings=warnings,
         timings=timings,
     )
+    # the manifest holds timings itself, so this last lap lands in it
+    lap("summary")
     return manifest, rows
 
 

@@ -576,8 +576,9 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
     """The 1D axes of a problem, (a_k, W_k) per axis with a_k as
     CoefficientField.entry gives it, or None when it does not separate.
 
-    A 1D problem is its one axis.  A 2D one separates when a = diag(a1(y1),
-    a2(y2)) and W = W1(x1) + W2(x2).
+    A 1D problem is its one axis.  A 2D one, whose a is diagonal
+    (check_diagonal), separates when a = diag(a1(y1), a2(y2)) and W =
+    W1(x1) + W2(x2).
     """
     if coeff.grid.dim == 1:
         return [(coeff.entry(0, 0), W)]
@@ -587,14 +588,6 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
     if fns[0][0] is None or fns[1][1] is None:
         return None
     v = coeff.a.values
-    if np.max(np.abs(v[0, 1])) > 0 or np.max(np.abs(v[1, 0])) > 0:
-        return None
-    # off-diagonal entries must vanish identically, not just on the grid
-    probe = np.linspace(0.05, 0.95, 7)
-    for fn in (fns[0][1], fns[1][0]):
-        if fn is not None and np.max(np.abs(np.asarray(
-                fn(probe, probe[::-1]), dtype=float))) > 0:
-            return None
     # each diagonal entry must depend only on its own axis
     if np.max(np.abs(v[0, 0] - v[0, 0][:, :1])) > 1e-14 * max(1, v[0, 0].max()):
         return None
@@ -627,7 +620,6 @@ def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     """Five-point symmetric FD matrix of _fd_operator, in CSR form, for a
     diagonal a (check_diagonal)."""
     import scipy.sparse as sp
-    check_diagonal(coeff)
     n = grid.n_interior
     if n * n > MAX_UNKNOWNS_2D:
         raise ConvergenceFailure(
@@ -663,12 +655,21 @@ def _solve_2d_sparse(coeff, W, eps, grid, count, sigma_shift):
 
 
 def check_diagonal(coeff: CoefficientField) -> None:
-    """Raise ConfigError when a 2D coefficient has a nonzero a12: the
-    fine-grid stencil takes a diagonal a only (the pseudo-spectral side
-    handles full matrices; fine-grid acceptance runs use diagonal
-    coefficients).  The reference and sweep commands call it as soon as the
-    coefficient is built, before the spectrum and the expansion run."""
-    if coeff.grid.dim == 2 and np.max(np.abs(coeff.a.values[0, 1])) > 0:
+    """Raise ConfigError when a 2D coefficient has a nonzero a12, on the
+    torus grid or, for an a12 given as an expression, at probe points off
+    it: the fine-grid stencil takes a diagonal a only (the pseudo-spectral
+    side handles full matrices; fine-grid acceptance runs use diagonal
+    coefficients).  solve_Leps calls it first, and the reference and sweep
+    commands as soon as the coefficient is built, before the spectrum and
+    the expansion run."""
+    if coeff.grid.dim == 1:
+        return
+    # an expression can vanish on every grid node and not between them
+    probe = np.linspace(0.05, 0.95, 7)
+    fns = coeff.entry_fns or [[None, None], [None, None]]
+    off = [coeff.a.values[0, 1]] + [fn(probe, probe[::-1]) for fn in
+                                    (fns[0][1], fns[1][0]) if fn is not None]
+    if any(np.max(np.abs(np.asarray(v, dtype=float))) > 0 for v in off):
         raise ConfigError(
             "problem.a12 (or the a12 samples of problem.a_samples) is "
             "nonzero: the 2D fine-grid reference (reference, sweep) takes "
@@ -698,6 +699,7 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     any array is built, when the h/2 grid holds more than
     MAX_NODES_PER_AXIS.
     """
+    check_diagonal(coeff)
     grid.check_resolves(eps)
     if grid.n_interior < max(count, 3):
         raise GridTooCoarse(

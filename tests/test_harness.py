@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 
@@ -345,6 +346,19 @@ class TestPipeline:
         assert t["compare"] >= 0.0
         total = sum(row.runtime_s for row in rows)
         assert t["compare"] - 1e-9 <= total <= t["reference"] + t["compare"] + 1e-9
+
+    def test_timings_cover_run(self):
+        # one lap clock times run from its first line to its last: the
+        # stages add up to the whole call
+        cfg = parse_config(MINIMAL)
+        start = time.perf_counter()
+        manifest, _ = run(cfg)
+        wall = time.perf_counter() - start
+        assert set(manifest.timings) == {
+            "imports", "homogenize", "spectrum", "expand", "reference",
+            "compare", "summary"}
+        assert sum(manifest.timings.values()) >= 0.98 * wall, (
+            manifest.timings, wall)
 
     def test_csv_deterministic(self, mini_run):
         cfg, manifest, rows = mini_run
@@ -792,9 +806,8 @@ class TestCLI:
         assert "interior nodes" in r.stderr
         assert "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("command", ["reference", "sweep"])
-    def test_off_diagonal_2d_reference_exit_code(self, tmp_path, command,
-                                                 monkeypatch, capsys):
+    @staticmethod
+    def _refused_a12(tmp_path, command, monkeypatch, capsys, a12):
         # the 2D fine-grid stencil takes a diagonal a: a nonzero a12 is one
         # config error line that names it, not a traceback, given as soon
         # as the coefficient is built: neither the spectrum nor the
@@ -805,14 +818,28 @@ class TestCLI:
         monkeypatch.setattr(pipeline, "stage_spectrum", never)
         monkeypatch.setattr(pipeline, "stage_expand", never)
         cfgfile = tmp_path / "run.ini"
-        cfgfile.write_text(TWO_BRANCH.replace(
-            "a22 = 1", "a22 = 1\na12 = 0.2*sin(2*pi*(y1+y2))"))
+        cfgfile.write_text(TWO_BRANCH.replace("a22 = 1",
+                                              f"a22 = 1\na12 = {a12}"))
         code = cli.main(["--config", str(cfgfile), "--out", str(tmp_path),
                          command])
         err = capsys.readouterr().err
         assert code == 3, err
         assert err.startswith("config error: ") and "problem.a12" in err, err
         assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["reference", "sweep"])
+    def test_off_diagonal_2d_reference_exit_code(self, tmp_path, command,
+                                                 monkeypatch, capsys):
+        self._refused_a12(tmp_path, command, monkeypatch, capsys,
+                          "0.2*sin(2*pi*(y1+y2))")
+
+    @pytest.mark.parametrize("command", ["reference", "sweep"])
+    def test_off_grid_a12_exit_code(self, tmp_path, command, monkeypatch,
+                                    capsys):
+        # an a12 that is zero on every node of the 16-mode torus, and not
+        # between them, is refused too: the stencil would drop it
+        self._refused_a12(tmp_path, command, monkeypatch, capsys,
+                          "cos(16*pi*y1)**2 - 1")
 
     @pytest.mark.parametrize("key, value", [
         ("radius", "abc"),              # malformed text

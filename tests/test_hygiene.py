@@ -1,10 +1,10 @@
 """Every top-level function and public method in src/homspec is used by
 package code, every parameter of one or of a function nested in one is read,
 every defaulted parameter is passed by name or position by some call in
-src/homspec, every dataclass field is read by package code, and no package
-code raises NotImplementedError.  Tests and
-the benchmark are not callers: what only they use is kept, if at all, in a
-KEPT_* table with its reason."""
+src/homspec, every dataclass field is read by package code, no package
+code raises NotImplementedError, and only pipeline.run reads the clock.
+Tests and the benchmark are not callers: what only they use is kept, if at
+all, in a KEPT_* table with its reason."""
 
 import ast
 import pathlib
@@ -263,6 +263,23 @@ def _not_implemented(trees) -> list:
                 getattr(getattr(node.exc, "func", None), "id", None))]
 
 
+def _clock_readers(trees) -> list:
+    """module:function, for every top-level function or method, of those
+    that read the time module's clock (an attribute of ``time``, or a name
+    imported from it), and the bare module where a read lies outside any."""
+    readers = set()
+    for path, tree in trees:
+        owners = [(f"{path.name}:{qual}", {id(n) for n in ast.walk(fn)})
+                  for _, qual, _, fn, _ in _defined([(path, tree)])]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", None) == "time") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "time"):
+                readers.add(next((owner for owner, inside in owners
+                                  if id(node) in inside), path.name))
+    return sorted(readers)
+
+
 def test_no_unused_helpers():
     # a helper that only tests call is code the package carries for them:
     # delete it, or keep it in KEPT_UNCALLED with a reason
@@ -307,14 +324,21 @@ def test_nothing_raises_not_implemented():
     assert not raised, f"NotImplementedError raised at: {raised}"
 
 
+def test_one_clock():
+    # pipeline.run's lap clock is the one timing record: every stage, and
+    # each eps's runtime_s, is read off it, so nothing else reads the time
+    assert _clock_readers(_trees()) == ["pipeline.py:run"]
+
+
 def test_gates_see_what_only_tests_use(tmp_path):
     # one package with one case of each kind the gates must not count as a
     # use: a helper that only a test calls, a default that only a **mapping
     # passes, and a nested function whose default and parameter no call sets
-    # or body reads
+    # or body reads; the helper reads the clock, which _clock_readers names
     package = tmp_path / "src" / "homspec"
     package.mkdir(parents=True)
     (package / "mod.py").write_text(textwrap.dedent("""\
+        import time
         from dataclasses import dataclass
 
 
@@ -325,7 +349,7 @@ def test_gates_see_what_only_tests_use(tmp_path):
 
 
         def helper():
-            return 1
+            return time.perf_counter()
 
 
         def solve(x, maxiter=10):
@@ -351,7 +375,7 @@ def test_gates_see_what_only_tests_use(tmp_path):
 
         def test_mod():
             pair = Pair(1, 2)
-            assert helper() + pair.spare == 3
+            assert helper() > 0 and pair.spare == 2
             assert driver(pair, maxiter=1) == 1
         """))
     trees = _trees(tmp_path)
@@ -360,7 +384,8 @@ def test_gates_see_what_only_tests_use(tmp_path):
                                          "mod.py:driver.check(note=)"]
     assert _unread_parameters(trees) == ["mod.py:driver.check(note)"]
     assert _unread_fields(trees) == ["mod.py:Pair.spare"]
-    assert _not_implemented(trees) == ["mod.py:16"]
+    assert _not_implemented(trees) == ["mod.py:17"]
+    assert _clock_readers(trees) == ["mod.py:helper"]
 
 
 def test_tracer_restores_every_patch(monkeypatch):

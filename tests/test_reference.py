@@ -206,12 +206,8 @@ class TestSolve2D:
         assert first.eigenvalues_h.tobytes() == second.eigenvalues_h.tobytes()
         assert first.eigenvalues_h2.tobytes() == second.eigenvalues_h2.tobytes()
 
-    def test_off_diagonal_coefficient_refused(self):
-        # the five-point stencil reads a11 and a22 only: solve_Leps refuses
-        # a nonzero a12 rather than drop it
-        def off(y1, y2):
-            return 0.2 * np.sin(TWO_PI * (y1 + y2))
-
+    @staticmethod
+    def _refused(off):
         c = CoefficientField.from_matrix(TorusGrid(2, 16), [
             [lambda y1, y2: 2.0 + np.cos(TWO_PI * y1), off],
             [off, lambda y1, y2: np.ones_like(y1)],
@@ -220,6 +216,18 @@ class TestSolve2D:
         with pytest.raises(ConfigError, match="problem.a12"):
             solve_Leps(c, W, 0.5, FineGrid(2, 2.0, 0.5 / 8), 3,
                        keep_vectors=False)
+        return c
+
+    def test_off_diagonal_coefficient_refused(self):
+        # the five-point stencil reads a11 and a22 only: solve_Leps refuses
+        # a nonzero a12 rather than drop it
+        self._refused(lambda y1, y2: 0.2 * np.sin(TWO_PI * (y1 + y2)))
+
+    def test_off_grid_coefficient_refused(self):
+        # an a12 that is zero on every torus node, and not between them, is
+        # refused too, though its samples pass for a diagonal coefficient
+        c = self._refused(lambda y1, y2: np.cos(16 * np.pi * y1) ** 2 - 1)
+        assert not c.a.values[0, 1].any()
 
     @pytest.mark.parametrize("first", ["homspec.reference",
                                        "scipy.linalg.lapack"])
