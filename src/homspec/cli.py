@@ -61,15 +61,10 @@ def _dump(payload, out_dir, name):
 
 
 def _sample_grid(dim, sigma, n):
-    """n points per axis of [-4 sigma, 4 sigma]^dim as (coords, index, points):
-    the axis coordinates as (n, dim) rows, each point's row among them per
-    axis, and the points."""
-    from .torus import tensor_rows
-    R = 4.0 * sigma
-    x = np.linspace(-R, R, n)
-    index = tensor_rows(n, dim)
-    return (np.repeat(x[:, None], dim, axis=1), index,
-            np.stack([x[r] for r in index], axis=1))
+    """n points per axis of [-4 sigma, 4 sigma]^dim as torus.tensor_grid's
+    (coords, index, points)."""
+    from .torus import tensor_grid
+    return tensor_grid(np.linspace(-4.0 * sigma, 4.0 * sigma, n), dim)
 
 
 # Rows per block of a grid-sample CSV: the writer formats and writes one

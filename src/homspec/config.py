@@ -121,7 +121,8 @@ def parse_coefficient_expr(text: str, dim: int):
         # a non-finite value is refused where the coefficient is built
         with np.errstate(divide="ignore", invalid="ignore"):
             out = fn(env)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(ys[0])).copy()
+        return np.broadcast_to(np.asarray(out, dtype=float),
+                               np.broadcast_shapes(*map(np.shape, ys))).copy()
 
     return evaluate
 

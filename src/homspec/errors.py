@@ -27,11 +27,6 @@ class GridMismatch(HomspecError):
 class NonZeroMean(NumericalError):
     """A source term that must have zero torus mean does not."""
 
-    def __init__(self, label, magnitude):
-        self.label = label
-        self.magnitude = magnitude
-        super().__init__(f"{label} has nonzero mean {magnitude:.3e}")
-
 
 class NotDivergenceFree(NumericalError):
     """Flux handed to the stream-matrix solve has nonzero divergence."""
@@ -66,24 +61,11 @@ class GapUnresolved(NumericalError):
 class NotOrthogonal(NumericalError):
     """Resolvent source has a component in the excluded eigenspace."""
 
-    def __init__(self, magnitude):
-        self.magnitude = magnitude
-        super().__init__(
-            f"source has projection {magnitude:.3e} onto the eigenspace"
-        )
-
 
 # --- expansion engine ------------------------------------------------------
 
 class MeanNotZero(NumericalError):
     """Right-hand side of a corrector cell problem is not mean-free."""
-
-    def __init__(self, index, magnitude):
-        self.index = index
-        self.magnitude = magnitude
-        super().__init__(
-            f"corrector RHS at (q,alpha,k)={index} has mean {magnitude:.3e}"
-        )
 
 
 class NotSimple(HomspecError):
@@ -96,15 +78,6 @@ class DegenerateD(NumericalError):
 
 class SolvabilityViolated(NumericalError):
     """Macroscopic right-hand side is not orthogonal to the required kernel."""
-
-    def __init__(self, level, branch, magnitude):
-        self.level = level
-        self.branch = branch
-        self.magnitude = magnitude
-        super().__init__(
-            f"solvability residual {magnitude:.3e} at level {level}, "
-            f"branch {branch}"
-        )
 
 
 class EpsilonTooLarge(HomspecError):

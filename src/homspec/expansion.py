@@ -56,6 +56,7 @@ from .hermite import (
     MacroFunction,
     QuadratureRule,
     SpectrumResult,
+    positive_peaks,
     quadrature_for,
     resolvent_solve,
     spectral_gap,
@@ -167,7 +168,8 @@ class CorrectorTable:
             mval = abs(shape.mean())
             worst_mean = max(worst_mean, mval)
             if mval > 1e-10 * scale:
-                raise MeanNotZero((q, alpha, beta), mval)
+                raise MeanNotZero(f"corrector RHS at (q,alpha,k)="
+                                  f"{(q, alpha, beta)} has mean {mval:.3e}")
             if shape.l2_norm() <= PRUNE_TOL * scale:
                 continue
             # equal sources under different slow monomials (W = x1^2 + x2^2
@@ -318,18 +320,6 @@ def _div_sources(table: CorrectorTable, U: list, K: int,
     return H
 
 
-def _macro_rhs_parts(table: CorrectorTable, U: list, K: int,
-                     quad: QuadratureRule) -> np.ndarray:
-    """Galerkin coefficients of div H (by parts: -<grad psi_n, H>)."""
-    H = _div_sources(table, U, K, quad)
-    out = np.zeros(U[0].basis.total)
-    d = table.d
-    for i in range(d):
-        e_i = tuple(1 if ax == i else 0 for ax in range(d))
-        out -= quad.project(H[i], e_i)
-    return out
-
-
 def choose_P(eps: float, lam0: float, gamma: float, c: float,
              mu: list | None = None) -> int:
     """Truncation order floor(c log|log(eps lam^{3/2}/gamma)|), floored at 2.
@@ -446,11 +436,7 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
     sym_gap = float(np.max(np.abs(full - full.T))) / scale
     D = 0.5 * (full + full.T)
     mu2, vecs = np.linalg.eigh(D)
-    E = vecs.T
-    for r in range(N):
-        i = int(np.argmax(np.abs(E[r])))
-        if E[r, i] < 0:
-            E[r] = -E[r]
+    E = positive_peaks(vecs).T
     spacing = np.min(np.diff(mu2)) if N > 1 else np.inf
     rel_spacing = spacing / max(np.max(np.abs(mu2)), 1e-30)
     if N > 1 and rel_spacing < spacing_tol:
@@ -467,8 +453,13 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
 
 
 def _level_rhs(table, U, mu, K, quad):
-    """Coefficients of the level-K right-hand side with mu_{K-1} excluded."""
-    coeffs = _macro_rhs_parts(table, U, K, quad)
+    """Galerkin coefficients of the level-K right-hand side with mu_{K-1}
+    excluded: div H by parts (-<grad psi_n, H>), plus mu_{K-1-k} U_k."""
+    H = _div_sources(table, U, K, quad)
+    coeffs = np.zeros(U[0].basis.total)
+    for i in range(table.d):
+        coeffs -= quad.project(H[i], tuple(int(ax == i)
+                                           for ax in range(table.d)))
     for k in range(1, K - 1):
         if mu[K - 1 - k] != 0.0 and U[k].norm() > 0.0:
             coeffs = coeffs + mu[K - 1 - k] * U[k].coeffs
@@ -548,7 +539,8 @@ def _run_branch(table, spec, j, P, label, D, E, mu2_list) -> ExpansionBranch:
         res = float(np.linalg.norm(proj)) / scale
         branch.solvability_residuals[K] = res
         if res > SOLVABILITY_TOL:
-            raise SolvabilityViolated(K, label, res)
+            raise SolvabilityViolated(f"solvability residual {res:.3e} at "
+                                      f"level {K}, branch {label}")
         rhs = MacroFunction(basis, coeffs - phi_mat.T @ proj)
         Unew = resolvent_solve(spec, a + 1, rhs)
         r = spec.matrix @ Unew.coeffs - lam0 * Unew.coeffs - rhs.coeffs

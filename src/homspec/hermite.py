@@ -32,7 +32,7 @@ from .errors import (
     TruncationUnsafe,
 )
 from .slowpoly import SlowPolynomial
-from .torus import SAMPLE_BLOCK, tensor_contract, tensor_rows
+from .torus import SAMPLE_BLOCK, tensor_contract, tensor_grid
 
 CLUSTER_TOL = 1e-6      # relative gap below which eigenvalues form one cluster
 POLY_DEGREE_CAP = 8     # highest potential degree poly_multiply_op accepts
@@ -416,10 +416,9 @@ class QuadratureRule:
         self.basis = basis
         self.x1 = basis.sigma * z
         self.w1 = basis.sigma * wmod
-        self.index = tensor_rows(z.size, basis.dim)
-        self.sampler = HermiteSampler(
-            basis, np.repeat(self.x1[:, None], basis.dim, axis=1),
-            n_ext - basis.size, self.index)
+        coords, self.index, self._points = tensor_grid(self.x1, basis.dim)
+        self.sampler = HermiteSampler(basis, coords, n_ext - basis.size,
+                                      self.index)
 
     def values(self, f: MacroFunction,
                alpha: tuple | None = None) -> np.ndarray:
@@ -429,7 +428,7 @@ class QuadratureRule:
 
     def points(self) -> np.ndarray:
         """Physical quadrature nodes, (M, d)."""
-        return np.stack([self.x1[r] for r in self.index], axis=1)
+        return self._points
 
     def weights(self) -> np.ndarray:
         return np.prod([self.w1[r] for r in self.index], axis=0)
@@ -512,6 +511,17 @@ def _cluster_indices(vals: np.ndarray, tol: float) -> list:
     return clusters
 
 
+def positive_peaks(vecs: np.ndarray) -> np.ndarray:
+    """Flip, in place, each column of vecs whose largest-magnitude entry
+    (the first, on a tie) is negative: the deterministic sign of an
+    eigenvector.  One column at a time, so no copy of vecs is made.
+    Returns vecs."""
+    for col in vecs.T:
+        if col[np.argmax(np.abs(col))] < 0:
+            col *= -1.0
+    return vecs
+
+
 def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis) -> SpectrumResult:
     """Dense symmetric eigensolve of the assembled operator.
 
@@ -523,11 +533,7 @@ def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis) -> SpectrumResult:
             f"count {count} outside the safe range [1, {basis.total // 4}]"
         )
     vals, vecs = np.linalg.eigh(L0)
-    # deterministic sign convention: largest-magnitude coefficient positive
-    for k in range(vecs.shape[1]):
-        i = int(np.argmax(np.abs(vecs[:, k])))
-        if vecs[i, k] < 0:
-            vecs[:, k] = -vecs[:, k]
+    positive_peaks(vecs)
     funcs = [MacroFunction(basis, vecs[:, k]) for k in range(count)]
     clusters = _cluster_indices(vals[:count], CLUSTER_TOL)
     return SpectrumResult(
@@ -588,7 +594,8 @@ def resolvent_solve(spec: SpectrumResult, j: int,
     proj = spec.all_vectors[:, a:b].T @ f.coeffs
     pmag = float(np.linalg.norm(proj))
     if pmag > ORTHO_TOL * fn:
-        raise NotOrthogonal(pmag / fn)
+        raise NotOrthogonal(f"source has projection {pmag / fn:.3e} onto "
+                            "the eigenspace")
     comps = spec.all_vectors.T @ f.coeffs
     denom = spec.all_eigenvalues - lam
     comps[a:b] = 0.0

@@ -26,8 +26,7 @@ import numpy as np
 from . import __version__
 from .classical import build_suite, cyclic_check
 from .config import RunConfig, serialize_config
-from .errors import (DegenerateFit, EpsilonTooLarge, HomspecError,
-                     InsufficientPoints)
+from .errors import EpsilonTooLarge, HomspecError, InsufficientPoints
 from .expansion import (
     choose_P,
     epsilon_condition_violated,
@@ -316,7 +315,7 @@ def run(cfg: RunConfig):
                 fits[f"branch{r}_{name}"] = {
                     "slope": slope, "intercept": intercept, "r2": r2,
                 }
-            except (DegenerateFit, HomspecError) as exc:
+            except HomspecError as exc:
                 fits[f"branch{r}_{name}"] = {"error": str(exc)}
 
     # zeroth-order envelope constant per reference index

@@ -54,7 +54,7 @@ from .errors import (
     MatchingAmbiguous,
 )
 from .slowpoly import SlowPolynomial
-from .torus import CoefficientField, FourierSampler, tensor_rows
+from .torus import CoefficientField, FourierSampler, tensor_grid
 
 MAX_UNKNOWNS_2D = 1_200_000
 MAX_NODES_PER_AXIS = 1 << 22   # h/2 grid nodes per axis: 32 MB a float64 axis
@@ -69,6 +69,9 @@ WARM_STEPS = 8                 # cap on inverse iterations per shifted pair
 WARM_TOL = 2.0 ** -30
 # 12-point Gauss-Legendre nodes and weights on [-1, 1] of the cell averages
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# off-grid points at which a coefficient expression is checked, since one
+# can vanish, or be constant along an axis, on every torus grid node only
+PROBE = np.linspace(0.05, 0.95, 7)
 
 
 def _lapack(*routines) -> list:
@@ -128,17 +131,10 @@ class FineGrid:
     def n_interior(self) -> int:
         return self.n_cells - 1
 
-    def nodes(self) -> tuple:
-        """Interior node coordinates of one axis as (n, d) columns, and each
-        of points()'s rows among them, one index per axis."""
-        x = -self.radius + self.h * np.arange(1, self.n_cells)
-        return (np.repeat(x[:, None], self.dim, axis=1),
-                tensor_rows(x.size, self.dim))
-
     def points(self) -> np.ndarray:
         """All interior nodes, (m, d)."""
-        coords, index = self.nodes()
-        return np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
+        x = -self.radius + self.h * np.arange(1, self.n_cells)
+        return tensor_grid(x, self.dim)[2]
 
     def cell_phases(self, eps: float, offsets) -> tuple:
         """Fast phases (x_c + t h)/eps mod 1 of the points at ``offsets`` t
@@ -577,22 +573,22 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
     CoefficientField.entry gives it, or None when it does not separate.
 
     A 1D problem is its one axis.  A 2D one, whose a is diagonal
-    (check_diagonal), separates when a = diag(a1(y1), a2(y2)) and W =
-    W1(x1) + W2(x2).
+    (check_diagonal), separates when a = diag(a1(y1), a2(y2)), on the
+    torus grid and at PROBE, and W = W1(x1) + W2(x2).
     """
     if coeff.grid.dim == 1:
         return [(coeff.entry(0, 0), W)]
-    if coeff.entry_fns is None:
-        return None
     fns = coeff.entry_fns
-    if fns[0][0] is None or fns[1][1] is None:
+    if fns is None or fns[0][0] is None or fns[1][1] is None:
         return None
-    v = coeff.a.values
-    # each diagonal entry must depend only on its own axis
-    if np.max(np.abs(v[0, 0] - v[0, 0][:, :1])) > 1e-14 * max(1, v[0, 0].max()):
-        return None
-    if np.max(np.abs(v[1, 1] - v[1, 1][:1, :])) > 1e-14 * max(1, v[1, 1].max()):
-        return None
+    v, p, q = coeff.a.values, PROBE, PROBE[::-1]
+    # each diagonal entry must depend only on its own axis: on the grid, and
+    # at PROBE equal its value on the other axis's 0, which the axis solves
+    for own, fixed in ((v[0, 0], v[0, 0][:, :1]), (v[1, 1], v[1, 1][:1, :]),
+                       (fns[0][0](p, q), fns[0][0](p, 0 * p)),
+                       (fns[1][1](q, p), fns[1][1](0 * p, p))):
+        if np.max(np.abs(own - fixed)) > 1e-14 * max(1, np.max(own)):
+            return None
     W1 = {}
     W2 = {}
     for alpha, c in W.coeffs.items():
@@ -664,10 +660,8 @@ def check_diagonal(coeff: CoefficientField) -> None:
     the expansion run."""
     if coeff.grid.dim == 1:
         return
-    # an expression can vanish on every grid node and not between them
-    probe = np.linspace(0.05, 0.95, 7)
     fns = coeff.entry_fns or [[None, None], [None, None]]
-    off = [coeff.a.values[0, 1]] + [fn(probe, probe[::-1]) for fn in
+    off = [coeff.a.values[0, 1]] + [fn(PROBE, PROBE[::-1]) for fn in
                                     (fns[0][1], fns[1][0]) if fn is not None]
     if any(np.max(np.abs(np.asarray(v, dtype=float))) > 0 for v in off):
         raise ConfigError(
@@ -863,20 +857,12 @@ def fit_rate(points) -> tuple:
     """Least squares slope of log err vs log eps; returns (slope, intercept, r2).
 
     points: iterable of (eps, err) with err > 0, at least three entries.
-    Raises DegenerateFit when an error sits at/below its floor estimate if
-    floors are supplied as (eps, err, floor) triples.
     """
     pts = [tuple(p) for p in points]
     if len(pts) < 3:
         raise DegenerateFit("need at least three sweep points")
-    for p in pts:
-        if p[1] <= 0:
-            raise DegenerateFit("nonpositive error in rate fit")
-        if len(p) > 2 and p[1] <= p[2]:
-            raise DegenerateFit(
-                f"error {p[1]:.3e} at eps={p[0]:.3g} is at the "
-                f"discretization floor {p[2]:.3e}"
-            )
+    if any(p[1] <= 0 for p in pts):
+        raise DegenerateFit("nonpositive error in rate fit")
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     slope, intercept = np.polyfit(x, y, 1)

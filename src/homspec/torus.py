@@ -262,11 +262,14 @@ def tensor_contract(tables: list, core: np.ndarray,
     return table if index is None else table[tuple(index)]
 
 
-def tensor_rows(n: int, dim: int) -> tuple:
-    """Row per axis of each point of a tensor grid with n coordinates per
-    axis, the points in C order (last axis fastest): the ``index`` of a
-    sampler built on the n axis coordinates."""
-    return np.unravel_index(np.arange(n ** dim), (n,) * dim)
+def tensor_grid(x: np.ndarray, dim: int) -> tuple:
+    """The tensor grid of the axis coordinates x in dim dimensions, its
+    points in C order (last axis fastest), as (coords, index, points): x as
+    (n, dim) columns, each point's row among them per axis (the ``index``
+    of a sampler built on coords), and the points, (n**dim, dim)."""
+    index = np.unravel_index(np.arange(x.size ** dim), (x.size,) * dim)
+    return (np.repeat(x[:, None], dim, axis=1), index,
+            np.stack([x[r] for r in index], axis=1))
 
 
 def _axis_basis(x: np.ndarray, n: int) -> np.ndarray:
@@ -654,7 +657,7 @@ def solve_cell(coeff: CoefficientField,
         gmean = G.mean()
         scale = max(G.l2_norm(), 1.0)
         if abs(gmean) > 1e-12 * scale:
-            raise NonZeroMean("G", abs(gmean))
+            raise NonZeroMean(f"G has nonzero mean {abs(gmean):.3e}")
         # Nyquist content of the source is outside the operator range on an
         # even grid; it is projected out as part of the discretization
         b += _resample(G.values - gmean, n, n)
@@ -731,7 +734,7 @@ def solve_flux_corrector(g: PeriodicField) -> PeriodicField:
     gnorm = max(g.l2_norm(), 1e-300)
     gm = np.asarray(g.mean())
     if np.max(np.abs(gm)) > 1e-10 * max(gnorm, 1.0):
-        raise NonZeroMean("g", float(np.max(np.abs(gm))))
+        raise NonZeroMean(f"g has nonzero mean {np.max(np.abs(gm)):.3e}")
     divnorm = hminus1_norm(div_y(g))
     if divnorm > tol * max(gnorm, 1.0):
         raise NotDivergenceFree(

@@ -29,7 +29,9 @@ from homspec.config import (
 from homspec.errors import ConfigError
 from homspec.pipeline import (emit_plot_data, precision_warnings,
                               rows_from_csv, rows_to_csv, run)
-from homspec.torus import tensor_rows
+from homspec.reference import FineGrid, solve_Leps
+from homspec.slowpoly import SlowPolynomial
+from homspec.torus import CoefficientField, TorusGrid, tensor_grid
 from homspec.verify import report, run_invariants
 
 MINIMAL = """
@@ -539,7 +541,7 @@ class TestGridSamples:
         n = 1030 if dim == 1 else 33
         assert n ** dim > cli.CSV_BLOCK
         coords = rng.choice(pool, size=(n, dim))
-        index = tensor_rows(n, dim)
+        index = tensor_grid(np.arange(n), dim)[1]
         columns = [(f"c{i}", rng.choice(pool, size=n ** dim))
                    for i in range(ncols)]
         out = tmp_path_factory.mktemp("grid")
@@ -559,7 +561,7 @@ class TestGridSamples:
         n = 128
         assert n ** 2 == 16 * cli.CSV_BLOCK
         coords = np.repeat(np.linspace(-4.0, 4.0, n)[:, None], 2, axis=1)
-        index = tensor_rows(n, 2)
+        index = tensor_grid(np.arange(n), 2)[1]
         columns = [(f"c{i}", rng.standard_normal(n ** 2)) for i in range(3)]
         tracemalloc.start()
         try:
@@ -840,6 +842,37 @@ class TestCLI:
         # between them, is refused too: the stencil would drop it
         self._refused_a12(tmp_path, command, monkeypatch, capsys,
                           "cos(16*pi*y1)**2 - 1")
+
+    @pytest.mark.parametrize("a11, fn", [
+        # the stencil evaluates it on index arrays that broadcast together
+        ("2 + cos(2*pi*y1)*cos(2*pi*y2)",
+         lambda y1, y2: 2 + np.cos(2 * np.pi * y1) * np.cos(2 * np.pi * y2)),
+        # constant in y2 on every node of the 16-mode torus, not between
+        ("2 + cos(2*pi*y1) + 0.5*sin(16*pi*y2)**2",
+         lambda y1, y2: 2 + np.cos(2 * np.pi * y1)
+         + 0.5 * np.sin(16 * np.pi * y2) ** 2),
+    ], ids=["both-axes", "off-grid"])
+    def test_non_separable_2d_reference(self, tmp_path, a11, fn):
+        # an a11 that does not separate goes to the sparse path, with the
+        # eigenvalues of the same coefficient given as numpy functions
+        text = TWO_BRANCH
+        for old, new in (("(2 + cos(2*pi*y1)) * 0.5773502691896258", a11),
+                         ("radius = 6.0", "radius = 2.0"),
+                         ("0.5, 0.4", "0.5"), ("count = 5", "count = 3")):
+            text = text.replace(old, new)
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(text)
+        assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path),
+                         "reference"]) == 0
+        (row,) = json.loads((tmp_path / "reference.json").read_text())[
+            "per_eps"]
+        assert row["path"] == "sparse"
+        coeff = CoefficientField.from_matrix(TorusGrid(2, 16), [
+            [fn, None], [None, lambda y1, y2: np.ones_like(y1)]])
+        W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
+        ref = solve_Leps(coeff, W, 0.5, FineGrid(2, 2.0, 0.5 / 8), 3,
+                         keep_vectors=False)
+        assert row["lambda_richardson"] == ref.eigenvalues.tolist()
 
     @pytest.mark.parametrize("key, value", [
         ("radius", "abc"),              # malformed text

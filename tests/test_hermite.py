@@ -31,7 +31,7 @@ from homspec.hermite import (
     spectral_gap,
 )
 from homspec.slowpoly import SlowPolynomial
-from homspec.torus import SAMPLE_BLOCK, tensor_contract, tensor_rows
+from homspec.torus import SAMPLE_BLOCK, tensor_contract, tensor_grid
 
 
 def w_iso(dim):
@@ -453,7 +453,7 @@ class TestHermiteSampler:
         basis = MacroBasis(dim, size, sigma)
         f = MacroFunction(basis, rng.standard_normal(basis.total))
         coords = rng.uniform(-3.0 * sigma, 3.0 * sigma, (rows, dim))
-        index = (tensor_rows(rows, dim) if tensor
+        index = (tensor_grid(np.arange(rows), dim)[1] if tensor
                  else [rng.integers(0, rows, m) for _ in range(dim)])
         pts = np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
         per_point = HermiteSampler(basis, pts, K)
@@ -486,7 +486,8 @@ class TestHermiteSampler:
         reach = 1.5 * sigma * np.sqrt(2.0 * (size + P + 1) + 1.0)
         rows = m if dim == 1 else 1 + m % 70
         coords = rng.uniform(-reach, reach, (rows, dim))
-        index = [np.arange(m)] if dim == 1 else tensor_rows(rows, 2)
+        index = ([np.arange(m)] if dim == 1
+                 else tensor_grid(np.arange(rows), 2)[1])
         pts = np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
         table = HermiteSampler(basis, coords, P + 1, index)
         requests = [(MacroFunction(basis, rng.standard_normal(basis.total)
@@ -521,7 +522,7 @@ class TestHermiteSampler:
         basis = MacroBasis(dim, size, sigma)
         K = max(orders)
         coords = rng.uniform(-3.0 * sigma, 3.0 * sigma, (rows, dim))
-        index = (tensor_rows(rows, dim) if tensor
+        index = (tensor_grid(np.arange(rows), dim)[1] if tensor
                  else [rng.integers(0, rows, m) for _ in range(dim)])
         pts = np.stack([coords[ix, ax] for ax, ix in enumerate(index)], axis=1)
         requests = [(MacroFunction(basis, rng.standard_normal(basis.total)),

@@ -330,6 +330,18 @@ def test_one_clock():
     assert _clock_readers(_trees()) == ["pipeline.py:run"]
 
 
+def test_errors_carry_their_message_only():
+    # an error is its type, which cli.main maps to an exit code, and its
+    # message: a class body beyond the docstring (an __init__, a stored
+    # label or magnitude) is state that nothing reads
+    tree = ast.parse((ROOT / "src/homspec/errors.py").read_text("utf-8"))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert classes
+    heavy = [cls.name for cls in classes
+             if len(cls.body) != 1 or not isinstance(cls.body[0], ast.Expr)]
+    assert not heavy, f"error classes with more than a docstring: {heavy}"
+
+
 def test_gates_see_what_only_tests_use(tmp_path):
     # one package with one case of each kind the gates must not count as a
     # use: a helper that only a test calls, a default that only a **mapping

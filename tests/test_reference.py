@@ -455,6 +455,20 @@ class TestSeparableFastPath:
                 rel = float((mpmath.mpf(lam) - exact) / exact)
                 assert abs(rel) <= 2 * 2.0 ** -52
 
+    def test_off_grid_dependence_does_not_separate(self):
+        # an a11 constant in y2 on every node of the 16-mode torus, and not
+        # between them, does not separate: the axis solve would take its
+        # values at y2 = 0 for all y2
+        c = CoefficientField.from_matrix(TorusGrid(2, 16), [
+            [lambda y1, y2: 2.0 + np.cos(TWO_PI * y1)
+             + 0.5 * np.sin(16 * np.pi * y2) ** 2, None],
+            [None, lambda y1, y2: np.ones_like(y1)],
+        ])
+        a11 = c.a.values[0, 0]
+        assert np.max(np.abs(a11 - a11[:, :1])) <= 1e-14
+        W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
+        assert _separable_parts(c, W) is None
+
     def test_no_vectors_unless_kept(self):
         # the coarse and the fine grid both stop at eigenvalues: nothing of
         # the size of one n^2 eigenvector is allocated
@@ -1140,8 +1154,3 @@ class TestFitRate:
     def test_too_few(self):
         with pytest.raises(DegenerateFit):
             fit_rate([(0.1, 1e-3), (0.05, 2.5e-4)])
-
-    def test_floor_detected(self):
-        pts = [(0.1, 1e-3, 1e-9), (0.05, 2.5e-4, 1e-9), (0.025, 1e-9, 1e-9)]
-        with pytest.raises(DegenerateFit):
-            fit_rate(pts)

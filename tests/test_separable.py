@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from homspec.separable import SeparableField
 from homspec.slowpoly import SlowPolynomial
-from homspec.torus import FourierSampler, PeriodicField, TorusGrid, tensor_rows
+from homspec.torus import FourierSampler, PeriodicField, TorusGrid, tensor_grid
 
 TOL = 1e-13
 
@@ -92,7 +92,7 @@ class TestEvalXY:
             for beta in monomials})
         if indexed:
             k = 7
-            index = tensor_rows(k, dim)
+            index = tensor_grid(np.arange(k), dim)[1]
             y = rng.uniform(-3.0, 3.0, (k, dim))
             sample = FourierSampler(grid, y, index)
             x = np.stack([rng.uniform(-4.0, 4.0, k)[ix] for ix in index],

@@ -16,6 +16,7 @@ from homspec.errors import (
     NotElliptic,
     SingularSystem,
 )
+from homspec.hermite import MacroBasis, QuadratureRule
 from homspec.reference import FineGrid
 from homspec.torus import (
     CG_MAXITER,
@@ -39,7 +40,7 @@ from homspec.torus import (
     solve_cell,
     solve_flux_corrector,
     tensor_contract,
-    tensor_rows,
+    tensor_grid,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -856,18 +857,29 @@ class TestMultiply:
 def random_index(rng, rows, dim, tensor, m):
     """A tensor grid over ``rows`` coordinates per axis, or m random rows."""
     if tensor:
-        return tensor_rows(rows, dim)
+        return tensor_grid(np.arange(rows), dim)[1]
     return [rng.integers(0, rows, m) for _ in range(dim)]
 
 
 class TestIndexedSampling:
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_tensor_rows_in_meshgrid_order(self, dim):
-        grids = np.meshgrid(*[np.arange(7)] * dim, indexing="ij")
-        rows = tensor_rows(7, dim)
-        assert len(rows) == dim
-        for r, mesh in zip(rows, grids):
-            assert np.array_equal(r, mesh.ravel())
+    def test_tensor_grid_in_meshgrid_order(self, dim):
+        # coords, index and points of the one tensor-grid builder, in C
+        # order, and the fine grid's and the quadrature's points are its own
+        x = np.linspace(-1.0, 2.0, 7) ** 3
+        coords, index, points = tensor_grid(x, dim)
+        assert np.array_equal(coords, np.stack([x] * dim, axis=1))
+        assert len(index) == dim
+        for ax, mesh in enumerate(np.meshgrid(*[np.arange(7)] * dim,
+                                              indexing="ij")):
+            assert np.array_equal(index[ax], mesh.ravel())
+        X = np.meshgrid(*[x] * dim, indexing="ij")
+        assert np.array_equal(points, np.stack([m.ravel() for m in X], axis=1))
+        grid = FineGrid(dim, 2.0, 0.25)
+        assert np.array_equal(grid.points(), tensor_grid(
+            -2.0 + 0.25 * np.arange(1, grid.n_cells), dim)[2])
+        quad = QuadratureRule(MacroBasis(dim, 8, 0.7), 10)
+        assert np.array_equal(quad.points(), tensor_grid(quad.x1, dim)[2])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
