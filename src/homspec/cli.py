@@ -285,7 +285,6 @@ def main(argv=None) -> int:
             p.add_argument("--eigenfunction-samples", type=int, default=0)
         if name == "expand":
             p.add_argument("--w-samples", type=int, default=0,
-                           dest="w_samples",
                            help="sample the expanded eigenfunction on a grid")
         if name == "plot-data":
             # also accepted after the subcommand; SUPPRESS keeps a value given

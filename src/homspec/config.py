@@ -27,8 +27,9 @@ the error names each one.
 
 Coefficient expressions may use y1, y2 (or y in 1D), numbers, pi, cos, sin,
 + - * / and ** with integer exponents.  Potential expressions use x1, x2
-(or x) and polynomial operations only.  Parsing is a whitelisted walk of the
-Python AST; anything outside the grammar is a ConfigError.
+(or x) and polynomial operations only.  Every node of the Python AST is
+checked against this grammar, and anything outside it is a ConfigError;
+Python then evaluates the expression with no builtins.
 """
 
 from __future__ import annotations
@@ -45,72 +46,62 @@ import numpy as np
 from .errors import ConfigError
 from .slowpoly import SlowPolynomial
 
-_ALLOWED_FUNCS = {"cos": np.cos, "sin": np.sin}
+_FUNCS = {"cos": np.cos, "sin": np.sin}
+# the node types of a potential; a coefficient also allows / and calls
+_GRAMMAR = (ast.Expression, ast.Constant, ast.Name, ast.Load, ast.UnaryOp,
+            ast.UAdd, ast.USub, ast.BinOp, ast.Add, ast.Sub, ast.Mult,
+            ast.Pow)
 
 
-def _parse_expression(text: str, names: dict, allow_funcs: bool):
-    """Compile a whitelisted arithmetic expression to a callable of names."""
+def _parse_expression(text: str, names: set, allow_funcs: bool):
+    """A callable of a mapping of names to values: the expression, checked
+    node by node against the grammar and then evaluated by Python with no
+    builtins.  An int value comes back as a float.  An ArithmeticError while
+    evaluating (a division by zero, an overflow, an int that no float holds)
+    is a ConfigError, and so is numpy's TypeError for cos or sin of an int
+    that no int64 holds."""
     try:
         tree = ast.parse(text.strip(), mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
-
-    def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)):
-                return lambda env: node.value
+    nodes = list(ast.walk(tree))
+    callees = {n.func for n in nodes if isinstance(n, ast.Call)}
+    grammar = _GRAMMAR + ((ast.Div, ast.Call) if allow_funcs else ())
+    for node in nodes:
+        if not isinstance(node, grammar):
+            raise ConfigError(f"construct {node.__class__.__name__} "
+                              f"not allowed in {text!r}")
+        if isinstance(node, ast.Constant) and \
+                not isinstance(node.value, (int, float)):
             raise ConfigError(f"literal {node.value!r} not allowed")
-        if isinstance(node, ast.Name):
-            if node.id not in names:
-                raise ConfigError(f"unknown name {node.id!r} in {text!r}")
-            key = node.id
-            return lambda env: env[key]
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            inner = walk(node.operand)
-            sign = 1.0 if isinstance(node.op, ast.UAdd) else -1.0
-            return lambda env: sign * inner(env)
-        if isinstance(node, ast.BinOp):
-            left, right = walk(node.left), walk(node.right)
-            op = node.op
-            if isinstance(op, ast.Add):
-                return lambda env: left(env) + right(env)
-            if isinstance(op, ast.Sub):
-                return lambda env: left(env) - right(env)
-            if isinstance(op, ast.Mult):
-                return lambda env: left(env) * right(env)
-            if isinstance(op, ast.Div):
-                if not allow_funcs:
-                    raise ConfigError("division is not allowed in potentials")
-                return lambda env: left(env) / right(env)
-            if isinstance(op, ast.Pow):
-                if not isinstance(node.right, ast.Constant) or \
-                        not isinstance(node.right.value, int):
-                    raise ConfigError("exponents must be integer literals")
-                p = node.right.value
-                return lambda env: left(env) ** p
-            raise ConfigError(f"operator {op.__class__.__name__} not allowed")
-        if isinstance(node, ast.Call) and allow_funcs:
-            if not isinstance(node.func, ast.Name) or \
-                    node.func.id not in _ALLOWED_FUNCS or node.keywords:
-                raise ConfigError(f"only cos/sin calls allowed, got {text!r}")
-            fn = _ALLOWED_FUNCS[node.func.id]
-            if len(node.args) != 1:
-                raise ConfigError("cos/sin take one argument")
-            arg = walk(node.args[0])
-            return lambda env: fn(arg(env))
-        raise ConfigError(
-            f"construct {node.__class__.__name__} not allowed in {text!r}"
-        )
+        if isinstance(node, ast.Name) and node.id not in names and \
+                node not in callees:
+            raise ConfigError(f"unknown name {node.id!r} in {text!r}")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and \
+                not isinstance(getattr(node.right, "value", None), int):
+            raise ConfigError("exponents must be integer literals")
+        if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) not in _FUNCS or
+                len(node.args) != 1):
+            raise ConfigError(f"only cos/sin of one argument allowed, "
+                              f"got {text!r}")
+    code = compile(tree, "<expression>", "eval")
+    scope = {"__builtins__": {}, **_FUNCS}
 
-    return walk(tree)
+    def evaluate(env):
+        try:
+            out = eval(code, scope, env)
+            return float(out) if isinstance(out, int) else out
+        except (ArithmeticError, TypeError) as exc:
+            raise ConfigError(f"cannot evaluate {text!r}: {exc}") from exc
+
+    return evaluate
 
 
 def parse_coefficient_expr(text: str, dim: int):
     """Callable (y1[, y2]) -> array for one coefficient entry."""
     names = {"pi", "y1"} | ({"y"} if dim == 1 else {"y2"})
-    fn = _parse_expression(text, {n: None for n in names}, allow_funcs=True)
+    fn = _parse_expression(text, names, allow_funcs=True)
 
     def evaluate(*ys):
         env = {"pi": np.pi, "y1": ys[0]}
@@ -130,17 +121,20 @@ def parse_coefficient_expr(text: str, dim: int):
 def parse_potential_expr(text: str, dim: int) -> SlowPolynomial:
     """Potential string evaluated over polynomial generators, exactly."""
     names = {"pi", "x1"} | ({"x"} if dim == 1 else {"x2"})
-    fn = _parse_expression(text, {n: None for n in names}, allow_funcs=False)
+    fn = _parse_expression(text, names, allow_funcs=False)
     env = {"pi": np.pi, "x1": SlowPolynomial.variable(dim, 0)}
     if dim == 1:
         env["x"] = env["x1"]
     else:
         env["x2"] = SlowPolynomial.variable(dim, 1)
     out = fn(env)
-    if isinstance(out, (int, float)):
-        out = SlowPolynomial.constant(dim, float(out))
+    if isinstance(out, float):
+        out = SlowPolynomial.constant(dim, out)
     if not isinstance(out, SlowPolynomial):
         raise ConfigError(f"potential {text!r} did not reduce to a polynomial")
+    # a float product or literal can overflow to inf without raising
+    if not all(map(math.isfinite, out.coeffs.values())):
+        raise ConfigError(f"potential {text!r} has a non-finite coefficient")
     return out
 
 

@@ -20,7 +20,7 @@ the correction hierarchy's solvability integrals use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -103,8 +103,6 @@ def _dop(n: int) -> np.ndarray:
 
 def _axis_x_power(N: int, p: int, sigma: float) -> np.ndarray:
     """Exact Galerkin matrix of multiplication by x^p, N x N."""
-    if p == 0:
-        return np.eye(N)
     X = _xop(N + p)
     M = np.linalg.matrix_power(X, p)[:N, :N]
     # a float64 power overflows to inf where a Python float power raises
@@ -127,15 +125,6 @@ def _lift(N: int, Ne: int, order: int, sigma: float) -> np.ndarray:
     return lift
 
 
-def _kron_chain(blocks: list) -> np.ndarray:
-    """Kronecker product of the blocks; a single block is returned as is,
-    so a caller that writes to the product passes a fresh one."""
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = np.kron(out, b)
-    return out
-
-
 def poly_multiply_op(W: SlowPolynomial, basis: MacroBasis) -> np.ndarray:
     """Galerkin matrix of multiplication by a polynomial, exact on the basis."""
     from .errors import DegreeCapExceeded
@@ -146,8 +135,9 @@ def poly_multiply_op(W: SlowPolynomial, basis: MacroBasis) -> np.ndarray:
     N, d = basis.size, basis.dim
     out = np.zeros((basis.total, basis.total))
     for alpha, c in W.coeffs.items():
-        term = _kron_chain([_axis_x_power(N, alpha[ax], basis.sigma)
-                            for ax in range(d)])
+        # scaled in place: in 1D reduce returns the one block, a fresh one
+        term = reduce(np.kron, [_axis_x_power(N, alpha[ax], basis.sigma)
+                                for ax in range(d)])
         term *= c
         out += term
     return out
@@ -185,7 +175,7 @@ def assemble_L0(abar: np.ndarray, W: SlowPolynomial,
                 blocks = [np.eye(N)] * d
                 blocks[i] = _lift(N, N, 1, basis.sigma).T
                 blocks[j] = _lift(N, N, 1, basis.sigma)
-            term = _kron_chain(blocks)
+            term = reduce(np.kron, blocks)
             term *= abar[i, j]
             L += term
     # in place: numpy buffers the transposed operand it overlaps
@@ -252,9 +242,6 @@ class MacroFunction:
     def inner(self, other: "MacroFunction") -> float:
         return float(np.dot(self.coeffs, other.coeffs))
 
-    def __add__(self, other):
-        return MacroFunction(self.basis, self.coeffs + other.coeffs)
-
     def __sub__(self, other):
         return MacroFunction(self.basis, self.coeffs - other.coeffs)
 
@@ -262,9 +249,6 @@ class MacroFunction:
         return MacroFunction(self.basis, self.coeffs * float(s))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return MacroFunction(self.basis, -self.coeffs)
 
     def evaluate(self, points: np.ndarray,
                  alpha: tuple | None = None) -> np.ndarray:

@@ -94,9 +94,6 @@ class SeparableField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
     def mul_poly(self, p: SlowPolynomial) -> "SeparableField":
         """Multiply by a slow polynomial."""
         out = SeparableField(self.grid)
@@ -156,9 +153,6 @@ class SeparableField:
             return out
 
         return at
-
-    def __repr__(self):
-        return f"SeparableField({len(self.terms)} terms, deg {self.degree()})"
 
 
 def _times_monomial(values: np.ndarray, x_pts: np.ndarray,

@@ -100,6 +100,9 @@ class SlowPolynomial:
 
     __rmul__ = __mul__
 
+    def __pos__(self):
+        return self * 1.0
+
     def __neg__(self):
         return self * -1.0
 
@@ -117,10 +120,8 @@ class SlowPolynomial:
         )
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at points of shape (m, d) (or (m,) when d = 1)."""
+        """Evaluate at points of shape (m, d)."""
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
         out = np.zeros(pts.shape[0])
         for alpha, c in self.coeffs.items():
             term = np.full(pts.shape[0], c)

@@ -209,9 +209,6 @@ class PeriodicField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return PeriodicField(self.grid, -self.values)
-
     # --- evaluation ---
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -349,28 +346,18 @@ def _irfft(vh: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfftn(vh, s=(n,) * vh.ndim, axes=tuple(range(vh.ndim)))
 
 
-def _deriv(fh: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-    """Grid values of the derivative whose wavenumbers are k, from the
-    unnormalized half spectrum fh of an n-grid field."""
-    return _irfft(1j * k * fh, n)
-
-
 def grad_y(f: PeriodicField) -> PeriodicField:
     """Spectral gradient of a scalar field, rank 0 -> rank 1."""
-    if f.rank != 0:
-        raise GridMismatch("grad_y expects a scalar field")
-    fh = _rfft(f.values)
-    n = f.grid.modes_per_axis
-    return PeriodicField(f.grid, np.stack([_deriv(fh, k, n)
-                                           for k in f.grid.wavenumbers]))
+    return PeriodicField(f.grid, np.stack([deriv_y(f, ax).values
+                                           for ax in range(f.grid.dim)]))
 
 
 def deriv_y(f: PeriodicField, axis: int) -> PeriodicField:
     """Single spectral partial derivative of a scalar field."""
     if f.rank != 0:
         raise GridMismatch("deriv_y expects a scalar field")
-    return PeriodicField(f.grid, _deriv(_rfft(f.values),
-                                        f.grid.wavenumbers[axis],
+    return PeriodicField(f.grid, _irfft(1j * f.grid.wavenumbers[axis]
+                                        * _rfft(f.values),
                                         f.grid.modes_per_axis))
 
 
@@ -741,8 +728,6 @@ def solve_flux_corrector(g: PeriodicField) -> PeriodicField:
             f"div g has H^-1 norm {divnorm:.3e} (limit {tol:.1e} * |g|)"
         )
     out = np.zeros((d, d) + grid.shape)
-    if d == 1:
-        return PeriodicField(grid, out)
     ks = grid.wavenumbers
     gh = [_rfft(g.values[i]) for i in range(d)]
     for i in range(d):

@@ -201,6 +201,67 @@ class TestExpressions:
         with pytest.raises(ConfigError):
             parse_coefficient_expr("z + 1", 1)
 
+    # each accepted expression with the same value written out with numpy
+    # (coefficients, of y or of y1 and y2) or SlowPolynomial (potentials, of
+    # x or of x1 and x2); unary + and - as the products 1.0 * v and -1.0 * v
+    @pytest.mark.parametrize("text, dim, want", [
+        ("+y**2", 1, lambda y: 1.0 * y ** 2),
+        ("-y", 1, lambda y: -1.0 * y),
+        ("2 - y**2", 1, lambda y: 2 - y ** 2),
+        ("y**2 - -1", 1, lambda y: y ** 2 - -1.0),
+        ("y**True", 1, lambda y: y ** 1),
+        ("-2*cos(2*pi*y)", 1, lambda y: -2.0 * np.cos(2 * np.pi * y)),
+        ("1/(2 + sin(2*pi*y1))", 1, lambda y: 1 / (2 + np.sin(2 * np.pi * y))),
+        ("-3", 1, lambda y: np.full_like(y, -3.0)),
+        ("y1*y2 - +y2/3", 2, lambda y1, y2: y1 * y2 - 1.0 * y2 / 3),
+    ])
+    def test_coefficient_values(self, text, dim, want):
+        ys = np.linspace(-1.0, 1.0, 7 * dim).reshape(dim, 7) + 0.1
+        assert parse_coefficient_expr(text, dim)(*ys).tobytes() == \
+            want(*ys).tobytes()
+
+    @pytest.mark.parametrize("text, dim, want", [
+        ("+x**2", 1, lambda x: 1.0 * x ** 2),
+        ("-x + 2*x**2", 1, lambda x: -1.0 * x + 2 * x ** 2),
+        ("2 - x**2", 1, lambda x: 2 - x ** 2),
+        ("x**2 - -1", 1, lambda x: x ** 2 - -1.0),
+        ("x**True", 1, lambda x: x),
+        ("pi*x**2 - 0.1*x", 1, lambda x: np.pi * x ** 2 - 0.1 * x),
+        ("-3", 1, lambda x: SlowPolynomial.constant(1, -3.0)),
+        ("x1**2 + x2**2 - -x1*x2", 2,
+         lambda x1, x2: x1 ** 2 + x2 ** 2 - (-1.0 * x1) * x2),
+        ("(x1 - 0.3*x2)**2 + +x2**2", 2,
+         lambda x1, x2: (x1 - 0.3 * x2) ** 2 + 1.0 * x2 ** 2),
+    ])
+    def test_potential_values(self, text, dim, want):
+        xs = [SlowPolynomial.variable(dim, ax) for ax in range(dim)]
+        got, expect = parse_potential_expr(text, dim), want(*xs)
+        assert (got.dim, got.coeffs) == (expect.dim, expect.coeffs)
+
+    @pytest.mark.parametrize("text", [
+        "y.real", "y[0]", "(lambda: 1)()", "[y for y in (1, 2)]",
+        "{y: 1 for y in (1,)}", "(z := y)", "cos(y=y)", "cos(*y)",
+        "cos(y, y)", "cos()", "'y'", "b'y'", "1j", "y < 1", "0 < y < 1",
+        "y and 1", "not y", "1 if y else 2", "y**y", "y**2.0", "y**-1",
+        "cos + 1", "pi(1)", "y(2)", "cos(y)(y)", "z + 1", "x",
+        "__import__('os')", "y % 2", "y // 2", "y @ y", "y ^ 2", "y << 1",
+        "~y", "y2", "f'{y}'", "(y, y)", "[y]", "{y}", "...", "None",
+        "y +", "", "1/0", "10.0**400", "10**400", "cos(10**40)",
+    ])
+    def test_refused_coefficients(self, text):
+        # refused where it is parsed, or else where it is evaluated
+        with pytest.raises(ConfigError):
+            parse_coefficient_expr(text, 1)(np.ones(3))
+
+    @pytest.mark.parametrize("text", [
+        "x/2", "x**2/2", "cos(x)", "sin(x)**2", "x**x", "y", "x1 + x2",
+        "x % 2", "x // 2", "-x.real", "x**2 if x else 1", "abs(x)",
+        "10.0**400*x**2", "x**2*10**400", "10**400", "1e400*x**2",
+    ])
+    def test_refused_potentials(self, text):
+        with pytest.raises(ConfigError):
+            parse_potential_expr(text, 1)
+
 
 class TestConfig:
     def test_round_trip_identity(self):
@@ -1193,6 +1254,29 @@ class TestCLI:
         assert r.returncode == 4, r.stderr
         assert "numerical failure: homogenized matrix" in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("command", ["homogenize", "sweep"])
+    @pytest.mark.parametrize("old, new", [
+        ("a = 1", "a = 1/0"),
+        ("a = 1", "a = (1/0)*y + 2"),
+        ("a = 1", "a = 10.0**400"),
+        ("w = x**2", "w = 10.0**400*x**2"),
+        ("a = 1", "a = 10**400"),
+        ("w = x**2", "w = x**2*10**400"),
+        ("w = x**2", "w = 1e300*1e10*x**2"),
+        ("w = x**2", "w = x**2 + 1e400 - 1e400"),
+    ])
+    def test_unevaluable_expression_exit_code(self, tmp_path, command, old,
+                                              new):
+        # Python numbers raise where numpy arrays give inf: a division by
+        # zero, an overflow, or an int that no float holds is a config error
+        # that names the expression, not a traceback; so is a potential
+        # whose float arithmetic overflowed to inf or nan without raising
+        cfgfile = self._minimal(tmp_path, old, new)
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                      command, cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: ",
+                                repr(new.split(" = ")[1]))
 
     def test_negative_coefficient_exit_code(self, tmp_path):
         cfgfile = tmp_path / "run.ini"

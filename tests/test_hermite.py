@@ -1,6 +1,7 @@
 """Macroscopic Hermite space: oscillator oracles, resolvent, clustering."""
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -95,9 +96,9 @@ class TestAssembly:
         def oracle():
             L = np.zeros((basis.total, basis.total))
             for alpha, c in W.coeffs.items():
-                L += c * hermite._kron_chain(
-                    [hermite._axis_x_power(N, alpha[ax], sigma)
-                     for ax in range(dim)])
+                L += c * reduce(np.kron,
+                                [hermite._axis_x_power(N, alpha[ax], sigma)
+                                 for ax in range(dim)])
             for i in range(dim):
                 for j in range(dim):
                     blocks = [np.eye(N)] * dim
@@ -106,7 +107,7 @@ class TestAssembly:
                     else:
                         blocks[i] = _lift(N, N, 1, sigma).T
                         blocks[j] = _lift(N, N, 1, sigma)
-                    L += abar[i, j] * hermite._kron_chain(blocks)
+                    L += abar[i, j] * reduce(np.kron, blocks)
             return 0.5 * (L + L.T)
 
         L = assemble_L0(abar, W, basis)

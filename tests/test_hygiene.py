@@ -2,7 +2,8 @@
 package code, every parameter of one or of a function nested in one is read,
 every defaulted parameter is passed by name or position by some call in
 src/homspec, every dataclass field is read by package code, no package
-code raises NotImplementedError, and only pipeline.run reads the clock.
+code raises NotImplementedError, only pipeline.run reads the clock, and only
+config._parse_expression calls eval, exec or compile.
 Tests and the benchmark are not callers: what only they use is kept, if at
 all, in a KEPT_* table with its reason."""
 
@@ -263,21 +264,34 @@ def _not_implemented(trees) -> list:
                 getattr(getattr(node.exc, "func", None), "id", None))]
 
 
-def _clock_readers(trees) -> list:
+def _owners(trees, hit) -> list:
     """module:function, for every top-level function or method, of those
-    that read the time module's clock (an attribute of ``time``, or a name
-    imported from it), and the bare module where a read lies outside any."""
-    readers = set()
+    holding a node for which ``hit`` is true, and the bare module where such
+    a node lies outside any."""
+    found = set()
     for path, tree in trees:
         owners = [(f"{path.name}:{qual}", {id(n) for n in ast.walk(fn)})
                   for _, qual, _, fn, _ in _defined([(path, tree)])]
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute)
-                    and getattr(node.value, "id", None) == "time") or (
-                    isinstance(node, ast.ImportFrom) and node.module == "time"):
-                readers.add(next((owner for owner, inside in owners
-                                  if id(node) in inside), path.name))
-    return sorted(readers)
+            if hit(node):
+                found.add(next((owner for owner, inside in owners
+                                if id(node) in inside), path.name))
+    return sorted(found)
+
+
+def _clock_readers(trees) -> list:
+    """The owners of every read of the time module's clock: an attribute of
+    ``time``, or a name imported from it."""
+    return _owners(trees, lambda node: (
+        isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", None) == "time") or (
+        isinstance(node, ast.ImportFrom) and node.module == "time"))
+
+
+def _evaluators(trees) -> list:
+    """The owners of every call of the builtins eval, exec and compile."""
+    return _owners(trees, lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", None) in ("eval", "exec", "compile"))
 
 
 def test_no_unused_helpers():
@@ -330,6 +344,12 @@ def test_one_clock():
     assert _clock_readers(_trees()) == ["pipeline.py:run"]
 
 
+def test_one_evaluator():
+    # config expressions are the only text the package hands to Python to
+    # run, and only after _parse_expression has checked every node of them
+    assert _evaluators(_trees()) == ["config.py:_parse_expression"]
+
+
 def test_errors_carry_their_message_only():
     # an error is its type, which cli.main maps to an exit code, and its
     # message: a class body beyond the docstring (an __init__, a stored
@@ -367,7 +387,7 @@ def test_gates_see_what_only_tests_use(tmp_path):
         def solve(x, maxiter=10):
             if maxiter < 1:
                 raise NotImplementedError("maxiter below 1")
-            return x * maxiter
+            return eval(repr(x)) * maxiter
 
 
         def driver(pair, **source):
@@ -398,6 +418,7 @@ def test_gates_see_what_only_tests_use(tmp_path):
     assert _unread_fields(trees) == ["mod.py:Pair.spare"]
     assert _not_implemented(trees) == ["mod.py:17"]
     assert _clock_readers(trees) == ["mod.py:helper"]
+    assert _evaluators(trees) == ["mod.py:solve"]
 
 
 def test_tracer_restores_every_patch(monkeypatch):

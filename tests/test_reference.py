@@ -11,6 +11,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sparse
+from scipy.sparse.linalg import splu
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -205,6 +207,32 @@ class TestSolve2D:
         assert first.path == "sparse"
         assert first.eigenvalues_h.tobytes() == second.eigenvalues_h.tobytes()
         assert first.eigenvalues_h2.tobytes() == second.eigenvalues_h2.tobytes()
+
+    def test_cross_term_in_w_takes_the_sparse_path(self):
+        # an x1*x2 term in W does not separate: the sparse path solves it,
+        # and the Sylvester inertia of A - s*I, factored without pivoting,
+        # puts exactly k eigenvalues of the assembled matrix below the k-th
+        # one found, less 1e-10 relative, and k + 1 below it, plus as much
+        c = CoefficientField.from_matrix(TorusGrid(2, 16), [
+            [lambda y1, y2: 2.0 + np.cos(TWO_PI * y1), None],
+            [None, lambda y1, y2: np.ones_like(y1)],
+        ])
+        W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 1): 0.5})
+        fg = FineGrid(2, 3.0, 0.5 / 8)
+        ref = solve_Leps(c, W, 0.5, fg, 3, keep_vectors=False)
+        assert ref.path == "sparse"
+        A = _assemble_2d(c, W, 0.5, fg).tocsc()
+        order = np.arange(A.shape[0])
+
+        def below(s):
+            lu = splu(A - s * sparse.identity(A.shape[0], format="csc"),
+                      permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            assert (lu.perm_r == order).all() and (lu.perm_c == order).all()
+            return np.sum(lu.U.diagonal() < 0)
+
+        for k, lam in enumerate(ref.eigenvalues_h):
+            assert below(lam * (1 - 1e-10)) == k
+            assert below(lam * (1 + 1e-10)) == k + 1
 
     @staticmethod
     def _refused(off):
