@@ -246,6 +246,17 @@ def cmd_plot_data(cfg, args):
     return 0
 
 
+COMMANDS = {
+    "homogenize": cmd_homogenize,
+    "spectrum": cmd_spectrum,
+    "expand": cmd_expand,
+    "reference": cmd_reference,
+    "sweep": cmd_sweep,
+    "verify": cmd_verify,
+    "plot-data": cmd_plot_data,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is a config error (exit 3), not argparse's exit 2."""
 
@@ -278,8 +289,7 @@ def main(argv=None) -> int:
                         dest="tolerance_scale",
                         help="multiply invariant thresholds (verify)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("homogenize", "spectrum", "expand", "reference", "sweep",
-                 "verify", "plot-data"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         if name == "spectrum":
             p.add_argument("--eigenfunction-samples", type=int, default=0)
@@ -298,16 +308,7 @@ def main(argv=None) -> int:
             if not args.config:
                 raise ConfigError(f"{args.command} requires --config")
             cfg = load_config(args.config)
-        handler = {
-            "homogenize": cmd_homogenize,
-            "spectrum": cmd_spectrum,
-            "expand": cmd_expand,
-            "reference": cmd_reference,
-            "sweep": cmd_sweep,
-            "verify": cmd_verify,
-            "plot-data": cmd_plot_data,
-        }[args.command]
-        return handler(cfg, args)
+        return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

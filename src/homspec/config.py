@@ -53,7 +53,17 @@ _GRAMMAR = (ast.Expression, ast.Constant, ast.Name, ast.Load, ast.UnaryOp,
             ast.Pow)
 
 
-def _parse_expression(text: str, names: set, allow_funcs: bool):
+def _scope(letter: str, values) -> dict:
+    """The names a config expression may use, with their values: pi, and
+    each axis's value as letter1, letter2, or as letter alone in 1D too."""
+    scope = {"pi": np.pi}
+    scope.update((f"{letter}{ax}", v) for ax, v in enumerate(values, 1))
+    if len(values) == 1:
+        scope[letter] = values[0]
+    return scope
+
+
+def _parse_expression(text: str, names, allow_funcs: bool):
     """A callable of a mapping of names to values: the expression, checked
     node by node against the grammar and then evaluated by Python with no
     builtins.  An int value comes back as a float.  An ArithmeticError while
@@ -100,18 +110,12 @@ def _parse_expression(text: str, names: set, allow_funcs: bool):
 
 def parse_coefficient_expr(text: str, dim: int):
     """Callable (y1[, y2]) -> array for one coefficient entry."""
-    names = {"pi", "y1"} | ({"y"} if dim == 1 else {"y2"})
-    fn = _parse_expression(text, names, allow_funcs=True)
+    fn = _parse_expression(text, _scope("y", [None] * dim), allow_funcs=True)
 
     def evaluate(*ys):
-        env = {"pi": np.pi, "y1": ys[0]}
-        if dim == 1:
-            env["y"] = ys[0]
-        else:
-            env["y2"] = ys[1]
         # a non-finite value is refused where the coefficient is built
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = fn(env)
+            out = fn(_scope("y", ys))
         return np.broadcast_to(np.asarray(out, dtype=float),
                                np.broadcast_shapes(*map(np.shape, ys))).copy()
 
@@ -120,13 +124,8 @@ def parse_coefficient_expr(text: str, dim: int):
 
 def parse_potential_expr(text: str, dim: int) -> SlowPolynomial:
     """Potential string evaluated over polynomial generators, exactly."""
-    names = {"pi", "x1"} | ({"x"} if dim == 1 else {"x2"})
-    fn = _parse_expression(text, names, allow_funcs=False)
-    env = {"pi": np.pi, "x1": SlowPolynomial.variable(dim, 0)}
-    if dim == 1:
-        env["x"] = env["x1"]
-    else:
-        env["x2"] = SlowPolynomial.variable(dim, 1)
+    env = _scope("x", [SlowPolynomial.variable(dim, ax) for ax in range(dim)])
+    fn = _parse_expression(text, env, allow_funcs=False)
     out = fn(env)
     if isinstance(out, float):
         out = SlowPolynomial.constant(dim, out)

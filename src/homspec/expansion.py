@@ -73,14 +73,14 @@ D_SPACING_TOL = 1e-6
 DEGREE_CAP = 8          # highest slow degree of a corrector entry
 
 
-def _sub(alpha: tuple, axis: int) -> tuple:
-    out = list(alpha)
-    out[axis] -= 1
-    return tuple(out)
+def _shift(alpha: tuple, axis: int, by: int) -> tuple:
+    """alpha + by e_axis."""
+    return tuple(a + by * (ax == axis) for ax, a in enumerate(alpha))
 
 
 class CorrectorTable:
-    """Memoized (q, alpha) -> corrector / flux / homogenized-vector store.
+    """Memoized (q, alpha) -> corrector / flux store, with the homogenized
+    vector abar read off the stored flux.
 
     Holds a live reference to a mu list; entries at order q with |alpha| = m
     read mu_0 .. mu_{q-2-m}, which the level driver guarantees to have
@@ -103,7 +103,6 @@ class CorrectorTable:
         self.tol = tol
         self._chi: dict = {}
         self._flux: dict = {}
-        self._abar: dict = {}
         self._cells: dict = {}      # (F or G, source bytes) -> (solution, residual)
         self.residuals: dict = {}
         self.rhs_means: dict = {}
@@ -128,8 +127,8 @@ class CorrectorTable:
             SeparableField.zero(self.grid) for _ in range(self.d)])
 
     def abar(self, q: int, alpha: tuple) -> list:
-        return self._memo(self._abar, self._build_abar, q, alpha, lambda: [
-            SlowPolynomial.zero(self.d) for _ in range(self.d)])
+        """The y-mean of the stored flux(q, alpha), per axis."""
+        return [f.y_mean().prune(1e-16) for f in self.flux(q, alpha)]
 
     # --- construction ---
 
@@ -196,7 +195,7 @@ class CorrectorTable:
         """grad_x chi_{q-1,alpha} + sum_j e_j chi_{q-1,alpha-e_j}, the part of
         the order-q flux before a grad_y chi_{q,alpha}, one field per axis."""
         c_prev = self.chi(q - 1, alpha)
-        return [c_prev.dx(j) + self.chi(q - 1, _sub(alpha, j))
+        return [c_prev.dx(j) + self.chi(q - 1, _shift(alpha, j, -1))
                 for j in range(self.d)]
 
     def _times_a(self, v: list) -> list:
@@ -222,7 +221,7 @@ class CorrectorTable:
         for i in range(self.d):
             if alpha[i] == 0:
                 continue
-            rhs = rhs + self.flux(q - 1, _sub(alpha, i))[i].ring()
+            rhs = rhs + self.flux(q - 1, _shift(alpha, i, -1))[i].ring()
         c_ww = self.chi(q - 2, alpha).ring()
         if not c_ww.is_zero():
             w_chi = c_ww.mul_poly(self.W)
@@ -243,9 +242,6 @@ class CorrectorTable:
         v = [vj + c_cur.dy(j)
              for j, vj in enumerate(self._slow_vector(q, alpha))]
         return [f.purge() for f in self._times_a(v)]
-
-    def _build_abar(self, q: int, alpha: tuple) -> list:
-        return [f.y_mean().prune(1e-16) for f in self.flux(q, alpha)]
 
     def cell_solves(self) -> int:
         """Cell problems solved by this store and every table forked from it."""
@@ -289,9 +285,7 @@ class ExpansionBranch:
 
     def mu1_magnitude(self) -> float:
         """|mu_1| as computed from the solvability integral (before snapping)."""
-        if self.mu1_computed != 0.0:
-            return abs(self.mu1_computed)
-        return abs(self.mu[1]) if len(self.mu) > 1 else 0.0
+        return abs(self.mu1_computed)
 
 
 # --- macroscopic level machinery ---------------------------------------------
@@ -570,10 +564,9 @@ def _snap_first_order(branch: ExpansionBranch):
     polynomial identities (such as the eps-scaling of lambda_tilde) exact.
     The measured magnitude remains available as mu1_computed.
     """
-    if len(branch.mu) > 1:
-        branch.mu1_computed = float(branch.mu[1])
-        branch.mu[1] = 0.0
-        branch.U[1] = MacroFunction.zero(branch.U[0].basis)
+    branch.mu1_computed = float(branch.mu[1])
+    branch.mu[1] = 0.0
+    branch.U[1] = MacroFunction.zero(branch.U[0].basis)
 
 
 def simple_recursion(store: CorrectorTable, spec: SpectrumResult, j: int,
@@ -647,11 +640,6 @@ def _terms(branch: ExpansionBranch, P: int):
                     yield k, q, alpha
 
 
-def _up(alpha: tuple, i: int) -> tuple:
-    """alpha + e_i."""
-    return tuple(a + (ax == i) for ax, a in enumerate(alpha))
-
-
 def envelope_requests(branch: ExpansionBranch, P: int,
                       gradient: bool) -> list:
     """(k, alpha) of every envelope derivative d^alpha U_k that assemble
@@ -665,7 +653,7 @@ def envelope_requests(branch: ExpansionBranch, P: int,
         requests[k, alpha] = None
         if gradient:
             for i in range(branch.table.d):
-                requests[k, _up(alpha, i)] = None
+                requests[k, _shift(alpha, i, 1)] = None
     return list(requests)
 
 
@@ -732,7 +720,8 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
             du = envelopes[row[k, alpha]]
             w[blk] += scalef * du * cvals
             for i, (dxc, dyc) in enumerate(dvals):
-                gw[i, blk] += scalef * envelopes[row[k, _up(alpha, i)]] * cvals
+                gw[i, blk] += (scalef * envelopes[row[k, _shift(alpha, i, 1)]]
+                               * cvals)
                 if dxc is not None:
                     gw[i, blk] += scalef * du * dxc
                 if dyc is not None:

@@ -31,11 +31,10 @@ from .errors import (
     NumericalError,
     TruncationUnsafe,
 )
-from .slowpoly import SlowPolynomial
+from .slowpoly import POLY_DEGREE_CAP, SlowPolynomial
 from .torus import SAMPLE_BLOCK, tensor_contract, tensor_grid
 
 CLUSTER_TOL = 1e-6      # relative gap below which eigenvalues form one cluster
-POLY_DEGREE_CAP = 8     # highest potential degree poly_multiply_op accepts
 ORTHO_TOL = 1e-10       # resolvent_solve: allowed relative cluster projection
 QUAD_EXTRA_NODES = 16   # Gauss-Hermite nodes per axis past the extended basis
 
@@ -94,11 +93,7 @@ def _xop(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _dop(n: int) -> np.ndarray:
-    m = np.arange(1, n)
-    D = np.zeros((n, n))
-    D[m - 1, m] = np.sqrt(m / 2.0)
-    D[m, m - 1] = -np.sqrt(m / 2.0)
-    return D
+    return np.triu(_xop(n)) - np.tril(_xop(n))
 
 
 def _axis_x_power(N: int, p: int, sigma: float) -> np.ndarray:
@@ -404,10 +399,8 @@ class QuadratureRule:
         self.sampler = HermiteSampler(basis, coords, n_ext - basis.size,
                                       self.index)
 
-    def values(self, f: MacroFunction,
-               alpha: tuple | None = None) -> np.ndarray:
+    def values(self, f: MacroFunction, alpha: tuple) -> np.ndarray:
         """d^alpha f at the nodes, flattened: one request to the sampler."""
-        alpha = tuple(alpha) if alpha is not None else (0,) * self.basis.dim
         return self.sampler([(f, alpha)])[0]
 
     def points(self) -> np.ndarray:
@@ -424,7 +417,7 @@ class QuadratureRule:
             acc = acc * v
         return float(acc.sum())
 
-    def project(self, values: np.ndarray, alpha: tuple | None = None) -> np.ndarray:
+    def project(self, values: np.ndarray, alpha: tuple) -> np.ndarray:
         """Coefficients <d^alpha psi_n, f> from node values of f.
 
         Used to Galerkin-project divergence-form right-hand sides by parts.
@@ -432,7 +425,6 @@ class QuadratureRule:
         ladder lift, exact on the extended range.
         """
         b = self.basis
-        alpha = tuple(alpha) if alpha is not None else (0,) * b.dim
         blocks = [t @ _lift(b.size, t.shape[1], k, b.sigma) * self.w1[:, None]
                   for t, k in zip(self.sampler.tables, alpha)]
         out = blocks[0].T @ values.reshape((self.x1.size,) * b.dim)

@@ -633,15 +633,15 @@ def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     return sp.diags(bands, offsets, format="csr")
 
 
-def _solve_2d_sparse(coeff, W, eps, grid, count, sigma_shift):
-    """The count eigenvalues nearest sigma_shift, ascending."""
+def _solve_2d_sparse(coeff, W, eps, grid, count):
+    """The count lowest eigenvalues, ascending."""
     import scipy.sparse.linalg as spla
     A = _assemble_2d(coeff, W, eps, grid)
     # a seeded start keeps runs bit-reproducible (ARPACK draws a random one);
     # a constant one would miss the odd eigenvectors of a symmetric problem
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
-        vals, _ = spla.eigsh(A, k=count, sigma=sigma_shift, which="LM", v0=v0)
+        vals, _ = spla.eigsh(A, k=count, sigma=0.0, which="LM", v0=v0)
     except Exception as exc:          # noqa: BLE001 - surfaced as library error
         raise ConvergenceFailure(f"sparse eigensolve failed: {exc}") from exc
     return np.sort(vals)
@@ -712,7 +712,7 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     vecs = op = None
     if axes is None:
         # shift-invert about 0, below the positive definite spectrum
-        vals_h, vals_h2 = (_solve_2d_sparse(coeff, W, eps, g, count, 0.0)
+        vals_h, vals_h2 = (_solve_2d_sparse(coeff, W, eps, g, count)
                            for g in (grid, fine))
         path, axes_h2, routes = "sparse", (), ()
     else:

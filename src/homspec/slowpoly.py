@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# highest degree of a potential that hermite.poly_multiply_op accepts, and
+# of a power that SlowPolynomial.__pow__ forms
+POLY_DEGREE_CAP = 8
+
 
 class SlowPolynomial:
     """Real polynomial on R^d with a finite monomial table."""
@@ -27,10 +31,6 @@ class SlowPolynomial:
                     self.coeffs[alpha] = self.coeffs.get(alpha, 0.0) + float(c)
 
     # --- constructors ---
-
-    @classmethod
-    def zero(cls, dim: int) -> "SlowPolynomial":
-        return cls(dim)
 
     @classmethod
     def constant(cls, dim: int, value: float) -> "SlowPolynomial":
@@ -109,6 +109,10 @@ class SlowPolynomial:
     def __pow__(self, p: int):
         if not isinstance(p, int) or p < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        # refused before any product: x**1000000 would take seconds to form
+        if self.degree() * p > POLY_DEGREE_CAP:
+            raise ArithmeticError(f"degree {self.degree() * p} of the power "
+                                  f"exceeds cap {POLY_DEGREE_CAP}")
         out = SlowPolynomial.constant(self.dim, 1.0)
         for _ in range(p):
             out = out * self

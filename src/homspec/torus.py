@@ -152,9 +152,7 @@ class PeriodicField:
             raise GridMismatch(
                 f"values shape {values.shape} incompatible with grid {grid.shape}"
             )
-        if ncomp >= 1 and values.shape[0] != grid.dim:
-            raise GridMismatch("component axes must have length d")
-        if ncomp == 2 and values.shape[1] != grid.dim:
+        if values.shape[:ncomp] != (grid.dim,) * ncomp:
             raise GridMismatch("component axes must have length d")
         self.grid = grid
         self.values = values
@@ -484,7 +482,6 @@ class CoefficientField:
         self.lam_min = lo
         self.lam_max = hi
         self.theta = hi / lo
-        self._padded = None
 
     @classmethod
     def from_isotropic(cls, grid: TorusGrid, fn) -> "CoefficientField":
@@ -513,19 +510,17 @@ class CoefficientField:
     def identity(cls, grid: TorusGrid) -> "CoefficientField":
         return cls.from_isotropic(grid, lambda *ys: np.ones(grid.shape))
 
+    @cached_property
     def padded_values(self) -> np.ndarray:
         """Coefficient resampled on the 3/2 grid, cached for _product."""
-        if self._padded is None:
-            n = self.grid.modes_per_axis
-            d = self.grid.dim
-            m = _pad_shape(n)
-            out = np.zeros((d, d) + (m,) * d)
-            for i in range(d):
-                for j in range(d):
-                    out[i, j] = _resample(self.a.values[i, j], n, m) \
-                        * (m / n) ** d
-            self._padded = out
-        return self._padded
+        n = self.grid.modes_per_axis
+        d = self.grid.dim
+        m = _pad_shape(n)
+        out = np.zeros((d, d) + (m,) * d)
+        for i in range(d):
+            for j in range(d):
+                out[i, j] = _resample(self.a.values[i, j], n, m) * (m / n) ** d
+        return out
 
     def _product(self, gh: list) -> list:
         """Half spectra of a g from the n-grid half spectra gh of a vector
@@ -545,7 +540,7 @@ class CoefficientField:
         pads = [_irfft(_copy_modes(gj, n, m), m) * scale if gj.any() else None
                 for gj in gh]
         out = []
-        for i, row in enumerate(self.padded_values()):
+        for i, row in enumerate(self.padded_values):
             terms = [a * p for a, p in zip(row, pads)
                      if p is not None and a.any()]
             out.append(_copy_modes(_rfft(sum(terms)), n, n) / scale if terms
@@ -658,7 +653,7 @@ def solve_cell(coeff: CoefficientField,
     inv = 1.0 / (0.5 * (coeff.lam_min + coeff.lam_max) * grid.k_squared)
     inv.flat[0] = 0.0
     # lo / (2 cbar): half the least 1/alpha of CG in exact arithmetic
-    lo = _eig_bounds(coeff.padded_values())[0]
+    lo = _eig_bounds(coeff.padded_values)[0]
     floor = max(lo, 0.0) / (coeff.lam_min + coeff.lam_max)
 
     uh = np.zeros(grid.half_shape, dtype=complex)

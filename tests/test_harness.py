@@ -1265,13 +1265,16 @@ class TestCLI:
         ("w = x**2", "w = x**2*10**400"),
         ("w = x**2", "w = 1e300*1e10*x**2"),
         ("w = x**2", "w = x**2 + 1e400 - 1e400"),
+        ("w = x**2", "w = x**1000000"),
+        ("w = x**2", "w = ((1 + x)**8)**8"),
     ])
     def test_unevaluable_expression_exit_code(self, tmp_path, command, old,
                                               new):
         # Python numbers raise where numpy arrays give inf: a division by
         # zero, an overflow, or an int that no float holds is a config error
         # that names the expression, not a traceback; so is a potential
-        # whose float arithmetic overflowed to inf or nan without raising
+        # whose float arithmetic overflowed to inf or nan without raising,
+        # and a power above the degree cap, refused before it is formed
         cfgfile = self._minimal(tmp_path, old, new)
         r = self._run("--config", str(cfgfile), "--out", str(tmp_path / "out"),
                       command, cwd=str(tmp_path))

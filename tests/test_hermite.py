@@ -260,7 +260,7 @@ class TestOperatorsAndQuadrature:
         spec = solve_spectrum(np.array([[1.0]]), w_iso(1), basis, 1)
         phi = spec.eigenfunction(1)
         quad = quadrature_for(basis, 6)
-        v = quad.values(phi)
+        v = quad.values(phi, (0,))
         x2 = quad.points()[:, 0] ** 2
         assert quad.integrate(v, v, x2) == pytest.approx(0.5, rel=1e-12)
 
@@ -269,7 +269,7 @@ class TestOperatorsAndQuadrature:
         quad = quadrature_for(basis, 6)
         f = MacroFunction(basis, np.eye(basis.total)[7])
         g = MacroFunction(basis, np.eye(basis.total)[7])
-        assert quad.integrate(quad.values(f), quad.values(g)) \
+        assert quad.integrate(quad.values(f, (0, 0)), quad.values(g, (0, 0))) \
             == pytest.approx(1.0, rel=1e-12)
 
     def test_derivative_values_exact(self):
@@ -289,7 +289,7 @@ class TestOperatorsAndQuadrature:
         quad = quadrature_for(basis, 6)
         phi = MacroFunction(basis, np.eye(16)[0])
         w = SlowPolynomial(1, {(2,): 1.0})
-        val = quad.integrate(quad.values(phi), quad.values(phi),
+        val = quad.integrate(quad.values(phi, (0,)), quad.values(phi, (0,)),
                              w(quad.points()))
         assert val == pytest.approx(0.5, rel=1e-13)
 

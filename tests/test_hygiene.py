@@ -1,7 +1,8 @@
 """Every top-level function and public method in src/homspec is used by
 package code, every parameter of one or of a function nested in one is read,
 every defaulted parameter is passed by name or position by some call in
-src/homspec, every dataclass field is read by package code, no package
+src/homspec, no parameter of a private function is passed one literal by
+every call, every dataclass field is read by package code, no package
 code raises NotImplementedError, only pipeline.run reads the clock, and only
 config._parse_expression calls eval, exec or compile.
 Tests and the benchmark are not callers: what only they use is kept, if at
@@ -25,7 +26,7 @@ KEPT_DEFAULTS = {
 
 # parameters that their function's body never reads, kept on purpose
 KEPT_UNREAD = {
-    # main's dispatch table calls every subcommand handler as (args, cfg)
+    # main calls every subcommand handler of cli.COMMANDS as (cfg, args)
     "cli.py:cmd_verify(cfg)",
     "cli.py:cmd_plot_data(cfg)",
 }
@@ -75,7 +76,6 @@ SHARED_METHODS = {
         "MacroFunction": "expansion._snap_first_order and "
                          "hermite.resolvent_solve",
         "SeparableField": "CorrectorTable.chi",
-        "SlowPolynomial": "CorrectorTable.abar",
     },
 }
 
@@ -217,6 +217,43 @@ def _unread_parameters(trees) -> list:
     return unread
 
 
+def _literal(node: ast.expr):
+    """repr of the value of a literal argument node, or None for any other
+    expression; -1 and (0, 1) are literals, x and f(1) are not."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def _constant_arguments(trees) -> list:
+    """Parameters of private functions and methods that every package call
+    passes, by name or by position, one and the same literal: a knob with
+    one value.  A call that leaves the parameter to its default, or that
+    unpacks *args or **kwargs, passes no literal."""
+    calls = _calls(trees)
+    constant = []
+    for mod, qual, call_name, fn, bound in _defined(trees, nested=True):
+        sites = calls.get(call_name, [])
+        if not fn.name.startswith("_") or fn.name.startswith("__") \
+                or not sites:
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        for arg in positional[bound:] + fn.args.kwonlyargs:
+            slot = (positional.index(arg) - bound if arg in positional
+                    else None)
+            values = set()
+            for call in sites:
+                given = [k.value for k in call.keywords if k.arg == arg.arg]
+                if slot is not None and len(call.args) > slot and not any(
+                        isinstance(a, ast.Starred) for a in call.args):
+                    given.append(call.args[slot])
+                values.add(_literal(given[0]) if len(given) == 1 else None)
+            if len(values) == 1 and None not in values:
+                constant.append(f"{mod}:{qual}({arg.arg})")
+    return constant
+
+
 def _serialized_whole(cls: ast.ClassDef) -> bool:
     """A method of the class passes self to asdict, so every field reaches
     the output without being read by name."""
@@ -323,6 +360,14 @@ def test_every_parameter_is_read():
     assert not unread, f"parameters no body reads: {unread}"
 
 
+def test_no_constant_arguments():
+    # a private parameter that every package call sets to one literal is a
+    # knob with one value: make the value a constant in the body
+    constant = _constant_arguments(_trees())
+    assert not constant, (
+        f"parameters every call passes one literal: {constant}")
+
+
 def test_every_field_is_read():
     # a dataclass field that no package code reads as an attribute is state
     # set for nothing: delete it
@@ -365,8 +410,10 @@ def test_errors_carry_their_message_only():
 def test_gates_see_what_only_tests_use(tmp_path):
     # one package with one case of each kind the gates must not count as a
     # use: a helper that only a test calls, a default that only a **mapping
-    # passes, and a nested function whose default and parameter no call sets
-    # or body reads; the helper reads the clock, which _clock_readers names
+    # passes, a nested function whose default and parameter no call sets
+    # or body reads, and a private parameter that its one package call sets
+    # to a literal (a test passes another); the helper reads the clock,
+    # which _clock_readers names
     package = tmp_path / "src" / "homspec"
     package.mkdir(parents=True)
     (package / "mod.py").write_text(textwrap.dedent("""\
@@ -395,20 +442,24 @@ def test_gates_see_what_only_tests_use(tmp_path):
                 return name
 
             check("a")
-            return solve(pair.used, **source)
+            return solve(_scale(pair.used, 2), **source)
+
+
+        def _scale(x, factor):
+            return x * factor
 
 
         COMMANDS = {"run": driver}
         """))
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_mod.py").write_text(textwrap.dedent("""\
-        from homspec.mod import Pair, driver, helper
+        from homspec.mod import Pair, _scale, driver, helper
 
 
         def test_mod():
             pair = Pair(1, 2)
             assert helper() > 0 and pair.spare == 2
-            assert driver(pair, maxiter=1) == 1
+            assert driver(pair, maxiter=1) == 2 and _scale(1, 3) == 3
         """))
     trees = _trees(tmp_path)
     assert _unused_helpers(trees) == ["mod.py:helper"]
@@ -416,6 +467,7 @@ def test_gates_see_what_only_tests_use(tmp_path):
                                          "mod.py:driver.check(note=)"]
     assert _unread_parameters(trees) == ["mod.py:driver.check(note)"]
     assert _unread_fields(trees) == ["mod.py:Pair.spare"]
+    assert _constant_arguments(trees) == ["mod.py:_scale(factor)"]
     assert _not_implemented(trees) == ["mod.py:17"]
     assert _clock_readers(trees) == ["mod.py:helper"]
     assert _evaluators(trees) == ["mod.py:solve"]

@@ -150,7 +150,7 @@ class TestSolve2D:
         fg = FineGrid(2, 4.0, eps / 8)
         sep = solve_Leps(c, W, eps, fg, 4, keep_vectors=False)
         from homspec.reference import _solve_2d_sparse
-        vals = _solve_2d_sparse(c, W, eps, fg, 4, 2.0)
+        vals = _solve_2d_sparse(c, W, eps, fg, 4)
         assert sep.path == "separable"
         assert np.max(np.abs(sep.eigenvalues_h - vals)) < 1e-9
 

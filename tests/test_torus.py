@@ -845,7 +845,7 @@ class TestMultiply:
         m = _pad_shape(n)
         scale = (m / n) ** dim
         pads = [_irfft(_copy_modes(_rfft(gj), n, m), m) * scale for gj in g]
-        ap = a.padded_values()
+        ap = a.padded_values
         want = np.stack([
             _irfft(_copy_modes(_rfft(sum(ap[i, j] * pads[j]
                                          for j in range(dim))), n, n) / scale,
