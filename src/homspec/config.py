@@ -114,7 +114,7 @@ def parse_coefficient_expr(text: str, dim: int):
 
     def evaluate(*ys):
         # a non-finite value is refused where the coefficient is built
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = fn(_scope("y", ys))
         return np.broadcast_to(np.asarray(out, dtype=float),
                                np.broadcast_shapes(*map(np.shape, ys))).copy()

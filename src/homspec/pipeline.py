@@ -9,8 +9,9 @@ sweep's do not depend on the thread count, since its reductions over the
 fine grid are numpy sums, not BLAS products split over threads.  The
 reference stage's names, and with them scipy's _flapack alone (and
 scipy.sparse on the sparse 2D path), are imported by the functions that use
-them, as is hashlib by config_hash, so the homogenize, spectrum and expand
-commands load neither scipy nor OpenSSL's binding.
+them, so the homogenize, spectrum and expand commands do not load scipy;
+config_hash uses CPython's built-in SHA-256, so no command loads OpenSSL's
+binding.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 from . import __version__
 from .classical import build_suite, cyclic_check
 from .config import RunConfig, serialize_config
-from .errors import EpsilonTooLarge, HomspecError, InsufficientPoints
+from .errors import (ConfigError, EpsilonTooLarge, HomspecError,
+                     InsufficientPoints)
 from .expansion import (
     choose_P,
     epsilon_condition_violated,
@@ -78,10 +80,17 @@ class RunManifest:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    # imported here, its one use: hashlib loads OpenSSL's binding, which
-    # the homogenize, spectrum and expand commands do not need
-    import hashlib
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
+    # CPython's built-in SHA-256 gives hashlib's digest without loading
+    # OpenSSL's libcrypto (3.5 MB, the peak of a 2D sweep) for one digest;
+    # hashlib serves only an interpreter built without it
+    try:
+        from _sha2 import sha256            # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256      # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(serialize_config(cfg).encode()).hexdigest()[:16]
 
 
 def precision_warnings(nmant: int) -> list:
@@ -128,9 +137,15 @@ def stage_expand(cfg: RunConfig, store, spec, warnings: list):
     or the truncation rule capped by the decay of branch 0's mu_p (2 where
     the rule is undefined).  Returns (branches, P_build, P_eps); each eps
     adds its EpsilonTooLarge and EpsilonConditionViolated warnings once, and
-    a hierarchy residual above 1e-8 adds HierarchyResidual."""
+    a hierarchy residual above 1e-8 adds HierarchyResidual.  A lambda_j that
+    is not positive is a ConfigError: both rules take lambda_j^(3/2)."""
+    lam0 = spec.eigenvalue(cfg.j)
+    if lam0 <= 0:
+        raise ConfigError(
+            f"lambda_{cfg.j} = {lam0:.6g} is not positive: the truncation "
+            "rule and the epsilon condition need lambda_j > 0")
     a, b = spec.cluster_of(cfg.j)
-    lam0, gamma = spec.eigenvalue(cfg.j), spectral_gap(spec, cfg.j)
+    gamma = spectral_gap(spec, cfg.j)
 
     def rule(eps, mu=None):
         try:

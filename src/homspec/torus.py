@@ -190,7 +190,11 @@ class PeriodicField:
 
     def l2_norm(self) -> float:
         """L2(T^d) norm; components of vector/matrix fields are summed."""
-        return float(np.sqrt(np.sum(self.values ** 2) / self.grid.npoints))
+        # past about 1e154 a square overflows to inf, which the run refuses
+        # where it checks abar
+        with np.errstate(over="ignore"):
+            total = np.sum(self.values ** 2)
+        return float(np.sqrt(total / self.grid.npoints))
 
     # --- algebra ---
 

@@ -578,6 +578,21 @@ class TestPipeline:
         assert manifest.cell_solves == 7
         assert 0.0 < manifest.cell_residual_max < 1e-10
 
+    @pytest.mark.parametrize("config", ["minimal", "simple-1d", "multiple-2d"])
+    @pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")],
+                             ids=["builtin", "hashlib"])
+    def test_config_hash_is_sha256(self, monkeypatch, config, blocked):
+        # the built-in SHA-256 gives hashlib's digest, and so does the
+        # hashlib fallback of an interpreter built without it
+        import hashlib
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)
+        cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
+                                       "configs", f"{config}.ini"))
+        text = serialize_config(cfg).encode()
+        assert pipeline.config_hash(cfg) == (
+            hashlib.sha256(text).hexdigest()[:16])
+
 
 GRID_SAMPLE_FLOATS = st.floats() | st.sampled_from([
     -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 9999999999999998.0,
@@ -744,18 +759,19 @@ class TestCLI:
 
     def test_expand_never_imports_scipy(self, tmp_path):
         # expand needs no reference solve, so it must not pay for importing
-        # scipy, nor hash a config, so it must not load OpenSSL's binding
-        # (_hashlib); a 1D sweep and a separable 2D one in the same process
+        # scipy; a 1D sweep and a separable 2D one in the same process
         # load LAPACK's _flapack extension and not the scipy.linalg package,
         # whose init (scipy._lib._array_api among it) costs about 0.1 s, and
-        # the 1D one writes the sweep.csv of an in-process run
+        # the 1D one writes the sweep.csv of an in-process run; no command
+        # loads OpenSSL's binding (_hashlib), whose libcrypto set a 2D
+        # sweep's peak memory when the config hash came from hashlib
         cfg_path = os.path.join(os.path.dirname(__file__), "..", "configs",
                                 "minimal.ini")
         two = tmp_path / "two.ini"
         two.write_text(TWO_BRANCH)
         loaded = ("print(*(name in sys.modules for name in ("
                   "'scipy.linalg._flapack', 'scipy.linalg', "
-                  "'scipy._lib._array_api')))\n")
+                  "'scipy._lib._array_api', '_hashlib')))\n")
         script = (
             "import sys\n"
             "from homspec.cli import main\n"
@@ -776,7 +792,7 @@ class TestCLI:
         lines = r.stdout.splitlines()
         assert "False False" in lines
         assert [line for line in lines if line.startswith("True")] == [
-            "True False False"] * 2
+            "True False False False"] * 2
         assert len(_csv_floats((tmp_path / "w_samples.csv").read_text())) == 5
 
         def without_runtime(text):
@@ -1168,6 +1184,21 @@ class TestCLI:
                                 "coupling matrix eigenvalue spacing")
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["expand", "sweep"])
+    @pytest.mark.parametrize("p_order", ["", "\np_order = 2"],
+                             ids=["rule", "p_order"])
+    def test_negative_eigenvalue_exit_code(self, tmp_path, command, p_order):
+        # W = x^2 - 3 puts lambda_1 below 0, where lambda_j^(3/2) of the
+        # truncation rule and the epsilon condition is complex
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(
+            "[problem]\ndim = 1\na = 2 + cos(2*pi*y)\nw = x**2 - 3\n"
+            "[discretization]\ntorus_modes = 16\nhermite_size = 16\n"
+            f"[experiment]\nj = 1\ncount = 3\neps = 0.1{p_order}\n")
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                      command, cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: ", "lambda_1 = -1.68")
+
     def _minimal(self, tmp_path, old="", new=""):
         """configs/minimal.ini, with ``old`` replaced by ``new``, as
         tmp_path/run.ini."""
@@ -1244,16 +1275,23 @@ class TestCLI:
         r = self._run("--config", str(cfgfile), "spectrum", cwd=str(tmp_path))
         self._fails_in_one_line(r, 4, "numerical failure: ", "non-finite")
 
-    @pytest.mark.parametrize("command", ["homogenize", "sweep"])
-    def test_overflowing_coefficient_exit_code(self, tmp_path, command):
+    @pytest.mark.parametrize("command, coeff, prefix, needle", [
+        (command, coeff, prefix, needle) for coeff, prefix, needle in [
+            ("1e300 + cos(2*pi*y)", "numerical failure: ",
+             "homogenized matrix"),
+            ("5 + 0.9*1e300/sin(4*pi*y)", "error: ", "non-finite")]
+        for command in ("homogenize", "sweep")],
+        ids=["homogenize", "sweep", "homogenize-divide", "sweep-divide"])
+    def test_overflowing_coefficient_exit_code(self, tmp_path, command,
+                                               coeff, prefix, needle):
         # the flux norms overflow, the fluxes are pruned whole and abar would
-        # be 0: a numerical failure, not abar = [[0.0]] with exit 0
-        cfgfile = self._minimal(tmp_path, "a = 1", "a = 1e300 + cos(2*pi*y)")
+        # be 0: a numerical failure, not abar = [[0.0]] with exit 0; a
+        # coefficient that overflows where it is sampled is non-finite.
+        # Either is one line, with no RuntimeWarning before it
+        cfgfile = self._minimal(tmp_path, "a = 1", f"a = {coeff}")
         r = self._run("--config", str(cfgfile), "--out", str(tmp_path / "out"),
                       command, cwd=str(tmp_path))
-        assert r.returncode == 4, r.stderr
-        assert "numerical failure: homogenized matrix" in r.stderr
-        assert "Traceback" not in r.stderr
+        self._fails_in_one_line(r, 4, prefix, needle)
 
     @pytest.mark.parametrize("command", ["homogenize", "sweep"])
     @pytest.mark.parametrize("old, new", [

@@ -3,8 +3,9 @@ package code, every parameter of one or of a function nested in one is read,
 every defaulted parameter is passed by name or position by some call in
 src/homspec, no parameter of a private function is passed one literal by
 every call, every dataclass field is read by package code, no package
-code raises NotImplementedError, only pipeline.run reads the clock, and only
-config._parse_expression calls eval, exec or compile.
+code raises NotImplementedError, only pipeline.run reads the clock, only
+config._parse_expression calls eval, exec or compile, and only
+pipeline.config_hash imports a SHA-256.
 Tests and the benchmark are not callers: what only they use is kept, if at
 all, in a KEPT_* table with its reason."""
 
@@ -331,6 +332,16 @@ def _evaluators(trees) -> list:
         node.func, "id", None) in ("eval", "exec", "compile"))
 
 
+def _digest_importers(trees) -> list:
+    """The owners of every import of hashlib or of CPython's built-in
+    SHA-256 modules."""
+    digests = {"hashlib", "_sha2", "_sha256"}
+    return _owners(trees, lambda node: (
+        isinstance(node, ast.Import)
+        and any(alias.name in digests for alias in node.names)) or (
+        isinstance(node, ast.ImportFrom) and node.module in digests))
+
+
 def test_no_unused_helpers():
     # a helper that only tests call is code the package carries for them:
     # delete it, or keep it in KEPT_UNCALLED with a reason
@@ -395,6 +406,13 @@ def test_one_evaluator():
     assert _evaluators(_trees()) == ["config.py:_parse_expression"]
 
 
+def test_one_digest():
+    # the manifest's config hash is the one digest the package makes, from
+    # the built-in SHA-256: an import of hashlib elsewhere, at module level
+    # above all, would load OpenSSL's libcrypto (3.5 MB) into every command
+    assert _digest_importers(_trees()) == ["pipeline.py:config_hash"]
+
+
 def test_errors_carry_their_message_only():
     # an error is its type, which cli.main maps to an exit code, and its
     # message: a class body beyond the docstring (an __init__, a stored
@@ -413,10 +431,12 @@ def test_gates_see_what_only_tests_use(tmp_path):
     # passes, a nested function whose default and parameter no call sets
     # or body reads, and a private parameter that its one package call sets
     # to a literal (a test passes another); the helper reads the clock,
-    # which _clock_readers names
+    # which _clock_readers names, and the module imports hashlib, which
+    # _digest_importers names
     package = tmp_path / "src" / "homspec"
     package.mkdir(parents=True)
     (package / "mod.py").write_text(textwrap.dedent("""\
+        import hashlib
         import time
         from dataclasses import dataclass
 
@@ -468,9 +488,10 @@ def test_gates_see_what_only_tests_use(tmp_path):
     assert _unread_parameters(trees) == ["mod.py:driver.check(note)"]
     assert _unread_fields(trees) == ["mod.py:Pair.spare"]
     assert _constant_arguments(trees) == ["mod.py:_scale(factor)"]
-    assert _not_implemented(trees) == ["mod.py:17"]
+    assert _not_implemented(trees) == ["mod.py:18"]
     assert _clock_readers(trees) == ["mod.py:helper"]
     assert _evaluators(trees) == ["mod.py:solve"]
+    assert _digest_importers(trees) == ["mod.py"]
 
 
 def test_tracer_restores_every_patch(monkeypatch):
