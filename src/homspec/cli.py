@@ -2,7 +2,7 @@
 
 Subcommands: homogenize, spectrum, expand, reference, sweep, verify,
 plot-data.  Exit codes: 0 success, 2 invariant failure, 3 config or usage
-error, 4 numerical failure.
+error, 4 numerical failure (a float overflow among them).
 """
 
 from __future__ import annotations
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except HomspecError as exc:

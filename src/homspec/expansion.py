@@ -62,7 +62,7 @@ from .hermite import (
     spectral_gap,
 )
 from .separable import PRUNE_TOL, SeparableField
-from .slowpoly import SlowPolynomial, monomials_of_degree
+from .slowpoly import SlowPolynomial, monomials_of_degree, unit_index
 from .torus import (CoefficientField, FourierSampler, PeriodicField,
                     cell_residual, l2_inner, solve_cell)
 
@@ -321,7 +321,8 @@ def choose_P(eps: float, lam0: float, gamma: float, c: float,
     When the computed corrections are supplied, the order is additionally
     capped at the last p for which |eps^p mu_p| is still decreasing.
     """
-    x = eps * lam0 ** 1.5 / gamma
+    # a product, where lam0 ** 1.5 would raise OverflowError past 1e205
+    x = eps * lam0 * math.sqrt(lam0) / gamma
     if x >= 1.0:
         raise EpsilonTooLarge(
             f"eps*lambda^(3/2)/gamma = {x:.3g} >= 1; truncation rule undefined"
@@ -339,10 +340,6 @@ def choose_P(eps: float, lam0: float, gamma: float, c: float,
             prev = max(cur, prev * 1e-16)
         P = min(P, max(2, cap))
     return P
-
-
-def epsilon_condition_violated(eps: float, lam0: float, gamma: float) -> bool:
-    return eps > gamma * lam0 ** -1.5
 
 
 # --- the coupling matrix -------------------------------------------------------
@@ -377,8 +374,8 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
     phis = spec.eigenfunctions[a:b]
     pts = quad.points()
 
-    e_idx = [tuple(1 if ax == i else 0 for ax in range(d)) for i in range(d)]
-    dphi = [[quad.values(phis[r], e_idx[i]) for i in range(d)] for r in range(N)]
+    dphi = [[quad.values(phis[r], unit_index(d, i)) for i in range(d)]
+            for r in range(N)]
 
     D1 = np.zeros((N, N))        # |alpha| <= 2 block, printed route
     G = np.zeros((N, N))         # |alpha| = 3 block
@@ -401,9 +398,9 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
 
     cov = np.zeros((d, d))
     for i in range(d):
-        chi_i = table.chi(1, e_idx[i]).terms[(0,) * d]
+        chi_i = table.chi(1, unit_index(d, i)).terms[(0,) * d]
         for l in range(i, d):
-            chi_l = table.chi(1, e_idx[l]).terms[(0,) * d]
+            chi_l = table.chi(1, unit_index(d, l)).terms[(0,) * d]
             cov[i, l] = cov[l, i] = l2_inner(chi_i, chi_l)
     wvals = table.W(pts) - mu0
     D2 = np.zeros((N, N))
@@ -452,8 +449,7 @@ def _level_rhs(table, U, mu, K, quad):
     H = _div_sources(table, U, K, quad)
     coeffs = np.zeros(U[0].basis.total)
     for i in range(table.d):
-        coeffs -= quad.project(H[i], tuple(int(ax == i)
-                                           for ax in range(table.d)))
+        coeffs -= quad.project(H[i], unit_index(table.d, i))
     for k in range(1, K - 1):
         if mu[K - 1 - k] != 0.0 and U[k].norm() > 0.0:
             coeffs = coeffs + mu[K - 1 - k] * U[k].coeffs
@@ -545,7 +541,7 @@ def _run_branch(table, spec, j, P, label, D, E, mu2_list) -> ExpansionBranch:
         branch.U.append(Unew)
 
         if K == 2:
-            tol = MU1_TOL * lam0 ** 1.5
+            tol = MU1_TOL * lam0 * math.sqrt(lam0)
             if abs(mu[1]) > tol:
                 raise NumericalError(
                     f"first-order correction {mu[1]:.3e} exceeds "

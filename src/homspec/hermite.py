@@ -53,7 +53,7 @@ class MacroBasis:
         if self.size < 8:
             raise ValueError("basis size must be >= 8 per axis")
         if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+            raise NumericalError(f"Hermite scale {self.sigma!r} not positive")
 
     @property
     def total(self) -> int:
@@ -73,8 +73,10 @@ def default_sigma(abar: np.ndarray, W: SlowPolynomial) -> float:
     abar = np.atleast_2d(np.asarray(abar, dtype=float))
     d = abar.shape[0]
     Q = W.quadratic_form()
-    det_q = float(np.linalg.det(Q))
-    det_a = float(np.linalg.det(abar))
+    # an overflowed det leaves sigma 0 or inf, which the spectrum refuses
+    with np.errstate(over="ignore"):
+        det_q = float(np.linalg.det(Q))
+        det_a = float(np.linalg.det(abar))
     if det_q <= 0:
         raise NonConfining("potential has no positive quadratic part")
     return float((det_a / det_q) ** (1.0 / (4 * d)))

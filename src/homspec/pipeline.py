@@ -29,12 +29,7 @@ from .classical import build_suite, cyclic_check
 from .config import RunConfig, serialize_config
 from .errors import (ConfigError, EpsilonTooLarge, HomspecError,
                      InsufficientPoints)
-from .expansion import (
-    choose_P,
-    epsilon_condition_violated,
-    multiple_recursion,
-    simple_recursion,
-)
+from .expansion import choose_P, multiple_recursion, simple_recursion
 from .hermite import MacroBasis, default_sigma, solve_spectrum, spectral_gap
 from .torus import TorusGrid
 
@@ -111,6 +106,15 @@ def precision_warnings(nmant: int) -> list:
 # --- stages ----------------------------------------------------------------------
 
 
+def positive_eigenvalue(spec, k: int, need: str) -> float:
+    """lambda_k of spec; a ConfigError saying what needs it when it is not
+    positive."""
+    lam = spec.eigenvalue(k)
+    if lam <= 0:
+        raise ConfigError(f"lambda_{k} = {lam:.6g} is not positive: {need}")
+    return lam
+
+
 def stage_homogenize(cfg: RunConfig, warnings: list):
     """The corrector store (mu = []) with abar and abar3_sym read off it:
     (store, abar, abar3_sym).  A coefficient given as grid samples adds a
@@ -136,14 +140,11 @@ def stage_expand(cfg: RunConfig, store, spec, warnings: list):
     decide the order P_eps[eps] at which every eps is evaluated: p_order,
     or the truncation rule capped by the decay of branch 0's mu_p (2 where
     the rule is undefined).  Returns (branches, P_build, P_eps); each eps
-    adds its EpsilonTooLarge and EpsilonConditionViolated warnings once, and
-    a hierarchy residual above 1e-8 adds HierarchyResidual.  A lambda_j that
-    is not positive is a ConfigError: both rules take lambda_j^(3/2)."""
-    lam0 = spec.eigenvalue(cfg.j)
-    if lam0 <= 0:
-        raise ConfigError(
-            f"lambda_{cfg.j} = {lam0:.6g} is not positive: the truncation "
-            "rule and the epsilon condition need lambda_j > 0")
+    where the rule is undefined adds EpsilonConditionViolated once, and
+    EpsilonTooLarge unless p_order is set, and a hierarchy residual above
+    1e-8 adds HierarchyResidual.  lambda_j must be positive."""
+    lam0 = positive_eigenvalue(spec, cfg.j, "the truncation rule and the "
+                               "epsilon condition need lambda_j > 0")
     a, b = spec.cluster_of(cfg.j)
     gamma = spectral_gap(spec, cfg.j)
 
@@ -158,23 +159,27 @@ def stage_expand(cfg: RunConfig, store, spec, warnings: list):
     else:
         ruled = [P for P in map(rule, cfg.eps_list) if P is not None]
         P_build = min(max(ruled, default=2), P_BUILD_CAP)
-    if b - a == 1:
-        branches = [simple_recursion(store, spec, cfg.j, P_build)]
-    else:
-        branches = multiple_recursion(store, spec, cfg.j, P_build)
+    # an overflow raises FloatingPointError, which main reports as a
+    # numerical failure, where an inf or NaN would pass the residual checks
+    with np.errstate(over="raise", invalid="raise"):
+        if b - a == 1:
+            branches = [simple_recursion(store, spec, cfg.j, P_build)]
+        else:
+            branches = multiple_recursion(store, spec, cfg.j, P_build)
     P_eps = {}
     for eps in cfg.eps_list:
-        P = cfg.p_order or rule(eps, branches[0].mu)
+        P = rule(eps, branches[0].mu)
         if P is None:
-            warnings.append({"code": "EpsilonTooLarge", "eps": eps,
-                             "detail": f"truncation rule undefined at eps={eps}"})
-        if epsilon_condition_violated(eps, lam0, gamma):
+            if not cfg.p_order:
+                warnings.append({
+                    "code": "EpsilonTooLarge", "eps": eps,
+                    "detail": f"truncation rule undefined at eps={eps}"})
             warnings.append({
                 "code": "EpsilonConditionViolated", "eps": eps,
                 "detail": f"eps={eps:.4g} exceeds gamma*lambda^(-3/2)="
                           f"{gamma * lam0 ** -1.5:.4g}",
             })
-        P_eps[eps] = min(P or 2, P_build)
+        P_eps[eps] = cfg.p_order or min(P or 2, P_build)
     hier_max = hierarchy_residual_max(branches)
     if hier_max > 1e-8:
         warnings.append({
@@ -226,9 +231,9 @@ def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
     _, b = spec.cluster_of(cfg.j)
     lam_min = float(np.min(np.linalg.eigvalsh(W.quadratic_form())))
     radius = cfg.radius or truncation_radius(
-        spec.eigenvalues[min(cfg.count, spec.count) - 1], lam_min,
-        cfg.radius_safety,
-    )
+        positive_eigenvalue(spec, cfg.count, "the automatic box radius "
+                            "needs it positive; set discretization.radius"),
+        lam_min, cfg.radius_safety)
     warnings.extend(precision_warnings(np.finfo(np.longdouble).nmant))
     largest = max(cfg.eps_list)
     shifts = None
@@ -338,7 +343,8 @@ def run(cfg: RunConfig):
     for k, lam0k in enumerate(spec.eigenvalues):
         ratios = [abs(meta["lambda_ref"][k] - lam0k)
                   / (meta["eps"] * lam0k ** 1.5)
-                  for meta in per_eps_meta if k < len(meta["lambda_ref"])]
+                  for meta in per_eps_meta
+                  if lam0k > 0 and k < len(meta["lambda_ref"])]
         if ratios:
             c1[f"j{k + 1}"] = float(max(ratios))
 

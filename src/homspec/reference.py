@@ -52,6 +52,7 @@ from .errors import (
     DegenerateFit,
     GridTooCoarse,
     MatchingAmbiguous,
+    NotElliptic,
 )
 from .slowpoly import SlowPolynomial
 from .torus import CoefficientField, FourierSampler, tensor_grid
@@ -104,8 +105,6 @@ def truncation_radius(lam: float, lambda_minus: float, safety: float) -> float:
     run configuration validates the chosen radius once by doubling it and
     checking the target eigenvalues move by less than 1e-9 relative.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     return float(safety) * float(np.sqrt(lam / lambda_minus))
 
 
@@ -125,11 +124,13 @@ class FineGrid:
 
     @property
     def n_cells(self) -> int:
-        return int(round(2.0 * self.radius / self.h))
+        # 2^62 stands in for a count that no int holds, far past any cap
+        return int(round(min(2.0 * self.radius / self.h, 2.0 ** 62)))
 
     @property
     def n_interior(self) -> int:
-        return self.n_cells - 1
+        # a box narrower than one cell has none
+        return max(self.n_cells - 1, 0)
 
     def points(self) -> np.ndarray:
         """All interior nodes, (m, d)."""
@@ -374,6 +375,11 @@ def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid):
                                 [j for j in range(d) if j != k])
                  for k in range(d)]
         vals = np.broadcast_to(fn(coords, index), (len(y),) * d + y.shape[1:])
+        # the torus grid can miss where a coefficient touches 0 between its
+        # nodes; the harmonic averages and the flux gradient divide by it
+        if not np.min(vals) > 0:
+            raise NotElliptic(f"a{ax + 1}{ax + 1} reaches {np.min(vals):.3g} "
+                              "between the torus grid's nodes")
         harm = 1.0 / (0.5 * ((1.0 / vals[..., :-1]) @ GL_WEIGHTS))
         edges.append(harm[np.ix_(*(cell if k == ax else node
                                    for k in range(d)))])
@@ -398,8 +404,10 @@ def _factor(op, shift) -> tuple:
 def _normalized(v: np.ndarray) -> np.ndarray:
     """v scaled to unit 2-norm in place; returns it."""
     # a serial sum: a BLAS norm splits long vectors over threads, and its
-    # bits with them
-    v /= np.sqrt(np.sum(v * v))
+    # bits with them; iterates near the float range overflow it to inf, and
+    # the NaNs that follow fail the caller's convergence check
+    with np.errstate(over="ignore", invalid="ignore"):
+        v /= np.sqrt(np.sum(v * v))
     return v
 
 
@@ -569,8 +577,9 @@ def _solve_1d(coeff_at, W, eps, grid, count, shifts=None):
 
 
 def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
-    """The 1D axes of a problem, (a_k, W_k) per axis with a_k as
-    CoefficientField.entry gives it, or None when it does not separate.
+    """The 1D axes of a problem, (a_k, W_k) per axis with a_k a callable
+    of a 1D point set and its index, as _fd_operator calls it, or None when
+    it does not separate.
 
     A 1D problem is its one axis.  A 2D one, whose a is diagonal
     (check_diagonal), separates when a = diag(a1(y1), a2(y2)), on the
@@ -589,22 +598,15 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
                        (fns[1][1](q, p), fns[1][1](0 * p, p))):
         if np.max(np.abs(own - fixed)) > 1e-14 * max(1, np.max(own)):
             return None
-    W1 = {}
-    W2 = {}
-    for alpha, c in W.coeffs.items():
-        if alpha[1] == 0:
-            W1[(alpha[0],)] = W1.get((alpha[0],), 0.0) + c
-        elif alpha[0] == 0:
-            W2[(alpha[1],)] = W2.get((alpha[1],), 0.0) + c
-        else:
-            return None
-    f1, f2 = coeff.entry(0, 0), coeff.entry(1, 1)
-    # a 1D point set is a 2D one with the other coordinate 0
+    parts = W.axis_parts()
+    if parts is None:
+        return None
+    f1, f2 = fns[0][0], fns[1][1]
+    # each axis's entry is its expression with the other coordinate 0, at
+    # the points of a 1D point set
     return [
-        (lambda c, ix: f1(np.hstack([c, 0 * c]), [ix[0], ix[0]]),
-         SlowPolynomial(1, W1)),
-        (lambda c, ix: f2(np.hstack([0 * c, c]), [ix[0], ix[0]]),
-         SlowPolynomial(1, W2)),
+        (lambda c, ix: f1(c[ix[0], 0], 0 * c[ix[0], 0]), parts[0]),
+        (lambda c, ix: f2(0 * c[ix[0], 0], c[ix[0], 0]), parts[1]),
     ]
 
 

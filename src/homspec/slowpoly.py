@@ -38,9 +38,7 @@ class SlowPolynomial:
 
     @classmethod
     def variable(cls, dim: int, axis: int) -> "SlowPolynomial":
-        e = [0] * dim
-        e[axis] = 1
-        return cls(dim, {tuple(e): 1.0})
+        return cls(dim, {unit_index(dim, axis): 1.0})
 
     # --- queries ---
 
@@ -67,6 +65,17 @@ class SlowPolynomial:
                 Q[i, j] += c / 2.0
                 Q[j, i] += c / 2.0
         return Q
+
+    def axis_parts(self) -> list | None:
+        """The 1D polynomials W_k(x_k), one per axis, that sum to W, the
+        constant term on axis 0; None when a monomial mixes axes."""
+        parts = [{} for _ in range(self.dim)]
+        for alpha, c in self.coeffs.items():
+            axes = [ax for ax, p in enumerate(alpha) if p] or [0]
+            if len(axes) > 1:
+                return None
+            parts[axes[0]][(alpha[axes[0]],)] = c
+        return [SlowPolynomial(1, part) for part in parts]
 
     # --- algebra ---
 
@@ -147,6 +156,11 @@ class SlowPolynomial:
             c = self.coeffs[alpha]
             parts.append(f"{c:+.6g}" + (f"*{mono}" if mono else ""))
         return " ".join(parts)
+
+
+def unit_index(d: int, *axes: int) -> tuple:
+    """The multi-index e_axes[0] + e_axes[1] + ... in d dimensions."""
+    return tuple(axes.count(ax) for ax in range(d))
 
 
 def monomials_of_degree(dim: int, m: int) -> list:

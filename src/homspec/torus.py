@@ -431,7 +431,9 @@ def hminus1_norm(f: PeriodicField) -> float:
     if f.rank != 0:
         raise GridMismatch("hminus1_norm expects a scalar field")
     fh = _rfft(f.values) / f.grid.npoints
-    w = np.abs(fh) ** 2 / f.grid.k_squared * f.grid.parseval_weights
+    # past about 1e154 a square overflows to inf, as in l2_norm
+    with np.errstate(over="ignore"):
+        w = np.abs(fh) ** 2 / f.grid.k_squared * f.grid.parseval_weights
     w.flat[0] = 0.0
     return float(np.sqrt(w.sum()))
 
@@ -450,9 +452,11 @@ def _eig_bounds(v: np.ndarray) -> tuple:
     if v.shape[0] == 1:
         w = v[0, 0]
         return float(w.min()), float(w.max())
-    tr = v[0, 0] + v[1, 1]
-    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
+    # past about 1e154 the squares overflow, to a bound the caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = v[0, 0] + v[1, 1]
+        det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+        disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
     return float((tr / 2 - disc).min()), float((tr / 2 + disc).max())
 
 
@@ -481,7 +485,7 @@ class CoefficientField:
         self.entry_fns = entry_fns
         self.from_samples = from_samples
         lo, hi = _eig_bounds(a.values)
-        if lo <= 0.0:
+        if not lo > 0.0:
             raise NotElliptic(f"coefficient not positive definite, min eig {lo:.3e}")
         self.lam_min = lo
         self.lam_max = hi
@@ -649,24 +653,25 @@ def solve_cell(coeff: CoefficientField,
         b += _resample(G.values - gmean, n, n)
     b -= b.mean()
 
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return PeriodicField.zeros(grid)
-
-    # the constant-coefficient Laplacian's inverse, zero on the mean
-    inv = 1.0 / (0.5 * (coeff.lam_min + coeff.lam_max) * grid.k_squared)
-    inv.flat[0] = 0.0
-    # lo / (2 cbar): half the least 1/alpha of CG in exact arithmetic
-    lo = _eig_bounds(coeff.padded_values)[0]
-    floor = max(lo, 0.0) / (coeff.lam_min + coeff.lam_max)
-
-    uh = np.zeros(grid.half_shape, dtype=complex)
-    r = _rfft(b)
-    p = z = inv * r
-    rz = _parseval_dot(grid, r, z)
-    # past a breakdown the iterates may grow until they overflow, or r.z may
-    # reach 0: the check below catches both, so numpy need not warn of them
+    # a source past about 1e154 overflows bnorm and r.z, and past a
+    # breakdown the iterates may overflow or r.z reach 0: the check below
+    # catches all three, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bnorm = np.linalg.norm(b)
+        if bnorm == 0.0:
+            return PeriodicField.zeros(grid)
+
+        # the constant-coefficient Laplacian's inverse, zero on the mean
+        inv = 1.0 / (0.5 * (coeff.lam_min + coeff.lam_max) * grid.k_squared)
+        inv.flat[0] = 0.0
+        # lo / (2 cbar): half the least 1/alpha of CG in exact arithmetic
+        lo = _eig_bounds(coeff.padded_values)[0]
+        floor = max(lo, 0.0) / (coeff.lam_min + coeff.lam_max)
+
+        uh = np.zeros(grid.half_shape, dtype=complex)
+        r = _rfft(b)
+        p = z = inv * r
+        rz = _parseval_dot(grid, r, z)
         for it in range(CG_MAXITER):
             Ap = _operator_half(coeff, p)
             pAp = _parseval_dot(grid, p, Ap)

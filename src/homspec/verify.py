@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import build_suite, cyclic_check, suite_diagnostics
-from .expansion import build_D_matrix, lambda_tilde_shift, simple_recursion
+from .classical import build_suite, cyclic_check, symmetrized_abar3
+from .expansion import (CorrectorTable, build_D_matrix, lambda_tilde_shift,
+                        simple_recursion)
 from .hermite import (
     MacroBasis,
     MacroFunction,
@@ -27,14 +28,17 @@ from .hermite import (
     solve_spectrum,
     spectral_gap,
 )
-from .slowpoly import SlowPolynomial
+from .slowpoly import SlowPolynomial, unit_index
 from .torus import (
     CoefficientField,
     PeriodicField,
     TorusGrid,
+    div_y,
     grad_y,
+    hminus1_norm,
     l2_inner,
     solve_cell,
+    solve_flux_corrector,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -66,6 +70,68 @@ def _coeff_2d():
          + 0.2 * np.cos(TWO_PI * y2), off],
         [off, lambda y1, y2: 2.5 + 0.3 * np.sin(TWO_PI * y2)],
     ])
+
+
+# --- the q = 1, 2 corrector invariants -------------------------------------
+
+
+def _flux(table: CorrectorTable, *axes: int) -> PeriodicField:
+    """The flux of alpha = e_axes[0] + e_axes[1] + ..., q = len(axes), as a
+    vector field: its one slow monomial at q <= 2 is 1."""
+    zero = PeriodicField.zeros(table.grid)
+    return PeriodicField(table.grid, np.stack([
+        comp.terms.get((0,) * table.d, zero).values
+        for comp in table.flux(len(axes), unit_index(table.d, *axes))]))
+
+
+def _flux2(table: CorrectorTable, s1: list, j: int, k: int) -> PeriodicField:
+    """Second-order flux of alpha = e_j + e_k with its stream columns,
+    f_{2,alpha} + s1_k[:, j] + s1_j[:, k] (one column when j = k): mean
+    <f_{2,alpha}> and divergence-free."""
+    f = _flux(table, j, k) + PeriodicField(table.grid, s1[k].values[:, j])
+    if j != k:
+        f = f + PeriodicField(table.grid, s1[j].values[:, k])
+    return f
+
+
+def suite_diagnostics(table: CorrectorTable) -> dict:
+    """Measured invariants of the q = 1, 2 entries of a corrector store.
+
+    Returns a dict of named magnitudes; thresholds live with the caller.
+    """
+    d = table.d
+    flux1 = [_flux(table, k) for k in range(d)]
+    chi1 = [table.chi(1, unit_index(d, k)).terms[(0,) * d] for k in range(d)]
+    abar = np.stack([np.asarray(f.mean()) for f in flux1], axis=1)
+    g = [f.mean_zero() for f in flux1]
+    s1 = [solve_flux_corrector(gk) for gk in g]
+    out = {}
+    out["abar_asymmetry"] = float(np.max(np.abs(abar - abar.T)))
+    ev = np.linalg.eigvalsh(0.5 * (abar + abar.T))
+    out["abar_eig_min"] = float(ev.min())
+    out["abar_eig_max"] = float(ev.max())
+    out["chi1_mean"] = max(abs(c.mean()) for c in chi1)
+    out["chi1_residual"] = max(res for (q, _, _), res
+                               in table.residuals.items() if q == 1)
+    out["g_mean"] = max(float(np.max(np.abs(np.asarray(f.mean())))) for f in g)
+    out["s1_skew_gap"] = max(
+        float(np.max(np.abs(s.values + np.swapaxes(s.values, 0, 1))))
+        for s in s1
+    )
+    out["s1_div_error"] = max(
+        (div_y(s1[k]) - g[k]).l2_norm() / max(g[k].l2_norm(), 1e-30)
+        for k in range(d)
+    ) if d > 1 else 0.0
+    out["chi2_mean"] = max(
+        table.chi(2, unit_index(d, j, k)).max_shape_mean()
+        for j in range(d) for k in range(j, d))
+    out["cyclic"] = cyclic_check(symmetrized_abar3(table))
+    # the centered second-order flux must be divergence-free
+    out["flux2_consistency"] = max(
+        hminus1_norm(div_y(flux.mean_zero())) / max(flux.l2_norm(), 1e-30)
+        for flux in (_flux2(table, s1, j, k)
+                     for j in range(d) for k in range(j, d)))
+    return out
 
 
 def run_invariants(tolerance_scale: float = 1.0) -> list:

@@ -1,15 +1,18 @@
-"""The bundled configs' sweep outputs, pinned.
+"""The bundled configs' outputs, pinned.
 
 For configs/minimal.ini, simple-1d.ini and multiple-2d.ini, sweep.csv
 without its runtime_s column and the manifest without its timings are held
-in bundled_outputs.json.  A change that moves them regenerates the fixture
-with
+in bundled_outputs.json, and so are the SHA-256 digests of every artifact
+of homogenize, reference, spectrum --eigenfunction-samples 30 and expand
+--w-samples 100, and of the verify report.  A change that moves them
+regenerates the fixture with
 
     PYTHONPATH=src python tests/test_bundled_outputs.py
 
 and states the shift.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -29,18 +32,64 @@ CONFIGS = ("minimal", "simple-1d", "multiple-2d")
 RTOL, ATOL = 1e-4, 1e-13
 
 
+# the commands whose artifacts are pinned by digest, each run with its own
+# --out directory in one process per config
+COMMANDS = (("homogenize",), ("reference",),
+            ("spectrum", "--eigenfunction-samples", "30"),
+            ("expand", "--w-samples", "100"))
+DRIVER = f"""
+import sys
+from homspec.cli import main
+config, out = sys.argv[1:]
+for command in {COMMANDS!r}:
+    assert main(["--config", config, "--out", out + "/" + command[0],
+                 *command]) == 0
+"""
+
+
+def _cli(*argv, cwd) -> str:
+    """stdout of one homspec process at one BLAS thread, which must exit
+    0; argv follows the interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(HERE, "..", "src"))
+    r = subprocess.run([sys.executable, *argv], capture_output=True,
+                       text=True, env=env, cwd=cwd)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def _config_path(config: str) -> str:
+    return os.path.join(HERE, "..", "configs", f"{config}.ini")
+
+
+def artifact_digests(config: str) -> dict:
+    """The SHA-256 of every file that COMMANDS write for the bundled
+    config, keyed by its path under the output directory."""
+    with tempfile.TemporaryDirectory() as out:
+        _cli("-c", DRIVER, _config_path(config), out, cwd=out)
+        digests = {}
+        for root, _, names in os.walk(out):
+            for name in names:
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    digests[os.path.relpath(path, out)] = hashlib.sha256(
+                        fh.read()).hexdigest()
+    return dict(sorted(digests.items()))
+
+
+def verify_digest() -> str:
+    """The SHA-256 of the verify report."""
+    with tempfile.TemporaryDirectory() as out:
+        report = _cli("-m", "homspec.cli", "verify", cwd=out)
+    return hashlib.sha256(report.encode()).hexdigest()
+
+
 def bundled_outputs(config: str) -> dict:
     """sweep.csv without runtime_s and the manifest without timings, from
     one sweep of the bundled config in a subprocess at one BLAS thread."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.path.join(HERE, "..", "src"))
     with tempfile.TemporaryDirectory() as out:
-        r = subprocess.run(
-            [sys.executable, "-m", "homspec.cli", "--config",
-             os.path.join(HERE, "..", "configs", f"{config}.ini"),
-             "--out", out, "sweep"],
-            capture_output=True, text=True, env=env, cwd=out)
-        assert r.returncode == 0, r.stderr
+        _cli("-m", "homspec.cli", "--config", _config_path(config),
+             "--out", out, "sweep", cwd=out)
         with open(os.path.join(out, "sweep.csv")) as fh:
             sweep = "\n".join(line.rsplit(",", 1)[0]
                               for line in fh.read().splitlines())
@@ -96,8 +145,31 @@ def test_bundled_outputs_pinned(config):
     _assert_close(got["manifest"], want["manifest"], "manifest")
 
 
+# the digests hold bytes, which only x87 extended precision reproduces
+x87_only = pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                              reason="the digests are of x87 output")
+
+
+@x87_only
+@pytest.mark.parametrize("config", CONFIGS)
+def test_bundled_artifacts_pinned(config):
+    with open(FIXTURE) as fh:
+        want = json.load(fh)[config]["artifacts"]
+    assert artifact_digests(config) == want
+
+
+@x87_only
+def test_verify_report_pinned():
+    with open(FIXTURE) as fh:
+        want = json.load(fh)["verify"]
+    assert verify_digest() == want
+
+
 if __name__ == "__main__":
-    pinned = {config: bundled_outputs(config) for config in CONFIGS}
+    pinned = {config: {**bundled_outputs(config),
+                       "artifacts": artifact_digests(config)}
+              for config in CONFIGS}
+    pinned["verify"] = verify_digest()
     with open(FIXTURE, "w") as fh:
         json.dump(pinned, fh, indent=1, sort_keys=True)
         fh.write("\n")

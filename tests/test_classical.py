@@ -5,13 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homspec.classical import (
-    _flux,
-    _flux2,
-    build_suite,
-    cyclic_check,
-    suite_diagnostics,
-)
+from homspec.classical import build_suite, cyclic_check
 from homspec.slowpoly import SlowPolynomial
 from homspec.torus import (
     CoefficientField,
@@ -20,6 +14,7 @@ from homspec.torus import (
     grad_y,
     solve_flux_corrector,
 )
+from homspec.verify import _flux, _flux2, suite_diagnostics
 
 TWO_PI = 2.0 * np.pi
 

@@ -870,20 +870,19 @@ class TestCLI:
             manifest.per_eps[0]["lambda_ref"][0], rel=1e-12)
 
     @pytest.mark.parametrize("command", ["reference", "sweep"])
-    @pytest.mark.parametrize("radius", ["0.0078125", "0.01171875"])
+    @pytest.mark.parametrize("radius", ["0.0078125", "0.01171875", "0.001"])
     def test_box_too_small_exit_code(self, tmp_path, command, radius):
         # h = 0.125 / 16: the box holds 1 and 2 interior nodes, fewer than
-        # the max(count, 3) the reference needs; a radius of 0 is a config
-        # error
+        # the max(count, 3) the reference needs, and a box narrower than
+        # one cell holds none; a radius of 0 is a config error
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(MINIMAL.replace("radius = 7.0", f"radius = {radius}")
                            .replace("0.125, 0.0625, 0.03125", "0.125"))
         r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
                       command, cwd=str(tmp_path))
-        assert r.returncode == 4, r.stderr
-        assert r.stderr.startswith("error: ")
-        assert "interior nodes" in r.stderr
-        assert "Traceback" not in r.stderr
+        nodes = {"0.0078125": 1, "0.01171875": 2, "0.001": 0}[radius]
+        self._fails_in_one_line(r, 4, "error: ",
+                                f"error: {nodes} interior nodes per axis")
 
     @staticmethod
     def _refused_a12(tmp_path, command, monkeypatch, capsys, a12):
@@ -1198,6 +1197,99 @@ class TestCLI:
         r = self._run("--config", str(cfgfile), "--out", str(tmp_path / "out"),
                       command, cwd=str(tmp_path))
         self._fails_in_one_line(r, 3, "config error: ", "lambda_1 = -1.68")
+
+    def test_negative_top_eigenvalue_reference_exit_code(self, tmp_path):
+        # W = x^2 - 30 puts lambda_3 below 0: the automatic box radius,
+        # sqrt(lambda_3 / Lambda_-), is then undefined
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(
+            "[problem]\ndim = 1\na = 2 + cos(2*pi*y)\nw = x**2 - 30\n"
+            "[discretization]\ntorus_modes = 16\nhermite_size = 16\n"
+            "[experiment]\nj = 1\ncount = 3\neps = 0.1\n")
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                      "reference", cwd=str(tmp_path))
+        self._fails_in_one_line(r, 3, "config error: ", "lambda_3 = ")
+
+    @pytest.mark.parametrize("command, problem, p_order, code, line", [
+        ("homogenize", "dim = 2\na11 = 1e300\na22 = 1e-300\n"
+         "w = x1**2 + x2**2", "", 4,
+         "error: coefficient not positive definite, min eig -inf"),
+        ("homogenize", "dim = 2\na11 = 1e300\na22 = 1e300\n"
+         "w = x1**2 + x2**2", "", 4,
+         "error: coefficient not positive definite, min eig nan"),
+        ("spectrum", "dim = 2\na11 = 1\na22 = 1\n"
+         "w = 1e300*x1**2 + 1e300*x2**2", "", 4,
+         "numerical failure: Hermite scale 0.0 not positive"),
+        ("homogenize", "dim = 1\na = 4e299 + 1e299*sin(6*pi*y)\nw = x**2",
+         "", 4, "numerical failure: homogenized matrix [[0.0]]"),
+        ("homogenize", "dim = 1\na = 6e299 + 4e299*sin(4*pi*y)\nw = x**2",
+         "", 4, "numerical failure: cell solve broke down"),
+        ("reference", "dim = 1\na = 1 + 1e-16*cos(2*pi*y)\n"
+         "w = 1e282*x**2 + 1e282*x + 1e282", "", 4,
+         "numerical failure: h grid bisection's shifts failed"),
+        ("expand", "dim = 1\na = 1e142 / (3 + cos(2*pi*y))\n"
+         "w = 5e299*x**2 + 3", "", 4, "numerical failure: overflow"),
+        ("expand", "dim = 1\na = 1e140\nw = 1e300*x**2", "p_order = 2", 0,
+         ""),
+        ("reference", "dim = 1\na = 2 + cos(2*pi*y)\nw = 1e-300*x**2 + 1e300",
+         "", 4, "numerical failure: 4.61e+18 nodes per axis"),
+    ], ids=["eig-bound-inf", "eig-bound-nan", "default-sigma",
+            "flux-norm", "cell-source-norm", "normalized-iterate",
+            "truncation-rule", "mu1-tolerance", "node-count"])
+    def test_float_range_exit_code(self, tmp_path, command, problem, p_order,
+                                   code, line):
+        # problems at the float range, one per place where an overflow
+        # ended in a traceback, or printed a RuntimeWarning before the exit
+        # line: each ends in its exit code and one line, or runs cleanly
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(
+            f"[problem]\n{problem}\n[discretization]\ntorus_modes = 8\n"
+            "hermite_size = 8\n[experiment]\nj = 1\ncount = 2\neps = 0.1\n"
+            f"{p_order}\n")
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                      command, cwd=str(tmp_path))
+        if code == 0:
+            assert r.returncode == 0 and r.stderr == "", r.stderr
+        else:
+            self._fails_in_one_line(r, code, line, line)
+
+    @pytest.mark.parametrize("command", ["reference", "sweep"])
+    def test_coefficient_zero_off_torus_grid_exit_code(self, tmp_path,
+                                                       command):
+        # 1 + sin(4 pi y) reads 1 on all 4 torus nodes and reaches 0 at
+        # y = 3/8, a fine-grid node at radius 2: the harmonic averages and
+        # the flux gradient would divide by it
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(
+            "[problem]\ndim = 1\na = 1 + sin(2*pi*2*y)\nw = x**2\n"
+            "[discretization]\ntorus_modes = 4\nhermite_size = 10\n"
+            "radius = 2.0\n[experiment]\nj = 1\ncount = 2\neps = 0.1\n")
+        r = self._run("--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                      command, cwd=str(tmp_path))
+        self._fails_in_one_line(r, 4, "error: a11 reaches 0 ", "torus grid")
+
+    def test_negative_lower_eigenvalue_sweep(self, tmp_path):
+        # W = x^2 - 2 puts lambda_1 below 0 and lambda_2 above: the sweep
+        # about lambda_2 runs, and the zeroth-order envelope, which takes
+        # lambda_k^(3/2), leaves lambda_1 out instead of writing NaN
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(
+            "[problem]\ndim = 1\na = 2 + cos(2*pi*y)\nw = x**2 - 2\n"
+            "[discretization]\ntorus_modes = 16\nhermite_size = 16\n"
+            "[experiment]\nj = 2\ncount = 4\neps = 0.1, 0.05, 0.025\n")
+        out = tmp_path / "out"
+        r = self._run("--config", str(cfgfile), "--out", str(out), "sweep",
+                      cwd=str(tmp_path))
+        assert r.returncode == 0 and r.stderr == "", r.stderr
+
+        def refuse(name):
+            raise AssertionError(f"{name} in manifest.json")
+
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=refuse)
+        assert manifest["lambda0"] > 0
+        # the reference solves max(j + 1, 3) eigenvalues per eps
+        assert sorted(manifest["c1_envelope"]) == ["j2", "j3"]
 
     def _minimal(self, tmp_path, old="", new=""):
         """configs/minimal.ini, with ``old`` replaced by ``new``, as
