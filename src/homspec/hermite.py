@@ -459,6 +459,7 @@ class SpectrumResult:
     all_eigenvalues: np.ndarray = field(repr=False)
     all_vectors: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
+    separable: bool = False          # solved per axis, not by a dense eigh
 
     def cluster_of(self, j: int) -> tuple:
         """Half-open 0-based index range of the cluster containing lambda_j."""
@@ -500,8 +501,10 @@ def positive_peaks(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis) -> SpectrumResult:
-    """Dense symmetric eigensolve of the assembled operator.
+def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis,
+               pairs: tuple | None = None) -> SpectrumResult:
+    """Symmetric eigensolve of the assembled operator: the given
+    eigenpairs (vals, vecs) of L0, or, without them, a dense eigh.
 
     count is capped at total/4 so the reported part of the spectrum stays
     well inside the basis trust region.
@@ -510,7 +513,7 @@ def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis) -> SpectrumResult:
         raise TruncationUnsafe(
             f"count {count} outside the safe range [1, {basis.total // 4}]"
         )
-    vals, vecs = np.linalg.eigh(L0)
+    vals, vecs = np.linalg.eigh(L0) if pairs is None else pairs
     positive_peaks(vecs)
     funcs = [MacroFunction(basis, vecs[:, k]) for k in range(count)]
     clusters = _cluster_indices(vals[:count], CLUSTER_TOL)
@@ -519,12 +522,39 @@ def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis) -> SpectrumResult:
         eigenvalues=vals[:count].copy(), eigenfunctions=funcs,
         clusters=clusters,
         all_eigenvalues=vals, all_vectors=vecs, matrix=L0,
+        separable=pairs is not None,
     )
+
+
+def _axis_pairs(abar: np.ndarray, W: SlowPolynomial,
+                basis: MacroBasis) -> tuple | None:
+    """The eigenpairs of a 2D L0 that is a Kronecker sum L_1 (x) I +
+    I (x) L_2, from one eigh per axis (the fast diagonalization of Lynch,
+    Rice & Thomas, Numer. Math. 6, 1964): abar diagonal and W a sum of one
+    polynomial per axis.  vals = v1_i + v2_j and vecs = kron(V1, V2), in
+    stable ascending order of vals.  A repeated eigenvalue, such as
+    v1_0 + v2_1 = v1_1 + v2_0 of an isotropic oscillator, then has a
+    canonical basis of products, where eigh of L0 returns a rotation of it
+    that depends on the rounding, and so on the BLAS thread count.  None
+    in 1D or when L0 does not split."""
+    parts = W.axis_parts() if basis.dim == 2 and abar[0][1] == 0.0 else None
+    if parts is None:
+        return None
+    axis = MacroBasis(1, basis.size, basis.sigma)
+    (v1, V1), (v2, V2) = (np.linalg.eigh(assemble_L0([[abar[k][k]]], part, axis))
+                          for k, part in enumerate(parts))
+    i, j = np.divmod(np.argsort((v1[:, None] + v2).ravel(), kind="stable"),
+                     basis.size)
+    return v1[i] + v2[j], (V1[:, None, i] * V2[None, :, j]).reshape(
+        basis.total, basis.total)
 
 
 def solve_spectrum(abar: np.ndarray, W: SlowPolynomial, basis: MacroBasis,
                    count: int) -> SpectrumResult:
-    """Assemble L0 and eigensolve.
+    """Assemble L0 and eigensolve, per axis where L0 splits (_axis_pairs).
+    The dense L0 is assembled in either case, so that the hierarchy
+    residual tests the eigenpairs against an operator built apart from
+    them.
 
     Raises NumericalError when L0 has a non-finite entry, as a sigma that
     is infinite or far from the oscillator width gives (MacroBasis refuses
@@ -535,7 +565,7 @@ def solve_spectrum(abar: np.ndarray, W: SlowPolynomial, basis: MacroBasis,
     if not np.all(np.isfinite(L0)):
         raise NumericalError(f"L0 has non-finite entries at Hermite scale "
                              f"sigma = {basis.sigma!r}")
-    return eigensolve(L0, count, basis)
+    return eigensolve(L0, count, basis, _axis_pairs(abar, W, basis))
 
 
 def spectral_gap(spec: SpectrumResult, j: int) -> float:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -34,6 +36,9 @@ from .hermite import MacroBasis, default_sigma, solve_spectrum, spectral_gap
 from .torus import TorusGrid
 
 P_BUILD_CAP = 5
+# the environment variables that set the BLAS and OpenMP thread counts
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 # mantissa bits of x87 extended precision, in which the reference's energy
 # quotients and polish are formed
 EXTENDED_NMANT = 63
@@ -62,6 +67,7 @@ class RunManifest:
     radius: float
     radius_shift: float | None
     longdouble_nmant: int       # np.finfo(np.longdouble).nmant of the run
+    blas_threads: dict | None   # THREAD_VARIABLES as seen, see blas_threads
     hierarchy_residual_max: float
     per_eps: list               # rows as dicts (the CSV table)
     fits: dict
@@ -86,6 +92,17 @@ def config_hash(cfg: RunConfig) -> str:
         except ImportError:
             from hashlib import sha256
     return sha256(serialize_config(cfg).encode()).hexdigest()[:16]
+
+
+def blas_threads(dim: int, spec, coeff) -> dict | None:
+    """THREAD_VARIABLES as the run saw them (None where unset) when a 2D
+    run took a dense factorization whose rounding moves with the thread
+    count: the dense eigh of L0 (abar off-diagonal, or W not a sum of one
+    polynomial per axis), or the cell solves' fast diagonalization; None
+    otherwise, where the outputs do not depend on them."""
+    if dim == 2 and (not spec.separable or coeff.fast_diagonalized):
+        return {name: os.environ.get(name) for name in THREAD_VARIABLES}
+    return None
 
 
 def precision_warnings(nmant: int) -> list:
@@ -176,8 +193,9 @@ def stage_expand(cfg: RunConfig, store, spec, warnings: list):
                     "detail": f"truncation rule undefined at eps={eps}"})
             warnings.append({
                 "code": "EpsilonConditionViolated", "eps": eps,
+                # lam0 ** -1.5 underflows to 0 where gamma / lam0 does not
                 "detail": f"eps={eps:.4g} exceeds gamma*lambda^(-3/2)="
-                          f"{gamma * lam0 ** -1.5:.4g}",
+                          f"{gamma / lam0 / math.sqrt(lam0):.4g}",
             })
         P_eps[eps] = cfg.p_order or min(P or 2, P_build)
     hier_max = hierarchy_residual_max(branches)
@@ -362,6 +380,7 @@ def run(cfg: RunConfig):
         radius=radius,
         radius_shift=radius_shift,
         longdouble_nmant=int(np.finfo(np.longdouble).nmant),
+        blas_threads=blas_threads(cfg.dim, spec, store.coeff),
         hierarchy_residual_max=hierarchy_residual_max(branches),
         **summary,
         per_eps=per_eps_meta,

@@ -212,7 +212,7 @@ class FDOperator:
     edges[ax] is the harmonic average of a_ax,ax(./eps) over every cell edge
     along ax (n_cells along ax, n along the others), anodes[ax] is
     a_ax,ax(x/eps) at the nodes, wdiag is W there and h the spacing.  diag
-    and off are the stencil, written once; the 1D methods band, apply,
+    and off are the stencil, written once; the 1D methods tridiagonal, apply,
     quotient, polish and flux_gradient act on a tridiagonal T.
     """
 
@@ -235,17 +235,21 @@ class FDOperator:
         return tuple(-a[(slice(None),) * ax + (slice(1, -1),)] / self.h ** 2
                      for ax, a in enumerate(self.edges))
 
-    def band(self, shift) -> np.ndarray:
-        """T - shift as three rows, the super-, main and subdiagonal (the
-        (1, 1) band layout), each padded to n.  diag - shift is formed in the
-        precision of shift and rounded into the band, one buffered chunk at a
-        time.  Each row is contiguous: _factor factors the rows in place
+    def tridiagonal(self, shift) -> tuple:
+        """T - shift as its sub-, main and superdiagonal (dl, d, du), the
+        arguments of LAPACK's gttrf and gtsv, each its own contiguous array.
+        d = diag - shift is formed in the precision of shift and rounded
+        into d, one buffered chunk at a time.  _factor factors them in place
         (gttrf) once per shift, and the polish hands them to one gtsv solve
-        that overwrites them."""
-        band = np.zeros((3, self.wdiag.size))
-        band[0, 1:] = band[2, :-1] = self.off[0]
-        np.subtract(self.diag, shift, out=band[1], casting="unsafe")
-        return band
+        that overwrites them.  Three arrays, not one block of 3n: the
+        polish's solve on the finest 1D grid sets a sweep's peak memory, and
+        there rows of 0.57 MB fit into heap memory the process already
+        holds, where one 1.7 MB block was mapped afresh (simple-1d's peak
+        RSS fell by 1.4 MB, on a 2-core x86-64 host with glibc)."""
+        e = self.off[0]
+        d = np.subtract(self.diag, shift, out=np.empty(self.wdiag.size),
+                        casting="unsafe")
+        return e.copy(), d, e.copy()
 
     def apply(self, v) -> np.ndarray:
         """T v in the precision of v, in one work buffer; the float64
@@ -296,8 +300,12 @@ class FDOperator:
         is lower), when |r| no longer decreases, when T - mu is exactly
         singular (the pair has converged), or after POLISH_STEPS steps.
         """
-        v = w = vec.astype(np.longdouble)
+        w = vec.astype(np.longdouble)
         best = np.inf
+        # the accepted vector in float64, the one returned, is kept apart
+        # only while w moves past it, from the Newton update to the next
+        # residual, in place of a long-double copy held through every step
+        kept = None
         for step in range(POLISH_STEPS + 1):
             w /= np.sqrt(np.dot(w, w))
             Tw = self.apply(w)            # in long double
@@ -308,34 +316,34 @@ class FDOperator:
             if not rr < best:
                 break
             plateau = POLISH_PLATEAU * rr > best
-            v, best = w, rr
+            best, kept = rr, None
             if plateau or step == POLISH_STEPS:
                 break
             # each step's work arrays are dropped as soon as they are read,
             # and the solve overwrites its inputs, the right-hand sides in
             # LAPACK's column order: on the finest 1D grids the polish sets
             # the comparison's peak memory
-            rhs = np.empty((v.size, 2), order="F")
-            rhs[:, 0], rhs[:, 1] = r, v
+            rhs = np.empty((w.size, 2), order="F")
+            rhs[:, 0], rhs[:, 1] = r, w
             del Tw, r
-            band = self.band(mu)
-            x, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs,
+            x, info = dgtsv(*self.tridiagonal(mu), rhs,
                             True, True, True, True)[3:]
-            del band
             if info:
                 break                     # mu is an eigenvalue of T in float64
             y, z = x.T
-            # y and z enter in long double, as v does, through the work buffer
+            # y and z enter in long double, as w does, through the work buffer
             tmp = y.astype(np.longdouble)
-            vy = np.dot(v, tmp)
+            vy = np.dot(w, tmp)
             tmp[:] = z
-            w = v - y
-            w += np.multiply(vy / np.dot(v, tmp), z, out=tmp)
+            vz = np.dot(w, tmp)
+            kept = w.astype(float)
+            w -= y                        # the Newton step, in place
+            w += np.multiply(vy / vz, z, out=tmp)
             del rhs, x, y, z, tmp
         # the last step's work arrays go before the float64 copy, whichever
         # rule stopped the polish, so that the exit does not set the peak
-        w = Tw = r = tmp = rhs = x = None
-        return v.astype(float), step
+        Tw = r = tmp = rhs = x = None
+        return (w.astype(float) if kept is None else kept), step
 
     def flux_gradient(self, v: np.ndarray) -> np.ndarray:
         """Gradient of node values v (Dirichlet) through the flux, (1, n).
@@ -392,12 +400,11 @@ def _fd_operator(fns, W: SlowPolynomial, eps: float, grid: FineGrid):
 
 
 def _factor(op, shift) -> tuple:
-    """The LU factors of T - shift for gttrs, formed in place on the rows of
-    op.band(shift) by gttrf, and its info: k > 0 when the k-th pivot is
-    zero."""
-    band = op.band(shift)
-    *lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:],
-                       overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    """The LU factors of T - shift for gttrs, formed in place on
+    op.tridiagonal(shift) by gttrf, and its info: k > 0 when the k-th pivot
+    is zero."""
+    *lu, info = dgttrf(*op.tridiagonal(shift), overwrite_dl=True,
+                       overwrite_d=True, overwrite_du=True)
     return lu, info
 
 

@@ -20,11 +20,17 @@ solvers everything else reduces to are
     solve_flux_corrector:  -lap s_ij = d_j g_i - d_i g_j, so that div s = g
 
 The cell solve runs conjugate gradients on the half spectrum of the source,
-preconditioned by the constant coefficient Laplacian, a diagonal scaling
-there (Moulinec & Suquet 1998); it converges in O(sqrt(theta)) iterations
-for the smooth coefficients this library targets, and costs one forward
-transform of the source and one inverse transform of the solution besides
-the operator's.
+preconditioned by the exact inverse of the coefficient's axis-separable
+part, -sum_i d_i(b_i(y_i) d_i), b_i the mean of a_ii over the other axis,
+collocated on the n-grid samples (CoefficientField.precondition).  In 1D
+that inverse is closed form; in 2D it is the fast diagonalization of Lynch,
+Rice & Thomas (Numer. Math. 6, 1964).  The operator and that part then
+differ by aliasing alone for a separable coefficient, whose first-order
+cell problems take one or two iterations; a source that varies along both
+axes takes more, and a non-separable coefficient as many as its departure
+from its separable part asks.  Besides the operator's transforms, the
+solve costs one forward transform of the source, one inverse transform of
+the solution, and two n-grid transforms per iteration.
 """
 
 from __future__ import annotations
@@ -530,6 +536,95 @@ class CoefficientField:
                 out[i, j] = _resample(self.a.values[i, j], n, m) * (m / n) ** d
         return out
 
+    @cached_property
+    def _separable_part(self) -> tuple:
+        """The factors of _axis_solve: the antiderivative 1/(i k) on a half
+        axis, zero on the mean and the Nyquist mode, and 1/b_i per axis, b_i
+        the mean of a_ii over the other axis on the n-grid."""
+        d = self.grid.dim
+        k = self.grid.wavenumbers[-1].ravel()
+        anti = np.zeros(k.shape, dtype=complex)
+        anti[k != 0] = 1.0 / (1j * k[k != 0])
+        return anti, [1.0 / self.a.values[i, i].mean(
+            axis=tuple(ax for ax in range(d) if ax != i)) for i in range(d)]
+
+    @cached_property
+    def _fast_diagonalization(self) -> list:
+        """Per axis of a 2D grid the eigenpairs (V_i, mu_i) of
+        K_i = D^T diag(b_i) D, D the n-grid spectral derivative with the
+        Nyquist entry zeroed, past its two least, the null pair (the
+        constant and the Nyquist mode): one eigh per axis, formed at the
+        first field along both axes that precondition meets."""
+        n = self.grid.modes_per_axis
+        k = self.grid.wavenumbers[-1].ravel()
+        D = np.fft.irfft(1j * k[:, None] * np.fft.rfft(np.eye(n), axis=0), n,
+                         axis=0)
+        pairs = []
+        for h in self._separable_part[1]:
+            mu, V = np.linalg.eigh(D.T @ (D / h[:, None]))
+            pairs.append((V[:, 2:], mu[2:]))
+        return pairs
+
+    @property
+    def fast_diagonalized(self) -> bool:
+        """Whether the cell solves have run _fast_diagonalization: its eigh
+        and matrix products round differently under different BLAS thread
+        counts (from n = 128 on a 2-core x86-64 host), and the solutions
+        with them, within the solve's tolerance."""
+        return "_fast_diagonalization" in vars(self)
+
+    def _axis_solve(self, ax: int, rh: np.ndarray) -> np.ndarray:
+        """Half spectrum of the solution of -(b u')' = r along axis ax,
+        b = b_ax, from the half spectrum rh of a mean-zero r free of the
+        Nyquist mode, in closed form: b u' = c - R, R the antiderivative of
+        r and c = <R/b> / <1/b> the constant that makes u' mean-free (the
+        harmonic mean of b times <R/b>), and u the antiderivative of
+        (c - R) / b."""
+        anti, hs = self._separable_part
+        h = hs[ax]
+        # one axis: numpy's 1D transforms, the same as _rfft's, at half the
+        # call overhead
+        R = np.fft.irfft(anti * rh, self.grid.modes_per_axis)
+        return anti * np.fft.rfft(h * (np.dot(h, R) / h.sum() - R))
+
+    def precondition(self, rh: np.ndarray) -> np.ndarray:
+        """Half spectrum of B^{-1} r from the n-grid half spectrum rh of a
+        mean-zero r, B = -sum_i d_i(b_i(y_i) d_i) the coefficient's
+        axis-separable part collocated on the n-grid samples, which the
+        constructor holds positive: B^{-1} is symmetric positive definite
+        on the fields free of Nyquist modes, and the Nyquist modes of r are
+        dropped.
+
+        In 1D this is _axis_solve.  In 2D the fields that vary along y1
+        alone, along y2 alone, and along both are orthogonal, and B maps
+        each into itself: the first two take _axis_solve along their axis,
+        so a source along one axis keeps an exact solution along it, and
+        the third B = K_1 (x) I + I (x) K_2 inverted by fast diagonalization
+        (Lynch, Rice & Thomas, Numer. Math. 6, 1964),
+        V_1 ((V_1^T R V_2) / (mu_1 + mu_2)) V_2^T, and the result's modes
+        outside that part, which only rounding puts there, dropped.  No
+        matrix is factored in 1D, or for a source along one axis, so the
+        solve's bits there do not depend on the BLAS thread count.
+        """
+        if self.grid.dim == 1:
+            return self._axis_solve(0, rh)
+        n = self.grid.modes_per_axis
+        h = n // 2
+        zh = np.zeros_like(rh)
+        col = self._axis_solve(0, rh[:h + 1, 0])
+        zh[:h + 1, 0] = col
+        zh[h + 1:, 0] = col[h - 1:0:-1].conj()
+        zh[0] = self._axis_solve(1, rh[0])
+        both = rh.copy()
+        both[0] = both[h] = both[:, 0] = both[:, h] = 0.0
+        if both.any():
+            (V1, mu1), (V2, mu2) = self._fast_diagonalization
+            zb = _rfft(V1 @ ((V1.T @ _irfft(both, n) @ V2)
+                             / (mu1[:, None] + mu2)) @ V2.T)
+            zb[0] = zb[h] = zb[:, 0] = zb[:, h] = 0.0
+            zh += zb
+        return zh
+
     def _product(self, gh: list) -> list:
         """Half spectra of a g from the n-grid half spectra gh of a vector
         field g, formed on the 3/2-padded grid.
@@ -615,22 +710,26 @@ def solve_cell(coeff: CoefficientField,
     """Unique mean-zero periodic solution of -div(a grad u) = div F + G.
 
     G must be mean-free (tolerance 1e-12 relative); the tiny residual mean is
-    subtracted before the solve.  Raises SingularSystem when preconditioned
-    CG fails to reach the relative residual tol in CG_MAXITER iterations,
-    or breaks down before: r.z not positive and finite, or p.Ap / r.z not
-    positive and finite or below lo / (2 cbar), lo the least eigenvalue of
-    the coefficient that the operator multiplies by, its interpolant on the
-    3/2 grid (padded_values).  In exact arithmetic p.Ap / r.z = 1/alpha
-    lies in the spectrum of the preconditioned operator (Saad, Iterative
-    Methods for Sparse Linear Systems, 2nd ed., 2003, 6.7), which is bounded
-    below by lo / cbar; once conjugacy is lost at rounding level it falls
-    far below that.  Where the interpolant of rough samples undershoots to
-    lo <= 0, only the sign is checked.
+    subtracted before the solve.  Conjugate gradients run preconditioned by
+    CoefficientField.precondition, the exact inverse of the coefficient's
+    axis-separable part B.  Raises SingularSystem when they fail to reach
+    the relative residual tol in CG_MAXITER iterations, or break down
+    before: r.z not positive and finite, or p.Ap / r.z not positive and
+    finite or below lo / (2 lam_max), lo the least eigenvalue of the
+    coefficient that the operator multiplies by, its interpolant on the 3/2
+    grid (padded_values).  In exact arithmetic p.Ap / r.z = 1/alpha lies in
+    the spectrum of the preconditioned operator (Saad, Iterative Methods
+    for Sparse Linear Systems, 2nd ed., 2003, 6.7), which is bounded below
+    by lo / lam_max: the operator is at least lo times the Laplacian, which
+    its 3/2-grid sums integrate exactly, and B is at most max b_i <= lam_max
+    times it, the n-grid sum of b_i |d_i u|^2 being at most max b_i times
+    the exact sum of |d_i u|^2.  Once conjugacy is lost at rounding level
+    1/alpha falls far below that.  Where the interpolant of rough samples
+    undershoots to lo <= 0, only the sign is checked.
 
     The source is formed on the grid; CG then runs on its half spectrum,
-    where the preconditioner is a diagonal scaling and the inner products
-    are Parseval sums (_parseval_dot), and the solution takes one inverse
-    transform at the end.
+    where the inner products are Parseval sums (_parseval_dot), and the
+    solution takes one inverse transform at the end.
     """
     grid = coeff.grid
     n = grid.modes_per_axis
@@ -661,16 +760,13 @@ def solve_cell(coeff: CoefficientField,
         if bnorm == 0.0:
             return PeriodicField.zeros(grid)
 
-        # the constant-coefficient Laplacian's inverse, zero on the mean
-        inv = 1.0 / (0.5 * (coeff.lam_min + coeff.lam_max) * grid.k_squared)
-        inv.flat[0] = 0.0
-        # lo / (2 cbar): half the least 1/alpha of CG in exact arithmetic
-        lo = _eig_bounds(coeff.padded_values)[0]
-        floor = max(lo, 0.0) / (coeff.lam_min + coeff.lam_max)
+        # half the least 1/alpha of CG in exact arithmetic
+        floor = max(_eig_bounds(coeff.padded_values)[0], 0.0) \
+            / (2.0 * coeff.lam_max)
 
         uh = np.zeros(grid.half_shape, dtype=complex)
         r = _rfft(b)
-        p = z = inv * r
+        p = z = coeff.precondition(r)
         rz = _parseval_dot(grid, r, z)
         for it in range(CG_MAXITER):
             Ap = _operator_half(coeff, p)
@@ -679,7 +775,7 @@ def solve_cell(coeff: CoefficientField,
                     and pAp / rz >= floor):
                 raise SingularSystem(
                     f"cell solve broke down at CG iteration {it}: p.Ap / r.z "
-                    f"= {pAp / rz:.3e}, bound lo / (2 cbar) = {floor:.3e}"
+                    f"= {pAp / rz:.3e}, bound lo / (2 lam_max) = {floor:.3e}"
                 )
             alpha = rz / pAp
             uh += alpha * p
@@ -688,7 +784,7 @@ def solve_cell(coeff: CoefficientField,
                 u = _irfft(uh, n)
                 u -= u.mean()
                 return PeriodicField(grid, u)
-            z = inv * r
+            z = coeff.precondition(r)
             rz_new = _parseval_dot(grid, r, z)
             p = z + (rz_new / rz) * p
             rz = rz_new

@@ -578,6 +578,26 @@ class TestPipeline:
         assert manifest.cell_solves == 7
         assert 0.0 < manifest.cell_residual_max < 1e-10
 
+    @pytest.mark.parametrize("old, new, recorded", [
+        ("", "", False),
+        ("a22 = 1", "a22 = 1 + 0.3*cos(2*pi*y1)*cos(2*pi*y2)", True),
+        ("w = x1**2 + x2**2", "w = x1**2 + x2**2 + 0.5*x1*x2", True),
+    ], ids=["separable", "coefficient", "potential"])
+    def test_manifest_blas_threads(self, monkeypatch, old, new, recorded):
+        # a 2D run records the thread variables it saw where a dense
+        # factorization ran: the cell solves' fast diagonalization, which
+        # a coefficient that varies along both axes needs, or the dense
+        # eigh of L0, which a potential with an x1 x2 term keeps
+        for name in pipeline.THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        cfg = parse_config(TWO_BRANCH.replace(old, new))
+        store, abar, _ = pipeline.stage_homogenize(cfg, [])
+        spec = pipeline.stage_spectrum(cfg, store.W, abar)
+        assert pipeline.blas_threads(cfg.dim, spec, store.coeff) == (
+            {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "3",
+             "MKL_NUM_THREADS": None} if recorded else None)
+
     @pytest.mark.parametrize("config", ["minimal", "simple-1d", "multiple-2d"])
     @pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")],
                              ids=["builtin", "hashlib"])
@@ -1040,35 +1060,54 @@ class TestCLI:
         assert r.stderr.count("\n") == 1, r.stderr
         assert needle in r.stderr
 
+    def _outputs_by_threads(self, tmp_path, config, *commands):
+        """For one and two BLAS threads, every artifact of each command on
+        configs/<config>.ini, keyed by command and file name, but for the
+        wall times (sweep.csv's runtime_s, the manifest's timings)."""
+        config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                              f"{config}.ini")
+        outputs = []
+        for threads in ("1", "2"):
+            files = {}
+            for command in commands:
+                out = tmp_path / threads / command[0]
+                r = self._run("--config", config, "--out", str(out),
+                              *command, cwd=str(tmp_path),
+                              OPENBLAS_NUM_THREADS=threads,
+                              OMP_NUM_THREADS=threads)
+                assert r.returncode == 0, r.stderr
+                for path in sorted(out.iterdir()):
+                    text = path.read_text()
+                    if path.name == "sweep.csv":
+                        text = "\n".join(line.rsplit(",", 1)[0]
+                                         for line in text.splitlines())
+                    elif path.name == "manifest.json":
+                        manifest = json.loads(text)
+                        del manifest["timings"]
+                        text = json.dumps(manifest, sort_keys=True)
+                    files[command[0], path.name] = text
+            outputs.append(files)
+        return outputs
+
     def test_1d_sweep_independent_of_blas_threads(self, tmp_path):
         # simple-1d's finest h/2 grid holds 71 679 nodes, far above the
         # ~10 000 elements from which OpenBLAS splits a dot product over
         # threads: the sweep writes the same bytes under one BLAS thread and
-        # two, but for the wall times (sweep.csv's runtime_s, the manifest's
-        # timings)
-        config = os.path.join(os.path.dirname(__file__), "..", "configs",
-                              "simple-1d.ini")
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            r = self._run("--config", config, "--out", str(out), "sweep",
-                          cwd=str(tmp_path), OPENBLAS_NUM_THREADS=threads,
-                          OMP_NUM_THREADS=threads)
-            assert r.returncode == 0, r.stderr
-            files = {}
-            for path in sorted(out.iterdir()):
-                text = path.read_text()
-                if path.name == "sweep.csv":
-                    text = "\n".join(line.rsplit(",", 1)[0]
-                                     for line in text.splitlines())
-                elif path.name == "manifest.json":
-                    manifest = json.loads(text)
-                    del manifest["timings"]
-                    text = json.dumps(manifest, sort_keys=True)
-                files[path.name] = text
-            outputs.append(files)
-        one, two = outputs
-        assert "sweep.csv" in one and one.keys() == two.keys()
+        # two
+        one, two = self._outputs_by_threads(tmp_path, "simple-1d", ("sweep",))
+        assert ("sweep", "sweep.csv") in one and one.keys() == two.keys()
+        assert [name for name in one if one[name] != two[name]] == []
+
+    def test_2d_sweep_independent_of_blas_threads(self, tmp_path):
+        # multiple-2d's lambda = 4 is a double eigenvalue of the 400 x 400
+        # L0, whose dense eigh returns a rotation of its eigenspace that
+        # moves with the thread split; solved per axis, the basis is the
+        # products, and sweep and expand write the same bytes under one
+        # BLAS thread and two
+        one, two = self._outputs_by_threads(
+            tmp_path, "multiple-2d", ("sweep",),
+            ("expand", "--w-samples", "100"))
+        assert ("expand", "expand.json") in one and one.keys() == two.keys()
         assert [name for name in one if one[name] != two[name]] == []
 
     @pytest.mark.parametrize("failure", ["pivot", "steps"])
@@ -1080,14 +1119,14 @@ class TestCLI:
         # pivot, and bisection stopped at a width of 10, whose shifts lie so
         # far from the eigenvalues that inverse iteration does not converge
         if failure == "pivot":
-            band = reference.FDOperator.band
+            tridiagonal = reference.FDOperator.tridiagonal
 
             def singular(self, shift):
-                out = band(self, shift)
-                out[1, 0] = out[2, 0] = 0.0
-                return out
+                dl, d, du = tridiagonal(self, shift)
+                d[0] = dl[0] = 0.0
+                return dl, d, du
 
-            monkeypatch.setattr(reference.FDOperator, "band", singular)
+            monkeypatch.setattr(reference.FDOperator, "tridiagonal", singular)
             needle = "zero pivot at row 1"
         else:
             monkeypatch.setattr(reference, "BISECT_WIDTH", 10.0)
@@ -1222,8 +1261,11 @@ class TestCLI:
          "numerical failure: Hermite scale 0.0 not positive"),
         ("homogenize", "dim = 1\na = 4e299 + 1e299*sin(6*pi*y)\nw = x**2",
          "", 4, "numerical failure: homogenized matrix [[0.0]]"),
+        # its cell source's norm overflowed into a CG breakdown under the
+        # constant-Laplacian preconditioner; the closed-form inverse of the
+        # coefficient solves it, and the flux norms overflow instead
         ("homogenize", "dim = 1\na = 6e299 + 4e299*sin(4*pi*y)\nw = x**2",
-         "", 4, "numerical failure: cell solve broke down"),
+         "", 4, "numerical failure: homogenized matrix [[0.0]]"),
         ("reference", "dim = 1\na = 1 + 1e-16*cos(2*pi*y)\n"
          "w = 1e282*x**2 + 1e282*x + 1e282", "", 4,
          "numerical failure: h grid bisection's shifts failed"),
@@ -1252,6 +1294,14 @@ class TestCLI:
             assert r.returncode == 0 and r.stderr == "", r.stderr
         else:
             self._fails_in_one_line(r, code, line, line)
+        if command == "expand" and code == 0:
+            # lambda_1 near 1e150 takes lambda^(-3/2) below the float range,
+            # but not gamma * lambda^(-3/2), the bound the warning names
+            expand = json.loads((tmp_path / "out" / "expand.json").read_text())
+            bounds = [float(w["detail"].rsplit("=", 1)[1])
+                      for w in expand["warnings"]
+                      if w["code"] == "EpsilonConditionViolated"]
+            assert bounds and all(b > 0.0 for b in bounds)
 
     @pytest.mark.parametrize("command", ["reference", "sweep"])
     def test_coefficient_zero_off_torus_grid_exit_code(self, tmp_path,

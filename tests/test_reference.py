@@ -403,10 +403,10 @@ class TestFdOperator:
         norm = np.max(op.diag) + 2 * sum(np.max(-c) for c in op.off)
         tol = 4 * np.finfo(float).eps * (norm + abs(shift)) * np.max(abs(v))
         if dim == 1:
-            band = op.band(shift)
-            got = band[1] * v
-            got[:-1] += band[0, 1:] * v[1:]
-            got[1:] += band[2, :-1] * v[:-1]
+            dl, d, du = op.tridiagonal(shift)
+            got = d * v
+            got[:-1] += du * v[1:]
+            got[1:] += dl * v[:-1]
             assert abs(float(op.quotient(v)) - float(vl @ Tv / (vl @ vl))) \
                 <= np.finfo(float).eps * norm
         else:

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,13 +261,16 @@ class TestSolveCell:
     def test_nonconvergent_cg_raises(self, monkeypatch):
         # tol = 1e-300 is out of reach: once the residual is at rounding
         # level CG loses conjugacy, and 1/alpha = p.Ap / r.z falls far below
-        # lam_min / cbar, the least it can be in exact arithmetic (5e-27 of
-        # it at iteration 31); the solve stops there, without a
-        # RuntimeWarning, where waiting for a non-finite inner product took
-        # until iteration 188
-        g = grid1(64)
-        c = CoefficientField.from_isotropic(g, lambda y: 2.0 + np.cos(TWO_PI * y))
-        G = PeriodicField(g, np.sin(3 * TWO_PI * g.axis))
+        # lo / lam_max, the least it can be in exact arithmetic, here to
+        # below 0 at iteration 34, 12 past the 22 that reach 1e-12; the
+        # solve stops there, without a RuntimeWarning.  The coefficient is
+        # not separable, so the inverse of its separable part leaves CG
+        # iterations to take
+        g = grid2(32)
+        y1, y2 = g.coords()
+        c = CoefficientField.from_isotropic(
+            g, lambda y1, y2: 2.0 + np.cos(TWO_PI * y1) * np.cos(TWO_PI * y2))
+        G = PeriodicField(g, np.sin(3 * TWO_PI * y1) * np.cos(TWO_PI * y2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularSystem,
@@ -275,7 +279,7 @@ class TestSolveCell:
         it = int(re.search(r"iteration (\d+)", str(info.value)).group(1))
         assert 0 < it <= 36
         assert solve_cell(c, G=G).l2_norm() > 0.0
-        # two CG steps cannot reach 1e-12 on an oscillating coefficient
+        # two CG steps cannot reach 1e-12 on a non-separable coefficient
         monkeypatch.setattr(torus, "CG_MAXITER", 2)
         with pytest.raises(SingularSystem, match="in 2 iterations"):
             solve_cell(c, G=G)
@@ -293,6 +297,22 @@ class TestSolveCell:
         c = CoefficientField.from_samples(
             grid, np.eye(d).reshape((d, d) + (1,) * d) * step)
         F = PeriodicField(grid, c.a.values[0])
+        u = solve_cell(c, F=F)
+        assert cell_residual(c, u, F=F) <= 1e-10 * hminus1_norm(div_y(F))
+
+    def test_rough_separable_samples_not_refused(self):
+        # a separable 1:34 coefficient sampled on 6 points per axis: the
+        # inverse of its separable part takes 1/alpha down to 0.39 at
+        # iteration 3, below the 1/2 that half the least eigenvalue of
+        # B^-1/2 a B^-1/2 on the 3/2 grid would bound it by, but not below
+        # lo / (2 lam_max) = 0.0022, which the operator's own bounds give;
+        # CG converges in 4
+        g = grid2(6)
+        vals = np.zeros((2, 2) + g.shape)
+        vals[0, 0] = np.array([0.6, 2.3, 0.2, 6.8, 0.24, 2.1])[:, None]
+        vals[1, 1] = np.array([2.3, 1.6, 0.28, 0.28, 1.56, 2.2])
+        c = CoefficientField.from_samples(g, vals)
+        F = PeriodicField(g, c.a.values[0])
         u = solve_cell(c, F=F)
         assert cell_residual(c, u, F=F) <= 1e-10 * hminus1_norm(div_y(F))
 
@@ -421,6 +441,34 @@ class TestSolveCellProperties:
         u1 = solve_cell(c, F=F1, G=G1, tol=1e-13)
         u2 = solve_cell(c, F=F2, G=G2, tol=1e-13)
         assert (u - (u1 + u2 * scale)).l2_norm() <= 1e-10 * u.l2_norm()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 24, 32]),
+           kind=st.sampled_from(["1d", "separable", "diagonal", "full"]),
+           axis=st.integers(0, 1))
+    def test_first_order_cell_problem(self, seed, n, kind, axis):
+        # -div(a grad u) = div(a e_axis) over random smooth coefficients:
+        # the residual meets the solve's tolerance, read in H^-1 (the grid
+        # l2 ratio tol bounds it to tol times the largest wavenumber,
+        # below tol n), and a separable coefficient, whose collocated
+        # separable part is the operator but for aliasing, takes at most 3
+        # iterations
+        rng = np.random.default_rng(seed)
+        g = TorusGrid(1 if kind == "1d" else 2, n)
+        c = random_smooth_coefficient(rng, g, separable=True)
+        if kind in ("diagonal", "full"):
+            c = with_varying_separable_part(
+                random_smooth_coefficient(rng, g, full=kind == "full"), c)
+        F = PeriodicField(g, c.a.values[:, axis % g.dim])
+        calls = []
+        operator = torus._operator_half
+        with mock.patch.object(torus, "_operator_half",
+                               lambda coeff, uh: calls.append(1)
+                               or operator(coeff, uh)):
+            u = solve_cell(c, F=F, tol=1e-12)
+        assert cell_residual(c, u, F=F) <= 1e-12 * n * hminus1_norm(div_y(F))
+        if kind in ("1d", "separable"):
+            assert len(calls) <= 3
 
 
 class TestFluxCorrector:
@@ -672,23 +720,34 @@ def half_spectrum(rng, n, dim):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_smooth_coefficient(rng, grid, full=True):
+def random_smooth_coefficient(rng, grid, full=True, separable=False):
     """Symmetric positive definite trigonometric coefficient with random
-    low-mode phases; full (off-diagonal) in 2D unless ``full`` is false."""
+    low-mode phases; full (off-diagonal) in 2D unless ``full`` is false.
+    With ``separable`` a_ii varies along y_i alone and a12 = 0."""
     ys = grid.coords()
     k = rng.integers(1, 3, (3, grid.dim))
     ph = rng.uniform(0.0, 1.0, (3, grid.dim))
 
-    def wave(r):
+    def wave(r, axes=range(grid.dim)):
         return np.prod([np.cos(TWO_PI * (k[r, ax] * ys[ax] + ph[r, ax]))
-                        for ax in range(grid.dim)], axis=0)
+                        for ax in axes], axis=0) * np.ones(grid.shape)
 
     vals = np.zeros((grid.dim, grid.dim) + grid.shape)
     for i in range(grid.dim):
-        vals[i, i] = 2.0 + 0.5 * wave(i)
+        vals[i, i] = 2.0 + 0.5 * wave(i, [i] if separable else range(grid.dim))
+    if separable:
+        return CoefficientField.from_samples(grid, vals)
     if grid.dim == 2 and full:
         vals[0, 1] = vals[1, 0] = 0.4 * wave(2)
     return CoefficientField.from_samples(grid, vals)
+
+
+def with_varying_separable_part(coeff, separable):
+    """coeff plus the separable coefficient separable.  In 2D the means of
+    random_smooth_coefficient's a_ii over the other axis are constant, so
+    its separable part alone is a multiple of the Laplacian."""
+    return CoefficientField.from_samples(coeff.grid,
+                                         coeff.a.values + separable.a.values)
 
 
 class TestSpectralAdjoints:
@@ -942,19 +1001,46 @@ class TestIndexedSampling:
                 assert np.all(np.abs(got - want) <= ulp * terms)
 
 
-def _real_space_pcg(coeff, b, tol):
-    """The real-space PCG loop that solve_cell ran before it iterated on
-    half spectra, kept verbatim as an oracle for it; returns the solution
-    and the number of operator applications."""
+def _separable_inverse(coeff) -> np.ndarray:
+    """solve_cell's preconditioner as a dense matrix on the grid, built
+    apart from CoefficientField.precondition: per axis the closed form
+    (D^+)^T H D^+, D^+ the pseudo-inverse of the n-grid derivative D (its
+    Nyquist entry zeroed) and H = diag(h) - h h^T / sum(h), h = 1/b_i; in
+    2D that on the fields along one axis, J the mean over the other, and
+    the pseudo-inverse of K_1 (x) I + I (x) K_2, K_i = D^T diag(b_i) D,
+    between the projections P onto the fields along both."""
     grid = coeff.grid
-    n = grid.modes_per_axis
+    n, d = grid.modes_per_axis, grid.dim
+    k = TWO_PI * np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = 0.0
+    D = np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(n), axis=0),
+                    axis=0).real
+    Dp = np.linalg.pinv(D, 1e-10)
+    bs = [coeff.a.values[i, i].mean(axis=tuple(set(range(d)) - {i}))
+          for i in range(d)]
+    axes = [Dp.T @ (np.diag(1.0 / b) - np.outer(1.0 / b, 1.0 / b)
+                    / np.sum(1.0 / b)) @ Dp for b in bs]
+    if d == 1:
+        return axes[0]
+    J = np.full((n, n), 1.0 / n)
+    nyq = (-1.0) ** np.arange(n)
+    P = np.kron(*[np.eye(n) - J - np.outer(nyq, nyq) / n] * 2)
+    K = [D.T @ (b[:, None] * D) for b in bs]
+    B = np.kron(K[0], np.eye(n)) + np.kron(np.eye(n), K[1])
+    return (np.kron(axes[0], J) + np.kron(J, axes[1])
+            + P @ np.linalg.pinv(B, 1e-10, hermitian=True) @ P)
+
+
+def _real_space_pcg(coeff, b, tol):
+    """PCG in real space, preconditioned by _separable_inverse, as an
+    oracle for solve_cell's loop on half spectra; returns the solution and
+    the number of operator applications."""
+    grid = coeff.grid
     bnorm = np.linalg.norm(b)
-    cbar = 0.5 * (coeff.lam_min + coeff.lam_max)
+    inverse = _separable_inverse(coeff)
 
     def precond(r):
-        rh = _rfft(r) / (cbar * grid.k_squared)
-        rh.flat[0] = 0.0
-        return _irfft(rh, n)
+        return (inverse @ r.ravel()).reshape(grid.shape)
 
     u = np.zeros(grid.shape)
     r = b.copy()
@@ -994,12 +1080,15 @@ class TestHalfSpectrumCG:
     def test_solve_cell_matches_real_space_loop(self, dim, n, seed,
                                                 monkeypatch):
         # CG on the half spectrum takes the iterations of the real-space
-        # loop and lands within 1e-13 of its solution, relative to its
-        # largest value; F carries no Nyquist modes, which the operator's
-        # range lacks
+        # loop, whose preconditioner is a dense matrix built apart from
+        # solve_cell's, and lands within 1e-13 of its solution, relative to
+        # its largest value; F carries no Nyquist modes, which the
+        # operator's range lacks
         rng = np.random.default_rng(seed)
         g = TorusGrid(dim, n)
-        a = random_smooth_coefficient(rng, g)
+        a = with_varying_separable_part(
+            random_smooth_coefficient(rng, g),
+            random_smooth_coefficient(rng, g, separable=True))
         F = PeriodicField(g, np.stack([
             _resample(f, n, n) for f in rng.standard_normal((dim,) + g.shape)]))
         G = PeriodicField(g, rng.standard_normal(g.shape)).mean_zero()
