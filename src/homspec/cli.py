@@ -275,6 +275,13 @@ def _tolerance_scale(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """A sample count: a whole number, 0 (no samples) or more."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="homspec",
@@ -292,9 +299,9 @@ def main(argv=None) -> int:
     for name in COMMANDS:
         p = sub.add_parser(name)
         if name == "spectrum":
-            p.add_argument("--eigenfunction-samples", type=int, default=0)
+            p.add_argument("--eigenfunction-samples", type=_count, default=0)
         if name == "expand":
-            p.add_argument("--w-samples", type=int, default=0,
+            p.add_argument("--w-samples", type=_count, default=0,
                            help="sample the expanded eigenfunction on a grid")
         if name == "plot-data":
             # also accepted after the subcommand; SUPPRESS keeps a value given
@@ -312,7 +319,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except HomspecError as exc:

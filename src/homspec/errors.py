@@ -80,10 +80,6 @@ class SolvabilityViolated(NumericalError):
     """Macroscopic right-hand side is not orthogonal to the required kernel."""
 
 
-class EpsilonTooLarge(HomspecError):
-    """Truncation-order rule is undefined for this epsilon."""
-
-
 # --- reference oracle -------------------------------------------------------
 
 class GridTooCoarse(HomspecError):

@@ -45,7 +45,6 @@ import numpy as np
 from .errors import (
     DegenerateD,
     DegreeCapExceeded,
-    EpsilonTooLarge,
     MeanNotZero,
     NotSimple,
     NumericalError,
@@ -118,13 +117,13 @@ class CorrectorTable:
     def chi(self, q: int, alpha: tuple) -> SeparableField:
         if not any(alpha):
             return (SeparableField.one(self.grid) if q == 0
-                    else SeparableField.zero(self.grid))
+                    else SeparableField(self.grid))
         return self._memo(self._chi, self._solve_chi, q, alpha,
-                          lambda: SeparableField.zero(self.grid))
+                          lambda: SeparableField(self.grid))
 
     def flux(self, q: int, alpha: tuple) -> list:
         return self._memo(self._flux, self._build_flux, q, alpha, lambda: [
-            SeparableField.zero(self.grid) for _ in range(self.d)])
+            SeparableField(self.grid) for _ in range(self.d)])
 
     def abar(self, q: int, alpha: tuple) -> list:
         """The y-mean of the stored flux(q, alpha), per axis."""
@@ -159,7 +158,7 @@ class CorrectorTable:
             u, self.residuals[key] = self._cell(F=col, G=None)
             return SeparableField.from_periodic(u)
         rhs = self._rhs(q, alpha)
-        out = SeparableField.zero(self.grid)
+        out = SeparableField(self.grid)
         worst_mean = 0.0
         worst_res = 0.0
         scale = max(rhs.max_norm(), 1.0)
@@ -202,7 +201,7 @@ class CorrectorTable:
         """a v for a vector of d separable fields: one multiply per slow
         monomial."""
         zero = PeriodicField.zeros(self.grid)
-        out = [SeparableField.zero(self.grid) for _ in range(self.d)]
+        out = [SeparableField(self.grid) for _ in range(self.d)]
         for beta in dict.fromkeys(b for vj in v for b in vj.terms):
             av = self.coeff.multiply(PeriodicField(self.grid, np.stack(
                 [vj.terms.get(beta, zero).values for vj in v])))
@@ -212,7 +211,7 @@ class CorrectorTable:
 
     def _rhs(self, q: int, alpha: tuple) -> SeparableField:
         m = sum(alpha)
-        rhs = SeparableField.zero(self.grid)
+        rhs = SeparableField(self.grid)
         for i, f in enumerate(self._times_a(self._slow_vector(q, alpha))):
             rhs = rhs + f.dy(i)
         f_same = self.flux(q - 1, alpha)
@@ -283,10 +282,6 @@ class ExpansionBranch:
     def cluster_size(self) -> int:
         return self.cluster[1] - self.cluster[0]
 
-    def mu1_magnitude(self) -> float:
-        """|mu_1| as computed from the solvability integral (before snapping)."""
-        return abs(self.mu1_computed)
-
 
 # --- macroscopic level machinery ---------------------------------------------
 
@@ -295,10 +290,10 @@ def _div_sources(table: CorrectorTable, U: list, K: int,
                  quad: QuadratureRule) -> list:
     """Node values of H_i = sum_{k<=K-2} sum_{1<=m<=K-k} abar_{K-k,alpha,k}[i] d^alpha U_k."""
     d = table.d
-    pts = quad.points()
+    pts = quad.points
     H = [np.zeros(pts.shape[0]) for _ in range(d)]
     for k in range(0, K - 1):
-        if k >= len(U) or U[k].norm() == 0.0:
+        if U[k].norm() == 0.0:
             continue
         q = K - k
         for m in range(1, q + 1):
@@ -315,8 +310,9 @@ def _div_sources(table: CorrectorTable, U: list, K: int,
 
 
 def choose_P(eps: float, lam0: float, gamma: float, c: float,
-             mu: list | None = None) -> int:
-    """Truncation order floor(c log|log(eps lam^{3/2}/gamma)|), floored at 2.
+             mu: list | None = None) -> int | None:
+    """Truncation order floor(c log|log(eps lam^{3/2}/gamma)|), floored at 2;
+    None where eps lam^{3/2}/gamma >= 1, where the rule is undefined.
 
     When the computed corrections are supplied, the order is additionally
     capped at the last p for which |eps^p mu_p| is still decreasing.
@@ -324,9 +320,7 @@ def choose_P(eps: float, lam0: float, gamma: float, c: float,
     # a product, where lam0 ** 1.5 would raise OverflowError past 1e205
     x = eps * lam0 * math.sqrt(lam0) / gamma
     if x >= 1.0:
-        raise EpsilonTooLarge(
-            f"eps*lambda^(3/2)/gamma = {x:.3g} >= 1; truncation rule undefined"
-        )
+        return None
     raw = math.floor(c * math.log(abs(math.log(x))))
     P = max(2, raw)
     if mu is not None:
@@ -346,7 +340,7 @@ def choose_P(eps: float, lam0: float, gamma: float, c: float,
 
 
 def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
-                   quad: QuadratureRule, spacing_tol: float = D_SPACING_TOL):
+                   quad: QuadratureRule):
     """Second-order coupling matrix of the cluster containing lambda_j.
 
     The matrix is the cluster block of the second-order solvability operator,
@@ -364,7 +358,7 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
 
     Returns the symmetrized matrix, its ascending eigenvalues, and the
     orthonormal row-eigenvector matrix E.  Raises DegenerateD when the
-    eigenvalue spacing falls below spacing_tol (relative), which the branch
+    eigenvalue spacing falls below D_SPACING_TOL (relative), which the branch
     construction assumes.
     """
     a, b = spec.cluster_of(j)
@@ -372,7 +366,7 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
     d = table.d
     mu0 = spec.eigenvalue(j)
     phis = spec.eigenfunctions[a:b]
-    pts = quad.points()
+    pts = quad.points
 
     dphi = [[quad.values(phis[r], unit_index(d, i)) for i in range(d)]
             for r in range(N)]
@@ -430,13 +424,13 @@ def build_D_matrix(spec: SpectrumResult, j: int, table: CorrectorTable,
     E = positive_peaks(vecs).T
     spacing = np.min(np.diff(mu2)) if N > 1 else np.inf
     rel_spacing = spacing / max(np.max(np.abs(mu2)), 1e-30)
-    if N > 1 and rel_spacing < spacing_tol:
+    if rel_spacing < D_SPACING_TOL:
         raise DegenerateD(
             f"coupling matrix eigenvalue spacing {rel_spacing:.3e} relative; "
             "the branch construction assumes distinct eigenvalues"
         )
     info = {"dual_gap": dual_gap, "sym_gap": sym_gap,
-            "spacing": float(rel_spacing if N > 1 else np.inf)}
+            "spacing": float(rel_spacing)}
     return D, E, [float(v) for v in mu2], info
 
 
@@ -619,33 +613,27 @@ def lambda_tilde_shift(branch: ExpansionBranch, eps: float, P: int) -> float:
     return float(sum(eps ** p * branch.mu[p] for p in range(1, P + 1)))
 
 
-def _live(branch: ExpansionBranch, P: int) -> list:
-    """Orders k <= P whose envelope U_k is not zero."""
-    return [k for k, Uk in enumerate(branch.U[:P + 1])
-            if Uk is not None and Uk.norm() != 0.0]
-
-
 def _terms(branch: ExpansionBranch, P: int):
     """(k, q, alpha) of every term eps^(q+k) d^alpha U_k chi_{q,alpha} of
-    w_eps, in the order assemble sums them: live k, then q <= P - k, then
-    |alpha| <= q."""
-    for k in _live(branch, P):
+    w_eps whose envelope and corrector are both not zero, in the order
+    assemble sums them: k <= P, then q <= P - k, then |alpha| <= q."""
+    for k, Uk in enumerate(branch.U[:P + 1]):
+        if Uk.norm() == 0.0:
+            continue
         for q in range(0, P + 1 - k):
             for mm in range(0, q + 1):
                 for alpha in monomials_of_degree(branch.table.d, mm):
-                    yield k, q, alpha
+                    if not branch.table.chi(q, alpha).is_zero():
+                        yield k, q, alpha
 
 
 def envelope_requests(branch: ExpansionBranch, P: int,
                       gradient: bool) -> list:
     """(k, alpha) of every envelope derivative d^alpha U_k that assemble
-    reads, each once: those of the terms whose corrector is not zero, and
-    with the gradient their first derivatives along every axis.  U_0 itself
-    comes first."""
+    reads, each once: those of the terms of _terms, and with the gradient
+    their first derivatives along every axis.  U_0 itself comes first."""
     requests = {}
-    for k, q, alpha in _terms(branch, P):
-        if branch.table.chi(q, alpha).is_zero():
-            continue
+    for k, _, alpha in _terms(branch, P):
         requests[k, alpha] = None
         if gradient:
             for i in range(branch.table.d):
@@ -686,13 +674,13 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
 
     # chi(q, alpha) and, with the gradient, its x- and y-derivative along
     # every axis (None where one vanishes), as samplers that form their
-    # phase tables here, once; None when chi vanishes
+    # phase tables here, once
     shapes = {}
     for _, q, alpha in terms:
         if (q, alpha) not in shapes:
             chi = branch.table.chi(q, alpha)
-            shapes[q, alpha] = None if chi.is_zero() else (
-                sampler(chi),
+            shapes[q, alpha] = (
+                chi.sampler(sample_y),
                 [(sampler(chi.dx(i)), sampler(chi.dy(i))) for i in range(d)]
                 if gradient else [])
     w = np.zeros(m)
@@ -704,8 +692,6 @@ def assemble(branch: ExpansionBranch, eps: float, points: np.ndarray, P: int,
         u0[blk] = envelopes[0]
         sampled = {}    # each shape on this block, sampled once
         for k, q, alpha in terms:
-            if shapes[q, alpha] is None:
-                continue
             if (q, alpha) not in sampled:
                 chi_at, derivs = shapes[q, alpha]
                 sampled[q, alpha] = chi_at(x, blk), [

@@ -20,7 +20,7 @@ the correction hierarchy's solvability integrals use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
     TruncationUnsafe,
 )
-from .slowpoly import POLY_DEGREE_CAP, SlowPolynomial
+from .slowpoly import SlowPolynomial
 from .torus import SAMPLE_BLOCK, tensor_contract, tensor_grid
 
 CLUSTER_TOL = 1e-6      # relative gap below which eigenvalues form one cluster
@@ -124,11 +124,6 @@ def _lift(N: int, Ne: int, order: int, sigma: float) -> np.ndarray:
 
 def poly_multiply_op(W: SlowPolynomial, basis: MacroBasis) -> np.ndarray:
     """Galerkin matrix of multiplication by a polynomial, exact on the basis."""
-    from .errors import DegreeCapExceeded
-    if W.degree() > POLY_DEGREE_CAP:
-        raise DegreeCapExceeded(
-            f"polynomial degree {W.degree()} exceeds cap {POLY_DEGREE_CAP}"
-        )
     N, d = basis.size, basis.dim
     out = np.zeros((basis.total, basis.total))
     for alpha, c in W.coeffs.items():
@@ -281,8 +276,6 @@ class HermiteSampler:
     out block by block.
     """
 
-    __slots__ = ("basis", "max_order", "points", "index", "_tables")
-
     def __init__(self, basis: MacroBasis, points: np.ndarray, max_order: int,
                  index: list | None = None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -292,16 +285,13 @@ class HermiteSampler:
         self.max_order = max_order
         self.points = pts
         self.index = index
-        self._tables = None
 
-    @property
+    @cached_property
     def tables(self) -> list:
         """One hermite_function_values table per axis on the rows of points."""
-        if self._tables is None:
-            self._tables = [hermite_function_values(
-                self.points[:, ax], self.basis.size + self.max_order,
-                self.basis.sigma) for ax in range(self.basis.dim)]
-        return self._tables
+        return [hermite_function_values(
+            self.points[:, ax], self.basis.size + self.max_order,
+            self.basis.sigma) for ax in range(self.basis.dim)]
 
     def _core(self, f: MacroFunction, alpha: tuple, Ne: int) -> np.ndarray:
         """Coefficients of d^alpha f on Ne modes per axis.
@@ -387,8 +377,9 @@ class QuadratureRule:
 
     Handles integrals int p(x) f(x) g(x) dx with f, g in the (extended)
     basis and p polynomial: total polynomial degree up to 2Q-1 is exact.
-    ``values(f, alpha)`` is d^alpha f at the nodes, flattened, from
-    ``sampler``: a HermiteSampler on the nodes of derivatives up to
+    ``points`` are the physical nodes, (M, d), and ``weights`` their
+    weights.  ``values(f, alpha)`` is d^alpha f at the nodes, flattened,
+    from ``sampler``: a HermiteSampler on the nodes of derivatives up to
     n_ext - basis.size.
     """
 
@@ -397,24 +388,17 @@ class QuadratureRule:
         self.basis = basis
         self.x1 = basis.sigma * z
         self.w1 = basis.sigma * wmod
-        coords, self.index, self._points = tensor_grid(self.x1, basis.dim)
-        self.sampler = HermiteSampler(basis, coords, n_ext - basis.size,
-                                      self.index)
+        coords, index, self.points = tensor_grid(self.x1, basis.dim)
+        self.weights = np.prod([self.w1[r] for r in index], axis=0)
+        self.sampler = HermiteSampler(basis, coords, n_ext - basis.size, index)
 
     def values(self, f: MacroFunction, alpha: tuple) -> np.ndarray:
         """d^alpha f at the nodes, flattened: one request to the sampler."""
         return self.sampler([(f, alpha)])[0]
 
-    def points(self) -> np.ndarray:
-        """Physical quadrature nodes, (M, d)."""
-        return self._points
-
-    def weights(self) -> np.ndarray:
-        return np.prod([self.w1[r] for r in self.index], axis=0)
-
     def integrate(self, *factors) -> float:
         """Integral over R^d of a product of node-value arrays."""
-        acc = self.weights()
+        acc = self.weights
         for v in factors:
             acc = acc * v
         return float(acc.sum())
@@ -462,14 +446,12 @@ class SpectrumResult:
     separable: bool = False          # solved per axis, not by a dense eigh
 
     def cluster_of(self, j: int) -> tuple:
-        """Half-open 0-based index range of the cluster containing lambda_j."""
+        """Half-open 0-based index range of the cluster containing lambda_j;
+        the clusters cover the computed indices 0 .. count - 1."""
         i = j - 1
         if i < 0 or i >= self.count:
             raise IndexError(f"eigenvalue index {j} out of computed range")
-        for (a, b) in self.clusters:
-            if a <= i < b:
-                return (a, b)
-        raise IndexError("cluster table inconsistent")
+        return next((a, b) for a, b in self.clusters if a <= i < b)
 
     def eigenvalue(self, j: int) -> float:
         return float(self.eigenvalues[j - 1])
@@ -478,12 +460,12 @@ class SpectrumResult:
         return self.eigenfunctions[j - 1]
 
 
-def _cluster_indices(vals: np.ndarray, tol: float) -> list:
+def _cluster_indices(vals: np.ndarray) -> list:
     clusters = []
     start = 0
     for i in range(1, len(vals)):
         scale = max(abs(vals[i]), abs(vals[start]), 1.0)
-        if vals[i] - vals[i - 1] > tol * scale:
+        if vals[i] - vals[i - 1] > CLUSTER_TOL * scale:
             clusters.append((start, i))
             start = i
     clusters.append((start, len(vals)))
@@ -516,7 +498,7 @@ def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis,
     vals, vecs = np.linalg.eigh(L0) if pairs is None else pairs
     positive_peaks(vecs)
     funcs = [MacroFunction(basis, vecs[:, k]) for k in range(count)]
-    clusters = _cluster_indices(vals[:count], CLUSTER_TOL)
+    clusters = _cluster_indices(vals[:count])
     return SpectrumResult(
         basis=basis, count=count,
         eigenvalues=vals[:count].copy(), eigenfunctions=funcs,

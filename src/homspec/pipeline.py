@@ -29,8 +29,7 @@ import numpy as np
 from . import __version__
 from .classical import build_suite, cyclic_check
 from .config import RunConfig, serialize_config
-from .errors import (ConfigError, EpsilonTooLarge, HomspecError,
-                     InsufficientPoints)
+from .errors import ConfigError, HomspecError, InsufficientPoints
 from .expansion import choose_P, multiple_recursion, simple_recursion
 from .hermite import MacroBasis, default_sigma, solve_spectrum, spectral_gap
 from .torus import TorusGrid
@@ -137,7 +136,7 @@ def stage_homogenize(cfg: RunConfig, warnings: list):
     (store, abar, abar3_sym).  A coefficient given as grid samples adds a
     RoughCoefficient warning."""
     coeff = cfg.coefficient(TorusGrid(cfg.dim, cfg.torus_modes))
-    if coeff.from_samples:
+    if coeff.entry_fns is None:
         warnings.append({
             "code": "RoughCoefficient",
             "detail": "coefficient given as grid samples; spectral accuracy "
@@ -164,18 +163,13 @@ def stage_expand(cfg: RunConfig, store, spec, warnings: list):
                                "epsilon condition need lambda_j > 0")
     a, b = spec.cluster_of(cfg.j)
     gamma = spectral_gap(spec, cfg.j)
-
-    def rule(eps, mu=None):
-        try:
-            return choose_P(eps, lam0, gamma, cfg.p_rule_c, mu=mu)
-        except EpsilonTooLarge:
-            return None
-
     if cfg.p_order is not None:
         P_build = cfg.p_order
     else:
-        ruled = [P for P in map(rule, cfg.eps_list) if P is not None]
-        P_build = min(max(ruled, default=2), P_BUILD_CAP)
+        # choose_P is None where the rule is undefined, and never 0
+        ruled = [choose_P(eps, lam0, gamma, cfg.p_rule_c)
+                 for eps in cfg.eps_list]
+        P_build = min(max(filter(None, ruled), default=2), P_BUILD_CAP)
     # an overflow raises FloatingPointError, which main reports as a
     # numerical failure, where an inf or NaN would pass the residual checks
     with np.errstate(over="raise", invalid="raise"):
@@ -185,7 +179,7 @@ def stage_expand(cfg: RunConfig, store, spec, warnings: list):
             branches = multiple_recursion(store, spec, cfg.j, P_build)
     P_eps = {}
     for eps in cfg.eps_list:
-        P = rule(eps, branches[0].mu)
+        P = choose_P(eps, lam0, gamma, cfg.p_rule_c, branches[0].mu)
         if P is None:
             if not cfg.p_order:
                 warnings.append({

@@ -45,10 +45,6 @@ class SeparableField:
     # --- constructors ---
 
     @classmethod
-    def zero(cls, grid: TorusGrid) -> "SeparableField":
-        return cls(grid)
-
-    @classmethod
     def one(cls, grid: TorusGrid) -> "SeparableField":
         return cls(grid, {(0,) * grid.dim: PeriodicField.constant(grid, 1.0)})
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# highest degree of a potential that hermite.poly_multiply_op accepts, and
-# of a power that SlowPolynomial.__pow__ forms
+# highest degree of a power that SlowPolynomial.__pow__ forms
 POLY_DEGREE_CAP = 8
 
 

@@ -473,11 +473,11 @@ class CoefficientField:
     ellipticity ratio theta = lam_max / lam_min.  When built from closed-form
     expressions the callables are kept so that the fine-grid oracle can
     evaluate a(x/eps) exactly; coefficients given only as samples fall back
-    to trigonometric interpolation (accurate for smooth fields only, and a
-    warning flag is set for the caller to surface).
+    to trigonometric interpolation (accurate for smooth fields only; such a
+    coefficient has no entry_fns, which the caller surfaces as a warning).
     """
 
-    def __init__(self, a: PeriodicField, entry_fns=None, from_samples=False):
+    def __init__(self, a: PeriodicField, entry_fns=None):
         if a.rank != 2:
             raise NotElliptic("coefficient must be a rank-2 field")
         if not np.all(np.isfinite(a.values)):
@@ -489,7 +489,6 @@ class CoefficientField:
         self.grid = a.grid
         self.a = a
         self.entry_fns = entry_fns
-        self.from_samples = from_samples
         lo, hi = _eig_bounds(a.values)
         if not lo > 0.0:
             raise NotElliptic(f"coefficient not positive definite, min eig {lo:.3e}")
@@ -518,7 +517,7 @@ class CoefficientField:
 
     @classmethod
     def from_samples(cls, grid: TorusGrid, values: np.ndarray) -> "CoefficientField":
-        return cls(PeriodicField(grid, values), from_samples=True)
+        return cls(PeriodicField(grid, values))
 
     @classmethod
     def identity(cls, grid: TorusGrid) -> "CoefficientField":

@@ -363,7 +363,7 @@ class TestConfig:
                                f"a_samples = {path}")
         cfg = parse_config(text)
         coeff = cfg.coefficient(TorusGrid(1, n))
-        assert coeff.from_samples
+        assert coeff.entry_fns is None
         assert abs(coeff.a.values[0, 0][3] - vals[3]) < 1e-14
         manifest, _ = run(cfg)
         assert any(w["code"] == "RoughCoefficient"
@@ -1037,13 +1037,35 @@ class TestCLI:
         ((), "command"),
         (("--tolerance-scale", "-1", "verify"), "--tolerance-scale"),
         (("--tolerance-scale", "nan", "verify"), "--tolerance-scale"),
+        (("expand", "--w-samples", "-3"), "--w-samples"),
+        (("spectrum", "--eigenfunction-samples", "-2"),
+         "--eigenfunction-samples"),
     ], ids=["bad-int", "unknown-subcommand", "no-subcommand",
-            "negative-scale", "nan-scale"])
+            "negative-scale", "nan-scale", "negative-w-samples",
+            "negative-eigenfunction-samples"])
     def test_usage_error_exit_code(self, tmp_path, argv, needle):
         # argparse's own usage errors are config errors, not exit 2, which
         # is kept for invariant failures
         r = self._run(*argv, cwd=str(tmp_path))
         self._fails_in_one_line(r, 3, "config error: ", needle)
+
+    def test_failed_allocation_exit_code(self, tmp_path, monkeypatch, capsys):
+        # an array larger than the host allocates (a 2D coefficient on
+        # torus_modes = 1048576 asks numpy for 32 TiB) is a numerical
+        # failure in one line, not a traceback; the stage raises the error
+        # here, since an overcommitting host may grant the real request
+        message = ("Unable to allocate 32.0 TiB for an array with shape "
+                   "(2, 2, 1048576, 1048576) and data type float64")
+
+        def refuse(cfg, warnings):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(pipeline, "stage_homogenize", refuse)
+        code = cli.main(["--config", str(self._minimal(tmp_path)),
+                         "homogenize"])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err == f"numerical failure: {message}\n"
 
     def test_parser_error_is_a_config_error(self):
         from homspec.cli import _Parser
@@ -1056,7 +1078,7 @@ class TestCLI:
 
     def _fails_in_one_line(self, r, code, prefix, needle):
         assert r.returncode == code, r.stderr
-        assert r.stderr.startswith(prefix), r.stderr
+        assert r.stderr.startswith(prefix) and needle in r.stderr, r.stderr
         assert r.stderr.count("\n") == 1, r.stderr
         assert needle in r.stderr
 

@@ -1,13 +1,20 @@
 """Every top-level function and public method in src/homspec is used by
 package code, every parameter of one or of a function nested in one is read,
 every defaulted parameter is passed by name or position by some call in
-src/homspec, no parameter of a private function is passed one literal by
-every call, every dataclass field is read by package code, no package
-code raises NotImplementedError, only pipeline.run reads the clock, only
-config._parse_expression calls eval, exec or compile, and only
-pipeline.config_hash imports a SHA-256.
+src/homspec, no parameter of a private function is passed one literal (or
+one module constant) by every call, every dataclass field is read by
+package code, no method name of a class is also one of its instance
+attributes, no package code raises NotImplementedError, only pipeline.run
+reads the clock, only config._parse_expression calls eval, exec or
+compile, and only pipeline.config_hash imports a SHA-256.
 Tests and the benchmark are not callers: what only they use is kept, if at
-all, in a KEPT_* table with its reason."""
+all, in a KEPT_* table with its reason.
+
+Run as a script, it prints the code lines of each module of the package
+(code_lines) and their total:
+
+    python tests/test_hygiene.py
+"""
 
 import ast
 import pathlib
@@ -65,18 +72,9 @@ SHARED_METHODS = {
         "SeparableField": "CorrectorTable._rhs and expansion.assemble",
         "SlowPolynomial": "expansion._div_sources and build_D_matrix",
     },
-    "points": {
-        "FineGrid": "reference.match_and_compare",
-        "QuadratureRule": "expansion._div_sources and build_D_matrix",
-    },
     "shape": {
         "MacroBasis": "hermite.extended_coefficients (a property)",
         "TorusGrid": "config.RunConfig.coefficient (a property)",
-    },
-    "zero": {
-        "MacroFunction": "expansion._snap_first_order and "
-                         "hermite.resolvent_solve",
-        "SeparableField": "CorrectorTable.chi",
     },
 }
 
@@ -218,21 +216,36 @@ def _unread_parameters(trees) -> list:
     return unread
 
 
-def _literal(node: ast.expr):
-    """repr of the value of a literal argument node, or None for any other
-    expression; -1 and (0, 1) are literals, x and f(1) are not."""
+def _literal(node: ast.expr, constants: dict):
+    """repr of the value of a literal argument node, or of the module
+    constant in ``constants`` that it names, or None for any other
+    expression; -1, (0, 1) and TOL after a module-level TOL = 1e-6 are
+    literals, x and f(1) are not."""
+    if isinstance(node, ast.Name):
+        return constants.get(node.id)
     try:
         return repr(ast.literal_eval(node))
     except ValueError:
         return None
 
 
+def _module_constants(tree: ast.Module) -> dict:
+    """NAME -> repr of the value of every module-level NAME = <literal>."""
+    return {target.id: _literal(stmt.value, {}) for stmt in tree.body
+            if isinstance(stmt, ast.Assign) for target in stmt.targets
+            if isinstance(target, ast.Name)}
+
+
 def _constant_arguments(trees) -> list:
     """Parameters of private functions and methods that every package call
-    passes, by name or by position, one and the same literal: a knob with
-    one value.  A call that leaves the parameter to its default, or that
-    unpacks *args or **kwargs, passes no literal."""
+    passes, by name or by position, one and the same literal, or a module
+    constant of the calling module that holds it: a knob with one value.
+    A call that leaves the parameter to its default, or that unpacks *args
+    or **kwargs, passes no literal."""
     calls = _calls(trees)
+    constants = {id(node): names for _, tree in trees
+                 for names in [_module_constants(tree)]
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)}
     constant = []
     for mod, qual, call_name, fn, bound in _defined(trees, nested=True):
         sites = calls.get(call_name, [])
@@ -249,7 +262,8 @@ def _constant_arguments(trees) -> list:
                 if slot is not None and len(call.args) > slot and not any(
                         isinstance(a, ast.Starred) for a in call.args):
                     given.append(call.args[slot])
-                values.add(_literal(given[0]) if len(given) == 1 else None)
+                values.add(_literal(given[0], constants[id(call)])
+                           if len(given) == 1 else None)
             if len(values) == 1 and None not in values:
                 constant.append(f"{mod}:{qual}({arg.arg})")
     return constant
@@ -290,6 +304,48 @@ def _unread_fields(trees) -> list:
                        if isinstance(stmt, ast.AnnAssign)
                        and stmt.target.id not in read]
     return unread
+
+
+def _shadowed_methods(trees) -> list:
+    """module:Class.name of every method, classmethod or property whose
+    name the class also sets as self.<name> or declares as a field: the
+    instance attribute hides the method on every instance."""
+    shadowed = []
+    for path, tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            state = {node.attr for node in ast.walk(cls)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Store)
+                     and getattr(node.value, "id", None) == "self"}
+            state |= {stmt.target.id for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign)}
+            shadowed += [f"{path.name}:{cls.name}.{fn.name}"
+                         for fn in cls.body
+                         if isinstance(fn, ast.FunctionDef)
+                         and fn.name in state]
+    return shadowed
+
+
+def code_lines(trees) -> dict:
+    """Module file -> its code lines: those that are not blank, not only a
+    comment, and not part of the docstring of the module, a class or a
+    function."""
+    counts = {}
+    for path, tree in trees:
+        docs = {line for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef,
+                                     ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None
+                for line in range(node.body[0].lineno,
+                                  node.body[0].end_lineno + 1)}
+        lines = path.read_text(encoding="utf-8").splitlines()
+        counts[path.name] = sum(
+            1 for number, line in enumerate(lines, 1)
+            if line.strip() and not line.lstrip().startswith("#")
+            and number not in docs)
+    return counts
 
 
 def _not_implemented(trees) -> list:
@@ -386,6 +442,14 @@ def test_every_field_is_read():
     assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
+def test_no_attribute_shadows_a_method():
+    # an instance attribute named like a method of its class (a flag
+    # beside the classmethod that sets it) hides the method on every
+    # instance: keep one of the two
+    shadowed = _shadowed_methods(_trees())
+    assert not shadowed, f"methods hidden by instance attributes: {shadowed}"
+
+
 def test_nothing_raises_not_implemented():
     # an input the package cannot handle is a deliberate error (a
     # ConfigError naming its key, exit 3); a NotImplementedError reaches
@@ -429,16 +493,21 @@ def test_gates_see_what_only_tests_use(tmp_path):
     # one package with one case of each kind the gates must not count as a
     # use: a helper that only a test calls, a default that only a **mapping
     # passes, a nested function whose default and parameter no call sets
-    # or body reads, and a private parameter that its one package call sets
-    # to a literal (a test passes another); the helper reads the clock,
-    # which _clock_readers names, and the module imports hashlib, which
-    # _digest_importers names
+    # or body reads, and two private parameters that their one package
+    # call sets to a literal and to a module constant (a test passes
+    # others); the helper reads the clock, which _clock_readers names, the
+    # module imports hashlib, which _digest_importers names, and a
+    # property and a classmethod share their names with a field and with
+    # a flag, which _shadowed_methods names
     package = tmp_path / "src" / "homspec"
     package.mkdir(parents=True)
     (package / "mod.py").write_text(textwrap.dedent("""\
+        \"\"\"A package module with one case of each kind.\"\"\"
         import hashlib
         import time
         from dataclasses import dataclass
+
+        OFFSET = 0
 
 
         @dataclass
@@ -446,8 +515,25 @@ def test_gates_see_what_only_tests_use(tmp_path):
             used: int
             spare: int
 
+            @property
+            def spare(self):
+                return self.used
+
+
+        class Field:
+            def __init__(self, values, sampled=False):
+                # the flag beside the classmethod below
+                self.values = values
+                self.sampled = sampled
+
+            @classmethod
+            def sampled(cls, values):
+                return cls(values, sampled=True)
+
 
         def helper():
+            \"\"\"The clock,
+            read once.\"\"\"
             return time.perf_counter()
 
 
@@ -462,11 +548,11 @@ def test_gates_see_what_only_tests_use(tmp_path):
                 return name
 
             check("a")
-            return solve(_scale(pair.used, 2), **source)
+            return solve(_scale(pair.used, 2, OFFSET), **source)
 
 
-        def _scale(x, factor):
-            return x * factor
+        def _scale(x, factor, offset):
+            return x * factor + offset
 
 
         COMMANDS = {"run": driver}
@@ -479,7 +565,7 @@ def test_gates_see_what_only_tests_use(tmp_path):
         def test_mod():
             pair = Pair(1, 2)
             assert helper() > 0 and pair.spare == 2
-            assert driver(pair, maxiter=1) == 2 and _scale(1, 3) == 3
+            assert driver(pair, maxiter=1) == 2 and _scale(1, 3, 1) == 4
         """))
     trees = _trees(tmp_path)
     assert _unused_helpers(trees) == ["mod.py:helper"]
@@ -487,11 +573,15 @@ def test_gates_see_what_only_tests_use(tmp_path):
                                          "mod.py:driver.check(note=)"]
     assert _unread_parameters(trees) == ["mod.py:driver.check(note)"]
     assert _unread_fields(trees) == ["mod.py:Pair.spare"]
-    assert _constant_arguments(trees) == ["mod.py:_scale(factor)"]
-    assert _not_implemented(trees) == ["mod.py:18"]
+    assert _constant_arguments(trees) == ["mod.py:_scale(factor)",
+                                          "mod.py:_scale(offset)"]
+    assert _shadowed_methods(trees) == ["mod.py:Pair.spare",
+                                        "mod.py:Field.sampled"]
+    assert _not_implemented(trees) == ["mod.py:38"]
     assert _clock_readers(trees) == ["mod.py:helper"]
     assert _evaluators(trees) == ["mod.py:solve"]
     assert _digest_importers(trees) == ["mod.py"]
+    assert code_lines(trees) == {"mod.py": 32}
 
 
 def test_tracer_restores_every_patch(monkeypatch):
@@ -511,3 +601,10 @@ def test_tracer_restores_every_patch(monkeypatch):
         t.restore()
     assert not t._patches
     assert all(vars(target)[attr] is orig for target, attr, orig in patches)
+
+
+if __name__ == "__main__":
+    counts = code_lines(_trees())
+    for name, count in counts.items():
+        print(f"{name:16} {count:5}")
+    print(f"{'total':16} {sum(counts.values()):5}")

@@ -938,7 +938,7 @@ class TestIndexedSampling:
         assert np.array_equal(grid.points(), tensor_grid(
             -2.0 + 0.25 * np.arange(1, grid.n_cells), dim)[2])
         quad = QuadratureRule(MacroBasis(dim, 8, 0.7), 10)
-        assert np.array_equal(quad.points(), tensor_grid(quad.x1, dim)[2])
+        assert np.array_equal(quad.points, tensor_grid(quad.x1, dim)[2])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
