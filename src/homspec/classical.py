@@ -51,7 +51,7 @@ def build_suite(coeff: CoefficientField, W: SlowPolynomial,
     """The corrector store of (coeff, W) with mu = [], and the homogenized
     matrix abar and symmetrized third-order tensor read off its q = 1, 2
     entries: (store, abar, abar3_sym)."""
-    table = CorrectorTable(coeff, W, [], tol=tol)
+    table = CorrectorTable(coeff, W, tol=tol)
     abar = np.stack([_abar(table, k) for k in range(table.d)], axis=1)
     abar = 0.5 * (abar + abar.T)
     # a flux whose norm overflows is pruned whole and leaves abar = 0

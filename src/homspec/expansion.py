@@ -60,7 +60,7 @@ from .hermite import (
     resolvent_solve,
     spectral_gap,
 )
-from .separable import PRUNE_TOL, SeparableField
+from .separable import SeparableField
 from .slowpoly import SlowPolynomial, monomials_of_degree, unit_index
 from .torus import (CoefficientField, FourierSampler, PeriodicField,
                     cell_residual, l2_inner, solve_cell)
@@ -85,18 +85,17 @@ class CorrectorTable:
     read mu_0 .. mu_{q-2-m}, which the level driver guarantees to have
     appended before they are requested.  Entries are keyed on (q, alpha)
     plus that mu prefix, and every table that ``fork`` makes shares one
-    store.  The homogenize stage creates it with mu = [], which serves the
-    classical q <= 2 entries (they read no mu); each branch forks it with
+    store.  A table starts with mu = [], which serves the classical
+    q <= 2 entries (they read no mu); each branch forks it with
     mu_0 = lambda_0, and the branches of a cluster agree on mu_0 and
     mu_1 = 0, so each cell problem is solved once.  Equal sources of
     different entries or slow monomials share one solve.
     """
 
-    def __init__(self, coeff: CoefficientField, W: SlowPolynomial, mu: list,
-                 tol: float):
+    def __init__(self, coeff: CoefficientField, W: SlowPolynomial, tol: float):
         self.coeff = coeff
         self.W = W
-        self.mu = mu
+        self.mu = []
         self.grid = coeff.grid
         self.d = coeff.grid.dim
         self.tol = tol
@@ -127,7 +126,7 @@ class CorrectorTable:
 
     def abar(self, q: int, alpha: tuple) -> list:
         """The y-mean of the stored flux(q, alpha), per axis."""
-        return [f.y_mean().prune(1e-16) for f in self.flux(q, alpha)]
+        return [f.y_mean().prune() for f in self.flux(q, alpha)]
 
     # --- construction ---
 
@@ -168,8 +167,6 @@ class CorrectorTable:
             if mval > 1e-10 * scale:
                 raise MeanNotZero(f"corrector RHS at (q,alpha,k)="
                                   f"{(q, alpha, beta)} has mean {mval:.3e}")
-            if shape.l2_norm() <= PRUNE_TOL * scale:
-                continue
             # equal sources under different slow monomials (W = x1^2 + x2^2
             # puts one shape under x1^2 and x2^2) are solved once per store
             u, res = self._cell(F=None, G=shape.mean_zero())
@@ -606,11 +603,6 @@ class Assembly:
 
 def lambda_tilde(branch: ExpansionBranch, eps: float, P: int) -> float:
     return float(sum(eps ** p * branch.mu[p] for p in range(P + 1)))
-
-
-def lambda_tilde_shift(branch: ExpansionBranch, eps: float, P: int) -> float:
-    """lambda_tilde - lambda_0 summed directly (no cancellation against mu_0)."""
-    return float(sum(eps ** p * branch.mu[p] for p in range(1, P + 1)))
 
 
 def _terms(branch: ExpansionBranch, P: int):

@@ -443,7 +443,6 @@ class SpectrumResult:
     all_eigenvalues: np.ndarray = field(repr=False)
     all_vectors: np.ndarray = field(repr=False)
     matrix: np.ndarray = field(repr=False)
-    separable: bool = False          # solved per axis, not by a dense eigh
 
     def cluster_of(self, j: int) -> tuple:
         """Half-open 0-based index range of the cluster containing lambda_j;
@@ -455,9 +454,6 @@ class SpectrumResult:
 
     def eigenvalue(self, j: int) -> float:
         return float(self.eigenvalues[j - 1])
-
-    def eigenfunction(self, j: int) -> MacroFunction:
-        return self.eigenfunctions[j - 1]
 
 
 def _cluster_indices(vals: np.ndarray) -> list:
@@ -504,7 +500,6 @@ def eigensolve(L0: np.ndarray, count: int, basis: MacroBasis,
         eigenvalues=vals[:count].copy(), eigenfunctions=funcs,
         clusters=clusters,
         all_eigenvalues=vals, all_vectors=vecs, matrix=L0,
-        separable=pairs is not None,
     )
 
 

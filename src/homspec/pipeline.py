@@ -4,9 +4,9 @@ reference -> compare pipeline, manifests, and CSV artifacts.
 A run is driven entirely by a RunConfig; the manifest embeds the config
 verbatim (plus a hash) so a run can be reproduced from the manifest alone.
 All artifacts are deterministic for a fixed config on one machine, with the
-BLAS thread count fixed, except for the recorded wall-clock column; a 1D
-sweep's do not depend on the thread count, since its reductions over the
-fine grid are numpy sums, not BLAS products split over threads.  The
+BLAS thread count fixed, except for the recorded wall-clock column; every
+sweep manifest records the thread variables it ran under (README names the
+steps whose rounding moves with them).  The
 reference stage's names, and with them scipy's _flapack alone (and
 scipy.sparse on the sparse 2D path), are imported by the functions that use
 them, so the homogenize, spectrum and expand commands do not load scipy;
@@ -35,7 +35,8 @@ from .hermite import MacroBasis, default_sigma, solve_spectrum, spectral_gap
 from .torus import TorusGrid
 
 P_BUILD_CAP = 5
-# the environment variables that set the BLAS and OpenMP thread counts
+# the environment variables that set the BLAS and OpenMP thread counts,
+# which every sweep manifest records as it saw them
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS")
 # mantissa bits of x87 extended precision, in which the reference's energy
@@ -66,7 +67,7 @@ class RunManifest:
     radius: float
     radius_shift: float | None
     longdouble_nmant: int       # np.finfo(np.longdouble).nmant of the run
-    blas_threads: dict | None   # THREAD_VARIABLES as seen, see blas_threads
+    blas_threads: dict          # THREAD_VARIABLES as seen, None where unset
     hierarchy_residual_max: float
     per_eps: list               # rows as dicts (the CSV table)
     fits: dict
@@ -91,17 +92,6 @@ def config_hash(cfg: RunConfig) -> str:
         except ImportError:
             from hashlib import sha256
     return sha256(serialize_config(cfg).encode()).hexdigest()[:16]
-
-
-def blas_threads(dim: int, spec, coeff) -> dict | None:
-    """THREAD_VARIABLES as the run saw them (None where unset) when a 2D
-    run took a dense factorization whose rounding moves with the thread
-    count: the dense eigh of L0 (abar off-diagonal, or W not a sum of one
-    polynomial per axis), or the cell solves' fast diagonalization; None
-    otherwise, where the outputs do not depend on them."""
-    if dim == 2 and (not spec.separable or coeff.fast_diagonalized):
-        return {name: os.environ.get(name) for name in THREAD_VARIABLES}
-    return None
 
 
 def precision_warnings(nmant: int) -> list:
@@ -374,7 +364,8 @@ def run(cfg: RunConfig):
         radius=radius,
         radius_shift=radius_shift,
         longdouble_nmant=int(np.finfo(np.longdouble).nmant),
-        blas_threads=blas_threads(cfg.dim, spec, store.coeff),
+        blas_threads={name: os.environ.get(name)
+                      for name in THREAD_VARIABLES},
         hierarchy_residual_max=hierarchy_residual_max(branches),
         **summary,
         per_eps=per_eps_meta,

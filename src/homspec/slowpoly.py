@@ -126,9 +126,11 @@ class SlowPolynomial:
             out = out * self
         return out
 
-    def prune(self, tol: float) -> "SlowPolynomial":
+    def prune(self) -> "SlowPolynomial":
+        """The polynomial without its coefficients of magnitude 1e-16 or
+        less."""
         return SlowPolynomial(
-            self.dim, {a: c for a, c in self.coeffs.items() if abs(c) > tol}
+            self.dim, {a: c for a, c in self.coeffs.items() if abs(c) > 1e-16}
         )
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -142,19 +144,6 @@ class SlowPolynomial:
                     term = term * pts[:, ax] ** p
             out += term
         return out
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for alpha in sorted(self.coeffs):
-            mono = "*".join(
-                f"x{i + 1}^{p}" if p > 1 else f"x{i + 1}"
-                for i, p in enumerate(alpha) if p
-            )
-            c = self.coeffs[alpha]
-            parts.append(f"{c:+.6g}" + (f"*{mono}" if mono else ""))
-        return " ".join(parts)
 
 
 def unit_index(d: int, *axes: int) -> tuple:

@@ -447,7 +447,10 @@ def hminus1_norm(f: PeriodicField) -> float:
 def _parseval_dot(grid: TorusGrid, ah: np.ndarray, bh: np.ndarray) -> float:
     """sum(a * b) over the grid of two real n-grid arrays, from their
     unnormalized half spectra ah and bh (Parseval)."""
-    return np.vdot(ah * grid.parseval_weights, bh).real / grid.npoints
+    # a serial sum: a BLAS dot splits long arrays over threads, and its
+    # bits with them
+    return np.sum((ah.conj() * bh).real * grid.parseval_weights) \
+        / grid.npoints
 
 
 # --- coefficient fields ------------------------------------------------------
@@ -563,14 +566,6 @@ class CoefficientField:
             mu, V = np.linalg.eigh(D.T @ (D / h[:, None]))
             pairs.append((V[:, 2:], mu[2:]))
         return pairs
-
-    @property
-    def fast_diagonalized(self) -> bool:
-        """Whether the cell solves have run _fast_diagonalization: its eigh
-        and matrix products round differently under different BLAS thread
-        counts (from n = 128 on a 2-core x86-64 host), and the solutions
-        with them, within the solve's tolerance."""
-        return "_fast_diagonalization" in vars(self)
 
     def _axis_solve(self, ax: int, rh: np.ndarray) -> np.ndarray:
         """Half spectrum of the solution of -(b u')' = r along axis ax,
@@ -755,7 +750,7 @@ def solve_cell(coeff: CoefficientField,
     # breakdown the iterates may overflow or r.z reach 0: the check below
     # catches all three, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bnorm = np.linalg.norm(b)
+        bnorm = np.sqrt(np.sum(b * b))
         if bnorm == 0.0:
             return PeriodicField.zeros(grid)
 

@@ -271,7 +271,7 @@ def test_a5_identity_suite():
         [None, lambda y1, y2: np.ones_like(y1)],
     ])
     spec2 = solve_spectrum(np.eye(2), w_iso(2), MacroBasis(2, 20, 1.0), 8)
-    table2 = CorrectorTable(c2, w_iso(2), [spec2.eigenvalue(2)], tol=1e-13)
+    table2 = CorrectorTable(c2, w_iso(2), tol=1e-13).fork(spec2.eigenvalue(2))
     D, E, mu2, info = build_D_matrix(spec2, 2, table2,
                                      quadrature_for(spec2.basis, 4))
     ok_D = info["dual_gap"] < 1e-8 and info["sym_gap"] < 1e-12

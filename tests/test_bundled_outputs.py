@@ -9,7 +9,9 @@ regenerates the fixture with
 
     PYTHONPATH=src python tests/test_bundled_outputs.py
 
-and states the shift.
+which first prints the shift to state: the largest relative and absolute
+change of each sweep.csv column and manifest field that moved, and the
+artifact and verify digests that moved.
 """
 
 import hashlib
@@ -49,9 +51,10 @@ for command in {COMMANDS!r}:
 
 def _cli(*argv, cwd) -> str:
     """stdout of one homspec process at one BLAS thread, which must exit
-    0; argv follows the interpreter."""
+    0; argv follows the interpreter.  Every thread variable is set, so the
+    manifest's record of them does not depend on the caller's."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.path.join(HERE, "..", "src"))
+               MKL_NUM_THREADS="1", PYTHONPATH=os.path.join(HERE, "..", "src"))
     r = subprocess.run([sys.executable, *argv], capture_output=True,
                        text=True, env=env, cwd=cwd)
     assert r.returncode == 0, r.stderr
@@ -165,11 +168,69 @@ def test_verify_report_pinned():
     assert verify_digest() == want
 
 
+def _leaves(value, key):
+    """(key, value) of every leaf of a JSON value, its list indices left
+    out of the key, so one key gathers a list's entries."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, f"{key}.{k}")
+    elif isinstance(value, list):
+        for v in value:
+            yield from _leaves(v, f"{key}[]")
+    else:
+        yield key, value
+
+
+def _shift_lines(old, new) -> list:
+    """One line per key of the (key, value) leaves old and new whose values
+    moved: the largest relative and absolute change where both hold the
+    same count of numbers, both values otherwise."""
+    gathered = {}
+    for side, leaves in enumerate((old, new)):
+        for key, value in leaves:
+            gathered.setdefault(key, ([], []))[side].append(value)
+    lines = []
+    for key, (was, now) in gathered.items():
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in was + now)
+        if not numbers or len(was) != len(now):
+            if was != now:
+                lines.append(f"{key}: {was} -> {now}")
+            continue
+        moved = [(abs(b - a), abs(b - a) / abs(a) if a else np.inf)
+                 for a, b in zip(was, now)
+                 if a != b and not (np.isnan(a) and np.isnan(b))]
+        if moved:
+            lines.append(f"{key}: rel {max(r for _, r in moved):.2g}, "
+                         f"abs {max(d for d, _ in moved):.2g}")
+    return lines
+
+
+def _sweep_leaves(text):
+    """(column header, field) of every row of a sweep.csv text."""
+    header, *rows = _numbers(text)
+    return [(f"sweep.csv {name}", v) for row in rows
+            for name, v in zip(header, row)]
+
+
 if __name__ == "__main__":
     pinned = {config: {**bundled_outputs(config),
                        "artifacts": artifact_digests(config)}
               for config in CONFIGS}
     pinned["verify"] = verify_digest()
+    with open(FIXTURE) as fh:
+        old = json.load(fh)
+    for config in CONFIGS:
+        was, now = old[config], pinned[config]
+        lines = _shift_lines(_sweep_leaves(was["sweep"]),
+                             _sweep_leaves(now["sweep"]))
+        lines += _shift_lines(_leaves(was["manifest"], "manifest"),
+                              _leaves(now["manifest"], "manifest"))
+        lines += [f"digest moved: {name}" for name in now["artifacts"]
+                  if was["artifacts"].get(name) != now["artifacts"][name]]
+        print(f"{config}:", *lines or ["unchanged"], sep="\n  ")
+    if old["verify"] != pinned["verify"]:
+        print("verify: digest moved")
     with open(FIXTURE, "w") as fh:
         json.dump(pinned, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -19,7 +19,6 @@ from homspec.expansion import (
     choose_P,
     envelope_requests,
     lambda_tilde,
-    lambda_tilde_shift,
     multiple_recursion,
     simple_recursion,
 )
@@ -30,6 +29,11 @@ from homspec.slowpoly import SlowPolynomial
 from homspec.torus import CoefficientField, FourierSampler, TorusGrid, l2_inner
 
 TWO_PI = 2.0 * np.pi
+
+
+def order2_shift(branch, eps):
+    """lambda_tilde - lambda_0 at P = 2, summed without mu_0."""
+    return eps * branch.mu[1] + eps ** 2 * branch.mu[2]
 
 
 def w_iso(dim):
@@ -93,7 +97,7 @@ class TestCorrectorTable:
         coeff, W, spec = case_2d_laminate
         chi1, _, _ = ordered_pairs(coeff, 1e-13)
         _, abar, _ = build_suite(coeff, W, tol=1e-13)
-        table = CorrectorTable(coeff, W, [spec.eigenvalue(1)], tol=1e-13)
+        table = CorrectorTable(coeff, W, tol=1e-13).fork(spec.eigenvalue(1))
         for k, alpha in enumerate([(1, 0), (0, 1)]):
             chi = table.chi(1, alpha)
             diff = chi.terms[(0, 0)] - chi1[k]
@@ -108,7 +112,7 @@ class TestCorrectorTable:
                                           ordered_pairs):
         coeff, W, spec = case_2d_laminate
         _, chi2, abar3 = ordered_pairs(coeff, 1e-13)
-        table = CorrectorTable(coeff, W, [spec.eigenvalue(1)], tol=1e-13)
+        table = CorrectorTable(coeff, W, tol=1e-13).fork(spec.eigenvalue(1))
         # chi_{2, e1+e2} = chi2_(1,2) + chi2_(2,1); chi_{2, 2e1} = chi2_(1,1)
         c_mixed = table.chi(2, (1, 1))
         target = chi2[(0, 1)] + chi2[(1, 0)]
@@ -140,7 +144,7 @@ class TestCorrectorTable:
         # abar_{3,e_i,0}[l] = (W - mu0) <chi1_i chi1_l>, coefficientwise
         coeff, W, spec = case_2d_laminate
         mu0 = spec.eigenvalue(1)
-        table = CorrectorTable(coeff, W, [mu0], tol=1e-13)
+        table = CorrectorTable(coeff, W, tol=1e-13).fork(mu0)
         chi11 = table.chi(1, (1, 0)).terms[(0, 0)]
         cov = l2_inner(chi11, chi11)
         ab = table.abar(3, (1, 0))[0]
@@ -158,8 +162,8 @@ class TestCorrectorTable:
         import homspec.expansion as expansion
         coeff, W, spec, _ = case_1d
         monkeypatch.setattr(expansion, "DEGREE_CAP", 2)
-        t = CorrectorTable(coeff, W, [spec.eigenvalue(1), 0.0, 0.0, 0.0],
-                           tol=1e-12)
+        t = CorrectorTable(coeff, W, tol=1e-12).fork(spec.eigenvalue(1))
+        t.mu += [0.0, 0.0, 0.0]
         with pytest.raises(DegreeCapExceeded):
             t.chi(5, (1,))     # needs W * (degree-2 entry) -> degree 4
 
@@ -190,7 +194,7 @@ class TestConstantCoefficient:
         asm = assemble_at(br, 0.3, pts, P=2)
         assert lambda_tilde(br, 0.3, 2) == pytest.approx(spec.eigenvalue(1),
                                                  abs=1e-12)
-        exact = spec.eigenfunction(1).evaluate(pts)
+        exact = spec.eigenfunctions[0].evaluate(pts)
         assert np.max(np.abs(asm.w - exact)) < 1e-12
 
 
@@ -205,7 +209,7 @@ class TestSimpleRecursion:
         chi1 = branch.table.chi(1, (1,)).terms[(0,)]
         cov = l2_inner(chi1, chi1)
         quad = quadrature_for(spec.basis, 4)
-        dphi = quad.values(spec.eigenfunction(1), (1,))
+        dphi = quad.values(spec.eigenfunctions[0], (1,))
         wvals = W(quad.points) - spec.eigenvalue(1)
         mu2 = cov * quad.integrate(wvals, dphi, dphi)
         assert branch.mu[2] == pytest.approx(mu2, rel=1e-8)
@@ -237,7 +241,7 @@ class TestSimpleRecursion:
 
     def test_envelopes_orthogonal_to_ground(self, case_1d):
         _, _, spec, branch = case_1d
-        phi = spec.eigenfunction(1)
+        phi = spec.eigenfunctions[0]
         for u in branch.U[1:]:
             assert abs(u.inner(phi)) < 1e-12
 
@@ -254,13 +258,13 @@ class TestCouplingMatrix:
         W = w_iso(2)
         basis = MacroBasis(2, 12, 1.0)
         spec = solve_spectrum(np.eye(2), W, basis, 6)
-        table = CorrectorTable(coeff, W, [spec.eigenvalue(2)], tol=1e-12)
+        table = CorrectorTable(coeff, W, tol=1e-12).fork(spec.eigenvalue(2))
         with pytest.raises(DegenerateD):
             build_D_matrix(spec, 2, table, quadrature_for(spec.basis, 4))
 
     def test_n1_consistency(self, case_1d):
         coeff, W, spec, branch = case_1d
-        table = CorrectorTable(coeff, W, [spec.eigenvalue(1)], tol=1e-13)
+        table = CorrectorTable(coeff, W, tol=1e-13).fork(spec.eigenvalue(1))
         D, E, mu2, info = build_D_matrix(spec, 1, table,
                                          quadrature_for(spec.basis, 4))
         assert D.shape == (1, 1)
@@ -269,7 +273,7 @@ class TestCouplingMatrix:
 
     def test_laminate_cluster(self, case_2d_laminate):
         coeff, W, spec = case_2d_laminate
-        table = CorrectorTable(coeff, W, [spec.eigenvalue(2)], tol=1e-13)
+        table = CorrectorTable(coeff, W, tol=1e-13).fork(spec.eigenvalue(2))
         D, E, mu2, info = build_D_matrix(spec, 2, table,
                                          quadrature_for(spec.basis, 4))
         assert info["dual_gap"] < 1e-8
@@ -327,6 +331,7 @@ class TestMultipleRecursion:
         import homspec.expansion as expansion
         coeff, W, spec = case_2d_laminate
         build, solve = CorrectorTable._solve_chi, expansion.solve_cell
+        share = CorrectorTable.fork
         building = []        # entries under construction, innermost last
 
         def run(fork):
@@ -352,12 +357,12 @@ class TestMultipleRecursion:
             branches = multiple_recursion(store(coeff, W), spec, 2, P)
             return branches, built, solved
 
-        shared, built, solves = run(CorrectorTable.fork)
+        shared, built, solves = run(share)
         assert len(built) == len(set(built))
         assert len(solves) == len(set(solves))
         assert shared[0].table.cell_solves() == len(solves)
         alone, built_alone, solves_alone = run(
-            lambda t, mu0: CorrectorTable(t.coeff, t.W, [mu0], tol=t.tol))
+            lambda t, mu0: share(CorrectorTable(t.coeff, t.W, tol=t.tol), mu0))
         assert set(built_alone) == set(built)
         assert len(built_alone) > len(built)
         assert set(solves_alone) == set(solves)
@@ -428,8 +433,7 @@ class TestAssemble:
         # with P = 2: (lt(eps) - lambda0) / (lt(eps/2) - lambda0) = 4 exactly
         _, _, _, branch = case_1d
         eps = 0.05
-        r = lambda_tilde_shift(branch, eps, 2) \
-            / lambda_tilde_shift(branch, eps / 2, 2)
+        r = order2_shift(branch, eps) / order2_shift(branch, eps / 2)
         assert r == pytest.approx(4.0, rel=1e-10)
 
     @settings(max_examples=50, deadline=None)
@@ -440,8 +444,7 @@ class TestAssemble:
         # is left (at most 2.2e-16 relative over 40 000 draws)
         _, _, _, branch = case_1d
         assert branch.mu[1] == 0.0
-        r = lambda_tilde_shift(branch, eps, 2) \
-            / lambda_tilde_shift(branch, eps / 2, 2)
+        r = order2_shift(branch, eps) / order2_shift(branch, eps / 2)
         assert r == pytest.approx(4.0, rel=1e-15, abs=0.0)
 
     def test_w_gradient_oscillation(self, case_1d):
@@ -450,7 +453,7 @@ class TestAssemble:
         eps = 0.05
         pts = np.linspace(-1.0, 1.0, 257).reshape(-1, 1)
         asm = assemble_at(branch, eps, pts, P=1)
-        phi = spec.eigenfunction(1)
+        phi = spec.eigenfunctions[0]
         chi1 = branch.table.chi(1, (1,)).terms[(0,)]
         from homspec.torus import deriv_y
         dchi = deriv_y(chi1, 0)

@@ -578,25 +578,19 @@ class TestPipeline:
         assert manifest.cell_solves == 7
         assert 0.0 < manifest.cell_residual_max < 1e-10
 
-    @pytest.mark.parametrize("old, new, recorded", [
-        ("", "", False),
-        ("a22 = 1", "a22 = 1 + 0.3*cos(2*pi*y1)*cos(2*pi*y2)", True),
-        ("w = x1**2 + x2**2", "w = x1**2 + x2**2 + 0.5*x1*x2", True),
-    ], ids=["separable", "coefficient", "potential"])
-    def test_manifest_blas_threads(self, monkeypatch, old, new, recorded):
-        # a 2D run records the thread variables it saw where a dense
-        # factorization ran: the cell solves' fast diagonalization, which
-        # a coefficient that varies along both axes needs, or the dense
-        # eigh of L0, which a potential with an x1 x2 term keeps
+    @pytest.mark.parametrize("text", [MINIMAL, TWO_BRANCH],
+                             ids=["1d", "separable"])
+    def test_manifest_blas_threads(self, monkeypatch, text):
+        # every sweep, 1D and 2D alike, records the thread variables as it
+        # saw them, None where unset: a separable 2D run too, which factors
+        # no dense matrix
         for name in pipeline.THREAD_VARIABLES:
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        cfg = parse_config(TWO_BRANCH.replace(old, new))
-        store, abar, _ = pipeline.stage_homogenize(cfg, [])
-        spec = pipeline.stage_spectrum(cfg, store.W, abar)
-        assert pipeline.blas_threads(cfg.dim, spec, store.coeff) == (
-            {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "3",
-             "MKL_NUM_THREADS": None} if recorded else None)
+        manifest, _ = run(parse_config(text))
+        assert manifest.blas_threads == {"OMP_NUM_THREADS": None,
+                                         "OPENBLAS_NUM_THREADS": "3",
+                                         "MKL_NUM_THREADS": None}
 
     @pytest.mark.parametrize("config", ["minimal", "simple-1d", "multiple-2d"])
     @pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")],
@@ -1082,21 +1076,25 @@ class TestCLI:
         assert r.stderr.count("\n") == 1, r.stderr
         assert needle in r.stderr
 
+    @staticmethod
+    def _bundled(config):
+        return os.path.join(os.path.dirname(__file__), "..", "configs",
+                            f"{config}.ini")
+
     def _outputs_by_threads(self, tmp_path, config, *commands):
         """For one and two BLAS threads, every artifact of each command on
-        configs/<config>.ini, keyed by command and file name, but for the
-        wall times (sweep.csv's runtime_s, the manifest's timings)."""
-        config = os.path.join(os.path.dirname(__file__), "..", "configs",
-                              f"{config}.ini")
+        the config file, keyed by command and file name, but for the wall
+        times (sweep.csv's runtime_s, the manifest's timings) and the
+        manifest's record of the thread variables, which must be the ones
+        set."""
         outputs = []
         for threads in ("1", "2"):
+            variables = dict.fromkeys(pipeline.THREAD_VARIABLES, threads)
             files = {}
             for command in commands:
                 out = tmp_path / threads / command[0]
                 r = self._run("--config", config, "--out", str(out),
-                              *command, cwd=str(tmp_path),
-                              OPENBLAS_NUM_THREADS=threads,
-                              OMP_NUM_THREADS=threads)
+                              *command, cwd=str(tmp_path), **variables)
                 assert r.returncode == 0, r.stderr
                 for path in sorted(out.iterdir()):
                     text = path.read_text()
@@ -1106,6 +1104,7 @@ class TestCLI:
                     elif path.name == "manifest.json":
                         manifest = json.loads(text)
                         del manifest["timings"]
+                        assert manifest.pop("blas_threads") == variables
                         text = json.dumps(manifest, sort_keys=True)
                     files[command[0], path.name] = text
             outputs.append(files)
@@ -1116,7 +1115,8 @@ class TestCLI:
         # ~10 000 elements from which OpenBLAS splits a dot product over
         # threads: the sweep writes the same bytes under one BLAS thread and
         # two
-        one, two = self._outputs_by_threads(tmp_path, "simple-1d", ("sweep",))
+        one, two = self._outputs_by_threads(
+            tmp_path, self._bundled("simple-1d"), ("sweep",))
         assert ("sweep", "sweep.csv") in one and one.keys() == two.keys()
         assert [name for name in one if one[name] != two[name]] == []
 
@@ -1127,8 +1127,26 @@ class TestCLI:
         # products, and sweep and expand write the same bytes under one
         # BLAS thread and two
         one, two = self._outputs_by_threads(
-            tmp_path, "multiple-2d", ("sweep",),
+            tmp_path, self._bundled("multiple-2d"), ("sweep",),
             ("expand", "--w-samples", "100"))
+        assert ("expand", "expand.json") in one and one.keys() == two.keys()
+        assert [name for name in one if one[name] != two[name]] == []
+
+    def test_2d_expand_at_256_modes_independent_of_blas_threads(self,
+                                                                tmp_path):
+        # at 256 torus modes the cell solve's inner products run over
+        # 256 x 129 half-spectrum entries, far above the ~10 000 elements
+        # from which OpenBLAS splits a dot product over threads; they are
+        # numpy sums, so expand writes the same bytes under one BLAS thread
+        # and two
+        with open(self._bundled("multiple-2d")) as fh:
+            text = fh.read()
+        assert "torus_modes = 64" in text
+        cfgfile = tmp_path / "modes-256.ini"
+        cfgfile.write_text(text.replace("torus_modes = 64",
+                                        "torus_modes = 256"))
+        one, two = self._outputs_by_threads(
+            tmp_path, str(cfgfile), ("expand", "--w-samples", "100"))
         assert ("expand", "expand.json") in one and one.keys() == two.keys()
         assert [name for name in one if one[name] != two[name]] == []
 

@@ -161,7 +161,7 @@ class TestEigensolve:
         L = assemble_L0(np.array([[1.0]]), w_iso(1), basis)
         spec = eigensolve(L, 5, basis)
         for j in range(1, 6):
-            phi = spec.eigenfunction(j)
+            phi = spec.eigenfunctions[j - 1]
             r = L @ phi.coeffs - spec.eigenvalue(j) * phi.coeffs
             assert np.linalg.norm(r) < 1e-8 * spec.eigenvalue(j)
 
@@ -205,7 +205,7 @@ class TestGapAndResolvent:
 
     def test_resolvent_single_mode(self):
         # f = phi_2, lambda = lambda_1: u = phi_2 / (lambda_2 - lambda_1)
-        f = self.spec.eigenfunction(2)
+        f = self.spec.eigenfunctions[1]
         u = resolvent_solve(self.spec, 1, f)
         diff = u - 0.5 * f
         assert diff.norm() < 1e-12
@@ -214,7 +214,7 @@ class TestGapAndResolvent:
         # random f orthogonal to the eigenspace: residual and norm bound
         rng = np.random.default_rng(5)
         f = MacroFunction(self.basis, rng.standard_normal(self.basis.total))
-        phi = self.spec.eigenfunction(1)
+        phi = self.spec.eigenfunctions[0]
         f = f - phi.inner(f) * phi
         u = resolvent_solve(self.spec, 1, f)
         lam = self.spec.eigenvalue(1)
@@ -227,7 +227,7 @@ class TestGapAndResolvent:
 
     def test_resolvent_rejects_nonorthogonal(self):
         with pytest.raises(NotOrthogonal):
-            resolvent_solve(self.spec, 1, self.spec.eigenfunction(1))
+            resolvent_solve(self.spec, 1, self.spec.eigenfunctions[0])
 
 
 class TestOperatorsAndQuadrature:
@@ -251,7 +251,7 @@ class TestOperatorsAndQuadrature:
         # <phi_0, x^2 phi_0> = 1/2 for the unit oscillator ground state
         basis = MacroBasis(1, 32, 1.0)
         spec = solve_spectrum(np.array([[1.0]]), w_iso(1), basis, 1)
-        phi = spec.eigenfunction(1)
+        phi = spec.eigenfunctions[0]
         quad = quadrature_for(basis, 6)
         v = quad.values(phi, (0,))
         x2 = quad.points[:, 0] ** 2

@@ -1,9 +1,9 @@
 """Every top-level function and public method in src/homspec is used by
 package code, every parameter of one or of a function nested in one is read,
 every defaulted parameter is passed by name or position by some call in
-src/homspec, no parameter of a private function is passed one literal (or
-one module constant) by every call, every dataclass field is read by
-package code, no method name of a class is also one of its instance
+src/homspec, no parameter of a function, method or constructor is passed
+one literal (or one module constant) by every call, every dataclass field is
+read by package code, no method name of a class is also one of its instance
 attributes, no package code raises NotImplementedError, only pipeline.run
 reads the clock, only config._parse_expression calls eval, exec or
 compile, and only pipeline.config_hash imports a SHA-256.
@@ -237,9 +237,10 @@ def _module_constants(tree: ast.Module) -> dict:
 
 
 def _constant_arguments(trees) -> list:
-    """Parameters of private functions and methods that every package call
-    passes, by name or by position, one and the same literal, or a module
-    constant of the calling module that holds it: a knob with one value.
+    """Parameters of functions, methods and constructors that every package
+    call passes, by name or by position, one and the same literal, or a
+    module constant of the calling module that holds it: a knob with one
+    value.  Dunders other than __init__ run implicitly and are left out.
     A call that leaves the parameter to its default, or that unpacks *args
     or **kwargs, passes no literal."""
     calls = _calls(trees)
@@ -249,7 +250,7 @@ def _constant_arguments(trees) -> list:
     constant = []
     for mod, qual, call_name, fn, bound in _defined(trees, nested=True):
         sites = calls.get(call_name, [])
-        if not fn.name.startswith("_") or fn.name.startswith("__") \
+        if (fn.name.startswith("__") and fn.name != "__init__") \
                 or not sites:
             continue
         positional = fn.args.posonlyargs + fn.args.args
@@ -428,8 +429,8 @@ def test_every_parameter_is_read():
 
 
 def test_no_constant_arguments():
-    # a private parameter that every package call sets to one literal is a
-    # knob with one value: make the value a constant in the body
+    # a parameter that every package call sets to one literal is a knob
+    # with one value: make the value a constant in the body
     constant = _constant_arguments(_trees())
     assert not constant, (
         f"parameters every call passes one literal: {constant}")
@@ -493,12 +494,14 @@ def test_gates_see_what_only_tests_use(tmp_path):
     # one package with one case of each kind the gates must not count as a
     # use: a helper that only a test calls, a default that only a **mapping
     # passes, a nested function whose default and parameter no call sets
-    # or body reads, and two private parameters that their one package
-    # call sets to a literal and to a module constant (a test passes
-    # others); the helper reads the clock, which _clock_readers names, the
-    # module imports hashlib, which _digest_importers names, and a
-    # property and a classmethod share their names with a field and with
-    # a flag, which _shadowed_methods names
+    # or body reads, two private parameters that their one package call
+    # sets to a literal and to a module constant (a test passes others),
+    # and a constructor's flag and the nested function's name, which their
+    # one call each sets to a literal; the helper reads the clock, which
+    # _clock_readers names, the module imports hashlib, which
+    # _digest_importers names, and a property and a classmethod share
+    # their names with a field and with a flag, which _shadowed_methods
+    # names
     package = tmp_path / "src" / "homspec"
     package.mkdir(parents=True)
     (package / "mod.py").write_text(textwrap.dedent("""\
@@ -573,8 +576,10 @@ def test_gates_see_what_only_tests_use(tmp_path):
                                          "mod.py:driver.check(note=)"]
     assert _unread_parameters(trees) == ["mod.py:driver.check(note)"]
     assert _unread_fields(trees) == ["mod.py:Pair.spare"]
-    assert _constant_arguments(trees) == ["mod.py:_scale(factor)",
-                                          "mod.py:_scale(offset)"]
+    assert _constant_arguments(trees) == ["mod.py:Field.__init__(sampled)",
+                                          "mod.py:_scale(factor)",
+                                          "mod.py:_scale(offset)",
+                                          "mod.py:driver.check(name)"]
     assert _shadowed_methods(trees) == ["mod.py:Pair.spare",
                                         "mod.py:Field.sampled"]
     assert _not_implemented(trees) == ["mod.py:38"]
