@@ -188,20 +188,21 @@ def cmd_reference(cfg: RunConfig, args):
     spec = stage_spectrum(cfg, store.W, abar)
     per_eps = []
 
-    def entry(ref):
+    def entry(ref, floor):
         per_eps.append({
             "eps": ref.eps,
             "lambda_h": [float(v) for v in ref.eigenvalues_h],
             "lambda_richardson": [float(v) for v in ref.eigenvalues],
             "estimate": [float(v) for v in ref.error_estimates],
+            "box_floor": floor.tolist(),
             "path": ref.path,
             "h_route": list(ref.h_routes),
         })
+        return enumerate(ref.error_estimates)
 
-    radius, radius_shift = stage_reference(
-        cfg, store, spec, keep_vectors=False, warnings=warnings, each=entry)
-    payload = {"radius": radius, "radius_shift": radius_shift,
-               "per_eps": per_eps, "warnings": warnings}
+    radius = stage_reference(cfg, store, abar, spec, keep_vectors=False,
+                             warnings=warnings, each=entry)
+    payload = {"radius": radius, "per_eps": per_eps, "warnings": warnings}
     _dump(payload, args.out, "reference.json")
     return 0
 

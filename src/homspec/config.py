@@ -159,9 +159,6 @@ SETTINGS = tuple(Setting(*row) for row in (
     ("discretization", "solver_tol", "solver_tol", float, 1e-12, None),
     ("discretization", "fd_h_rule", "fd_h_rule", float, 16.0, 8),
     ("discretization", "radius", "radius", float, None, None),
-    ("discretization", "radius_safety", "radius_safety", float, 3.0, None),
-    ("discretization", "validate_radius", "validate_radius", bool, False,
-     None),
     ("experiment", "j", "j", int, 1, 1),
     ("experiment", "count", "count", int, 8, 2),
     ("experiment", "eps", "eps_list", tuple, (0.1, 0.05, 0.025), None),
@@ -191,8 +188,6 @@ class RunConfig:
     solver_tol: float               # cell-solve tolerance
     fd_h_rule: float                # fine grid h = eps / fd_h_rule
     radius: float | None            # box radius; None: truncation_radius
-    radius_safety: float            # the safety factor of truncation_radius
-    validate_radius: bool           # doubling check of the reference box
     j: int                          # 1-based homogenized eigenvalue index
     count: int                      # computed homogenized eigenvalues
     eps_list: tuple                 # the sweep, sorted descending

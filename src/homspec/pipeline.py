@@ -65,7 +65,6 @@ class RunManifest:
     D: list | None
     E: list | None
     radius: float
-    radius_shift: float | None
     longdouble_nmant: int       # np.finfo(np.longdouble).nmant of the run
     blas_threads: dict          # THREAD_VARIABLES as seen, None where unset
     hierarchy_residual_max: float
@@ -209,57 +208,55 @@ def expansion_summary(branches) -> dict:
             "E": None if br.E is None else br.E.tolist()}
 
 
-def stage_reference(cfg: RunConfig, store, spec, keep_vectors: bool,
-                    warnings: list, each) -> tuple:
+def stage_reference(cfg: RunConfig, store, abar, spec, keep_vectors: bool,
+                    warnings: list, each) -> float:
     """Fine-grid reference spectra at every eps of the sweep, one after the
-    other: each(ref) is called with every eps's ReferenceSpectrum in the
-    order of cfg.eps_list, and the reference is dropped once it returns,
-    so one eps's vectors are held at a time.
+    other, in the box radius that it returns: each(ref, floor) is called
+    with every eps's ReferenceSpectrum, in the order of cfg.eps_list, and
+    its box floor, and the reference is dropped once it returns, so one
+    eps's vectors are held at a time.  Each eps after the first is solved
+    from the h/2 eigenvalues of the one before as shifts (solve_Leps),
+    which the expansion under test never enters.
 
-    Each eps after the first is solved from the h/2 eigenvalues of the one
-    before as shifts (solve_Leps), which the expansion under test never
-    enters; the doubled box is solved without.
-
-    Returns (radius, radius_shift).  With validate_radius the box is
-    doubled once at the largest eps, after the last reference:
-    radius_shift is the relative shift of that eps's eigenvalues (None
-    without validate_radius), and a shift above 1e-9 adds
-    RadiusNotConverged.  A long double narrower than x87 extended
-    precision adds NarrowLongDouble (precision_warnings).
+    The box floor of an eigenvalue, by which the Dirichlet box of radius R
+    raises it, is the sum over the axes of its wall terms / (2 c R), with
+    c = sqrt(Q_aa / abar_aa) the Gaussian exponent of the homogenized
+    eigenfunctions along the axis (ReferenceSpectrum).  each returns
+    (index, error) pairs, the error that its command reports for the
+    reference eigenvalue of that index; an eps where a floor reaches a
+    tenth of its error adds RadiusNotConverged once.  A long double
+    narrower than x87 extended precision adds NarrowLongDouble
+    (precision_warnings).
     """
-    from .reference import (FineGrid, solve_Leps, truncation_radius,
-                            validate_radius)
+    from .reference import FineGrid, solve_Leps, truncation_radius
     coeff, W = store.coeff, store.W
     _, b = spec.cluster_of(cfg.j)
-    lam_min = float(np.min(np.linalg.eigvalsh(W.quadratic_form())))
+    Q = W.quadratic_form()
     radius = cfg.radius or truncation_radius(
         positive_eigenvalue(spec, cfg.count, "the automatic box radius "
                             "needs it positive; set discretization.radius"),
-        lam_min, cfg.radius_safety)
+        float(np.min(np.linalg.eigvalsh(Q))))
+    tails = 2.0 * radius * np.sqrt(np.diag(Q) / np.diag(abar))
     warnings.extend(precision_warnings(np.finfo(np.longdouble).nmant))
-    largest = max(cfg.eps_list)
     shifts = None
     for eps in cfg.eps_list:
         ref = solve_Leps(coeff, W, eps, FineGrid(cfg.dim, radius,
                                                  eps / cfg.fd_h_rule),
                          max(b + 1, 3), keep_vectors=keep_vectors,
                          shifts=shifts)
-        if eps == largest:
-            kept = ref.grid, ref.eigenvalues
         shifts = ref.axis_eigenvalues_h2 or None
-        each(ref)
+        floor = ref.wall_terms @ (1.0 / tails)
+        errors = each(ref, floor)
         # the loop variable would hold the reference through the next solve
         del ref
-    radius_shift = None
-    if cfg.validate_radius:
-        radius_shift = validate_radius(coeff, W, largest, *kept)
-        if radius_shift > 1e-9:
+        over = [f"lambda_{k + 1}: {floor[k]:.3e} against {err:.3e}"
+                for k, err in errors if floor[k] >= 0.1 * err]
+        if over:
             warnings.append({
-                "code": "RadiusNotConverged",
-                "detail": f"doubling the box moved eigenvalues by "
-                          f"{radius_shift:.3e} relative",
-            })
-    return radius, radius_shift
+                "code": "RadiusNotConverged", "eps": eps,
+                "detail": f"the box floor reaches a tenth of the error "
+                          f"({', '.join(over)}); widen discretization.radius"})
+    return radius
 
 
 def run(cfg: RunConfig):
@@ -271,7 +268,9 @@ def run(cfg: RunConfig):
     compare and summary (the fits, the c1 envelope and the manifest
     fields) add up to the whole call.  Each eps laps reference on entry to
     its comparison (its solve) and compare on exit, and its rows'
-    runtime_s split the two laps.
+    runtime_s split the two laps.  Its per_eps entry records the box floor
+    of every reference eigenvalue, which stage_reference holds against the
+    eig_err of each row.
     """
     last = time.perf_counter()
     timings = {}
@@ -300,7 +299,7 @@ def run(cfg: RunConfig):
     rows = []
     per_eps_meta = []
 
-    def compare_eps(ref):
+    def compare_eps(ref, floor):
         solved = lap("reference")
         eps = ref.eps
         eps_rows = match_and_compare(ref, branches, eps, P=P_eps[eps])
@@ -308,6 +307,7 @@ def run(cfg: RunConfig):
             "eps": eps, "P": P_eps[eps], "path": ref.path,
             "h_route": list(ref.h_routes),
             "richardson_estimate": [float(v) for v in ref.error_estimates],
+            "box_floor": floor.tolist(),
             "lambda_ref": [float(v) for v in ref.eigenvalues],
             "polish_steps": [row.polish_steps for row in eps_rows],
         })
@@ -315,10 +315,10 @@ def run(cfg: RunConfig):
         for row in eps_rows:
             row.runtime_s = elapsed / len(eps_rows)
         rows.extend(eps_rows)
+        return [(row.index, row.eig_err) for row in eps_rows]
 
-    radius, radius_shift = stage_reference(cfg, store, spec, compare,
-                                           warnings, compare_eps)
-    # the doubled box of validate_radius is solved after the last eps
+    radius = stage_reference(cfg, store, abar, spec, compare, warnings,
+                             compare_eps)
     lap("reference")
 
     series = [("eig", lambda row: row.eig_err),
@@ -362,7 +362,6 @@ def run(cfg: RunConfig):
         cell_residual_max=store.max_cell_residual(),
         P_built=P_build,
         radius=radius,
-        radius_shift=radius_shift,
         longdouble_nmant=int(np.finfo(np.longdouble).nmant),
         blas_threads={name: os.environ.get(name)
                       for name in THREAD_VARIABLES},
@@ -413,7 +412,7 @@ def rows_to_csv(rows) -> str:
 def rows_from_csv(text: str) -> list:
     """Rows of a ``sweep.csv`` text as written by rows_to_csv."""
     from .reference import ComparisonRow
-    return [ComparisonRow(polish_steps=None, **{
+    return [ComparisonRow(index=None, polish_steps=None, **{
         name: kind(rec[header]) for header, name, kind in CSV_COLUMNS})
         for rec in csv.DictReader(io.StringIO(text))]
 

@@ -98,14 +98,19 @@ def _lapack(*routines) -> list:
 dgttrf, dgttrs, dstebz, dgtsv = _lapack("dgttrf", "dgttrs", "dstebz", "dgtsv")
 
 
-def truncation_radius(lam: float, lambda_minus: float, safety: float) -> float:
-    """Box radius safety * sqrt(lam / Lambda_-) for the Dirichlet truncation.
+# the box radius in units of the classical turning point sqrt(lam/Lambda_-)
+RADIUS_SAFETY = 3.0
 
-    The eigenfunctions decay like a Gaussian past sqrt(lam/Lambda_-); the
-    run configuration validates the chosen radius once by doubling it and
-    checking the target eigenvalues move by less than 1e-9 relative.
+
+def truncation_radius(lam: float, lambda_minus: float) -> float:
+    """Box radius RADIUS_SAFETY * sqrt(lam / Lambda_-) for the Dirichlet
+    truncation.
+
+    The eigenfunctions decay like a Gaussian past sqrt(lam/Lambda_-); every
+    reference reports the floor that the truncation leaves in its
+    eigenvalues (ReferenceSpectrum.wall_terms), whatever the radius.
     """
-    return float(safety) * float(np.sqrt(lam / lambda_minus))
+    return RADIUS_SAFETY * float(np.sqrt(lam / lambda_minus))
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,13 @@ class ReferenceSpectrum:
     shifts that solve_Leps takes at the next eps, and ``h_routes`` where
     its h grid's shifts came from, "warm" (the caller's) or "bisection"
     (LAPACK's); both are empty on the sparse path.
+
+    ``wall_terms`` holds, per eigenvalue and axis, the sum over the two
+    walls normal to the axis of a (du/dn)^2 for the unit h/2 eigenfunction
+    u (_wall_terms): summed over the axes, -dlambda/dR by Hadamard's domain
+    variation.  Past the box u decays like exp(-c x^2 / 2), c the Gaussian
+    exponent of the axis, so the truncation raises lambda by about the
+    axis's term / (2 c R): the box floor, which the caller forms.
     """
 
     eps: float
@@ -196,6 +208,7 @@ class ReferenceSpectrum:
     eigenvectors: np.ndarray | None  # (count, m) on the h/2 grid
     fine_grid: FineGrid
     path: str
+    wall_terms: np.ndarray           # (count, d)
     operator: FDOperator | None = None  # with the eigenvectors
     axis_eigenvalues_h2: tuple = ()
     h_routes: tuple = ()
@@ -583,6 +596,19 @@ def _solve_1d(coeff_at, W, eps, grid, count, shifts=None):
     return vals, fine_vals, fine_vecs, fop, route
 
 
+def _wall_terms(edges, h: float, vecs) -> np.ndarray:
+    """(count, d): per unit row of vecs (interior node values, each shaped
+    as the grid) and per axis ax, the sum over the two walls normal to ax
+    of a (u_end / h)^2 over the wall's nodes, for u = v / h^(d/2) in L2
+    and a the harmonic average edges[ax] over the wall's cells, the
+    coefficient of the discrete flux through the wall: the wall integral
+    of a (du/dn)^2.  Reads the first and last entries along each axis
+    only."""
+    return np.array([[sum(np.sum(np.take(a, i, ax) * np.take(v, i, ax) ** 2)
+                          for i in (0, -1)) for ax, a in enumerate(edges)]
+                     for v in vecs]) / h ** 3
+
+
 def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
     """The 1D axes of a problem, (a_k, W_k) per axis with a_k a callable
     of a 1D point set and its index, as _fd_operator calls it, or None when
@@ -623,7 +649,9 @@ def _separable_parts(coeff: CoefficientField, W: SlowPolynomial):
 def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
                  grid: FineGrid):
     """Five-point symmetric FD matrix of _fd_operator, in CSR form, for a
-    diagonal a (check_diagonal)."""
+    diagonal a (check_diagonal), and per axis the edge averages of the
+    first and last cells along it, those on the walls, as _wall_terms
+    reads them."""
     import scipy.sparse as sp
     n = grid.n_interior
     if n * n > MAX_UNKNOWNS_2D:
@@ -639,21 +667,25 @@ def _assemble_2d(coeff: CoefficientField, W: SlowPolynomial, eps: float,
         stride = n ** (c.ndim - 1 - ax)
         bands += [off[:-stride]] * 2
         offsets += [stride, -stride]
-    return sp.diags(bands, offsets, format="csr")
+    walls = tuple(np.take(a, [0, -1], axis=ax) for ax, a in enumerate(op.edges))
+    return sp.diags(bands, offsets, format="csr"), walls
 
 
 def _solve_2d_sparse(coeff, W, eps, grid, count):
-    """The count lowest eigenvalues, ascending."""
+    """The count lowest eigenvalues, ascending, and their _wall_terms."""
     import scipy.sparse.linalg as spla
-    A = _assemble_2d(coeff, W, eps, grid)
+    A, walls = _assemble_2d(coeff, W, eps, grid)
     # a seeded start keeps runs bit-reproducible (ARPACK draws a random one);
     # a constant one would miss the odd eigenvectors of a symmetric problem
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
-        vals, _ = spla.eigsh(A, k=count, sigma=0.0, which="LM", v0=v0)
+        vals, vecs = spla.eigsh(A, k=count, sigma=0.0, which="LM", v0=v0)
     except Exception as exc:          # noqa: BLE001 - surfaced as library error
         raise ConvergenceFailure(f"sparse eigensolve failed: {exc}") from exc
-    return np.sort(vals)
+    order = np.argsort(vals)
+    # each column as an (n, n) view of the grid, in eigenvalue order
+    return vals[order], _wall_terms(walls, grid.h, [
+        vecs[:, k].reshape(grid.n_interior, -1) for k in order])
 
 
 # --- public entry points ----------------------------------------------------------
@@ -690,7 +722,9 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     (_separable_parts, _solve_1d), its eigenvalues the count lowest sums
     of one per axis; any other 2D problem by sparse shift-invert.  With
     keep_vectors a 1D reference keeps its h/2 eigenvectors, unit rows
-    unpolished, and the h/2 operator; a 2D reference keeps neither.
+    unpolished, and the h/2 operator; a 2D reference keeps neither.  The
+    wall terms are read off the h/2 vectors, which each path forms anyway:
+    a separable eigenvalue's are those of its modes on their axes.
     shifts, when given, are another reference's axis_eigenvalues_h2, count
     increasing values per 1D axis (in a sweep, the previous eps's): each
     axis's h grid is then solved by inverse iteration from them, under
@@ -721,8 +755,8 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
     vecs = op = None
     if axes is None:
         # shift-invert about 0, below the positive definite spectrum
-        vals_h, vals_h2 = (_solve_2d_sparse(coeff, W, eps, g, count)
-                           for g in (grid, fine))
+        vals_h, _ = _solve_2d_sparse(coeff, W, eps, grid, count)
+        vals_h2, walls = _solve_2d_sparse(coeff, W, eps, fine, count)
         path, axes_h2, routes = "sparse", (), ()
     else:
         g1 = FineGrid(1, grid.radius, grid.h)
@@ -732,10 +766,14 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
         # the count lowest sums of one eigenvalue per axis: count modes per
         # axis suffice, since the 1D eigenvalues are simple and increasing,
         # so a sum with mode i >= count on one axis lies above the count
-        # sums with modes c < count there
-        vals_h, vals_h2 = (np.array(sorted(map(
-            sum, itertools.product(*spectra)))[:count])
-            for spectra in (axes_h, axes_h2))
+        # sums with modes c < count there; an h/2 sum keeps the wall
+        # terms of its modes on their axes
+        vals_h = np.array(sorted(map(sum, itertools.product(*axes_h)))[:count])
+        axis_walls = [_wall_terms(o.edges, o.h, v)[:, 0]
+                      for v, o in zip(axis_vecs, axis_ops)]
+        vals_h2, walls = map(np.array, zip(*sorted(zip(
+            map(sum, itertools.product(*axes_h2)),
+            itertools.product(*axis_walls)))[:count]))
         if keep_vectors and grid.dim == 1:
             (vecs,), (op,) = axis_vecs, axis_ops
         path = "tridiagonal" if grid.dim == 1 else "separable"
@@ -744,22 +782,9 @@ def solve_Leps(coeff: CoefficientField, W: SlowPolynomial, eps: float,
         eigenvalues_h=vals_h, eigenvalues_h2=vals_h2,
         eigenvalues=(4.0 * vals_h2 - vals_h) / 3.0,
         error_estimates=np.abs(vals_h2 - vals_h) / 3.0,
-        eigenvectors=vecs, fine_grid=fine, path=path, operator=op,
-        axis_eigenvalues_h2=axes_h2, h_routes=routes,
+        eigenvectors=vecs, fine_grid=fine, path=path, wall_terms=walls,
+        operator=op, axis_eigenvalues_h2=axes_h2, h_routes=routes,
     )
-
-
-def validate_radius(coeff, W, eps: float, grid: FineGrid,
-                    eigenvalues: np.ndarray) -> float:
-    """Relative shift of the (Richardson) eigenvalues of a reference at eps
-    on grid when the box radius is doubled; only the doubled box is
-    solved."""
-    big = FineGrid(grid.dim, 2.0 * grid.radius, grid.h)
-    wide = solve_Leps(coeff, W, eps, big, len(eigenvalues),
-                      keep_vectors=False)
-    shift = np.max(np.abs(eigenvalues - wide.eigenvalues)
-                   / np.maximum(np.abs(wide.eigenvalues), 1.0))
-    return float(shift)
 
 
 # --- matching and rates -------------------------------------------------------------
@@ -778,8 +803,11 @@ class ComparisonRow:
     h1_err: float
     h: float
     radius: float
-    # Newton steps of the polish, None without one: a diagnostic that
-    # sweep.csv does not carry, so rows equal without it
+    # diagnostics that sweep.csv does not carry, so rows equal without
+    # them, and None in a row read back from it: the index of the
+    # reference eigenpair matched, and the Newton steps of the polish (None
+    # without one)
+    index: int | None = field(compare=False)
     polish_steps: int | None = field(compare=False)
     runtime_s: float = 0.0
 
@@ -857,7 +885,8 @@ def match_and_compare(ref: ReferenceSpectrum, branches: list, eps: float,
             lambda_tilde=lam_tilde,
             eig_err=abs(lam_ref - lam_tilde),
             l2_err=l2, h1_err=h1,
-            h=ref.grid.h, radius=ref.grid.radius, polish_steps=steps,
+            h=ref.grid.h, radius=ref.grid.radius, index=int(pick),
+            polish_steps=steps,
         ))
     return rows
 

@@ -218,7 +218,7 @@ def test_rate_over_random_smooth_problems(seed, base, c):
     spec = solve_spectrum(abar, W, MacroBasis(1, 40, default_sigma(abar, W)),
                           4)
     branch = simple_recursion(store, spec, 1, 4)
-    radius = truncation_radius(spec.eigenvalue(3), c, 3.0)
+    radius = truncation_radius(spec.eigenvalue(3), c)
     p0, p3, routes, shifts = [], [], [], None
     for eps in (1 / 10, 1 / 20, 1 / 40):
         ref = solve_Leps(coeff, W, eps, FineGrid(1, radius, eps / 32), 3,
@@ -228,10 +228,71 @@ def test_rate_over_random_smooth_problems(seed, base, c):
         lam = ref.eigenvalues[0]
         p0.append((eps, abs(lam - lambda_tilde(branch, eps, 0))))
         p3.append((eps, abs(lam - lambda_tilde(branch, eps, 3))))
+        # the auto radius keeps the box out of every measured error
+        assert _box_floor(ref, W, abar)[0] < 0.1 * min(p0[-1][1], p3[-1][1])
     assert routes == ["bisection", "warm", "warm"]
     assert 1.9 <= fit_rate(p0)[0] <= 2.1
     assert fit_rate(p3)[0] >= 3.8
     assert all(e3 < e0 for (_, e3), (_, e0) in zip(p3, p0))
+
+
+def _box_floor(ref, W, abar):
+    """The box floor of ref's eigenvalues as stage_reference forms it: the
+    wall terms over 2 R c per axis, c = sqrt(Q_aa / abar_aa)."""
+    decay = np.sqrt(np.diag(W.quadratic_form()) / np.diag(abar))
+    return ref.wall_terms @ (1.0 / (2.0 * ref.grid.radius * decay))
+
+
+def _axis_coeff(rng):
+    """A random smooth coefficient of one variable, 2 plus two random
+    trigonometric modes of amplitude up to 0.4, scaled to harmonic mean 1."""
+    cs, ss = rng.uniform(-0.4, 0.4, size=(2, 2))
+
+    def raw(y):
+        return 2.0 + sum(cs[p] * np.cos(TWO_PI * (p + 1) * y)
+                         + ss[p] * np.sin(TWO_PI * (p + 1) * y)
+                         for p in range(2))
+
+    scale = np.mean(1.0 / raw(np.arange(4096) / 4096))
+    return lambda y: scale * raw(y)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), c=st.floats(0.5, 2.0))
+def test_rate_over_random_separable_2d_problems(seed, c):
+    # the multiple-2d claim on random separable problems: a = diag(a1(y1),
+    # a2(y2)), each a random smooth coefficient of its own axis with
+    # harmonic mean 1, and W = c |x|^2, so abar = I and lambda_2 = lambda_3
+    # form a cluster of 2, split by the branches' mu_2.  Each branch's P = 2
+    # eigenvalue error falls at least as eps^2.5 (4.0 or more in 30 draws;
+    # over eps = 1/8 to 1/24 at h = eps/8, one draw in 12 read 2.05, its
+    # errors flattened near 1e-8 by the reference's Richardson floor), and
+    # the auto radius keeps the box floor out of every error.  An example
+    # takes about 0.1 s
+    rng = np.random.default_rng(seed)
+    a1, a2 = _axis_coeff(rng), _axis_coeff(rng)
+    coeff = CoefficientField.from_matrix(TorusGrid(2, 32), [
+        [lambda y1, y2: a1(y1) + 0.0 * y2, None],
+        [None, lambda y1, y2: a2(y2) + 0.0 * y1],
+    ])
+    W = SlowPolynomial(2, {(2, 0): c, (0, 2): c})
+    store, abar, _ = build_suite(coeff, W, tol=1e-13)
+    spec = solve_spectrum(abar, W, MacroBasis(2, 16, default_sigma(abar, W)),
+                          4)
+    assert spec.cluster_of(2) == (1, 3)
+    branches = multiple_recursion(store, spec, 2, 2)
+    radius = truncation_radius(spec.eigenvalue(3), c)
+    errs = {0: [], 1: []}
+    for eps in (1 / 4, 1 / 6, 1 / 8):
+        ref = solve_Leps(coeff, W, eps, FineGrid(2, radius, eps / 16), 4,
+                         keep_vectors=False)
+        assert ref.path == "separable"
+        floor = _box_floor(ref, W, abar)
+        for r, br in enumerate(branches):
+            errs[r].append((eps, abs(ref.eigenvalues[1 + r]
+                                     - lambda_tilde(br, eps, 2))))
+            assert floor[1 + r] < 0.1 * errs[r][-1][1]
+    assert all(fit_rate(errs[r])[0] >= 2.5 for r in errs), errs
 
 
 def test_a5_identity_suite():

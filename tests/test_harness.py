@@ -485,9 +485,19 @@ class TestPipeline:
         assert all(np.isnan(row.l2_err) and np.isnan(row.h1_err)
                    for row in rows)
 
-    def test_validate_radius_solves_only_the_doubled_box(self, monkeypatch):
-        # the doubling check reuses the largest eps's reference: one
-        # solve_Leps per eps and one on the doubled box
+    def test_hierarchy_residual_warns(self, monkeypatch):
+        # a macroscopic hierarchy residual above 1e-8 adds one
+        # HierarchyResidual warning, and the manifest records it
+        monkeypatch.setattr(pipeline, "hierarchy_residual_max",
+                            lambda branches: 2e-8)
+        manifest, _ = run(parse_config(MINIMAL))
+        assert [w["code"] for w in manifest.warnings] == ["HierarchyResidual"]
+        assert manifest.hierarchy_residual_max == 2e-8
+
+    def test_one_solve_per_eps(self, monkeypatch):
+        # every reference reads its box floor off the vectors it forms:
+        # one solve_Leps per eps, on the configured box, and a floor per
+        # reference eigenvalue far below the errors at radius 7
         calls = []
         solve = reference.solve_Leps
 
@@ -496,16 +506,17 @@ class TestPipeline:
             return solve(coeff, W, eps, grid, *args, **kwargs)
 
         monkeypatch.setattr(reference, "solve_Leps", counting)
-        cfg = parse_config(MINIMAL.replace(
-            "radius = 7.0", "radius = 7.0\nvalidate_radius = true"))
+        cfg = parse_config(MINIMAL)
         manifest, _ = run(cfg)
-        assert len(calls) == len(cfg.eps_list) + 1
-        assert calls[-1] == (max(cfg.eps_list), 14.0)
-        assert 0.0 <= manifest.radius_shift < 1e-9
+        assert calls == [(eps, 7.0) for eps in cfg.eps_list]
+        for meta in manifest.per_eps:
+            assert len(meta["box_floor"]) == len(meta["lambda_ref"])
+            assert 0.0 <= max(meta["box_floor"]) < 1e-9
+        assert manifest.warnings == []
 
     def test_no_reference_outlives_its_eps(self, monkeypatch):
         # stage_reference drops each eps's reference once it is compared:
-        # none is alive when the next eps, or the doubled box, is solved
+        # none is alive when the next eps is solved
         alive = []
         solve = reference.solve_Leps
 
@@ -516,10 +527,10 @@ class TestPipeline:
             return out
 
         monkeypatch.setattr(reference, "solve_Leps", tracking)
-        cfg = parse_config(MINIMAL.replace(
-            "radius = 7.0", "radius = 7.0\nvalidate_radius = true"))
+        cfg = parse_config(MINIMAL)
         _, rows = run(cfg)
-        assert len(alive) == len(cfg.eps_list) + 1
+        assert len(alive) == len(cfg.eps_list)
+        assert all(ref() is None for ref in alive)
         assert all(np.isfinite(row.l2_err) for row in rows)
 
     def test_1d_sweep_holds_one_eps(self):
@@ -846,9 +857,11 @@ class TestCLI:
             assert [w["code"] for w in warnings] == ["RoughCoefficient"]
 
     def test_reference_validates_radius(self, tmp_path):
-        # validate_radius doubles the box in the reference subcommand as in
-        # the sweep; a radius of 2 is far too small (the shift is 0.65)
-        text = MINIMAL.replace("radius = 7.0", "radius = 2.0\nvalidate_radius = true")
+        # a radius of 2 is far too small (the doubled box moves lambda_1 by
+        # 0.65): its box floor reaches a tenth of the error that each
+        # command reports, the Richardson estimate in reference and
+        # eig_err in the sweep, and both raise RadiusNotConverged
+        text = MINIMAL.replace("radius = 7.0", "radius = 2.0")
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(text)
         r = self._run("--config", str(cfgfile), "--out", str(tmp_path),
@@ -856,11 +869,36 @@ class TestCLI:
         assert r.returncode == 0, r.stderr
         payload = json.loads((tmp_path / "reference.json").read_text())
         manifest, _ = run(parse_config(text))
-        assert payload["radius_shift"] == manifest.radius_shift
-        assert payload["radius_shift"] > 1e-9
+        assert ([e["box_floor"] for e in payload["per_eps"]]
+                == [e["box_floor"] for e in manifest.per_eps])
+        assert all(e["box_floor"][0] > 1e-2 for e in payload["per_eps"])
         assert ([w["code"] for w in payload["warnings"]]
                 == [w["code"] for w in manifest.warnings]
-                == ["RadiusNotConverged"])
+                == ["RadiusNotConverged"] * 3)
+        assert ([w["eps"] for w in payload["warnings"]]
+                == [w["eps"] for w in manifest.warnings]
+                == [0.125, 0.0625, 0.03125])
+
+    @pytest.mark.parametrize("config, radius, warned", [
+        ("simple-1d", 6.0, [0.025, 0.0125, 0.00625]),
+        ("simple-1d", 4.2, [0.1, 0.05, 0.025, 0.0125, 0.00625]),
+        ("multiple-2d", 3.5, [0.125, 0.08333333333333333, 0.0625,
+                              0.041666666666666664]),
+    ])
+    def test_box_floor_flags_a_small_radius(self, config, radius, warned):
+        # a bundled config on a narrower box: its eig_err flattens onto the
+        # box floor, which raises RadiusNotConverged at every eps where the
+        # floor reaches a tenth of eig_err (simple-1d at radius 6: floor
+        # 1.14e-11 against eig_err 1.1e-8, 6.5e-10, 2.2e-11, 1.7e-11 and
+        # 2.0e-11; multiple-2d at 3.5: 4.4e-4 and 7.1e-4 against 8.35e-4)
+        with open(self._bundled(config)) as fh:
+            text = fh.read()
+        cfg = parse_config(text.replace("radius = 7.0", f"radius = {radius}")
+                           .replace("radius = 6.0", f"radius = {radius}"))
+        assert cfg.radius == radius
+        manifest, _ = run(cfg)
+        assert [w["eps"] for w in manifest.warnings
+                if w["code"] == "RadiusNotConverged"] == warned
 
     def test_reference_radius_matches_sweep(self, tmp_path):
         # radius = auto: the reference subcommand and the sweep must size
@@ -875,7 +913,7 @@ class TestCLI:
         payload = json.loads((tmp_path / "reference.json").read_text())
         manifest, _ = run(parse_config(text))
         assert payload["radius"] == manifest.radius
-        assert payload["radius_shift"] is None and payload["warnings"] == []
+        assert "radius_shift" not in payload and payload["warnings"] == []
         assert [e["eps"] for e in payload["per_eps"]] == [0.125, 0.0625, 0.03125]
         assert ([e["h_route"] for e in payload["per_eps"]]
                 == [e["h_route"] for e in manifest.per_eps]
@@ -967,9 +1005,9 @@ class TestCLI:
     @pytest.mark.parametrize("key, value", [
         ("radius", "abc"),              # malformed text
         ("solver_tol", "nan"),          # not finite
-        ("radius_safety", "-2"),        # not positive
+        ("p_rule_c", "-2"),             # not positive
         ("hermite_size", "4"),          # below the bound
-        ("validate_radius", "treu"),    # not a boolean
+        ("compare_eigenfunctions", "treu"),  # not a boolean
         ("eps", "0.1, abc"),            # a malformed list entry
         ("torus_modes", "5"),           # odd
     ])
@@ -1024,6 +1062,14 @@ class TestCLI:
         r = self._run("--config", str(cfgfile), "homogenize",
                       cwd=str(tmp_path))
         self._fails_in_one_line(r, 3, "config error: ", "experiment.p_oder")
+        # the box floor of every reference replaced these two settings
+        for key in ("radius_safety", "validate_radius"):
+            cfgfile.write_text(MINIMAL.replace("radius = 7.0",
+                                               f"radius = 7.0\n{key} = 3"))
+            r = self._run("--config", str(cfgfile), "homogenize",
+                          cwd=str(tmp_path))
+            self._fails_in_one_line(r, 3, "config error: unknown section or "
+                                    "key", f"discretization.{key}")
 
     @pytest.mark.parametrize("argv, needle", [
         (("expand", "--w-samples", "abc"), "--w-samples"),

@@ -3,10 +3,11 @@ package code, every parameter of one or of a function nested in one is read,
 every defaulted parameter is passed by name or position by some call in
 src/homspec, no parameter of a function, method or constructor is passed
 one literal (or one module constant) by every call, every dataclass field is
-read by package code, no method name of a class is also one of its instance
-attributes, no package code raises NotImplementedError, only pipeline.run
-reads the clock, only config._parse_expression calls eval, exec or
-compile, and only pipeline.config_hash imports a SHA-256.
+read by package code, every warning code is named in README and by a test,
+no method name of a class is also one of its instance attributes, no
+package code raises NotImplementedError, only pipeline.run reads the clock,
+only config._parse_expression calls eval, exec or compile, and only
+pipeline.config_hash imports a SHA-256.
 Tests and the benchmark are not callers: what only they use is kept, if at
 all, in a KEPT_* table with its reason.
 
@@ -399,6 +400,16 @@ def _digest_importers(trees) -> list:
         isinstance(node, ast.ImportFrom) and node.module in digests))
 
 
+def _warning_codes(trees) -> list:
+    """Every warning code the package emits, sorted: the string value of a
+    "code" key in a dict display."""
+    return sorted({value.value for _, tree in trees
+                   for node in ast.walk(tree) if isinstance(node, ast.Dict)
+                   for key, value in zip(node.keys, node.values)
+                   if isinstance(key, ast.Constant) and key.value == "code"
+                   and isinstance(value, ast.Constant)})
+
+
 def test_no_unused_helpers():
     # a helper that only tests call is code the package carries for them:
     # delete it, or keep it in KEPT_UNCALLED with a reason
@@ -476,6 +487,20 @@ def test_one_digest():
     # the built-in SHA-256: an import of hashlib elsewhere, at module level
     # above all, would load OpenSSL's libcrypto (3.5 MB) into every command
     assert _digest_importers(_trees()) == ["pipeline.py:config_hash"]
+
+
+def test_every_warning_code_is_named_and_raised():
+    # a warning code is the manifest's machine-readable record of what a
+    # run found: README says what each one means, and some test makes the
+    # package raise it, naming it as the string the manifest carries
+    codes = _warning_codes(_trees())
+    assert "RadiusNotConverged" in codes
+    readme = (ROOT / "README.md").read_text("utf-8")
+    tests = "".join(path.read_text("utf-8")
+                    for path in (ROOT / "tests").glob("test_*.py")
+                    if path.name != pathlib.Path(__file__).name)
+    assert [c for c in codes if f"`{c}`" not in readme] == []
+    assert [c for c in codes if f'"{c}"' not in tests] == []
 
 
 def test_errors_carry_their_message_only():

@@ -33,7 +33,6 @@ from homspec.reference import (
     match_and_compare,
     solve_Leps,
     truncation_radius,
-    validate_radius,
 )
 from homspec.slowpoly import SlowPolynomial
 from homspec.torus import CoefficientField, TorusGrid
@@ -51,29 +50,70 @@ def coeff_identity_1d():
     )
 
 
+def multiple_2d():
+    """configs/multiple-2d.ini's problem: a laminate along y1 normalized to
+    abar = I, and W = x1^2 + x2^2."""
+    c = CoefficientField.from_matrix(TorusGrid(2, 32), [
+        [lambda y1, y2: (2.0 + np.cos(TWO_PI * y1)) / np.sqrt(3.0), None],
+        [None, lambda y1, y2: np.ones_like(y1)],
+    ])
+    return c, SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
+
+
 class TestTruncationRadius:
     def test_values(self):
-        assert truncation_radius(1.0, 1.0, 3.0) == pytest.approx(3.0)
-        assert truncation_radius(4.0, 1.0, 3.0) == pytest.approx(6.0)
-        assert truncation_radius(4.0, 4.0, 3.0) == pytest.approx(3.0)
+        assert truncation_radius(1.0, 1.0) == pytest.approx(3.0)
+        assert truncation_radius(4.0, 1.0) == pytest.approx(6.0)
+        assert truncation_radius(4.0, 4.0) == pytest.approx(3.0)
+
+    @staticmethod
+    def _floor_and_shift(c, W, eps, grid, count, decay):
+        """The box floor of the reference on grid, its wall terms over
+        2 R decay per axis, and the oracle it estimates: the shift of the
+        Richardson eigenvalues when the box is doubled at the same h."""
+        wide = FineGrid(grid.dim, 2.0 * grid.radius, grid.h)
+        ref, big = (solve_Leps(c, W, eps, g, count, keep_vectors=False)
+                    for g in (grid, wide))
+        floor = ref.wall_terms @ (1.0 / (2.0 * grid.radius
+                                         * np.asarray(decay)))
+        return floor, ref.eigenvalues - big.eigenvalues
 
     def test_radius_validation_converged(self):
-        # R = 6 for the unit oscillator: doubling the box moves lambda_1
-        # by far less than 1e-9 relative
-        c = coeff_identity_1d()
-        grid = FineGrid(1, 6.0, 1.0 / 128)
-        ref = solve_Leps(c, w1(), 0.25, grid, 2, keep_vectors=False)
-        shift = validate_radius(c, w1(), 0.25, grid, ref.eigenvalues)
-        assert shift < 1e-9
+        # R = 6 for the unit oscillator: the floor, and doubling the box,
+        # move lambda_1 and lambda_2 by far less than 1e-9
+        floor, shift = self._floor_and_shift(
+            coeff_identity_1d(), w1(), 0.25, FineGrid(1, 6.0, 1.0 / 128), 2,
+            [1.0])
+        assert np.all(np.abs(shift) < 1e-9) and np.all(floor < 1e-9)
 
     def test_small_radius_detected(self):
         # R = 3 is NOT converged for the oscillator: the Dirichlet shift is
-        # around 1e-4, which the doubling check must expose
-        c = coeff_identity_1d()
-        grid = FineGrid(1, 3.0, 1.0 / 128)
-        ref = solve_Leps(c, w1(), 0.25, grid, 1, keep_vectors=False)
-        shift = validate_radius(c, w1(), 0.25, grid, ref.eigenvalues)
-        assert shift > 1e-7
+        # around 1e-4, which the floor must expose
+        floor, shift = self._floor_and_shift(
+            coeff_identity_1d(), w1(), 0.25, FineGrid(1, 3.0, 1.0 / 128), 1,
+            [1.0])
+        assert shift[0] > 1e-7 and floor[0] > 1e-7
+
+    @pytest.mark.parametrize("radius", [3.5, 4.2, 5.0, 6.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_floor_tracks_the_doubled_box(self, dim, radius):
+        # simple-1d's and multiple-2d's problems, whose Gaussian exponents
+        # sqrt(q / abar) are 3^(-1/4) and 1 per axis: over shifts from
+        # 6e-15 (2D, R = 6, lambda_1) to 9e-2 (1D, R = 3.5, lambda_3), the
+        # floor lies within 3x of the doubled box's shift of every
+        # eigenvalue (shift / floor from 0.70 to 2.53)
+        if dim == 1:
+            c = CoefficientField.from_isotropic(
+                TorusGrid(1, 64), lambda y: 2.0 + np.cos(TWO_PI * y))
+            W, eps, count, decay = w1(), 0.1, 3, [3.0 ** -0.25]
+        else:
+            c, W = multiple_2d()
+            eps, count, decay = 0.125, 4, [1.0, 1.0]
+        floor, shift = self._floor_and_shift(
+            c, W, eps, FineGrid(dim, radius, eps / (16 if dim == 1 else 8)),
+            count, decay)
+        assert np.all(shift / 3 <= floor) and np.all(floor <= 3 * shift), (
+            floor, shift)
 
 
 class TestSolve1D:
@@ -139,20 +179,19 @@ class TestSolve1D:
 class TestSolve2D:
     def test_separable_matches_sparse(self):
         # the Kronecker-sum fast path and the generic shift-invert path
-        # solve the same discrete operator
-        grid2 = TorusGrid(2, 32)
-        c = CoefficientField.from_matrix(grid2, [
-            [lambda y1, y2: (2.0 + np.cos(TWO_PI * y1)) / np.sqrt(3.0), None],
-            [None, lambda y1, y2: np.ones_like(y1)],
-        ])
-        W = SlowPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
+        # solve the same discrete operator, and read the same wall terms
+        # off its eigenvectors
+        c, W = multiple_2d()
         eps = 1.0 / 4
         fg = FineGrid(2, 4.0, eps / 8)
         sep = solve_Leps(c, W, eps, fg, 4, keep_vectors=False)
         from homspec.reference import _solve_2d_sparse
-        vals = _solve_2d_sparse(c, W, eps, fg, 4)
+        vals, walls = _solve_2d_sparse(c, W, eps, fg, 4)
         assert sep.path == "separable"
         assert np.max(np.abs(sep.eigenvalues_h - vals)) < 1e-9
+        # the sparse terms are read on the h grid and the separable ones on
+        # h/2, and the end node's difference quotient is first order in h
+        assert np.allclose(walls, sep.wall_terms, rtol=0.05, atol=0)
 
     @staticmethod
     def _non_separable():
@@ -194,7 +233,7 @@ class TestSolve2D:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(torus, "FourierSampler", CountingSampler)
-        A = _assemble_2d(sampled, W, 0.5, fg)
+        A, _ = _assemble_2d(sampled, W, 0.5, fg)
         assert A.shape == (fg.n_interior ** 2,) * 2 == (63 ** 2,) * 2
         assert len(built) <= 2
 
@@ -221,7 +260,7 @@ class TestSolve2D:
         fg = FineGrid(2, 3.0, 0.5 / 8)
         ref = solve_Leps(c, W, 0.5, fg, 3, keep_vectors=False)
         assert ref.path == "sparse"
-        A = _assemble_2d(c, W, 0.5, fg).tocsc()
+        A = _assemble_2d(c, W, 0.5, fg)[0].tocsc()
         order = np.arange(A.shape[0])
 
         def below(s):
@@ -410,7 +449,7 @@ class TestFdOperator:
             assert abs(float(op.quotient(v)) - float(vl @ Tv / (vl @ vl))) \
                 <= np.finfo(float).eps * norm
         else:
-            A = _assemble_2d(coeff, W, eps, grid)
+            A, _ = _assemble_2d(coeff, W, eps, grid)
             got = (A @ v.ravel()).reshape(v.shape) - shift * v
         assert np.max(np.abs(got - (Tv - shift * v))) <= tol
 
@@ -538,7 +577,7 @@ def _well(c, count):
     eigenfunctions: lambda_count of the well is about sqrt(2 c) (2 count - 1)
     for an abar between sqrt(3) and 2."""
     lam = np.sqrt(2.0 * c) * (2 * count - 1)
-    return SlowPolynomial(1, {(2,): c}), truncation_radius(lam, c, 2.0)
+    return SlowPolynomial(1, {(2,): c}), 2.0 * float(np.sqrt(lam / c))
 
 
 def _banded_oracle(mp):
